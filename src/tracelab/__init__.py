@@ -48,10 +48,12 @@ from .geometry import (
 from .harness import ExperimentConfig, RunResult, parse_lambda_grid, run
 from .reports import ScanReport
 from .smoothing import (
+    ParitySplit,
     TraceResult,
     integrate_diagonal,
     negative_lambda_scan,
     offlocus_decay_scan,
+    parity_scan,
     parity_split,
     scaled_diagonal_scan,
     smoothed_kernel_diagonal,
@@ -60,8 +62,8 @@ from .smoothing import (
 )
 from .spectral import (
     EigenBlock,
-    SectionSpace,
     SpectralPackage,
+    degree_block,
     eigendata,
     eigensection_values,
     monomial_norms,

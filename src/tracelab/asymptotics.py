@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import schur
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import (
     CleanLocusError,
@@ -288,6 +287,8 @@ def _line_integral(mu: complex, nodes_cap: int) -> complex:
 
 
 def _whitened_qmc(A: np.ndarray, log2_n: int, scrambles: int, seed: int) -> complex:
+    from scipy.stats import qmc  # costs ~0.4 s of import; only criterion 9 needs it
+
     c = A.shape[0]
     B = A - np.eye(c)
     G = B.conj().T @ B

@@ -56,7 +56,7 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
     base["kind"] = args.kind
     model = dict(base.get("model", {}))
     if args.weights:
-        model["weights"] = [int(w) for w in args.weights.split(",")]
+        model["weights"] = _numbers(args.weights, int, "config.model.weights")
     if args.dim is not None:
         model["dim"] = args.dim
     if not model.get("weights"):
@@ -86,12 +86,19 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
     if args.seed is not None:
         base["seed"] = args.seed
     if args.u:
-        base["u"] = [float(x) for x in args.u.split(",")]
+        base["u"] = _numbers(args.u, float, "config.u")
     if args.C is not None:
         base["C"] = args.C
     if args.precision:
         base["precision"] = args.precision
     return ExperimentConfig.from_dict(base)
+
+
+def _numbers(text: str, caster, where: str) -> list:
+    try:
+        return [caster(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{where}: expected comma-separated numbers, got {text!r}") from None
 
 
 def main(argv=None) -> int:

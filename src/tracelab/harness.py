@@ -22,13 +22,7 @@ from . import __version__
 from .errors import CacheError, ConfigError, PeriodError
 from .geometry import ProjectiveModel, fixed_components, heisenberg_chart, make_model, period_gap
 from .reports import ScanReport
-from .smoothing import (
-    negative_lambda_scan,
-    offlocus_decay_scan,
-    parity_split,
-    scaled_diagonal_scan,
-    smoothed_trace,
-)
+from .smoothing import offlocus_decay_scan, parity_scan, scaled_diagonal_scan, smoothed_trace
 from .spectral import SpectralPackage, eigendata
 from .windows import Window
 
@@ -72,6 +66,13 @@ def _field(d: dict, key: str, caster, default=..., where: str = "config"):
         raise ConfigError(f"{where}.{key}: {exc}") from None
 
 
+def _displacement(values) -> np.ndarray:
+    """Normal displacement: numbers, or [re, im] pairs."""
+    return np.asarray(
+        [complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v) for v in values]
+    )
+
+
 @dataclasses.dataclass
 class ExperimentConfig:
     """Validated description of one run.
@@ -96,6 +97,9 @@ class ExperimentConfig:
     cache_dir: str | None = None
     out_dir: str = "out"
     seed: int = 0
+    _model: ProjectiveModel | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -122,14 +126,19 @@ class ExperimentConfig:
             if self.lambda_grid is None:
                 raise ConfigError(f"config.lambda_grid: required for kind {self.kind!r}")
         if self.window is not None:
-            model = make_model(self.weights, calibration=self.calibration)
-            gap = period_gap(model, self.window.tau0)
+            gap = period_gap(self.model(), self.window.tau0)
             halfwidth = self.window.eps if self.window.shape == "bump" else 4.0 * self.window.eps
             if halfwidth >= gap / 2.0:
                 raise ConfigError(
                     f"config.window.eps: effective half-width {halfwidth:.3g} must stay "
                     f"below half the period gap {gap / 2.0:.3g} at tau0={self.window.tau0:.6g}"
                 )
+
+    def model(self) -> ProjectiveModel:
+        """The calibrated model, built once per config."""
+        if self._model is None:
+            self._model = make_model(self.weights, calibration=self.calibration)
+        return self._model
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -159,7 +168,7 @@ class ExperimentConfig:
             grid = parse_lambda_grid(lg) if isinstance(lg, str) else np.asarray(lg, dtype=float)
         u = None
         if "u" in d and d["u"] is not None:
-            u = np.asarray([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v) for v in d["u"]])
+            u = _field(d, "u", _displacement)
         return cls(
             kind=kind,
             weights=weights,
@@ -240,7 +249,9 @@ def obtain_package(cfg: ExperimentConfig, model: ProjectiveModel) -> tuple[Spect
     if path is not None and path.exists():
         try:
             pkg = SpectralPackage.load(path)
-            if pkg.model.weights == model.weights and pkg.k_max == cfg.k_max:
+            # a toy package (no model) at a model path is a mismatch too
+            same = pkg.model is not None and pkg.model.weights == model.weights
+            if same and pkg.k_max == cfg.k_max:
                 return pkg, "cache"
             provenance = "rebuilt"
         except CacheError:
@@ -300,72 +311,53 @@ def run(cfg: ExperimentConfig) -> RunResult:
         results, manifest, code = run_all(out_dir=out, seed=cfg.seed)
         return RunResult(code, tuple(manifest.get("artifacts", ())), manifest)
 
-    model = make_model(cfg.weights, calibration=cfg.calibration)
-    pkg, provenance = obtain_package(cfg, model)
-    artifacts: list[str] = []
-
+    pkg, provenance = obtain_package(cfg, cfg.model())
+    out.mkdir(parents=True, exist_ok=True)
     if cfg.kind == "spectrum":
-        out.mkdir(parents=True, exist_ok=True)
-        values, counts = np.unique(pkg.lambda_all, return_counts=True)
-        rows = np.column_stack([values, counts.astype(float)])
+        rows = np.column_stack([pkg.values, pkg.multiplicities.astype(float)])
         path = out / "spectrum.csv"
         header = "eigenvalue,multiplicity"
         np.savetxt(path, rows, fmt="%.17e", delimiter=",", header=header, comments="")
-        artifacts.append(path.name)
-        report = None
-    elif cfg.kind == "trace":
-        report = _trace_report(pkg, cfg)
-        artifacts += _write_artifacts(report, out, "trace")
-    elif cfg.kind == "local":
-        chart = _default_chart(model, cfg.window.tau0, cfg.x0_index)
-        u = cfg.u if cfg.u is not None else np.zeros(chart.normal_dim, dtype=complex)
-        report = scaled_diagonal_scan(
-            pkg, cfg.window, chart, u, cfg.lambda_grid, cfg.tail_tol, cfg.precision
-        )
-        artifacts += _write_artifacts(report, out, "local")
-    elif cfg.kind == "offlocus":
-        chart = _default_chart(model, cfg.window.tau0, cfg.x0_index)
-        report = offlocus_decay_scan(
-            pkg, cfg.window, chart, cfg.C, cfg.lambda_grid, cfg.tail_tol, cfg.precision
-        )
-        artifacts += _write_artifacts(report, out, "offlocus")
-    elif cfg.kind == "parity":
-        chart = _default_chart(model, cfg.window.tau0, cfg.x0_index)
-        u = cfg.u if cfg.u is not None else np.full(chart.normal_dim, 0.5 + 0j)
-        evens, odds = [], []
-        for lam in cfg.lambda_grid:
-            ev, od = parity_split(pkg, cfg.window, chart, u, float(lam), cfg.tail_tol, cfg.precision)
-            evens.append(ev)
-            odds.append(od)
-        report = ScanReport(
-            "parity",
-            cfg.lambda_grid,
-            np.array(odds),
-            np.array(evens),
-            meta={
-                "kind_detail": "exact column = odd part, predicted column = even part",
-                "u": u,
-                "tau0": cfg.window.tau0,
-            },
-        )
-        artifacts += _write_artifacts(report, out, "parity")
+        artifacts = [path.name]
+    else:
+        report = _trace_report(pkg, cfg) if cfg.kind == "trace" else _kernel_report(pkg, cfg)
+        artifacts = _write_artifacts(report, out, cfg.kind)
 
     manifest = {
         "config": cfg.to_dict(),
         "config_sha256": cfg.digest(),
         "package": {
             "k_max": pkg.k_max,
-            "n_eigenvalues": int(pkg.lambda_all.size),
+            "n_eigenvalues": pkg.n_eigenvalues,
             "provenance": provenance,
         },
         "artifacts": artifacts,
         "runtime_seconds": round(time.time() - t_start, 3),
         "versions": _versions(),
     }
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return RunResult(0, tuple(artifacts), manifest)
+
+
+def _kernel_report(pkg: SpectralPackage, cfg: ExperimentConfig) -> ScanReport:
+    """The local, offlocus or parity scan at the default chart of the window's period."""
+    chart = _default_chart(cfg.model(), cfg.window.tau0, cfg.x0_index)
+    args = (cfg.lambda_grid, cfg.tail_tol, cfg.precision)
+    if cfg.kind == "offlocus":
+        return offlocus_decay_scan(pkg, cfg.window, chart, cfg.C, *args)
+    c = chart.normal_dim
+    if cfg.u is None:
+        u = np.full(c, 0.5 + 0j) if cfg.kind == "parity" else np.zeros(c, dtype=complex)
+    elif len(cfg.u) != c:
+        raise ConfigError(
+            f"config.u: {len(cfg.u)} components given, the chart at tau0="
+            f"{cfg.window.tau0:.6g} has normal dimension {c}"
+        )
+    else:
+        u = cfg.u
+    scan = scaled_diagonal_scan if cfg.kind == "local" else parity_scan
+    return scan(pkg, cfg.window, chart, u, *args)
 
 
 def _trace_report(pkg: SpectralPackage, cfg: ExperimentConfig) -> ScanReport:

@@ -2,21 +2,25 @@
 
 Degree-k sections of the k-th power of the polarising line are realised as
 homogeneous monomials z^alpha (|alpha| = k) on the sphere; the operator is
-the compression of i times the contact field, assembled either by quadrature
-(the establishing route: Gram products of the differentiated basis over a
-moment-coordinate sphere rule) or analytically (the fast route, valid once
-the quadrature route has certified diagonality).  Everything downstream
-consumes a `SpectralPackage`: per-degree eigenvalues and eigensections plus
-the guaranteed spectral coverage interval.
+the compression of i times the contact field.  `toeplitz_matrix` assembles
+it by quadrature (Gram products of the differentiated basis over a
+moment-coordinate sphere rule); that route establishes that the monomials
+are eigensections with the affine eigenvalue law <alpha, w>.  Everything
+downstream consumes a `SpectralPackage` built on that law: the distinct
+integer eigenvalues with their degree-<=k_max multiplicities (denumerants
+of the weights, by a coin-counting table over degree and value) plus the
+guaranteed spectral coverage interval.  Degree blocks of eigensections are
+built only on request.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaln
@@ -76,19 +80,33 @@ def monomial_norms_quadrature(model: ProjectiveModel, k: int) -> np.ndarray:
     return np.sqrt(vals)
 
 
-@dataclass(frozen=True)
-class SectionSpace:
+@dataclass(frozen=True, eq=False)
+class EigenBlock:
+    """Eigendata of one degree block: the monomials z^alpha, |alpha| = k.
+
+    Rows of ``exponents`` are in `multi_indices` order; the monomials divided
+    by ``norms`` are orthonormal eigensections with ``eigenvalues`` <alpha, w>.
+    """
+
     k: int
     exponents: np.ndarray  # (dim, d+1) int
     norms: np.ndarray  # (dim,)
+    eigenvalues: np.ndarray  # (dim,)
 
     @property
     def dim(self) -> int:
         return self.exponents.shape[0]
 
 
-def section_space(model: ProjectiveModel, k: int) -> SectionSpace:
-    return SectionSpace(k=k, exponents=multi_indices(model.dim, k), norms=monomial_norms(model, k))
+def degree_block(model: ProjectiveModel, k: int) -> EigenBlock:
+    """The monomial eigenbasis of degree k with its norms and eigenvalues."""
+    exponents = multi_indices(model.dim, k)
+    return EigenBlock(
+        k=k,
+        exponents=exponents,
+        norms=monomial_norms(model, k),
+        eigenvalues=(exponents @ model.weight_array).astype(float),
+    )
 
 
 def monomial_values(exponents: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -122,30 +140,30 @@ def toeplitz_matrix(
     derivative="fd" replaces the analytic monomial derivative with a central
     difference along the field (validation fallback).
     """
-    space = section_space(model, k)
+    block = degree_block(model, k)
     if route == "analytic":
-        return np.diag((space.exponents @ model.weight_array).astype(float))
+        return np.diag(block.eigenvalues)
     if route != "quadrature":
         raise ValueError(f"unknown route {route!r}")
 
     z, wq = sphere_rule(model.dim, t_degree=k + 2, phase_degree=k + 2)
-    dim = space.dim
+    dim = block.dim
     gram = np.zeros((dim, dim), dtype=complex)
     op = np.zeros((dim, dim), dtype=complex)
     for lo in range(0, z.shape[0], _CHUNK):
         zc = z[lo : lo + _CHUNK]
         wc = wq[lo : lo + _CHUNK]
-        V = monomial_values(space.exponents, zc)  # (m, dim)
+        V = monomial_values(block.exponents, zc)  # (m, dim)
         field = contact_field(model, zc)
         if derivative == "analytic":
             # (field . dF)(z) = F(z) * sum_j alpha_j field_j / z_j  (nodes avoid zeros)
-            S = (field / zc) @ space.exponents.T.astype(float)
+            S = (field / zc) @ block.exponents.T.astype(float)
             D = V * S
         elif derivative == "fd":
             h = 1e-6
             D = (
-                monomial_values(space.exponents, zc + h * field)
-                - monomial_values(space.exponents, zc - h * field)
+                monomial_values(block.exponents, zc + h * field)
+                - monomial_values(block.exponents, zc - h * field)
             ) / (2.0 * h)
         else:
             raise ValueError(f"unknown derivative mode {derivative!r}")
@@ -153,7 +171,7 @@ def toeplitz_matrix(
         gram += Vw.conj().T @ V
         op += Vw.conj().T @ (1j * D)
 
-    scale = np.outer(space.norms, space.norms)
+    scale = np.outer(block.norms, block.norms)
     gram = gram / scale
     op = op / scale
     if np.abs(gram - np.eye(dim)).max() > gram_tol:
@@ -172,86 +190,77 @@ def toeplitz_matrix(
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class EigenBlock:
-    """Eigendata of one degree block.
-
-    ``vectors`` holds eigensection coefficients over the normalised monomial
-    basis, one column per eigensection; ``None`` means the identity (the
-    analytic route: monomials are already eigensections).
-    """
-
-    k: int
-    exponents: np.ndarray
-    norms: np.ndarray
-    eigenvalues: np.ndarray
-    vectors: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.exponents.shape[0]
+_CACHE_FORMAT = 2
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralPackage:
-    """Eigenvalues/eigensections through degree k_max plus coverage metadata.
+    """Distinct eigenvalues with their multiplicities through degree k_max.
 
-    ``coverage_max``: every operator eigenvalue strictly below this number is
-    guaranteed to appear in ``lambda_all``.  Toy packages (from
-    `from_eigenvalues`) carry no blocks and cannot evaluate kernels.
+    ``values`` holds the distinct eigenvalues in ascending order and
+    ``multiplicities`` the number of degree-<=k_max eigensections of each.
+    ``coverage_max``: every operator eigenvalue strictly below this number
+    appears with its full multiplicity.  Toy packages (from
+    `from_eigenvalues`) carry no model and cannot evaluate eigensections.
     """
 
     model: ProjectiveModel | None
     k_max: int | None
-    blocks: list | None
-    lambda_all: np.ndarray
+    values: np.ndarray
+    multiplicities: np.ndarray
     coverage_max: float
-    route: str = "analytic"
+
+    @property
+    def lambda_all(self) -> np.ndarray:
+        """Every eigenvalue repeated by its multiplicity, ascending."""
+        return np.repeat(self.values, self.multiplicities)
+
+    @property
+    def n_eigenvalues(self) -> int:
+        return int(self.multiplicities.sum())
+
+    def block(self, k: int) -> EigenBlock:
+        """Degree-k eigensections, built on request."""
+        if self.model is None:
+            raise CoverageError("toy package has no eigensections, only eigenvalues")
+        if not 0 <= k <= self.k_max:
+            raise CoverageError(f"degree {k} outside the package range 0..{self.k_max}")
+        return degree_block(self.model, k)
 
     @staticmethod
     def from_eigenvalues(values, coverage_max: float = np.inf) -> "SpectralPackage":
         """Toy package from a bare eigenvalue list (trace formulas only)."""
-        lam = np.sort(np.asarray(values, dtype=float))
+        distinct, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
         return SpectralPackage(
-            model=None, k_max=None, blocks=None, lambda_all=lam, coverage_max=coverage_max
+            model=None,
+            k_max=None,
+            values=distinct,
+            multiplicities=counts.astype(np.int64),
+            coverage_max=coverage_max,
         )
-
-    def counting_density_bound(self) -> float:
-        """Measured constant C with #{lambda_j in [L, L+1)} <= C (1+L)^d."""
-        d = self.model.dim if self.model is not None else 0
-        lam = self.lambda_all
-        top = int(np.ceil(self.coverage_max)) if np.isfinite(self.coverage_max) else int(
-            np.ceil(lam.max() + 1)
-        )
-        counts = np.histogram(lam, bins=np.arange(0, top + 1))[0]
-        levels = 1.0 + np.arange(0, top)
-        return float((counts / levels**d).max())
 
     def save(self, path) -> None:
-        arrays = {"lambda_all": self.lambda_all}
-        if self.blocks is not None:
-            for b in self.blocks:
-                arrays[f"k{b.k}_eigenvalues"] = b.eigenvalues
-                arrays[f"k{b.k}_exponents"] = b.exponents
-                arrays[f"k{b.k}_norms"] = b.norms
-                if b.vectors is not None:
-                    arrays[f"k{b.k}_vectors"] = b.vectors
+        """Write the package as checksummed ``.npz``; atomic via a sibling temp file."""
+        path = Path(path)
+        arrays = {"values": self.values, "multiplicities": self.multiplicities}
         meta = {
             "weights": list(self.model.weights) if self.model else None,
             "lift_sign": self.model.lift_sign if self.model else None,
             "lift_shift": self.model.lift_shift if self.model else None,
             "k_max": self.k_max,
             "coverage_max": self.coverage_max,
-            "route": self.route,
-            "format": 1,
+            "format": _CACHE_FORMAT,
         }
         arrays["checksum"] = np.frombuffer(
             bytes.fromhex(_payload_digest(arrays, meta)), dtype=np.uint8
         )
-        buf = io.BytesIO()
-        np.savez(buf, meta=np.bytes_(json.dumps(meta, sort_keys=True).encode()), **arrays)
-        with open(path, "wb") as fh:
-            fh.write(buf.getvalue())
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, meta=np.bytes_(json.dumps(meta, sort_keys=True).encode()), **arrays)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @staticmethod
     def load(path) -> "SpectralPackage":
@@ -264,35 +273,27 @@ class SpectralPackage:
             raise
         except Exception as exc:  # zip/CRC/json failures all mean the same thing
             raise CacheError(f"spectral cache unreadable: {exc}") from exc
-        if meta.get("format") != 1:
+        if not isinstance(meta, dict) or meta.get("format") != _CACHE_FORMAT:
             raise CacheError("spectral cache has an unknown format version")
         if stored != _payload_digest(arrays, meta):
             raise CacheError("spectral cache corrupt: checksum mismatch")
-        if meta["weights"] is None:
-            return SpectralPackage.from_eigenvalues(arrays["lambda_all"], meta["coverage_max"])
-        model = make_model(
-            meta["weights"],
-            calibration={"lift_sign": meta["lift_sign"], "lift_shift": meta["lift_shift"]},
-        )
-        blocks = []
-        for k in range(meta["k_max"] + 1):
-            blocks.append(
-                EigenBlock(
-                    k=k,
-                    exponents=arrays[f"k{k}_exponents"],
-                    norms=arrays[f"k{k}_norms"],
-                    eigenvalues=arrays[f"k{k}_eigenvalues"],
-                    vectors=arrays.get(f"k{k}_vectors"),
-                )
+        try:
+            values, mults = arrays["values"], arrays["multiplicities"]
+            if meta["weights"] is None:
+                return SpectralPackage(None, None, values, mults, float(meta["coverage_max"]))
+            model = make_model(
+                meta["weights"],
+                calibration={"lift_sign": meta["lift_sign"], "lift_shift": meta["lift_shift"]},
             )
-        return SpectralPackage(
-            model=model,
-            k_max=meta["k_max"],
-            blocks=blocks,
-            lambda_all=arrays["lambda_all"],
-            coverage_max=meta["coverage_max"],
-            route=meta["route"],
-        )
+            return SpectralPackage(
+                model=model,
+                k_max=int(meta["k_max"]),
+                values=values,
+                multiplicities=mults,
+                coverage_max=float(meta["coverage_max"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CacheError(f"spectral cache incomplete: {exc!r}") from exc
 
 
 def _payload_digest(arrays: dict, meta: dict) -> str:
@@ -304,60 +305,41 @@ def _payload_digest(arrays: dict, meta: dict) -> str:
     return h.hexdigest()
 
 
-def eigendata(
-    model: ProjectiveModel,
-    k_max: int,
-    route: str = "analytic",
-    quadrature_k_limit: int | None = None,
-) -> SpectralPackage:
-    """Diagonalise every degree block through k_max.
+def _multiplicities(weights, k_max: int) -> np.ndarray:
+    """counts[n] = #{alpha in N^{d+1} : |alpha| <= k_max, <alpha, w> = n}.
 
-    route="analytic" uses the closed-form diagonal blocks (monomials are
-    eigensections with eigenvalue <alpha, w>); route="quadrature" assembles
-    and diagonalises each block numerically (dense Hermitian solve), which is
-    the establishing oracle but scales poorly — cap it with
-    ``quadrature_k_limit`` if needed.
+    The coin-counting recursion of the denumerants of the weights, with the
+    degree as a second index: rows[i] holds the degree-k counts using the
+    first i+1 weights, and adding weight w_i maps (k - 1, n - w_i) to (k, n).
     """
-    blocks = []
-    lams = []
-    for k in range(k_max + 1):
-        space = section_space(model, k)
-        if route == "analytic" or (quadrature_k_limit is not None and k > quadrature_k_limit):
-            vals = (space.exponents @ model.weight_array).astype(float)
-            order = np.argsort(vals, kind="stable")
-            blocks.append(
-                EigenBlock(
-                    k=k,
-                    exponents=space.exponents[order],
-                    norms=space.norms[order],
-                    eigenvalues=vals[order],
-                    vectors=None,
-                )
-            )
-        elif route == "quadrature":
-            mat = toeplitz_matrix(model, k, route="quadrature")
-            vals, vecs = np.linalg.eigh(mat)
-            blocks.append(
-                EigenBlock(
-                    k=k,
-                    exponents=space.exponents,
-                    norms=space.norms,
-                    eigenvalues=vals,
-                    vectors=vecs,
-                )
-            )
-        else:
-            raise ValueError(f"unknown route {route!r}")
-        lams.append(blocks[-1].eigenvalues)
-    lambda_all = np.sort(np.concatenate(lams))
-    coverage = (k_max + 1) * min(model.weights)
+    top = k_max * max(weights)
+    rows = np.zeros((len(weights), top + 1), dtype=np.int64)
+    rows[:, 0] = 1  # degree 0
+    counts = rows[-1].copy()
+    for _ in range(k_max):
+        below = np.zeros(top + 1, dtype=np.int64)  # no weights: nothing of degree >= 1
+        for i, w in enumerate(weights):
+            below[w:] += rows[i, : top + 1 - w]
+            rows[i] = below
+        counts += below
+    return counts
+
+
+def eigendata(model: ProjectiveModel, k_max: int) -> SpectralPackage:
+    """Distinct eigenvalues and their multiplicities over degrees 0..k_max.
+
+    The monomials are eigensections with eigenvalue <alpha, w> (the law
+    `toeplitz_matrix` establishes by quadrature), so the multiplicity of n
+    is the number of alpha with |alpha| <= k_max and <alpha, w> = n.
+    """
+    counts = _multiplicities(model.weights, k_max)
+    present = np.flatnonzero(counts)
     return SpectralPackage(
         model=model,
         k_max=k_max,
-        blocks=blocks,
-        lambda_all=lambda_all,
-        coverage_max=float(coverage),
-        route=route,
+        values=present.astype(float),
+        multiplicities=counts[present],
+        coverage_max=float((k_max + 1) * min(model.weights)),
     )
 
 
@@ -366,36 +348,13 @@ def eigendata(
 # ----------------------------------------------------------------------------
 
 
-def evaluate_section(pkg: SpectralPackage, k: int, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Value of the degree-k section with the given eigenbasis coefficients.
-
-    ``coeffs`` are coordinates in the block's eigensection basis.  The result
-    is the CR-function value at sphere points x (batched); it picks up the
-    phase e^{i k theta} under the circle action.
-    """
-    block = _block(pkg, k)
-    mono = monomial_values(block.exponents, x) / block.norms
-    if block.vectors is not None:
-        mono = mono @ block.vectors
-    return mono @ np.asarray(coeffs)
-
-
 def eigensection_values(pkg: SpectralPackage, k: int, x: np.ndarray) -> np.ndarray:
     """Values of every degree-k eigensection at x (batched; last axis = section)."""
-    block = _block(pkg, k)
-    mono = monomial_values(block.exponents, x) / block.norms
-    return mono @ block.vectors if block.vectors is not None else mono
+    block = pkg.block(k)
+    return monomial_values(block.exponents, x) / block.norms
 
 
 def szego_diagonal(pkg: SpectralPackage, k: int, x: np.ndarray) -> np.ndarray:
     """Diagonal of the degree-k projector kernel, sum_j |Phi_j(x)|^2."""
     vals = eigensection_values(pkg, k, x)
     return (np.abs(vals) ** 2).sum(axis=-1)
-
-
-def _block(pkg: SpectralPackage, k: int) -> EigenBlock:
-    if pkg.blocks is None:
-        raise CoverageError("toy package has no eigensections, only eigenvalues")
-    if not 0 <= k <= pkg.k_max:
-        raise CoverageError(f"degree {k} outside the package range 0..{pkg.k_max}")
-    return pkg.blocks[k]

@@ -32,7 +32,8 @@ from .asymptotics import (
     psi2,
     stationary_point_check,
 )
-from .geometry import fixed_components, heisenberg_chart, make_model
+from .errors import DegenerateDirectionError
+from .geometry import fixed_components, heisenberg_chart, make_model, random_sphere_point
 from .oracles import poisson_trace
 from .quadrature import fubini_study_volume, gauss_legendre
 from .smoothing import (
@@ -46,8 +47,11 @@ from .smoothing import (
 from .spectral import eigendata, multi_indices, szego_diagonal, toeplitz_matrix
 from .windows import Window
 
-K_MAX_VERIFY = 660  # covers kernel scans to lambda = 600 at 1e-10 tail tolerance
+K_MAX_VERIFY = 660  # covers traces to lambda = 600 at 1e-10 tail tolerance
 SIGMA = 0.15
+# criterion 10 draws covectors until 20 are admissible; the cap stops a
+# stream of inadmissible draws from spinning forever
+_CRIT10_MAX_ATTEMPTS = 200
 
 
 @dataclasses.dataclass
@@ -94,11 +98,6 @@ class _Shared:
         return [c for c in fixed_components(self.model, tau0) if not c.m_only][0]
 
 
-def _random_sphere_point(rng, n):
-    z = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return z / np.linalg.norm(z)
-
-
 # ----------------------------------------------------------------------------
 
 
@@ -143,7 +142,7 @@ def crit_02_normalization_anchors(sh: _Shared) -> CriterionResult:
     szego_dev = 0.0
     for model, k in ((sh.model, 40), (make_model((1, 1, 2)), 12)):
         pkg = eigendata(model, k)
-        pts = np.array([_random_sphere_point(rng, model.dim + 1) for _ in range(50)])
+        pts = np.array([random_sphere_point(model, rng) for _ in range(50)])
         diag = szego_diagonal(pkg, k, pts)
         szego_dev = max(szego_dev, float(np.abs(diag / diag.mean() - 1.0).max()))
     vol_err = 0.0
@@ -304,14 +303,14 @@ def crit_08_parity(sh: _Shared) -> CriterionResult:
     t0 = time.time()
     win = Window("gaussian", np.pi, SIGMA)
     chart = sh.chart
-    _, odd0 = parity_split(sh.pkg, win, chart, np.array([0.0 + 0j]), 300.0)
+    odd0 = parity_split(sh.pkg, win, chart, np.array([0.0 + 0j]), 300.0).odd
     vanishes = odd0 == 0.0
     grid = np.geomspace(100.0, 560.0, 8)
     u = np.array([0.7 + 0j])
     ratios = []
     for lam in grid:
-        ev, od = parity_split(sh.pkg, win, chart, u, float(lam))
-        ratios.append(abs(od) / abs(ev))
+        split = parity_split(sh.pkg, win, chart, u, float(lam))
+        ratios.append(abs(split.odd) / abs(split.even))
     ratios = np.array(ratios)
     if (ratios > 0).all():
         slope = float(np.polyfit(np.log(grid), np.log(ratios), 1)[0])
@@ -379,24 +378,29 @@ def crit_10_stationary_phase(sh: _Shared) -> CriterionResult:
     x_fixed = sh.chart.center
     worst_grad = 0.0
     worst_det = 0.0
-    count = 0
-    while count < 20:
-        x0 = x_fixed if count < 10 else _random_sphere_point(rng, 2)
+    count = attempts = 0
+    while count < 20 and attempts < _CRIT10_MAX_ATTEMPTS:
+        attempts += 1
+        x0 = x_fixed if count < 10 else random_sphere_point(sh.model, rng)
         omega = np.concatenate([[rng.uniform(0.2, 2.0)], rng.normal(size=2)])
         try:
             chk = stationary_point_check(sh.model, x0, omega)
-        except Exception:
+        except DegenerateDirectionError:
             continue
         worst_grad = max(worst_grad, chk.grad_norm_at_seed)
         worst_det = max(worst_det, chk.det_rel_error)
         count += 1
     dt = time.time() - t0
+    detail = ""
+    if count < 20:
+        detail = f"only {count} admissible covectors in {attempts} draws"
     return CriterionResult(
         10,
         "stationary point of the trace phase",
-        worst_grad < 1e-10 and worst_det < 1e-6,
+        count == 20 and worst_grad < 1e-10 and worst_det < 1e-6,
         {"grad_at_seed": worst_grad, "hessian_det_rel": worst_det},
         "gradient < 1e-10, det vs pairing^2 < 1e-6, 20 admissible covectors",
+        detail=detail,
         seconds=dt,
     )
 

@@ -95,3 +95,24 @@ def test_manifest_and_exit_code(tmp_path, shared):
     failed = [c for c in manifest["criteria"] if not c["passed"]]
     assert len(failed) == 1 and failed[0]["index"] == 8
     assert (tmp_path / "verify_manifest.json").exists()
+
+
+def test_criterion_10_caps_inadmissible_draws(shared, monkeypatch):
+    from tracelab.errors import DegenerateDirectionError
+
+    def degenerate(*args, **kwargs):
+        raise DegenerateDirectionError("pairing must be negative")
+
+    monkeypatch.setattr(verify, "stationary_point_check", degenerate)
+    res = verify.crit_10_stationary_phase(shared)
+    assert not res.passed
+    assert "admissible" in res.detail
+
+
+def test_criterion_10_does_not_mask_errors(shared, monkeypatch):
+    def broken(*args, **kwargs):
+        raise FloatingPointError("not a degenerate direction")
+
+    monkeypatch.setattr(verify, "stationary_point_check", broken)
+    with pytest.raises(FloatingPointError):
+        verify.crit_10_stationary_phase(shared)

@@ -206,3 +206,60 @@ def test_cli_flag_overrides_config_file(tmp_path):
     data = (tmp_path / "y" / "spectrum.csv").read_text().splitlines()
     # k_max 9 covers eigenvalues up to 2*9 = 18 -> 19 distinct values
     assert len(data) - 1 == 19
+
+
+def test_toy_package_at_model_path_is_rebuilt(tmp_path, monkeypatch):
+    from tracelab.harness import cache_path
+    from tracelab.spectral import SpectralPackage
+
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    base = {
+        "kind": "spectrum",
+        "model": {"weights": [1, 2]},
+        "k_max": 12,
+        "cache_dir": str(tmp_path / "cache"),
+        "out_dir": str(tmp_path / "a"),
+    }
+    cfg = ExperimentConfig.from_dict(base)
+    path = cache_path(cfg)
+    path.parent.mkdir(parents=True)
+    SpectralPackage.from_eigenvalues([1.0, 2.0]).save(path)
+    res = run(cfg)
+    assert res.manifest["package"]["provenance"] == "rebuilt"
+    assert SpectralPackage.load(path).model.weights == (1, 2)
+
+
+def test_run_calibrates_once(tmp_path, monkeypatch):
+    import tracelab.harness as harness
+
+    calls = []
+    real = harness.make_model
+    monkeypatch.setattr(harness, "make_model", lambda *a, **k: calls.append(a) or real(*a, **k))
+    code = cli.main(
+        ["local", "--weights", "1,2", "--kmax", "10", "--shape", "gaussian", "--tau0",
+         "3.141592653589793", "--eps", "0.15", "--lambda-grid", "50:60:2", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--u", "0.5,0.25"], "config.u"),  # the (1, 2) chart has one normal direction
+        (["--u", "0.5,abc"], "config.u"),
+        (["--weights", "1,two"], "config.model.weights"),
+    ],
+)
+def test_cli_bad_numbers_are_config_errors(tmp_path, capsys, flags, field):
+    argv = ["local", "--weights", "1,2", "--kmax", "10", "--shape", "gaussian", "--tau0",
+            "3.141592653589793", "--eps", "0.15", "--lambda-grid", "50:60:2",
+            "--out", str(tmp_path)] + flags
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and field in err
+
+
+def test_config_file_bad_displacement():
+    with pytest.raises(ConfigError, match="config.u"):
+        ExperimentConfig.from_dict(_base_config(u=["x"]))

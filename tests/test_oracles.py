@@ -36,6 +36,17 @@ def test_brute_spectrum_matches_package():
         assert package_counts[float(value)] == eigenvalue_multiplicity((1, 2), value)
 
 
+@pytest.mark.parametrize("weights", [(1, 2), (1, 1, 2), (2, 3), (1, 2, 3)])
+def test_package_multiplicities_match_brute_spectrum(weights):
+    """The degree/value table gives the lattice multiplicities over the whole
+    truncated range, above the coverage edge included."""
+    pkg = eigendata(make_model(weights, calibration="none"), 12)
+    brute = brute_spectrum(weights, 12)
+    assert pkg.values.tolist() == [v for v, _ in brute]
+    assert pkg.multiplicities.tolist() == [m for _, m in brute]
+    assert pkg.values.max() > pkg.coverage_max
+
+
 def test_counting_function():
     total = 0
     for n in range(21):

@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from tracelab.errors import CoverageError
-from tracelab.geometry import fixed_components, heisenberg_chart, make_model
+from tracelab.geometry import fixed_components, heisenberg_chart, make_model, random_sphere_point
 from tracelab.smoothing import (
+    _diagonal_values,
+    _h_table,
+    _window_cut,
+    _window_sums,
     integrate_diagonal,
     negative_lambda_scan,
     offlocus_decay_scan,
@@ -13,7 +19,7 @@ from tracelab.smoothing import (
     smoothed_trace,
     spectral_tail_bound,
 )
-from tracelab.spectral import SpectralPackage, eigendata
+from tracelab.spectral import SpectralPackage, eigendata, eigensection_values
 from tracelab.windows import Window
 
 
@@ -113,6 +119,44 @@ def test_offlocus_scan_decays(pkg, chart):
     assert rep.meta["precision"] == "longdouble"
 
 
+def _decimal_diagonal(t, weights, win, lam, n_top):
+    """The kernel sum term by term in 50-digit decimal arithmetic (no factoring)."""
+    from decimal import Decimal, localcontext
+
+    from tracelab.extended import _PI, _cos_sin
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = len(weights) - 1
+        t = [Decimal(float(x)) for x in t]
+        h = [Decimal(1)]
+        for n in range(1, n_top + 1):
+            acc = sum(ti * (n + d * w) * h[n - w] for ti, w in zip(t, weights) if n >= w)
+            h.append(acc / n)
+        eps, tau0 = Decimal(win.eps), Decimal(win.tau0)
+        peak = eps * (2 * _PI).sqrt()
+        re = im = Decimal(0)
+        for n in range(n_top + 1):
+            s = Decimal(lam) - n
+            g = h[n] * peak * (-((eps * s) ** 2) / 2).exp()
+            c, sn = _cos_sin(s * tau0)
+            re, im = re + g * c, im - g * sn
+        return complex(re, im) * (math.factorial(d) / np.pi**d)
+
+
+def test_longdouble_path_survives_offlocus_cancellation(pkg, chart):
+    """Off the locus the terms cancel by ~1e12; the long double path keeps
+    the double-length rounding level of the terms, double precision does not."""
+    lam = 550.0
+    pts = chart.normal_point(np.array([[2.6 * lam ** (-7 / 18) + 0j]]))
+    ref = _decimal_diagonal(np.abs(pts[0]) ** 2, (1, 2), WIN, lam, int(lam) + 120)
+    got, rem = _diagonal_values(pkg, WIN, np.array([lam]), pts, 1e-10, "longdouble")
+    dbl, _ = _diagonal_values(pkg, WIN, np.array([lam]), pts, 1e-10, "double")
+    assert rem[0] < 1e-30
+    assert abs(got[0] - ref) < 1e-15 * abs(ref)
+    assert abs(dbl[0] - ref) > 1e-6 * abs(ref)
+
+
 def test_negative_lambda_scan(pkg):
     win = Window("gaussian", 0.0, 0.3)
     rep = negative_lambda_scan(pkg, win, np.geomspace(-120.0, -10.0, 9))
@@ -125,7 +169,9 @@ def test_negative_lambda_scan(pkg):
 def test_parity_split_reconstruction(pkg, chart):
     u = np.array([0.4 + 0j])
     lam = 260.0
-    even, odd = parity_split(pkg, WIN, chart, u, lam)
+    split = parity_split(pkg, WIN, chart, u, lam)
+    even, odd = split.even, split.odd
+    assert split.cut_remainder < 1e-10
     plus, _ = smoothed_kernel_diagonal(
         pkg, WIN, lam, chart.normal_point(u / np.sqrt(lam))[None, :]
     )
@@ -139,3 +185,82 @@ def test_kernel_diagonal_positive_at_center(pkg, chart):
     vals, bound = smoothed_kernel_diagonal(pkg, WIN, 300.0, chart.center[None, :])
     assert abs(vals[0]) > 10.0
     assert bound < 1e-10
+
+
+# ----------------------------------------------------------------------------
+# generating-function kernel sums against the per-monomial lattice
+# ----------------------------------------------------------------------------
+
+
+def _lattice_diagonal(pkg, win, lam, points):
+    """Degree-truncated kernel diagonal, summed monomial by monomial (degrees <= k_max)."""
+    total = np.zeros(len(points), dtype=complex)
+    for k in range(pkg.k_max + 1):
+        amps = np.abs(eigensection_values(pkg, k, points)) ** 2
+        total += amps @ win.fourier(lam - pkg.block(k).eigenvalues)
+    return total
+
+
+@pytest.mark.parametrize("weights", [(1, 2), (1, 1, 2), (1, 2, 3)])
+@pytest.mark.parametrize("precision", ["double", "longdouble"])
+def test_recurrence_matches_lattice_sum(weights, precision):
+    model = make_model(weights, calibration="none")
+    small = eigendata(model, 70)
+    win = Window("gaussian", 1.0, 0.3)
+    lam = 20.0
+    # degrees beyond 70 are negligible here, so the lattice is the full sum
+    assert spectral_tail_bound(small, win, lam, kernel=True) < 1e-30
+    rng = np.random.default_rng(sum(weights))
+    pts = np.array([random_sphere_point(model, rng) for _ in range(4)])
+    ref = _lattice_diagonal(small, win, lam, pts)
+    got, remainders = _diagonal_values(small, win, np.full(4, lam), pts, 1e-10, precision)
+    assert remainders.max() < 1e-20
+    assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def test_degree_truncation_within_certified_tail(model12):
+    """Untruncated minus degree-truncated diagonal is bounded by the degree tail bound."""
+    small = eigendata(model12, 40)
+    win = Window("gaussian", np.pi, 0.3)
+    rng = np.random.default_rng(11)
+    pts = np.array([random_sphere_point(model12, rng) for _ in range(5)])
+    for lam in (30.0, 36.0):
+        bound = spectral_tail_bound(small, win, lam, kernel=True)
+        full, remainder = smoothed_kernel_diagonal(small, win, lam, pts)
+        diff = np.abs(full - _lattice_diagonal(small, win, lam, pts))
+        assert diff.max() > 1e-13  # the truncation is visible ...
+        assert (diff <= bound + remainder + 1e-12 * np.abs(full)).all()  # ... and certified
+
+
+def test_widening_the_cut_stays_within_the_remainder(pkg, chart):
+    lam = 300.0
+    pts = chart.normal_point(np.array([[0.5 + 0j], [1.5 + 0j]]) / np.sqrt(lam))
+    wide, wide_rem = smoothed_kernel_diagonal(pkg, WIN, lam, pts)
+    cut = _window_cut(WIN, lam, pkg.model)
+    assert (np.diff(cut.remainder) <= 0).all()
+    h = _h_table(np.abs(pts) ** 2, (1, 2), int(lam) + 200, np.float64)
+    for target in (1e-1, 1e-4, 1e-8):
+        narrow = cut.keep(target)
+        assert 0.0 < narrow[2] <= target
+        vals, _ = _window_sums(WIN, [lam, lam], h, [narrow, narrow], 1.0 / np.pi)
+        assert (np.abs(wide - vals) <= narrow[2] + wide_rem + 1e-12 * np.abs(wide)).all()
+
+
+def test_grouped_trace_equals_per_eigenvalue_sum(pkg):
+    # the bump envelope is tabulated too short for a degree tail at k_max 460,
+    # so the bump runs on the same spectrum as a toy package (no tail)
+    toy = SpectralPackage.from_eigenvalues(pkg.lambda_all)
+    cases = [(pkg, WIN), (pkg, Window("gaussian", 0.0, 0.15)), (toy, Window("bump", np.pi, 0.6))]
+    for package, win in cases:
+        for lam in (150.25, 300.5):
+            grouped = smoothed_trace(package, win, lam)
+            flat = np.sum(win.fourier(lam - pkg.lambda_all))
+            assert abs(grouped.value - flat) < 1e-12 * max(abs(flat), 1.0)
+            assert grouped.n_eigenvalues == pkg.lambda_all.size
+
+
+def test_bump_kernel_refuses_an_uncertified_cut(pkg, chart):
+    # the bump's tabulated envelope never certifies a negligible term, so the
+    # kernel refuses with a named error instead of cutting silently
+    with pytest.raises(CoverageError):
+        smoothed_kernel_diagonal(pkg, Window("bump", np.pi, 0.5), 100.0, chart.center[None, :])

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from tracelab.errors import CacheError
+from tracelab.errors import CacheError, CoverageError
 from tracelab.geometry import flow_sphere, make_model
 from tracelab.spectral import (
     SpectralPackage,
@@ -63,14 +64,28 @@ def test_toeplitz_fd_derivative_route_agrees(model12):
 
 def test_k0_eigenvalue_is_zero(model12):
     pkg = eigendata(model12, 2)
-    assert pkg.blocks[0].eigenvalues[0] == 0.0
+    assert pkg.block(0).eigenvalues.tolist() == [0.0]
+    assert pkg.values[0] == 0.0 and pkg.multiplicities[0] == 1
 
 
 def test_eigendata_routes_agree(model12):
-    a = eigendata(model12, 8, route="analytic")
-    b = eigendata(model12, 8, route="quadrature")
-    for ba, bb in zip(a.blocks, b.blocks):
-        assert np.abs(np.sort(ba.eigenvalues) - np.sort(bb.eigenvalues)).max() < 1e-10
+    """The package spectrum equals the eigenvalues of the quadrature-assembled blocks."""
+    pkg = eigendata(model12, 8)
+    assembled = np.concatenate(
+        [np.linalg.eigvalsh(toeplitz_matrix(model12, k, route="quadrature")) for k in range(9)]
+    )
+    assert np.abs(np.sort(assembled) - pkg.lambda_all).max() < 1e-10
+
+
+def test_blocks_are_built_on_request(model12):
+    pkg = eigendata(model12, 5)
+    block = pkg.block(5)
+    assert block.dim == section_dimension(1, 5)
+    assert np.array_equal(block.eigenvalues, block.exponents @ [1.0, 2.0])
+    with pytest.raises(CoverageError):
+        pkg.block(6)
+    with pytest.raises(CoverageError):
+        SpectralPackage.from_eigenvalues([1.0]).block(0)
 
 
 def test_pullback_eigenproperty(model12):
@@ -81,10 +96,10 @@ def test_pullback_eigenproperty(model12):
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     tau = 0.83
     back = flow_sphere(model12, -tau, z)
-    for block in pkg.blocks:
-        before = eigensection_values(pkg, block.k, z)
-        after = eigensection_values(pkg, block.k, back)
-        phases = np.exp(1j * block.eigenvalues * tau)
+    for k in range(pkg.k_max + 1):
+        before = eigensection_values(pkg, k, z)
+        after = eigensection_values(pkg, k, back)
+        phases = np.exp(1j * pkg.block(k).eigenvalues * tau)
         assert np.abs(after - before * phases).max() < 1e-10
 
 
@@ -110,10 +125,39 @@ def test_cache_roundtrip_bit_exact(tmp_path, model12):
     loaded = SpectralPackage.load(path)
     assert loaded.k_max == pkg.k_max
     assert loaded.model.weights == pkg.model.weights
+    assert loaded.coverage_max == pkg.coverage_max
+    assert np.array_equal(loaded.values, pkg.values)
+    assert np.array_equal(loaded.multiplicities, pkg.multiplicities)
     assert np.array_equal(loaded.lambda_all, pkg.lambda_all)
-    for a, b in zip(pkg.blocks, loaded.blocks):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.norms, b.norms)
+    assert [p.name for p in tmp_path.iterdir()] == ["pkg.npz"]  # no temp file left
+
+
+def test_toy_cache_roundtrip(tmp_path):
+    toy = SpectralPackage.from_eigenvalues([3.0, 1.0, 3.0])
+    toy.save(tmp_path / "toy.npz")
+    loaded = SpectralPackage.load(tmp_path / "toy.npz")
+    assert loaded.model is None
+    assert loaded.lambda_all.tolist() == [1.0, 3.0, 3.0]
+    assert not np.isfinite(loaded.coverage_max)
+
+
+def test_cache_format_1_is_rejected(tmp_path):
+    """Packages written before the compact layout do not load; callers rebuild."""
+    path = tmp_path / "old.npz"
+    meta = {"weights": [1, 2], "lift_sign": -1, "lift_shift": 0.0, "k_max": 2,
+            "coverage_max": 3.0, "route": "analytic", "format": 1}
+    np.savez(path, meta=np.bytes_(json.dumps(meta, sort_keys=True).encode()),
+             lambda_all=np.array([0.0, 1.0, 2.0]), checksum=np.zeros(32, dtype=np.uint8))
+    with pytest.raises(CacheError, match="format"):
+        SpectralPackage.load(path)
+
+
+@pytest.mark.parametrize("blob", [b"", b"PK\x03\x04 truncated", b"not a zip at all"])
+def test_cache_garbage_is_cache_error(tmp_path, blob):
+    path = tmp_path / "pkg.npz"
+    path.write_bytes(blob)
+    with pytest.raises(CacheError):
+        SpectralPackage.load(path)
 
 
 def test_cache_corruption_detected(tmp_path, model12):
