@@ -129,11 +129,6 @@ def contact_field(model: ProjectiveModel, z: np.ndarray) -> np.ndarray:
     return horizontal - f * vertical
 
 
-def vertical_pairing(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pairing of a tangent vector with the connection form Im(z_bar . dz)."""
-    return np.imag((np.conj(z) * v).sum(axis=-1))
-
-
 def calibrate(model: ProjectiveModel, rng=None, tol: float = 1e-8) -> ProjectiveModel:
     """Fix the lift convention by integrating the contact field.
 
@@ -210,12 +205,6 @@ def projective_distance(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     n1 = np.sqrt((np.abs(z1) ** 2).sum(axis=-1))
     n2 = np.sqrt((np.abs(z2) ** 2).sum(axis=-1))
     corr = np.abs((np.conj(z1) * z2).sum(axis=-1)) / (n1 * n2)
-    return np.arccos(np.clip(corr, -1.0, 1.0))
-
-
-def sphere_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Geodesic distance on the unit sphere (real part of the correlation)."""
-    corr = np.real((np.conj(x) * y).sum(axis=-1))
     return np.arccos(np.clip(corr, -1.0, 1.0))
 
 

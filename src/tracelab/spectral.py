@@ -3,14 +3,20 @@
 Degree-k sections of the k-th power of the polarising line are realised as
 homogeneous monomials z^alpha (|alpha| = k) on the sphere; the operator is
 the compression of i times the contact field.  `toeplitz_matrix` assembles
-it by quadrature (Gram products of the differentiated basis over a
-moment-coordinate sphere rule); that route establishes that the monomials
-are eigensections with the affine eigenvalue law <alpha, w>.  Everything
-downstream consumes a `SpectralPackage` built on that law: the distinct
-integer eigenvalues with their degree-<=k_max multiplicities (denumerants
-of the weights, by a coin-counting table over degree and value) plus the
-guaranteed spectral coverage interval.  Degree blocks of eigensections are
-built only on request.
+it by quadrature: the monomials and their derivatives along the field are
+evaluated at the nodes of a moment-coordinate sphere rule, in chunks with
+the nodes on the fast axis, and two Gram products against the weighted,
+conjugated basis give the Gram and operator matrices.  That route
+establishes that the monomials are eigensections with the affine eigenvalue
+law <alpha, w>.  All monomial values, there and in `eigensection_values`,
+come from one evaluator, `monomial_values`, which multiplies out a table of
+coordinate powers and gathers it by exponent.
+
+Everything downstream consumes a `SpectralPackage` built on that law: the
+distinct integer eigenvalues with their degree-<=k_max multiplicities
+(denumerants of the weights, by a coin-counting table over degree and
+value) plus the guaranteed spectral coverage interval.  Degree blocks of
+eigensections are built only on request.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .errors import CacheError, CoverageError, QuadratureError
 from .geometry import ProjectiveModel, contact_field, make_model
 from .quadrature import sphere_rule
 
-_CHUNK = 1 << 16
+_CHUNK = 8192  # nodes per chunk: a (dim, chunk) complex array is 8 MB at k = 60
 
 
 # ----------------------------------------------------------------------------
@@ -110,9 +116,28 @@ def degree_block(model: ProjectiveModel, k: int) -> EigenBlock:
 
 
 def monomial_values(exponents: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Values x^alpha for each row alpha; batched over leading axes of x."""
+    """Values x^alpha for each row alpha; batched over leading axes of x.
+
+    Each coordinate's powers x_j^a, a <= max alpha_j, come from repeated
+    multiplication (exact at x_j = 0, where 0^0 = 1) and are gathered by
+    exponent.  Work runs with the points on the fast axis: the result is a
+    view of a section-major (dim, *batch) array, so ``.T`` of the values at
+    a list of points is contiguous.
+    """
     x = np.asarray(x)
-    return np.prod(x[..., None, :] ** exponents, axis=-1)
+    batch = x.shape[:-1]
+    xt = np.moveaxis(x, -1, 0).reshape(x.shape[-1], -1)  # (d+1, points)
+    values = None
+    for j, column in enumerate(exponents.T):
+        powers = np.empty((int(column.max(initial=0)) + 1, xt.shape[1]), np.result_type(xt, 1.0))
+        powers[0] = 1.0
+        for a in range(1, powers.shape[0]):
+            np.multiply(powers[a - 1], xt[j], out=powers[a])
+        if values is None:
+            values = powers[column]
+        else:
+            values *= powers[column]
+    return np.moveaxis(values.reshape((len(exponents),) + batch), 0, -1)
 
 
 # ----------------------------------------------------------------------------
@@ -123,53 +148,49 @@ def monomial_values(exponents: np.ndarray, x: np.ndarray) -> np.ndarray:
 def toeplitz_matrix(
     model: ProjectiveModel,
     k: int,
-    route: str = "quadrature",
     derivative: str = "analytic",
     gram_tol: float = 1e-10,
 ) -> np.ndarray:
     """Matrix of the compressed contact derivative on degree-k sections.
 
-    route="quadrature" applies i*(contact field) to each basis monomial and
-    projects by Gram quadrature over the sphere rule — this is the
-    operator-defining route, and it certifies itself by checking that the
-    quadrature Gram matrix of the basis is the identity to ``gram_tol``.
-    route="analytic" returns the diagonal matrix diag(<alpha, w>) obtained by
-    differentiating monomials along the field in closed form; it is only a
-    shortcut for what the quadrature route measures.
+    Applies i*(contact field) to each basis monomial and projects by Gram
+    quadrature over ``sphere_rule(d, k+2, k+2)``: with V the monomial values
+    and D their field derivatives at the nodes (section-major, nodes on the
+    fast axis, in chunks of ``_CHUNK`` nodes), gram = conj(V) w V^T and
+    op = conj(V) w (iD)^T, both divided by the closed-form norms.  This is
+    the operator-defining route; it certifies itself by checking that the
+    normalised Gram matrix is the identity to ``gram_tol`` and that the
+    result is Hermitian.
 
-    derivative="fd" replaces the analytic monomial derivative with a central
-    difference along the field (validation fallback).
+    derivative="analytic" differentiates monomials along the field in closed
+    form (D = V * sum_j alpha_j field_j / z_j; the rule's nodes have no zero
+    coordinate); derivative="fd" replaces it with a central difference of the
+    same evaluator along the field (validation fallback).
     """
+    if derivative not in ("analytic", "fd"):
+        raise ValueError(f"unknown derivative mode {derivative!r}")
     block = degree_block(model, k)
-    if route == "analytic":
-        return np.diag(block.eigenvalues)
-    if route != "quadrature":
-        raise ValueError(f"unknown route {route!r}")
-
+    exponents = block.exponents
     z, wq = sphere_rule(model.dim, t_degree=k + 2, phase_degree=k + 2)
     dim = block.dim
     gram = np.zeros((dim, dim), dtype=complex)
     op = np.zeros((dim, dim), dtype=complex)
     for lo in range(0, z.shape[0], _CHUNK):
         zc = z[lo : lo + _CHUNK]
-        wc = wq[lo : lo + _CHUNK]
-        V = monomial_values(block.exponents, zc)  # (m, dim)
         field = contact_field(model, zc)
+        V = monomial_values(exponents, zc).T  # (dim, m)
         if derivative == "analytic":
-            # (field . dF)(z) = F(z) * sum_j alpha_j field_j / z_j  (nodes avoid zeros)
-            S = (field / zc) @ block.exponents.T.astype(float)
-            D = V * S
-        elif derivative == "fd":
-            h = 1e-6
-            D = (
-                monomial_values(block.exponents, zc + h * field)
-                - monomial_values(block.exponents, zc - h * field)
-            ) / (2.0 * h)
+            D = V * (exponents.astype(float) @ (field / zc).T)
         else:
-            raise ValueError(f"unknown derivative mode {derivative!r}")
-        Vw = V * wc[:, None]
-        gram += Vw.conj().T @ V
-        op += Vw.conj().T @ (1j * D)
+            h = 1e-6
+            D = monomial_values(exponents, zc + h * field).T
+            D -= monomial_values(exponents, zc - h * field).T
+            D /= 2.0 * h
+        Vw = V.conj()
+        Vw *= wq[lo : lo + _CHUNK]
+        gram += Vw @ V.T
+        op += Vw @ D.T
+    op *= 1j
 
     scale = np.outer(block.norms, block.norms)
     gram = gram / scale

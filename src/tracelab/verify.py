@@ -108,7 +108,7 @@ def crit_01_spectral_structure(sh: _Shared) -> CriterionResult:
     off_max = 0.0
     rows, vals = [], []
     for k in range(61):
-        op = toeplitz_matrix(model, k, route="quadrature")
+        op = toeplitz_matrix(model, k)
         n = op.shape[0]
         if n > 1:
             off = op - np.diag(np.diag(op))

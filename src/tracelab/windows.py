@@ -155,8 +155,3 @@ def _bump_ft_direct(eps: float, s: np.ndarray, extra_nodes: int = 0) -> np.ndarr
         chi0 = np.exp(1.0 - 1.0 / (1.0 - t * t))
         out[lo : lo + 4096] = 2.0 * eps * (chi0 * w) @ np.cos(np.outer(t, blk) * eps)
     return out
-
-
-def window_fourier(win: Window, s) -> np.ndarray:
-    """Module-level alias for the transform (matches the operation list)."""
-    return win.fourier(s)

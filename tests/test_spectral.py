@@ -12,6 +12,7 @@ from tracelab.spectral import (
     eigensection_values,
     monomial_norms,
     monomial_norms_quadrature,
+    monomial_values,
     multi_indices,
     section_dimension,
     szego_diagonal,
@@ -47,19 +48,48 @@ def test_monomial_norms_closed_form(model12):
         assert abs(n**2 - ref) < 1e-15
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 5, 11])
-def test_toeplitz_diagonal_with_exact_eigenvalues(model12, k):
-    op = toeplitz_matrix(model12, k, route="quadrature")
+_TOEPLITZ_CASES = [pytest.param((1, 2), k, id=str(k)) for k in (0, 1, 2, 5, 11)] + [
+    pytest.param(w, k, id=f"{''.join(map(str, w))}-{k}")
+    for w in ((1, 1, 2), (1, 2, 3))
+    for k in (0, 1, 5, 12)
+]
+
+
+@pytest.mark.parametrize("weights,k", _TOEPLITZ_CASES)
+def test_toeplitz_diagonal_with_exact_eigenvalues(weights, k):
+    op = toeplitz_matrix(make_model(weights), k)
     off = op - np.diag(np.diag(op))
     assert np.abs(off).max() < 1e-10
-    expected = np.array([a[0] * 1 + a[1] * 2 for a in multi_indices(1, k)], dtype=float)
+    expected = multi_indices(len(weights) - 1, k) @ np.array(weights, dtype=float)
     assert np.abs(np.diag(op).real - expected).max() < 1e-10
 
 
 def test_toeplitz_fd_derivative_route_agrees(model12):
-    a = toeplitz_matrix(model12, 6, route="quadrature", derivative="analytic")
-    b = toeplitz_matrix(model12, 6, route="quadrature", derivative="fd")
+    a = toeplitz_matrix(model12, 6, derivative="analytic")
+    b = toeplitz_matrix(model12, 6, derivative="fd")
     assert np.abs(a - b).max() < 1e-6
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 30, 60])
+def test_monomial_values_match_literal_powers(d, k):
+    """The power-table evaluator agrees with the literal product of complex powers."""
+    rng = np.random.default_rng(10 * d + k)
+    z = rng.normal(size=(40, d + 1)) + 1j * rng.normal(size=(40, d + 1))
+    z[:8, 0] = 0.0  # points with a zero coordinate
+    z[8:10, :-1] = 0.0  # the chart centre [0:...:0:1], up to phase
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    exponents = multi_indices(d, k)
+    reference = np.prod(z[..., None, :] ** exponents, axis=-1)
+    values = monomial_values(exponents, z)
+    # Each side is a chain of at most k + d - 1 complex products, each with a
+    # relative error of at most sqrt(5)/2 eps, so they differ by < 2.3 (k + d) eps.
+    tol = 3 * (k + d) * np.finfo(float).eps
+    assert values.shape == reference.shape
+    assert np.all(np.abs(values - reference) <= tol * np.abs(reference))
+    assert np.array_equal(values == 0, reference == 0)
+    batched = monomial_values(exponents, z.reshape(4, 10, d + 1))
+    assert np.array_equal(batched, values.reshape(4, 10, -1))
 
 
 def test_k0_eigenvalue_is_zero(model12):
@@ -72,7 +102,7 @@ def test_eigendata_routes_agree(model12):
     """The package spectrum equals the eigenvalues of the quadrature-assembled blocks."""
     pkg = eigendata(model12, 8)
     assembled = np.concatenate(
-        [np.linalg.eigvalsh(toeplitz_matrix(model12, k, route="quadrature")) for k in range(9)]
+        [np.linalg.eigvalsh(toeplitz_matrix(model12, k)) for k in range(9)]
     )
     assert np.abs(np.sort(assembled) - pkg.lambda_all).max() < 1e-10
 
