@@ -19,6 +19,7 @@ recovers them as least-squares numbers from scan reports.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -286,9 +287,18 @@ def _line_integral(mu: complex, nodes_cap: int) -> complex:
     return complex(vals.reshape(n, n).dot(w).dot(w))
 
 
-def _whitened_qmc(A: np.ndarray, log2_n: int, scrambles: int, seed: int) -> complex:
+@functools.lru_cache(maxsize=4)  # the scrambles of one dimension at the default settings
+def _sobol_normals(dim: int, log2_n: int, seed: int) -> np.ndarray:
+    """Standard normal deviates of 2**log2_n scrambled Sobol points, read-only."""
     from scipy.stats import qmc  # costs ~0.4 s of import; only criterion 9 needs it
 
+    eng = qmc.Sobol(dim, scramble=True, seed=seed)
+    Y = ndtri(np.clip(eng.random(2**log2_n), 1e-15, 1.0 - 1e-15))
+    Y.flags.writeable = False
+    return Y
+
+
+def _whitened_qmc(A: np.ndarray, log2_n: int, scrambles: int, seed: int) -> complex:
     c = A.shape[0]
     B = A - np.eye(c)
     G = B.conj().T @ B
@@ -298,9 +308,7 @@ def _whitened_qmc(A: np.ndarray, log2_n: int, scrambles: int, seed: int) -> comp
     norm = (2.0 * np.pi) ** c / math.sqrt(np.linalg.det(M))
     estimates = []
     for s in range(scrambles):
-        eng = qmc.Sobol(2 * c, scramble=True, seed=seed + 7919 * s)
-        Y = ndtri(np.clip(eng.random(2**log2_n), 1e-15, 1.0 - 1e-15))
-        Uu = Y @ Linv_T.T
+        Uu = _sobol_normals(2 * c, log2_n, seed + 7919 * s) @ Linv_T.T
         V = Uu[:, :c] + 1j * Uu[:, c:]
         phase = np.einsum("ij,jk,ik->i", np.conj(V), A, V).imag
         estimates.append(np.exp(1j * phase).mean())

@@ -1,17 +1,23 @@
 """Quadrature rules used throughout the laboratory.
 
 Everything here is standard numerical machinery: Gauss-Legendre rules on
-intervals, a stick-breaking tensor rule on the simplex, a moment-coordinate
-product rule on the odd sphere S^{2d+1} (exact for torus-symmetric polynomial
-integrands at finite degree), and an affine-chart radial rule for the
-Fubini-Study volume.  The sphere rule carries the measure normalised so that
-the total mass of S^{2d+1} is pi^d/d!; the simplex rule carries plain Lebesgue
-measure.
+intervals (the reference rule on [-1, 1] is memoised per size), a
+stick-breaking tensor rule on the simplex, a moment-coordinate product rule
+on the odd sphere S^{2d+1} (exact for torus-symmetric polynomial integrands
+at finite degree), and an affine-chart radial rule for the Fubini-Study
+volume.  The sphere rule is built once in product form, `SphereProductRule`:
+simplex nodes in the moment variables t times a uniform grid in the
+angles phi.  `sphere_rule` flattens it into a node list; consumers that sum
+over the angle grid by FFT (`spectral.toeplitz_matrix`) use the product form
+directly.  The sphere rule carries the measure normalised so that the total
+mass of S^{2d+1} is pi^d/d!; the simplex rule carries plain Lebesgue measure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +26,18 @@ import numpy as np
 # ----------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=512)  # criterion 9 alone asks for ~100 sizes up to 1400
+def _legendre_reference(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], as read-only arrays."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(n: int, a: float = 0.0, b: float = 1.0):
     """Gauss-Legendre nodes and weights transformed to the interval [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_reference(n)
     nodes = 0.5 * (b - a) * (x + 1.0) + a
     weights = 0.5 * (b - a) * w
     return nodes, weights
@@ -83,7 +98,38 @@ def simplex_rule(d: int, degree: int):
 # ----------------------------------------------------------------------------
 
 
-def sphere_rule(d: int, t_degree: int, phase_degree: int):
+@dataclass(frozen=True, eq=False)
+class SphereProductRule:
+    """The sphere rule on S^{2d+1} in product form.
+
+    Nodes are z_j = sqrt(t_j) e^{i phi_j}: t runs over the rows of ``t``
+    (the moment nodes: simplex nodes with their slack coordinate appended)
+    and phi over the same uniform grid phi_j = 2*pi*m_j/n_angles, m_j <
+    n_angles, in each of the d+1 angles.  ``weights[r]`` is the weight of
+    every node with moment coordinates t[r]: the simplex weight times the
+    moment-coordinate density 2^{-d}/(2*pi) times the angle cell
+    (2*pi/n_angles)^{d+1}.
+    """
+
+    t: np.ndarray  # (m_t, d+1) moment coordinates, rows sum to 1
+    weights: np.ndarray  # (m_t,)
+    n_angles: int
+
+    @property
+    def phase_factors(self) -> np.ndarray:
+        """e^{i phi} on the angle grid, shape (n_angles,)*(d+1) + (d+1,)."""
+        n = self.n_angles
+        angles = [2.0 * np.pi * np.arange(n) / n for _ in range(self.t.shape[1])]
+        return np.exp(1j * np.stack(np.meshgrid(*angles, indexing="ij"), axis=-1))
+
+    def nodes(self, rows=slice(None)) -> np.ndarray:
+        """Nodes at the chosen moment nodes, shape (rows,) + (n_angles,)*(d+1) + (d+1,)."""
+        root_t = np.sqrt(self.t[rows])
+        d1 = self.t.shape[1]
+        return root_t.reshape(root_t.shape[:1] + (1,) * d1 + (d1,)) * self.phase_factors
+
+
+def sphere_product_rule(d: int, t_degree: int, phase_degree: int) -> SphereProductRule:
     """Product rule on S^{2d+1} in coordinates z_j = sqrt(t_j) e^{i phi_j}.
 
     The carried measure is the invariant one with total mass pi^d/d! (the
@@ -94,28 +140,27 @@ def sphere_rule(d: int, t_degree: int, phase_degree: int):
     Exact for integrands of the form (polynomial of degree <= t_degree in the
     moment variables |z_j|^2) times (trigonometric monomials of degree <=
     phase_degree in each angle).
+    """
+    n_phi = phase_degree + 1
+    t_nodes, t_w = simplex_rule(d, t_degree)
+    slack = 1.0 - t_nodes.sum(axis=1)
+    t_full = np.concatenate([t_nodes, slack[:, None]], axis=1)  # (mt, d+1)
+    w_angle = (2.0 * np.pi / n_phi) ** (d + 1)
+    weights = (2.0 ** (-d) / (2.0 * np.pi)) * t_w * w_angle
+    return SphereProductRule(t=t_full, weights=weights, n_angles=n_phi)
+
+
+def sphere_rule(d: int, t_degree: int, phase_degree: int):
+    """`sphere_product_rule` flattened into a node list, moment nodes outermost.
 
     Returns
     -------
     z : complex ndarray, shape (m, d+1) — points on the unit sphere
     w : ndarray, shape (m,) — weights summing to pi^d/d!
     """
-    n_phi = phase_degree + 1
-    t_nodes, t_w = simplex_rule(d, t_degree)
-    slack = 1.0 - t_nodes.sum(axis=1)
-    t_full = np.concatenate([t_nodes, slack[:, None]], axis=1)  # (mt, d+1)
-
-    angles = [2.0 * np.pi * np.arange(n_phi) / n_phi for _ in range(d + 1)]
-    phase_grids = np.meshgrid(*angles, indexing="ij")
-    phases = np.stack([g.reshape(-1) for g in phase_grids], axis=1)  # (mp, d+1)
-
-    root_t = np.sqrt(t_full)
-    z = root_t[:, None, :] * np.exp(1j * phases[None, :, :])
-    z = z.reshape(-1, d + 1)
-    w_angle = (2.0 * np.pi / n_phi) ** (d + 1)
-    w = (2.0 ** (-d) / (2.0 * np.pi)) * t_w[:, None] * w_angle
-    w = np.broadcast_to(w, (t_w.size, phases.shape[0])).reshape(-1)
-    return z, w.copy()
+    rule = sphere_product_rule(d, t_degree, phase_degree)
+    z = rule.nodes().reshape(-1, d + 1)
+    return z, np.repeat(rule.weights, rule.n_angles ** (d + 1))
 
 
 def sphere_rule_size(d: int, t_degree: int, phase_degree: int) -> int:

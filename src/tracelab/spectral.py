@@ -3,14 +3,16 @@
 Degree-k sections of the k-th power of the polarising line are realised as
 homogeneous monomials z^alpha (|alpha| = k) on the sphere; the operator is
 the compression of i times the contact field.  `toeplitz_matrix` assembles
-it by quadrature: the monomials and their derivatives along the field are
-evaluated at the nodes of a moment-coordinate sphere rule, in chunks with
-the nodes on the fast axis, and two Gram products against the weighted,
-conjugated basis give the Gram and operator matrices.  That route
-establishes that the monomials are eigensections with the affine eigenvalue
-law <alpha, w>.  All monomial values, there and in `eigensection_values`,
-come from one evaluator, `monomial_values`, which multiplies out a table of
-coordinate powers and gathers it by exponent.
+it by quadrature over the product sphere rule (moment sections times a
+uniform angle grid), sum-factorised: z^alpha = sqrt(t)^alpha e^{i<alpha,phi>},
+so the contact field, evaluated at every node, is summed over the angles at
+each moment node t by one FFT, and the Gram and operator matrices are
+gathered from those angle sums at the frequencies beta - alpha and weighted
+by sqrt(t)^alpha sqrt(t)^beta.  That is the literal quadrature
+sum reordered, and it establishes that the monomials are eigensections with
+the affine eigenvalue law <alpha, w>.  All monomial values, there and in
+`eigensection_values`, come from one evaluator, `monomial_values`, which
+multiplies out a table of coordinate powers and gathers it by exponent.
 
 Everything downstream consumes a `SpectralPackage` built on that law: the
 distinct integer eigenvalues with their degree-<=k_max multiplicities
@@ -33,9 +35,9 @@ from scipy.special import gammaln
 
 from .errors import CacheError, CoverageError, QuadratureError
 from .geometry import ProjectiveModel, contact_field, make_model
-from .quadrature import sphere_rule
+from .quadrature import sphere_product_rule, sphere_rule
 
-_CHUNK = 8192  # nodes per chunk: a (dim, chunk) complex array is 8 MB at k = 60
+_BLOCK_ENTRIES = 1 << 20  # entries per array of one block of moment nodes: 16 MB complex
 
 
 # ----------------------------------------------------------------------------
@@ -154,42 +156,66 @@ def toeplitz_matrix(
     """Matrix of the compressed contact derivative on degree-k sections.
 
     Applies i*(contact field) to each basis monomial and projects by Gram
-    quadrature over ``sphere_rule(d, k+2, k+2)``: with V the monomial values
-    and D their field derivatives at the nodes (section-major, nodes on the
-    fast axis, in chunks of ``_CHUNK`` nodes), gram = conj(V) w V^T and
-    op = conj(V) w (iD)^T, both divided by the closed-form norms.  This is
-    the operator-defining route; it certifies itself by checking that the
-    normalised Gram matrix is the identity to ``gram_tol`` and that the
-    result is Hermitian.
+    quadrature over the rule ``sphere_product_rule(d, k+2, k+2)``: gram =
+    sum_nodes w conj(z^alpha) z^beta and op = sum_nodes w conj(z^alpha)
+    i D_beta, both divided by the closed-form norms.  At the node with
+    moment coordinates t and angles phi, z^alpha = R_alpha(t) e^{i<alpha,phi>}
+    with R_alpha = sqrt(t)^alpha, and D_beta = z^beta q_beta(t, phi).  So
+    each sum is sum_t w_t R_alpha R_beta Q(t, beta - alpha), where
+    Q(t, gamma) = sum_phi e^{i<gamma,phi>} q(t, phi) comes from one FFT over
+    the angle grid per moment node (q = 1 for the Gram matrix).  This is the
+    same discrete sum as the node-by-node one, reordered; it assumes no torus
+    invariance, so a field that depends on the phases shows up off the
+    diagonal exactly as it would node by node.  The rule certifies itself:
+    the normalised Gram matrix must be the identity to ``gram_tol`` and the
+    result Hermitian.
 
     derivative="analytic" differentiates monomials along the field in closed
-    form (D = V * sum_j alpha_j field_j / z_j; the rule's nodes have no zero
-    coordinate); derivative="fd" replaces it with a central difference of the
-    same evaluator along the field (validation fallback).
+    form: q_beta = sum_j beta_j field_j / z_j (the rule's nodes have no zero
+    coordinate), so one transform per coordinate serves every basis section.
+    derivative="fd" replaces D_beta by a central difference of the same
+    evaluator along the field at every node and transforms q_beta =
+    D_beta / z^beta per section (validation fallback for small k).
     """
     if derivative not in ("analytic", "fd"):
         raise ValueError(f"unknown derivative mode {derivative!r}")
     block = degree_block(model, k)
     exponents = block.exponents
-    z, wq = sphere_rule(model.dim, t_degree=k + 2, phase_degree=k + 2)
     dim = block.dim
+    rule = sphere_product_rule(model.dim, t_degree=k + 2, phase_degree=k + 2)
+    n = rule.n_angles
+    grid = (n,) * (model.dim + 1)
+    # flat index of the frequency beta - alpha (mod n) on the angle grid, per (alpha, beta)
+    gamma = (exponents - exponents[:, None]) % n  # (alpha, beta, j)
+    freq = np.ravel_multi_index(tuple(np.moveaxis(gamma, -1, 0)), grid)
+    R = monomial_values(exponents, np.sqrt(rule.t))  # (m_t, dim)
+    ones = _angle_sums(np.ones((1,) + grid + (1,)))[0, :, 0]
+    columns = model.dim + 1 if derivative == "analytic" else dim
+    per_node = max(math.prod(grid) * columns, dim * dim * (model.dim + 1))
+    step = max(1, _BLOCK_ENTRIES // per_node)  # moment nodes per block
+
     gram = np.zeros((dim, dim), dtype=complex)
     op = np.zeros((dim, dim), dtype=complex)
-    for lo in range(0, z.shape[0], _CHUNK):
-        zc = z[lo : lo + _CHUNK]
-        field = contact_field(model, zc)
-        V = monomial_values(exponents, zc).T  # (dim, m)
+    for lo in range(0, rule.t.shape[0], step):
+        rows = slice(lo, lo + step)
+        z = rule.nodes(rows)  # (m, *grid, d+1)
+        field = contact_field(model, z)
         if derivative == "analytic":
-            D = V * (exponents.astype(float) @ (field / zc).T)
+            q = field / z
         else:
             h = 1e-6
-            D = monomial_values(exponents, zc + h * field).T
-            D -= monomial_values(exponents, zc - h * field).T
-            D /= 2.0 * h
-        Vw = V.conj()
-        Vw *= wq[lo : lo + _CHUNK]
-        gram += Vw @ V.T
-        op += Vw @ D.T
+            q = monomial_values(exponents, z + h * field)
+            q -= monomial_values(exponents, z - h * field)
+            q /= 2.0 * h * monomial_values(exponents, z)
+        sums = _angle_sums(q)  # (m, frequencies, columns)
+        if derivative == "analytic":  # column beta: sum_j beta_j (transform of field_j / z_j)
+            Q = np.einsum("tabj,bj->tab", sums[:, freq], exponents.astype(float))
+        else:  # column beta: transform of its own q_beta
+            Q = sums[:, freq, np.arange(dim)]
+        Rs = R[rows]
+        pair = rule.weights[rows, None, None] * Rs[:, :, None] * Rs[:, None, :]
+        gram += pair.sum(axis=0) * ones[freq]
+        op += np.einsum("tab,tab->ab", pair, Q)
     op *= 1j
 
     scale = np.outer(block.norms, block.norms)
@@ -204,6 +230,17 @@ def toeplitz_matrix(
     if herm > 1e-9:
         raise QuadratureError(f"assembled block not Hermitian at k={k}: residual {herm:.2e}")
     return 0.5 * (op + op.conj().T)
+
+
+def _angle_sums(q: np.ndarray) -> np.ndarray:
+    """sum_phi e^{i<gamma,phi>} q(phi) for every frequency gamma on the angle grid.
+
+    ``q`` has shape (m, *grid, columns); the result is (m, prod(grid),
+    columns), frequencies flattened in grid order (gamma taken mod n).
+    """
+    axes = tuple(range(1, q.ndim - 1))
+    sums = np.fft.ifftn(q, axes=axes, norm="forward")
+    return sums.reshape(q.shape[0], -1, q.shape[-1])
 
 
 # ----------------------------------------------------------------------------

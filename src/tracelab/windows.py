@@ -60,10 +60,8 @@ class Window:
         if self.shape == "gaussian":
             return np.exp(-0.5 * t * t)
         inside = np.abs(t) < 1.0
-        out = np.zeros_like(t)
         ts = np.where(inside, t, 0.0)
-        out = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - ts * ts)), 0.0)
-        return out
+        return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - ts * ts)), 0.0)
 
     @property
     def center_value(self) -> float:

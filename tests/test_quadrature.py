@@ -8,6 +8,7 @@ from tracelab.quadrature import (
     fubini_study_volume,
     gauss_legendre,
     simplex_rule,
+    sphere_product_rule,
     sphere_rule,
     sphere_rule_size,
 )
@@ -23,6 +24,19 @@ def test_gauss_legendre_interval_transform():
     x, w = gauss_legendre(12, -2.0, 5.0)
     assert abs(w.sum() - 7.0) < 1e-13
     assert abs(np.dot(w, np.exp(x)) - (math.exp(5) - math.exp(-2))) < 1e-9
+
+
+def test_gauss_legendre_memoised_rule_is_unchanged():
+    """The memoised reference rule gives the same bits, and callers cannot corrupt it."""
+    for n in (1, 7, 90):
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        for _ in range(2):
+            x, w = gauss_legendre(n, -3.0, 5.0)
+            assert np.array_equal(x, 4.0 * (ref_x + 1.0) - 3.0)
+            assert np.array_equal(w, 4.0 * ref_w)
+            x[:] = np.nan  # the returned arrays are the caller's own
+    x, w = gauss_legendre(7)
+    assert np.array_equal(x, 0.5 * (np.polynomial.legendre.leggauss(7)[0] + 1.0))
 
 
 def test_circle_rule_trig_exactness():
@@ -71,6 +85,18 @@ def test_sphere_rule_total_mass():
     for d in (1, 2):
         _, w = sphere_rule(d, 5, 3)
         assert abs(w.sum() - np.pi**d / math.factorial(d)) < 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sphere_rule_flattens_product_rule(d):
+    rule = sphere_product_rule(d, 5, 4)
+    z, w = sphere_rule(d, 5, 4)
+    nodes = rule.nodes()
+    assert nodes.shape == (rule.t.shape[0],) + (rule.n_angles,) * (d + 1) + (d + 1,)
+    assert np.array_equal(z, nodes.reshape(-1, d + 1))
+    assert np.array_equal(w, np.repeat(rule.weights, rule.n_angles ** (d + 1)))
+    assert np.allclose(np.abs(nodes) ** 2, rule.t.reshape((-1,) + (1,) * (d + 1) + (d + 1,)))
+    assert np.array_equal(rule.nodes(slice(2, 4)), nodes[2:4])
 
 
 def test_sphere_rule_size_matches():

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from tracelab.errors import CacheError, CoverageError
+from tracelab import spectral
+from tracelab.errors import CacheError, CoverageError, QuadratureError
 from tracelab.geometry import flow_sphere, make_model
+from tracelab.quadrature import sphere_rule
 from tracelab.spectral import (
     SpectralPackage,
+    degree_block,
     eigendata,
     eigensection_values,
     monomial_norms,
@@ -68,6 +71,81 @@ def test_toeplitz_fd_derivative_route_agrees(model12):
     a = toeplitz_matrix(model12, 6, derivative="analytic")
     b = toeplitz_matrix(model12, 6, derivative="fd")
     assert np.abs(a - b).max() < 1e-6
+
+
+def _literal_toeplitz(model, k, derivative):
+    """Node-by-node assembly over the flattened rule: conj(V) w V^T and conj(V) w (iD)^T."""
+    block = degree_block(model, k)
+    z, w = sphere_rule(model.dim, k + 2, k + 2)
+    field = spectral.contact_field(model, z)
+    V = monomial_values(block.exponents, z)  # (m, dim)
+    if derivative == "analytic":
+        D = V * ((field / z) @ block.exponents.T)
+    else:
+        h = 1e-6
+        D = (monomial_values(block.exponents, z + h * field)
+             - monomial_values(block.exponents, z - h * field)) / (2.0 * h)
+    Vw = V.conj().T * w
+    scale = np.outer(block.norms, block.norms)
+    gram = (Vw @ V) / scale
+    op = (Vw @ (1j * D)) / scale
+    assert np.abs(gram - np.eye(block.dim)).max() < 1e-10
+    return 0.5 * (op + op.conj().T)
+
+
+@pytest.mark.parametrize("derivative", ["analytic", "fd"])
+@pytest.mark.parametrize(
+    "weights,k", [((1, 2), 0), ((1, 2), 3), ((1, 2), 8), ((1, 1, 2), 2), ((1, 1, 2), 6),
+                  ((1, 2, 3), 1), ((1, 2, 3), 5)],
+)
+def test_toeplitz_matches_literal_node_sum(weights, k, derivative):
+    """The sum-factorised assembly is the node-by-node quadrature sum, reordered."""
+    model = make_model(weights)
+    factorised = toeplitz_matrix(model, k, derivative=derivative)
+    literal = _literal_toeplitz(model, k, derivative)
+    assert np.abs(factorised - literal).max() < 1e-12
+
+
+@pytest.mark.parametrize("derivative", ["analytic", "fd"])
+@pytest.mark.parametrize("weights,k,coupled", [((1, 2), 4, (0, 1)), ((1, 1, 2), 3, (1, 2))])
+def test_toeplitz_detects_phase_dependent_field(monkeypatch, weights, k, coupled, derivative):
+    """A field -i(W + eps H)z that breaks the torus symmetry shows up off the diagonal.
+
+    H couples coordinates of different weight, so the field depends on the
+    angles; i times its derivative maps z^beta to sum_jl beta_j M_jl
+    z^(beta - e_j + e_l), which the rule integrates exactly.
+    """
+    eps = 1e-3
+    model = make_model(weights)
+    j, l = coupled
+    H = np.zeros((model.dim + 1,) * 2, dtype=complex)
+    H[j, l], H[l, j] = 0.6 + 0.8j, 0.6 - 0.8j
+    M = np.diag(model.weight_array) + eps * H
+    monkeypatch.setattr(spectral, "contact_field", lambda _model, z: -1j * (z @ M.T))
+    factorised = toeplitz_matrix(model, k, derivative=derivative)
+    literal = _literal_toeplitz(model, k, derivative)
+    assert np.abs(factorised - literal).max() < 1e-12
+
+    block = degree_block(model, k)
+    expected = np.diag(block.eigenvalues).astype(complex)
+    index = {tuple(a): i for i, a in enumerate(block.exponents)}
+    for b, beta in enumerate(block.exponents):
+        for src, dst in ((j, l), (l, j)):
+            if beta[src] > 0:
+                alpha = beta.copy()
+                alpha[src] -= 1
+                alpha[dst] += 1
+                a = index[tuple(alpha)]
+                expected[a, b] += eps * beta[src] * H[src, dst] * block.norms[a] / block.norms[b]
+    tol = 1e-12 if derivative == "analytic" else 1e-8
+    assert np.abs(factorised - expected).max() < tol
+    off = factorised - np.diag(np.diag(factorised))
+    assert 0.5 * eps < np.abs(off).max() < 10 * eps
+
+
+def test_toeplitz_gram_tolerance_still_enforced(model12):
+    with pytest.raises(QuadratureError, match="under-resolved"):
+        toeplitz_matrix(model12, 4, gram_tol=1e-300)
 
 
 @pytest.mark.parametrize("d", [1, 2])
