@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.special import ndtri
 
 from .errors import (
     CleanLocusError,
@@ -253,6 +251,8 @@ def gaussian_normal_integral(
     closed = np.pi**c / det
 
     # --- tensor quadrature in eigen-rotated coordinates ---
+    from scipy.linalg import schur  # the oracles load scipy; the scans never do
+
     T, U = schur(A, output="complex")
     eigs = np.diag(T)
     if np.abs(A - (U * eigs) @ U.conj().T).max() > 1e-10:
@@ -290,6 +290,7 @@ def _line_integral(mu: complex, nodes_cap: int) -> complex:
 @functools.lru_cache(maxsize=4)  # the scrambles of one dimension at the default settings
 def _sobol_normals(dim: int, log2_n: int, seed: int) -> np.ndarray:
     """Standard normal deviates of 2**log2_n scrambled Sobol points, read-only."""
+    from scipy.special import ndtri
     from scipy.stats import qmc  # costs ~0.4 s of import; only criterion 9 needs it
 
     eng = qmc.Sobol(dim, scramble=True, seed=seed)

@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, TracelabError
-from .harness import ExperimentConfig, parse_lambda_grid, run
+from .harness import ExperimentConfig, config_section, read_config_file, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,17 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge(args: argparse.Namespace) -> ExperimentConfig:
-    base: dict = {}
-    if args.config:
-        import json
-
-        with open(args.config) as fh:
-            try:
-                base = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {args.config}: line {exc.lineno}: {exc.msg}")
+    base = read_config_file(args.config) if args.config else {}
     base["kind"] = args.kind
-    model = dict(base.get("model", {}))
+    model = dict(config_section(base, "model"))
     if args.weights:
         model["weights"] = _numbers(args.weights, int, "config.model.weights")
     if args.dim is not None:
@@ -65,7 +57,7 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
         else:
             raise ConfigError("config.model.weights: give --weights or a config file")
     base["model"] = model
-    window = dict(base.get("window") or {})
+    window = dict(config_section(base, "window"))
     if args.tau0 is not None:
         window["tau0"] = args.tau0
     if args.eps is not None:

@@ -66,6 +66,30 @@ def _field(d: dict, key: str, caster, default=..., where: str = "config"):
         raise ConfigError(f"{where}.{key}: {exc}") from None
 
 
+def config_section(d: dict, key: str) -> dict:
+    """The JSON object under ``d[key]``, {} when absent or null."""
+    value = d.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"config.{key}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def read_config_file(path) -> dict:
+    """The JSON object in a config file; an unreadable file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path}: line {exc.lineno}: {exc.msg}") from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def _displacement(values) -> np.ndarray:
     """Normal displacement: numbers, or [re, im] pairs."""
     return np.asarray(
@@ -145,7 +169,7 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ConfigError("config: expected a JSON object")
         kind = _field(d, "kind", str)
-        model_d = _field(d, "model", dict, where="config")
+        model_d = config_section(d, "model")
         weights = _field(model_d, "weights", lambda v: tuple(int(w) for w in v), where="config.model")
         dim = _field(model_d, "dim", int, default=None, where="config.model")
         if dim is not None and dim != len(weights) - 1:
@@ -154,8 +178,8 @@ class ExperimentConfig:
             )
         calibration = model_d.get("calibration", "auto")
         win = None
-        if "window" in d and d["window"] is not None:
-            wd = d["window"]
+        if d.get("window") is not None:
+            wd = config_section(d, "window")
             shape = _field(wd, "shape", str, default="bump", where="config.window")
             tau0 = _field(wd, "tau0", float, where="config.window")
             eps = _field(wd, "eps", float, where="config.window")
@@ -188,12 +212,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path}: line {exc.lineno}: {exc.msg}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(read_config_file(path))
 
     def to_dict(self) -> dict:
         d = {

@@ -348,7 +348,8 @@ def _diagonal_values(
     unit = extended.UNIT if long else float(np.finfo(np.float64).eps)
     t = np.abs(np.atleast_2d(np.asarray(points, dtype=complex))) ** 2
     lams = np.broadcast_to(np.asarray(lams, dtype=float), (t.shape[0],))
-    by_lam = {lam: _window_cut(win, float(lam), model) for lam in np.unique(lams)}
+    # a set, not np.unique: its first call imports numpy.ma (~30 ms)
+    by_lam = {lam: _window_cut(win, lam, model) for lam in set(lams.tolist())}
     dtype = np.longdouble if long else np.float64
     scale = dtype(math.factorial(model.dim)) / (4 * np.arctan(dtype(1))) ** model.dim
     targets = np.full(t.shape[0], _first_cut_target(tail_tol, unit))

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CacheError, CoverageError, QuadratureError
 from .geometry import ProjectiveModel, contact_field, make_model
@@ -70,6 +69,8 @@ def monomial_norms(model: ProjectiveModel, k: int) -> np.ndarray:
     for stability at large degree.  The quadrature oracle
     `monomial_norms_quadrature` validates this independently.
     """
+    from scipy.special import gammaln  # only degree blocks need it
+
     alphas = multi_indices(model.dim, k)
     log_sq = (
         model.dim * math.log(math.pi)

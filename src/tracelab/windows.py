@@ -18,10 +18,10 @@ exp(-i s tau0) * chihat_centered(s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import CoverageError
 from .quadrature import gauss_legendre
@@ -30,7 +30,6 @@ _TABLE_SMAX = 1600.0
 # cubic-interpolation error goes like step^4; 1/64 keeps the off-grid error
 # of the cached transform near 1e-11 (verified against direct quadrature)
 _TABLE_STEP = 1.0 / 64.0
-_TABLE_CACHE: dict = {}
 
 
 @dataclass(eq=False)
@@ -44,7 +43,6 @@ class Window:
     shape: str
     tau0: float
     eps: float
-    _table: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.shape not in ("bump", "gaussian"):
@@ -83,7 +81,7 @@ class Window:
             eps = one * self.eps
             root = np.sqrt(one * 2 * np.pi)
             return eps * root * np.exp(-0.5 * (eps * s) ** 2)
-        table = self._bump_table()
+        table = _bump_table(self.eps)
         s_abs = np.abs(np.atleast_1d(np.asarray(s, dtype=float)))
         out = np.empty(s_abs.shape, dtype=float)
         small = s_abs <= _TABLE_SMAX
@@ -114,7 +112,7 @@ class Window:
         s = np.abs(np.asarray(s, dtype=float))
         if self.shape == "gaussian":
             return np.asarray(self.fourier_base(s), dtype=float)
-        table = self._bump_table()
+        table = _bump_table(self.eps)
         if np.any(s > _TABLE_SMAX):
             raise CoverageError(
                 f"bump transform envelope is tabulated only to |s| <= {_TABLE_SMAX:g}"
@@ -124,21 +122,20 @@ class Window:
         )
         return table["suffix"][np.maximum(idx, 0)]
 
-    # -- internals -----------------------------------------------------------
 
-    def _bump_table(self) -> dict:
-        if self._table is None:
-            # the table depends on eps only (tau0 enters via the phase), so
-            # windows with the same width share one build
-            cached = _TABLE_CACHE.get(self.eps)
-            if cached is None:
-                grid = np.arange(0.0, _TABLE_SMAX + _TABLE_STEP, _TABLE_STEP)
-                vals = _bump_ft_direct(self.eps, grid)
-                suffix = np.maximum.accumulate(np.abs(vals)[::-1])[::-1]
-                cached = {"grid": grid, "spline": CubicSpline(grid, vals), "suffix": suffix}
-                _TABLE_CACHE[self.eps] = cached
-            self._table = cached
-        return self._table
+@functools.lru_cache(maxsize=8)
+def _bump_table(eps: float) -> dict:
+    """Spline and suffix-maximum table of the centered bump transform.
+
+    The table depends on eps only (tau0 enters via the phase), so windows
+    with the same width share one build.
+    """
+    from scipy.interpolate import CubicSpline  # only the bump window needs it
+
+    grid = np.arange(0.0, _TABLE_SMAX + _TABLE_STEP, _TABLE_STEP)
+    vals = _bump_ft_direct(eps, grid)
+    suffix = np.maximum.accumulate(np.abs(vals)[::-1])[::-1]
+    return {"grid": grid, "spline": CubicSpline(grid, vals), "suffix": suffix}
 
 
 def _bump_ft_direct(eps: float, s: np.ndarray, extra_nodes: int = 0) -> np.ndarray:

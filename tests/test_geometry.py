@@ -8,6 +8,7 @@ from tracelab.errors import (
     PeriodError,
     UncalibratedModelError,
 )
+from tracelab import geometry
 from tracelab.geometry import (
     calibrate,
     contact_field,
@@ -17,6 +18,7 @@ from tracelab.geometry import (
     flow_sphere,
     hamiltonian,
     heisenberg_chart,
+    integrate_contact_field,
     make_model,
     period_gap,
     periods,
@@ -48,6 +50,44 @@ def test_calibration_is_deterministic():
     a = make_model((1, 3))
     b = make_model((1, 3))
     assert (a.lift_sign, a.lift_shift) == (b.lift_sign, b.lift_shift)
+
+
+CALIBRATION_WEIGHTS = [(1, 2), (1, 1, 2), (1, 2, 3), (3, 5), (2, 3, 5, 7)]
+
+
+@pytest.mark.parametrize("weights", CALIBRATION_WEIGHTS)
+def test_contact_field_integration_matches_solve_ivp_and_closed_form(weights):
+    from scipy.integrate import solve_ivp  # independent oracle for the RK4 endpoints
+
+    tol = 1e-8  # calibrate's default
+    model = make_model(weights, calibration="none")
+    starts = _random_points(np.random.default_rng(7), 3, model.dim + 1)
+    ends = integrate_contact_field(model, starts, tol=tol / 100.0)
+    n = model.dim + 1
+
+    def rhs(_tau, y):
+        v = contact_field(model, y[:n] + 1j * y[n:])
+        return np.concatenate([v.real, v.imag])
+
+    for z0, z1 in zip(starts, ends):
+        sol = solve_ivp(rhs, (0.0, 1.0), np.concatenate([z0.real, z0.imag]), rtol=1e-11, atol=1e-12)
+        assert sol.success
+        reference = sol.y[:n, -1] + 1j * sol.y[n:, -1]
+        assert np.abs(z1 - reference).max() < tol
+        assert np.abs(z1 - np.exp(-1j * model.weight_array) * z0).max() < tol
+
+
+@pytest.mark.parametrize("weights", CALIBRATION_WEIGHTS)
+def test_calibration_convention_across_weights(weights):
+    model = make_model(weights)
+    assert (model.lift_sign, model.lift_shift) == (-1, 0.0)
+
+
+def test_calibration_refuses_unconverged_integration(monkeypatch):
+    # at 64 against 128 steps the (1, 2) error estimate is ~8e-10, above tol/100
+    monkeypatch.setattr(geometry, "_RK4_MAX_DOUBLINGS", 0)
+    with pytest.raises(CalibrationError, match="did not converge"):
+        make_model((1, 2))
 
 
 def test_uncalibrated_model_refuses_flow():

@@ -263,3 +263,44 @@ def test_cli_bad_numbers_are_config_errors(tmp_path, capsys, flags, field):
 def test_config_file_bad_displacement():
     with pytest.raises(ConfigError, match="config.u"):
         ExperimentConfig.from_dict(_base_config(u=["x"]))
+
+
+@pytest.mark.parametrize(
+    "content, field",
+    [
+        (None, "missing.json"),  # no such file
+        ("[1, 2]", "expected a JSON object"),
+        ('{"model": [1, 2]}', "config.model"),
+        ('{"window": 5}', "config.window"),
+    ],
+)
+def test_cli_bad_config_file_is_config_error(tmp_path, capsys, content, field):
+    path = tmp_path / "missing.json"
+    if content is not None:
+        path.write_text(content)
+    argv = ["trace", "--config", str(path), "--weights", "1,2", "--tau0", "3.141592653589793",
+            "--eps", "0.15", "--lambda-grid", "50:60:2", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and field in err
+
+
+def test_config_from_file_errors_are_config_errors(tmp_path):
+    with pytest.raises(ConfigError, match="missing.json"):
+        ExperimentConfig.from_file(tmp_path / "missing.json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="expected a JSON object"):
+        ExperimentConfig.from_file(tmp_path / "list.json")
+    (tmp_path / "model.json").write_text(json.dumps(_base_config(model=[1, 2])))
+    with pytest.raises(ConfigError, match="config.model"):
+        ExperimentConfig.from_file(tmp_path / "model.json")
+    (tmp_path / "window.json").write_text(json.dumps(_base_config(window=[0.0, 0.15])))
+    with pytest.raises(ConfigError, match="config.window"):
+        ExperimentConfig.from_file(tmp_path / "window.json")
+
+
+def test_config_file_round_trip(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_base_config()))
+    expected = ExperimentConfig.from_dict(_base_config()).digest()
+    assert ExperimentConfig.from_file(path).digest() == expected

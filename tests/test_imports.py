@@ -1,0 +1,38 @@
+"""The package and its scan kinds load numpy only: scipy stays on demand."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+HEAVY = ("integrate", "linalg", "special", "interpolate", "stats", "optimize")
+
+SCRIPT = """
+import sys
+import tracelab
+import tracelab.cli
+
+out = sys.argv[1]
+window = ["--shape", "gaussian", "--tau0", "3.141592653589793", "--eps", "0.15",
+          "--lambda-grid", "20:40:5"]
+assert tracelab.cli.main(["trace", "--weights", "1,2", "--kmax", "120", *window,
+                          "--out", out + "/trace"]) == 0
+assert tracelab.cli.main(["offlocus", "--weights", "1,2", "--kmax", "120", *window,
+                          "--precision", "longdouble", "--out", out + "/offlocus"]) == 0
+heavy = {"scipy." + name for name in %r}
+print(sorted(name for name in sys.modules if ".".join(name.split(".")[:2]) in heavy))
+"""
+
+
+def test_scan_kinds_do_not_import_scipy_submodules(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT % (HEAVY,), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
