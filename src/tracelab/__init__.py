@@ -37,13 +37,11 @@ from .geometry import (
     contact_field,
     fixed_components,
     flow_differential_normal,
-    flow_projective,
     flow_sphere,
     hamiltonian,
     heisenberg_chart,
     make_model,
     period_gap,
-    periods,
 )
 from .harness import ExperimentConfig, RunResult, parse_lambda_grid, run
 from .reports import ScanReport

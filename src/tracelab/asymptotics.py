@@ -8,8 +8,7 @@ Four families live here:
   Hamiltonian integral over the component computed by simplex quadrature;
 * the Gaussian normal integral over C^c with its closed form
   pi^c/det(id - A), checked against tensor Gauss-Legendre quadrature in
-  eigen-rotated coordinates and against a whitened quasi-Monte Carlo
-  estimate;
+  eigen-rotated coordinates;
 * the truncated-phase stationary point check (closed-form critical point,
   gradient residual, finite-difference Hessian determinant).
 
@@ -19,8 +18,6 @@ recovers them as least-squares numbers from scan reports.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +32,12 @@ from .geometry import (
     FixedComponent,
     HeisenbergChart,
     ProjectiveModel,
+    complement_frame,
     contact_field,
     flow_differential_normal,
     hamiltonian,
 )
-from .quadrature import gauss_legendre, simplex_rule
+from .quadrature import gaussian_line_rule, simplex_rule
 from .reports import ScanReport
 from .windows import Window
 
@@ -207,42 +205,26 @@ class GaussianIntegralResult:
     closed_form: complex
     quadrature: complex
     quadrature_rel_error: float
-    qmc: complex | None
-    qmc_rel_error: float | None
-
-    @property
-    def rel_error(self) -> float:
-        return self.quadrature_rel_error
 
 
-def gaussian_normal_integral(
-    A: np.ndarray,
-    nodes_cap: int = 1400,
-    qmc_log2: int = 16,
-    qmc_scrambles: int = 4,
-    seed: int = 0,
-    with_qmc: bool | None = None,
-    rng=None,
-) -> GaussianIntegralResult:
-    """Closed form pi^c/det(id-A) for the normal Gaussian integral, with oracles.
+def gaussian_normal_integral(A: np.ndarray, seed: int = 0) -> GaussianIntegralResult:
+    """Closed form pi^c/det(id-A) for the normal Gaussian integral, with its oracle.
 
-    The integral of exp(psi2(Av, v)) over C^c.  The quadrature oracle
-    diagonalises the unitary matrix (complex Schur form), rotates coordinates
-    (Lebesgue-invariant), and evaluates a literal 2-d tensor Gauss-Legendre
-    integral of the psi2 integrand on each eigenline; for c = 1 no rotation
-    happens at all.  A whitened scrambled-Sobol QMC estimate (Cholesky of the
-    realified quadratic form, inverse-normal map) is recorded alongside for
-    c <= 4; it is less accurate than the quadrature and kept as a second,
-    structurally different cross-check.
+    The integral of exp(psi2(Av, v)) over C^c.  Twenty random directions
+    (drawn from ``seed``) probe that Re psi2 is negative definite.  The
+    quadrature oracle diagonalises the unitary matrix (complex Schur form),
+    rotates coordinates (Lebesgue-invariant), and evaluates a literal 2-d
+    tensor Gauss-Legendre integral of the psi2 integrand on each eigenline;
+    for c = 1 no rotation happens at all.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     c = A.shape[0]
     if c == 0:
-        return GaussianIntegralResult(1.0 + 0j, 1.0 + 0j, 0.0, None, None)
+        return GaussianIntegralResult(1.0 + 0j, 1.0 + 0j, 0.0)
     det = np.linalg.det(np.eye(c) - A)
     if abs(det) < 1e-10:
         raise CleanLocusError("non-clean matrix: det(id - A) vanishes")
-    rng = np.random.default_rng(seed) if rng is None else rng
+    rng = np.random.default_rng(seed)
     for _ in range(20):
         v = rng.normal(size=c) + 1j * rng.normal(size=c)
         r = psi2(A @ v, v).real
@@ -250,7 +232,6 @@ def gaussian_normal_integral(
             raise CleanLocusError("integral not absolutely convergent: psi2 real part degenerate")
     closed = np.pi**c / det
 
-    # --- tensor quadrature in eigen-rotated coordinates ---
     from scipy.linalg import schur  # the oracles load scipy; the scans never do
 
     T, U = schur(A, output="complex")
@@ -259,61 +240,19 @@ def gaussian_normal_integral(
         raise QuadratureError("eigen-rotation failed (matrix not normal?)")
     quadrature = 1.0 + 0.0j
     for mu in eigs:
-        quadrature *= _line_integral(complex(mu), nodes_cap)
+        quadrature *= _line_integral(complex(mu))
     rel_q = abs(quadrature - closed) / abs(closed)
-
-    # --- whitened QMC estimate ---
-    if with_qmc is None:
-        with_qmc = c <= 4
-    qmc_val = qmc_rel = None
-    if with_qmc:
-        qmc_val = _whitened_qmc(A, qmc_log2, qmc_scrambles, seed)
-        qmc_rel = abs(qmc_val - closed) / abs(closed)
-    return GaussianIntegralResult(complex(closed), complex(quadrature), float(rel_q), qmc_val, qmc_rel)
+    return GaussianIntegralResult(complex(closed), complex(quadrature), float(rel_q))
 
 
-def _line_integral(mu: complex, nodes_cap: int) -> complex:
+def _line_integral(mu: complex) -> complex:
     """2-d Gauss-Legendre integral of exp(psi2(mu*v, v)) over one complex line."""
     decay = 1.0 - mu.real  # = 0.5*|mu-1|^2 + ... >= (1-cos phi), the Gaussian rate
     if decay <= 0:
         raise CleanLocusError("non-clean matrix: eigenline without decay")
-    R = math.sqrt(82.0 / decay)
-    freq = abs(mu.imag) * R * R
-    n = min(int(0.45 * freq) + 90, nodes_cap)
-    x, w = gauss_legendre(n, -R, R)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    V = (X + 1j * Y).reshape(-1, 1)
-    vals = np.exp(psi2(mu * V, V))
-    return complex(vals.reshape(n, n).dot(w).dot(w))
-
-
-@functools.lru_cache(maxsize=4)  # the scrambles of one dimension at the default settings
-def _sobol_normals(dim: int, log2_n: int, seed: int) -> np.ndarray:
-    """Standard normal deviates of 2**log2_n scrambled Sobol points, read-only."""
-    from scipy.special import ndtri
-    from scipy.stats import qmc  # costs ~0.4 s of import; only criterion 9 needs it
-
-    eng = qmc.Sobol(dim, scramble=True, seed=seed)
-    Y = ndtri(np.clip(eng.random(2**log2_n), 1e-15, 1.0 - 1e-15))
-    Y.flags.writeable = False
-    return Y
-
-
-def _whitened_qmc(A: np.ndarray, log2_n: int, scrambles: int, seed: int) -> complex:
-    c = A.shape[0]
-    B = A - np.eye(c)
-    G = B.conj().T @ B
-    M = np.block([[G.real, -G.imag], [G.imag, G.real]])
-    L = np.linalg.cholesky(M)
-    Linv_T = np.linalg.inv(L).T
-    norm = (2.0 * np.pi) ** c / math.sqrt(np.linalg.det(M))
-    estimates = []
-    for s in range(scrambles):
-        Uu = _sobol_normals(2 * c, log2_n, seed + 7919 * s) @ Linv_T.T
-        V = Uu[:, :c] + 1j * Uu[:, c:]
-        phase = np.einsum("ij,jk,ik->i", np.conj(V), A, V).imag
-        estimates.append(np.exp(1j * phase).mean())
-    return complex(np.mean(estimates) * norm)
+    V, w = gaussian_line_rule(decay, abs(mu.imag))
+    vals = np.exp(psi2(mu * V[:, None], V[:, None]))
+    return complex(vals.reshape(w.size, w.size).dot(w).dot(w))
 
 
 # ----------------------------------------------------------------------------
@@ -335,24 +274,6 @@ class StationaryCheck:
         return abs(self.hessian_det - self.expected_det) / abs(self.expected_det)
 
 
-def _horizontal_frame(x0: np.ndarray) -> np.ndarray:
-    """Deterministic unitary frame of the orthogonal complement of x0."""
-    n = x0.size
-    rows = []
-    for i in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[i] = 1.0
-        v = e - np.vdot(x0, e) * x0
-        for r in rows:
-            v = v - np.vdot(r, v) * r
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            rows.append(v / nv)
-    if len(rows) != n - 1:
-        raise ValueError("frame construction failed")
-    return np.array(rows)
-
-
 def covector_pairing(model: ProjectiveModel, x0: np.ndarray, omega: np.ndarray) -> float:
     """Pairing of the contact field with a covector (omega_0, omega_horizontal).
 
@@ -368,7 +289,9 @@ def covector_pairing(model: ProjectiveModel, x0: np.ndarray, omega: np.ndarray) 
     f = float(hamiltonian(model, x0))
     field = contact_field(model, x0)
     horizontal = field + f * (1j * x0)  # remove the vertical part
-    frame = _horizontal_frame(x0)
+    frame = complement_frame(x0, range(x0.size), tol=1e-8)
+    if frame.shape[0] != d:
+        raise ValueError("frame construction failed")
     coords = frame.conj() @ horizontal
     pairing = -f * omega[0]
     pairing += float(np.dot(coords.real, omega[1::2]) + np.dot(coords.imag, omega[2::2]))

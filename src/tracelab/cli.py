@@ -16,6 +16,7 @@ import sys
 
 from .errors import ConfigError, TracelabError
 from .harness import ExperimentConfig, config_section, read_config_file, run
+from .windows import SHAPES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kmax", type=int, help="spectral truncation degree")
         p.add_argument("--tau0", type=float, help="window center (a period for trace kinds)")
         p.add_argument("--eps", type=float, help="window width parameter")
-        p.add_argument("--shape", choices=("bump", "gaussian"), help="window shape (default bump)")
+        p.add_argument("--shape", choices=SHAPES, help="window shape (default bump)")
         p.add_argument("--lambda-grid", dest="lambda_grid", help="start:stop:count[:geometric]")
         p.add_argument("--out", help="output directory")
         p.add_argument("--cache", help="spectral package cache directory")

@@ -20,8 +20,8 @@ On these models the calibrated flow is z -> exp(-i*tau*diag(w)) z.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 import numpy.random  # loaded lazily by numpy; every calibration draws its starts from it
@@ -217,74 +217,29 @@ def flow_sphere(model: ProjectiveModel, tau: float, z: np.ndarray) -> np.ndarray
     return flow_phases(model, tau) * np.asarray(z)
 
 
-def flow_projective(model: ProjectiveModel, tau: float, z: np.ndarray) -> np.ndarray:
-    """Hamiltonian flow downstairs, acting on homogeneous representatives.
-
-    Identical phase action; the result is a representative of the flowed
-    projective point (compare with `projective_distance`, not equality).
-    """
-    return flow_sphere(model, tau, z)
-
-
-def projective_distance(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Geodesic Fubini-Study distance: arccos of the correlation modulus."""
-    z1 = np.asarray(z1)
-    z2 = np.asarray(z2)
-    n1 = np.sqrt((np.abs(z1) ** 2).sum(axis=-1))
-    n2 = np.sqrt((np.abs(z2) ** 2).sum(axis=-1))
-    corr = np.abs((np.conj(z1) * z2).sum(axis=-1)) / (n1 * n2)
-    return np.arccos(np.clip(corr, -1.0, 1.0))
-
-
 # ----------------------------------------------------------------------------
 # periods and fixed loci
 # ----------------------------------------------------------------------------
 
 
-def periods(model: ProjectiveModel, tau_max: float):
-    """All periods of the lifted flow in (0, tau_max], with isolation flags.
+def period_gap(model: ProjectiveModel, tau0: float) -> float:
+    """Distance from tau0 to the nearest other period among 0 and the positive ones.
 
-    A time tau is a period when some coordinate phase returns to 1, i.e.
-    tau*(w_i + shift) is a multiple of 2*pi.  The rational structure is kept
-    exact with fractions; returned values are floats.
+    The positive periods are the multiples 2*pi*j/e of the effective weights
+    e = |w_i + shift|.  Of each e only the multiples bracketing tau0 can be
+    nearest, so the cost does not grow with |tau0|.
     """
     _require_calibrated(model)
-    if tau_max <= 0:
-        raise ValueError("tau_max must be positive")
+    if not math.isfinite(tau0):
+        raise PeriodError(f"tau0={tau0!r} is not finite")
     effective = [abs(w + model.lift_shift) for w in model.weights]
     if any(e == 0 for e in effective):
         raise PeriodError("a coordinate is flow-inert; every time is a period")
-    fracs = set()
+    candidates = [0.0]
     for e in effective:
-        ef = Fraction(e).limit_denominator(10**6)
-        k = 1
-        while float(2.0 * np.pi * k / e) <= tau_max * (1 + 1e-12):
-            fracs.add(Fraction(k, 1) / ef)
-            k += 1
-    taus = sorted(float(2.0 * np.pi * fr) for fr in fracs)
-    if not taus:
-        raise PeriodError("no periods in range")
-    extended = [0.0] + taus + [taus[-1] + min_period_spacing(model)]
-    out = []
-    for i, t in enumerate(taus, start=1):
-        gap = min(t - extended[i - 1], extended[i + 1] - t)
-        out.append((t, bool(gap > 1e-9)))
-    return out
-
-
-def min_period_spacing(model: ProjectiveModel) -> float:
-    """A lower bound for the spacing of the period set (exact for one weight)."""
-    _require_calibrated(model)
-    effective = [abs(w + model.lift_shift) for w in model.weights]
-    return 2.0 * np.pi / max(effective) / max(effective)
-
-
-def period_gap(model: ProjectiveModel, tau0: float) -> float:
-    """Distance from tau0 to the nearest other period (0 counts as one)."""
-    horizon = abs(tau0) + 4.0 * np.pi
-    pts = [0.0] + [t for t, _ in periods(model, horizon)]
-    others = [t for t in pts if abs(t - tau0) > 1e-9]
-    return min(abs(tau0 - t) for t in others)
+        k = math.floor(tau0 * e / (2.0 * np.pi))
+        candidates += [2.0 * np.pi * j / e for j in range(max(k - 1, 1), k + 3)]
+    return min(abs(tau0 - t) for t in candidates if abs(t - tau0) > 1e-9)
 
 
 @dataclass(frozen=True)
@@ -375,6 +330,26 @@ def fixed_components(model: ProjectiveModel, tau0: float, tol: float = _FIX_TOL)
 # ----------------------------------------------------------------------------
 
 
+def complement_frame(x0: np.ndarray, order, tol: float) -> np.ndarray:
+    """Gram-Schmidt of the coordinate vectors e_i, i in ``order``, against x0.
+
+    Each e_i, less its projections on x0 and on the rows kept before it,
+    becomes a row when its norm exceeds ``tol``.  The rows are orthonormal
+    and orthogonal to x0; callers check that they span its complement.
+    """
+    rows = []
+    for i in order:
+        e = np.zeros(x0.size, dtype=complex)
+        e[i] = 1.0
+        v = e - np.vdot(x0, e) * x0
+        for r in rows:
+            v = v - np.vdot(r, v) * r
+        nv = np.linalg.norm(v)
+        if nv > tol:
+            rows.append(v / nv)
+    return np.array(rows)
+
+
 @dataclass(frozen=True, eq=False)
 class HeisenbergChart:
     """Adapted chart at a fixed-locus point of the sphere bundle.
@@ -448,30 +423,13 @@ def heisenberg_chart(model: ProjectiveModel, x0: np.ndarray, tau0: float) -> Hei
     phases = flow_phases(model, tau0)
     fixed_idx = [i for i in range(model.dim + 1) if abs(phases[i] - 1.0) < _FIX_TOL]
     normal_idx = [i for i in range(model.dim + 1) if i not in fixed_idx]
-
-    rows = []
-    # tangent block: coordinate directions inside the component, minus x0
-    for i in fixed_idx:
-        e = np.zeros(model.dim + 1, dtype=complex)
-        e[i] = 1.0
-        v = e - np.vdot(x0, e) * x0
-        for r in rows:
-            v = v - np.vdot(r, v) * r
-        nv = np.linalg.norm(v)
-        if nv > 1e-10:
-            rows.append(v / nv)
-    n_tangent = len(rows)
-    if n_tangent != len(fixed_idx) - 1:
-        raise ChartError("degenerate tangent frame at chart center")
-    for j in normal_idx:
-        e = np.zeros(model.dim + 1, dtype=complex)
-        e[j] = 1.0
-        # x0 is supported on fixed_idx, so this is e_j up to rounding
-        v = e - np.vdot(x0, e) * x0
-        for r in rows:
-            v = v - np.vdot(r, v) * r
-        rows.append(v / np.linalg.norm(v))
-    frame = np.array(rows)
+    # tangent rows first: the coordinate directions inside the component minus
+    # x0, one of which is dependent; then the normal directions, which x0
+    # (supported on fixed_idx) leaves at e_j up to rounding
+    frame = complement_frame(x0, fixed_idx + normal_idx, tol=1e-10)
+    if frame.shape[0] != model.dim:
+        raise ChartError("degenerate frame at chart center")
+    n_tangent = len(fixed_idx) - 1
     return HeisenbergChart(center=x0, frame=frame, n_tangent=n_tangent, tau0=float(tau0))
 
 

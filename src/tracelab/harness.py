@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -24,7 +25,7 @@ from .geometry import ProjectiveModel, fixed_components, heisenberg_chart, make_
 from .reports import ScanReport
 from .smoothing import offlocus_decay_scan, parity_scan, scaled_diagonal_scan, smoothed_trace
 from .spectral import SpectralPackage, eigendata
-from .windows import Window
+from .windows import SHAPES, Window
 
 CACHE_ENV_VAR = "TRACELAB_CACHE"
 
@@ -42,6 +43,8 @@ def parse_lambda_grid(text: str) -> np.ndarray:
         raise ConfigError(f"lambda_grid: {exc}") from None
     if count < 1:
         raise ConfigError("lambda_grid: count must be >= 1")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"lambda_grid: endpoints must be finite, got {text!r}")
     if len(parts) == 4:
         if parts[3] != "geometric":
             raise ConfigError(f"lambda_grid: unknown spacing {parts[3]!r}")
@@ -90,6 +93,20 @@ def read_config_file(path) -> dict:
     return data
 
 
+def _check_calibration(cal) -> None:
+    """"auto", "none", or {"lift_sign": +-1, "lift_shift": finite number}."""
+    if isinstance(cal, dict):
+        sign, shift = cal.get("lift_sign"), cal.get("lift_shift")
+        ok = sign in (-1, 1) and isinstance(shift, (int, float)) and math.isfinite(shift)
+    else:
+        ok = isinstance(cal, str) and cal in ("auto", "none")
+    if not ok:
+        raise ConfigError(
+            f"config.model.calibration: {cal!r} is not 'auto', 'none' or "
+            "{lift_sign: +-1, lift_shift: number}"
+        )
+
+
 def _displacement(values) -> np.ndarray:
     """Normal displacement: numbers, or [re, im] pairs."""
     return np.asarray(
@@ -128,19 +145,30 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"config.kind: {self.kind!r} not one of {KINDS}")
-        if not self.weights or any(int(w) <= 0 for w in self.weights):
-            raise ConfigError("config.model.weights: need positive integers")
+        if len(self.weights) < 2 or any(int(w) <= 0 for w in self.weights):
+            raise ConfigError("config.model.weights: need at least two positive integers")
         self.weights = tuple(int(w) for w in self.weights)
+        _check_calibration(self.calibration)
         if self.k_max < 0:
             raise ConfigError("config.k_max: must be >= 0")
+        numbers = {"C": self.C, "tail_tol": self.tail_tol}
+        if self.window is not None:
+            numbers.update({"window.tau0": self.window.tau0, "window.eps": self.window.eps})
+        for where, value in numbers.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"config.{where}: {value!r} is not a finite number")
         if self.tail_tol <= 0:
             raise ConfigError("config.tail_tol: tolerances must be positive")
+        if self.u is not None and not np.isfinite(self.u).all():
+            raise ConfigError("config.u: components must be finite")
         if self.precision not in ("double", "longdouble"):
             raise ConfigError(f"config.precision: {self.precision!r}")
         if self.lambda_grid is not None:
             g = np.asarray(self.lambda_grid, dtype=float)
             if g.size == 0:
                 raise ConfigError("config.lambda_grid: grid must be nonempty")
+            if not np.isfinite(g).all():
+                raise ConfigError("config.lambda_grid: entries must be finite")
             if g.size > 1 and not (np.diff(g) > 0).all():
                 raise ConfigError("config.lambda_grid: grid must be strictly increasing")
             self.lambda_grid = g
@@ -181,6 +209,8 @@ class ExperimentConfig:
         if d.get("window") is not None:
             wd = config_section(d, "window")
             shape = _field(wd, "shape", str, default="bump", where="config.window")
+            if shape not in SHAPES:
+                raise ConfigError(f"config.window.shape: {shape!r} not one of {SHAPES}")
             tau0 = _field(wd, "tau0", float, where="config.window")
             eps = _field(wd, "eps", float, where="config.window")
             if eps <= 0:

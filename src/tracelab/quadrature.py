@@ -1,7 +1,8 @@
 """Quadrature rules used throughout the laboratory.
 
 Everything here is standard numerical machinery: Gauss-Legendre rules on
-intervals (the reference rule on [-1, 1] is memoised per size), a
+intervals (the reference rule on [-1, 1] is memoised per size), a square
+tensor Gauss-Legendre rule on a complex line sized for Gaussian integrands, a
 stick-breaking tensor rule on the simplex, a moment-coordinate product rule
 on the odd sphere S^{2d+1} (exact for torus-symmetric polynomial integrands
 at finite degree), and an affine-chart radial rule for the Fubini-Study
@@ -20,6 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_LINE_NODES_CAP = 1400  # nodes per side of `gaussian_line_rule`
 
 # ----------------------------------------------------------------------------
 # interval rules
@@ -43,14 +46,20 @@ def gauss_legendre(n: int, a: float = 0.0, b: float = 1.0):
     return nodes, weights
 
 
-def circle_rule(n: int):
-    """Uniform angles and weights integrating 2*pi-periodic functions.
+def gaussian_line_rule(decay: float, rate: float):
+    """Square tensor Gauss-Legendre rule on one complex line, sized for a Gaussian.
 
-    Exact for trigonometric polynomials e^{i m phi} with |m| < n.
+    The integrand is taken to decay like exp(-decay*|v|^2) and to oscillate
+    like exp(i*rate*|v|^2).  The square [-R, R]^2 has R = sqrt(82/decay), where
+    the Gaussian is e^{-82}, and n = min(floor(0.45*rate*R^2) + 90, 1400)
+    nodes per side.  Returns the complex nodes V = x + iy, shape (n*n,) with
+    x the slow index, and the 1-d weights w; the integral of g is
+    g(V).reshape(n, n).dot(w).dot(w).
     """
-    angles = 2.0 * np.pi * np.arange(n) / n
-    weights = np.full(n, 2.0 * np.pi / n)
-    return angles, weights
+    R = math.sqrt(82.0 / decay)
+    n = min(int(0.45 * (rate * R * R)) + 90, _LINE_NODES_CAP)
+    x, w = gauss_legendre(n, -R, R)
+    return (x[:, None] + 1j * x[None, :]).ravel(), w
 
 
 # ----------------------------------------------------------------------------
@@ -161,11 +170,6 @@ def sphere_rule(d: int, t_degree: int, phase_degree: int):
     rule = sphere_product_rule(d, t_degree, phase_degree)
     z = rule.nodes().reshape(-1, d + 1)
     return z, np.repeat(rule.weights, rule.n_angles ** (d + 1))
-
-
-def sphere_rule_size(d: int, t_degree: int, phase_degree: int) -> int:
-    n1 = (t_degree + d) // 2 + 2
-    return (n1**d) * (phase_degree + 1) ** (d + 1)
 
 
 # ----------------------------------------------------------------------------

@@ -77,30 +77,21 @@ class TraceResult:
     n_eigenvalues: int
 
 
-def spectral_tail_bound(
-    pkg: SpectralPackage, win: Window, lam: float, kernel: bool = False
-) -> float:
-    """Bound the contribution of degrees beyond k_max to trace or diagonal.
+def spectral_tail_bound(pkg: SpectralPackage, win: Window, lam: float) -> float:
+    """Bound the contribution of degrees beyond k_max to the trace.
 
-    Trace:  sum_{k>k_max} dim_k * envelope(k*min_w - lam).
-    Kernel: the degree-k diagonal is at most dim_k * d!/pi^d pointwise (the
-            Szego diagonal of degree k), giving the same sum with that extra
-            factor.  This certifies a degree-truncated kernel sum; the
-            kernel entry points of this module are untruncated.
-    Returns 0 for synthetic packages with no stated coverage.
+    sum_{k>k_max} dim_k * envelope(k*min_w - lam); 0 for synthetic packages
+    with no stated coverage.
     """
     if not np.isfinite(pkg.coverage_max):
         return 0.0
     d = pkg.model.dim
     min_w = float(pkg.model.weight_array.min())
-    szego = math.factorial(d) / np.pi**d
     total = 0.0
     k = pkg.k_max + 1
     while True:
         s = max(k * min_w - lam, 0.0)
         term = section_dimension(d, k) * float(win.fourier_envelope(s))
-        if kernel:
-            term *= szego
         total += term
         # the envelope is eventually monotone decreasing and dim_k is
         # polynomial in k, so once terms are negligible the rest of the sum is
@@ -124,7 +115,7 @@ def smoothed_trace(
     pkg: SpectralPackage, win: Window, lam: float, tail_tol: float = 1e-10
 ) -> TraceResult:
     """Exact smoothed trace sum_n m_n transform(lam - n) over the package."""
-    bound = spectral_tail_bound(pkg, win, float(lam), kernel=False)
+    bound = spectral_tail_bound(pkg, win, float(lam))
     _require_coverage(bound, tail_tol, lam, "trace")
     value = complex(np.sum(pkg.multiplicities * win.fourier(float(lam) - pkg.values)))
     return TraceResult(float(lam), value, bound, pkg.n_eigenvalues)
@@ -219,16 +210,16 @@ def _first_cut_target(tail_tol: float, unit: float) -> float:
     return max(unit * tail_tol, _CUT_FLOOR)
 
 
-def _h_table(t: np.ndarray, weights, n_max: int, dtype) -> np.ndarray:
+def _h_table(t: np.ndarray, weights, n_max: int) -> np.ndarray:
     """h_n(t) for n = 0..n_max (rows), one column per row of t."""
     d = len(weights) - 1
     coeffs: dict = {}
-    for tw, w in zip(np.asarray(t, dtype=dtype).T, weights):
+    for tw, w in zip(np.asarray(t, dtype=float).T, weights):
         coeffs[w] = coeffs[w] + tw if w in coeffs else tw
-    h = np.zeros((max(n_max, 0) + 1, t.shape[0]), dtype=dtype)
+    h = np.zeros((max(n_max, 0) + 1, t.shape[0]))
     h[0] = 1
     for n in range(1, n_max + 1):
-        acc = np.zeros(t.shape[0], dtype=dtype)
+        acc = np.zeros(t.shape[0])
         for w, tw in coeffs.items():
             if n >= w:
                 acc += (n + d * w) * tw * h[n - w]
@@ -238,13 +229,12 @@ def _h_table(t: np.ndarray, weights, n_max: int, dtype) -> np.ndarray:
 
 def _window_sums(win: Window, lams, h: np.ndarray, cuts, scale) -> tuple[np.ndarray, np.ndarray]:
     """Kept sums sum_n h_n chihat(lam - n) and their absolute sums, per point."""
-    dtype = h.dtype.type
     values = np.zeros(len(cuts), dtype=complex)
     magnitudes = np.zeros(len(cuts))
     for i, (lam, (lo, hi, _)) in enumerate(zip(lams, cuts)):
         if hi < lo:
             continue
-        terms = h[lo : hi + 1, i] * win.fourier(dtype(lam) - np.arange(lo, hi + 1).astype(dtype))
+        terms = h[lo : hi + 1, i] * win.fourier(lam - np.arange(lo, hi + 1, dtype=float))
         values[i] = complex(terms.sum() * scale)
         magnitudes[i] = float(np.abs(terms).sum() * scale)
     return values, magnitudes
@@ -360,7 +350,7 @@ def _diagonal_values(
             h = _h_table_extended(t, model.weights, n_max)
             values, magnitudes = _gaussian_sums_extended(win, lams, h, cuts, scale)
         else:
-            h = _h_table(t, model.weights, n_max, np.float64)
+            h = _h_table(t, model.weights, n_max)
             values, magnitudes = _window_sums(win, lams, h, cuts, scale)
         remainders = np.array([rem for *_, rem in cuts])
         final = np.maximum(np.minimum(tail_tol, unit * magnitudes), _CUT_FLOOR)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from tracelab import asymptotics
 from tracelab.asymptotics import (
     component_f_integral,
     fit_expansion,
@@ -68,26 +67,8 @@ def test_gaussian_integral_random_unitaries():
             g = rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c))
             Q = np.linalg.qr(g)[0]
             A = (Q * np.exp(1j * rng.uniform(0.21, 2 * np.pi - 0.21, size=c))) @ Q.conj().T
-            res = gaussian_normal_integral(A, with_qmc=False)
+            res = gaussian_normal_integral(A)
             assert res.quadrature_rel_error < 1e-5
-
-
-def test_whitened_qmc_cache_is_transparent():
-    """Cold and warm Sobol caches give bit-identical estimates; cached deviates are read-only."""
-    rng = np.random.default_rng(21)
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    Q = np.linalg.qr(g)[0]
-    A = (Q * np.exp(1j * np.array([0.7, 2.9]))) @ Q.conj().T
-    asymptotics._sobol_normals.cache_clear()
-    cold = asymptotics._whitened_qmc(A, 10, 3, 4)
-    assert asymptotics._sobol_normals.cache_info().misses == 3
-    warm = asymptotics._whitened_qmc(A, 10, 3, 4)
-    assert asymptotics._sobol_normals.cache_info().hits == 3
-    assert cold == warm
-    deviates = asymptotics._sobol_normals(4, 10, 4)
-    assert deviates.shape == (1024, 4) and not deviates.flags.writeable
-    with pytest.raises(ValueError):
-        deviates[0, 0] = 0.0
 
 
 def test_gaussian_integral_rejects_non_clean():

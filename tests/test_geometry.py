@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from tracelab.asymptotics import covector_pairing
 from tracelab.errors import (
     CalibrationError,
     ChartError,
@@ -14,15 +17,13 @@ from tracelab.geometry import (
     contact_field,
     fixed_components,
     flow_differential_normal,
-    flow_projective,
     flow_sphere,
     hamiltonian,
     heisenberg_chart,
     integrate_contact_field,
     make_model,
     period_gap,
-    periods,
-    projective_distance,
+    random_sphere_point,
 )
 
 
@@ -131,23 +132,92 @@ def test_flow_isometry_and_hamiltonian_invariance(model12):
     assert np.abs(hamiltonian(model12, moved) - hamiltonian(model12, pts)).max() < 1e-12
 
 
-def test_projective_flow_covers_sphere_flow(model12):
-    rng = np.random.default_rng(4)
-    pts = _random_points(rng, 32, 2)
-    up = flow_sphere(model12, 0.77, pts)
-    down = flow_projective(model12, 0.77, pts)
-    # a sine-type distance has a sqrt noise floor: 1e-16 rounding in the
-    # inner product shows up as ~1e-8 in the distance
-    assert projective_distance(up, down).max() < 1e-7
-
-
 def test_periods_structure(model12):
-    per = periods(model12, 4.0 * np.pi + 1e-9)
-    taus = [t for t, _ in per]
-    assert np.allclose(taus, [np.pi, 2 * np.pi, 3 * np.pi, 4 * np.pi], atol=1e-12)
-    assert all(isolated for _, isolated in per)
-    assert abs(period_gap(model12, np.pi) - np.pi) < 1e-12
-    assert abs(period_gap(model12, 0.0) - np.pi) < 1e-12
+    # the (1, 2) periods are the multiples of pi, so every gap is pi
+    for k in range(5):
+        assert abs(period_gap(model12, k * np.pi) - np.pi) < 1e-12
+
+
+def _enumerated_period_gap(model, tau0):
+    """period_gap by listing every period in (0, |tau0| + 4 pi] exactly."""
+    horizon = abs(tau0) + 4.0 * np.pi
+    fracs = set()
+    for e in (abs(w + model.lift_shift) for w in model.weights):
+        ef = Fraction(e).limit_denominator(10**6)
+        k = 1
+        while 2.0 * np.pi * k / e <= horizon * (1 + 1e-12):
+            fracs.add(Fraction(k, 1) / ef)
+            k += 1
+    pts = [0.0] + [float(2.0 * np.pi * fr) for fr in fracs]
+    return min(abs(tau0 - t) for t in pts if abs(t - tau0) > 1e-9)
+
+
+CHART_WEIGHTS = [(1, 2), (1, 1, 2), (1, 2, 3), (3, 5)]
+
+
+@pytest.mark.parametrize("weights", CHART_WEIGHTS)
+def test_period_gap_matches_enumeration(weights):
+    model = make_model(weights)
+    for tau0 in (0.0, np.pi, 2.0 * np.pi / 3.0, 1.0, -np.pi, 1e3 * np.pi):
+        assert abs(period_gap(model, tau0) - _enumerated_period_gap(model, tau0)) < 1e-12
+
+
+def test_period_gap_is_immediate_at_large_and_infinite_tau0(model12):
+    assert abs(period_gap(model12, 1e5 * np.pi) - np.pi) < 1e-6
+    with pytest.raises(PeriodError):
+        period_gap(model12, float("inf"))
+
+
+def _coordinate_gram_schmidt(x0, order, tol, rows=()):
+    """The frame loop the chart and the covector pairing each carried inline.
+
+    ``tol=None`` keeps every vector, as the chart's normal loop did.
+    """
+    rows = list(rows)
+    for i in order:
+        e = np.zeros(x0.size, dtype=complex)
+        e[i] = 1.0
+        v = e - np.vdot(x0, e) * x0
+        for r in rows:
+            v = v - np.vdot(r, v) * r
+        nv = np.linalg.norm(v)
+        if tol is None or nv > tol:
+            rows.append(v / nv)
+    return rows
+
+
+@pytest.mark.parametrize("weights", CHART_WEIGHTS)
+def test_chart_frames_and_pairing_are_bit_identical_to_inline_loops(weights):
+    model = make_model(weights)
+    rng = np.random.default_rng(sum(weights))
+    charts = 0
+    for tau0 in (np.pi, 2.0 * np.pi / 3.0, 2.0 * np.pi / 5.0, 2.0 * np.pi):
+        try:
+            comps = [c for c in fixed_components(model, tau0) if not c.m_only]
+        except PeriodError:
+            continue
+        for comp in comps:
+            fixed = list(comp.index_set)
+            normal = [j for j in range(model.dim + 1) if j not in fixed]
+            x0 = np.zeros(model.dim + 1, dtype=complex)
+            x0[fixed] = rng.normal(size=len(fixed)) + 1j * rng.normal(size=len(fixed))
+            x0 /= np.linalg.norm(x0)
+            chart = heisenberg_chart(model, x0, tau0)
+            tangent = _coordinate_gram_schmidt(x0, fixed, 1e-10)
+            frame = _coordinate_gram_schmidt(x0, normal, None, rows=tangent)
+            assert chart.n_tangent == len(tangent) == comp.f_j
+            assert np.array_equal(chart.frame, np.array(frame))
+            charts += 1
+    assert charts >= 2
+    for _ in range(5):
+        x0 = random_sphere_point(model, rng)
+        omega = rng.normal(size=1 + 2 * model.dim)
+        frame = np.array(_coordinate_gram_schmidt(x0, range(x0.size), 1e-8))
+        f = float(hamiltonian(model, x0))
+        coords = frame.conj() @ (contact_field(model, x0) + f * (1j * x0))
+        ref = -f * omega[0]
+        ref += float(np.dot(coords.real, omega[1::2]) + np.dot(coords.imag, omega[2::2]))
+        assert covector_pairing(model, x0, omega) == ref
 
 
 def test_fixed_components_pi(model12):

@@ -285,6 +285,39 @@ def test_cli_bad_config_file_is_config_error(tmp_path, capsys, content, field):
     assert err.startswith("config error") and field in err
 
 
+@pytest.mark.parametrize(
+    "kind, override, flags, field",
+    [
+        ("trace", {"window": {"shape": "foo"}}, [], "config.window.shape"),
+        ("trace", {"model": {"calibration": "bogus"}}, [], "config.model.calibration"),
+        ("spectrum", {"model": {"calibration": {"lift_sign": 2}}}, [], "config.model.calibration"),
+        ("local", {}, ["--eps", "nan"], "config.window.eps"),
+        ("local", {}, ["--u", "nan"], "config.u"),
+        ("trace", {}, ["--tau0", "inf"], "config.window.tau0"),
+        ("offlocus", {}, ["--C", "nan"], "config.C"),
+        ("trace", {"tail_tol": float("nan")}, [], "config.tail_tol"),
+        ("trace", {"lambda_grid": [50.0, float("nan")]}, [], "config.lambda_grid"),
+        ("trace", {}, ["--lambda-grid", "50:inf:3"], "lambda_grid: endpoints"),
+    ],
+)
+def test_cli_malformed_config_exits_2(tmp_path, capsys, kind, override, flags, field):
+    config = {
+        "model": {"weights": [1, 2]},
+        "k_max": 10,
+        "window": {"shape": "gaussian", "tau0": float(np.pi), "eps": 0.15},
+        "lambda_grid": "50:60:2",
+    }
+    for key, value in override.items():
+        config[key] = {**config[key], **value} if isinstance(value, dict) else value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = [kind, "--config", str(path), *flags, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and field in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_from_file_errors_are_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="missing.json"):
         ExperimentConfig.from_file(tmp_path / "missing.json")

@@ -1,4 +1,7 @@
-"""The package and its scan kinds load numpy only: scipy stays on demand."""
+"""The package and its scan kinds load numpy only: scipy stays on demand.
+
+Criterion 9 needs only scipy.linalg, never scipy.stats.
+"""
 
 import os
 import subprocess
@@ -26,13 +29,30 @@ print(sorted(name for name in sys.modules if ".".join(name.split(".")[:2]) in he
 """
 
 
-def test_scan_kinds_do_not_import_scipy_submodules(tmp_path):
+CRIT09_SCRIPT = """
+import sys
+from tracelab import verify
+
+assert verify.crit_09_gaussian_integral(verify._Shared(seed=5)).passed
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["scipy", "stats"]))
+"""
+
+
+def _run(script: str, *args: str) -> str:
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT % (HEAVY,), str(tmp_path)],
+        [sys.executable, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_scan_kinds_do_not_import_scipy_submodules(tmp_path):
+    assert _run(SCRIPT % (HEAVY,), str(tmp_path)) == "[]"
+
+
+def test_criterion_9_does_not_import_scipy_stats():
+    assert _run(CRIT09_SCRIPT) == "[]"

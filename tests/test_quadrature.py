@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from tracelab.quadrature import (
-    circle_rule,
     fubini_study_volume,
     gauss_legendre,
+    gaussian_line_rule,
     simplex_rule,
     sphere_product_rule,
     sphere_rule,
-    sphere_rule_size,
 )
 
 
@@ -39,12 +38,13 @@ def test_gauss_legendre_memoised_rule_is_unchanged():
     assert np.array_equal(x, 0.5 * (np.polynomial.legendre.leggauss(7)[0] + 1.0))
 
 
-def test_circle_rule_trig_exactness():
-    t, w = circle_rule(9)
-    # integrates e^{i m t} exactly to 2*pi*delta_{m,0} for |m| < 9
-    for m in range(-8, 9):
-        val = np.dot(w, np.exp(1j * m * t))
-        assert abs(val - (2.0 * np.pi if m == 0 else 0.0)) < 1e-13
+@pytest.mark.parametrize("decay, rate", [(0.3, 0.0), (1.2, 2.5), (0.05, 0.4)])
+def test_gaussian_line_rule_integrates_a_gaussian(decay, rate):
+    V, w = gaussian_line_rule(decay, rate)
+    vals = np.exp((-decay + 1j * rate) * np.abs(V) ** 2)
+    got = vals.reshape(w.size, w.size).dot(w).dot(w)
+    exact = np.pi / (decay - 1j * rate)  # integral over C of exp(-(decay - i rate)|v|^2)
+    assert abs(got - exact) < 1e-10 * abs(exact)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -97,11 +97,6 @@ def test_sphere_rule_flattens_product_rule(d):
     assert np.array_equal(w, np.repeat(rule.weights, rule.n_angles ** (d + 1)))
     assert np.allclose(np.abs(nodes) ** 2, rule.t.reshape((-1,) + (1,) * (d + 1) + (d + 1,)))
     assert np.array_equal(rule.nodes(slice(2, 4)), nodes[2:4])
-
-
-def test_sphere_rule_size_matches():
-    z, w = sphere_rule(1, 7, 6)
-    assert sphere_rule_size(1, 7, 6) == len(w) == len(z)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

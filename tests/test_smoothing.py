@@ -19,7 +19,7 @@ from tracelab.smoothing import (
     smoothed_trace,
     spectral_tail_bound,
 )
-from tracelab.spectral import SpectralPackage, eigendata, eigensection_values
+from tracelab.spectral import SpectralPackage, eigendata, eigensection_values, section_dimension
 from tracelab.windows import Window
 
 
@@ -192,6 +192,25 @@ def test_kernel_diagonal_positive_at_center(pkg, chart):
 # ----------------------------------------------------------------------------
 
 
+def _degree_tail_bound(pkg, win, lam):
+    """Bound on the degrees k > k_max of the kernel diagonal, pointwise on the sphere.
+
+    The degree-k diagonal is at most dim_k * d!/pi^d (the Szego diagonal of
+    degree k), so the tail is at most sum_{k>k_max} dim_k d!/pi^d
+    envelope(k*min_w - lam); summed until the terms are negligible.
+    """
+    d = pkg.model.dim
+    min_w = min(pkg.model.weights)
+    szego = math.factorial(d) / np.pi**d
+    total, k = 0.0, pkg.k_max + 1
+    while True:
+        term = section_dimension(d, k) * szego * float(win.fourier_envelope(max(k * min_w - lam, 0.0)))
+        total += term
+        if term < 1e-4 * max(total, 1e-300) and term < 1e-18:
+            return total
+        k += 1
+
+
 def _lattice_diagonal(pkg, win, lam, points):
     """Degree-truncated kernel diagonal, summed monomial by monomial (degrees <= k_max)."""
     total = np.zeros(len(points), dtype=complex)
@@ -209,7 +228,7 @@ def test_recurrence_matches_lattice_sum(weights, precision):
     win = Window("gaussian", 1.0, 0.3)
     lam = 20.0
     # degrees beyond 70 are negligible here, so the lattice is the full sum
-    assert spectral_tail_bound(small, win, lam, kernel=True) < 1e-30
+    assert _degree_tail_bound(small, win, lam) < 1e-30
     rng = np.random.default_rng(sum(weights))
     pts = np.array([random_sphere_point(model, rng) for _ in range(4)])
     ref = _lattice_diagonal(small, win, lam, pts)
@@ -225,7 +244,7 @@ def test_degree_truncation_within_certified_tail(model12):
     rng = np.random.default_rng(11)
     pts = np.array([random_sphere_point(model12, rng) for _ in range(5)])
     for lam in (30.0, 36.0):
-        bound = spectral_tail_bound(small, win, lam, kernel=True)
+        bound = _degree_tail_bound(small, win, lam)
         full, remainder = smoothed_kernel_diagonal(small, win, lam, pts)
         diff = np.abs(full - _lattice_diagonal(small, win, lam, pts))
         assert diff.max() > 1e-13  # the truncation is visible ...
@@ -238,7 +257,7 @@ def test_widening_the_cut_stays_within_the_remainder(pkg, chart):
     wide, wide_rem = smoothed_kernel_diagonal(pkg, WIN, lam, pts)
     cut = _window_cut(WIN, lam, pkg.model)
     assert (np.diff(cut.remainder) <= 0).all()
-    h = _h_table(np.abs(pts) ** 2, (1, 2), int(lam) + 200, np.float64)
+    h = _h_table(np.abs(pts) ** 2, (1, 2), int(lam) + 200)
     for target in (1e-1, 1e-4, 1e-8):
         narrow = cut.keep(target)
         assert 0.0 < narrow[2] <= target

@@ -59,15 +59,6 @@ def test_envelope_majorizes_transform():
         assert np.all(np.diff(env) <= 1e-12)  # monotone majorant
 
 
-def test_longdouble_path_preserves_dtype():
-    win = Window("gaussian", np.pi, 0.15)
-    s = np.array([1.0, 2.0], dtype=np.longdouble)
-    out = win.fourier(s)
-    assert out.dtype == np.clongdouble
-    ref = win.fourier(s.astype(float))
-    assert np.abs(out.astype(complex) - ref).max() < 1e-15
-
-
 def test_scalar_input_shapes():
     win = Window("bump", 0.5, 0.3)
     val = win.fourier(2.0)
