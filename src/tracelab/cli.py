@@ -4,7 +4,7 @@ Subcommands map one-to-one onto experiment kinds; flags override values from
 an optional JSON config file.  Examples:
 
     tracelab spectrum --weights 1,2 --kmax 80 --out out/spectrum
-    tracelab trace --weights 1,2 --kmax 460 --tau0 0 --eps 0.15 \
+    tracelab trace --weights 1,2 --shape gaussian --tau0 0 --eps 0.15 \
         --lambda-grid 150:400:26 --out out/trace
     tracelab verify --out out/verify
 """
@@ -30,13 +30,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--weights", help="comma-separated positive integers, e.g. 1,2")
         p.add_argument("--dim", type=int, help="consistency check against len(weights)-1")
-        p.add_argument("--kmax", type=int, help="spectral truncation degree")
+        p.add_argument("--kmax", type=int, help="degree truncation of spectrum; others ignore it")
         p.add_argument("--tau0", type=float, help="window center (a period for trace kinds)")
         p.add_argument("--eps", type=float, help="window width parameter")
         p.add_argument("--shape", choices=SHAPES, help="window shape (default bump)")
         p.add_argument("--lambda-grid", dest="lambda_grid", help="start:stop:count[:geometric]")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--cache", help="spectral package cache directory")
+        p.add_argument("--cache", help="package cache of spectrum; other kinds ignore it")
         p.add_argument("--seed", type=int, help="seed for sampled checks")
         p.add_argument("--u", help="comma-separated normal displacement (real parts)")
         p.add_argument("--C", type=float, dest="C", help="off-locus distance constant")

@@ -223,15 +223,17 @@ def flow_sphere(model: ProjectiveModel, tau: float, z: np.ndarray) -> np.ndarray
 
 
 def period_gap(model: ProjectiveModel, tau0: float) -> float:
-    """Distance from tau0 to the nearest other period among 0 and the positive ones.
+    """Distance from tau0 to the nearest other period.
 
-    The positive periods are the multiples 2*pi*j/e of the effective weights
-    e = |w_i + shift|.  Of each e only the multiples bracketing tau0 can be
+    The periods are 0 and the multiples +-2*pi*j/e of the effective weights
+    e = |w_i + shift|; they are symmetric about 0, so the gap at tau0 is the
+    gap at |tau0|.  Of each e only the multiples bracketing |tau0| can be
     nearest, so the cost does not grow with |tau0|.
     """
     _require_calibrated(model)
     if not math.isfinite(tau0):
         raise PeriodError(f"tau0={tau0!r} is not finite")
+    tau0 = abs(tau0)
     effective = [abs(w + model.lift_shift) for w in model.weights]
     if any(e == 0 for e in effective):
         raise PeriodError("a coordinate is flow-inert; every time is a period")

@@ -1,10 +1,11 @@
 """Experiment orchestration: validated configs, caching, deterministic artifacts.
 
-A run is: validate an ExperimentConfig, obtain the spectral package (from the
-cache when a valid one exists, rebuilding on checksum mismatch), dispatch on
-the experiment kind, and write the artifacts — CSV + JSON report, a gnuplot
-script, and a manifest carrying the config hash so identical configs are
-provably identical runs.
+A run is: validate an ExperimentConfig, dispatch on the experiment kind, and
+write the artifacts — CSV + JSON report, a gnuplot script, and a manifest
+carrying the config hash so identical configs are provably identical runs.
+Traces and kernel scans sum over every degree of the calibrated model; only
+the ``spectrum`` kind builds a degree-truncated spectral package, from the
+cache when a valid one exists (rebuilding on checksum mismatch).
 """
 
 from __future__ import annotations
@@ -298,9 +299,7 @@ def obtain_package(cfg: ExperimentConfig, model: ProjectiveModel) -> tuple[Spect
     if path is not None and path.exists():
         try:
             pkg = SpectralPackage.load(path)
-            # a toy package (no model) at a model path is a mismatch too
-            same = pkg.model is not None and pkg.model.weights == model.weights
-            if same and pkg.k_max == cfg.k_max:
+            if pkg.model.weights == model.weights and pkg.k_max == cfg.k_max:
                 return pkg, "cache"
             provenance = "rebuilt"
         except CacheError:
@@ -360,41 +359,40 @@ def run(cfg: ExperimentConfig) -> RunResult:
         results, manifest, code = run_all(out_dir=out, seed=cfg.seed)
         return RunResult(code, tuple(manifest.get("artifacts", ())), manifest)
 
-    pkg, provenance = obtain_package(cfg, cfg.model())
     out.mkdir(parents=True, exist_ok=True)
+    manifest = {"config": cfg.to_dict(), "config_sha256": cfg.digest()}
     if cfg.kind == "spectrum":
+        pkg, provenance = obtain_package(cfg, cfg.model())
         rows = np.column_stack([pkg.values, pkg.multiplicities.astype(float)])
         path = out / "spectrum.csv"
         header = "eigenvalue,multiplicity"
         np.savetxt(path, rows, fmt="%.17e", delimiter=",", header=header, comments="")
         artifacts = [path.name]
-    else:
-        report = _trace_report(pkg, cfg) if cfg.kind == "trace" else _kernel_report(pkg, cfg)
-        artifacts = _write_artifacts(report, out, cfg.kind)
-
-    manifest = {
-        "config": cfg.to_dict(),
-        "config_sha256": cfg.digest(),
-        "package": {
+        manifest["package"] = {
             "k_max": pkg.k_max,
             "n_eigenvalues": pkg.n_eigenvalues,
             "provenance": provenance,
-        },
-        "artifacts": artifacts,
-        "runtime_seconds": round(time.time() - t_start, 3),
-        "versions": _versions(),
-    }
+        }
+    else:
+        report = _trace_report(cfg) if cfg.kind == "trace" else _kernel_report(cfg)
+        artifacts = _write_artifacts(report, out, cfg.kind)
+    manifest.update(
+        artifacts=artifacts,
+        runtime_seconds=round(time.time() - t_start, 3),
+        versions=_versions(),
+    )
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return RunResult(0, tuple(artifacts), manifest)
 
 
-def _kernel_report(pkg: SpectralPackage, cfg: ExperimentConfig) -> ScanReport:
+def _kernel_report(cfg: ExperimentConfig) -> ScanReport:
     """The local, offlocus or parity scan at the default chart of the window's period."""
-    chart = _default_chart(cfg.model(), cfg.window.tau0, cfg.x0_index)
+    model = cfg.model()
+    chart = _default_chart(model, cfg.window.tau0, cfg.x0_index)
     args = (cfg.lambda_grid, cfg.tail_tol, cfg.precision)
     if cfg.kind == "offlocus":
-        return offlocus_decay_scan(pkg, cfg.window, chart, cfg.C, *args)
+        return offlocus_decay_scan(model, cfg.window, chart, cfg.C, *args)
     c = chart.normal_dim
     if cfg.u is None:
         u = np.full(c, 0.5 + 0j) if cfg.kind == "parity" else np.zeros(c, dtype=complex)
@@ -406,31 +404,33 @@ def _kernel_report(pkg: SpectralPackage, cfg: ExperimentConfig) -> ScanReport:
     else:
         u = cfg.u
     scan = scaled_diagonal_scan if cfg.kind == "local" else parity_scan
-    return scan(pkg, cfg.window, chart, u, *args)
+    return scan(model, cfg.window, chart, u, *args)
 
 
-def _trace_report(pkg: SpectralPackage, cfg: ExperimentConfig) -> ScanReport:
+def _trace_report(cfg: ExperimentConfig) -> ScanReport:
     from .asymptotics import component_f_integral, predict_global_component
 
+    model = cfg.model()
     win = cfg.window
     grid = cfg.lambda_grid
-    exact = np.array([smoothed_trace(pkg, win, float(l), cfg.tail_tol).value for l in grid])
+    trace = smoothed_trace(model, win, grid, cfg.tail_tol)
     try:
-        comps = [c for c in fixed_components(pkg.model, win.tau0) if not c.m_only]
+        comps = [c for c in fixed_components(model, win.tau0) if not c.m_only]
     except PeriodError:
         comps = []
-    predicted = np.zeros_like(exact)
+    predicted = np.zeros_like(trace.value)
     for comp in comps:
-        fi = component_f_integral(pkg.model, comp)
+        fi = component_f_integral(model, comp)
         predicted = predicted + predict_global_component(comp, win, grid, f_integral=fi)
     if not comps:
-        predicted = np.ones_like(exact)  # no periodic contribution: report raw values
+        predicted = np.ones_like(trace.value)  # no periodic contribution: report raw values
     meta = {
         "kind_detail": "smoothed trace vs sum of component leading terms",
         "tau0": win.tau0,
         "n_components": len(comps),
+        "window_cut_remainders": trace.cut_remainder,
     }
-    return ScanReport("trace", grid, exact, predicted, meta=meta)
+    return ScanReport("trace", grid, trace.value, predicted, meta=meta)
 
 
 def _versions() -> dict:

@@ -1,17 +1,12 @@
 """Exact smoothed spectral quantities: traces, kernel diagonals, and scans.
 
 Everything here is an *exact* computation over the integer spectrum
-n = <alpha, w> of a weight model; no asymptotics enter.
-
-Traces sum m_n * chihat(lam - n) over the distinct eigenvalues of a spectral
-package, m_n the degree-<=k_max multiplicity.  The neglected degrees
-k > k_max contribute at most sum_k dim_k * envelope(k*min_w - lam), with
-envelope a monotone majorant of |window transform|; when that bound exceeds
-the requested tolerance the trace refuses with CoverageError instead of
-silently truncating.
-
-Kernel diagonals are untruncated in degree.  At a sphere point with moment
-coordinates t_i = |z_i|^2 (so sum_i t_i = 1),
+n = <alpha, w> of a weight model; no asymptotics enter and no degree is
+truncated.  Traces and kernel diagonals are one window-cut sum
+sum_n c_n chihat(lam - n) with two choices of coefficients.  For the trace,
+c_n is the denumerant d(n) = [x^n] prod_i (1 - x^{w_i})^{-1}, the
+multiplicity of n over all degrees.  For the kernel diagonal at a sphere
+point with moment coordinates t_i = |z_i|^2 (so sum_i t_i = 1),
 
     K(lam, z) = (d!/pi^d) sum_n h_n(t) chihat(lam - n),
     sum_n h_n x^n = (1 - sum_i t_i x^{w_i})^{-(d+1)},
@@ -25,12 +20,15 @@ truncation is the window cut to the eigenvalues n nearest lam, and its
 remainder is proven: h_n = sum_k C(k+d, d) P(S_k = n) for the walk S_k
 whose steps are w_i with probabilities t_i; steps are >= 1, so the walk
 hits n at most once and then after k <= n/min_w steps, which gives
-h_n <= C(floor(n/min_w) + d, d).  For the Gaussian window the majorant
-terms are summed out to a far edge and bounded by a geometric series beyond
-it.  The cut is the narrowest whose remainder lies below both ``tail_tol``
-and the rounding level u * sum |terms| of the kept sum, so it costs no
-digits.  The bump window's stretched-exponential transform has no such
-closed form yet: its majorant sum stops at the first negligible term.
+h_n <= C(floor(n/min_w) + d, d).  Fixing one coordinate of minimal weight,
+the other d determine it, so d(n) obeys the same bound, and the trace
+remainder is the kernel's without the factor d!/pi^d.  The Gaussian
+majorant terms are summed out to a far edge and bounded by a geometric
+series beyond it.  The cut is the narrowest whose remainder lies below both
+``tail_tol`` and the rounding level u * sum |terms| of the kept sum, so it
+costs no digits; it is built for a whole lambda grid at once.  The bump
+window has no proven transform envelope yet, so its sums refuse with
+CoverageError.
 
 Near a half-integer period the window phases alternate in sign and the
 off-locus diagonal cancels by about twelve orders of magnitude, which
@@ -54,7 +52,7 @@ import numpy as np
 from . import extended
 from .asymptotics import local_prediction, predict_local
 from .errors import CoverageError
-from .geometry import HeisenbergChart, ProjectiveModel, fixed_components
+from .geometry import FixedComponent, HeisenbergChart, ProjectiveModel, fixed_components
 from .reports import ScanReport
 from .spectral import SpectralPackage, section_dimension
 from .windows import Window
@@ -65,26 +63,30 @@ _CUT_FLOOR = 1e-290
 # the Gaussian majorant is summed term by term out to where exp(-(eps s)^2/2)
 # is about 1e-304, and by a geometric series beyond
 _GAUSS_FAR = math.sqrt(1400.0)
+# entries per array of one block of lambda rows in a window cut: 64 kB
+_CUT_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
 class TraceResult:
-    """A smoothed trace value with its truncation certificate."""
+    """Smoothed traces (scalars, or arrays along a grid) with their cut remainders.
 
-    lam: float
-    value: complex
-    tail_bound: float
+    ``n_eigenvalues`` counts the eigenvalues, with multiplicity, inside the
+    kept cuts (summed over a grid).
+    """
+
+    value: complex | np.ndarray
+    cut_remainder: float | np.ndarray
     n_eigenvalues: int
 
 
 def spectral_tail_bound(pkg: SpectralPackage, win: Window, lam: float) -> float:
-    """Bound the contribution of degrees beyond k_max to the trace.
+    """Bound the contribution of degrees beyond k_max to a degree-truncated trace.
 
-    sum_{k>k_max} dim_k * envelope(k*min_w - lam); 0 for synthetic packages
-    with no stated coverage.
+    sum_{k>k_max} dim_k * envelope(k*min_w - lam), summed until the terms are
+    negligible.  The trace itself is untruncated; this certifies sums over a
+    package's eigenvalues, such as the oracle sums of the tests.
     """
-    if not np.isfinite(pkg.coverage_max):
-        return 0.0
     d = pkg.model.dim
     min_w = float(pkg.model.weight_array.min())
     total = 0.0
@@ -103,59 +105,51 @@ def spectral_tail_bound(pkg: SpectralPackage, win: Window, lam: float) -> float:
     return total
 
 
-def _require_coverage(bound: float, tol: float, lam, what: str) -> None:
-    if bound > tol:
-        raise CoverageError(
-            f"{what} tail bound {bound:.3e} exceeds tolerance {tol:.1e} at "
-            f"lambda={lam}; increase k_max or loosen the window"
-        )
+def _denumerants(weights, n_max: int) -> np.ndarray:
+    """d(n) = #{alpha : <alpha, w> = n}, n = 0..n_max: per weight w, a
+    cumulative sum along each residue class mod w (the factor 1/(1 - x^w))."""
+    size = max(n_max, 0) + 1
+    counts = np.zeros(size)
+    counts[0] = 1.0
+    for w in weights:
+        padded = np.zeros(-(-size // w) * w)
+        padded[:size] = counts
+        counts = np.cumsum(padded.reshape(-1, w), axis=0).ravel()[:size]
+    return counts
 
 
 def smoothed_trace(
-    pkg: SpectralPackage, win: Window, lam: float, tail_tol: float = 1e-10
+    model: ProjectiveModel, win: Window, lam, tail_tol: float = 1e-10
 ) -> TraceResult:
-    """Exact smoothed trace sum_n m_n transform(lam - n) over the package."""
-    bound = spectral_tail_bound(pkg, win, float(lam))
-    _require_coverage(bound, tail_tol, lam, "trace")
-    value = complex(np.sum(pkg.multiplicities * win.fourier(float(lam) - pkg.values)))
-    return TraceResult(float(lam), value, bound, pkg.n_eigenvalues)
+    """Exact smoothed trace sum_n d(n) transform(lam - n) over every degree.
 
-
-# ----------------------------------------------------------------------------
-# kernel diagonals by the generating-function recurrence
-# ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _WindowCut:
-    """Bounds on the kernel terms left out when only the n nearest lam are kept.
-
-    ``nearest`` lists n = 0, 1, ... by increasing |lam - n| (ties: smaller n
-    first), so every prefix is a run of consecutive integers.
-    ``remainder[j]`` bounds, in kernel units, the sum of
-    |h_n chihat(lam - n)| over all n >= 0 outside ``nearest[:j]``.
+    ``lam`` is a number or a grid; one window cut serves the whole grid.
     """
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    counts = np.zeros(0)
 
-    nearest: np.ndarray
-    remainder: np.ndarray
+    def evaluate(lo, hi):
+        nonlocal counts
+        counts = _denumerants(model.weights, int(hi.max(initial=-1)))
+        columns = np.broadcast_to(counts[:, None], (counts.size, lams.size))
+        return _window_sums(win, lams, columns, lo, hi, 1.0)
 
-    def keep(self, target: float) -> tuple[int, int, float]:
-        """Narrowest cut n_lo..n_hi whose remainder is <= target."""
-        ok = self.remainder <= target
-        if not ok.any():
-            raise CoverageError(
-                f"window cut remainder cannot reach {target:.2e} "
-                f"(best {self.remainder[-1]:.2e})"
-            )
-        j = int(np.argmax(ok))
-        if j == 0:
-            return 0, -1, float(self.remainder[0])
-        kept = self.nearest[:j]
-        return int(kept.min()), int(kept.max()), float(self.remainder[j])
+    unit = float(np.finfo(np.float64).eps)
+    values, remainders, lo, hi = _cut_sums(win, model, lams, tail_tol, unit, 1.0, evaluate)
+    below = np.concatenate([[0.0], np.cumsum(counts)])
+    kept = int(np.sum(below[hi + 1] - below[lo]))
+    if np.ndim(lam) == 0:
+        return TraceResult(complex(values[0]), float(remainders[0]), kept)
+    return TraceResult(values, remainders, kept)
+
+
+# ----------------------------------------------------------------------------
+# the window cut
+# ----------------------------------------------------------------------------
 
 
 def _walk_majorant(n: np.ndarray, d: int, min_w: int) -> np.ndarray:
-    """C(floor(n/min_w) + d, d), the bound on h_n(t) over the whole sphere."""
+    """C(floor(n/min_w) + d, d): bounds h_n(t) over the whole sphere, and d(n)."""
     m = n // min_w
     out = np.ones(n.shape)
     for j in range(1, d + 1):
@@ -163,40 +157,76 @@ def _walk_majorant(n: np.ndarray, d: int, min_w: int) -> np.ndarray:
     return out
 
 
-def _window_cut(win: Window, lam: float, model: ProjectiveModel) -> _WindowCut:
-    d = model.dim
-    min_w = int(min(model.weights))
-    if win.shape == "gaussian":
-        n_far = max(0, math.floor(lam + _GAUSS_FAR / win.eps))
-        n = np.arange(n_far + 1)
-        # terms beyond n_far: the majorant ratio b(n+1)/b(n) is at most
-        # (1 + d/(m+1)) exp(-eps^2 (2s+1)/2), decreasing in n, so the tail
-        # is at most b(n0)/(1 - q) with q the ratio bound at n0 = n_far + 1
-        n0 = n_far + 1
-        s0 = n0 - lam
-        q = (1.0 + d / (n0 // min_w + 1)) * math.exp(-0.5 * win.eps**2 * (2.0 * s0 + 1.0))
-        b0 = float(_walk_majorant(np.array([n0]), d, min_w)[0] * win.fourier_envelope(s0))
-        beyond = b0 / (1.0 - q) if q < 1.0 else np.inf
-    else:
-        n, beyond = _stopped_majorant_range(win, lam, d, min_w), 0.0
-    terms = _walk_majorant(n, d, min_w) * win.fourier_envelope(np.abs(lam - n))
-    order = np.argsort(np.abs(lam - n), kind="stable")
-    outside = np.concatenate([np.cumsum(terms[order][::-1])[::-1], [0.0]]) + beyond
-    return _WindowCut(n[order], outside * (math.factorial(d) / np.pi**d))
+def _window_cut(
+    win: Window, model: ProjectiveModel, lams: np.ndarray, targets: np.ndarray, scale: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Narrowest cuts n_lo..n_hi, one per lam, whose remainder is <= its target.
+
+    n = 0, 1, ... enter by increasing |lam - n| (ties: smaller n first), so a
+    cut is a run of integers (empty: n_hi = n_lo - 1).  Its remainder bounds
+    sum |c_n chihat(lam - n)| outside it: the majorant sum times ``scale``
+    (d!/pi^d for kernels, 1 for traces).  Rows go in blocks of about
+    ``_CUT_BLOCK`` entries; n beyond a row's far edge enter with term zero.
+    """
+    if win.shape != "gaussian":
+        raise CoverageError("the bump transform has no proven envelope to cut its sums with")
+    d, min_w = model.dim, int(min(model.weights))
+    n_far = np.maximum(0, np.floor(lams + _GAUSS_FAR / win.eps)).astype(np.int64)
+    # terms beyond n_far: the majorant ratio b(n+1)/b(n) is at most
+    # (1 + d/(m+1)) exp(-eps^2 (2s+1)/2), decreasing in n, so the tail is
+    # at most b(n0)/(1 - q) with q the ratio bound at n0 = n_far + 1
+    s0 = n_far + 1 - lams
+    q = (1.0 + d / ((n_far + 1) // min_w + 1)) * np.exp(-0.5 * win.eps**2 * (2.0 * s0 + 1.0))
+    b0 = _walk_majorant(n_far + 1, d, min_w) * win.fourier_envelope(s0)
+    with np.errstate(divide="ignore"):
+        beyond = np.where(q < 1.0, b0 / (1.0 - q), np.inf)
+    lo = np.zeros(lams.size, dtype=np.int64)
+    hi = np.full(lams.size, -1, dtype=np.int64)
+    remainder = np.empty(lams.size)
+    rows = max(1, _CUT_BLOCK // (int(n_far.max(initial=0)) + 2))
+    for start in range(0, lams.size, rows):
+        blk = slice(start, start + rows)
+        n = np.arange(int(n_far[blk].max()) + 1)
+        dist = np.abs(lams[blk, None] - n)
+        inside = n <= n_far[blk, None]
+        terms = np.where(inside, _walk_majorant(n, d, min_w) * win.fourier_envelope(dist), 0.0)
+        order = np.argsort(dist, axis=1, kind="stable")
+        outside = np.cumsum(np.take_along_axis(terms, order, axis=1)[:, ::-1], axis=1)[:, ::-1]
+        outside = (np.pad(outside, ((0, 0), (0, 1))) + beyond[blk, None]) * scale
+        ok = outside <= targets[blk, None]
+        if not ok.any(axis=1).all():
+            i = int(np.argmin(ok.any(axis=1)))
+            raise CoverageError(
+                f"window cut remainder cannot reach {targets[blk][i]:.2e} "
+                f"(best {outside[i, -1]:.2e}) at lambda={lams[blk][i]}"
+            )
+        j = np.argmax(ok, axis=1)
+        rowid = np.arange(j.size)
+        # the j-th nearest n ends the run of the j nearest, on its own side of lam
+        last = order[rowid, np.maximum(j - 1, 0)]
+        right = last >= lams[blk]
+        lo[blk] = np.where(j == 0, 0, np.where(right, last - j + 1, last))
+        hi[blk] = np.where(j == 0, -1, np.where(right, last, last + j - 1))
+        remainder[blk] = outside[rowid, j]
+    return lo, hi, remainder
 
 
-def _stopped_majorant_range(win: Window, lam: float, d: int, min_w: int) -> np.ndarray:
-    """n = 0..n_far with n_far the first n > lam whose majorant term is negligible."""
-    start = max(0, math.ceil(lam))
-    total = 0.0
+def _cut_sums(win, model, lams, tail_tol, unit, scale, evaluate):
+    """Sums ``evaluate(lo, hi)`` -> (values, sum |terms|) cut within
+    min(tail_tol, unit * sum |terms|): only points whose first-pass sum is
+    below tail_tol are cut again, wider.  Returns (values, remainders, lo, hi).
+    """
+    targets = np.full(lams.size, _first_cut_target(tail_tol, unit))
+    lo, hi, remainders = _window_cut(win, model, lams, targets, scale)
     while True:
-        n = np.arange(start, start + 256)
-        terms = _walk_majorant(n, d, min_w) * win.fourier_envelope(n - lam)
-        running = total + np.cumsum(terms)
-        small = (terms < 1e-4 * np.maximum(running, 1e-300)) & (terms < 1e-18)
-        if small.any():
-            return np.arange(int(n[np.argmax(small)]) + 1)
-        total, start = float(running[-1]), start + 256
+        values, magnitudes = evaluate(lo, hi)
+        final = np.maximum(np.minimum(tail_tol, unit * magnitudes), _CUT_FLOOR)
+        wider = remainders > final
+        if not wider.any():
+            return values, remainders, lo, hi
+        lo[wider], hi[wider], remainders[wider] = _window_cut(
+            win, model, lams[wider], final[wider], scale
+        )
 
 
 def _first_cut_target(tail_tol: float, unit: float) -> float:
@@ -227,14 +257,14 @@ def _h_table(t: np.ndarray, weights, n_max: int) -> np.ndarray:
     return h
 
 
-def _window_sums(win: Window, lams, h: np.ndarray, cuts, scale) -> tuple[np.ndarray, np.ndarray]:
-    """Kept sums sum_n h_n chihat(lam - n) and their absolute sums, per point."""
-    values = np.zeros(len(cuts), dtype=complex)
-    magnitudes = np.zeros(len(cuts))
-    for i, (lam, (lo, hi, _)) in enumerate(zip(lams, cuts)):
-        if hi < lo:
+def _window_sums(win: Window, lams, h: np.ndarray, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
+    """Kept sums sum_n h_n chihat(lam - n) over lo..hi and their absolute sums, per point."""
+    values = np.zeros(len(lams), dtype=complex)
+    magnitudes = np.zeros(len(lams))
+    for i, (lam, a, b) in enumerate(zip(lams, lo, hi)):
+        if b < a:
             continue
-        terms = h[lo : hi + 1, i] * win.fourier(lam - np.arange(lo, hi + 1, dtype=float))
+        terms = h[a : b + 1, i] * win.fourier(lam - np.arange(a, b + 1, dtype=float))
         values[i] = complex(terms.sum() * scale)
         magnitudes[i] = float(np.abs(terms).sum() * scale)
     return values, magnitudes
@@ -260,7 +290,7 @@ def _h_table_extended(t: np.ndarray, weights, n_max: int):
     return hi, lo
 
 
-def _gaussian_sums_extended(win: Window, lams, h, cuts, scale):
+def _gaussian_sums_extended(win: Window, lams, h, lo, hi, scale):
     """`_window_sums` for the gaussian window in double-length long double.
 
     With c the integer nearest lam inside the cut and f = lam - c, the term
@@ -276,15 +306,11 @@ def _gaussian_sums_extended(win: Window, lams, h, cuts, scale):
     when alternating phases cancel the sum to a tiny fraction of its terms,
     the value keeps the double-length rounding level of those terms.
     """
-    if win.shape != "gaussian":
-        raise CoverageError("the long double kernel path needs the gaussian window")
     h_hi, h_lo = h
     n_top = h_hi.shape[0] - 1
-    npts = len(cuts)
+    npts = len(lams)
     eps2 = Fraction(win.eps) ** 2
     tau0 = Fraction(win.tau0)
-    lo = np.array([c[0] for c in cuts])
-    hi = np.array([c[1] for c in cuts])
     empty = hi < lo
     center = np.where(empty, 0, np.clip(np.rint(np.asarray(lams, dtype=float)), lo, hi)).astype(int)
     f = [Fraction(float(lam)) - int(c) for lam, c in zip(lams, center)]
@@ -323,7 +349,7 @@ def _gaussian_sums_extended(win: Window, lams, h, cuts, scale):
 
 
 def _diagonal_values(
-    pkg: SpectralPackage,
+    model: ProjectiveModel,
     win: Window,
     lams: np.ndarray,
     points: np.ndarray,
@@ -331,37 +357,27 @@ def _diagonal_values(
     precision: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact diagonal at paired (lam_i, point_i) and the window-cut remainder of each."""
-    if pkg.model is None:
-        raise CoverageError("toy package has no eigensections, only eigenvalues")
-    model = pkg.model
     long = precision == "longdouble"
     unit = extended.UNIT if long else float(np.finfo(np.float64).eps)
     t = np.abs(np.atleast_2d(np.asarray(points, dtype=complex))) ** 2
     lams = np.broadcast_to(np.asarray(lams, dtype=float), (t.shape[0],))
-    # a set, not np.unique: its first call imports numpy.ma (~30 ms)
-    by_lam = {lam: _window_cut(win, lam, model) for lam in set(lams.tolist())}
     dtype = np.longdouble if long else np.float64
     scale = dtype(math.factorial(model.dim)) / (4 * np.arctan(dtype(1))) ** model.dim
-    targets = np.full(t.shape[0], _first_cut_target(tail_tol, unit))
-    while True:
-        cuts = [by_lam[lam].keep(target) for lam, target in zip(lams, targets)]
-        n_max = max(hi for _, hi, _ in cuts)
+
+    def evaluate(lo, hi):
+        n_max = int(hi.max(initial=-1))
         if long:
             h = _h_table_extended(t, model.weights, n_max)
-            values, magnitudes = _gaussian_sums_extended(win, lams, h, cuts, scale)
-        else:
-            h = _h_table(t, model.weights, n_max)
-            values, magnitudes = _window_sums(win, lams, h, cuts, scale)
-        remainders = np.array([rem for *_, rem in cuts])
-        final = np.maximum(np.minimum(tail_tol, unit * magnitudes), _CUT_FLOOR)
-        wider = remainders > final
-        if not wider.any():
-            return values, remainders
-        targets = np.where(wider, final, targets)
+            return _gaussian_sums_extended(win, lams, h, lo, hi, scale)
+        return _window_sums(win, lams, _h_table(t, model.weights, n_max), lo, hi, scale)
+
+    units = math.factorial(model.dim) / np.pi**model.dim
+    values, remainders, _, _ = _cut_sums(win, model, lams, tail_tol, unit, units, evaluate)
+    return values, remainders
 
 
 def smoothed_kernel_diagonal(
-    pkg: SpectralPackage,
+    model: ProjectiveModel,
     win: Window,
     lam: float,
     points: np.ndarray,
@@ -375,13 +391,13 @@ def smoothed_kernel_diagonal(
     """
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     values, remainders = _diagonal_values(
-        pkg, win, np.full(pts.shape[0], float(lam)), pts, tail_tol, "double"
+        model, win, np.full(pts.shape[0], float(lam)), pts, tail_tol, "double"
     )
     return values, float(remainders.max(initial=0.0))
 
 
 def integrate_diagonal(
-    pkg: SpectralPackage,
+    model: ProjectiveModel,
     win: Window,
     lam: float,
     t_degree: int | None = None,
@@ -398,13 +414,13 @@ def integrate_diagonal(
     """
     from .quadrature import sphere_rule
 
-    model = pkg.model
     if t_degree is None:
         target = _first_cut_target(tail_tol, float(np.finfo(np.float64).eps))
-        _, n_hi, _ = _window_cut(win, float(lam), model).keep(target)
-        t_degree = n_hi // min(model.weights) + 1
+        units = math.factorial(model.dim) / np.pi**model.dim
+        _, n_hi, _ = _window_cut(win, model, np.array([float(lam)]), np.array([target]), units)
+        t_degree = int(n_hi[0]) // min(model.weights) + 1
     nodes, wts = sphere_rule(model.dim, t_degree, phase_degree)
-    vals, _ = smoothed_kernel_diagonal(pkg, win, lam, nodes, tail_tol)
+    vals, _ = smoothed_kernel_diagonal(model, win, lam, nodes, tail_tol)
     return complex(np.dot(wts, vals))
 
 
@@ -413,10 +429,10 @@ def integrate_diagonal(
 # ----------------------------------------------------------------------------
 
 
-def _chart_component(pkg: SpectralPackage, chart: HeisenbergChart):
+def _chart_component(model: ProjectiveModel, chart: HeisenbergChart) -> FixedComponent:
     comps = [
         c
-        for c in fixed_components(pkg.model, chart.tau0)
+        for c in fixed_components(model, chart.tau0)
         if not c.m_only and c.normal_dim == chart.normal_dim
     ]
     for comp in comps:
@@ -426,8 +442,18 @@ def _chart_component(pkg: SpectralPackage, chart: HeisenbergChart):
     raise ValueError("chart center does not sit on a sphere fixed component")
 
 
+def _chart_meta(model: ProjectiveModel, chart: HeisenbergChart) -> dict:
+    """The chart centre and its fixed component; the rows alone do not name them."""
+    comp = _chart_component(model, chart)
+    return {
+        "chart_center": chart.center,
+        "index_set": list(comp.index_set),
+        "normal_dim": comp.normal_dim,
+    }
+
+
 def scaled_diagonal_scan(
-    pkg: SpectralPackage,
+    model: ProjectiveModel,
     win: Window,
     chart: HeisenbergChart,
     u: np.ndarray,
@@ -444,15 +470,16 @@ def scaled_diagonal_scan(
     """
     lams = np.asarray(lambda_grid, dtype=float)
     u = np.asarray(u, dtype=complex)
-    comp = _chart_component(pkg, chart)
-    pred = local_prediction(pkg.model, comp, chart.center, win)
+    comp = _chart_component(model, chart)
+    pred = local_prediction(model, comp, chart.center, win)
     points = np.array([chart.normal_point(u / math.sqrt(l)) for l in lams])
-    exact, remainders = _diagonal_values(pkg, win, lams, points, tail_tol, precision)
+    exact, remainders = _diagonal_values(model, win, lams, points, tail_tol, precision)
     predicted = predict_local(pred, u, lams)
     meta = {
         "kind_detail": "scaled diagonal vs local leading term",
-        "weights": list(map(int, pkg.model.weights)),
+        "weights": list(map(int, model.weights)),
         "tau0": chart.tau0,
+        **_chart_meta(model, chart),
         "u": u,
         "window": {"shape": win.shape, "eps": win.eps},
         "window_cut_remainders": remainders,
@@ -462,7 +489,7 @@ def scaled_diagonal_scan(
 
 
 def offlocus_decay_scan(
-    pkg: SpectralPackage,
+    model: ProjectiveModel,
     win: Window,
     chart: HeisenbergChart,
     C: float,
@@ -489,8 +516,8 @@ def offlocus_decay_scan(
     direction = direction / np.linalg.norm(direction)
     dist = 2.0 * C * lams ** (-7.0 / 18.0)
     points = np.array([chart.normal_point(r * direction) for r in dist])
-    exact, remainders = _diagonal_values(pkg, win, lams, points, tail_tol, precision)
-    predicted = ((lams / np.pi) ** pkg.model.dim).astype(complex)
+    exact, remainders = _diagonal_values(model, win, lams, points, tail_tol, precision)
+    predicted = ((lams / np.pi) ** model.dim).astype(complex)
     ratios = np.abs(exact) / np.abs(predicted)
     top = lams >= lams.max() / 2.0
     fits = {}
@@ -509,12 +536,13 @@ def offlocus_decay_scan(
         "window_cut_remainders": remainders,
         "precision": precision,
         "tau0": chart.tau0,
+        **_chart_meta(model, chart),
     }
     return ScanReport("offlocus", lams, exact, predicted, meta=meta, fits=fits)
 
 
 def negative_lambda_scan(
-    pkg: SpectralPackage,
+    model: ProjectiveModel,
     win: Window,
     lambda_grid: np.ndarray,
     tail_tol: float = 1e-10,
@@ -530,13 +558,8 @@ def negative_lambda_scan(
     lams = np.asarray(lambda_grid, dtype=float)
     if (lams >= 0).any():
         raise ValueError("grid must be strictly negative")
-    values = []
-    bounds = []
-    for lam in lams:
-        res = smoothed_trace(pkg, win, float(lam), tail_tol)
-        values.append(res.value)
-        bounds.append(res.tail_bound)
-    exact = np.array(values)
+    res = smoothed_trace(model, win, lams, tail_tol)
+    exact = res.value
     predicted = np.ones_like(exact)
     mags = np.abs(exact)
     fits = {}
@@ -548,7 +571,7 @@ def negative_lambda_scan(
     meta = {
         "kind_detail": "smoothed trace at negative lambda",
         "window": {"shape": win.shape, "eps": win.eps, "tau0": win.tau0},
-        "tail_bounds": bounds,
+        "window_cut_remainders": res.cut_remainder,
     }
     return ScanReport("negative", lams, exact, predicted, meta=meta, fits=fits)
 
@@ -563,7 +586,7 @@ class ParitySplit:
 
 
 def parity_split(
-    pkg: SpectralPackage,
+    model: ProjectiveModel,
     win: Window,
     chart: HeisenbergChart,
     u: np.ndarray,
@@ -585,12 +608,12 @@ def parity_split(
             chart.normal_point(-u / math.sqrt(lam)),
         ]
     )
-    (plus, minus), remainders = _diagonal_values(pkg, win, lams, pts, tail_tol, precision)
+    (plus, minus), remainders = _diagonal_values(model, win, lams, pts, tail_tol, precision)
     return ParitySplit((plus + minus) / 2.0, (plus - minus) / 2.0, float(remainders.max()))
 
 
 def parity_scan(
-    pkg: SpectralPackage,
+    model: ProjectiveModel,
     win: Window,
     chart: HeisenbergChart,
     u: np.ndarray,
@@ -600,11 +623,12 @@ def parity_scan(
 ) -> ScanReport:
     """`parity_split` along a grid: exact column = odd part, predicted = even part."""
     lams = np.asarray(lambda_grid, dtype=float)
-    splits = [parity_split(pkg, win, chart, u, float(lam), tail_tol, precision) for lam in lams]
+    splits = [parity_split(model, win, chart, u, float(lam), tail_tol, precision) for lam in lams]
     meta = {
         "kind_detail": "exact column = odd part, predicted column = even part",
         "u": np.asarray(u, dtype=complex),
         "tau0": chart.tau0,
+        **_chart_meta(model, chart),
         "window_cut_remainders": [s.cut_remainder for s in splits],
     }
     return ScanReport(

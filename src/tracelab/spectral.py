@@ -14,11 +14,12 @@ the affine eigenvalue law <alpha, w>.  All monomial values, there and in
 `eigensection_values`, come from one evaluator, `monomial_values`, which
 multiplies out a table of coordinate powers and gathers it by exponent.
 
-Everything downstream consumes a `SpectralPackage` built on that law: the
-distinct integer eigenvalues with their degree-<=k_max multiplicities
-(denumerants of the weights, by a coin-counting table over degree and
+A `SpectralPackage` tabulates that law for the ``spectrum`` kind and the
+degree-block checks: the distinct integer eigenvalues with their
+degree-<=k_max multiplicities (by a coin-counting table over degree and
 value) plus the guaranteed spectral coverage interval.  Degree blocks of
-eigensections are built only on request.
+eigensections are built only on request.  Traces and kernel sums do not use
+it: they sum over every degree (see smoothing.py).
 """
 
 from __future__ import annotations
@@ -259,12 +260,11 @@ class SpectralPackage:
     ``values`` holds the distinct eigenvalues in ascending order and
     ``multiplicities`` the number of degree-<=k_max eigensections of each.
     ``coverage_max``: every operator eigenvalue strictly below this number
-    appears with its full multiplicity.  Toy packages (from
-    `from_eigenvalues`) carry no model and cannot evaluate eigensections.
+    appears with its full multiplicity.
     """
 
-    model: ProjectiveModel | None
-    k_max: int | None
+    model: ProjectiveModel
+    k_max: int
     values: np.ndarray
     multiplicities: np.ndarray
     coverage_max: float
@@ -280,32 +280,18 @@ class SpectralPackage:
 
     def block(self, k: int) -> EigenBlock:
         """Degree-k eigensections, built on request."""
-        if self.model is None:
-            raise CoverageError("toy package has no eigensections, only eigenvalues")
         if not 0 <= k <= self.k_max:
             raise CoverageError(f"degree {k} outside the package range 0..{self.k_max}")
         return degree_block(self.model, k)
-
-    @staticmethod
-    def from_eigenvalues(values, coverage_max: float = np.inf) -> "SpectralPackage":
-        """Toy package from a bare eigenvalue list (trace formulas only)."""
-        distinct, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
-        return SpectralPackage(
-            model=None,
-            k_max=None,
-            values=distinct,
-            multiplicities=counts.astype(np.int64),
-            coverage_max=coverage_max,
-        )
 
     def save(self, path) -> None:
         """Write the package as checksummed ``.npz``; atomic via a sibling temp file."""
         path = Path(path)
         arrays = {"values": self.values, "multiplicities": self.multiplicities}
         meta = {
-            "weights": list(self.model.weights) if self.model else None,
-            "lift_sign": self.model.lift_sign if self.model else None,
-            "lift_shift": self.model.lift_shift if self.model else None,
+            "weights": list(self.model.weights),
+            "lift_sign": self.model.lift_sign,
+            "lift_shift": self.model.lift_shift,
             "k_max": self.k_max,
             "coverage_max": self.coverage_max,
             "format": _CACHE_FORMAT,
@@ -337,9 +323,6 @@ class SpectralPackage:
         if stored != _payload_digest(arrays, meta):
             raise CacheError("spectral cache corrupt: checksum mismatch")
         try:
-            values, mults = arrays["values"], arrays["multiplicities"]
-            if meta["weights"] is None:
-                return SpectralPackage(None, None, values, mults, float(meta["coverage_max"]))
             model = make_model(
                 meta["weights"],
                 calibration={"lift_sign": meta["lift_sign"], "lift_shift": meta["lift_shift"]},
@@ -347,8 +330,8 @@ class SpectralPackage:
             return SpectralPackage(
                 model=model,
                 k_max=int(meta["k_max"]),
-                values=values,
-                multiplicities=mults,
+                values=arrays["values"],
+                multiplicities=arrays["multiplicities"],
                 coverage_max=float(meta["coverage_max"]),
             )
         except (KeyError, TypeError, ValueError) as exc:

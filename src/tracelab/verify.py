@@ -47,7 +47,6 @@ from .smoothing import (
 from .spectral import eigendata, multi_indices, szego_diagonal, toeplitz_matrix
 from .windows import Window
 
-K_MAX_VERIFY = 660  # covers traces to lambda = 600 at 1e-10 tail tolerance
 SIGMA = 0.15
 # criterion 10 draws covectors until 20 are admissible; the cap stops a
 # stream of inadmissible draws from spinning forever
@@ -76,14 +75,7 @@ class _Shared:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.model = make_model((1, 2))
-        self._pkg = None
         self._chart = None
-
-    @property
-    def pkg(self):
-        if self._pkg is None:
-            self._pkg = eigendata(self.model, K_MAX_VERIFY)
-        return self._pkg
 
     @property
     def chart(self):
@@ -166,8 +158,8 @@ def crit_03_negative_lambda(sh: _Shared) -> CriterionResult:
     """Smoothed trace decays super-polynomially as lambda -> -infinity."""
     t0 = time.time()
     win = Window("gaussian", 0.0, SIGMA)
-    at50 = abs(smoothed_trace(sh.pkg, win, -50.0).value)
-    rep = negative_lambda_scan(sh.pkg, win, np.geomspace(-200.0, -20.0, 12))
+    at50 = abs(smoothed_trace(sh.model, win, -50.0).value)
+    rep = negative_lambda_scan(sh.model, win, np.geomspace(-200.0, -20.0, 12))
     slope = rep.fits.get("decay_exponent", 0.0)
     dt = time.time() - t0
     return CriterionResult(
@@ -185,12 +177,12 @@ def crit_04_global_trace_trivial_period(sh: _Shared) -> CriterionResult:
     t0 = time.time()
     win = Window("gaussian", 0.0, SIGMA)
     grid = np.linspace(150.0, 400.0, 26)
-    exact = np.array([smoothed_trace(sh.pkg, win, float(l)).value for l in grid])
+    exact = smoothed_trace(sh.model, win, grid).value
     ratios = exact / (np.pi * grid * win.center_value)
     in_band = float(np.abs(ratios - 1.0).max())
     fit = fit_expansion((grid, ratios), half_powers=False, n_terms=1)
     cross = abs(
-        smoothed_trace(sh.pkg, win, 300.5).value - poisson_trace((1, 2), win, 300.5)
+        smoothed_trace(sh.model, win, 300.5).value - poisson_trace((1, 2), win, 300.5)
     ) / abs(poisson_trace((1, 2), win, 300.5))
     dt = time.time() - t0
     return CriterionResult(
@@ -214,13 +206,11 @@ def crit_05_global_trace_pi_period(sh: _Shared) -> CriterionResult:
     t0 = time.time()
     win = Window("gaussian", np.pi, SIGMA)
     target = (np.pi / 2.0) * win.value(np.pi)
-    rel_mag = 0.0
-    rel_poisson = 0.0
-    for lam in (299.75, 300.25, 300.5, 301.0):
-        val = smoothed_trace(sh.pkg, win, lam).value
-        rel_mag = max(rel_mag, abs(abs(val) - target) / target)
-        ref = poisson_trace((1, 2), win, lam)
-        rel_poisson = max(rel_poisson, abs(val - ref) / abs(ref))
+    lams = np.array([299.75, 300.25, 300.5, 301.0])
+    vals = smoothed_trace(sh.model, win, lams).value
+    refs = np.array([poisson_trace((1, 2), win, lam) for lam in lams])
+    rel_mag = float(np.max(np.abs(np.abs(vals) - target)) / target)
+    rel_poisson = float(np.max(np.abs(vals - refs) / np.abs(refs)))
     dt = time.time() - t0
     return CriterionResult(
         5,
@@ -242,7 +232,7 @@ def crit_06_local_scaling(sh: _Shared) -> CriterionResult:
     reports = {}
     for uval in (0.0, 0.5, 1.0):
         u = np.array([uval], dtype=complex)
-        reports[uval] = scaled_diagonal_scan(sh.pkg, win, chart, u, grid)
+        reports[uval] = scaled_diagonal_scan(sh.model, win, chart, u, grid)
     ratio_dev = max(abs(abs(rep.ratios[i300]) - 1.0) for rep in reports.values())
     comp = sh.x_component(np.pi)
     pred = local_prediction(sh.model, comp, chart.center, win)
@@ -280,10 +270,10 @@ def crit_07_offlocus_decay(sh: _Shared) -> CriterionResult:
     win = Window("gaussian", np.pi, SIGMA)
     chart = sh.chart
     pt = chart.normal_point(np.array([0.5 + 0j]))
-    val, _ = smoothed_kernel_diagonal(sh.pkg, win, 300.0, pt[None, :])
+    val, _ = smoothed_kernel_diagonal(sh.model, win, 300.0, pt[None, :])
     fixed_ratio = float(abs(val[0]) / (300.0 / np.pi) ** sh.model.dim)
     rep = offlocus_decay_scan(
-        sh.pkg, win, chart, C=1.3, lambda_grid=np.geomspace(75.0, 600.0, 12)
+        sh.model, win, chart, C=1.3, lambda_grid=np.geomspace(75.0, 600.0, 12)
     )
     slope = rep.fits.get("decay_exponent", 0.0)
     dt = time.time() - t0
@@ -303,13 +293,13 @@ def crit_08_parity(sh: _Shared) -> CriterionResult:
     t0 = time.time()
     win = Window("gaussian", np.pi, SIGMA)
     chart = sh.chart
-    odd0 = parity_split(sh.pkg, win, chart, np.array([0.0 + 0j]), 300.0).odd
+    odd0 = parity_split(sh.model, win, chart, np.array([0.0 + 0j]), 300.0).odd
     vanishes = odd0 == 0.0
     grid = np.geomspace(100.0, 560.0, 8)
     u = np.array([0.7 + 0j])
     ratios = []
     for lam in grid:
-        split = parity_split(sh.pkg, win, chart, u, float(lam))
+        split = parity_split(sh.model, win, chart, u, float(lam))
         ratios.append(abs(split.odd) / abs(split.even))
     ratios = np.array(ratios)
     if (ratios > 0).all():
@@ -491,7 +481,6 @@ def run_all(out_dir=None, seed: int = 0, echo=print):
         "all_passed": all_passed,
         "n_passed": int(sum(r.passed for r in results)),
         "seed": seed,
-        "k_max": K_MAX_VERIFY,
         "artifacts": [],
     }
     if out_dir is not None:

@@ -139,7 +139,7 @@ def test_periods_structure(model12):
 
 
 def _enumerated_period_gap(model, tau0):
-    """period_gap by listing every period in (0, |tau0| + 4 pi] exactly."""
+    """period_gap by listing 0 and every period +-2 pi k/e with |2 pi k/e| <= |tau0| + 4 pi."""
     horizon = abs(tau0) + 4.0 * np.pi
     fracs = set()
     for e in (abs(w + model.lift_shift) for w in model.weights):
@@ -148,7 +148,7 @@ def _enumerated_period_gap(model, tau0):
         while 2.0 * np.pi * k / e <= horizon * (1 + 1e-12):
             fracs.add(Fraction(k, 1) / ef)
             k += 1
-    pts = [0.0] + [float(2.0 * np.pi * fr) for fr in fracs]
+    pts = [0.0] + [sign * float(2.0 * np.pi * fr) for fr in fracs for sign in (1, -1)]
     return min(abs(tau0 - t) for t in pts if abs(t - tau0) > 1e-9)
 
 
@@ -158,7 +158,7 @@ CHART_WEIGHTS = [(1, 2), (1, 1, 2), (1, 2, 3), (3, 5)]
 @pytest.mark.parametrize("weights", CHART_WEIGHTS)
 def test_period_gap_matches_enumeration(weights):
     model = make_model(weights)
-    for tau0 in (0.0, np.pi, 2.0 * np.pi / 3.0, 1.0, -np.pi, 1e3 * np.pi):
+    for tau0 in (0.0, np.pi, 2.0 * np.pi / 3.0, 1.0, -np.pi, -2.0 * np.pi / 3.0, 1e3 * np.pi):
         assert abs(period_gap(model, tau0) - _enumerated_period_gap(model, tau0)) < 1e-12
 
 

@@ -209,6 +209,8 @@ def test_cli_flag_overrides_config_file(tmp_path):
 
 
 def test_toy_package_at_model_path_is_rebuilt(tmp_path, monkeypatch):
+    from test_spectral import write_weightless_cache
+
     from tracelab.harness import cache_path
     from tracelab.spectral import SpectralPackage
 
@@ -223,7 +225,7 @@ def test_toy_package_at_model_path_is_rebuilt(tmp_path, monkeypatch):
     cfg = ExperimentConfig.from_dict(base)
     path = cache_path(cfg)
     path.parent.mkdir(parents=True)
-    SpectralPackage.from_eigenvalues([1.0, 2.0]).save(path)
+    write_weightless_cache(path)
     res = run(cfg)
     assert res.manifest["package"]["provenance"] == "rebuilt"
     assert SpectralPackage.load(path).model.weights == (1, 2)
@@ -337,3 +339,49 @@ def test_config_file_round_trip(tmp_path):
     path.write_text(json.dumps(_base_config()))
     expected = ExperimentConfig.from_dict(_base_config()).digest()
     assert ExperimentConfig.from_file(path).digest() == expected
+
+
+def test_window_guard_measures_the_gap_to_negative_periods(tmp_path, capsys):
+    # on (1, 2, 3) the period -2 pi/3 lies pi/3 from tau0 = -pi, as 2 pi/3
+    # does from pi: a gaussian of half-width 4 * 0.3 overlaps it either way
+    for tau0 in ("-3.141592653589793", "3.141592653589793"):
+        argv = ["trace", "--weights", "1,2,3", "--shape", "gaussian", "--tau0", tau0,
+                "--eps", "0.3", "--lambda-grid", "20:40:5", "--out", str(tmp_path / tau0)]
+        assert cli.main(argv) == 2
+        assert "period gap" in capsys.readouterr().err
+
+
+def test_trace_ignores_kmax(tmp_path):
+    # the trace sums over every degree: no k_max can leave it uncovered
+    runs = {}
+    for kmax in ("0", "460"):
+        out = tmp_path / kmax
+        argv = ["trace", "--weights", "1,2", "--kmax", kmax, "--shape", "gaussian", "--tau0", "0",
+                "--eps", "0.15", "--lambda-grid", "100:140:5", "--out", str(out)]
+        assert cli.main(argv) == 0
+        runs[kmax] = (out / "trace.csv").read_bytes(), json.loads((out / "trace.json").read_text())
+    assert runs["0"] == runs["460"]
+    remainders = runs["0"][1]["meta"]["window_cut_remainders"]
+    assert len(remainders) == 5 and max(remainders) < 1e-20
+    assert "package" not in json.loads((tmp_path / "0" / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("kind", ["local", "offlocus", "parity"])
+def test_kernel_scans_record_the_chart(tmp_path, kind):
+    # the default charts of (1, 1, 2) and (1, 2, 2) at tau0 = pi: the point
+    # [0:0:1] (c = 2) and a point of the line {z1 = 0} (c = 1); at u = 0 their
+    # local rows coincide byte for byte, so only the JSON tells them apart
+    outs = {}
+    for weights in ("1,1,2", "1,2,2"):
+        out = tmp_path / weights
+        argv = [kind, "--weights", weights, "--shape", "gaussian", "--tau0",
+                "3.141592653589793", "--eps", "0.15", "--lambda-grid", "30:40:3",
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        outs[weights] = out
+    a, b = (json.loads((outs[w] / f"{kind}.json").read_text())["meta"] for w in outs)
+    assert (a["index_set"], a["normal_dim"]) == ([2], 2)
+    assert (b["index_set"], b["normal_dim"]) == ([1, 2], 1)
+    assert a["chart_center"] != b["chart_center"]
+    if kind == "local":
+        assert (outs["1,1,2"] / "local.csv").read_bytes() == (outs["1,2,2"] / "local.csv").read_bytes()

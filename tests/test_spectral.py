@@ -192,8 +192,6 @@ def test_blocks_are_built_on_request(model12):
     assert np.array_equal(block.eigenvalues, block.exponents @ [1.0, 2.0])
     with pytest.raises(CoverageError):
         pkg.block(6)
-    with pytest.raises(CoverageError):
-        SpectralPackage.from_eigenvalues([1.0]).block(0)
 
 
 def test_pullback_eigenproperty(model12):
@@ -240,13 +238,24 @@ def test_cache_roundtrip_bit_exact(tmp_path, model12):
     assert [p.name for p in tmp_path.iterdir()] == ["pkg.npz"]  # no temp file left
 
 
-def test_toy_cache_roundtrip(tmp_path):
-    toy = SpectralPackage.from_eigenvalues([3.0, 1.0, 3.0])
-    toy.save(tmp_path / "toy.npz")
-    loaded = SpectralPackage.load(tmp_path / "toy.npz")
-    assert loaded.model is None
-    assert loaded.lambda_all.tolist() == [1.0, 3.0, 3.0]
-    assert not np.isfinite(loaded.coverage_max)
+def write_weightless_cache(path) -> None:
+    """A checksummed package file that names no model, as toy packages were saved."""
+    from tracelab.spectral import _CACHE_FORMAT, _payload_digest
+
+    arrays = {"values": np.array([1.0, 3.0]), "multiplicities": np.array([1, 2])}
+    meta = {"weights": None, "lift_sign": None, "lift_shift": None, "k_max": None,
+            "coverage_max": float("inf"), "format": _CACHE_FORMAT}
+    digest = np.frombuffer(bytes.fromhex(_payload_digest(arrays, meta)), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.bytes_(json.dumps(meta, sort_keys=True).encode()),
+                 checksum=digest, **arrays)
+
+
+def test_weightless_cache_is_cache_error(tmp_path):
+    path = tmp_path / "toy.npz"
+    write_weightless_cache(path)
+    with pytest.raises(CacheError, match="incomplete"):
+        SpectralPackage.load(path)
 
 
 def test_cache_format_1_is_rejected(tmp_path):
@@ -277,9 +286,3 @@ def test_cache_corruption_detected(tmp_path, model12):
     path.write_bytes(bytes(blob))
     with pytest.raises(CacheError):
         SpectralPackage.load(path)
-
-
-def test_from_eigenvalues_toy():
-    toy = SpectralPackage.from_eigenvalues([1.0, 2.5, 2.5])
-    assert toy.lambda_all.tolist() == [1.0, 2.5, 2.5]
-    assert not np.isfinite(toy.coverage_max)
