@@ -8,7 +8,7 @@ Four families live here:
   Hamiltonian integral over the component computed by simplex quadrature;
 * the Gaussian normal integral over C^c with its closed form
   pi^c/det(id - A), checked against tensor Gauss-Legendre quadrature in
-  eigen-rotated coordinates;
+  eigen-rotated coordinates (`unitary_eigenbasis`);
 * the truncated-phase stationary point check (closed-form critical point,
   gradient residual, finite-difference Hessian determinant).
 
@@ -207,15 +207,37 @@ class GaussianIntegralResult:
     quadrature_rel_error: float
 
 
+def unitary_eigenbasis(A: np.ndarray):
+    """Eigenvalues and a unitary eigenbasis of a unitary A without eigenvalue 1.
+
+    The Cayley transform H = i(id + A)(id - A)^{-1} is Hermitian for unitary
+    A, has A's eigenvectors, and maps the eigenvalue e^{i phi} to
+    -cot(phi/2), injectively on the circle minus 1; `numpy.linalg.eigh` of H
+    gives an orthonormal eigenbasis U even for repeated eigenvalues.  The
+    eigenvalues are the Rayleigh quotients of A on the columns of U.  Returns
+    (eigs, U) with A = U diag(eigs) U*, checked to 1e-10.
+    """
+    c = A.shape[0]
+    try:
+        H = 1j * np.linalg.solve(np.eye(c) - A, np.eye(c) + A)
+    except np.linalg.LinAlgError:
+        raise CleanLocusError("non-clean matrix: id - A is singular") from None
+    _, U = np.linalg.eigh(0.5 * (H + H.conj().T))
+    eigs = np.einsum("ij,ik,kj->j", U.conj(), A, U)
+    if np.abs(A - (U * eigs) @ U.conj().T).max() > 1e-10:
+        raise QuadratureError("eigen-rotation failed (matrix not unitary?)")
+    return eigs, U
+
+
 def gaussian_normal_integral(A: np.ndarray, seed: int = 0) -> GaussianIntegralResult:
     """Closed form pi^c/det(id-A) for the normal Gaussian integral, with its oracle.
 
     The integral of exp(psi2(Av, v)) over C^c.  Twenty random directions
     (drawn from ``seed``) probe that Re psi2 is negative definite.  The
-    quadrature oracle diagonalises the unitary matrix (complex Schur form),
-    rotates coordinates (Lebesgue-invariant), and evaluates a literal 2-d
-    tensor Gauss-Legendre integral of the psi2 integrand on each eigenline;
-    for c = 1 no rotation happens at all.
+    quadrature oracle rotates to a unitary eigenbasis of A
+    (`unitary_eigenbasis`; Lebesgue-invariant), where the integrand is a
+    product over eigenlines, and evaluates the square tensor Gauss-Legendre
+    rule of the psi2 integrand on each line (`_line_integral`).
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     c = A.shape[0]
@@ -231,13 +253,7 @@ def gaussian_normal_integral(A: np.ndarray, seed: int = 0) -> GaussianIntegralRe
         if r > -1e-12 * np.linalg.norm(v) ** 2:
             raise CleanLocusError("integral not absolutely convergent: psi2 real part degenerate")
     closed = np.pi**c / det
-
-    from scipy.linalg import schur  # the oracles load scipy; the scans never do
-
-    T, U = schur(A, output="complex")
-    eigs = np.diag(T)
-    if np.abs(A - (U * eigs) @ U.conj().T).max() > 1e-10:
-        raise QuadratureError("eigen-rotation failed (matrix not normal?)")
+    eigs, _ = unitary_eigenbasis(A)
     quadrature = 1.0 + 0.0j
     for mu in eigs:
         quadrature *= _line_integral(complex(mu))
@@ -246,13 +262,19 @@ def gaussian_normal_integral(A: np.ndarray, seed: int = 0) -> GaussianIntegralRe
 
 
 def _line_integral(mu: complex) -> complex:
-    """2-d Gauss-Legendre integral of exp(psi2(mu*v, v)) over one complex line."""
+    """Square tensor Gauss-Legendre integral of exp(psi2(mu*v, v)) over one complex line.
+
+    On the line psi2(mu*v, v) = (i*Im mu - 0.5*|mu - 1|^2)*|v|^2, and
+    |v|^2 = x^2 + y^2 at v = x + iy, so the n*n tensor sum over the nodes
+    x_i + i*x_j is exactly the square of the 1-d sum of w_i*exp(a*x_i^2):
+    the same rule, reordered, in O(n) work.
+    """
     decay = 1.0 - mu.real  # = 0.5*|mu-1|^2 + ... >= (1-cos phi), the Gaussian rate
     if decay <= 0:
         raise CleanLocusError("non-clean matrix: eigenline without decay")
-    V, w = gaussian_line_rule(decay, abs(mu.imag))
-    vals = np.exp(psi2(mu * V[:, None], V[:, None]))
-    return complex(vals.reshape(w.size, w.size).dot(w).dot(w))
+    x, w = gaussian_line_rule(decay, abs(mu.imag))
+    a = 1j * mu.imag - 0.5 * abs(mu - 1.0) ** 2
+    return complex(np.dot(w, np.exp(a * x * x)) ** 2)
 
 
 # ----------------------------------------------------------------------------

@@ -351,7 +351,7 @@ def _write_artifacts(report: ScanReport, out: Path, stem: str) -> list[str]:
 
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute one validated experiment and write its artifacts."""
-    t_start = time.time()
+    t_start = time.perf_counter()
     out = Path(cfg.out_dir)
     if cfg.kind == "verify":
         from .verify import run_all
@@ -378,7 +378,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
         artifacts = _write_artifacts(report, out, cfg.kind)
     manifest.update(
         artifacts=artifacts,
-        runtime_seconds=round(time.time() - t_start, 3),
+        runtime_seconds=round(time.perf_counter() - t_start, 3),
         versions=_versions(),
     )
     with open(out / "manifest.json", "w") as fh:

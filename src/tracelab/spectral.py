@@ -67,16 +67,16 @@ def monomial_norms(model: ProjectiveModel, k: int) -> np.ndarray:
     """Norms ||z^alpha|| in L^2 of the sphere measure (mass pi^d/d!).
 
     Closed form ||z^alpha||^2 = pi^d * alpha! / (k+d)!, evaluated in log space
-    for stability at large degree.  The quadrature oracle
-    `monomial_norms_quadrature` validates this independently.
+    for stability at large degree; log j! is the logarithm of the exact
+    integer factorial.  The quadrature oracle `monomial_norms_quadrature`
+    validates this independently.
     """
-    from scipy.special import gammaln  # only degree blocks need it
-
     alphas = multi_indices(model.dim, k)
+    log_factorial = np.array([math.log(math.factorial(j)) for j in range(k + model.dim + 1)])
     log_sq = (
         model.dim * math.log(math.pi)
-        + gammaln(alphas + 1.0).sum(axis=1)
-        - gammaln(k + model.dim + 1.0)
+        + log_factorial[alphas].sum(axis=1)
+        - log_factorial[k + model.dim]
     )
     return np.exp(0.5 * log_sq)
 

@@ -31,6 +31,7 @@ from .asymptotics import (
     predict_local,
     psi2,
     stationary_point_check,
+    unitary_eigenbasis,
 )
 from .errors import DegenerateDirectionError
 from .geometry import fixed_components, heisenberg_chart, make_model, random_sphere_point
@@ -61,7 +62,7 @@ class CriterionResult:
     measured: dict
     tolerance: str
     detail: str = ""
-    seconds: float = 0.0
+    seconds: float = 0.0  # wall time, set by run_all
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -95,7 +96,7 @@ class _Shared:
 
 def crit_01_spectral_structure(sh: _Shared) -> CriterionResult:
     """Quadrature-assembled operators are diagonal with affine eigenvalue law."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     model = sh.model
     off_max = 0.0
     rows, vals = [], []
@@ -112,7 +113,7 @@ def crit_01_spectral_structure(sh: _Shared) -> CriterionResult:
     design = np.column_stack([design, np.ones(len(design))])
     coeffs, *_ = np.linalg.lstsq(design, np.concatenate(vals), rcond=None)
     resid = float(np.abs(design @ coeffs - np.concatenate(vals)).max())
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     return CriterionResult(
         1,
         "spectral structure (k <= 60, quadrature route)",
@@ -120,13 +121,11 @@ def crit_01_spectral_structure(sh: _Shared) -> CriterionResult:
         {"off_diag_max": off_max, "affine_residual": resid, "runtime_s": dt},
         "off-diag < 1e-8, residual < 1e-8, runtime < 60 s",
         detail=f"affine law coefficients {np.round(coeffs, 12).tolist()}",
-        seconds=dt,
     )
 
 
 def crit_02_normalization_anchors(sh: _Shared) -> CriterionResult:
     """Section dimensions, Szego diagonal constancy, Fubini-Study volumes."""
-    t0 = time.time()
     rng = np.random.default_rng(sh.seed + 2)
     dims_ok = all(
         len(multi_indices(1, k)) == math.comb(k + 1, 1) for k in range(61)
@@ -143,38 +142,32 @@ def crit_02_normalization_anchors(sh: _Shared) -> CriterionResult:
             vol_err,
             abs(fubini_study_volume(d) - np.pi**d / math.factorial(d)),
         )
-    dt = time.time() - t0
     return CriterionResult(
         2,
         "normalization anchors (dims, Szego diagonal, volumes)",
         dims_ok and szego_dev < 1e-6 and vol_err < 1e-8,
         {"szego_rel_dev": szego_dev, "volume_abs_err": vol_err, "dims_exact": float(dims_ok)},
         "dims exact, Szego < 1e-6 rel, vol < 1e-8 (d = 1, 2)",
-        seconds=dt,
     )
 
 
 def crit_03_negative_lambda(sh: _Shared) -> CriterionResult:
     """Smoothed trace decays super-polynomially as lambda -> -infinity."""
-    t0 = time.time()
     win = Window("gaussian", 0.0, SIGMA)
     at50 = abs(smoothed_trace(sh.model, win, -50.0).value)
     rep = negative_lambda_scan(sh.model, win, np.geomspace(-200.0, -20.0, 12))
     slope = rep.fits.get("decay_exponent", 0.0)
-    dt = time.time() - t0
     return CriterionResult(
         3,
         "negative-lambda decay",
         at50 < 1e-8 and slope < -6.0,
         {"abs_at_-50": at50, "loglog_slope": slope},
         "|trace(-50)| < 1e-8, slope < -6 on [-200, -20]",
-        seconds=dt,
     )
 
 
 def crit_04_global_trace_trivial_period(sh: _Shared) -> CriterionResult:
     """Trace at tau0 = 0 matches pi*lambda with a 1 + c/lambda correction."""
-    t0 = time.time()
     win = Window("gaussian", 0.0, SIGMA)
     grid = np.linspace(150.0, 400.0, 26)
     exact = smoothed_trace(sh.model, win, grid).value
@@ -184,7 +177,6 @@ def crit_04_global_trace_trivial_period(sh: _Shared) -> CriterionResult:
     cross = abs(
         smoothed_trace(sh.model, win, 300.5).value - poisson_trace((1, 2), win, 300.5)
     ) / abs(poisson_trace((1, 2), win, 300.5))
-    dt = time.time() - t0
     return CriterionResult(
         4,
         "global trace, trivial period (tau0 = 0)",
@@ -197,13 +189,11 @@ def crit_04_global_trace_trivial_period(sh: _Shared) -> CriterionResult:
         },
         "ratio in [0.95, 1.05] on [150, 400], 1 + c/lambda residual < 1e-3",
         detail="denominator pi*lambda*chi(0) from the lattice-density oracle",
-        seconds=dt,
     )
 
 
 def crit_05_global_trace_pi_period(sh: _Shared) -> CriterionResult:
     """Oscillatory trace component at tau0 = pi has the predicted magnitude."""
-    t0 = time.time()
     win = Window("gaussian", np.pi, SIGMA)
     target = (np.pi / 2.0) * win.value(np.pi)
     lams = np.array([299.75, 300.25, 300.5, 301.0])
@@ -211,20 +201,17 @@ def crit_05_global_trace_pi_period(sh: _Shared) -> CriterionResult:
     refs = np.array([poisson_trace((1, 2), win, lam) for lam in lams])
     rel_mag = float(np.max(np.abs(np.abs(vals) - target)) / target)
     rel_poisson = float(np.max(np.abs(vals - refs) / np.abs(refs)))
-    dt = time.time() - t0
     return CriterionResult(
         5,
         "global trace, nontrivial period (tau0 = pi)",
         rel_mag < 0.10 and rel_poisson < 0.01,
         {"magnitude_rel_err": rel_mag, "poisson_rel_err": rel_poisson},
         "|trace| vs (pi/2) chi(pi) < 10%, Poisson cross-check < 1%",
-        seconds=dt,
     )
 
 
 def crit_06_local_scaling(sh: _Shared) -> CriterionResult:
     """Scaled diagonal matches the local prediction with half-power ladder."""
-    t0 = time.time()
     win = Window("gaussian", np.pi, SIGMA)
     chart = sh.chart
     grid = np.geomspace(100.0, 560.0, 12)
@@ -247,7 +234,6 @@ def crit_06_local_scaling(sh: _Shared) -> CriterionResult:
     slope = fit.measured_slope
     rung_dist = abs(slope - round(2.0 * slope) / 2.0)
     ladder_ok = slope < -0.35 and rung_dist < 0.15
-    dt = time.time() - t0
     return CriterionResult(
         6,
         "local scaling at x0 = [0:1]",
@@ -260,13 +246,11 @@ def crit_06_local_scaling(sh: _Shared) -> CriterionResult:
         },
         "ratio -> 1 (10% at 300), u-profile 10%, slope on the lambda^{-1/2} ladder",
         detail="odd rungs vanish by parity; measured slope sits on an integer rung",
-        seconds=dt,
     )
 
 
 def crit_07_offlocus_decay(sh: _Shared) -> CriterionResult:
     """Fixed-distance suppression and shrinking-radius super-polynomial decay."""
-    t0 = time.time()
     win = Window("gaussian", np.pi, SIGMA)
     chart = sh.chart
     pt = chart.normal_point(np.array([0.5 + 0j]))
@@ -276,7 +260,6 @@ def crit_07_offlocus_decay(sh: _Shared) -> CriterionResult:
         sh.model, win, chart, C=1.3, lambda_grid=np.geomspace(75.0, 600.0, 12)
     )
     slope = rep.fits.get("decay_exponent", 0.0)
-    dt = time.time() - t0
     return CriterionResult(
         7,
         "off-locus decay",
@@ -284,13 +267,11 @@ def crit_07_offlocus_decay(sh: _Shared) -> CriterionResult:
         {"fixed_dist_ratio": fixed_ratio, "shrinking_slope": slope},
         "|S|/(lambda/pi)^d < 1e-6 at fixed distance, scan exponent < -5",
         detail="scan at distance 2C lambda^{-7/18}, C = 1.3, extended precision",
-        seconds=dt,
     )
 
 
 def crit_08_parity(sh: _Shared) -> CriterionResult:
     """Odd part vanishes at u = 0; the odd/even slope clause cannot pass."""
-    t0 = time.time()
     win = Window("gaussian", np.pi, SIGMA)
     chart = sh.chart
     odd0 = parity_split(sh.model, win, chart, np.array([0.0 + 0j]), 300.0).odd
@@ -308,7 +289,6 @@ def crit_08_parity(sh: _Shared) -> CriterionResult:
     else:
         slope = float("nan")
         slope_ok = False
-    dt = time.time() - t0
     return CriterionResult(
         8,
         "parity structure of the scaled diagonal",
@@ -322,13 +302,11 @@ def crit_08_parity(sh: _Shared) -> CriterionResult:
             "exactly and the odd part is identically zero — no slope exists "
             "to fit on weighted projective models"
         ),
-        seconds=dt,
     )
 
 
 def crit_09_gaussian_integral(sh: _Shared) -> CriterionResult:
     """Closed form pi^c/det(id - A) against the rotated quadrature oracle."""
-    t0 = time.time()
     rng = np.random.default_rng(sh.seed + 9)
     worst = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
     for c in (1, 2, 3, 4):
@@ -340,7 +318,6 @@ def crit_09_gaussian_integral(sh: _Shared) -> CriterionResult:
             res = gaussian_normal_integral(A, seed=sh.seed)
             worst[c] = max(worst[c], res.quadrature_rel_error)
     ok = worst[1] < 1e-5 and worst[2] < 1e-5 and worst[3] < 1e-3 and worst[4] < 1e-3
-    dt = time.time() - t0
     return CriterionResult(
         9,
         "Gaussian normal integral closed form",
@@ -353,13 +330,11 @@ def crit_09_gaussian_integral(sh: _Shared) -> CriterionResult:
         },
         "20 random A per c: < 1e-5 (c = 1, 2), < 1e-3 (c = 3, 4)",
         detail="scored against rotated tensor quadrature",
-        seconds=dt,
     )
 
 
 def crit_10_stationary_phase(sh: _Shared) -> CriterionResult:
     """Closed-form critical point and Hessian determinant of the trace phase."""
-    t0 = time.time()
     rng = np.random.default_rng(sh.seed + 10)
     x_fixed = sh.chart.center
     worst_grad = 0.0
@@ -376,7 +351,6 @@ def crit_10_stationary_phase(sh: _Shared) -> CriterionResult:
         worst_grad = max(worst_grad, chk.grad_norm_at_seed)
         worst_det = max(worst_det, chk.det_rel_error)
         count += 1
-    dt = time.time() - t0
     detail = ""
     if count < 20:
         detail = f"only {count} admissible covectors in {attempts} draws"
@@ -387,13 +361,11 @@ def crit_10_stationary_phase(sh: _Shared) -> CriterionResult:
         {"grad_at_seed": worst_grad, "hessian_det_rel": worst_det},
         "gradient < 1e-10, det vs pairing^2 < 1e-6, 20 admissible covectors",
         detail=detail,
-        seconds=dt,
     )
 
 
 def crit_11_local_global_consistency(sh: _Shared) -> CriterionResult:
     """Integrating the local prediction over the normal slice gives the global term."""
-    t0 = time.time()
     lam = 300.5
     worst = 0.0
     details = []
@@ -409,7 +381,6 @@ def crit_11_local_global_consistency(sh: _Shared) -> CriterionResult:
         rel = abs(num - ref) / abs(ref)
         worst = max(worst, float(rel))
         details.append(f"w={weights}: rel={rel:.2e}")
-    dt = time.time() - t0
     return CriterionResult(
         11,
         "local -> global consistency",
@@ -417,30 +388,28 @@ def crit_11_local_global_consistency(sh: _Shared) -> CriterionResult:
         {"worst_rel": worst},
         "normal-slice integral of predict_local vs predict_global < 1e-4",
         detail="; ".join(details),
-        seconds=dt,
     )
 
 
 def _slice_integral(pred, lam: float) -> complex:
     """Numerically integrate predict_local(u, lam) over the normal slice C^c.
 
-    Rotates to the eigenlines of the normal map (Lebesgue-invariant) where
-    the integrand factorises, and evaluates literal 2-d tensor quadrature of
-    predict_local itself on each line.
+    Rotates to a unitary eigenbasis of the normal map (`unitary_eigenbasis`;
+    Lebesgue-invariant), where the integrand factorises over eigenlines, and
+    on each line evaluates predict_local itself on the literal n*n grid of
+    the square tensor Gauss-Legendre rule from `gaussian_line_rule`.
     """
-    from scipy.linalg import schur
-
-    A = pred.normal_map
     c = pred.normal_dim
     base = complex(predict_local(pred, np.zeros(c, dtype=complex), lam))
     if c == 0:
         return base
-    T, U = schur(A, output="complex")
+    eigs, U = unitary_eigenbasis(pred.normal_map)
     total = base
     f = pred.f_center
     for j in range(c):
-        mu = complex(T[j, j])
-        V, w = gaussian_line_rule((1.0 - mu.real) / f, abs(mu.imag) / f)
+        mu = complex(eigs[j])
+        x, w = gaussian_line_rule((1.0 - mu.real) / f, abs(mu.imag) / f)
+        V = (x[:, None] + 1j * x[None, :]).ravel()
         vals = predict_local(pred, np.outer(V, U[:, j]), lam) / base
         total *= complex(vals.reshape(w.size, w.size).dot(w).dot(w))
     return total
@@ -469,7 +438,9 @@ def run_all(out_dir=None, seed: int = 0, echo=print):
     sh = _Shared(seed=seed)
     results = []
     for fn in CRITERIA:
+        t0 = time.perf_counter()
         res = fn(sh)
+        res.seconds = time.perf_counter() - t0
         results.append(res)
         echo(res.line())
     all_passed = bool(all(r.passed for r in results))

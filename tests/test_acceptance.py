@@ -28,6 +28,21 @@ def _check(result):
     assert result.passed, result.line() + ("; " + result.detail if result.detail else "")
 
 
+def test_criterion_09_asks_for_few_legendre_sizes(shared, monkeypatch):
+    from tracelab import quadrature
+
+    sizes = set()
+    reference = quadrature._legendre_reference
+
+    def recording(n):
+        sizes.add(n)
+        return reference(n)
+
+    monkeypatch.setattr(quadrature, "_legendre_reference", recording)
+    assert verify.crit_09_gaussian_integral(shared).passed
+    assert 0 < len(sizes) <= 5, sorted(sizes)
+
+
 def test_criterion_01_spectral_structure(shared):
     _check(verify.crit_01_spectral_structure(shared))
 

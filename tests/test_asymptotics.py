@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tracelab.asymptotics import (
+    _line_integral,
     component_f_integral,
     fit_expansion,
     gaussian_normal_integral,
@@ -12,9 +13,11 @@ from tracelab.asymptotics import (
     predict_local,
     psi2,
     stationary_point_check,
+    unitary_eigenbasis,
 )
 from tracelab.errors import CleanLocusError, DegenerateDirectionError, FitError
 from tracelab.geometry import fixed_components, make_model
+from tracelab.quadrature import gaussian_line_rule
 from tracelab.windows import Window
 
 
@@ -69,6 +72,66 @@ def test_gaussian_integral_random_unitaries():
             A = (Q * np.exp(1j * rng.uniform(0.21, 2 * np.pi - 0.21, size=c))) @ Q.conj().T
             res = gaussian_normal_integral(A)
             assert res.quadrature_rel_error < 1e-5
+
+
+def _literal_line_sum(mu, x, w):
+    """The n*n tensor sum of exp(psi2(mu*V, V)) over the nodes V = x_i + i*x_j."""
+    total = 0j
+    for lo in range(0, x.size, 256):  # by row blocks, to keep memory small
+        V = (x[lo : lo + 256, None] + 1j * x[None, :])[..., None]
+        total += w[lo : lo + 256].dot(np.exp(psi2(mu * V, V))).dot(w)
+    return total
+
+
+@pytest.mark.parametrize(
+    "rung, previous", [(128, 90), (256, 128), (512, 256), (1024, 512), (1400, 1024)]
+)
+def test_line_integral_equals_literal_tensor_sum(rung, previous):
+    """The factorised line sum is the n*n tensor rule, at every node count of the ladder."""
+    rng = np.random.default_rng(rung)
+    for _ in range(3):
+        # on the unit circle the line rule asks for 36.9*cot(phi/2) + 90 nodes
+        need = rng.uniform(previous + 1, rung - 1)
+        phi = 2.0 * np.arctan(36.9 / (need - 90.0)) * rng.choice([-1.0, 1.0])
+        mu = complex(np.exp(1j * phi))
+        x, w = gaussian_line_rule(1.0 - mu.real, abs(mu.imag))
+        assert x.size == rung
+        literal = _literal_line_sum(mu, x, w)
+        assert abs(_line_integral(mu) - literal) <= 1e-13 * abs(literal)
+
+
+def _sorted_by_angle(eigs):
+    return eigs[np.argsort(np.angle(eigs) % (2.0 * np.pi))]
+
+
+def _random_unitary(rng, c, phases):
+    g = rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c))
+    Q = np.linalg.qr(g)[0]
+    return (Q * np.exp(1j * np.asarray(phases))) @ Q.conj().T
+
+
+def test_unitary_eigenbasis_matches_schur():
+    from scipy.linalg import schur  # test-local oracle: production uses numpy only
+
+    rng = np.random.default_rng(15)
+    cases = [
+        _random_unitary(rng, c, rng.uniform(0.2, 2.0 * np.pi - 0.2, size=c))
+        for c in (1, 2, 3, 4)
+        for _ in range(10)
+    ]
+    cases.append(_random_unitary(rng, 3, [np.pi, np.pi, np.pi / 2]))  # diag(-1, -1, i)
+    cases += [-np.eye(c, dtype=complex) for c in (1, 2, 3)]
+    for A in cases:
+        eigs, U = unitary_eigenbasis(A)
+        T = schur(A, output="complex")[0]
+        assert np.abs(_sorted_by_angle(eigs) - _sorted_by_angle(np.diag(T))).max() < 1e-13
+        assert np.abs(U.conj().T @ U - np.eye(A.shape[0])).max() < 1e-13
+        assert np.abs(A - (U * eigs) @ U.conj().T).max() < 1e-13
+
+
+def test_unitary_eigenbasis_rejects_eigenvalue_one():
+    with pytest.raises(CleanLocusError):
+        unitary_eigenbasis(np.eye(2, dtype=complex))
 
 
 def test_gaussian_integral_rejects_non_clean():

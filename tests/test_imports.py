@@ -1,6 +1,6 @@
-"""The package and its scan kinds load numpy only: scipy stays on demand.
+"""The package, its scan kinds and the verify suite load no scipy submodule.
 
-Criterion 9 needs only scipy.linalg, never scipy.stats.
+scipy stays on demand: only the bump window's spline table imports it.
 """
 
 import os
@@ -38,6 +38,17 @@ print(sorted(name for name in sys.modules if name.split(".")[:2] == ["scipy", "s
 """
 
 
+VERIFY_SCRIPT = """
+import sys
+from tracelab import verify
+
+results, manifest, code = verify.run_all(seed=5, echo=lambda line: None)
+assert code == 1 and [r.index for r in results if not r.passed] == [8]
+heavy = {"scipy." + name for name in %r}
+print(sorted(name for name in sys.modules if ".".join(name.split(".")[:2]) in heavy))
+"""
+
+
 def _run(script: str, *args: str) -> str:
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
@@ -56,3 +67,7 @@ def test_scan_kinds_do_not_import_scipy_submodules(tmp_path):
 
 def test_criterion_9_does_not_import_scipy_stats():
     assert _run(CRIT09_SCRIPT) == "[]"
+
+
+def test_verify_suite_does_not_import_scipy_submodules():
+    assert _run(VERIFY_SCRIPT % (HEAVY,)) == "[]"

@@ -40,11 +40,24 @@ def test_gauss_legendre_memoised_rule_is_unchanged():
 
 @pytest.mark.parametrize("decay, rate", [(0.3, 0.0), (1.2, 2.5), (0.05, 0.4)])
 def test_gaussian_line_rule_integrates_a_gaussian(decay, rate):
-    V, w = gaussian_line_rule(decay, rate)
+    x, w = gaussian_line_rule(decay, rate)
+    V = x[:, None] + 1j * x[None, :]  # the square tensor grid
     vals = np.exp((-decay + 1j * rate) * np.abs(V) ** 2)
-    got = vals.reshape(w.size, w.size).dot(w).dot(w)
+    got = w.dot(vals).dot(w)
     exact = np.pi / (decay - 1j * rate)  # integral over C of exp(-(decay - i rate)|v|^2)
     assert abs(got - exact) < 1e-10 * abs(exact)
+
+
+def test_gaussian_line_rule_rounds_up_to_the_ladder():
+    """Node counts cover the sizing formula and take at most five values."""
+    sizes = set()
+    for rate in np.linspace(0.0, 60.0, 301):
+        x, w = gaussian_line_rule(1.0, rate)
+        need = min(int(0.45 * rate * 82.0) + 90, 1400)
+        assert x.size == w.size >= need
+        assert x.size < 2 * need or x.size == 128
+        sizes.add(x.size)
+    assert sizes == {128, 256, 512, 1024, 1400}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -51,6 +51,20 @@ def test_monomial_norms_closed_form(model12):
         assert abs(n**2 - ref) < 1e-15
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_monomial_norms_match_log_gamma(d):
+    """Exact-factorial log norms agree with gammaln to a few ulps of each log term."""
+    from scipy.special import gammaln  # test-local oracle: production uses exact factorials
+
+    model = make_model((1, 2, 3, 5)[: d + 1])
+    for k in range(0, 61, 1 if d < 3 else 10):  # d = 3 has ~40k indices at k = 60
+        log_alpha = gammaln(multi_indices(d, k) + 1.0).sum(axis=1)
+        log_top, log_pi = gammaln(k + d + 1.0), d * math.log(math.pi)
+        ref = np.exp(0.5 * (log_pi + log_alpha - log_top))
+        tol = 4.0 * np.finfo(float).eps * (1.0 + log_pi + log_alpha + log_top)
+        assert np.all(np.abs(monomial_norms(model, k) / ref - 1.0) <= tol)
+
+
 _TOEPLITZ_CASES = [pytest.param((1, 2), k, id=str(k)) for k in (0, 1, 2, 5, 11)] + [
     pytest.param(w, k, id=f"{''.join(map(str, w))}-{k}")
     for w in ((1, 1, 2), (1, 2, 3))
