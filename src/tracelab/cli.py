@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="seed for sampled checks")
         p.add_argument("--u", help="comma-separated normal displacement (real parts)")
         p.add_argument("--C", type=float, dest="C", help="off-locus distance constant")
-        p.add_argument("--precision", choices=("double", "longdouble"))
+        p.add_argument("--precision", help="ignored: rows pick double or decimal by conditioning")
     return parser
 
 
@@ -82,8 +82,6 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
         base["u"] = _numbers(args.u, float, "config.u")
     if args.C is not None:
         base["C"] = args.C
-    if args.precision:
-        base["precision"] = args.precision
     return ExperimentConfig.from_dict(base)
 
 

@@ -133,7 +133,6 @@ class ExperimentConfig:
     u: np.ndarray | None = None
     C: float = 1.3
     tail_tol: float = 1e-10
-    precision: str = "double"
     calibration: object = "auto"
     x0_index: int | None = None
     cache_dir: str | None = None
@@ -162,8 +161,6 @@ class ExperimentConfig:
             raise ConfigError("config.tail_tol: tolerances must be positive")
         if self.u is not None and not np.isfinite(self.u).all():
             raise ConfigError("config.u: components must be finite")
-        if self.precision not in ("double", "longdouble"):
-            raise ConfigError(f"config.precision: {self.precision!r}")
         if self.lambda_grid is not None:
             g = np.asarray(self.lambda_grid, dtype=float)
             if g.size == 0:
@@ -233,7 +230,6 @@ class ExperimentConfig:
             u=u,
             C=_field(d, "C", float, default=1.3),
             tail_tol=_field(d, "tail_tol", float, default=1e-10),
-            precision=_field(d, "precision", str, default="double"),
             calibration=calibration,
             x0_index=_field(d, "x0_index", int, default=None),
             cache_dir=_field(d, "cache_dir", str, default=None),
@@ -252,7 +248,6 @@ class ExperimentConfig:
             "k_max": self.k_max,
             "C": self.C,
             "tail_tol": self.tail_tol,
-            "precision": self.precision,
             "x0_index": self.x0_index,
             "cache_dir": self.cache_dir,
             "out_dir": self.out_dir,
@@ -390,7 +385,7 @@ def _kernel_report(cfg: ExperimentConfig) -> ScanReport:
     """The local, offlocus or parity scan at the default chart of the window's period."""
     model = cfg.model()
     chart = _default_chart(model, cfg.window.tau0, cfg.x0_index)
-    args = (cfg.lambda_grid, cfg.tail_tol, cfg.precision)
+    args = (cfg.lambda_grid, cfg.tail_tol)
     if cfg.kind == "offlocus":
         return offlocus_decay_scan(model, cfg.window, chart, cfg.C, *args)
     c = chart.normal_dim

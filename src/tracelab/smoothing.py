@@ -31,25 +31,23 @@ window has no proven transform envelope yet, so its sums refuse with
 CoverageError.
 
 Near a half-integer period the window phases alternate in sign and the
-off-locus diagonal cancels by about twelve orders of magnitude, which
-neither double nor plain long double resolves: rounding noise in the terms
-survives the cancellation and the surviving digits change from one lambda
-to the next.  ``precision="longdouble"`` (gaussian window) therefore runs
-the recurrence and the kept sum in double-length long double (see
-extended.py), after factoring out of each point the part of the window
-transform common to all its terms; the terms then carry about 38 digits and
-the value keeps the digits its inputs carry.
+off-locus diagonal cancels by seven to twelve orders of magnitude, which
+double does not resolve: rounding noise in the terms survives the
+cancellation.  Every kernel row is therefore summed in double first, and a
+row whose measured condition number kappa = sum |terms| / |sum| would leave
+double fewer than 13 digits is cut again and summed in 40-digit decimal
+(`_decimal_sums`).  No option selects the arithmetic, and it does not depend
+on the platform's long double; the scans report the arithmetic of each row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from decimal import Decimal, localcontext
 
 import numpy as np
 
-from . import extended
 from .asymptotics import local_prediction, predict_local
 from .errors import CoverageError
 from .geometry import FixedComponent, HeisenbergChart, ProjectiveModel, fixed_components
@@ -65,6 +63,15 @@ _CUT_FLOOR = 1e-290
 _GAUSS_FAR = math.sqrt(1400.0)
 # entries per array of one block of lambda rows in a window cut: 64 kB
 _CUT_BLOCK = 1 << 13
+# double keeps about 13 digits of a sum whose condition number kappa
+# satisfies kappa * 2^-53 <= 1e-13 (kappa up to about 900); kernel rows past
+# it are summed again in decimal
+_DOUBLE_KAPPA_BOUND = 1e-13
+# the decimal path: 40 significant digits, at least the 38 of x86
+# double-length long double, and the rounding unit its window cut meets
+_DECIMAL_DIGITS = 40
+_DECIMAL_UNIT = 1e-39
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 
 
 @dataclass(frozen=True)
@@ -83,26 +90,29 @@ class TraceResult:
 def spectral_tail_bound(pkg: SpectralPackage, win: Window, lam: float) -> float:
     """Bound the contribution of degrees beyond k_max to a degree-truncated trace.
 
-    sum_{k>k_max} dim_k * envelope(k*min_w - lam), summed until the terms are
-    negligible.  The trace itself is untruncated; this certifies sums over a
+    sum_{k>k_max} dim_k * envelope(k*min_w - lam), summed term by term until
+    the terms fall below 1e-4 of the sum and bounded by a geometric series
+    beyond.  The trace itself is untruncated; this certifies sums over a
     package's eigenvalues, such as the oracle sums of the tests.
     """
+    if win.shape != "gaussian":
+        raise CoverageError("the bump transform has no proven envelope to bound a degree tail with")
     d = pkg.model.dim
-    min_w = float(pkg.model.weight_array.min())
+    m = int(pkg.model.weight_array.min())
     total = 0.0
     k = pkg.k_max + 1
     while True:
-        s = max(k * min_w - lam, 0.0)
+        s = max(k * m - lam, 0.0)
         term = section_dimension(d, k) * float(win.fourier_envelope(s))
         total += term
-        # the envelope is eventually monotone decreasing and dim_k is
-        # polynomial in k, so once terms are negligible the rest of the sum is
-        if term < 1e-4 * max(total, 1e-300) and term < 1e-18:
-            break
+        # once k*m >= lam the term ratio is at most (1 + d/(k+1))
+        # exp(-eps^2 m (2s + m)/2), decreasing in k
+        q = (1.0 + d / (k + 1)) * math.exp(-0.5 * win.eps**2 * m * (2.0 * s + m))
+        if k * m >= lam and q < 1.0 and term <= 1e-4 * total:
+            return total + term * q / (1.0 - q)
         k += 1
         if k > pkg.k_max + 100000:
             raise CoverageError("tail bound did not converge within 1e5 degrees")
-    return total
 
 
 def _denumerants(weights, n_max: int) -> np.ndarray:
@@ -135,7 +145,7 @@ def smoothed_trace(
         return _window_sums(win, lams, columns, lo, hi, 1.0)
 
     unit = float(np.finfo(np.float64).eps)
-    values, remainders, lo, hi = _cut_sums(win, model, lams, tail_tol, unit, 1.0, evaluate)
+    values, _, remainders, lo, hi = _cut_sums(win, model, lams, tail_tol, unit, 1.0, evaluate)
     below = np.concatenate([[0.0], np.cumsum(counts)])
     kept = int(np.sum(below[hi + 1] - below[lo]))
     if np.ndim(lam) == 0:
@@ -211,31 +221,37 @@ def _window_cut(
     return lo, hi, remainder
 
 
-def _cut_sums(win, model, lams, tail_tol, unit, scale, evaluate):
+def _cut_sums(win, model, lams, tail_tol, unit, scale, evaluate, targets=None):
     """Sums ``evaluate(lo, hi)`` -> (values, sum |terms|) cut within
-    min(tail_tol, unit * sum |terms|): only points whose first-pass sum is
-    below tail_tol are cut again, wider.  Returns (values, remainders, lo, hi).
+    min(tail_tol, unit * sum |terms|).  The first cut meets ``targets``
+    (default `_first_cut_target`); only points it does not serve are cut
+    again, wider.  Returns (values, magnitudes, remainders, lo, hi).
     """
-    targets = np.full(lams.size, _first_cut_target(tail_tol, unit))
+    if targets is None:
+        targets = np.full(lams.size, _first_cut_target(tail_tol, unit))
     lo, hi, remainders = _window_cut(win, model, lams, targets, scale)
     while True:
         values, magnitudes = evaluate(lo, hi)
-        final = np.maximum(np.minimum(tail_tol, unit * magnitudes), _CUT_FLOOR)
+        final = _final_cut_target(tail_tol, unit, magnitudes)
         wider = remainders > final
         if not wider.any():
-            return values, remainders, lo, hi
+            return values, magnitudes, remainders, lo, hi
         lo[wider], hi[wider], remainders[wider] = _window_cut(
             win, model, lams[wider], final[wider], scale
         )
 
 
+def _final_cut_target(tail_tol: float, unit: float, magnitudes: np.ndarray) -> np.ndarray:
+    """What a cut must meet: min(tail_tol, unit * sum |terms|), above the floor."""
+    return np.maximum(np.minimum(tail_tol, unit * magnitudes), _CUT_FLOOR)
+
+
 def _first_cut_target(tail_tol: float, unit: float) -> float:
     """First-pass cut target: final whenever |kept sum| >= tail_tol.
 
-    The cut must end below min(tail_tol, unit * sum |terms|), unit the
-    rounding level of the arithmetic; a cut within unit * tail_tol meets that
-    unless the kept sum is smaller than tail_tol, and only those points need
-    a second, wider pass.
+    A cut within unit * tail_tol meets the final target unless the kept sum
+    is smaller than tail_tol, and only those points need a second, wider
+    pass.
     """
     return max(unit * tail_tol, _CUT_FLOOR)
 
@@ -270,82 +286,82 @@ def _window_sums(win: Window, lams, h: np.ndarray, lo, hi, scale) -> tuple[np.nd
     return values, magnitudes
 
 
-def _h_table_extended(t: np.ndarray, weights, n_max: int):
-    """`_h_table` in double-length long double: (hi, lo) arrays."""
-    d = len(weights) - 1
-    coeffs: dict = {}
-    for tw, w in zip(np.asarray(t, dtype=float).T, weights):
-        tw = (tw.astype(np.longdouble), np.zeros(tw.shape, dtype=np.longdouble))
-        coeffs[w] = extended.add(coeffs[w], tw) if w in coeffs else tw
-    hi = np.zeros((max(n_max, 0) + 1, t.shape[0]), dtype=np.longdouble)
-    lo = np.zeros_like(hi)
-    hi[0] = 1
-    for n in range(1, n_max + 1):
-        acc = None
-        for w, tw in coeffs.items():
-            if n >= w:
-                term = extended.mul_int(extended.mul(tw, (hi[n - w], lo[n - w])), n + d * w)
-                acc = term if acc is None else extended.add(acc, term)
-        hi[n], lo[n] = extended.div_int(acc, n)
-    return hi, lo
+def _decimal_sums(
+    win: Window, lams, t: np.ndarray, weights, lo, hi
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel sums (d!/pi^d) sum_n h_n chihat(lam - n) over lo..hi in decimal.
 
+    Per point the h_n recurrence and the kept gaussian window sum run at
+    ``_DECIMAL_DIGITS`` significant digits.  Phases are taken relative to
+    the integer c nearest lam inside the cut: with f = lam - c the term at
+    n = c + k is
 
-def _gaussian_sums_extended(win: Window, lams, h, lo, hi, scale):
-    """`_window_sums` for the gaussian window in double-length long double.
+        h_n eps sqrt(2 pi) exp(-eps^2 (f - k)^2 / 2) exp(-i f tau0) exp(i k tau0),
 
-    With c the integer nearest lam inside the cut and f = lam - c, the term
-    at n = c + k factors as
-
-        h_n chihat(lam - n) = common * h_n u^k exp(-eps^2 k^2 / 2),
-        common = eps sqrt(2 pi) exp(-eps^2 f^2 / 2 - i f tau0),
-        u = exp(eps^2 f + i tau0).
-
-    ``common`` scales a whole point and is applied once, in long double.
-    The rest runs by double-length products from full-length seeds
-    (u^{k+1} B^{(k+1)^2} = u^k B^{k^2} * u B^{2k+1}, B = exp(-eps^2/2)), so
-    when alternating phases cancel the sum to a tiny fraction of its terms,
-    the value keeps the double-length rounding level of those terms.
+    where exp(i k tau0) steps from one Taylor cos/sin of tau0, so no
+    argument is large.  Each result is rounded to complex once.  Returns
+    the values and their absolute sums, as `_window_sums` does.
     """
-    h_hi, h_lo = h
-    n_top = h_hi.shape[0] - 1
-    npts = len(lams)
-    eps2 = Fraction(win.eps) ** 2
-    tau0 = Fraction(win.tau0)
-    empty = hi < lo
-    center = np.where(empty, 0, np.clip(np.rint(np.asarray(lams, dtype=float)), lo, hi)).astype(int)
-    f = [Fraction(float(lam)) - int(c) for lam, c in zip(lams, center)]
-    phases = [extended.exp_cis(-eps2 * fi**2 / 2, -fi * tau0) for fi in f]
-    peak = np.longdouble(win.eps) * np.sqrt(8 * np.arctan(np.longdouble(1))) * scale
-    common = peak * np.array(
-        [extended.to_longdouble(re) + 1j * extended.to_longdouble(im) for re, im in phases],
-        dtype=np.clongdouble,
-    )
-    step_sq = extended.exp_real(-eps2)
-    cols = np.arange(npts)
-    zero = np.zeros(npts, dtype=np.longdouble)
-    total = ((zero, zero), (zero, zero))
-    magnitude = np.zeros(npts, dtype=np.longdouble)
-    for sign in (1, -1):
-        # rho = u^{sign k} B^{k^2} steps by gamma = u^{sign} B^{2k+1}
-        seeds = [extended.exp_cis(sign * eps2 * fi - eps2 / 2, sign * tau0) for fi in f]
-        gamma = (extended.stack([g[0] for g in seeds]), extended.stack([g[1] for g in seeds]))
-        rho = ((zero + 1, zero), (zero, zero))
-        k = 0
-        while True:
-            n = center + sign * k
-            inside = ~empty & (n >= lo) & (n <= hi)
-            if not inside.any():
-                break
-            if sign == 1 or k > 0:  # n = c is summed once
-                idx = np.clip(n, 0, n_top)
-                hn = extended.where(inside, (h_hi[idx, cols], h_lo[idx, cols]), (zero, zero))
-                term = extended.cscale(rho, hn)
-                total = extended.add(total[0], term[0]), extended.add(total[1], term[1])
-                magnitude += np.abs(hn[0]) * np.hypot(rho[0][0], rho[1][0])
-            rho, gamma = extended.cmul(rho, gamma), extended.cscale(gamma, step_sq)
-            k += 1
-    sums = extended.to_longdouble(total[0]) + 1j * extended.to_longdouble(total[1])
-    return (sums * common).astype(complex), (magnitude * np.abs(common)).astype(float)
+    d = len(weights) - 1
+    values = np.zeros(len(lams), dtype=complex)
+    magnitudes = np.zeros(len(lams))
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        eps, tau0 = Decimal(win.eps), Decimal(win.tau0)
+        half_eps2 = eps * eps / 2
+        peak = eps * (2 * _PI).sqrt() * math.factorial(d) / _PI**d
+        for i, (lam, a, b) in enumerate(zip(map(float, lams), map(int, lo), map(int, hi))):
+            if b < a:
+                continue
+            c = min(max(round(lam), a), b)
+            h, powers = _decimal_h(t[i], weights, b), _cis_powers(tau0, max(b - c, c - a))
+            f = Decimal(lam) - c
+            re = im = mag = Decimal(0)
+            for n in range(a, b + 1):
+                k = n - c
+                g = h[n] * (-half_eps2 * (f - k) ** 2).exp()
+                cos_k, sin_k = powers[abs(k)]
+                re += g * cos_k
+                im += g * sin_k if k >= 0 else -g * sin_k
+                mag += g
+            cos_f, sin_f = _cis(-f * tau0)
+            values[i] = complex(
+                float(peak * (re * cos_f - im * sin_f)), float(peak * (re * sin_f + im * cos_f))
+            )
+            magnitudes[i] = float(peak * mag)
+    return values, magnitudes
+
+
+def _decimal_h(t_row, weights, n_max: int) -> list:
+    """`_h_table` for one point in the current decimal context."""
+    d = len(weights) - 1
+    coeffs = [(Decimal(float(tw)), w) for tw, w in zip(t_row, weights)]
+    h = [Decimal(1)]
+    for n in range(1, n_max + 1):
+        h.append(sum((tw * (n + d * w) * h[n - w] for tw, w in coeffs if n >= w), Decimal(0)) / n)
+    return h
+
+
+def _cis(theta: Decimal) -> tuple[Decimal, Decimal]:
+    """(cos theta, sin theta) by the Taylor series after reduction to |r| <= pi."""
+    two_pi = 2 * _PI
+    r = theta - two_pi * (theta / two_pi).to_integral_value()
+    c, s, term_c, term_s, k = Decimal(0), Decimal(0), Decimal(1), Decimal(0), 0
+    while k < 4 or abs(term_c) + abs(term_s) > Decimal(10) ** -(_DECIMAL_DIGITS + 2):
+        # the terms of exp(i r) = sum (i r)^k / k!
+        c, s, k = c + term_c, s + term_s, k + 1
+        term_c, term_s = -term_s * r / k, term_c * r / k
+    return c, s
+
+
+def _cis_powers(theta: Decimal, k_max: int) -> list:
+    """(cos k theta, sin k theta) for k = 0..k_max, by stepping cis(theta)."""
+    step_c, step_s = _cis(theta)
+    powers = [(Decimal(1), Decimal(0))]
+    for _ in range(k_max):
+        c, s = powers[-1]
+        powers.append((c * step_c - s * step_s, c * step_s + s * step_c))
+    return powers
 
 
 def _diagonal_values(
@@ -354,26 +370,38 @@ def _diagonal_values(
     lams: np.ndarray,
     points: np.ndarray,
     tail_tol: float,
-    precision: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact diagonal at paired (lam_i, point_i) and the window-cut remainder of each."""
-    long = precision == "longdouble"
-    unit = extended.UNIT if long else float(np.finfo(np.float64).eps)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact diagonal at paired (lam_i, point_i), the window-cut remainder of
+    each, and a mask of the rows summed in decimal.
+
+    Every row is summed in double first.  A row whose measured condition
+    number kappa = sum |terms| / |sum| passes ``_DOUBLE_KAPPA_BOUND`` is cut
+    again at the decimal rounding unit and summed by `_decimal_sums`.
+    """
     t = np.abs(np.atleast_2d(np.asarray(points, dtype=complex))) ** 2
     lams = np.broadcast_to(np.asarray(lams, dtype=float), (t.shape[0],))
-    dtype = np.longdouble if long else np.float64
-    scale = dtype(math.factorial(model.dim)) / (4 * np.arctan(dtype(1))) ** model.dim
+    scale = math.factorial(model.dim) / np.pi**model.dim
 
     def evaluate(lo, hi):
-        n_max = int(hi.max(initial=-1))
-        if long:
-            h = _h_table_extended(t, model.weights, n_max)
-            return _gaussian_sums_extended(win, lams, h, lo, hi, scale)
-        return _window_sums(win, lams, _h_table(t, model.weights, n_max), lo, hi, scale)
+        h = _h_table(t, model.weights, int(hi.max(initial=-1)))
+        return _window_sums(win, lams, h, lo, hi, scale)
 
-    units = math.factorial(model.dim) / np.pi**model.dim
-    values, remainders, _, _ = _cut_sums(win, model, lams, tail_tol, unit, units, evaluate)
-    return values, remainders
+    unit = float(np.finfo(np.float64).eps)
+    values, magnitudes, remainders, _, _ = _cut_sums(
+        win, model, lams, tail_tol, unit, scale, evaluate
+    )
+    cancels = magnitudes * 2.0**-53 > _DOUBLE_KAPPA_BOUND * np.abs(values)
+    if cancels.any():
+        sub_lams, sub_t = lams[cancels], t[cancels]
+
+        def evaluate_decimal(lo, hi):
+            return _decimal_sums(win, sub_lams, sub_t, model.weights, lo, hi)
+
+        targets = _final_cut_target(tail_tol, _DECIMAL_UNIT, magnitudes[cancels])
+        values[cancels], _, remainders[cancels], _, _ = _cut_sums(
+            win, model, sub_lams, tail_tol, _DECIMAL_UNIT, scale, evaluate_decimal, targets
+        )
+    return values, remainders, cancels
 
 
 def smoothed_kernel_diagonal(
@@ -390,8 +418,8 @@ def smoothed_kernel_diagonal(
     the window cut truncates it (see the module docstring).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    values, remainders = _diagonal_values(
-        model, win, np.full(pts.shape[0], float(lam)), pts, tail_tol, "double"
+    values, remainders, _ = _diagonal_values(
+        model, win, np.full(pts.shape[0], float(lam)), pts, tail_tol
     )
     return values, float(remainders.max(initial=0.0))
 
@@ -459,7 +487,6 @@ def scaled_diagonal_scan(
     u: np.ndarray,
     lambda_grid: np.ndarray,
     tail_tol: float = 1e-10,
-    precision: str = "double",
 ) -> ScanReport:
     """Exact vs predicted scaled diagonal at normal displacement u/sqrt(lam).
 
@@ -473,7 +500,7 @@ def scaled_diagonal_scan(
     comp = _chart_component(model, chart)
     pred = local_prediction(model, comp, chart.center, win)
     points = np.array([chart.normal_point(u / math.sqrt(l)) for l in lams])
-    exact, remainders = _diagonal_values(model, win, lams, points, tail_tol, precision)
+    exact, remainders, decimal_rows = _diagonal_values(model, win, lams, points, tail_tol)
     predicted = predict_local(pred, u, lams)
     meta = {
         "kind_detail": "scaled diagonal vs local leading term",
@@ -483,7 +510,7 @@ def scaled_diagonal_scan(
         "u": u,
         "window": {"shape": win.shape, "eps": win.eps},
         "window_cut_remainders": remainders,
-        "precision": precision,
+        "precision": _arithmetic(decimal_rows),
     }
     return ScanReport("local", lams, exact, np.asarray(predicted), meta=meta)
 
@@ -495,7 +522,6 @@ def offlocus_decay_scan(
     C: float,
     lambda_grid: np.ndarray,
     tail_tol: float = 1e-10,
-    precision: str = "longdouble",
     direction: np.ndarray | None = None,
 ) -> ScanReport:
     """Decay of the normalised diagonal just outside the shrinking locus zone.
@@ -516,7 +542,7 @@ def offlocus_decay_scan(
     direction = direction / np.linalg.norm(direction)
     dist = 2.0 * C * lams ** (-7.0 / 18.0)
     points = np.array([chart.normal_point(r * direction) for r in dist])
-    exact, remainders = _diagonal_values(model, win, lams, points, tail_tol, precision)
+    exact, remainders, decimal_rows = _diagonal_values(model, win, lams, points, tail_tol)
     predicted = ((lams / np.pi) ** model.dim).astype(complex)
     ratios = np.abs(exact) / np.abs(predicted)
     top = lams >= lams.max() / 2.0
@@ -534,7 +560,7 @@ def offlocus_decay_scan(
         "direction": direction,
         "normalisation": "(lam/pi)^d",
         "window_cut_remainders": remainders,
-        "precision": precision,
+        "precision": _arithmetic(decimal_rows),
         "tau0": chart.tau0,
         **_chart_meta(model, chart),
     }
@@ -592,7 +618,6 @@ def parity_split(
     u: np.ndarray,
     lam: float,
     tail_tol: float = 1e-10,
-    precision: str = "double",
 ) -> ParitySplit:
     """Even/odd parts of the scaled diagonal in the normal displacement.
 
@@ -600,16 +625,27 @@ def parity_split(
     the larger of the two window-cut remainders.  The leading term is even;
     the odd part isolates half-power corrections.
     """
+    even, odd, remainders, _ = _parity_parts(model, win, chart, u, np.array([lam]), tail_tol)
+    return ParitySplit(complex(even[0]), complex(odd[0]), float(remainders[0]))
+
+
+def _parity_parts(model, win, chart, u, lams, tail_tol):
+    """Even and odd parts, remainders and decimal-row mask along a grid: one
+    `_diagonal_values` call over all points +-u/sqrt(lam)."""
     u = np.asarray(u, dtype=complex)
-    lams = np.array([lam, lam], dtype=float)
-    pts = np.array(
-        [
-            chart.normal_point(u / math.sqrt(lam)),
-            chart.normal_point(-u / math.sqrt(lam)),
-        ]
+    pts = [chart.normal_point(u / math.sqrt(lam)) for lam in lams]
+    pts += [chart.normal_point(-u / math.sqrt(lam)) for lam in lams]
+    values, remainders, decimal_rows = _diagonal_values(
+        model, win, np.concatenate([lams, lams]), np.array(pts), tail_tol
     )
-    (plus, minus), remainders = _diagonal_values(model, win, lams, pts, tail_tol, precision)
-    return ParitySplit((plus + minus) / 2.0, (plus - minus) / 2.0, float(remainders.max()))
+    n = len(lams)
+    plus, minus = values[:n], values[n:]
+    return (
+        (plus + minus) / 2.0,
+        (plus - minus) / 2.0,
+        np.maximum(remainders[:n], remainders[n:]),
+        decimal_rows[:n] | decimal_rows[n:],
+    )
 
 
 def parity_scan(
@@ -619,22 +655,21 @@ def parity_scan(
     u: np.ndarray,
     lambda_grid: np.ndarray,
     tail_tol: float = 1e-10,
-    precision: str = "double",
 ) -> ScanReport:
     """`parity_split` along a grid: exact column = odd part, predicted = even part."""
     lams = np.asarray(lambda_grid, dtype=float)
-    splits = [parity_split(model, win, chart, u, float(lam), tail_tol, precision) for lam in lams]
+    even, odd, remainders, decimal_rows = _parity_parts(model, win, chart, u, lams, tail_tol)
     meta = {
         "kind_detail": "exact column = odd part, predicted column = even part",
         "u": np.asarray(u, dtype=complex),
         "tau0": chart.tau0,
         **_chart_meta(model, chart),
-        "window_cut_remainders": [s.cut_remainder for s in splits],
+        "window_cut_remainders": remainders,
+        "precision": _arithmetic(decimal_rows),
     }
-    return ScanReport(
-        "parity",
-        lams,
-        np.array([s.odd for s in splits]),
-        np.array([s.even for s in splits]),
-        meta=meta,
-    )
+    return ScanReport("parity", lams, odd, even, meta=meta)
+
+
+def _arithmetic(decimal_rows: np.ndarray) -> list:
+    """The arithmetic each row was summed in, for the scan JSONs."""
+    return ["decimal" if row else "double" for row in decimal_rows]

@@ -25,6 +25,7 @@ it: they sum over every degree (see smoothing.py).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -46,17 +47,17 @@ _BLOCK_ENTRIES = 1 << 20  # entries per array of one block of moment nodes: 16 M
 
 
 def multi_indices(d: int, k: int) -> np.ndarray:
-    """All exponent vectors alpha in N^{d+1} with |alpha| = k, lexicographic."""
-    if d == 0:
-        return np.array([[k]], dtype=np.int64)
-    rows = []
-    for first in range(k, -1, -1):
-        tail = multi_indices(d - 1, k - first)
-        block = np.empty((tail.shape[0], d + 1), dtype=np.int64)
-        block[:, 0] = first
-        block[:, 1:] = tail
-        rows.append(block)
-    return np.concatenate(rows, axis=0)
+    """All exponent vectors alpha in N^{d+1} with |alpha| = k, lexicographic.
+
+    Stars and bars: d bars among k + d slots split k stars into d + 1 parts.
+    Descending bar positions list the first coordinate descending, then the
+    rest the same way.
+    """
+    n = math.comb(k + d, d)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k + d), d))
+    bars = np.fromiter(flat, dtype=np.int64, count=n * d).reshape(n, d)[::-1]
+    edges = np.hstack([np.full((n, 1), -1), bars, np.full((n, 1), k + d)])
+    return np.diff(edges, axis=1) - 1
 
 
 def section_dimension(d: int, k: int) -> int:

@@ -266,7 +266,7 @@ def crit_07_offlocus_decay(sh: _Shared) -> CriterionResult:
         fixed_ratio < 1e-6 and slope < -5.0,
         {"fixed_dist_ratio": fixed_ratio, "shrinking_slope": slope},
         "|S|/(lambda/pi)^d < 1e-6 at fixed distance, scan exponent < -5",
-        detail="scan at distance 2C lambda^{-7/18}, C = 1.3, extended precision",
+        detail="scan at distance 2C lambda^{-7/18}, C = 1.3; cancelling rows summed in decimal",
     )
 
 

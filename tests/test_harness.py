@@ -366,6 +366,23 @@ def test_trace_ignores_kmax(tmp_path):
     assert "package" not in json.loads((tmp_path / "0" / "manifest.json").read_text())
 
 
+def test_offlocus_ignores_precision(tmp_path):
+    # each row picks its arithmetic from its conditioning: neither the flag
+    # nor a config-file key changes a byte, and every off-locus row cancels
+    args = ["--weights", "1,2", "--shape", "gaussian", "--tau0", "3.141592653589793",
+            "--eps", "0.15", "--lambda-grid", "80:400:3", "--C", "1.3"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"precision": "double"}))
+    runs = {}
+    for name, extra in {"none": [], "flag": ["--precision", "longdouble"],
+                        "config": ["--config", str(cfg)]}.items():
+        out = tmp_path / name
+        assert cli.main(["offlocus", *args, *extra, "--out", str(out)]) == 0
+        runs[name] = (out / "offlocus.csv").read_bytes(), (out / "offlocus.json").read_bytes()
+    assert runs["none"] == runs["flag"] == runs["config"]
+    assert json.loads(runs["none"][1])["meta"]["precision"] == ["decimal"] * 3
+
+
 @pytest.mark.parametrize("kind", ["local", "offlocus", "parity"])
 def test_kernel_scans_record_the_chart(tmp_path, kind):
     # the default charts of (1, 1, 2) and (1, 2, 2) at tau0 = pi: the point

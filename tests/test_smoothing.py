@@ -1,14 +1,17 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tracelab.errors import CoverageError, PeriodError
 from tracelab.geometry import heisenberg_chart, make_model, period_gap, random_sphere_point
 from tracelab.oracles import brute_smoothed_trace, eigenvalue_multiplicity, poisson_trace
 from tracelab.smoothing import (
+    _DECIMAL_UNIT,
+    _decimal_sums,
     _denumerants,
     _diagonal_values,
     _h_table,
@@ -17,6 +20,7 @@ from tracelab.smoothing import (
     integrate_diagonal,
     negative_lambda_scan,
     offlocus_decay_scan,
+    parity_scan,
     parity_split,
     scaled_diagonal_scan,
     smoothed_kernel_diagonal,
@@ -121,11 +125,26 @@ def test_scan_u_zero_matches_plain_diagonal(model12, chart):
     assert abs(rep.exact[0] - direct[0]) < 1e-12 * abs(direct[0])
 
 
+def _scan_cut(win, model, lams, points, target):
+    """Moment coordinates, the kernel scale d!/pi^d and one window cut for a scan."""
+    t = np.abs(points) ** 2
+    scale = math.factorial(model.dim) / np.pi**model.dim
+    lo, hi, rem = _window_cut(win, model, lams, np.full(lams.size, target), scale)
+    return t, scale, lo, hi, rem
+
+
 def test_scan_precision_paths_agree(model12, chart):
-    grid = np.geomspace(150.0, 300.0, 4)
-    a = scaled_diagonal_scan(model12, WIN, chart, np.array([0.3 + 0j]), grid, precision="double")
-    b = scaled_diagonal_scan(model12, WIN, chart, np.array([0.3 + 0j]), grid, precision="longdouble")
-    assert np.abs(a.exact - b.exact).max() < 1e-9 * np.abs(a.exact).max()
+    # on the locus the terms do not cancel (kappa <= 3), so double keeps the
+    # decimal value to its own rounding level on the same cut
+    lams = np.geomspace(150.0, 300.0, 4)
+    pts = np.array([chart.normal_point(np.array([0.3 + 0j]) / np.sqrt(l)) for l in lams])
+    t, scale, lo, hi, _ = _scan_cut(WIN, model12, lams, pts, 1e-30)
+    h = _h_table(t, (1, 2), int(hi.max()))
+    dbl, dbl_mag = _window_sums(WIN, lams, h, lo, hi, scale)
+    dec, dec_mag = _decimal_sums(WIN, lams, t, (1, 2), lo, hi)
+    assert (dbl_mag <= 3 * np.abs(dec)).all()
+    assert np.abs(dbl - dec).max() < 1e-14 * np.abs(dec).max()
+    assert np.abs(dbl_mag - dec_mag).max() < 1e-14 * dec_mag.max()
 
 
 def test_offlocus_scan_decays(model12, chart):
@@ -133,45 +152,81 @@ def test_offlocus_scan_decays(model12, chart):
     mags = np.abs(rep.ratios)
     assert mags[-1] < mags[0]
     assert rep.fits["decay_exponent"] < -1.0
-    assert rep.meta["precision"] == "longdouble"
+    assert rep.meta["precision"] == ["decimal"] * 8
 
 
-def _decimal_diagonal(t, weights, win, lam, n_top):
-    """The kernel sum term by term in 50-digit decimal arithmetic (no factoring)."""
-    from decimal import Decimal, localcontext
+def test_arithmetic_follows_the_measured_conditioning(model12, chart):
+    # on-locus rows (kappa <= 3) stay in double; off-locus rows (kappa >= 5e7)
+    # run in decimal, and the scans report which
+    grid = np.geomspace(100.0, 560.0, 5)
+    u = np.array([0.7 + 0j])
+    assert scaled_diagonal_scan(model12, WIN, chart, u, grid).meta["precision"] == ["double"] * 5
+    assert parity_scan(model12, WIN, chart, u, grid).meta["precision"] == ["double"] * 5
+    off = offlocus_decay_scan(model12, WIN, chart, 1.3, grid)
+    assert off.meta["precision"] == ["decimal"] * 5
+    pt = chart.normal_point(np.array([0.5 + 0j]))
+    _, _, decimal_rows = _diagonal_values(
+        model12, WIN, np.array([300.0, 300.0]), np.array([chart.center, pt]), 1e-10
+    )
+    assert decimal_rows.tolist() == [False, True]
 
-    from tracelab.extended import _PI, _cos_sin
 
+_PI50 = Decimal("3.1415926535897932384626433832795028841971693993751058209749445923078164")
+
+
+def _cos_sin50(x: Decimal):
+    """cos and sin by the Taylor series after reduction by 2 pi (50 digits)."""
+    r = x - 2 * _PI50 * (x / (2 * _PI50)).to_integral_value()
+    cos = sin = Decimal(0)
+    term, k = Decimal(1), 0
+    while k < 4 or abs(term) > Decimal(10) ** -55:
+        if k % 2 == 0:
+            cos += term if k % 4 == 0 else -term
+        else:
+            sin += term if k % 4 == 1 else -term
+        k += 1
+        term = term * r / k
+    return cos, sin
+
+
+def _decimal_diagonal(t, weights, win, lam, n_top, n_lo=0):
+    """The kernel sum over n_lo..n_top term by term in 50-digit decimal
+    arithmetic (no factoring): (value, sum |terms|)."""
     with localcontext() as ctx:
         ctx.prec = 50
         d = len(weights) - 1
         t = [Decimal(float(x)) for x in t]
         h = [Decimal(1)]
         for n in range(1, n_top + 1):
-            acc = sum(ti * (n + d * w) * h[n - w] for ti, w in zip(t, weights) if n >= w)
+            acc = sum((ti * (n + d * w) * h[n - w] for ti, w in zip(t, weights) if n >= w), Decimal(0))
             h.append(acc / n)
         eps, tau0 = Decimal(win.eps), Decimal(win.tau0)
-        peak = eps * (2 * _PI).sqrt()
-        re = im = Decimal(0)
-        for n in range(n_top + 1):
+        peak = eps * (2 * _PI50).sqrt() * math.factorial(d) / _PI50**d
+        re = im = mag = Decimal(0)
+        for n in range(n_lo, n_top + 1):
             s = Decimal(lam) - n
             g = h[n] * peak * (-((eps * s) ** 2) / 2).exp()
-            c, sn = _cos_sin(s * tau0)
-            re, im = re + g * c, im - g * sn
-        return complex(re, im) * (math.factorial(d) / np.pi**d)
+            c, sn = _cos_sin50(s * tau0)
+            re, im, mag = re + g * c, im - g * sn, mag + g
+        return complex(float(re), float(im)), float(mag)
 
 
-def test_longdouble_path_survives_offlocus_cancellation(model12, chart):
-    """Off the locus the terms cancel by ~1e12; the long double path keeps
-    the double-length rounding level of the terms, double precision does not."""
-    lam = 550.0
-    pts = chart.normal_point(np.array([[2.6 * lam ** (-7 / 18) + 0j]]))
-    ref = _decimal_diagonal(np.abs(pts[0]) ** 2, (1, 2), WIN, lam, int(lam) + 120)
-    got, rem = _diagonal_values(model12, WIN, np.array([lam]), pts, 1e-10, "longdouble")
-    dbl, _ = _diagonal_values(model12, WIN, np.array([lam]), pts, 1e-10, "double")
+def test_decimal_path_survives_offlocus_cancellation(model12, chart):
+    """Off the locus the terms cancel by ~1e12.  On the same cut the decimal
+    sum keeps the value to double rounding and the double sum does not; the
+    automatic path picks decimal."""
+    lam = np.array([550.0])
+    pts = chart.normal_point(np.array([[2.6 * 550.0 ** (-7 / 18) + 0j]]))
+    ref, _ = _decimal_diagonal(np.abs(pts[0]) ** 2, (1, 2), WIN, 550.0, 670)
+    t, scale, lo, hi, rem = _scan_cut(WIN, model12, lam, pts, 1e-40)
+    dec, _ = _decimal_sums(WIN, lam, t, (1, 2), lo, hi)
+    dbl, _ = _window_sums(WIN, lam, _h_table(t, (1, 2), int(hi[0])), lo, hi, scale)
     assert rem[0] < 1e-30
-    assert abs(got[0] - ref) < 1e-15 * abs(ref)
+    assert abs(dec[0] - ref) < 1e-15 * abs(ref)
     assert abs(dbl[0] - ref) > 1e-6 * abs(ref)
+    auto, auto_rem, decimal_rows = _diagonal_values(model12, WIN, lam, pts, 1e-10)
+    assert decimal_rows[0] and auto_rem[0] < 1e-30
+    assert abs(auto[0] - ref) < 1e-15 * abs(ref)
 
 
 def test_negative_lambda_scan(model12):
@@ -238,8 +293,8 @@ def _lattice_diagonal(pkg, win, lam, points):
 
 
 @pytest.mark.parametrize("weights", [(1, 2), (1, 1, 2), (1, 2, 3)])
-@pytest.mark.parametrize("precision", ["double", "longdouble"])
-def test_recurrence_matches_lattice_sum(weights, precision):
+@pytest.mark.parametrize("arithmetic", ["double", "decimal"])
+def test_recurrence_matches_lattice_sum(weights, arithmetic):
     model = make_model(weights, calibration="none")
     small = eigendata(model, 70)
     win = Window("gaussian", 1.0, 0.3)
@@ -249,7 +304,12 @@ def test_recurrence_matches_lattice_sum(weights, precision):
     rng = np.random.default_rng(sum(weights))
     pts = np.array([random_sphere_point(model, rng) for _ in range(4)])
     ref = _lattice_diagonal(small, win, lam, pts)
-    got, remainders = _diagonal_values(model, win, np.full(4, lam), pts, 1e-10, precision)
+    lams = np.full(4, lam)
+    t, scale, lo, hi, remainders = _scan_cut(win, model, lams, pts, 1e-25)
+    if arithmetic == "double":
+        got, _ = _window_sums(win, lams, _h_table(t, weights, int(hi.max())), lo, hi, scale)
+    else:
+        got, _ = _decimal_sums(win, lams, t, weights, lo, hi)
     assert remainders.max() < 1e-20
     assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
@@ -323,6 +383,12 @@ def test_grouped_trace_equals_per_eigenvalue_sum(pkg, model12):
             assert 0 < grouped.n_eigenvalues < pkg.lambda_all.size
 
 
+def test_bump_degree_tail_refuses_without_an_envelope(pkg):
+    # the geometric tail bound holds for the gaussian envelope only
+    with pytest.raises(CoverageError):
+        spectral_tail_bound(pkg, Window("bump", 0.0, 0.5), 100.0)
+
+
 def test_bump_kernel_refuses_an_uncertified_cut(model12, chart):
     # the bump's tabulated envelope never certifies a negligible term, so the
     # kernel refuses with a named error instead of cutting silently
@@ -352,6 +418,9 @@ def _trace_window(model, tau0, scale):
     tau0=st.one_of(st.sampled_from([0.0, np.pi]), st.floats(-7.0, 7.0)),
     scale=st.floats(0.3, 0.99),
 )
+# a degree tail of 6.8e-10 whose terms, stopped once below 1e-18, missed
+# 1.3e-20: more than the rounding slack, so the tail needs a proven bound
+@example(weights=[1, 1], lam=-15.0, tau0=0.0, scale=0.5)
 def test_trace_matches_lattice_sum_over_random_models(weights, lam, tau0, scale):
     # every weight vector calibrates to this convention (see test_geometry)
     model = make_model(weights, calibration={"lift_sign": -1, "lift_shift": 0.0})
@@ -373,3 +442,42 @@ def test_trace_matches_lattice_sum_over_random_models(weights, lam, tau0, scale)
     truncated = np.sum(pkg.multiplicities * win.fourier(lam - pkg.values))
     tail = spectral_tail_bound(pkg, win, lam)
     assert abs(res.value - truncated) <= tail + res.cut_remainder + rounding + 1e-300
+
+
+# ----------------------------------------------------------------------------
+# the kernel diagonal over random models, in either arithmetic (property test)
+# ----------------------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_decimal_oracle_over_random_models(data):
+    weights = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=3), label="weights")
+    j, w = data.draw(st.integers(-6, 6), label="j"), data.draw(st.sampled_from(weights), label="w")
+    tau0 = data.draw(st.sampled_from([0.0, np.pi, 2 * np.pi * j / w]), label="tau0")
+    win = Window("gaussian", tau0, data.draw(st.floats(0.15, 0.5), label="eps"))
+    lam = data.draw(st.floats(0.0, 200.0), label="lam")
+    # a point on the fixed locus of tau0 (the coordinates the flow fixes),
+    # moved off it towards a random point by the fraction delta
+    fixed = [i for i, wi in enumerate(weights) if abs(math.remainder(tau0 * wi, 2 * np.pi)) < 1e-9]
+    fixed = fixed or list(range(len(weights)))
+
+    def draw_t(n, label):
+        return np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n), label=label))
+
+    on = np.zeros(len(weights))
+    on[fixed] = draw_t(len(fixed), "on-locus moments")
+    off = draw_t(len(weights), "random moments")
+    delta = data.draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), label="delta")
+    t = (1.0 - delta) * on / on.sum() + delta * off / off.sum()
+    pts = np.sqrt(t)[None, :]
+    model = make_model(weights, calibration="none")
+    values, remainders, decimal_rows = _diagonal_values(model, win, np.array([lam]), pts, 1e-10)
+    # the oracle keeps every term above exp(-800) of the window
+    n_top, n_lo = int(lam + 40.0 / win.eps), max(0, int(lam - 40.0 / win.eps))
+    ref, magnitude = _decimal_diagonal(np.abs(pts[0]) ** 2, weights, win, lam, n_top, n_lo)
+    # the first-order rounding bound of an n_top-step recurrence and sum in
+    # the arithmetic used (Higham, ch. 3-4), plus the final rounding to double
+    unit = _DECIMAL_UNIT if decimal_rows[0] else 2.0**-53
+    bound = remainders[0] + 4 * n_top * unit * magnitude + 2.0**-53 * abs(ref) + 1e-300
+    assert abs(values[0] - ref) <= bound

@@ -36,6 +36,25 @@ def test_multi_indices_count_and_order():
     assert np.array_equal(multi_indices(1, 2), [[2, 0], [1, 1], [0, 2]])
 
 
+def _recursive_multi_indices(d, k):
+    """The per-block recursion the stars-and-bars table replaced."""
+    if d == 0:
+        return np.array([[k]], dtype=np.int64)
+    blocks = []
+    for first in range(k, -1, -1):
+        tail = _recursive_multi_indices(d - 1, k - first)
+        blocks.append(np.column_stack([np.full(len(tail), first, dtype=np.int64), tail]))
+    return np.concatenate(blocks)
+
+
+def test_multi_indices_match_the_recursion():
+    for d in range(4):
+        for k in range(41):
+            got = multi_indices(d, k)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _recursive_multi_indices(d, k)), (d, k)
+
+
 @pytest.mark.parametrize("k", [0, 1, 4, 6])
 def test_monomial_norms_against_quadrature(model12, k):
     exact = monomial_norms(model12, k)
