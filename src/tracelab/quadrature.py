@@ -8,11 +8,12 @@ on the simplex, a moment-coordinate product rule on the odd sphere S^{2d+1}
 (exact for torus-symmetric polynomial integrands at finite degree), and an
 affine-chart radial rule for the Fubini-Study volume.  The sphere rule is
 built once in product form, `SphereProductRule`: simplex nodes in the moment
-variables t times a uniform grid in the angles phi.  `sphere_rule` flattens
-it into a node list; consumers that sum over the angle grid by FFT
-(`spectral.toeplitz_matrix`) use the product form directly.  The sphere rule
-carries the measure normalised so that the total mass of S^{2d+1} is
-pi^d/d!; the simplex rule carries plain Lebesgue measure.
+variables t times a uniform grid in the angles phi, indexed along its
+diagonal.  `sphere_rule` flattens it into a node list;
+`spectral.toeplitz_matrix` sums the product form along that diagonal and
+transforms the rest by FFT.  The sphere rule carries the measure normalised
+so that the total mass of S^{2d+1} is pi^d/d!; the simplex rule carries
+plain Lebesgue measure.
 """
 
 from __future__ import annotations
@@ -118,8 +119,10 @@ class SphereProductRule:
 
     Nodes are z_j = sqrt(t_j) e^{i phi_j}: t runs over the rows of ``t``
     (the moment nodes: simplex nodes with their slack coordinate appended)
-    and phi over the same uniform grid phi_j = 2*pi*m_j/n_angles, m_j <
-    n_angles, in each of the d+1 angles.  ``weights[r]`` is the weight of
+    and phi over the uniform grid phi_j = 2*pi*m_j/n_angles, m_j <
+    n_angles, in each of the d+1 angles, indexed along its diagonal: grid
+    axes (m'_0, ..., m'_{d-1}, s) hold m = (m' + s*(1, ..., 1)) mod n_angles
+    with m'_d = 0, every grid point once.  ``weights[r]`` is the weight of
     every node with moment coordinates t[r]: the simplex weight times the
     moment-coordinate density 2^{-d}/(2*pi) times the angle cell
     (2*pi/n_angles)^{d+1}.
@@ -130,11 +133,18 @@ class SphereProductRule:
     n_angles: int
 
     @property
+    def size(self) -> int:
+        """Number of nodes: moment nodes times angle grid points."""
+        return self.t.shape[0] * self.n_angles ** self.t.shape[1]
+
+    @functools.cached_property
     def phase_factors(self) -> np.ndarray:
         """e^{i phi} on the angle grid, shape (n_angles,)*(d+1) + (d+1,)."""
         n = self.n_angles
-        angles = [2.0 * np.pi * np.arange(n) / n for _ in range(self.t.shape[1])]
-        return np.exp(1j * np.stack(np.meshgrid(*angles, indexing="ij"), axis=-1))
+        index = np.indices((n,) * self.t.shape[1])  # (d+1, *grid): m'_0.., m'_{d-1}, s
+        index[:-1] += index[-1]
+        m = np.moveaxis(index % n, 0, -1)
+        return np.exp(1j * (2.0 * np.pi * m / n))
 
     def nodes(self, rows=slice(None)) -> np.ndarray:
         """Nodes at the chosen moment nodes, shape (rows,) + (n_angles,)*(d+1) + (d+1,)."""

@@ -3,16 +3,17 @@
 Degree-k sections of the k-th power of the polarising line are realised as
 homogeneous monomials z^alpha (|alpha| = k) on the sphere; the operator is
 the compression of i times the contact field.  `toeplitz_matrix` assembles
-it by quadrature over the product sphere rule (moment sections times a
-uniform angle grid), sum-factorised: z^alpha = sqrt(t)^alpha e^{i<alpha,phi>},
-so the contact field, evaluated at every node, is summed over the angles at
-each moment node t by one FFT, and the Gram and operator matrices are
-gathered from those angle sums at the frequencies beta - alpha and weighted
-by sqrt(t)^alpha sqrt(t)^beta.  That is the literal quadrature
-sum reordered, and it establishes that the monomials are eigensections with
-the affine eigenvalue law <alpha, w>.  All monomial values, there and in
-`eigensection_values`, come from one evaluator, `monomial_values`, which
-multiplies out a table of coordinate powers and gathers it by exponent.
+it by quadrature over the product sphere rule (moment nodes times a uniform
+angle grid), sum-factorised: z^alpha = sqrt(t)^alpha e^{i<alpha,phi>}, so the
+Gram and operator matrices are angle sums of the contact field at the
+frequencies beta - alpha, weighted by sqrt(t)^alpha sqrt(t)^beta.  Those
+frequencies sum to zero, so at each moment node the field is summed along
+the angle grid's diagonal and transformed by one d-dimensional FFT.  That is
+the literal quadrature sum reordered, and it establishes that the monomials
+are eigensections with the affine eigenvalue law <alpha, w>.  All monomial
+values, there and in `eigensection_values`, come from one evaluator,
+`monomial_values`, which multiplies out a table of coordinate powers and
+gathers it by exponent.
 
 A `SpectralPackage` tabulates that law for the ``spectrum`` kind and the
 degree-block checks: the distinct integer eigenvalues with their
@@ -36,9 +37,10 @@ import numpy as np
 
 from .errors import CacheError, CoverageError, QuadratureError
 from .geometry import ProjectiveModel, contact_field, make_model
-from .quadrature import sphere_product_rule, sphere_rule
+from .quadrature import SphereProductRule, sphere_product_rule, sphere_rule
 
-_BLOCK_ENTRIES = 1 << 20  # entries per array of one block of moment nodes: 16 MB complex
+# entries per array of one block of moment nodes: 128 KB complex, so a block stays in cache
+_BLOCK_ENTRIES = 1 << 13
 
 
 # ----------------------------------------------------------------------------
@@ -150,6 +152,11 @@ def monomial_values(exponents: np.ndarray, x: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 
+def toeplitz_rule(model: ProjectiveModel, k: int) -> SphereProductRule:
+    """The sphere rule `toeplitz_matrix` assembles degree k over, one field value per node."""
+    return sphere_product_rule(model.dim, t_degree=k + 2, phase_degree=k + 2)
+
+
 def toeplitz_matrix(
     model: ProjectiveModel,
     k: int,
@@ -159,19 +166,22 @@ def toeplitz_matrix(
     """Matrix of the compressed contact derivative on degree-k sections.
 
     Applies i*(contact field) to each basis monomial and projects by Gram
-    quadrature over the rule ``sphere_product_rule(d, k+2, k+2)``: gram =
-    sum_nodes w conj(z^alpha) z^beta and op = sum_nodes w conj(z^alpha)
-    i D_beta, both divided by the closed-form norms.  At the node with
-    moment coordinates t and angles phi, z^alpha = R_alpha(t) e^{i<alpha,phi>}
-    with R_alpha = sqrt(t)^alpha, and D_beta = z^beta q_beta(t, phi).  So
+    quadrature over `toeplitz_rule`, ``sphere_product_rule(d, k+2, k+2)``:
+    gram = sum_nodes w conj(z^alpha) z^beta and op = sum_nodes w
+    conj(z^alpha) i D_beta, both divided by the closed-form norms.  At the
+    node with moment coordinates t and angles phi, z^alpha = R_alpha(t)
+    e^{i<alpha,phi>} with R_alpha = sqrt(t)^alpha, and D_beta = z^beta
+    q_beta(t, phi).  So
     each sum is sum_t w_t R_alpha R_beta Q(t, beta - alpha), where
-    Q(t, gamma) = sum_phi e^{i<gamma,phi>} q(t, phi) comes from one FFT over
-    the angle grid per moment node (q = 1 for the Gram matrix).  This is the
-    same discrete sum as the node-by-node one, reordered; it assumes no torus
-    invariance, so a field that depends on the phases shows up off the
-    diagonal exactly as it would node by node.  The rule certifies itself:
-    the normalised Gram matrix must be the identity to ``gram_tol`` and the
-    result Hermitian.
+    Q(t, gamma) = sum_phi e^{i<gamma,phi>} q(t, phi) (q = 1 for the Gram
+    matrix).  Every gathered gamma has sum_j gamma_j = 0, so its phase is
+    constant along the rule's diagonal grid axis s (m = (m' + s*(1, ..., 1))
+    mod n, m'_d = 0): Q is the d-dimensional FFT over m' of sum_s q, read at
+    (gamma_0, ..., gamma_{d-1}).  This is the same discrete sum as the
+    node-by-node one, reordered; it assumes no torus invariance, so a field
+    that depends on the phases shows up off the diagonal exactly as it would
+    node by node.  The rule certifies itself: the normalised Gram matrix
+    must be the identity to ``gram_tol`` and the result Hermitian.
 
     derivative="analytic" differentiates monomials along the field in closed
     form: q_beta = sum_j beta_j field_j / z_j (the rule's nodes have no zero
@@ -185,23 +195,24 @@ def toeplitz_matrix(
     block = degree_block(model, k)
     exponents = block.exponents
     dim = block.dim
-    rule = sphere_product_rule(model.dim, t_degree=k + 2, phase_degree=k + 2)
+    d = model.dim
+    rule = toeplitz_rule(model, k)
     n = rule.n_angles
-    grid = (n,) * (model.dim + 1)
-    # flat index of the frequency beta - alpha (mod n) on the angle grid, per (alpha, beta)
-    gamma = (exponents - exponents[:, None]) % n  # (alpha, beta, j)
-    freq = np.ravel_multi_index(tuple(np.moveaxis(gamma, -1, 0)), grid)
+    fold = (n,) * d  # the angle grid with its diagonal axis s summed out
+    # flat index of the frequency beta - alpha (mod n) on the folded grid, per (alpha, beta)
+    gamma = (exponents[:, :d] - exponents[:, None, :d]) % n  # (alpha, beta, j < d)
+    freq = np.ravel_multi_index(tuple(np.moveaxis(gamma, -1, 0)), fold)
     R = monomial_values(exponents, np.sqrt(rule.t))  # (m_t, dim)
-    ones = _angle_sums(np.ones((1,) + grid + (1,)))[0, :, 0]
-    columns = model.dim + 1 if derivative == "analytic" else dim
-    per_node = max(math.prod(grid) * columns, dim * dim * (model.dim + 1))
+    ones = np.fft.ifftn(np.full(fold, float(n)), norm="forward").ravel()  # Gram: q = 1, folded
+    columns = d + 1 if derivative == "analytic" else dim
+    per_node = max(n ** (d + 1) * columns, dim * max(dim, n**d))
     step = max(1, _BLOCK_ENTRIES // per_node)  # moment nodes per block
 
     gram = np.zeros((dim, dim), dtype=complex)
     op = np.zeros((dim, dim), dtype=complex)
     for lo in range(0, rule.t.shape[0], step):
         rows = slice(lo, lo + step)
-        z = rule.nodes(rows)  # (m, *grid, d+1)
+        z = rule.nodes(rows)  # (m, *fold, s, d+1)
         field = contact_field(model, z)
         if derivative == "analytic":
             q = field / z
@@ -210,11 +221,12 @@ def toeplitz_matrix(
             q = monomial_values(exponents, z + h * field)
             q -= monomial_values(exponents, z - h * field)
             q /= 2.0 * h * monomial_values(exponents, z)
-        sums = _angle_sums(q)  # (m, frequencies, columns)
+        # sum along the diagonal, then one d-dimensional transform per moment node
+        sums = np.fft.ifftn(q.sum(axis=-2), axes=tuple(range(1, d + 1)), norm="forward")
+        sums = sums.reshape(len(sums), -1, columns)  # (m, folded frequencies, columns)
         if derivative == "analytic":  # column beta: sum_j beta_j (transform of field_j / z_j)
-            Q = np.einsum("tabj,bj->tab", sums[:, freq], exponents.astype(float))
-        else:  # column beta: transform of its own q_beta
-            Q = sums[:, freq, np.arange(dim)]
+            sums = sums @ exponents.T.astype(float)
+        Q = sums[:, freq, np.arange(dim)]  # column beta read at frequency beta - alpha
         Rs = R[rows]
         pair = rule.weights[rows, None, None] * Rs[:, :, None] * Rs[:, None, :]
         gram += pair.sum(axis=0) * ones[freq]
@@ -233,17 +245,6 @@ def toeplitz_matrix(
     if herm > 1e-9:
         raise QuadratureError(f"assembled block not Hermitian at k={k}: residual {herm:.2e}")
     return 0.5 * (op + op.conj().T)
-
-
-def _angle_sums(q: np.ndarray) -> np.ndarray:
-    """sum_phi e^{i<gamma,phi>} q(phi) for every frequency gamma on the angle grid.
-
-    ``q`` has shape (m, *grid, columns); the result is (m, prod(grid),
-    columns), frequencies flattened in grid order (gamma taken mod n).
-    """
-    axes = tuple(range(1, q.ndim - 1))
-    sums = np.fft.ifftn(q, axes=axes, norm="forward")
-    return sums.reshape(q.shape[0], -1, q.shape[-1])
 
 
 # ----------------------------------------------------------------------------

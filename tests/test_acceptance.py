@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from tracelab import verify
+from tracelab.quadrature import sphere_rule
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,13 @@ def test_criterion_09_asks_for_few_legendre_sizes(shared, monkeypatch):
 
 
 def test_criterion_01_spectral_structure(shared):
-    _check(verify.crit_01_spectral_structure(shared))
+    result = verify.crit_01_spectral_structure(shared)
+    _check(result)
+    # the assembly sums the rule in another order; its rounding stays far below the tolerance
+    assert result.measured["off_diag_max"] < 1e-13
+    assert result.measured["affine_residual"] < 1e-10
+    nodes = sum(len(sphere_rule(1, k + 2, k + 2)[1]) for k in range(61))
+    assert result.detail.endswith(f"; {nodes} field evaluations")
 
 
 def test_criterion_02_normalization_anchors(shared):
@@ -105,9 +112,18 @@ def test_criterion_11_local_global_consistency(shared):
     _check(verify.crit_11_local_global_consistency(shared))
 
 
-def test_manifest_and_exit_code(tmp_path, shared):
-    """The aggregate runner reports 10/11 and a nonzero exit code honestly."""
+def test_manifest_and_exit_code(tmp_path, monkeypatch):
+    """The aggregate runner reports 10/11 and a nonzero exit code honestly.
+
+    It calibrates each of its two models once.
+    """
+    built = []
+    make_model = verify.make_model
+    monkeypatch.setattr(
+        verify, "make_model", lambda weights: built.append(weights) or make_model(weights)
+    )
     results, manifest, code = verify.run_all(out_dir=tmp_path, echo=lambda s: None)
+    assert built == [(1, 2), (1, 1, 2)]
     assert manifest["n_passed"] == 10
     assert code == 1
     failed = [c for c in manifest["criteria"] if not c["passed"]]

@@ -112,6 +112,34 @@ def test_sphere_rule_flattens_product_rule(d):
     assert np.array_equal(rule.nodes(slice(2, 4)), nodes[2:4])
 
 
+@pytest.mark.parametrize("d,degree", [(1, 4), (1, 5), (2, 3), (3, 4)])
+def test_folded_angle_grid_permutes_the_meshgrid(d, degree):
+    """The diagonal-indexed angle grid holds the meshgrid's nodes, bit for bit."""
+    rule = sphere_product_rule(d, degree, degree)
+    n = rule.n_angles
+    angles = 2.0 * np.pi * np.arange(n) / n
+    meshgrid = np.exp(1j * np.stack(np.meshgrid(*[angles] * (d + 1), indexing="ij"), axis=-1))
+    # grid point (m'_0, .., m'_{d-1}, s) is the meshgrid node (m' + s, .., s) mod n
+    axes = np.indices((n,) * (d + 1))
+    m = np.concatenate([(axes[:-1] + axes[-1]) % n, axes[-1:]])
+    flat = np.ravel_multi_index(tuple(m), (n,) * (d + 1)).ravel()
+    assert np.array_equal(np.sort(flat), np.arange(n ** (d + 1)))
+    assert np.array_equal(rule.phase_factors, meshgrid[tuple(m)])
+
+    # the flattened rule is the meshgrid rule's (node, weight) list, permuted
+    z, w = sphere_rule(d, degree, degree)
+    root_t = np.sqrt(rule.t).reshape((-1,) + (1,) * (d + 1) + (d + 1,))
+    old_z = (root_t * meshgrid).reshape(-1, d + 1)
+    old_w = np.repeat(rule.weights, n ** (d + 1))
+    assert rule.size == len(z) == len(old_z)
+    new_order = np.lexsort(np.concatenate([z.real, z.imag], axis=1).T)
+    old_order = np.lexsort(np.concatenate([old_z.real, old_z.imag], axis=1).T)
+    assert np.array_equal(z[new_order], old_z[old_order])
+    assert np.array_equal(w[new_order], old_w[old_order])
+    assert w.sum() == old_w.sum()
+    assert abs(w.sum() - np.pi**d / math.factorial(d)) < 1e-13
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_fubini_study_volume(d):
     assert abs(fubini_study_volume(d) - np.pi**d / math.factorial(d)) < 1e-9

@@ -129,10 +129,14 @@ def _literal_toeplitz(model, k, derivative):
 @pytest.mark.parametrize("derivative", ["analytic", "fd"])
 @pytest.mark.parametrize(
     "weights,k", [((1, 2), 0), ((1, 2), 3), ((1, 2), 8), ((1, 1, 2), 2), ((1, 1, 2), 6),
-                  ((1, 2, 3), 1), ((1, 2, 3), 5)],
+                  ((1, 2, 3), 1), ((1, 2, 3), 5), ((1, 1, 1, 2), 1), ((1, 1, 1, 2), 2)],
 )
 def test_toeplitz_matches_literal_node_sum(weights, k, derivative):
-    """The sum-factorised assembly is the node-by-node quadrature sum, reordered."""
+    """The folded, sum-factorised assembly is the node-by-node quadrature sum, reordered.
+
+    (1, 1, 1, 2) at k = 1 and 2 (even and odd n_angles) runs the fold and a
+    three-dimensional FFT.
+    """
     model = make_model(weights)
     factorised = toeplitz_matrix(model, k, derivative=derivative)
     literal = _literal_toeplitz(model, k, derivative)
@@ -140,7 +144,11 @@ def test_toeplitz_matches_literal_node_sum(weights, k, derivative):
 
 
 @pytest.mark.parametrize("derivative", ["analytic", "fd"])
-@pytest.mark.parametrize("weights,k,coupled", [((1, 2), 4, (0, 1)), ((1, 1, 2), 3, (1, 2))])
+@pytest.mark.parametrize(
+    "weights,k,coupled",
+    [((1, 2), 4, (0, 1)), ((1, 1, 2), 3, (1, 2)), ((1, 1, 1, 2), 1, (0, 3)),
+     ((1, 1, 1, 2), 2, (2, 3))],
+)
 def test_toeplitz_detects_phase_dependent_field(monkeypatch, weights, k, coupled, derivative):
     """A field -i(W + eps H)z that breaks the torus symmetry shows up off the diagonal.
 
