@@ -48,7 +48,6 @@ from .reports import ScanReport
 from .smoothing import (
     ParitySplit,
     TraceResult,
-    integrate_diagonal,
     negative_lambda_scan,
     offlocus_decay_scan,
     parity_scan,

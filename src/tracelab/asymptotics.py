@@ -30,7 +30,6 @@ from .errors import (
 )
 from .geometry import (
     FixedComponent,
-    HeisenbergChart,
     ProjectiveModel,
     complement_frame,
     contact_field,
@@ -121,15 +120,8 @@ def predict_local(pred: LocalPrediction, u, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     f = pred.f_center
     gauss = np.exp(psi2(u @ A.T, u) / f) if c else 1.0
-    return (
-        2.0
-        * np.pi
-        * np.exp(-1j * lam * pred.tau0)
-        / f ** (pred.dim + 1)
-        * (lam / np.pi) ** pred.dim
-        * gauss
-        * pred.chi_tau0
-    )
+    peak = 2.0 * np.pi * np.exp(-1j * lam * pred.tau0) / f ** (pred.dim + 1)
+    return peak * (lam / np.pi) ** pred.dim * gauss * pred.chi_tau0
 
 
 # ----------------------------------------------------------------------------
@@ -184,15 +176,8 @@ def predict_global_component(
         f_integral = component_f_integral(model, component)
     lam = np.asarray(lam, dtype=float)
     chi = float(window.value(component.tau0))
-    return (
-        2.0
-        * np.pi
-        * np.exp(-1j * lam * component.tau0)
-        * (lam / np.pi) ** component.f_j
-        * chi
-        / component.c_value
-        * f_integral
-    )
+    peak = 2.0 * np.pi * np.exp(-1j * lam * component.tau0) * (lam / np.pi) ** component.f_j
+    return peak * chi / component.c_value * f_integral
 
 
 # ----------------------------------------------------------------------------

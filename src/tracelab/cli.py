@@ -59,29 +59,20 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError("config.model.weights: give --weights or a config file")
     base["model"] = model
     window = dict(config_section(base, "window"))
-    if args.tau0 is not None:
-        window["tau0"] = args.tau0
-    if args.eps is not None:
-        window["eps"] = args.eps
-    if args.shape is not None:
-        window["shape"] = args.shape
+    for key in ("tau0", "eps", "shape"):
+        if getattr(args, key) is not None:
+            window[key] = getattr(args, key)
     if window:
         base["window"] = window
-    if args.kmax is not None:
-        base["k_max"] = args.kmax
+    for flag, key in (("kmax", "k_max"), ("seed", "seed"), ("C", "C")):
+        if getattr(args, flag) is not None:
+            base[key] = getattr(args, flag)
     base.setdefault("k_max", 120)
-    if args.lambda_grid:
-        base["lambda_grid"] = args.lambda_grid
-    if args.out:
-        base["out_dir"] = args.out
-    if args.cache:
-        base["cache_dir"] = args.cache
-    if args.seed is not None:
-        base["seed"] = args.seed
+    for flag, key in (("lambda_grid", "lambda_grid"), ("out", "out_dir"), ("cache", "cache_dir")):
+        if getattr(args, flag):  # an empty string leaves the field to the config
+            base[key] = getattr(args, flag)
     if args.u:
         base["u"] = _numbers(args.u, float, "config.u")
-    if args.C is not None:
-        base["C"] = args.C
     return ExperimentConfig.from_dict(base)
 
 

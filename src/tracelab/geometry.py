@@ -96,12 +96,6 @@ def random_sphere_point(model: ProjectiveModel, rng) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def check_sphere_point(z: np.ndarray, tol: float = 1e-12) -> None:
-    err = abs(np.linalg.norm(z) - 1.0)
-    if err > tol:
-        raise ValueError(f"point is off the unit sphere by {err:.2e}")
-
-
 # ----------------------------------------------------------------------------
 # Hamiltonian, contact field, flows
 # ----------------------------------------------------------------------------
@@ -419,7 +413,9 @@ def heisenberg_chart(model: ProjectiveModel, x0: np.ndarray, tau0: float) -> Hei
     """Adapted chart at x0 for the period tau0 (x0 must be fixed upstairs)."""
     _require_calibrated(model)
     x0 = np.asarray(x0, dtype=complex)
-    check_sphere_point(x0, tol=1e-10)
+    off = abs(np.linalg.norm(x0) - 1.0)
+    if off > 1e-10:
+        raise ValueError(f"chart center is off the unit sphere by {off:.2e}")
     if np.abs(flow_sphere(model, tau0, x0) - x0).max() > 1e-9:
         raise ChartError("chart center is not on the fixed locus of this period")
     phases = flow_phases(model, tau0)
@@ -459,33 +455,22 @@ def flow_differential_normal(
         _, v = chart.coords(y)
         return v[chart.n_tangent :]
 
+    def deriv(a: int, step: float, direction: complex) -> np.ndarray:
+        """Richardson-extrapolated central difference along direction * e_a."""
+        e = np.zeros(c, dtype=complex)
+        out = []
+        for hh in (step, step / 2.0):
+            e[a] = direction * hh
+            plus = image(e)
+            e[a] = -direction * hh
+            out.append((plus - image(e)) / (2.0 * hh))
+        return (4.0 * out[1] - out[0]) / 3.0
+
     A = np.zeros((c, c), dtype=complex)
     for a in range(c):
-        e = np.zeros(c, dtype=complex)
-
-        def deriv(step: float) -> np.ndarray:
-            e[a] = step
-            plus = image(e)
-            e[a] = -step
-            minus = image(e)
-            e[a] = 0.0
-            return (plus - minus) / (2.0 * step)
-
-        d1, d2 = deriv(h), deriv(h / 2.0)
-        dx = (4.0 * d2 - d1) / 3.0
+        dx = deriv(a, h, 1.0)
         # holomorphy check along the imaginary direction
-
-        def ideriv(step: float) -> np.ndarray:
-            e[a] = 1j * step
-            plus = image(e)
-            e[a] = -1j * step
-            minus = image(e)
-            e[a] = 0.0
-            return (plus - minus) / (2.0 * step)
-
-        i1, i2 = ideriv(h), ideriv(h / 2.0)
-        dy = (4.0 * i2 - i1) / 3.0
-        if np.abs(dy - 1j * dx).max() > 1e-6:
+        if np.abs(deriv(a, h, 1j) - 1j * dx).max() > 1e-6:
             raise CleanLocusError("flow differential is not complex-linear on the normal space")
         A[:, a] = dx
 

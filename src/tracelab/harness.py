@@ -24,7 +24,8 @@ from . import __version__
 from .errors import CacheError, ConfigError, PeriodError
 from .geometry import ProjectiveModel, fixed_components, heisenberg_chart, make_model, period_gap
 from .reports import ScanReport
-from .smoothing import offlocus_decay_scan, parity_scan, scaled_diagonal_scan, smoothed_trace
+from .smoothing import _row_budgets, offlocus_decay_scan, parity_scan, scaled_diagonal_scan
+from .smoothing import smoothed_trace
 from .spectral import SpectralPackage, eigendata
 from .windows import SHAPES, Window
 
@@ -405,9 +406,7 @@ def _kernel_report(cfg: ExperimentConfig) -> ScanReport:
 def _trace_report(cfg: ExperimentConfig) -> ScanReport:
     from .asymptotics import component_f_integral, predict_global_component
 
-    model = cfg.model()
-    win = cfg.window
-    grid = cfg.lambda_grid
+    model, win, grid = cfg.model(), cfg.window, cfg.lambda_grid
     trace = smoothed_trace(model, win, grid, cfg.tail_tol)
     try:
         comps = [c for c in fixed_components(model, win.tau0) if not c.m_only]
@@ -423,7 +422,7 @@ def _trace_report(cfg: ExperimentConfig) -> ScanReport:
         "kind_detail": "smoothed trace vs sum of component leading terms",
         "tau0": win.tau0,
         "n_components": len(comps),
-        "window_cut_remainders": trace.cut_remainder,
+        **_row_budgets(trace.cut_remainder, trace.rounding_bound, trace.decimal),
     }
     return ScanReport("trace", grid, trace.value, predicted, meta=meta)
 

@@ -3,41 +3,39 @@
 Everything here is an *exact* computation over the integer spectrum
 n = <alpha, w> of a weight model; no asymptotics enter and no degree is
 truncated.  Traces and kernel diagonals are one window-cut sum
-sum_n c_n chihat(lam - n) with two choices of coefficients.  For the trace,
-c_n is the denumerant d(n) = [x^n] prod_i (1 - x^{w_i})^{-1}, the
-multiplicity of n over all degrees.  For the kernel diagonal at a sphere
-point with moment coordinates t_i = |z_i|^2 (so sum_i t_i = 1),
 
-    K(lam, z) = (d!/pi^d) sum_n h_n(t) chihat(lam - n),
+    scale * sum_n c_n chihat(lam - n)
+
+with two choices of coefficients and scale.  For the trace, c_n is the
+denumerant d(n) = [x^n] prod_i (1 - x^{w_i})^{-1}, the multiplicity of n over
+all degrees, an exact int64, and the scale is 1.  For the kernel diagonal at
+a sphere point with moment coordinates t_i = |z_i|^2 (so sum_i t_i = 1) the
+scale is d!/pi^d and c_n = h_n(t), with
+
     sum_n h_n x^n = (1 - sum_i t_i x^{w_i})^{-(d+1)},
-
-and the coefficients follow from the positive recurrence
-
     n h_n = sum_i t_i (n + d w_i) h_{n - w_i},   h_0 = 1,
 
-which has no cancellation, vectorised over the points of a scan.  The only
-truncation is the window cut to the eigenvalues n nearest lam, and its
-remainder is proven: h_n = sum_k C(k+d, d) P(S_k = n) for the walk S_k
-whose steps are w_i with probabilities t_i; steps are >= 1, so the walk
-hits n at most once and then after k <= n/min_w steps, which gives
-h_n <= C(floor(n/min_w) + d, d).  Fixing one coordinate of minimal weight,
-the other d determine it, so d(n) obeys the same bound, and the trace
-remainder is the kernel's without the factor d!/pi^d.  The Gaussian
-majorant terms are summed out to a far edge and bounded by a geometric
-series beyond it.  The cut is the narrowest whose remainder lies below both
-``tail_tol`` and the rounding level u * sum |terms| of the kept sum, so it
-costs no digits; it is built for a whole lambda grid at once.  The bump
-window has no proven transform envelope yet, so its sums refuse with
-CoverageError.
+a positive recurrence with no cancellation.  The only truncation is the
+window cut to the eigenvalues n nearest lam, and its remainder is proven:
+h_n = sum_k C(k+d, d) P(S_k = n) for the walk S_k whose steps are w_i with
+probabilities t_i; steps are >= 1, so the walk hits n at most once and then
+after k <= n/min_w steps, which gives h_n <= C(floor(n/min_w) + d, d).
+Fixing one coordinate of minimal weight, the other d determine it, so d(n)
+obeys the same bound.  The Gaussian majorant terms are summed out to a far
+edge and bounded by a geometric series beyond it.  The cut is the narrowest
+whose remainder lies below both ``tail_tol`` and the rounding level of the
+kept sum, so it costs no digits; it is built for a whole lambda grid at once.
+The bump window has no proven transform envelope yet, so its sums refuse
+with CoverageError.
 
-Near a half-integer period the window phases alternate in sign and the
-off-locus diagonal cancels by seven to twelve orders of magnitude, which
-double does not resolve: rounding noise in the terms survives the
-cancellation.  Every kernel row is therefore summed in double first, and a
-row whose measured condition number kappa = sum |terms| / |sum| would leave
-double fewer than 13 digits is cut again and summed in 40-digit decimal
-(`_decimal_sums`).  No option selects the arithmetic, and it does not depend
-on the platform's long double; the scans report the arithmetic of each row.
+One routine, `_conditioned_sums`, picks the arithmetic of every row of
+either quantity.  Near a period the phases alternate and the sum cancels:
+kappa = sum |terms| / |sum| is 5e7 to 2e12 on the off-locus diagonal scans
+and grows like lam^d on a trace at tau0 = pi.  Each row is summed in double,
+and a row that double would leave fewer than 13 digits is cut again and
+summed in 40-digit decimal, with exact integer d(n) for traces.  Each row
+reports its arithmetic and a rounding bound (`_rounding_bounds`) next to its
+window-cut remainder.
 """
 
 from __future__ import annotations
@@ -64,8 +62,8 @@ _GAUSS_FAR = math.sqrt(1400.0)
 # entries per array of one block of lambda rows in a window cut: 64 kB
 _CUT_BLOCK = 1 << 13
 # double keeps about 13 digits of a sum whose condition number kappa
-# satisfies kappa * 2^-53 <= 1e-13 (kappa up to about 900); kernel rows past
-# it are summed again in decimal
+# satisfies kappa * 2^-53 <= 1e-13 (kappa up to about 900); rows past it are
+# summed again in decimal
 _DOUBLE_KAPPA_BOUND = 1e-13
 # the decimal path: 40 significant digits, at least the 38 of x86
 # double-length long double, and the rounding unit its window cut meets
@@ -76,15 +74,19 @@ _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459"
 
 @dataclass(frozen=True)
 class TraceResult:
-    """Smoothed traces (scalars, or arrays along a grid) with their cut remainders.
+    """Smoothed traces (scalars, or arrays along a grid) with their error budgets.
 
-    ``n_eigenvalues`` counts the eigenvalues, with multiplicity, inside the
-    kept cuts (summed over a grid).
+    ``cut_remainder`` bounds the window cut, ``rounding_bound`` the rounding
+    of the kept sum (`_rounding_bounds`), and ``decimal`` marks the rows
+    summed in decimal.  ``n_eigenvalues`` counts the eigenvalues, with
+    multiplicity, inside the kept cuts (summed over a grid).
     """
 
     value: complex | np.ndarray
     cut_remainder: float | np.ndarray
     n_eigenvalues: int
+    rounding_bound: float | np.ndarray
+    decimal: bool | np.ndarray
 
 
 def spectral_tail_bound(pkg: SpectralPackage, win: Window, lam: float) -> float:
@@ -97,10 +99,8 @@ def spectral_tail_bound(pkg: SpectralPackage, win: Window, lam: float) -> float:
     """
     if win.shape != "gaussian":
         raise CoverageError("the bump transform has no proven envelope to bound a degree tail with")
-    d = pkg.model.dim
-    m = int(pkg.model.weight_array.min())
-    total = 0.0
-    k = pkg.k_max + 1
+    d, m = pkg.model.dim, min(pkg.model.weights)
+    total, k = 0.0, pkg.k_max + 1
     while True:
         s = max(k * m - lam, 0.0)
         term = section_dimension(d, k) * float(win.fourier_envelope(s))
@@ -116,13 +116,19 @@ def spectral_tail_bound(pkg: SpectralPackage, win: Window, lam: float) -> float:
 
 
 def _denumerants(weights, n_max: int) -> np.ndarray:
-    """d(n) = #{alpha : <alpha, w> = n}, n = 0..n_max: per weight w, a
-    cumulative sum along each residue class mod w (the factor 1/(1 - x^w))."""
+    """d(n) = #{alpha : <alpha, w> = n}, n = 0..n_max, exact in int64: per
+    weight w, a cumulative sum along each residue class mod w (the factor
+    1/(1 - x^w)).  Every partial table is at most d(n), and d(n) at most the
+    walk majorant, so a table whose top majorant passes 2^63 is refused
+    rather than wrapped."""
     size = max(n_max, 0) + 1
-    counts = np.zeros(size)
-    counts[0] = 1.0
+    d, min_w = len(weights) - 1, min(weights)
+    if math.comb((size - 1) // min_w + d, d) >= 2**63:
+        raise CoverageError(f"denumerants up to n = {size - 1} may pass the int64 range")
+    counts = np.zeros(size, dtype=np.int64)
+    counts[0] = 1
     for w in weights:
-        padded = np.zeros(-(-size // w) * w)
+        padded = np.zeros(-(-size // w) * w, dtype=np.int64)
         padded[:size] = counts
         counts = np.cumsum(padded.reshape(-1, w), axis=0).ravel()[:size]
     return counts
@@ -136,21 +142,26 @@ def smoothed_trace(
     ``lam`` is a number or a grid; one window cut serves the whole grid.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    counts = np.zeros(0)
 
-    def evaluate(lo, hi):
-        nonlocal counts
-        counts = _denumerants(model.weights, int(hi.max(initial=-1)))
-        columns = np.broadcast_to(counts[:, None], (counts.size, lams.size))
-        return _window_sums(win, lams, columns, lo, hi, 1.0)
+    def table(n_max):
+        counts = _denumerants(model.weights, n_max).astype(float)
+        return np.broadcast_to(counts[:, None], (counts.size, lams.size))
 
-    unit = float(np.finfo(np.float64).eps)
-    values, _, remainders, lo, hi = _cut_sums(win, model, lams, tail_tol, unit, 1.0, evaluate)
-    below = np.concatenate([[0.0], np.cumsum(counts)])
+    def exact(rows, hi):
+        return [_denumerants(model.weights, int(hi.max())).tolist()] * rows.size
+
+    sums = _conditioned_sums(win, model, lams, tail_tol, lambda x, pi: x, table, exact)
+    values, _, remainders, decimal, lo, hi = sums
+    # d(n) is exact in decimal and rounded once to double
+    bounds = _rounding_bounds(win, model, lams, sums, np.where(decimal, 0.0, 1.0))
+    counts = _denumerants(model.weights, int(hi.max(initial=-1)))
+    below = np.concatenate([[0.0], np.cumsum(counts, dtype=float)])
     kept = int(np.sum(below[hi + 1] - below[lo]))
     if np.ndim(lam) == 0:
-        return TraceResult(complex(values[0]), float(remainders[0]), kept)
-    return TraceResult(values, remainders, kept)
+        return TraceResult(
+            complex(values[0]), float(remainders[0]), kept, float(bounds[0]), bool(decimal[0])
+        )
+    return TraceResult(values, remainders, kept, bounds, decimal)
 
 
 # ----------------------------------------------------------------------------
@@ -223,12 +234,13 @@ def _window_cut(
 
 def _cut_sums(win, model, lams, tail_tol, unit, scale, evaluate, targets=None):
     """Sums ``evaluate(lo, hi)`` -> (values, sum |terms|) cut within
-    min(tail_tol, unit * sum |terms|).  The first cut meets ``targets``
-    (default `_first_cut_target`); only points it does not serve are cut
-    again, wider.  Returns (values, magnitudes, remainders, lo, hi).
+    min(tail_tol, unit * sum |terms|).  The first cut meets ``targets``,
+    by default unit * tail_tol, which is final unless the kept sum is
+    smaller than tail_tol; only points it does not serve are cut again,
+    wider.  Returns (values, magnitudes, remainders, lo, hi).
     """
     if targets is None:
-        targets = np.full(lams.size, _first_cut_target(tail_tol, unit))
+        targets = np.full(lams.size, max(unit * tail_tol, _CUT_FLOOR))
     lo, hi, remainders = _window_cut(win, model, lams, targets, scale)
     while True:
         values, magnitudes = evaluate(lo, hi)
@@ -246,14 +258,87 @@ def _final_cut_target(tail_tol: float, unit: float, magnitudes: np.ndarray) -> n
     return np.maximum(np.minimum(tail_tol, unit * magnitudes), _CUT_FLOOR)
 
 
-def _first_cut_target(tail_tol: float, unit: float) -> float:
-    """First-pass cut target: final whenever |kept sum| >= tail_tol.
+# ----------------------------------------------------------------------------
+# the conditioned sum: one arithmetic decision for traces and kernels
+# ----------------------------------------------------------------------------
 
-    A cut within unit * tail_tol meets the final target unless the kept sum
-    is smaller than tail_tol, and only those points need a second, wider
-    pass.
+
+def _conditioned_sums(win, model, lams, tail_tol, scale, table, exact):
+    """scale * sum_n c_n chihat(lam - n) per lam, each row in the arithmetic
+    its conditioning needs.
+
+    ``scale(x, pi)`` applies the constant factor with each arithmetic's pi;
+    ``table(n_max)`` gives c_0..c_{n_max} in double, one column per lam, and
+    ``exact(rows, hi)`` the exact c_n (ints or decimals) of the lams indexed
+    by ``rows``, one sequence per row up to its ``hi``.  Each row is summed
+    in double; one with kappa * 2^-53 > `_DOUBLE_KAPPA_BOUND` is cut again
+    at `_DECIMAL_UNIT` and summed by `_decimal_sums`.  Returns (values,
+    sum |terms|, remainders, decimal-row mask, lo, hi).
     """
-    return max(unit * tail_tol, _CUT_FLOOR)
+    unit = float(np.finfo(np.float64).eps)
+    dbl_scale = scale(1.0, np.pi)
+
+    def evaluate(lo, hi):
+        return _window_sums(win, lams, table(int(hi.max(initial=-1))), lo, hi, dbl_scale)
+
+    values, magnitudes, remainders, lo, hi = _cut_sums(
+        win, model, lams, tail_tol, unit, dbl_scale, evaluate
+    )
+    decimal = magnitudes * 2.0**-53 > _DOUBLE_KAPPA_BOUND * np.abs(values)
+    rows = np.flatnonzero(decimal)
+    if rows.size:
+
+        def evaluate_decimal(lo, hi):
+            return _decimal_sums(win, lams[rows], exact(rows, hi), scale, lo, hi)
+
+        targets = _final_cut_target(tail_tol, _DECIMAL_UNIT, magnitudes[rows])
+        values[rows], magnitudes[rows], remainders[rows], lo[rows], hi[rows] = _cut_sums(
+            win, model, lams[rows], tail_tol, _DECIMAL_UNIT, dbl_scale, evaluate_decimal, targets
+        )
+    return values, magnitudes, remainders, decimal, lo, hi
+
+
+def _rounding_bounds(win, model, lams, sums, coefficient_units) -> np.ndarray:
+    """First-order bounds on the rounding error of each row of ``sums``, the
+    result of `_conditioned_sums`.
+
+    With u the unit of the row's arithmetic (2^-53, or `_DECIMAL_UNIT`), N
+    kept terms, s_max the largest |lam - n| in the cut and x_max =
+    (eps s_max)^2 / 2, each computed term carries a relative error of at
+    most u times the sum of (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, ch. 3-4):
+
+    - C = ``coefficient_units``: 0 for d(n) exact in decimal, 1 for d(n)
+      rounded to double, (d + 4) floor(n_hi/min_w) for h_n, whose positive
+      recurrence rounds d + 4 times a step along at most n/min_w steps;
+    - 8 x_max + 2 for the gaussian factor, whose exponent is computed to 8u;
+    - P s_max + Q for the phase.  Double rounds s tau0 twice and cos, sin
+      once: P = 2 |tau0|, Q = 2.  A decimal Taylor cos/sin (at most 60 terms
+      after reduction to |r| <= pi, term k off by 2k u, partial sums at most
+      1 plus the tail) is off by < 3 pi e^pi + 60 < 280 units, so cis by
+      < 400u plus (|theta| + 5)u for the reduction; cis(tau0) is stepped
+      |k| <= 2 s + 1 times at 3u more each and cis(-f tau0), |f| <= s, turns
+      the sum once: P = 4 |tau0| + 820, Q = |tau0| + 820;
+    - 2d + 10 for eps sqrt(2 pi), d!/pi^d and the joining products.
+
+    Summing N complex terms adds sqrt(2) (N - 1) u sum |terms|; a factor 2
+    takes up the sqrt(2) and the second-order terms:
+
+        rho = 2 u (N + C + 8 x_max + P s_max + Q + 2d + 12) sum |terms|,
+
+    plus 2^-52 |value| for a decimal row's rounding to double.  rho passes
+    |value| once kappa passes about 1 / (2 u N), near 1e36 in decimal: such
+    a row is unresolved, and its bound says so.
+    """
+    values, magnitudes, _, decimal, lo, hi = sums
+    u = np.where(decimal, _DECIMAL_UNIT, 2.0**-53)
+    n_terms = np.maximum(hi - lo + 1, 0)
+    s_max = np.where(n_terms > 0, np.maximum(np.abs(lams - lo), np.abs(lams - hi)), 0.0)
+    x_max = 0.5 * (win.eps * s_max) ** 2
+    tau = abs(win.tau0)
+    phase = np.where(decimal, (4 * tau + 820) * s_max + tau + 820, 2 * tau * s_max + 2)
+    units = n_terms + coefficient_units + 8 * x_max + phase + 2 * model.dim + 12
+    return 2.0 * u * units * magnitudes + np.where(decimal, 2.0**-52 * np.abs(values), 0.0)
 
 
 def _h_table(t: np.ndarray, weights, n_max: int) -> np.ndarray:
@@ -287,39 +372,38 @@ def _window_sums(win: Window, lams, h: np.ndarray, lo, hi, scale) -> tuple[np.nd
 
 
 def _decimal_sums(
-    win: Window, lams, t: np.ndarray, weights, lo, hi
+    win: Window, lams, coefficients, scale, lo, hi
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel sums (d!/pi^d) sum_n h_n chihat(lam - n) over lo..hi in decimal.
+    """`_window_sums` at ``_DECIMAL_DIGITS`` significant digits.
 
-    Per point the h_n recurrence and the kept gaussian window sum run at
-    ``_DECIMAL_DIGITS`` significant digits.  Phases are taken relative to
-    the integer c nearest lam inside the cut: with f = lam - c the term at
-    n = c + k is
+    ``coefficients`` yields one row c_0..c_hi per lam (exact ints, or
+    decimals from `_decimal_h`); ``scale(x, pi)`` applies the constant with
+    the decimal pi.  Phases are taken relative to the integer c nearest lam
+    inside the cut: with f = lam - c the term at n = c + k is
 
-        h_n eps sqrt(2 pi) exp(-eps^2 (f - k)^2 / 2) exp(-i f tau0) exp(i k tau0),
+        c_n eps sqrt(2 pi) exp(-eps^2 (f - k)^2 / 2) exp(-i f tau0) exp(i k tau0),
 
     where exp(i k tau0) steps from one Taylor cos/sin of tau0, so no
-    argument is large.  Each result is rounded to complex once.  Returns
-    the values and their absolute sums, as `_window_sums` does.
+    argument is large.  Each result is rounded to complex once.
     """
-    d = len(weights) - 1
     values = np.zeros(len(lams), dtype=complex)
     magnitudes = np.zeros(len(lams))
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
         eps, tau0 = Decimal(win.eps), Decimal(win.tau0)
         half_eps2 = eps * eps / 2
-        peak = eps * (2 * _PI).sqrt() * math.factorial(d) / _PI**d
-        for i, (lam, a, b) in enumerate(zip(map(float, lams), map(int, lo), map(int, hi))):
+        peak = scale(eps * (2 * _PI).sqrt(), _PI)
+        rows = zip(map(float, lams), map(int, lo), map(int, hi), coefficients)
+        for i, (lam, a, b, row) in enumerate(rows):
             if b < a:
                 continue
             c = min(max(round(lam), a), b)
-            h, powers = _decimal_h(t[i], weights, b), _cis_powers(tau0, max(b - c, c - a))
+            powers = _cis_powers(tau0, max(b - c, c - a))
             f = Decimal(lam) - c
             re = im = mag = Decimal(0)
             for n in range(a, b + 1):
                 k = n - c
-                g = h[n] * (-half_eps2 * (f - k) ** 2).exp()
+                g = row[n] * (-half_eps2 * (f - k) ** 2).exp()
                 cos_k, sin_k = powers[abs(k)]
                 re += g * cos_k
                 im += g * sin_k if k >= 0 else -g * sin_k
@@ -333,12 +417,15 @@ def _decimal_sums(
 
 
 def _decimal_h(t_row, weights, n_max: int) -> list:
-    """`_h_table` for one point in the current decimal context."""
+    """`_h_table` for one point, in ``_DECIMAL_DIGITS``-digit decimal."""
     d = len(weights) - 1
     coeffs = [(Decimal(float(tw)), w) for tw, w in zip(t_row, weights)]
     h = [Decimal(1)]
-    for n in range(1, n_max + 1):
-        h.append(sum((tw * (n + d * w) * h[n - w] for tw, w in coeffs if n >= w), Decimal(0)) / n)
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        for n in range(1, n_max + 1):
+            terms = (tw * (n + d * w) * h[n - w] for tw, w in coeffs if n >= w)
+            h.append(sum(terms, Decimal(0)) / n)
     return h
 
 
@@ -370,38 +457,26 @@ def _diagonal_values(
     lams: np.ndarray,
     points: np.ndarray,
     tail_tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact diagonal at paired (lam_i, point_i), the window-cut remainder of
-    each, and a mask of the rows summed in decimal.
-
-    Every row is summed in double first.  A row whose measured condition
-    number kappa = sum |terms| / |sum| passes ``_DOUBLE_KAPPA_BOUND`` is cut
-    again at the decimal rounding unit and summed by `_decimal_sums`.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact diagonal at paired (lam_i, point_i): the values, their window-cut
+    remainders and rounding bounds, and the mask of rows summed in decimal
+    (`_conditioned_sums`)."""
     t = np.abs(np.atleast_2d(np.asarray(points, dtype=complex))) ** 2
     lams = np.broadcast_to(np.asarray(lams, dtype=float), (t.shape[0],))
-    scale = math.factorial(model.dim) / np.pi**model.dim
+    weights, d = model.weights, model.dim
 
-    def evaluate(lo, hi):
-        h = _h_table(t, model.weights, int(hi.max(initial=-1)))
-        return _window_sums(win, lams, h, lo, hi, scale)
+    def exact(rows, hi):
+        return (_decimal_h(t[i], weights, int(b)) for i, b in zip(rows, hi))
 
-    unit = float(np.finfo(np.float64).eps)
-    values, magnitudes, remainders, _, _ = _cut_sums(
-        win, model, lams, tail_tol, unit, scale, evaluate
+    def scale(x, pi):
+        return x * math.factorial(d) / pi**d
+
+    sums = _conditioned_sums(
+        win, model, lams, tail_tol, scale, lambda n_max: _h_table(t, weights, n_max), exact
     )
-    cancels = magnitudes * 2.0**-53 > _DOUBLE_KAPPA_BOUND * np.abs(values)
-    if cancels.any():
-        sub_lams, sub_t = lams[cancels], t[cancels]
-
-        def evaluate_decimal(lo, hi):
-            return _decimal_sums(win, sub_lams, sub_t, model.weights, lo, hi)
-
-        targets = _final_cut_target(tail_tol, _DECIMAL_UNIT, magnitudes[cancels])
-        values[cancels], _, remainders[cancels], _, _ = _cut_sums(
-            win, model, sub_lams, tail_tol, _DECIMAL_UNIT, scale, evaluate_decimal, targets
-        )
-    return values, remainders, cancels
+    values, _, remainders, decimal, _, hi = sums
+    bounds = _rounding_bounds(win, model, lams, sums, (d + 4) * (hi // min(weights)))
+    return values, remainders, bounds, decimal
 
 
 def smoothed_kernel_diagonal(
@@ -418,38 +493,10 @@ def smoothed_kernel_diagonal(
     the window cut truncates it (see the module docstring).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    values, remainders, _ = _diagonal_values(
+    values, remainders, _, _ = _diagonal_values(
         model, win, np.full(pts.shape[0], float(lam)), pts, tail_tol
     )
     return values, float(remainders.max(initial=0.0))
-
-
-def integrate_diagonal(
-    model: ProjectiveModel,
-    win: Window,
-    lam: float,
-    t_degree: int | None = None,
-    phase_degree: int = 1,
-    tail_tol: float = 1e-10,
-) -> complex:
-    """Quadrature of the smoothed kernel diagonal over the sphere.
-
-    Cross-checks the trace: integrating the diagonal must reproduce
-    smoothed_trace because the eigensections are orthonormal.  The diagonal
-    depends on the moment coordinates only, as a polynomial of degree
-    n_hi/min_w with n_hi the top of the window cut; the default ``t_degree``
-    makes the rule exact for it.
-    """
-    from .quadrature import sphere_rule
-
-    if t_degree is None:
-        target = _first_cut_target(tail_tol, float(np.finfo(np.float64).eps))
-        units = math.factorial(model.dim) / np.pi**model.dim
-        _, n_hi, _ = _window_cut(win, model, np.array([float(lam)]), np.array([target]), units)
-        t_degree = int(n_hi[0]) // min(model.weights) + 1
-    nodes, wts = sphere_rule(model.dim, t_degree, phase_degree)
-    vals, _ = smoothed_kernel_diagonal(model, win, lam, nodes, tail_tol)
-    return complex(np.dot(wts, vals))
 
 
 # ----------------------------------------------------------------------------
@@ -458,15 +505,11 @@ def integrate_diagonal(
 
 
 def _chart_component(model: ProjectiveModel, chart: HeisenbergChart) -> FixedComponent:
-    comps = [
-        c
-        for c in fixed_components(model, chart.tau0)
-        if not c.m_only and c.normal_dim == chart.normal_dim
-    ]
-    for comp in comps:
-        idx = np.abs(chart.center) > 1e-9
-        if set(np.nonzero(idx)[0]) <= set(comp.index_set):
-            return comp
+    support = set(np.flatnonzero(np.abs(chart.center) > 1e-9))
+    for comp in fixed_components(model, chart.tau0):
+        if not comp.m_only and comp.normal_dim == chart.normal_dim:
+            if support <= set(comp.index_set):
+                return comp
     raise ValueError("chart center does not sit on a sphere fixed component")
 
 
@@ -500,7 +543,7 @@ def scaled_diagonal_scan(
     comp = _chart_component(model, chart)
     pred = local_prediction(model, comp, chart.center, win)
     points = np.array([chart.normal_point(u / math.sqrt(l)) for l in lams])
-    exact, remainders, decimal_rows = _diagonal_values(model, win, lams, points, tail_tol)
+    exact, remainders, bounds, decimal_rows = _diagonal_values(model, win, lams, points, tail_tol)
     predicted = predict_local(pred, u, lams)
     meta = {
         "kind_detail": "scaled diagonal vs local leading term",
@@ -509,8 +552,7 @@ def scaled_diagonal_scan(
         **_chart_meta(model, chart),
         "u": u,
         "window": {"shape": win.shape, "eps": win.eps},
-        "window_cut_remainders": remainders,
-        "precision": _arithmetic(decimal_rows),
+        **_row_budgets(remainders, bounds, decimal_rows),
     }
     return ScanReport("local", lams, exact, np.asarray(predicted), meta=meta)
 
@@ -534,15 +576,11 @@ def offlocus_decay_scan(
     the normalised modulus being fit.
     """
     lams = np.asarray(lambda_grid, dtype=float)
-    c = chart.normal_dim
-    if direction is None:
-        direction = np.zeros(c, dtype=complex)
-        direction[0] = 1.0
-    direction = np.asarray(direction, dtype=complex)
-    direction = direction / np.linalg.norm(direction)
+    direction = np.eye(chart.normal_dim)[0] if direction is None else direction
+    direction = np.asarray(direction, dtype=complex) / np.linalg.norm(direction)
     dist = 2.0 * C * lams ** (-7.0 / 18.0)
     points = np.array([chart.normal_point(r * direction) for r in dist])
-    exact, remainders, decimal_rows = _diagonal_values(model, win, lams, points, tail_tol)
+    exact, remainders, bounds, decimal_rows = _diagonal_values(model, win, lams, points, tail_tol)
     predicted = ((lams / np.pi) ** model.dim).astype(complex)
     ratios = np.abs(exact) / np.abs(predicted)
     top = lams >= lams.max() / 2.0
@@ -559,8 +597,7 @@ def offlocus_decay_scan(
         "C": float(C),
         "direction": direction,
         "normalisation": "(lam/pi)^d",
-        "window_cut_remainders": remainders,
-        "precision": _arithmetic(decimal_rows),
+        **_row_budgets(remainders, bounds, decimal_rows),
         "tau0": chart.tau0,
         **_chart_meta(model, chart),
     }
@@ -597,7 +634,7 @@ def negative_lambda_scan(
     meta = {
         "kind_detail": "smoothed trace at negative lambda",
         "window": {"shape": win.shape, "eps": win.eps, "tau0": win.tau0},
-        "window_cut_remainders": res.cut_remainder,
+        **_row_budgets(res.cut_remainder, res.rounding_bound, res.decimal),
     }
     return ScanReport("negative", lams, exact, predicted, meta=meta, fits=fits)
 
@@ -625,17 +662,18 @@ def parity_split(
     the larger of the two window-cut remainders.  The leading term is even;
     the odd part isolates half-power corrections.
     """
-    even, odd, remainders, _ = _parity_parts(model, win, chart, u, np.array([lam]), tail_tol)
+    even, odd, remainders, _, _ = _parity_parts(model, win, chart, u, np.array([lam]), tail_tol)
     return ParitySplit(complex(even[0]), complex(odd[0]), float(remainders[0]))
 
 
 def _parity_parts(model, win, chart, u, lams, tail_tol):
-    """Even and odd parts, remainders and decimal-row mask along a grid: one
-    `_diagonal_values` call over all points +-u/sqrt(lam)."""
+    """Even and odd parts, remainders, rounding bounds and decimal-row mask
+    along a grid: one `_diagonal_values` call over all points +-u/sqrt(lam).
+    Each part takes the larger remainder and bound of its two rows."""
     u = np.asarray(u, dtype=complex)
     pts = [chart.normal_point(u / math.sqrt(lam)) for lam in lams]
     pts += [chart.normal_point(-u / math.sqrt(lam)) for lam in lams]
-    values, remainders, decimal_rows = _diagonal_values(
+    values, remainders, bounds, decimal_rows = _diagonal_values(
         model, win, np.concatenate([lams, lams]), np.array(pts), tail_tol
     )
     n = len(lams)
@@ -644,6 +682,7 @@ def _parity_parts(model, win, chart, u, lams, tail_tol):
         (plus + minus) / 2.0,
         (plus - minus) / 2.0,
         np.maximum(remainders[:n], remainders[n:]),
+        np.maximum(bounds[:n], bounds[n:]),
         decimal_rows[:n] | decimal_rows[n:],
     )
 
@@ -658,18 +697,23 @@ def parity_scan(
 ) -> ScanReport:
     """`parity_split` along a grid: exact column = odd part, predicted = even part."""
     lams = np.asarray(lambda_grid, dtype=float)
-    even, odd, remainders, decimal_rows = _parity_parts(model, win, chart, u, lams, tail_tol)
+    even, odd, remainders, bounds, decimal_rows = _parity_parts(
+        model, win, chart, u, lams, tail_tol
+    )
     meta = {
         "kind_detail": "exact column = odd part, predicted column = even part",
         "u": np.asarray(u, dtype=complex),
         "tau0": chart.tau0,
         **_chart_meta(model, chart),
-        "window_cut_remainders": remainders,
-        "precision": _arithmetic(decimal_rows),
+        **_row_budgets(remainders, bounds, decimal_rows),
     }
     return ScanReport("parity", lams, odd, even, meta=meta)
 
 
-def _arithmetic(decimal_rows: np.ndarray) -> list:
-    """The arithmetic each row was summed in, for the scan JSONs."""
-    return ["decimal" if row else "double" for row in decimal_rows]
+def _row_budgets(remainders, bounds, decimal_rows) -> dict:
+    """Each row's window-cut remainder, rounding bound and arithmetic, for the JSONs."""
+    return {
+        "window_cut_remainders": remainders,
+        "rounding_bounds": bounds,
+        "precision": ["decimal" if row else "double" for row in np.atleast_1d(decimal_rows)],
+    }

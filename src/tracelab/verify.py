@@ -39,11 +39,11 @@ from .geometry import fixed_components, heisenberg_chart, make_model, random_sph
 from .oracles import poisson_trace
 from .quadrature import fubini_study_volume, gaussian_line_rule
 from .smoothing import (
+    _diagonal_values,
     negative_lambda_scan,
     offlocus_decay_scan,
     parity_split,
     scaled_diagonal_scan,
-    smoothed_kernel_diagonal,
     smoothed_trace,
 )
 from .spectral import eigendata, multi_indices, szego_diagonal, toeplitz_matrix, toeplitz_rule
@@ -77,21 +77,18 @@ class _Shared:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.model = make_model((1, 2))
-        self._chart = None
 
     @functools.cached_property
     def model112(self):
         """The calibrated (1, 1, 2) model, built once."""
         return make_model((1, 1, 2))
 
-    @property
+    @functools.cached_property
     def chart(self):
-        if self._chart is None:
-            comp = self.x_component(np.pi)
-            x0 = np.zeros(2, dtype=complex)
-            x0[comp.index_set[0]] = 1.0
-            self._chart = heisenberg_chart(self.model, x0, np.pi)
-        return self._chart
+        comp = self.x_component(np.pi)
+        x0 = np.zeros(2, dtype=complex)
+        x0[comp.index_set[0]] = 1.0
+        return heisenberg_chart(self.model, x0, np.pi)
 
     def x_component(self, tau0):
         return [c for c in fixed_components(self.model, tau0) if not c.m_only][0]
@@ -182,7 +179,7 @@ def crit_04_global_trace_trivial_period(sh: _Shared) -> CriterionResult:
     win = Window("gaussian", 0.0, SIGMA)
     grid = np.linspace(150.0, 400.0, 26)
     exact = smoothed_trace(sh.model, win, grid).value
-    ratios = exact / (np.pi * grid * win.center_value)
+    ratios = exact / (np.pi * grid)
     in_band = float(np.abs(ratios - 1.0).max())
     fit = fit_expansion((grid, ratios), half_powers=False, n_terms=1)
     cross = abs(
@@ -265,17 +262,19 @@ def crit_07_offlocus_decay(sh: _Shared) -> CriterionResult:
     win = Window("gaussian", np.pi, SIGMA)
     chart = sh.chart
     pt = chart.normal_point(np.array([0.5 + 0j]))
-    val, _ = smoothed_kernel_diagonal(sh.model, win, 300.0, pt[None, :])
+    val, _, bound, _ = _diagonal_values(sh.model, win, np.array([300.0]), pt[None, :], 1e-10)
     fixed_ratio = float(abs(val[0]) / (300.0 / np.pi) ** sh.model.dim)
     rep = offlocus_decay_scan(
         sh.model, win, chart, C=1.3, lambda_grid=np.geomspace(75.0, 600.0, 12)
     )
     slope = rep.fits.get("decay_exponent", 0.0)
+    # the error bar of both numbers: the largest rounding bound over |value|
+    rel = np.append(rep.meta["rounding_bounds"], bound) / np.abs(np.append(rep.exact, val))
     return CriterionResult(
         7,
         "off-locus decay",
         fixed_ratio < 1e-6 and slope < -5.0,
-        {"fixed_dist_ratio": fixed_ratio, "shrinking_slope": slope},
+        {"fixed_dist_ratio": fixed_ratio, "shrinking_slope": slope, "rounding_rel_max": rel.max()},
         "|S|/(lambda/pi)^d < 1e-6 at fixed distance, scan exponent < -5",
         detail="scan at distance 2C lambda^{-7/18}, C = 1.3; cancelling rows summed in decimal",
     )

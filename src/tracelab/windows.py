@@ -63,10 +63,6 @@ class Window:
         ts = np.where(inside, t, 0.0)
         return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - ts * ts)), 0.0)
 
-    @property
-    def center_value(self) -> float:
-        return 1.0
-
     def support(self) -> tuple:
         """Interval outside which chi vanishes (infinite for the Gaussian)."""
         if self.shape == "bump":

@@ -361,8 +361,12 @@ def test_trace_ignores_kmax(tmp_path):
         assert cli.main(argv) == 0
         runs[kmax] = (out / "trace.csv").read_bytes(), json.loads((out / "trace.json").read_text())
     assert runs["0"] == runs["460"]
-    remainders = runs["0"][1]["meta"]["window_cut_remainders"]
+    meta = runs["0"][1]["meta"]
+    remainders = meta["window_cut_remainders"]
     assert len(remainders) == 5 and max(remainders) < 1e-20
+    # tau0 = 0: no cancellation, every row stays in double with a small bound
+    assert meta["precision"] == ["double"] * 5
+    assert len(meta["rounding_bounds"]) == 5 and 0 < max(meta["rounding_bounds"]) < 1e-8
     assert "package" not in json.loads((tmp_path / "0" / "manifest.json").read_text())
 
 
@@ -400,5 +404,7 @@ def test_kernel_scans_record_the_chart(tmp_path, kind):
     assert (a["index_set"], a["normal_dim"]) == ([2], 2)
     assert (b["index_set"], b["normal_dim"]) == ([1, 2], 1)
     assert a["chart_center"] != b["chart_center"]
+    for meta in (a, b):
+        assert len(meta["rounding_bounds"]) == len(meta["window_cut_remainders"]) == 3
     if kind == "local":
         assert (outs["1,1,2"] / "local.csv").read_bytes() == (outs["1,2,2"] / "local.csv").read_bytes()

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 from tracelab.errors import CoverageError, PeriodError
 from tracelab.geometry import heisenberg_chart, make_model, period_gap, random_sphere_point
 from tracelab.oracles import brute_smoothed_trace, eigenvalue_multiplicity, poisson_trace
+from tracelab.quadrature import sphere_rule
 from tracelab.smoothing import (
     _DECIMAL_UNIT,
+    _decimal_h,
     _decimal_sums,
     _denumerants,
     _diagonal_values,
     _h_table,
     _window_cut,
     _window_sums,
-    integrate_diagonal,
     negative_lambda_scan,
     offlocus_decay_scan,
     parity_scan,
@@ -93,19 +94,47 @@ def test_trace_grid_matches_pointwise_calls(model12):
     assert points[0].n_eigenvalues == 0 < points[1].n_eigenvalues
 
 
+def _coin_counts(weights, n_max):
+    """d(0..n_max) by the coin-counting recurrence in Python ints."""
+    table = [1] + [0] * n_max
+    for w in weights:
+        for v in range(w, n_max + 1):
+            table[v] += table[v - w]
+    return table
+
+
 def test_denumerants_match_coin_counting():
     for weights in [(1, 2), (1, 1, 2), (2, 3, 5), (3, 5)]:
         counts = _denumerants(weights, 60)
         assert counts.tolist() == [eigenvalue_multiplicity(weights, n) for n in range(61)]
     assert _denumerants((1, 2), -1).tolist() == [1.0]
+    # past 2^53 float64 cumulative sums lose units; int64 keeps every one
+    n_max = 500_000
+    counts = _denumerants((1, 1, 1, 2), n_max)
+    assert counts[-1] > 2**53
+    assert counts.tolist() == _coin_counts((1, 1, 1, 2), n_max)
+
+
+def test_denumerants_refuse_past_int64():
+    # ten unit weights: C(1000 + 9, 9) ~ 3e21 > 2^63 at the table's top
+    with pytest.raises(CoverageError, match="int64"):
+        _denumerants((1,) * 10, 1000)
+    with pytest.raises(CoverageError, match="int64"):
+        smoothed_trace(make_model((1,) * 10, calibration="none"), Window("gaussian", 0.0, 0.3), 1000.0)
 
 
 def test_fubini_diagonal_integrates_to_trace(model12):
     win = Window("gaussian", np.pi, 0.8)
     lam = 12.3
     tr = smoothed_trace(model12, win, lam, tail_tol=1e-8).value
-    iv = integrate_diagonal(model12, win, lam, tail_tol=1e-8)
-    assert abs(iv - tr) < 1e-6 * abs(tr)
+    # the diagonal is a polynomial of degree n_hi/min_w in the moment
+    # coordinates, n_hi the top of its window cut: the sphere rule of one
+    # degree more integrates it exactly, and orthonormality gives the trace
+    scale = 1.0 / np.pi
+    _, n_hi, _ = _window_cut(win, model12, np.array([lam]), np.array([1e-8 * 2.0**-52]), scale)
+    nodes, wts = sphere_rule(1, int(n_hi[0]) + 1, 1)
+    vals, _ = smoothed_kernel_diagonal(model12, win, lam, nodes, tail_tol=1e-8)
+    assert abs(np.dot(wts, vals) - tr) < 1e-6 * abs(tr)
 
 
 def test_scaled_diagonal_scan_converges(model12, chart):
@@ -125,6 +154,16 @@ def test_scan_u_zero_matches_plain_diagonal(model12, chart):
     assert abs(rep.exact[0] - direct[0]) < 1e-12 * abs(direct[0])
 
 
+def _kernel_scale(d):
+    """The kernel's constant d!/pi^d as a function of pi, for `_decimal_sums`."""
+    return lambda x, pi: x * math.factorial(d) / pi**d
+
+
+def _decimal_rows(t, weights, hi):
+    """Decimal h_n rows of the points t up to each cut top."""
+    return [_decimal_h(row, weights, int(b)) for row, b in zip(t, hi)]
+
+
 def _scan_cut(win, model, lams, points, target):
     """Moment coordinates, the kernel scale d!/pi^d and one window cut for a scan."""
     t = np.abs(points) ** 2
@@ -141,7 +180,7 @@ def test_scan_precision_paths_agree(model12, chart):
     t, scale, lo, hi, _ = _scan_cut(WIN, model12, lams, pts, 1e-30)
     h = _h_table(t, (1, 2), int(hi.max()))
     dbl, dbl_mag = _window_sums(WIN, lams, h, lo, hi, scale)
-    dec, dec_mag = _decimal_sums(WIN, lams, t, (1, 2), lo, hi)
+    dec, dec_mag = _decimal_sums(WIN, lams, _decimal_rows(t, (1, 2), hi), _kernel_scale(1), lo, hi)
     assert (dbl_mag <= 3 * np.abs(dec)).all()
     assert np.abs(dbl - dec).max() < 1e-14 * np.abs(dec).max()
     assert np.abs(dbl_mag - dec_mag).max() < 1e-14 * dec_mag.max()
@@ -165,7 +204,7 @@ def test_arithmetic_follows_the_measured_conditioning(model12, chart):
     off = offlocus_decay_scan(model12, WIN, chart, 1.3, grid)
     assert off.meta["precision"] == ["decimal"] * 5
     pt = chart.normal_point(np.array([0.5 + 0j]))
-    _, _, decimal_rows = _diagonal_values(
+    _, _, _, decimal_rows = _diagonal_values(
         model12, WIN, np.array([300.0, 300.0]), np.array([chart.center, pt]), 1e-10
     )
     assert decimal_rows.tolist() == [False, True]
@@ -219,14 +258,93 @@ def test_decimal_path_survives_offlocus_cancellation(model12, chart):
     pts = chart.normal_point(np.array([[2.6 * 550.0 ** (-7 / 18) + 0j]]))
     ref, _ = _decimal_diagonal(np.abs(pts[0]) ** 2, (1, 2), WIN, 550.0, 670)
     t, scale, lo, hi, rem = _scan_cut(WIN, model12, lam, pts, 1e-40)
-    dec, _ = _decimal_sums(WIN, lam, t, (1, 2), lo, hi)
+    dec, _ = _decimal_sums(WIN, lam, _decimal_rows(t, (1, 2), hi), _kernel_scale(1), lo, hi)
     dbl, _ = _window_sums(WIN, lam, _h_table(t, (1, 2), int(hi[0])), lo, hi, scale)
     assert rem[0] < 1e-30
     assert abs(dec[0] - ref) < 1e-15 * abs(ref)
     assert abs(dbl[0] - ref) > 1e-6 * abs(ref)
-    auto, auto_rem, decimal_rows = _diagonal_values(model12, WIN, lam, pts, 1e-10)
+    auto, auto_rem, _, decimal_rows = _diagonal_values(model12, WIN, lam, pts, 1e-10)
     assert decimal_rows[0] and auto_rem[0] < 1e-30
     assert abs(auto[0] - ref) < 1e-15 * abs(ref)
+
+
+def test_unresolved_decimal_row_shows_a_bound_above_its_value():
+    # kappa = 5.9e40: forty digits cannot resolve this off-locus row, so its
+    # rounding bound exceeds |value|, and with the cut remainder it covers
+    # the 50-digit oracle's error
+    weights, lam = (3, 1, 1), 175.297
+    model = make_model(weights, calibration="none")
+    win = Window("gaussian", np.pi, 0.2338)
+    pts = np.sqrt(np.array([[0.1194, 0.6018, 0.2788]]))
+    values, remainders, bounds, decimal_rows = _diagonal_values(
+        model, win, np.array([lam]), pts, 1e-10
+    )
+    n_top, n_lo = int(lam + 40.0 / win.eps), max(0, int(lam - 40.0 / win.eps))
+    ref, magnitude = _decimal_diagonal(np.abs(pts[0]) ** 2, weights, win, lam, n_top, n_lo)
+    assert decimal_rows[0] and magnitude > 1e39 * abs(ref)
+    assert bounds[0] >= abs(values[0])
+    assert abs(values[0] - ref) <= remainders[0] + bounds[0]
+
+
+def _decimal_trace(weights, win, lam, n_lo, n_top):
+    """The trace sum over n_lo..n_top with exact integer d(n), term by term
+    in 50-digit decimal arithmetic: (re, im)."""
+    counts = _coin_counts(weights, n_top)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        eps, tau0 = Decimal(win.eps), Decimal(win.tau0)
+        peak = eps * (2 * _PI50).sqrt()
+        re = im = Decimal(0)
+        for n in range(n_lo, n_top + 1):
+            s = Decimal(lam) - n
+            g = counts[n] * peak * (-((eps * s) ** 2) / 2).exp()
+            c, sn = _cos_sin50(s * tau0)
+            re, im = re + g * c, im - g * sn
+        return re, im
+
+
+def _decimal_error(value: complex, re: Decimal, im: Decimal) -> float:
+    """|value - (re + i im)|, the difference taken in 50-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float(((Decimal(value.real) - re) ** 2 + (Decimal(value.imag) - im) ** 2).sqrt())
+
+
+def test_trace_keeps_its_digits_under_cancellation():
+    # at tau0 = pi the (1, 1, 1, 2) trace is pi/8 at every integer lambda,
+    # while kappa = sum |terms| / |sum| runs from 1.3e9 to 1.3e15; summed in
+    # double it read 0.9251 pi/8 at lambda = 1e5
+    model = make_model((1, 1, 1, 2), calibration="none")
+    res = smoothed_trace(model, Window("gaussian", np.pi, 0.15), np.linspace(1e3, 1e5, 4))
+    assert res.decimal.all()
+    for value, remainder, bound in zip(res.value, res.cut_remainder, res.rounding_bound):
+        err = _decimal_error(complex(value), _PI50 / 8, Decimal(0))
+        assert err <= 1e-12 * np.pi / 8
+        assert err <= remainder + bound
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+    j=st.integers(-2, 2),
+    pick=st.integers(0, 3),
+    lam=st.floats(0.0, 1e5),
+    scale=st.floats(0.3, 0.99),
+)
+# tau0 = 2 pi * 1/2: the cancelling (1, 1, 1, 2) trace at the top of the range
+@example(weights=[1, 1, 1, 2], j=1, pick=3, lam=1e5, scale=0.6)
+def test_trace_matches_exact_integer_oracle_over_random_models(weights, j, pick, lam, scale):
+    # tau0 is 0 (j = 0) or the period 2 pi j / w of one of the weights
+    tau0 = 2 * np.pi * j / weights[pick % len(weights)]
+    model = make_model(weights, calibration={"lift_sign": -1, "lift_shift": 0.0})
+    win = _trace_window(model, tau0, scale)
+    assume(win is not None)
+    res = smoothed_trace(model, win, lam)
+    # the oracle keeps every term above exp(-800) of the window
+    n_lo, n_top = max(0, int(lam - 40.0 / win.eps)), int(lam + 40.0 / win.eps)
+    re, im = _decimal_trace(weights, win, lam, n_lo, n_top)
+    err = _decimal_error(res.value, re, im)
+    assert err <= res.cut_remainder + res.rounding_bound + 1e-300
 
 
 def test_negative_lambda_scan(model12):
@@ -234,6 +352,7 @@ def test_negative_lambda_scan(model12):
     rep = negative_lambda_scan(model12, win, np.geomspace(-120.0, -10.0, 9))
     assert abs(smoothed_trace(model12, win, -50.0).value) < 1e-8
     assert rep.fits["decay_exponent"] < -6.0
+    assert len(rep.meta["rounding_bounds"]) == len(rep.meta["precision"]) == 9
     with pytest.raises(ValueError):
         negative_lambda_scan(model12, win, np.array([-5.0, 5.0]))
 
@@ -309,7 +428,9 @@ def test_recurrence_matches_lattice_sum(weights, arithmetic):
     if arithmetic == "double":
         got, _ = _window_sums(win, lams, _h_table(t, weights, int(hi.max())), lo, hi, scale)
     else:
-        got, _ = _decimal_sums(win, lams, t, weights, lo, hi)
+        got, _ = _decimal_sums(
+            win, lams, _decimal_rows(t, weights, hi), _kernel_scale(model.dim), lo, hi
+        )
     assert remainders.max() < 1e-20
     assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
@@ -472,7 +593,9 @@ def test_kernel_matches_decimal_oracle_over_random_models(data):
     t = (1.0 - delta) * on / on.sum() + delta * off / off.sum()
     pts = np.sqrt(t)[None, :]
     model = make_model(weights, calibration="none")
-    values, remainders, decimal_rows = _diagonal_values(model, win, np.array([lam]), pts, 1e-10)
+    values, remainders, bounds, decimal_rows = _diagonal_values(
+        model, win, np.array([lam]), pts, 1e-10
+    )
     # the oracle keeps every term above exp(-800) of the window
     n_top, n_lo = int(lam + 40.0 / win.eps), max(0, int(lam - 40.0 / win.eps))
     ref, magnitude = _decimal_diagonal(np.abs(pts[0]) ** 2, weights, win, lam, n_top, n_lo)
@@ -481,3 +604,5 @@ def test_kernel_matches_decimal_oracle_over_random_models(data):
     unit = _DECIMAL_UNIT if decimal_rows[0] else 2.0**-53
     bound = remainders[0] + 4 * n_top * unit * magnitude + 2.0**-53 * abs(ref) + 1e-300
     assert abs(values[0] - ref) <= bound
+    # the row's own reported rounding bound covers the same error
+    assert abs(values[0] - ref) <= remainders[0] + bounds[0] + 1e-300
