@@ -5,7 +5,7 @@ Four families live here:
 * the universal quadratic off-diagonal phase `psi2` and the local leading
   term `predict_local` for the scaled diagonal kernel at a fixed-locus point;
 * the global per-component leading term `predict_global_component`, with the
-  Hamiltonian integral over the component computed by simplex quadrature;
+  Hamiltonian integral over the component in closed form;
 * the Gaussian normal integral over C^c with its closed form
   pi^c/det(id - A), checked against tensor Gauss-Legendre quadrature in
   eigen-rotated coordinates (`unitary_eigenbasis`);
@@ -18,7 +18,9 @@ recovers them as least-squares numbers from scan reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .geometry import (
     flow_differential_normal,
     hamiltonian,
 )
-from .quadrature import gaussian_line_rule, simplex_rule
+from .quadrature import gaussian_line_rule
 from .reports import ScanReport
 from .windows import Window
 
@@ -65,12 +67,13 @@ def psi2(u, w) -> complex | np.ndarray:
 class LocalPrediction:
     """Inputs of the local leading term at a fixed-locus point.
 
-    ``f_center`` is the Hamiltonian value at the base point, ``normal_map``
-    the unitary matrix of the inverse-time flow differential on the normal
+    ``period`` is the component's period in turns (`FixedComponent.period`),
+    ``f_center`` the Hamiltonian value at the base point, ``normal_map`` the
+    unitary matrix of the inverse-time flow differential on the normal
     space, ``chi_tau0`` the window value at the period.
     """
 
-    tau0: float
+    period: Fraction
     f_center: float
     dim: int
     f_j: int
@@ -91,7 +94,7 @@ def local_prediction(
     """Assemble the local-prediction data at x0 on the given component."""
     A = flow_differential_normal(model, component, x0)
     return LocalPrediction(
-        tau0=component.tau0,
+        period=component.period,
         f_center=float(hamiltonian(model, x0)),
         dim=model.dim,
         f_j=component.f_j,
@@ -103,10 +106,11 @@ def local_prediction(
 def predict_local(pred: LocalPrediction, u, lam) -> np.ndarray:
     """Leading term of the scaled diagonal kernel at normal displacement u.
 
-    Value:  2*pi * e^{-i lam tau0} / f^{d+1} * (lam/pi)^d
+    Value:  2*pi * e^{-i lam T} / f^{d+1} * (lam/pi)^d
             * exp(psi2(A u, u)/f) * chi(tau0),
-    batched over lam.  The modulus decays in u like a Gaussian whose rate is
-    controlled by the spectral gap of id - A.
+    batched over lam, with T the period (`_period_phase`).  The modulus
+    decays in u like a Gaussian whose rate is controlled by the spectral gap
+    of id - A.
     """
     A = pred.normal_map
     c = pred.normal_dim
@@ -120,7 +124,7 @@ def predict_local(pred: LocalPrediction, u, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     f = pred.f_center
     gauss = np.exp(psi2(u @ A.T, u) / f) if c else 1.0
-    peak = 2.0 * np.pi * np.exp(-1j * lam * pred.tau0) / f ** (pred.dim + 1)
+    peak = 2.0 * np.pi * _period_phase(pred.period, lam) / f ** (pred.dim + 1)
     return peak * (lam / np.pi) ** pred.dim * gauss * pred.chi_tau0
 
 
@@ -129,54 +133,47 @@ def predict_local(pred: LocalPrediction, u, lam) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 
-def component_f_integral(model: ProjectiveModel, component: FixedComponent, degree: int = 120):
+def _period_phase(period: Fraction, lam) -> np.ndarray:
+    """e^{-i lam T} at the period T = 2*pi*period, batched over lam: lam *
+    period is reduced exactly (as Fractions) to r in [-1/2, 1/2] and the
+    phase is one exponential e^{-2 pi i r}, so it does not drift with lam."""
+    lam = np.asarray(lam, dtype=float)
+    finite = np.isfinite(lam)
+    exact = (Fraction(v) * period for v in np.where(finite, lam, 0.0).ravel().tolist())
+    turns = np.reshape([float(x - round(x)) for x in exact], lam.shape)
+    return np.where(finite, np.exp(-2j * np.pi * turns), np.nan)
+
+
+def component_f_integral(model: ProjectiveModel, component: FixedComponent) -> float:
     """integral over the component of f^{-(f_j+1)} against its volume form.
 
     In moment coordinates the component's Fubini-Study measure is uniform
-    with density pi^{f_j} on the sub-simplex spanned by its weights, so the
-    integral reduces to simplex quadrature of a smooth positive rational
-    function.  A refinement step certifies convergence.
+    with density pi^m, m = f_j, on the simplex spanned by its weights w_i,
+    i in I, and by the Feynman-parameter identity
+
+        int_{Delta_m} (sum_{i in I} x_i w_i)^{-(m+1)} dx = 1/(m! prod_{i in I} w_i)
+
+    the integral is pi^m / (m! prod_{i in I} w_i).
     """
     if component.m_only:
         raise CleanLocusError("trace predictions exclude base-only components")
-    sub = model.weight_array[list(component.index_set)]
-    fj = component.f_j
-    if fj == 0:
-        return 1.0 / float(sub[0])
-
-    def quad(deg):
-        nodes, wts = simplex_rule(fj, deg)
-        slack = 1.0 - nodes.sum(axis=1)
-        fvals = nodes @ sub[:-1] + slack * sub[-1]
-        return float(np.pi**fj * (wts * fvals ** (-(fj + 1))).sum())
-
-    a, b = quad(degree), quad(degree + 24)
-    if abs(a - b) > 1e-11 * abs(b):
-        raise QuadratureError(f"component integral not converged: {abs(a - b):.2e}")
-    return b
+    m = component.f_j
+    weights = math.prod(model.weights[i] for i in component.index_set)
+    return math.pi**m / (math.factorial(m) * weights)
 
 
 def predict_global_component(
-    component: FixedComponent,
-    window: Window,
-    lam,
-    f_integral: float | None = None,
-    model: ProjectiveModel | None = None,
+    model: ProjectiveModel, component: FixedComponent, window: Window, lam
 ) -> np.ndarray:
     """Leading term of the component's contribution to the smoothed trace.
 
-    2*pi e^{-i lam tau0} (lam/pi)^{f_j} chi(tau0)/c_value * f_integral;
-    the integral is computed on demand when a model is supplied.
+    2*pi e^{-i lam T} (lam/pi)^{f_j} chi(tau0)/c_value * `component_f_integral`,
+    with T the component's period (`_period_phase`).
     """
-    if component.m_only:
-        raise CleanLocusError("trace predictions exclude base-only components")
-    if f_integral is None:
-        if model is None:
-            raise ValueError("need f_integral or a model to compute it")
-        f_integral = component_f_integral(model, component)
+    f_integral = component_f_integral(model, component)
     lam = np.asarray(lam, dtype=float)
     chi = float(window.value(component.tau0))
-    peak = 2.0 * np.pi * np.exp(-1j * lam * component.tau0) * (lam / np.pi) ** component.f_j
+    peak = 2.0 * np.pi * _period_phase(component.period, lam) * (lam / np.pi) ** component.f_j
     return peak * chi / component.c_value * f_integral
 
 

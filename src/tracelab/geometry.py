@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 import numpy.random  # loaded lazily by numpy; every calibration draws its starts from it
@@ -248,7 +249,8 @@ class FixedComponent:
     det(id - that differential).  ``m_only`` components are fixed downstairs
     (common nontrivial phase) but not on the sphere bundle, and are excluded
     from trace predictions.  ``f_range`` brackets the Hamiltonian on the
-    component.
+    component.  ``period`` is the exact period nearest tau0 as a fraction of
+    a turn: the flow time 2*pi*period fixes the component.
     """
 
     tau0: float
@@ -257,6 +259,7 @@ class FixedComponent:
     normal_angles: np.ndarray
     c_value: complex
     f_range: tuple
+    period: Fraction
     m_only: bool = False
 
     @property
@@ -295,6 +298,7 @@ def fixed_components(model: ProjectiveModel, tau0: float, tol: float = _FIX_TOL)
             x_group = g
     if x_group is None:
         raise PeriodError(f"tau0={tau0!r} is not a period of the lifted flow")
+    period = _period_turns(model, tau0, x_group)
 
     weights = model.weight_array
     for g in groups:
@@ -314,11 +318,21 @@ def fixed_components(model: ProjectiveModel, tau0: float, tol: float = _FIX_TOL)
                 normal_angles=np.mod(rel, 2.0 * np.pi),
                 c_value=c_value,
                 f_range=(float(sub.min()), float(sub.max())),
+                period=period,
                 m_only=(g is not x_group),
             )
         )
     out.sort(key=lambda comp: (comp.m_only, comp.index_set))
     return out
+
+
+def _period_turns(model: ProjectiveModel, tau0: float, group) -> Fraction:
+    """Period in turns near tau0 fixing ``group``: p/e, tau0 e ~ 2 pi p, e = w_i + shift."""
+    for i in group:
+        e = Fraction(model.weights[i]) + Fraction(model.lift_shift)
+        if e:
+            return Fraction(round(tau0 * float(e) / (2.0 * math.pi))) / e
+    raise PeriodError("the fixed component is flow-inert; it has no isolated period")
 
 
 # ----------------------------------------------------------------------------

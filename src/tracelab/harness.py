@@ -121,9 +121,8 @@ class ExperimentConfig:
     """Validated description of one run.
 
     ``window`` may be None only for the spectrum and verify kinds.  The
-    window-width guard keeps the effective support inside half the period
-    gap around tau0: the literal half-width for the bump shape, four standard
-    deviations for the gaussian.
+    window-width guard keeps the window's `Window.halfwidth` inside half the
+    period gap around tau0.
     """
 
     kind: str
@@ -178,7 +177,7 @@ class ExperimentConfig:
                 raise ConfigError(f"config.lambda_grid: required for kind {self.kind!r}")
         if self.window is not None:
             gap = period_gap(self.model(), self.window.tau0)
-            halfwidth = self.window.eps if self.window.shape == "bump" else 4.0 * self.window.eps
+            halfwidth = self.window.halfwidth
             if halfwidth >= gap / 2.0:
                 raise ConfigError(
                     f"config.window.eps: effective half-width {halfwidth:.3g} must stay "
@@ -375,7 +374,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
     manifest.update(
         artifacts=artifacts,
         runtime_seconds=round(time.perf_counter() - t_start, 3),
-        versions=_versions(),
+        versions={"tracelab": __version__, "numpy": np.__version__},
     )
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -404,7 +403,7 @@ def _kernel_report(cfg: ExperimentConfig) -> ScanReport:
 
 
 def _trace_report(cfg: ExperimentConfig) -> ScanReport:
-    from .asymptotics import component_f_integral, predict_global_component
+    from .asymptotics import predict_global_component
 
     model, win, grid = cfg.model(), cfg.window, cfg.lambda_grid
     trace = smoothed_trace(model, win, grid, cfg.tail_tol)
@@ -414,8 +413,7 @@ def _trace_report(cfg: ExperimentConfig) -> ScanReport:
         comps = []
     predicted = np.zeros_like(trace.value)
     for comp in comps:
-        fi = component_f_integral(model, comp)
-        predicted = predicted + predict_global_component(comp, win, grid, f_integral=fi)
+        predicted = predicted + predict_global_component(model, comp, win, grid)
     if not comps:
         predicted = np.ones_like(trace.value)  # no periodic contribution: report raw values
     meta = {
@@ -425,10 +423,3 @@ def _trace_report(cfg: ExperimentConfig) -> ScanReport:
         **_row_budgets(trace.cut_remainder, trace.rounding_bound, trace.decimal),
     }
     return ScanReport("trace", grid, trace.value, predicted, meta=meta)
-
-
-def _versions() -> dict:
-    import numpy
-    import scipy
-
-    return {"tracelab": __version__, "numpy": numpy.__version__, "scipy": scipy.__version__}

@@ -25,8 +25,8 @@ obeys the same bound.  The Gaussian majorant terms are summed out to a far
 edge and bounded by a geometric series beyond it.  The cut is the narrowest
 whose remainder lies below both ``tail_tol`` and the rounding level of the
 kept sum, so it costs no digits; it is built for a whole lambda grid at once.
-The bump window has no proven transform envelope yet, so its sums refuse
-with CoverageError.
+The bump's transform envelope decays only like exp(-sqrt(eps s)), beyond any
+geometric series, so bump sums refuse with CoverageError.
 
 One routine, `_conditioned_sums`, picks the arithmetic of every row of
 either quantity.  Near a period the phases alternate and the sum cancels:
@@ -69,6 +69,10 @@ _DOUBLE_KAPPA_BOUND = 1e-13
 # double-length long double, and the rounding unit its window cut meets
 _DECIMAL_DIGITS = 40
 _DECIMAL_UNIT = 1e-39
+_BUMP_REFUSAL = (
+    "the bump transform's envelope decays like exp(-sqrt(eps*s)), so the geometric "
+    "far-tail bound does not cover it"
+)
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 
 
@@ -98,7 +102,7 @@ def spectral_tail_bound(pkg: SpectralPackage, win: Window, lam: float) -> float:
     package's eigenvalues, such as the oracle sums of the tests.
     """
     if win.shape != "gaussian":
-        raise CoverageError("the bump transform has no proven envelope to bound a degree tail with")
+        raise CoverageError(_BUMP_REFUSAL)
     d, m = pkg.model.dim, min(pkg.model.weights)
     total, k = 0.0, pkg.k_max + 1
     while True:
@@ -190,7 +194,7 @@ def _window_cut(
     ``_CUT_BLOCK`` entries; n beyond a row's far edge enter with term zero.
     """
     if win.shape != "gaussian":
-        raise CoverageError("the bump transform has no proven envelope to cut its sums with")
+        raise CoverageError(_BUMP_REFUSAL)
     d, min_w = model.dim, int(min(model.weights))
     n_far = np.maximum(0, np.floor(lams + _GAUSS_FAR / win.eps)).astype(np.int64)
     # terms beyond n_far: the majorant ratio b(n+1)/b(n) is at most

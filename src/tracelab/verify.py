@@ -386,7 +386,7 @@ def crit_11_local_global_consistency(sh: _Shared) -> CriterionResult:
         x0[comp.index_set[0]] = 1.0
         pred = local_prediction(model, comp, x0, win)
         num = _slice_integral(pred, lam) * lam ** (-pred.normal_dim)
-        ref = predict_global_component(comp, win, lam, model=model)
+        ref = predict_global_component(model, comp, win, lam)
         rel = abs(num - ref) / abs(ref)
         worst = max(worst, float(rel))
         details.append(f"w={model.weights}: rel={rel:.2e}")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from tracelab.asymptotics import (
 )
 from tracelab.errors import CleanLocusError, DegenerateDirectionError, FitError
 from tracelab.geometry import fixed_components, make_model
-from tracelab.quadrature import gaussian_line_rule
+from tracelab.quadrature import gaussian_line_rule, simplex_rule
 from tracelab.windows import Window
 
 
@@ -180,17 +181,52 @@ def test_component_f_integrals(model12):
     assert abs(component_f_integral(model12, comp_0) - np.pi / 2) < 1e-12
 
 
+def _simplex_f_integral(model, comp, degree=120):
+    """pi^m times the integral of f^{-(m+1)} over the component's weight
+    simplex by `simplex_rule` quadrature: the oracle of the closed form."""
+    sub = model.weight_array[list(comp.index_set)]
+    m = comp.f_j
+    nodes, wts = simplex_rule(m, degree)
+    f = nodes @ sub[:-1] + (1.0 - nodes.sum(axis=1)) * sub[-1]
+    return float(np.pi**m * (wts * f ** (-(m + 1))).sum())
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 2), (1, 2, 3), (1, 1, 1, 2), (2, 3, 5, 7)])
+def test_component_f_integral_matches_simplex_quadrature(weights):
+    model = make_model(weights)
+    for comp in fixed_components(model, 0.0):
+        closed = component_f_integral(model, comp)
+        assert abs(closed - _simplex_f_integral(model, comp)) < 1e-13 * closed
+
+
 def test_predict_global_values(model12):
     win = Window("gaussian", np.pi, 0.15)
     comp_pi = [c for c in fixed_components(model12, np.pi) if not c.m_only][0]
     lam = 300.5
-    val = predict_global_component(comp_pi, win, lam, model=model12)
+    val = predict_global_component(model12, comp_pi, win, lam)
     ref = (np.pi / 2) * np.exp(-1j * np.pi * lam)
     assert abs(val - ref) < 1e-12
     win0 = Window("gaussian", 0.0, 0.15)
     comp_0 = [c for c in fixed_components(model12, 0.0) if not c.m_only][0]
-    val0 = predict_global_component(comp_0, win0, lam, model=model12)
+    val0 = predict_global_component(model12, comp_0, win0, lam)
     assert abs(val0 - np.pi * lam) < 1e-9
+
+
+def test_predictions_take_their_phase_at_the_period():
+    # the double nearest pi is below it by 1.2e-16, which e^{-i lam tau0}
+    # would carry as a phase of 1.2e-11 at lam = 1e5
+    model = make_model((1, 1, 1, 2))
+    comp = [c for c in fixed_components(model, np.pi) if not c.m_only][0]
+    assert comp.period == Fraction(1, 2)
+    win = Window("gaussian", np.pi, 0.15)
+    lams = np.array([1e5, 1e5 + 1, 1e5 + 0.5])
+    val = predict_global_component(model, comp, win, lams)
+    assert np.all(np.abs(np.angle(val * np.array([1, -1, 1j]))) < 1e-15)
+    assert np.isnan(predict_global_component(model, comp, win, [np.nan, np.inf])).all()
+    x0 = np.zeros(4, dtype=complex)
+    x0[3] = 1.0
+    local = predict_local(local_prediction(model, comp, x0, win), np.zeros(3), lams)
+    assert np.all(np.abs(np.angle(local * np.array([1, -1, 1j]))) < 1e-15)
 
 
 def test_stationary_point_check(model12):

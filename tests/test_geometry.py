@@ -252,6 +252,18 @@ def test_fixed_components_112(model112):
     assert abs(c.c_value - 4.0) < 1e-12  # (1 - e^{i pi})^2
 
 
+def test_fixed_components_record_their_period_in_turns(model12):
+    assert {c.period for c in fixed_components(model12, np.pi)} == {Fraction(1, 2)}
+    assert fixed_components(model12, 2.0 * np.pi)[0].period == 1
+    assert fixed_components(model12, -np.pi)[0].period == Fraction(-1, 2)
+    assert fixed_components(model12, 0.0)[0].period == 0
+    model123 = make_model((1, 2, 3))
+    assert fixed_components(model123, 2.0 * np.pi / 3.0)[0].period == Fraction(1, 3)
+    inert = make_model((1, 2), calibration={"lift_sign": -1, "lift_shift": -1.0})
+    with pytest.raises(PeriodError, match="flow-inert"):
+        fixed_components(inert, 1.0)
+
+
 def test_non_period_raises(model12):
     with pytest.raises(PeriodError):
         fixed_components(model12, 1.0)

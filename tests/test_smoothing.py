@@ -77,8 +77,9 @@ def test_trace_translation_covariance(model12):
 
 
 def test_bump_trace_refuses_from_the_cut(model12):
-    # the bump's tabulated envelope never certifies a negligible term, so the
-    # window cut refuses; there is no degree truncation left to blame
+    # the bump's envelope decays like exp(-sqrt(eps s)), beyond the reach of
+    # the geometric far-tail bound, so the window cut refuses; there is no
+    # degree truncation left to blame
     with pytest.raises(CoverageError, match="envelope"):
         smoothed_trace(model12, Window("bump", np.pi, 0.5), 100.0)
 
@@ -504,14 +505,14 @@ def test_grouped_trace_equals_per_eigenvalue_sum(pkg, model12):
             assert 0 < grouped.n_eigenvalues < pkg.lambda_all.size
 
 
-def test_bump_degree_tail_refuses_without_an_envelope(pkg):
+def test_bump_degree_tail_refuses_without_a_far_tail_bound(pkg):
     # the geometric tail bound holds for the gaussian envelope only
-    with pytest.raises(CoverageError):
+    with pytest.raises(CoverageError, match="far-tail bound"):
         spectral_tail_bound(pkg, Window("bump", 0.0, 0.5), 100.0)
 
 
 def test_bump_kernel_refuses_an_uncertified_cut(model12, chart):
-    # the bump's tabulated envelope never certifies a negligible term, so the
+    # no far-tail bound covers the bump's exp(-sqrt(eps s)) envelope, so the
     # kernel refuses with a named error instead of cutting silently
     with pytest.raises(CoverageError):
         smoothed_kernel_diagonal(model12, Window("bump", np.pi, 0.5), 100.0, chart.center[None, :])
