@@ -37,6 +37,7 @@ from .geometry import (
     contact_field,
     flow_differential_normal,
     hamiltonian,
+    turn_phase,
 )
 from .quadrature import gaussian_line_rule
 from .reports import ScanReport
@@ -135,13 +136,12 @@ def predict_local(pred: LocalPrediction, u, lam) -> np.ndarray:
 
 def _period_phase(period: Fraction, lam) -> np.ndarray:
     """e^{-i lam T} at the period T = 2*pi*period, batched over lam: lam *
-    period is reduced exactly (as Fractions) to r in [-1/2, 1/2] and the
-    phase is one exponential e^{-2 pi i r}, so it does not drift with lam."""
+    period is taken exactly (as Fractions) and reduced by `turn_phase`, so
+    the phase does not drift with lam."""
     lam = np.asarray(lam, dtype=float)
     finite = np.isfinite(lam)
-    exact = (Fraction(v) * period for v in np.where(finite, lam, 0.0).ravel().tolist())
-    turns = np.reshape([float(x - round(x)) for x in exact], lam.shape)
-    return np.where(finite, np.exp(-2j * np.pi * turns), np.nan)
+    turns = [-Fraction(v) * period for v in np.where(finite, lam, 0.0).ravel().tolist()]
+    return np.where(finite, turn_phase(turns).reshape(lam.shape), np.nan)
 
 
 def component_f_integral(model: ProjectiveModel, component: FixedComponent) -> float:

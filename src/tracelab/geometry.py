@@ -303,20 +303,18 @@ def fixed_components(model: ProjectiveModel, tau0: float, tol: float = _FIX_TOL)
     weights = model.weight_array
     for g in groups:
         rest = [j for j in range(model.dim + 1) if j not in g]
-        # angle of the inverse-time differential relative to the component
-        rel = np.array([np.angle(np.conj(phases[j] / phases[g[0]])) for j in rest])
-        units = np.exp(1j * rel)
-        if rest and np.min(np.abs(1.0 - units)) <= 10 * np.finfo(float).eps:
+        # turns of the inverse-time differential relative to the component, at the exact period
+        rel = [-model.lift_sign * period * (model.weights[j] - model.weights[g[0]]) for j in rest]
+        if any(r.denominator == 1 for r in rel):
             raise CleanLocusError("fixed locus not clean: unit normal phase")
-        c_value = complex(np.prod(1.0 - units)) if rest else complex(1.0)
         sub = weights[g]
         out.append(
             FixedComponent(
                 tau0=float(tau0),
                 index_set=tuple(g),
                 f_j=len(g) - 1,
-                normal_angles=np.mod(rel, 2.0 * np.pi),
-                c_value=c_value,
+                normal_angles=np.array([2.0 * np.pi * float(r % 1) for r in rel]),
+                c_value=complex(np.prod(1.0 - turn_phase(rel))),
                 f_range=(float(sub.min()), float(sub.max())),
                 period=period,
                 m_only=(g is not x_group),
@@ -324,6 +322,16 @@ def fixed_components(model: ProjectiveModel, tau0: float, tol: float = _FIX_TOL)
         )
     out.sort(key=lambda comp: (comp.m_only, comp.index_set))
     return out
+
+
+def turn_phase(turns) -> np.ndarray:
+    """e^{2 pi i x} at exact turns x (Fractions, batched): x is reduced modulo 1
+    to r in [-1/2, 1/2], quarter turns come out exact (1, i, -1, -i) and the
+    rest as one exponential e^{2 pi i r}."""
+    reduced = [x - round(x) for x in np.asarray(turns, dtype=object).ravel().tolist()]
+    values = [(1, 1j, -1, -1j)[int(4 * r) % 4] if (4 * r).denominator == 1
+              else np.exp(2j * np.pi * float(r)) for r in reduced]
+    return np.array(values, dtype=complex).reshape(np.shape(turns))
 
 
 def _period_turns(model: ProjectiveModel, tau0: float, group) -> Fraction:

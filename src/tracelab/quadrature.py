@@ -10,8 +10,9 @@ affine-chart radial rule for the Fubini-Study volume.  The sphere rule is
 built once in product form, `SphereProductRule`: simplex nodes in the moment
 variables t times a uniform grid in the angles phi, indexed along its
 diagonal.  `sphere_rule` flattens it into a node list;
-`spectral.toeplitz_matrix` sums the product form along that diagonal and
-transforms the rest by FFT.  The sphere rule carries the measure normalised
+`spectral.toeplitz_matrix` builds one product rule for all its degree
+blocks, sums it along that diagonal and transforms the rest by FFT.  The
+sphere rule carries the measure normalised
 so that the total mass of S^{2d+1} is pi^d/d!; the simplex rule carries
 plain Lebesgue measure.
 """
@@ -31,7 +32,7 @@ _LINE_NODES_CAP = 1400  # nodes per side of `gaussian_line_rule`
 # ----------------------------------------------------------------------------
 
 
-# the simplex rules of criterion 1 take ~30 sizes, the line rules at most five
+# criterion 1's simplex rule takes one size, the line rules at most five
 @functools.lru_cache(maxsize=64)
 def _legendre_reference(n: int):
     """The n-point Gauss-Legendre rule on [-1, 1], as read-only arrays."""

@@ -3,14 +3,17 @@
 Degree-k sections of the k-th power of the polarising line are realised as
 homogeneous monomials z^alpha (|alpha| = k) on the sphere; the operator is
 the compression of i times the contact field.  `toeplitz_matrix` assembles
-it by quadrature over the product sphere rule (moment nodes times a uniform
-angle grid), sum-factorised: z^alpha = sqrt(t)^alpha e^{i<alpha,phi>}, so the
-Gram and operator matrices are angle sums of the contact field at the
-frequencies beta - alpha, weighted by sqrt(t)^alpha sqrt(t)^beta.  Those
-frequencies sum to zero, so at each moment node the field is summed along
-the angle grid's diagonal and transformed by one d-dimensional FFT.  That is
-the literal quadrature sum reordered, and it establishes that the monomials
-are eigensections with the affine eigenvalue law <alpha, w>.  All monomial
+its blocks of every degree 0..k by quadrature over one product sphere rule
+(moment nodes times a uniform angle grid), the one exact at degree k and so
+at every lower degree, sum-factorised: z^alpha = sqrt(t)^alpha
+e^{i<alpha,phi>}, so the Gram and operator matrices are angle sums of the
+contact field at the frequencies beta - alpha, weighted by sqrt(t)^alpha
+sqrt(t)^beta.  Those frequencies sum to zero, so at each moment node the
+field is evaluated once, summed along the angle grid's diagonal and
+transformed by one d-dimensional FFT, and each degree gathers its
+frequencies from that transform.  That is the literal quadrature sum
+reordered, and it establishes that the monomials are eigensections with the
+affine eigenvalue law <alpha, w>.  All monomial
 values, there and in `eigensection_values`, come from one evaluator,
 `monomial_values`, which multiplies out a table of coordinate powers and
 gathers it by exponent.
@@ -153,7 +156,7 @@ def monomial_values(exponents: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def toeplitz_rule(model: ProjectiveModel, k: int) -> SphereProductRule:
-    """The sphere rule `toeplitz_matrix` assembles degree k over, one field value per node."""
+    """The sphere rule `toeplitz_matrix` assembles degrees 0..k over, one field value per node."""
     return sphere_product_rule(model.dim, t_degree=k + 2, phase_degree=k + 2)
 
 
@@ -162,17 +165,18 @@ def toeplitz_matrix(
     k: int,
     derivative: str = "analytic",
     gram_tol: float = 1e-10,
-) -> np.ndarray:
-    """Matrix of the compressed contact derivative on degree-k sections.
+) -> list[np.ndarray]:
+    """Matrices of the compressed contact derivative on degree-j sections, j = 0..k.
 
     Applies i*(contact field) to each basis monomial and projects by Gram
-    quadrature over `toeplitz_rule`, ``sphere_product_rule(d, k+2, k+2)``:
-    gram = sum_nodes w conj(z^alpha) z^beta and op = sum_nodes w
-    conj(z^alpha) i D_beta, both divided by the closed-form norms.  At the
-    node with moment coordinates t and angles phi, z^alpha = R_alpha(t)
-    e^{i<alpha,phi>} with R_alpha = sqrt(t)^alpha, and D_beta = z^beta
-    q_beta(t, phi).  So
-    each sum is sum_t w_t R_alpha R_beta Q(t, beta - alpha), where
+    quadrature over `toeplitz_rule`, ``sphere_product_rule(d, k+2, k+2)``,
+    which is exact for every degree up to k, so one field evaluation per
+    node serves all k + 1 blocks: gram = sum_nodes w conj(z^alpha) z^beta
+    and op = sum_nodes w conj(z^alpha) i D_beta, both divided by the
+    closed-form norms.  At the node with moment coordinates t and angles
+    phi, z^alpha = R_alpha(t) e^{i<alpha,phi>} with R_alpha = sqrt(t)^alpha,
+    and D_beta = z^beta q_beta(t, phi).  So each sum is
+    sum_t w_t R_alpha R_beta Q(t, beta - alpha), where
     Q(t, gamma) = sum_phi e^{i<gamma,phi>} q(t, phi) (q = 1 for the Gram
     matrix).  Every gathered gamma has sum_j gamma_j = 0, so its phase is
     constant along the rule's diagonal grid axis s (m = (m' + s*(1, ..., 1))
@@ -180,71 +184,78 @@ def toeplitz_matrix(
     (gamma_0, ..., gamma_{d-1}).  This is the same discrete sum as the
     node-by-node one, reordered; it assumes no torus invariance, so a field
     that depends on the phases shows up off the diagonal exactly as it would
-    node by node.  The rule certifies itself: the normalised Gram matrix
-    must be the identity to ``gram_tol`` and the result Hermitian.
+    node by node.  The rule certifies itself: each normalised Gram matrix
+    must be the identity to ``gram_tol`` and each result Hermitian.
 
     derivative="analytic" differentiates monomials along the field in closed
     form: q_beta = sum_j beta_j field_j / z_j (the rule's nodes have no zero
-    coordinate), so one transform per coordinate serves every basis section.
-    derivative="fd" replaces D_beta by a central difference of the same
-    evaluator along the field at every node and transforms q_beta =
-    D_beta / z^beta per section (validation fallback for small k).
+    coordinate), so the transform S(t, gamma, j) of field_j / z_j serves
+    every section of every degree.  derivative="fd" replaces D_beta by a
+    central difference of the same evaluator along the field at every node
+    and transforms q_beta = D_beta / z^beta for the sections of every degree
+    (validation fallback for small k).  Each degree gathers its frequencies
+    from the transform and sums over the moment nodes in blocks of at most
+    `_BLOCK_ENTRIES` per array.
     """
     if derivative not in ("analytic", "fd"):
         raise ValueError(f"unknown derivative mode {derivative!r}")
-    block = degree_block(model, k)
-    exponents = block.exponents
-    dim = block.dim
     d = model.dim
+    blocks = [degree_block(model, j) for j in range(k + 1)]
     rule = toeplitz_rule(model, k)
     n = rule.n_angles
     fold = (n,) * d  # the angle grid with its diagonal axis s summed out
-    # flat index of the frequency beta - alpha (mod n) on the folded grid, per (alpha, beta)
-    gamma = (exponents[:, :d] - exponents[:, None, :d]) % n  # (alpha, beta, j < d)
-    freq = np.ravel_multi_index(tuple(np.moveaxis(gamma, -1, 0)), fold)
-    R = monomial_values(exponents, np.sqrt(rule.t))  # (m_t, dim)
-    ones = np.fft.ifftn(np.full(fold, float(n)), norm="forward").ravel()  # Gram: q = 1, folded
-    columns = d + 1 if derivative == "analytic" else dim
-    per_node = max(n ** (d + 1) * columns, dim * max(dim, n**d))
-    step = max(1, _BLOCK_ENTRIES // per_node)  # moment nodes per block
-
-    gram = np.zeros((dim, dim), dtype=complex)
-    op = np.zeros((dim, dim), dtype=complex)
+    stacked = np.vstack([block.exponents for block in blocks])  # fd: one column per section
+    columns = d + 1 if derivative == "analytic" else len(stacked)
+    step = max(1, _BLOCK_ENTRIES // (n ** (d + 1) * columns))  # moment nodes per block
+    S = np.empty((rule.t.shape[0], n**d, columns), dtype=complex)
     for lo in range(0, rule.t.shape[0], step):
-        rows = slice(lo, lo + step)
-        z = rule.nodes(rows)  # (m, *fold, s, d+1)
+        z = rule.nodes(slice(lo, lo + step))  # (m, *fold, s, d+1)
         field = contact_field(model, z)
         if derivative == "analytic":
             q = field / z
         else:
             h = 1e-6
-            q = monomial_values(exponents, z + h * field)
-            q -= monomial_values(exponents, z - h * field)
-            q /= 2.0 * h * monomial_values(exponents, z)
+            q = monomial_values(stacked, z + h * field)
+            q -= monomial_values(stacked, z - h * field)
+            q /= 2.0 * h * monomial_values(stacked, z)
         # sum along the diagonal, then one d-dimensional transform per moment node
         sums = np.fft.ifftn(q.sum(axis=-2), axes=tuple(range(1, d + 1)), norm="forward")
-        sums = sums.reshape(len(sums), -1, columns)  # (m, folded frequencies, columns)
-        if derivative == "analytic":  # column beta: sum_j beta_j (transform of field_j / z_j)
-            sums = sums @ exponents.T.astype(float)
-        Q = sums[:, freq, np.arange(dim)]  # column beta read at frequency beta - alpha
-        Rs = R[rows]
-        pair = rule.weights[rows, None, None] * Rs[:, :, None] * Rs[:, None, :]
-        gram += pair.sum(axis=0) * ones[freq]
-        op += np.einsum("tab,tab->ab", pair, Q)
-    op *= 1j
+        S[lo : lo + step] = sums.reshape(len(sums), -1, columns)
+    ones = np.fft.ifftn(np.full(fold, float(n)), norm="forward").ravel()  # Gram: q = 1, folded
+    root_t = np.sqrt(rule.t)
 
-    scale = np.outer(block.norms, block.norms)
-    gram = gram / scale
-    op = op / scale
-    if np.abs(gram - np.eye(dim)).max() > gram_tol:
-        raise QuadratureError(
-            f"quadrature under-resolved at k={k}: Gram residual "
-            f"{np.abs(gram - np.eye(dim)).max():.2e}"
-        )
-    herm = np.abs(op - op.conj().T).max()
-    if herm > 1e-9:
-        raise QuadratureError(f"assembled block not Hermitian at k={k}: residual {herm:.2e}")
-    return 0.5 * (op + op.conj().T)
+    out, first = [], 0  # first: the fd column of the block's first section
+    for block in blocks:
+        exponents, dim = block.exponents, block.dim
+        # flat index of the frequency beta - alpha (mod n) on the folded grid, per (alpha, beta)
+        gamma = (exponents[:, :d] - exponents[:, None, :d]) % n  # (alpha, beta, j < d)
+        freq = np.ravel_multi_index(tuple(np.moveaxis(gamma, -1, 0)), fold)
+        entry = (freq * dim + np.arange(dim)).ravel()  # column beta read at frequency beta - alpha
+        R = monomial_values(exponents, root_t)  # (m_t, dim)
+        gram = ((rule.weights * R.T) @ R) * ones[freq]
+        op = np.zeros((dim, dim), dtype=complex)
+        step = max(1, _BLOCK_ENTRIES // (dim * max(dim, n**d)))
+        for lo in range(0, len(R), step):
+            rows = slice(lo, lo + step)
+            if derivative == "analytic":  # column beta: sum_j beta_j (transform of field_j / z_j)
+                sums = S[rows] @ exponents.T.astype(float)
+            else:
+                sums = S[rows, :, first : first + dim]
+            Q = np.take(sums.reshape(len(sums), -1), entry, axis=1).reshape(-1, dim, dim)
+            Rs = R[rows]
+            Q *= rule.weights[rows, None, None] * Rs[:, :, None] * Rs[:, None, :]
+            op += Q.sum(axis=0)
+        scale = np.outer(block.norms, block.norms)
+        residual = np.abs(gram / scale - np.eye(dim)).max()
+        if residual > gram_tol:
+            raise QuadratureError(f"quadrature under-resolved at k={block.k}: Gram residual {residual:.2e}")
+        op *= 1j / scale
+        herm = np.abs(op - op.conj().T).max()
+        if herm > 1e-9:
+            raise QuadratureError(f"assembled block not Hermitian at k={block.k}: residual {herm:.2e}")
+        out.append(0.5 * (op + op.conj().T))
+        first += dim
+    return out
 
 
 # ----------------------------------------------------------------------------

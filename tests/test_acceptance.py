@@ -44,13 +44,30 @@ def test_criterion_09_asks_for_few_legendre_sizes(shared, monkeypatch):
     assert 0 < len(sizes) <= 5, sorted(sizes)
 
 
+def test_criterion_01_asks_for_one_legendre_size(shared, monkeypatch):
+    """Every degree block is assembled over the k = 60 rule: one simplex rule, one size."""
+    from tracelab import quadrature
+
+    sizes = set()
+    reference = quadrature._legendre_reference
+
+    def recording(n):
+        sizes.add(n)
+        return reference(n)
+
+    monkeypatch.setattr(quadrature, "_legendre_reference", recording)
+    assert verify.crit_01_spectral_structure(shared).passed
+    assert sizes == {33}, sorted(sizes)  # (62 + 1)//2 + 2 nodes on the moment axis
+
+
 def test_criterion_01_spectral_structure(shared):
     result = verify.crit_01_spectral_structure(shared)
     _check(result)
     # the assembly sums the rule in another order; its rounding stays far below the tolerance
     assert result.measured["off_diag_max"] < 1e-13
     assert result.measured["affine_residual"] < 1e-10
-    nodes = sum(len(sphere_rule(1, k + 2, k + 2)[1]) for k in range(61))
+    nodes = len(sphere_rule(1, 62, 62)[1])  # toeplitz_rule(model, 60): 33 moment nodes x 63^2 angles
+    assert nodes == 130977
     assert result.detail.endswith(f"; {nodes} field evaluations")
 
 

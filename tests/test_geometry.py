@@ -24,6 +24,7 @@ from tracelab.geometry import (
     make_model,
     period_gap,
     random_sphere_point,
+    turn_phase,
 )
 
 
@@ -250,6 +251,22 @@ def test_fixed_components_112(model112):
     c = comps[0]
     assert c.index_set == (2,) and c.normal_dim == 2
     assert abs(c.c_value - 4.0) < 1e-12  # (1 - e^{i pi})^2
+
+
+def test_c_value_is_taken_at_the_exact_period():
+    # normal phases are exact fractions of a turn, so half turns give exact products
+    comps = fixed_components(make_model((1, 1, 1, 2)), np.pi)
+    assert [c.c_value for c in comps] == [8.0, 2.0]  # (1 - e^{i pi})^3 and the m_only line
+    assert np.array_equal(comps[0].normal_angles, [np.pi] * 3)
+
+
+def test_turn_phase_is_exact_on_quarter_turns():
+    quarters = [Fraction(q, 4) for q in range(-9, 10)]
+    assert turn_phase(quarters).tolist() == [(1, 1j, -1, -1j)[q % 4] for q in range(-9, 10)]
+    others = [Fraction(1, 3), Fraction(-5, 7), Fraction(1001, 8), Fraction(2, 5)]
+    expected = np.exp(2j * np.pi * np.array([float(x) for x in others]))
+    assert np.abs(turn_phase(others) - expected).max() < 1e-14
+    assert turn_phase(Fraction(1, 2)).shape == () and turn_phase([]).shape == (0,)
 
 
 def test_fixed_components_record_their_period_in_turns(model12):

@@ -370,6 +370,21 @@ def test_trace_ignores_kmax(tmp_path):
     assert "package" not in json.loads((tmp_path / "0" / "manifest.json").read_text())
 
 
+def test_cancellation_trace_prediction_is_real(tmp_path):
+    # (1,1,1,2) at tau0 = pi: c_value = (1 - e^{i pi})^3 and the phase are
+    # taken at the exact half period, so the prediction is real, as the exact
+    # trace is, and ratio_arg is the exact trace's own rounding
+    argv = ["trace", "--weights", "1,1,1,2", "--shape", "gaussian", "--tau0", "3.141592653589793",
+            "--eps", "0.15", "--lambda-grid", "1000:100000:4", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    for row in rows:
+        grid, exact_re, exact_im, pred_re, pred_im, ratio_abs, ratio_arg = map(float, row.split(","))
+        assert pred_im == 0.0 and abs(exact_im) <= 1e-40
+        assert abs(ratio_arg) < 1e-30 and abs(ratio_abs - 1.0) < 1e-12
+
+
 def test_offlocus_ignores_precision(tmp_path):
     # each row picks its arithmetic from its conditioning: neither the flag
     # nor a config-file key changes a byte, and every off-locus row cancels

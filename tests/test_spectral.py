@@ -93,23 +93,37 @@ _TOEPLITZ_CASES = [pytest.param((1, 2), k, id=str(k)) for k in (0, 1, 2, 5, 11)]
 
 @pytest.mark.parametrize("weights,k", _TOEPLITZ_CASES)
 def test_toeplitz_diagonal_with_exact_eigenvalues(weights, k):
-    op = toeplitz_matrix(make_model(weights), k)
-    off = op - np.diag(np.diag(op))
-    assert np.abs(off).max() < 1e-10
-    expected = multi_indices(len(weights) - 1, k) @ np.array(weights, dtype=float)
-    assert np.abs(np.diag(op).real - expected).max() < 1e-10
+    blocks = toeplitz_matrix(make_model(weights), k)
+    assert len(blocks) == k + 1
+    for j, op in enumerate(blocks):
+        off = op - np.diag(np.diag(op))
+        assert np.abs(off).max() < 1e-10
+        expected = multi_indices(len(weights) - 1, j) @ np.array(weights, dtype=float)
+        assert np.abs(np.diag(op).real - expected).max() < 1e-10
+
+
+@pytest.mark.parametrize("weights,k,degrees", [((1, 2), 30, (0, 7, 19, 29)),
+                                               ((1, 1, 2), 12, (3, 8)), ((1, 2, 3), 12, (3, 8))])
+def test_toeplitz_blocks_do_not_depend_on_the_rule(weights, k, degrees):
+    """The degree-k rule is exact for every lower degree: its blocks match each degree's own rule."""
+    model = make_model(weights)
+    blocks = toeplitz_matrix(model, k)
+    for j in degrees:
+        assert np.abs(blocks[j] - toeplitz_matrix(model, j)[j]).max() < 1e-11, j
 
 
 def test_toeplitz_fd_derivative_route_agrees(model12):
     a = toeplitz_matrix(model12, 6, derivative="analytic")
     b = toeplitz_matrix(model12, 6, derivative="fd")
-    assert np.abs(a - b).max() < 1e-6
+    assert len(a) == len(b) == 7
+    assert max(np.abs(x - y).max() for x, y in zip(a, b)) < 1e-6
 
 
-def _literal_toeplitz(model, k, derivative):
-    """Node-by-node assembly over the flattened rule: conj(V) w V^T and conj(V) w (iD)^T."""
+def _literal_toeplitz(model, k, derivative, rule_degree):
+    """Node-by-node assembly of the degree-k block over the flattened rule of
+    degree ``rule_degree``: conj(V) w V^T and conj(V) w (iD)^T."""
     block = degree_block(model, k)
-    z, w = sphere_rule(model.dim, k + 2, k + 2)
+    z, w = sphere_rule(model.dim, rule_degree + 2, rule_degree + 2)
     field = spectral.contact_field(model, z)
     V = monomial_values(block.exponents, z)  # (m, dim)
     if derivative == "analytic":
@@ -134,13 +148,15 @@ def _literal_toeplitz(model, k, derivative):
 def test_toeplitz_matches_literal_node_sum(weights, k, derivative):
     """The folded, sum-factorised assembly is the node-by-node quadrature sum, reordered.
 
-    (1, 1, 1, 2) at k = 1 and 2 (even and odd n_angles) runs the fold and a
-    three-dimensional FFT.
+    Every block of degree j <= k is summed over the degree-k rule, as the
+    assembly does.  (1, 1, 1, 2) at k = 1 and 2 (even and odd n_angles) runs
+    the fold and a three-dimensional FFT.
     """
     model = make_model(weights)
     factorised = toeplitz_matrix(model, k, derivative=derivative)
-    literal = _literal_toeplitz(model, k, derivative)
-    assert np.abs(factorised - literal).max() < 1e-12
+    assert len(factorised) == k + 1
+    for j, op in enumerate(factorised):
+        assert np.abs(op - _literal_toeplitz(model, j, derivative, k)).max() < 1e-12, j
 
 
 @pytest.mark.parametrize("derivative", ["analytic", "fd"])
@@ -163,25 +179,28 @@ def test_toeplitz_detects_phase_dependent_field(monkeypatch, weights, k, coupled
     H[j, l], H[l, j] = 0.6 + 0.8j, 0.6 - 0.8j
     M = np.diag(model.weight_array) + eps * H
     monkeypatch.setattr(spectral, "contact_field", lambda _model, z: -1j * (z @ M.T))
-    factorised = toeplitz_matrix(model, k, derivative=derivative)
-    literal = _literal_toeplitz(model, k, derivative)
-    assert np.abs(factorised - literal).max() < 1e-12
+    blocks = toeplitz_matrix(model, k, derivative=derivative)
+    assert len(blocks) == k + 1
+    for degree, factorised in enumerate(blocks):
+        literal = _literal_toeplitz(model, degree, derivative, k)
+        assert np.abs(factorised - literal).max() < 1e-12
 
-    block = degree_block(model, k)
-    expected = np.diag(block.eigenvalues).astype(complex)
-    index = {tuple(a): i for i, a in enumerate(block.exponents)}
-    for b, beta in enumerate(block.exponents):
-        for src, dst in ((j, l), (l, j)):
-            if beta[src] > 0:
-                alpha = beta.copy()
-                alpha[src] -= 1
-                alpha[dst] += 1
-                a = index[tuple(alpha)]
-                expected[a, b] += eps * beta[src] * H[src, dst] * block.norms[a] / block.norms[b]
-    tol = 1e-12 if derivative == "analytic" else 1e-8
-    assert np.abs(factorised - expected).max() < tol
-    off = factorised - np.diag(np.diag(factorised))
-    assert 0.5 * eps < np.abs(off).max() < 10 * eps
+        block = degree_block(model, degree)
+        expected = np.diag(block.eigenvalues).astype(complex)
+        index = {tuple(a): i for i, a in enumerate(block.exponents)}
+        for b, beta in enumerate(block.exponents):
+            for src, dst in ((j, l), (l, j)):
+                if beta[src] > 0:
+                    alpha = beta.copy()
+                    alpha[src] -= 1
+                    alpha[dst] += 1
+                    a = index[tuple(alpha)]
+                    expected[a, b] += eps * beta[src] * H[src, dst] * block.norms[a] / block.norms[b]
+        tol = 1e-12 if derivative == "analytic" else 1e-8
+        assert np.abs(factorised - expected).max() < tol
+        if degree > 0:  # degree 0 is one constant section, which no field couples
+            off = factorised - np.diag(np.diag(factorised))
+            assert 0.5 * eps < np.abs(off).max() < 10 * eps, degree
 
 
 def test_toeplitz_gram_tolerance_still_enforced(model12):
@@ -220,9 +239,7 @@ def test_k0_eigenvalue_is_zero(model12):
 def test_eigendata_routes_agree(model12):
     """The package spectrum equals the eigenvalues of the quadrature-assembled blocks."""
     pkg = eigendata(model12, 8)
-    assembled = np.concatenate(
-        [np.linalg.eigvalsh(toeplitz_matrix(model12, k)) for k in range(9)]
-    )
+    assembled = np.concatenate([np.linalg.eigvalsh(op) for op in toeplitz_matrix(model12, 8)])
     assert np.abs(np.sort(assembled) - pkg.lambda_all).max() < 1e-10
 
 
