@@ -6,7 +6,7 @@
 
 Run it with the parent commit and the change checked out side by side (for
 example with ``git archive``).  For every workload of the change's
-``BENCHMARK.json`` it runs ``--pairs`` pairs of
+``BENCHMARK.json`` it runs ten pairs of
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -16,20 +16,20 @@ checkout.  Per end-to-end metric the summary holds the median and quartiles
 (``statistics.quantiles``, exclusive) of each side, the pairs the change won
 or tied, and the median's relative worsening against the metric's bound.
 
-``--claim W:M`` names a claimed gain: it is met when the change wins at least
-9 of 10 pairs (the same share of any other count) and the medians differ by
-more than the parent's quartile spread.  Without it the claim is that no
-metric is worse in the median than its bound.  ``--traced-seed S`` adds one
+Either way the report says ``met`` only if no end-to-end metric is worse in
+the median than its bound.  ``--claim W:M`` names a claimed gain besides: the
+change must also win at least 9 of the 10 pairs on it, and the medians must
+differ by more than the parent's quartile spread.  ``--traced-seed S`` adds one
 ``--trace 1`` run of verify-suite per side with that seed and records its
 per-layer metrics.  ``--tier1 N`` adds N alternating pairs of the tier-1
-pytest run (``PYTHONPATH=src python -m pytest -q``) and records wall seconds.
+pytest run (``PYTHONPATH=src python -m pytest -q``) and records wall seconds;
+a failing pytest run stops the script.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import statistics
@@ -39,6 +39,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -53,11 +54,15 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
 
 
 def tier1_seconds(checkout: Path) -> float:
+    """Wall seconds of one tier-1 pytest run, which must pass."""
     env = dict(os.environ, PYTHONPATH="src")
     start = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                    "-p", "no:cacheprovider"], cwd=checkout, env=env, capture_output=True)
-    return round(time.perf_counter() - start, 2)
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=checkout, env=env, capture_output=True, text=True)
+    seconds = round(time.perf_counter() - start, 2)
+    if done.returncode != 0:
+        raise SystemExit(f"tier-1 pytest in {checkout} exited {done.returncode}:\n{done.stdout[-2000:]}")
+    return seconds
 
 
 def pairs(n: int, run) -> dict:
@@ -91,30 +96,29 @@ def compare(parent: list, change: list, lower_is_better: bool, bound: float) -> 
 
 
 def claim_result(workloads: dict, claim: str | None) -> str:
-    if claim:
-        name, metric = claim.split(":")
-        row = workloads[name][metric]
-        wins, n = row["change_wins"], row["pairs"]
-        p, c = row["parent"], row["change"]
-        gap, iqr = abs(c["median"] - p["median"]), p["q3"] - p["q1"]
-        met = wins >= math.ceil(0.9 * n) and gap > iqr and row["relative_worsening"] < 0
-        return (f"{'met' if met else 'not met'}: {name} {metric} {p['median']} -> {c['median']} "
-                f"({-100 * row['relative_worsening']:+.1f}% better), {wins} of {n} pairs, "
-                f"median gap {gap:.4g} against a parent quartile spread of {iqr:.4g}")
+    """``met`` when no metric is worse than its bound and a claimed gain holds."""
     worst = max(((row["relative_worsening"] / row["bound"], f"{name} {metric}")
                  for name, rows in workloads.items() for metric, row in rows.items()
                  if isinstance(row, dict) and "bound" in row), default=(0.0, "none"))
-    verdict = "met" if worst[0] <= 1.0 else "not met"
-    return f"{verdict}: the largest median worsening is {100 * worst[0]:.0f}% of its metric's bound ({worst[1]})"
+    met = worst[0] <= 1.0
+    text = f"the largest median worsening is {100 * worst[0]:.0f}% of its metric's bound ({worst[1]})"
+    if claim:
+        name, metric = claim.split(":")
+        row = workloads[name][metric]
+        wins, p, c = row["change_wins"], row["parent"], row["change"]
+        gap, iqr = abs(c["median"] - p["median"]), p["q3"] - p["q1"]
+        met = met and wins >= 9 and gap > iqr and row["relative_worsening"] < 0
+        text = (f"{name} {metric} {p['median']} -> {c['median']} "
+                f"({-100 * row['relative_worsening']:+.1f}% better), {wins} of {PAIRS} pairs, "
+                f"median gap {gap:.4g} against a parent quartile spread of {iqr:.4g}; {text}")
+    return f"{'met' if met else 'not met'}: {text}"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, default=ROOT, help="checkout of the change")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--workloads", nargs="*", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--note", default="", help="one line on what the change does")
     parser.add_argument("--claim", help="WORKLOAD:METRIC of a claimed gain")
     parser.add_argument("--traced-seed", type=int, help="seed of one traced verify-suite run per side")
@@ -125,13 +129,12 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    names = args.workloads or [w["name"] for w in spec["workloads"]]
-    seeds = f"{args.seed0}-{args.seed0 + args.pairs - 1}"
+    seeds = f"{args.seed0}-{args.seed0 + PAIRS - 1}"
     report = {
         "change": args.note,
         "host": f"{os.cpu_count()}-core {platform.machine()}; Python {platform.python_version()}",
         "protocol": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0, "
-                    f"run from a copy of the parent commit and of the change; {args.pairs} pairs per "
+                    f"run from a copy of the parent commit and of the change; {PAIRS} pairs per "
                     f"workload, seeds {seeds}, the side that runs first alternating per pair "
                     "(bench/run_bench.py)",
         "claim": (f"{args.claim} improves: the change wins >= 9 of 10 pairs and the medians differ by "
@@ -140,8 +143,8 @@ def main(argv=None) -> int:
                   "none: no end-to-end metric worse than the parent by more than its bound on any workload"),
         "workloads": {},
     }
-    for name in names:
-        runs = pairs(args.pairs, lambda side, i: perfbench(
+    for name in (w["name"] for w in spec["workloads"]):
+        runs = pairs(PAIRS, lambda side, i: perfbench(
             checkouts[side], name, args.seed0 + i, seconds, 0))
         rows = {}
         for metric in spec["end_to_end"]:

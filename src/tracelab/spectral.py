@@ -28,6 +28,7 @@ it: they sum over every degree (see smoothing.py).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -155,8 +156,9 @@ def monomial_values(exponents: np.ndarray, x: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def toeplitz_rule(model: ProjectiveModel, k: int) -> SphereProductRule:
-    """The sphere rule `toeplitz_matrix` assembles degrees 0..k over, one field value per node."""
+    """The sphere rule `toeplitz_matrix` assembles degrees 0..k over (the last one is kept)."""
     return sphere_product_rule(model.dim, t_degree=k + 2, phase_degree=k + 2)
 
 

@@ -100,10 +100,10 @@ class _Shared:
 def crit_01_spectral_structure(sh: _Shared) -> CriterionResult:
     """Quadrature-assembled operators are diagonal with affine eigenvalue law."""
     t0 = time.perf_counter()
-    model = sh.model
+    model, degree = sh.model, 60
     off_max = 0.0
     rows, vals = [], []
-    for k, op in enumerate(toeplitz_matrix(model, 60)):
+    for k, op in enumerate(toeplitz_matrix(model, degree)):
         off_max = max(off_max, float(np.abs(op - np.diag(np.diag(op))).max()))
         rows.append(multi_indices(model.dim, k))
         vals.append(np.diag(op).real)
@@ -114,13 +114,13 @@ def crit_01_spectral_structure(sh: _Shared) -> CriterionResult:
     dt = time.perf_counter() - t0
     return CriterionResult(
         1,
-        "spectral structure (k <= 60, quadrature route)",
+        f"spectral structure (k <= {degree}, quadrature route)",
         off_max < 1e-8 and resid < 1e-8 and dt < 60.0,
         {"off_diag_max": off_max, "affine_residual": resid, "runtime_s": dt},
         "off-diag < 1e-8, residual < 1e-8, runtime < 60 s",
         detail=(
             f"affine law coefficients {np.round(coeffs, 12).tolist()}; "
-            f"{toeplitz_rule(model, 60).size} field evaluations"
+            f"{toeplitz_rule(model, degree).size} field evaluations"
         ),
     )
 
