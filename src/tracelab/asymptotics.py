@@ -32,6 +32,7 @@ from .errors import (
 )
 from .geometry import (
     FixedComponent,
+    HeisenbergChart,
     ProjectiveModel,
     complement_frame,
     contact_field,
@@ -43,6 +44,7 @@ from .quadrature import gaussian_line_rule
 from .reports import ScanReport
 from .windows import Window
 
+_HESSIAN_FD_STEP = 3e-6  # central-difference step of `stationary_point_check`'s Hessian
 
 # ----------------------------------------------------------------------------
 # psi2 and the local prediction
@@ -87,19 +89,16 @@ class LocalPrediction:
 
 
 def local_prediction(
-    model: ProjectiveModel,
-    component: FixedComponent,
-    x0: np.ndarray,
-    window: Window,
+    model: ProjectiveModel, chart: HeisenbergChart, window: Window
 ) -> LocalPrediction:
-    """Assemble the local-prediction data at x0 on the given component."""
-    A = flow_differential_normal(model, component, x0)
+    """The local-prediction data at the chart's center, on ``chart.component``."""
+    component = chart.component
     return LocalPrediction(
         period=component.period,
-        f_center=float(hamiltonian(model, x0)),
+        f_center=float(hamiltonian(model, chart.center)),
         dim=model.dim,
         f_j=component.f_j,
-        normal_map=A,
+        normal_map=flow_differential_normal(model, chart),
         chi_tau0=float(window.value(component.tau0)),
     )
 
@@ -268,7 +267,6 @@ def _line_integral(mu: complex) -> complex:
 class StationaryCheck:
     pairing: float
     seed_point: np.ndarray
-    refined_point: np.ndarray
     grad_norm_at_seed: float
     hessian_det: complex
     expected_det: float
@@ -330,7 +328,6 @@ def stationary_point_check(
     model: ProjectiveModel,
     x0: np.ndarray,
     omega: np.ndarray,
-    fd_step: float = 3e-6,
 ) -> StationaryCheck:
     """Verify the closed-form stationary point of the truncated trace phase.
 
@@ -341,8 +338,9 @@ def stationary_point_check(
     with q the contact/covector pairing at x0 (the quadratic-in-tau remainder
     is dropped; the closed form is stated for this truncation).  The check
     confirms the gradient vanishes at (0, -omega_0/q, 0, -1/q), refines by
-    Newton, and compares the finite-difference Hessian determinant against
-    q^2 (the lambda-normalised closed form).
+    Newton, and compares the finite-difference Hessian determinant (step
+    `_HESSIAN_FD_STEP`) at the refined point against q^2 (the
+    lambda-normalised closed form).
     """
     omega = np.asarray(omega, dtype=float)
     q = covector_pairing(model, x0, omega)
@@ -370,12 +368,11 @@ def stationary_point_check(
             ) / (2.0 * h)
         return H
 
-    H1, H2 = fd_hessian(fd_step), fd_hessian(fd_step / 2.0)
+    H1, H2 = fd_hessian(_HESSIAN_FD_STEP), fd_hessian(_HESSIAN_FD_STEP / 2.0)
     H = (4.0 * H2 - H1) / 3.0
     return StationaryCheck(
         pairing=q,
         seed_point=seed.real,
-        refined_point=point,
         grad_norm_at_seed=float(np.linalg.norm(grad0)),
         hessian_det=complex(np.linalg.det(H)),
         expected_det=q * q,
@@ -392,7 +389,6 @@ class FitResult:
     coefficients: np.ndarray
     residuals: np.ndarray  # rms residual after fitting 0..n terms
     measured_slope: float
-    half_powers: bool
 
     @property
     def leading(self) -> complex:
@@ -439,5 +435,4 @@ def fit_expansion(scan, half_powers: bool = True, n_terms: int = 3) -> FitResult
         coefficients=coeffs,
         residuals=np.array(residuals),
         measured_slope=slope,
-        half_powers=half_powers,
     )

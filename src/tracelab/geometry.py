@@ -36,6 +36,8 @@ from .errors import (
 )
 
 _FIX_TOL = 1e-9  # phase tolerance deciding membership of a fixed locus
+_CALIBRATION_TOL = 1e-8  # endpoint error a lift convention must reproduce the flow within
+_NORMAL_FD_STEP = 1e-5  # central-difference step of the normal flow differential
 _RK4_STEPS_PER_WEIGHT = 32  # initial RK4 steps over tau in [0, 1], per unit of max(w)
 _RK4_MAX_DOUBLINGS = 4  # step doublings allowed before the integration gives up
 
@@ -68,7 +70,7 @@ class ProjectiveModel:
         return np.asarray(self.weights, dtype=float)
 
 
-def make_model(weights, calibration="auto", rng=None) -> ProjectiveModel:
+def make_model(weights, calibration="auto") -> ProjectiveModel:
     """Build (and by default calibrate) a weighted projective model.
 
     Parameters
@@ -81,7 +83,7 @@ def make_model(weights, calibration="auto", rng=None) -> ProjectiveModel:
         raise ValueError("weights must be >= 2 strictly positive integers")
     model = ProjectiveModel(dim=len(ws) - 1, weights=ws)
     if calibration == "auto":
-        return calibrate(model, rng=rng)
+        return calibrate(model)
     if calibration == "none":
         return model
     if isinstance(calibration, dict):
@@ -162,18 +164,19 @@ def _rk4(model: ProjectiveModel, z: np.ndarray, n: int) -> np.ndarray:
     return z
 
 
-def calibrate(model: ProjectiveModel, rng=None, tol: float = 1e-8) -> ProjectiveModel:
+def calibrate(model: ProjectiveModel) -> ProjectiveModel:
     """Fix the lift convention by integrating the contact field.
 
-    `integrate_contact_field` carries three random sphere points over tau in
-    [0, 1] along the assembled contact field (step-doubled RK4, accepted at
-    an estimated error of ``tol/100``; never the flow formula itself).  The
-    endpoints are compared against the candidate phase representations
+    `integrate_contact_field` carries three random sphere points (drawn from
+    seed 0) over tau in [0, 1] along the assembled contact field
+    (step-doubled RK4, accepted at an estimated error of tol/100 with tol =
+    `_CALIBRATION_TOL`; never the flow formula itself).  The endpoints are
+    compared against the candidate phase representations
     exp(i*sign*tau*(w + shift)) for sign in {-1,+1} and shift in {-1, 0, +1}.
-    The unique candidate within ``tol`` wins; none within ``tol``, two within
-    ``10*tol`` or an unconverged integration raise CalibrationError.
+    The unique candidate within tol wins; none within tol, two within 10*tol
+    or an unconverged integration raise CalibrationError.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng, tol = np.random.default_rng(0), _CALIBRATION_TOL
     starts = np.array([random_sphere_point(model, rng) for _ in range(3)])
     w = model.weight_array
     endpoints = integrate_contact_field(model, starts, tol=tol / 100.0)
@@ -248,9 +251,8 @@ class FixedComponent:
     inverse-time flow differential on the normal lines; ``c_value`` is
     det(id - that differential).  ``m_only`` components are fixed downstairs
     (common nontrivial phase) but not on the sphere bundle, and are excluded
-    from trace predictions.  ``f_range`` brackets the Hamiltonian on the
-    component.  ``period`` is the exact period nearest tau0 as a fraction of
-    a turn: the flow time 2*pi*period fixes the component.
+    from trace predictions.  ``period`` is the exact period nearest tau0 as a
+    fraction of a turn: the flow time 2*pi*period fixes the component.
     """
 
     tau0: float
@@ -258,7 +260,6 @@ class FixedComponent:
     f_j: int
     normal_angles: np.ndarray
     c_value: complex
-    f_range: tuple
     period: Fraction
     m_only: bool = False
 
@@ -267,13 +268,13 @@ class FixedComponent:
         return len(self.normal_angles)
 
 
-def fixed_components(model: ProjectiveModel, tau0: float, tol: float = _FIX_TOL):
+def fixed_components(model: ProjectiveModel, tau0: float):
     """Connected components of the fixed locus at time tau0.
 
-    The component fixed on the sphere bundle (phase exactly 1) comes first
-    when present; components fixed only downstairs follow, flagged ``m_only``.
-    Raises PeriodError when tau0 fixes nothing upstairs, CleanLocusError when
-    a normal angle degenerates.
+    Exactly one component is fixed on the sphere bundle (phase 1 to within
+    `_FIX_TOL`), and it comes first; components fixed only downstairs follow,
+    flagged ``m_only``.  Raises PeriodError when tau0 fixes nothing upstairs,
+    CleanLocusError when a normal angle degenerates.
     """
     _require_calibrated(model)
     phases = flow_phases(model, tau0)
@@ -285,29 +286,23 @@ def fixed_components(model: ProjectiveModel, tau0: float, tol: float = _FIX_TOL)
     groups: list[list[int]] = []
     for i in range(model.dim + 1):
         for g in groups:
-            if angdist(angles[i], angles[g[0]]) < tol:
+            if angdist(angles[i], angles[g[0]]) < _FIX_TOL:
                 g.append(i)
                 break
         else:
             groups.append([i])
 
-    out = []
-    x_group = None
-    for g in groups:
-        if angdist(angles[g[0]], 0.0) < tol:
-            x_group = g
+    x_group = next((g for g in groups if angdist(angles[g[0]], 0.0) < _FIX_TOL), None)
     if x_group is None:
         raise PeriodError(f"tau0={tau0!r} is not a period of the lifted flow")
     period = _period_turns(model, tau0, x_group)
-
-    weights = model.weight_array
+    out = []
     for g in groups:
         rest = [j for j in range(model.dim + 1) if j not in g]
         # turns of the inverse-time differential relative to the component, at the exact period
         rel = [-model.lift_sign * period * (model.weights[j] - model.weights[g[0]]) for j in rest]
         if any(r.denominator == 1 for r in rel):
             raise CleanLocusError("fixed locus not clean: unit normal phase")
-        sub = weights[g]
         out.append(
             FixedComponent(
                 tau0=float(tau0),
@@ -315,7 +310,6 @@ def fixed_components(model: ProjectiveModel, tau0: float, tol: float = _FIX_TOL)
                 f_j=len(g) - 1,
                 normal_angles=np.array([2.0 * np.pi * float(r % 1) for r in rel]),
                 c_value=complex(np.prod(1.0 - turn_phase(rel))),
-                f_range=(float(sub.min()), float(sub.max())),
                 period=period,
                 m_only=(g is not x_group),
             )
@@ -370,14 +364,16 @@ def complement_frame(x0: np.ndarray, order, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HeisenbergChart:
-    """Adapted chart at a fixed-locus point of the sphere bundle.
+    """Adapted chart at a point of the fixed component it carries.
 
     The map is the great-circle chart
 
         point(theta, v) = e^{i theta} ( cos|v| * center + sin|v| * xi(v)/|v| )
 
     with xi(v) the tangent vector with coordinates v in the unitary frame.
-    The frame rows split as (tangent-to-fixed-locus, normal): the first
+    ``component``, the one `fixed_components` lists first, holds the center;
+    the chart's ``tau0`` and ``n_tangent`` (its dimension f_j) are read from
+    it.  The frame rows split as (tangent-to-fixed-locus, normal): the first
     ``n_tangent`` rows span the fixed directions, the remaining rows the
     normal ones.  Radial distances are exact: the projective distance from
     the center to point(0, v) equals |v| for |v| <= pi/2.
@@ -385,8 +381,15 @@ class HeisenbergChart:
 
     center: np.ndarray
     frame: np.ndarray  # (d, d+1), rows orthonormal, all orthogonal to center
-    n_tangent: int
-    tau0: float
+    component: FixedComponent
+
+    @property
+    def tau0(self) -> float:
+        return self.component.tau0
+
+    @property
+    def n_tangent(self) -> int:
+        return self.component.f_j
 
     @property
     def dim(self) -> int:
@@ -432,7 +435,7 @@ class HeisenbergChart:
 
 
 def heisenberg_chart(model: ProjectiveModel, x0: np.ndarray, tau0: float) -> HeisenbergChart:
-    """Adapted chart at x0 for the period tau0 (x0 must be fixed upstairs)."""
+    """Adapted chart at x0 on the component fixed upstairs at tau0."""
     _require_calibrated(model)
     x0 = np.asarray(x0, dtype=complex)
     off = abs(np.linalg.norm(x0) - 1.0)
@@ -440,8 +443,8 @@ def heisenberg_chart(model: ProjectiveModel, x0: np.ndarray, tau0: float) -> Hei
         raise ValueError(f"chart center is off the unit sphere by {off:.2e}")
     if np.abs(flow_sphere(model, tau0, x0) - x0).max() > 1e-9:
         raise ChartError("chart center is not on the fixed locus of this period")
-    phases = flow_phases(model, tau0)
-    fixed_idx = [i for i in range(model.dim + 1) if abs(phases[i] - 1.0) < _FIX_TOL]
+    component = fixed_components(model, tau0)[0]
+    fixed_idx = list(component.index_set)
     normal_idx = [i for i in range(model.dim + 1) if i not in fixed_idx]
     # tangent rows first: the coordinate directions inside the component minus
     # x0, one of which is dependent; then the normal directions, which x0
@@ -449,31 +452,23 @@ def heisenberg_chart(model: ProjectiveModel, x0: np.ndarray, tau0: float) -> Hei
     frame = complement_frame(x0, fixed_idx + normal_idx, tol=1e-10)
     if frame.shape[0] != model.dim:
         raise ChartError("degenerate frame at chart center")
-    n_tangent = len(fixed_idx) - 1
-    return HeisenbergChart(center=x0, frame=frame, n_tangent=n_tangent, tau0=float(tau0))
+    return HeisenbergChart(center=x0, frame=frame, component=component)
 
 
-def flow_differential_normal(
-    model: ProjectiveModel,
-    component: FixedComponent,
-    x0: np.ndarray,
-    h: float = 1e-5,
-) -> np.ndarray:
-    """Matrix of the inverse-time flow differential on the normal space.
+def flow_differential_normal(model: ProjectiveModel, chart: HeisenbergChart) -> np.ndarray:
+    """Matrix of the inverse-time flow differential on the chart's normal space.
 
-    Computed by Richardson-extrapolated central differences of the chart
-    representation of the flow — no weight bookkeeping enters.  The result is
-    unitary to ~1e-8 and satisfies det(id - A) = component.c_value.
+    Computed by Richardson-extrapolated central differences (step
+    `_NORMAL_FD_STEP`) of the flow at time -chart.tau0 read in the chart —
+    no weight bookkeeping enters.  The result is unitary to ~1e-8 and
+    satisfies det(id - A) = chart.component.c_value.
     """
-    if component.m_only:
-        raise CleanLocusError("normal differential requested on a base-only component")
-    chart = heisenberg_chart(model, x0, component.tau0)
     c = chart.normal_dim
     if c == 0:
         return np.zeros((0, 0), dtype=complex)
 
     def image(u: np.ndarray) -> np.ndarray:
-        y = flow_sphere(model, -component.tau0, chart.normal_point(u))
+        y = flow_sphere(model, -chart.tau0, chart.normal_point(u))
         _, v = chart.coords(y)
         return v[chart.n_tangent :]
 
@@ -490,15 +485,15 @@ def flow_differential_normal(
 
     A = np.zeros((c, c), dtype=complex)
     for a in range(c):
-        dx = deriv(a, h, 1.0)
+        dx = deriv(a, _NORMAL_FD_STEP, 1.0)
         # holomorphy check along the imaginary direction
-        if np.abs(deriv(a, h, 1j) - 1j * dx).max() > 1e-6:
+        if np.abs(deriv(a, _NORMAL_FD_STEP, 1j) - 1j * dx).max() > 1e-6:
             raise CleanLocusError("flow differential is not complex-linear on the normal space")
         A[:, a] = dx
 
     if np.abs(A.conj().T @ A - np.eye(c)).max() > 1e-8:
         raise CleanLocusError("normal differential failed the unitarity check")
-    det_err = abs(np.linalg.det(np.eye(c) - A) - component.c_value)
-    if det_err > 1e-6 * max(1.0, abs(component.c_value)):
+    det_err = abs(np.linalg.det(np.eye(c) - A) - chart.component.c_value)
+    if det_err > 1e-6 * max(1.0, abs(chart.component.c_value)):
         raise CleanLocusError(f"det(id - A) disagrees with the component value by {det_err:.2e}")
     return A

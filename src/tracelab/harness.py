@@ -309,10 +309,8 @@ def obtain_package(cfg: ExperimentConfig, model: ProjectiveModel) -> tuple[Spect
 
 
 def _default_chart(model: ProjectiveModel, tau0: float, x0_index: int | None):
-    comps = [c for c in fixed_components(model, tau0) if not c.m_only]
-    if not comps:
-        raise PeriodError(f"no sphere-fixed components at tau0={tau0}")
-    comp = comps[0]
+    """The chart at coordinate point ``x0_index`` (or the first) of the sphere-fixed component."""
+    comp = fixed_components(model, tau0)[0]
     idx = comp.index_set[0] if x0_index is None else x0_index
     if idx not in comp.index_set:
         raise ConfigError(f"config.x0_index: {idx} not on the fixed component {comp.index_set}")
@@ -408,18 +406,15 @@ def _trace_report(cfg: ExperimentConfig) -> ScanReport:
     model, win, grid = cfg.model(), cfg.window, cfg.lambda_grid
     trace = smoothed_trace(model, win, grid, cfg.tail_tol)
     try:
-        comps = [c for c in fixed_components(model, win.tau0) if not c.m_only]
-    except PeriodError:
-        comps = []
-    predicted = np.zeros_like(trace.value)
-    for comp in comps:
-        predicted = predicted + predict_global_component(model, comp, win, grid)
-    if not comps:
-        predicted = np.ones_like(trace.value)  # no periodic contribution: report raw values
+        comp = fixed_components(model, win.tau0)[0]
+    except PeriodError:  # no periodic contribution: report raw values
+        comp, predicted = None, np.ones_like(trace.value)
+    else:  # adding to zeros keeps the signed zeros the reports have always written
+        predicted = np.zeros_like(trace.value) + predict_global_component(model, comp, win, grid)
     meta = {
         "kind_detail": "smoothed trace vs sum of component leading terms",
         "tau0": win.tau0,
-        "n_components": len(comps),
+        "n_components": int(comp is not None),
         **_row_budgets(trace.cut_remainder, trace.rounding_bound, trace.decimal),
     }
     return ScanReport("trace", grid, trace.value, predicted, meta=meta)

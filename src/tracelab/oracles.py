@@ -17,6 +17,8 @@ import numpy as np
 
 from .windows import Window
 
+_POISSON_MODES = 6  # `poisson_trace` sums the periods 2*pi*k, |k| <= this
+
 
 def brute_spectrum(weights, k_max: int) -> list[tuple[float, int]]:
     """Sorted (eigenvalue, multiplicity) pairs by direct lattice enumeration."""
@@ -59,7 +61,7 @@ def counting_function(weights, lam: float) -> int:
     return total
 
 
-def _window_time_derivative(win: Window, tau: float) -> float:
+def _window_slope(win: Window, tau: float) -> float:
     """d/dtau of the window profile, analytic per shape (oracle-side only)."""
     t = (tau - win.tau0) / win.eps
     if win.shape == "gaussian":
@@ -69,7 +71,7 @@ def _window_time_derivative(win: Window, tau: float) -> float:
     return float(win.value(tau) * (-2.0 * t / (1.0 - t * t) ** 2) / win.eps)
 
 
-def poisson_trace(weights, win: Window, lam: float, n_modes: int = 6) -> complex:
+def poisson_trace(weights, win: Window, lam: float) -> complex:
     """Smoothed trace by Poisson summation of the exact lattice sum.
 
     Implemented for the weight vectors (1, 2) and (1, 1), whose
@@ -79,18 +81,19 @@ def poisson_trace(weights, win: Window, lam: float, n_modes: int = 6) -> complex
         (1, 1): c(n) = n + 1
 
     Poisson summation over n turns the polynomial piece into window values at
-    times 2*pi*k (with a derivative term from the linear factor) and the
-    alternating piece into window values at 2*pi*k - pi.  Valid for lam a few
-    window widths above 0 (the negative-n ghost terms are then negligible).
+    times 2*pi*k (with a d/dtau term from the linear factor) and the
+    alternating piece into window values at 2*pi*k - pi, |k| <=
+    `_POISSON_MODES`.  Valid for lam a few window widths above 0 (the
+    negative-n ghost terms are then negligible).
     """
     weights = tuple(sorted(int(w) for w in weights))
     out = 0.0 + 0.0j
-    ks = range(-n_modes, n_modes + 1)
+    ks = range(-_POISSON_MODES, _POISSON_MODES + 1)
     if weights == (1, 2):
         for k in ks:
             tau = 2.0 * np.pi * k
             chi = float(win.value(tau))
-            dchi = _window_time_derivative(win, tau)
+            dchi = _window_slope(win, tau)
             out += np.exp(-2j * np.pi * k * lam) * (
                 (2.0 * lam + 3.0) / 4.0 * 2.0 * np.pi * chi + 1j * np.pi * dchi
             )
@@ -105,7 +108,7 @@ def poisson_trace(weights, win: Window, lam: float, n_modes: int = 6) -> complex
         for k in ks:
             tau = 2.0 * np.pi * k
             chi = float(win.value(tau))
-            dchi = _window_time_derivative(win, tau)
+            dchi = _window_slope(win, tau)
             out += np.exp(-2j * np.pi * k * lam) * (
                 (lam + 1.0) * 2.0 * np.pi * chi + 2j * np.pi * dchi
             )

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _LINE_NODES_CAP = 1400  # nodes per side of `gaussian_line_rule`
+_FS_RADIAL_NODES = 200  # radial nodes of `fubini_study_volume`
 
 # ----------------------------------------------------------------------------
 # interval rules
@@ -193,18 +194,19 @@ def sphere_rule(d: int, t_degree: int, phase_degree: int):
 # ----------------------------------------------------------------------------
 
 
-def fubini_study_volume(d: int, n: int = 200) -> float:
+def fubini_study_volume(d: int) -> float:
     """Volume of projective d-space by radial quadrature in an affine chart.
 
     Integrates the affine-chart volume density (1 + |zeta|^2)^{-(d+1)} over
     C^d: the angular part is the exact unit-sphere area of S^{2d-1} and the
-    radial integral is evaluated numerically after the compactifying
-    substitution u = t/(1-t).  Independent of the moment-coordinate route, so
-    it serves as the normalisation oracle (expected value: pi^d/d!).
+    radial integral is evaluated numerically (`_FS_RADIAL_NODES`
+    Gauss-Legendre nodes) after the compactifying substitution u = t/(1-t).
+    Independent of the moment-coordinate route, so it serves as the
+    normalisation oracle (expected value: pi^d/d!).
     """
     if d == 0:
         return 1.0
-    t, w = gauss_legendre(n, 0.0, 1.0)
+    t, w = gauss_legendre(_FS_RADIAL_NODES, 0.0, 1.0)
     u = t / (1.0 - t)
     jac = 1.0 / (1.0 - t) ** 2
     radial = np.sum(w * jac * u ** (d - 1) * (1.0 + u) ** (-(d + 1)))

@@ -48,7 +48,7 @@ import numpy as np
 
 from .asymptotics import local_prediction, predict_local
 from .errors import CoverageError
-from .geometry import FixedComponent, HeisenbergChart, ProjectiveModel, fixed_components
+from .geometry import HeisenbergChart, ProjectiveModel
 from .reports import ScanReport
 from .spectral import SpectralPackage, section_dimension
 from .windows import Window
@@ -61,6 +61,9 @@ _CUT_FLOOR = 1e-290
 _GAUSS_FAR = math.sqrt(1400.0)
 # entries per array of one block of lambda rows in a window cut: 64 kB
 _CUT_BLOCK = 1 << 13
+# largest window-cut table n = 0..n_far: a one-point (1, 2) trace at lambda = 1e6
+# tabulates about 1e6 entries and peaks near 90 MB, at 2e6 near 145 MB
+_CUT_TABLE_MAX = 1 << 21
 # double keeps about 13 digits of a sum whose condition number kappa
 # satisfies kappa * 2^-53 <= 1e-13 (kappa up to about 900); rows past it are
 # summed again in decimal
@@ -192,11 +195,20 @@ def _window_cut(
     sum |c_n chihat(lam - n)| outside it: the majorant sum times ``scale``
     (d!/pi^d for kernels, 1 for traces).  Rows go in blocks of about
     ``_CUT_BLOCK`` entries; n beyond a row's far edge enter with term zero.
+    A cut that would tabulate more than `_CUT_TABLE_MAX` values of n is
+    refused before anything is allocated.
     """
     if win.shape != "gaussian":
         raise CoverageError(_BUMP_REFUSAL)
     d, min_w = model.dim, int(min(model.weights))
-    n_far = np.maximum(0, np.floor(lams + _GAUSS_FAR / win.eps)).astype(np.int64)
+    far = np.maximum(0.0, np.floor(lams + _GAUSS_FAR / win.eps))
+    if far.max(initial=0.0) >= _CUT_TABLE_MAX:
+        i = int(np.argmax(far))
+        raise CoverageError(
+            f"lambda={lams[i]:.6g} needs a window-cut table of {far[i] + 1:.3g} entries, above "
+            f"the {_CUT_TABLE_MAX} a cut may tabulate (ROADMAP item 4: an O(1/eps) cut)"
+        )
+    n_far = far.astype(np.int64)
     # terms beyond n_far: the majorant ratio b(n+1)/b(n) is at most
     # (1 + d/(m+1)) exp(-eps^2 (2s+1)/2), decreasing in n, so the tail is
     # at most b(n0)/(1 - q) with q the ratio bound at n0 = n_far + 1
@@ -508,22 +520,12 @@ def smoothed_kernel_diagonal(
 # ----------------------------------------------------------------------------
 
 
-def _chart_component(model: ProjectiveModel, chart: HeisenbergChart) -> FixedComponent:
-    support = set(np.flatnonzero(np.abs(chart.center) > 1e-9))
-    for comp in fixed_components(model, chart.tau0):
-        if not comp.m_only and comp.normal_dim == chart.normal_dim:
-            if support <= set(comp.index_set):
-                return comp
-    raise ValueError("chart center does not sit on a sphere fixed component")
-
-
-def _chart_meta(model: ProjectiveModel, chart: HeisenbergChart) -> dict:
+def _chart_meta(chart: HeisenbergChart) -> dict:
     """The chart centre and its fixed component; the rows alone do not name them."""
-    comp = _chart_component(model, chart)
     return {
         "chart_center": chart.center,
-        "index_set": list(comp.index_set),
-        "normal_dim": comp.normal_dim,
+        "index_set": list(chart.component.index_set),
+        "normal_dim": chart.component.normal_dim,
     }
 
 
@@ -544,8 +546,7 @@ def scaled_diagonal_scan(
     """
     lams = np.asarray(lambda_grid, dtype=float)
     u = np.asarray(u, dtype=complex)
-    comp = _chart_component(model, chart)
-    pred = local_prediction(model, comp, chart.center, win)
+    pred = local_prediction(model, chart, win)
     points = np.array([chart.normal_point(u / math.sqrt(l)) for l in lams])
     exact, remainders, bounds, decimal_rows = _diagonal_values(model, win, lams, points, tail_tol)
     predicted = predict_local(pred, u, lams)
@@ -553,7 +554,7 @@ def scaled_diagonal_scan(
         "kind_detail": "scaled diagonal vs local leading term",
         "weights": list(map(int, model.weights)),
         "tau0": chart.tau0,
-        **_chart_meta(model, chart),
+        **_chart_meta(chart),
         "u": u,
         "window": {"shape": win.shape, "eps": win.eps},
         **_row_budgets(remainders, bounds, decimal_rows),
@@ -603,7 +604,7 @@ def offlocus_decay_scan(
         "normalisation": "(lam/pi)^d",
         **_row_budgets(remainders, bounds, decimal_rows),
         "tau0": chart.tau0,
-        **_chart_meta(model, chart),
+        **_chart_meta(chart),
     }
     return ScanReport("offlocus", lams, exact, predicted, meta=meta, fits=fits)
 
@@ -708,7 +709,7 @@ def parity_scan(
         "kind_detail": "exact column = odd part, predicted column = even part",
         "u": np.asarray(u, dtype=complex),
         "tau0": chart.tau0,
-        **_chart_meta(model, chart),
+        **_chart_meta(chart),
         **_row_budgets(remainders, bounds, decimal_rows),
     }
     return ScanReport("parity", lams, odd, even, meta=meta)

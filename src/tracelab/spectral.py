@@ -13,10 +13,9 @@ field is evaluated once, summed along the angle grid's diagonal and
 transformed by one d-dimensional FFT, and each degree gathers its
 frequencies from that transform.  That is the literal quadrature sum
 reordered, and it establishes that the monomials are eigensections with the
-affine eigenvalue law <alpha, w>.  All monomial
-values, there and in `eigensection_values`, come from one evaluator,
-`monomial_values`, which multiplies out a table of coordinate powers and
-gathers it by exponent.
+affine eigenvalue law <alpha, w>.  All monomial values, there and in
+`eigensection_values`, come from one evaluator, `monomial_values`, which
+multiplies out a table of coordinate powers and gathers it by exponent.
 
 A `SpectralPackage` tabulates that law for the ``spectrum`` kind and the
 degree-block checks: the distinct integer eigenvalues with their
@@ -45,6 +44,8 @@ from .quadrature import SphereProductRule, sphere_product_rule, sphere_rule
 
 # entries per array of one block of moment nodes: 128 KB complex, so a block stays in cache
 _BLOCK_ENTRIES = 1 << 13
+# largest entry of |normalised Gram matrix - id| a block's quadrature may leave
+_GRAM_TOL = 1e-10
 
 
 # ----------------------------------------------------------------------------
@@ -162,71 +163,42 @@ def toeplitz_rule(model: ProjectiveModel, k: int) -> SphereProductRule:
     return sphere_product_rule(model.dim, t_degree=k + 2, phase_degree=k + 2)
 
 
-def toeplitz_matrix(
-    model: ProjectiveModel,
-    k: int,
-    derivative: str = "analytic",
-    gram_tol: float = 1e-10,
-) -> list[np.ndarray]:
-    """Matrices of the compressed contact derivative on degree-j sections, j = 0..k.
+def toeplitz_matrix(model: ProjectiveModel, k: int) -> list[np.ndarray]:
+    """Matrices of i*(contact field), compressed to the degree-j sections, j = 0..k.
 
-    Applies i*(contact field) to each basis monomial and projects by Gram
-    quadrature over `toeplitz_rule`, ``sphere_product_rule(d, k+2, k+2)``,
-    which is exact for every degree up to k, so one field evaluation per
-    node serves all k + 1 blocks: gram = sum_nodes w conj(z^alpha) z^beta
-    and op = sum_nodes w conj(z^alpha) i D_beta, both divided by the
-    closed-form norms.  At the node with moment coordinates t and angles
-    phi, z^alpha = R_alpha(t) e^{i<alpha,phi>} with R_alpha = sqrt(t)^alpha,
-    and D_beta = z^beta q_beta(t, phi).  So each sum is
-    sum_t w_t R_alpha R_beta Q(t, beta - alpha), where
-    Q(t, gamma) = sum_phi e^{i<gamma,phi>} q(t, phi) (q = 1 for the Gram
-    matrix).  Every gathered gamma has sum_j gamma_j = 0, so its phase is
-    constant along the rule's diagonal grid axis s (m = (m' + s*(1, ..., 1))
-    mod n, m'_d = 0): Q is the d-dimensional FFT over m' of sum_s q, read at
-    (gamma_0, ..., gamma_{d-1}).  This is the same discrete sum as the
-    node-by-node one, reordered; it assumes no torus invariance, so a field
-    that depends on the phases shows up off the diagonal exactly as it would
-    node by node.  The rule certifies itself: each normalised Gram matrix
-    must be the identity to ``gram_tol`` and each result Hermitian.
-
-    derivative="analytic" differentiates monomials along the field in closed
-    form: q_beta = sum_j beta_j field_j / z_j (the rule's nodes have no zero
-    coordinate), so the transform S(t, gamma, j) of field_j / z_j serves
-    every section of every degree.  derivative="fd" replaces D_beta by a
-    central difference of the same evaluator along the field at every node
-    and transforms q_beta = D_beta / z^beta for the sections of every degree
-    (validation fallback for small k).  Each degree gathers its frequencies
-    from the transform and sums over the moment nodes in blocks of at most
-    `_BLOCK_ENTRIES` per array.
+    Gram quadrature over `toeplitz_rule`, exact for every degree up to k, so
+    one field evaluation per node serves all k + 1 blocks: gram = sum_nodes
+    w conj(z^alpha) z^beta and op = sum_nodes w conj(z^alpha) i D_beta, both
+    divided by the closed-form norms.  D_beta, z^beta differentiated along
+    the field, is z^beta q_beta with q_beta = sum_j beta_j field_j / z_j (no
+    node has a zero coordinate).  Sum-factorised as the module docstring
+    says: z^alpha = sqrt(t)^alpha e^{i<alpha,phi>}, each q_j = field_j / z_j
+    is summed along the diagonal grid axis (every frequency beta - alpha
+    sums to zero) and transformed once per moment node, and each degree
+    contracts the transform with its exponents, gathers its frequencies and
+    sums over the moment nodes in blocks of at most `_BLOCK_ENTRIES` per
+    array.  That is the node-by-node sum reordered, with no torus invariance
+    assumed: a field that depends on the phases shows up off the diagonal.
+    Each normalised Gram matrix must be the identity to `_GRAM_TOL` and each
+    result Hermitian.
     """
-    if derivative not in ("analytic", "fd"):
-        raise ValueError(f"unknown derivative mode {derivative!r}")
     d = model.dim
     blocks = [degree_block(model, j) for j in range(k + 1)]
     rule = toeplitz_rule(model, k)
     n = rule.n_angles
     fold = (n,) * d  # the angle grid with its diagonal axis s summed out
-    stacked = np.vstack([block.exponents for block in blocks])  # fd: one column per section
-    columns = d + 1 if derivative == "analytic" else len(stacked)
-    step = max(1, _BLOCK_ENTRIES // (n ** (d + 1) * columns))  # moment nodes per block
-    S = np.empty((rule.t.shape[0], n**d, columns), dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // (n ** (d + 1) * (d + 1)))  # moment nodes per block
+    S = np.empty((rule.t.shape[0], n**d, d + 1), dtype=complex)
     for lo in range(0, rule.t.shape[0], step):
         z = rule.nodes(slice(lo, lo + step))  # (m, *fold, s, d+1)
-        field = contact_field(model, z)
-        if derivative == "analytic":
-            q = field / z
-        else:
-            h = 1e-6
-            q = monomial_values(stacked, z + h * field)
-            q -= monomial_values(stacked, z - h * field)
-            q /= 2.0 * h * monomial_values(stacked, z)
+        q = contact_field(model, z) / z
         # sum along the diagonal, then one d-dimensional transform per moment node
         sums = np.fft.ifftn(q.sum(axis=-2), axes=tuple(range(1, d + 1)), norm="forward")
-        S[lo : lo + step] = sums.reshape(len(sums), -1, columns)
+        S[lo : lo + step] = sums.reshape(len(sums), -1, d + 1)
     ones = np.fft.ifftn(np.full(fold, float(n)), norm="forward").ravel()  # Gram: q = 1, folded
     root_t = np.sqrt(rule.t)
 
-    out, first = [], 0  # first: the fd column of the block's first section
+    out = []
     for block in blocks:
         exponents, dim = block.exponents, block.dim
         # flat index of the frequency beta - alpha (mod n) on the folded grid, per (alpha, beta)
@@ -239,24 +211,21 @@ def toeplitz_matrix(
         step = max(1, _BLOCK_ENTRIES // (dim * max(dim, n**d)))
         for lo in range(0, len(R), step):
             rows = slice(lo, lo + step)
-            if derivative == "analytic":  # column beta: sum_j beta_j (transform of field_j / z_j)
-                sums = S[rows] @ exponents.T.astype(float)
-            else:
-                sums = S[rows, :, first : first + dim]
+            # column beta: sum_j beta_j (transform of field_j / z_j)
+            sums = S[rows] @ exponents.T.astype(float)
             Q = np.take(sums.reshape(len(sums), -1), entry, axis=1).reshape(-1, dim, dim)
             Rs = R[rows]
             Q *= rule.weights[rows, None, None] * Rs[:, :, None] * Rs[:, None, :]
             op += Q.sum(axis=0)
         scale = np.outer(block.norms, block.norms)
         residual = np.abs(gram / scale - np.eye(dim)).max()
-        if residual > gram_tol:
+        if residual > _GRAM_TOL:
             raise QuadratureError(f"quadrature under-resolved at k={block.k}: Gram residual {residual:.2e}")
         op *= 1j / scale
         herm = np.abs(op - op.conj().T).max()
         if herm > 1e-9:
             raise QuadratureError(f"assembled block not Hermitian at k={block.k}: residual {herm:.2e}")
         out.append(0.5 * (op + op.conj().T))
-        first += dim
     return out
 
 

@@ -19,6 +19,8 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import sys
 import time
 from pathlib import Path
 
@@ -35,7 +37,8 @@ from .asymptotics import (
     unitary_eigenbasis,
 )
 from .errors import DegenerateDirectionError
-from .geometry import fixed_components, heisenberg_chart, make_model, random_sphere_point
+from .geometry import make_model, random_sphere_point
+from .harness import _default_chart
 from .oracles import poisson_trace
 from .quadrature import fubini_study_volume, gaussian_line_rule
 from .smoothing import (
@@ -85,13 +88,7 @@ class _Shared:
 
     @functools.cached_property
     def chart(self):
-        comp = self.x_component(np.pi)
-        x0 = np.zeros(2, dtype=complex)
-        x0[comp.index_set[0]] = 1.0
-        return heisenberg_chart(self.model, x0, np.pi)
-
-    def x_component(self, tau0):
-        return [c for c in fixed_components(self.model, tau0) if not c.m_only][0]
+        return _default_chart(self.model, np.pi, None)
 
 
 # ----------------------------------------------------------------------------
@@ -222,8 +219,7 @@ def crit_06_local_scaling(sh: _Shared) -> CriterionResult:
         u = np.array([uval], dtype=complex)
         reports[uval] = scaled_diagonal_scan(sh.model, win, chart, u, grid)
     ratio_dev = max(abs(abs(rep.ratios[i300]) - 1.0) for rep in reports.values())
-    comp = sh.x_component(np.pi)
-    pred = local_prediction(sh.model, comp, chart.center, win)
+    pred = local_prediction(sh.model, chart, win)
     profile_err = 0.0
     s0 = abs(reports[0.0].exact[i300])
     for uval in (0.5, 1.0):
@@ -374,12 +370,10 @@ def crit_11_local_global_consistency(sh: _Shared) -> CriterionResult:
     details = []
     for model in (sh.model, sh.model112):
         win = Window("gaussian", np.pi, SIGMA)
-        comp = [c for c in fixed_components(model, np.pi) if not c.m_only][0]
-        x0 = np.zeros(model.dim + 1, dtype=complex)
-        x0[comp.index_set[0]] = 1.0
-        pred = local_prediction(model, comp, x0, win)
+        chart = _default_chart(model, np.pi, None)
+        pred = local_prediction(model, chart, win)
         num = _slice_integral(pred, lam) * lam ** (-pred.normal_dim)
-        ref = predict_global_component(model, comp, win, lam)
+        ref = predict_global_component(model, chart.component, win, lam)
         rel = abs(num - ref) / abs(ref)
         worst = max(worst, float(rel))
         details.append(f"w={model.weights}: rel={rel:.2e}")
@@ -435,7 +429,17 @@ CRITERIA = (
 )
 
 
-def run_all(out_dir=None, seed: int = 0, echo=print):
+def _print_line(line: str) -> None:
+    """Print one line at once.  Once the reader has quit (``| head -1``), later
+    lines and the interpreter's flush at exit go to the null device instead."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
+def run_all(out_dir=None, seed: int = 0, echo=_print_line):
     """Run all acceptance criteria; return (results, manifest, exit_code)."""
     sh = _Shared(seed=seed)
     results = []

@@ -11,11 +11,19 @@ the odd part is identically zero — there is no odd/even ratio to fit a slope
 to.  The u = 0 vanishing clause does hold and is asserted separately below.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tracelab import verify
 from tracelab.quadrature import sphere_rule
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +154,31 @@ def test_manifest_and_exit_code(tmp_path, monkeypatch):
     failed = [c for c in manifest["criteria"] if not c["passed"]]
     assert len(failed) == 1 and failed[0]["index"] == 8
     assert (tmp_path / "verify_manifest.json").exists()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_verify_survives_a_closed_stdout(tmp_path, unbuffered):
+    """``tracelab verify --out DIR | head -1``: once the reader has quit, the
+    run still finishes every criterion, writes its manifest and exits 1,
+    with no traceback, not even from the interpreter's flush at exit."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first line
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tracelab.cli", "verify", "--seed", "5", "--out", str(tmp_path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, proc.stderr
+    manifest = json.loads((tmp_path / "verify_manifest.json").read_text())
+    assert len(manifest["criteria"]) == 11
+    assert [c["index"] for c in manifest["criteria"] if not c["passed"]] == [8]
 
 
 def test_criterion_10_caps_inadmissible_draws(shared, monkeypatch):

@@ -17,7 +17,7 @@ from tracelab.asymptotics import (
     unitary_eigenbasis,
 )
 from tracelab.errors import CleanLocusError, DegenerateDirectionError, FitError
-from tracelab.geometry import fixed_components, make_model
+from tracelab.geometry import fixed_components, heisenberg_chart, make_model
 from tracelab.quadrature import gaussian_line_rule, simplex_rule
 from tracelab.windows import Window
 
@@ -28,8 +28,8 @@ def model12():
 
 
 @pytest.fixture(scope="module")
-def comp12(model12):
-    return [c for c in fixed_components(model12, np.pi) if not c.m_only][0]
+def chart12(model12):
+    return heisenberg_chart(model12, np.array([0.0, 1.0 + 0j]), np.pi)
 
 
 def test_psi2_hand_values():
@@ -145,10 +145,9 @@ def test_gaussian_integral_c0_is_one():
     assert res.closed_form == 1.0
 
 
-def test_local_prediction_phase_coherence(model12, comp12):
+def test_local_prediction_phase_coherence(model12, chart12):
     win = Window("gaussian", np.pi, 0.15)
-    x0 = np.array([0.0, 1.0 + 0j])
-    pred = local_prediction(model12, comp12, x0, win)
+    pred = local_prediction(model12, chart12, win)
     for lam in (10.0, 101.25, 333.5):
         val = complex(predict_local(pred, np.zeros(1, dtype=complex), lam))
         want = (-lam * np.pi) % (2 * np.pi)
@@ -156,11 +155,10 @@ def test_local_prediction_phase_coherence(model12, comp12):
         assert min(abs(got - want), 2 * np.pi - abs(got - want)) < 1e-10
 
 
-def test_predict_local_frame_invariance(model12, comp12):
+def test_predict_local_frame_invariance(model12, chart12):
     """Rotating the normal frame leaves the prediction invariant."""
     win = Window("gaussian", np.pi, 0.15)
-    x0 = np.array([0.0, 1.0 + 0j])
-    pred = local_prediction(model12, comp12, x0, win)
+    pred = local_prediction(model12, chart12, win)
     rng = np.random.default_rng(14)
     phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
     u = np.array([0.37 - 0.21j])
@@ -174,9 +172,9 @@ def test_predict_local_frame_invariance(model12, comp12):
 
 
 def test_component_f_integrals(model12):
-    comp_pi = [c for c in fixed_components(model12, np.pi) if not c.m_only][0]
+    comp_pi = fixed_components(model12, np.pi)[0]
     assert abs(component_f_integral(model12, comp_pi) - 0.5) < 1e-14
-    comp_0 = [c for c in fixed_components(model12, 0.0) if not c.m_only][0]
+    comp_0 = fixed_components(model12, 0.0)[0]
     # pi * int_0^1 (2 - t)^{-2} dt = pi/2
     assert abs(component_f_integral(model12, comp_0) - np.pi / 2) < 1e-12
 
@@ -201,13 +199,13 @@ def test_component_f_integral_matches_simplex_quadrature(weights):
 
 def test_predict_global_values(model12):
     win = Window("gaussian", np.pi, 0.15)
-    comp_pi = [c for c in fixed_components(model12, np.pi) if not c.m_only][0]
+    comp_pi = fixed_components(model12, np.pi)[0]
     lam = 300.5
     val = predict_global_component(model12, comp_pi, win, lam)
     ref = (np.pi / 2) * np.exp(-1j * np.pi * lam)
     assert abs(val - ref) < 1e-12
     win0 = Window("gaussian", 0.0, 0.15)
-    comp_0 = [c for c in fixed_components(model12, 0.0) if not c.m_only][0]
+    comp_0 = fixed_components(model12, 0.0)[0]
     val0 = predict_global_component(model12, comp_0, win0, lam)
     assert abs(val0 - np.pi * lam) < 1e-9
 
@@ -216,7 +214,7 @@ def test_predictions_take_their_phase_at_the_period():
     # the double nearest pi is below it by 1.2e-16, which e^{-i lam tau0}
     # would carry as a phase of 1.2e-11 at lam = 1e5
     model = make_model((1, 1, 1, 2))
-    comp = [c for c in fixed_components(model, np.pi) if not c.m_only][0]
+    comp = fixed_components(model, np.pi)[0]
     assert comp.period == Fraction(1, 2)
     win = Window("gaussian", np.pi, 0.15)
     lams = np.array([1e5, 1e5 + 1, 1e5 + 0.5])
@@ -225,7 +223,8 @@ def test_predictions_take_their_phase_at_the_period():
     assert np.isnan(predict_global_component(model, comp, win, [np.nan, np.inf])).all()
     x0 = np.zeros(4, dtype=complex)
     x0[3] = 1.0
-    local = predict_local(local_prediction(model, comp, x0, win), np.zeros(3), lams)
+    chart = heisenberg_chart(model, x0, np.pi)
+    local = predict_local(local_prediction(model, chart, win), np.zeros(3), lams)
     assert np.all(np.abs(np.angle(local * np.array([1, -1, 1j]))) < 1e-15)
 
 

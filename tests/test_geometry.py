@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tracelab.asymptotics import covector_pairing
+from tracelab.asymptotics import covector_pairing, local_prediction
 from tracelab.errors import (
     CalibrationError,
     ChartError,
@@ -26,6 +28,8 @@ from tracelab.geometry import (
     random_sphere_point,
     turn_phase,
 )
+from tracelab.smoothing import smoothed_kernel_diagonal
+from tracelab.windows import Window
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +65,7 @@ CALIBRATION_WEIGHTS = [(1, 2), (1, 1, 2), (1, 2, 3), (3, 5), (2, 3, 5, 7)]
 def test_contact_field_integration_matches_solve_ivp_and_closed_form(weights):
     from scipy.integrate import solve_ivp  # independent oracle for the RK4 endpoints
 
-    tol = 1e-8  # calibrate's default
+    tol = 1e-8  # geometry._CALIBRATION_TOL, calibrate's tolerance
     model = make_model(weights, calibration="none")
     starts = _random_points(np.random.default_rng(7), 3, model.dim + 1)
     ends = integrate_contact_field(model, starts, tol=tol / 100.0)
@@ -230,7 +234,6 @@ def test_fixed_components_pi(model12):
     assert c.f_j == 0 and c.normal_dim == 1
     assert abs(c.c_value - 2.0) < 1e-12
     assert np.allclose(c.normal_angles, [np.pi])
-    assert abs(c.f_range[0] - 2.0) < 1e-12
     # the weight-1 coordinate is fixed only downstairs at tau0 = pi... it is
     # not: e^{-i pi} = -1 is a nontrivial common phase, so it shows as m_only
     m_only = [c for c in comps if c.m_only]
@@ -317,18 +320,72 @@ def test_chart_requires_fixed_center(model12):
 
 
 def test_flow_differential_normal(model12, model112):
-    x0 = np.array([0.0, 1.0 + 0j])
-    comp = [c for c in fixed_components(model12, np.pi) if not c.m_only][0]
-    A = flow_differential_normal(model12, comp, x0)
+    chart = heisenberg_chart(model12, np.array([0.0, 1.0 + 0j]), np.pi)
+    A = flow_differential_normal(model12, chart)
     assert A.shape == (1, 1)
     assert abs(A[0, 0] + 1.0) < 1e-6
-    x0b = np.array([0.0, 0.0, 1.0 + 0j])
-    compb = [c for c in fixed_components(model112, np.pi) if not c.m_only][0]
-    B = flow_differential_normal(model112, compb, x0b)
+    chartb = heisenberg_chart(model112, np.array([0.0, 0.0, 1.0 + 0j]), np.pi)
+    B = flow_differential_normal(model112, chartb)
     assert np.abs(B + np.eye(2)).max() < 1e-6
     # unitarity and determinant consistency with the component data
     assert np.abs(B.conj().T @ B - np.eye(2)).max() < 1e-8
-    assert abs(np.linalg.det(np.eye(2) - B) - compb.c_value) < 1e-6
+    assert abs(np.linalg.det(np.eye(2) - B) - chartb.component.c_value) < 1e-6
+
+
+def _same_component(a, b) -> bool:
+    fields = ("tau0", "index_set", "f_j", "c_value", "period", "m_only")
+    return all(getattr(a, f) == getattr(b, f) for f in fields) and np.array_equal(
+        a.normal_angles, b.normal_angles
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+    data=st.data(),
+)
+def test_the_chart_carries_the_one_sphere_fixed_component(weights, data):
+    """At every period 2 pi j / w_i exactly one component is fixed on the
+    sphere, `fixed_components` lists it first, and a chart centred anywhere
+    on it carries it."""
+    model = make_model(weights, calibration={"lift_sign": -1, "lift_shift": 0.0})
+    w = data.draw(st.sampled_from(weights), label="w_i")
+    j = data.draw(st.integers(0, 2 * w), label="j")
+    tau0 = 2.0 * np.pi * j / w
+    comps = fixed_components(model, tau0)
+    sphere = [c for c in comps if not c.m_only]
+    assert len(sphere) == 1 and comps[0] is sphere[0]
+    comp = comps[0]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x0 = np.zeros(model.dim + 1, dtype=complex)
+    x0[list(comp.index_set)] = rng.normal(size=comp.f_j + 1) + 1j * rng.normal(size=comp.f_j + 1)
+    x0 /= np.linalg.norm(x0)
+    chart = heisenberg_chart(model, x0, tau0)
+    assert _same_component(chart.component, comp)
+    assert chart.n_tangent == comp.f_j and chart.tau0 == comp.tau0
+    assert chart.normal_dim == comp.normal_dim
+
+
+def test_chart_at_a_non_coordinate_centre_of_the_122_line():
+    """The (1, 2, 2) line {z_0 = 0} is fixed at tau0 = pi; a centre mixing its
+    two coordinates gets that line, its normal map and the (1, 1, 2) point's
+    diagonal, since h_n comes from (1 - x^2)^-3 at both."""
+    model = make_model((1, 2, 2))
+    x0 = np.array([0.0, 0.6, 0.8j])
+    chart = heisenberg_chart(model, x0, np.pi)
+    assert _same_component(chart.component, fixed_components(model, np.pi)[0])
+    assert chart.component.index_set == (1, 2) and chart.component.c_value == 2.0
+    assert (chart.n_tangent, chart.normal_dim, chart.tau0) == (1, 1, np.pi)
+    A = flow_differential_normal(model, chart)
+    assert abs(A[0, 0] + 1.0) < 1e-6
+    win = Window("gaussian", np.pi, 0.15)
+    pred = local_prediction(model, chart, win)
+    assert (pred.f_j, pred.period, pred.normal_dim) == (1, Fraction(1, 2), 1)
+    assert abs(pred.f_center - 2.0) < 1e-15
+    point = chart.normal_point(np.array([0.0j]))
+    line, _ = smoothed_kernel_diagonal(model, win, 40.0, point)
+    apex, _ = smoothed_kernel_diagonal(make_model((1, 1, 2)), win, 40.0, np.array([0, 0, 1 + 0j]))
+    assert abs(line[0] - apex[0]) < 1e-13 * abs(apex[0])
 
 
 def test_calibration_override_dict():

@@ -171,6 +171,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["trace", "local"])
+def test_cli_lambda_beyond_the_cut_table_exits_3(tmp_path, capsys, kind):
+    argv = [kind, "--weights", "1,2", "--shape", "gaussian", "--tau0", "0", "--eps", "0.15",
+            "--lambda-grid", "1e12:2e12:2", "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda=") and "needs a window-cut table" in err
+
+
 def test_cli_spectrum_smoke(tmp_path):
     code = cli.main(
         [

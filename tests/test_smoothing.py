@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tracelab import smoothing
 from tracelab.errors import CoverageError, PeriodError
 from tracelab.geometry import heisenberg_chart, make_model, period_gap, random_sphere_point
 from tracelab.oracles import brute_smoothed_trace, eigenvalue_multiplicity, poisson_trace
@@ -82,6 +83,28 @@ def test_bump_trace_refuses_from_the_cut(model12):
     # degree truncation left to blame
     with pytest.raises(CoverageError, match="envelope"):
         smoothed_trace(model12, Window("bump", np.pi, 0.5), 100.0)
+
+
+def test_lambda_beyond_the_cut_table_refuses(model12, chart):
+    # lambda = 1e12 would tabulate 1e12 values of n; past 9.2e18 the count
+    # would not even fit int64
+    with pytest.raises(CoverageError, match=r"lambda=1e\+12 needs a window-cut table"):
+        smoothed_trace(model12, Window("gaussian", 0.0, 0.15), 1e12)
+    with pytest.raises(CoverageError, match=r"lambda=1e\+19 needs a window-cut table"):
+        smoothed_trace(model12, Window("gaussian", 0.0, 0.15), [10.0, 1e19])
+    point = chart.normal_point(np.array([0.5 + 0j]) / 1e6)
+    with pytest.raises(CoverageError, match=r"lambda=1e\+12 needs a window-cut table"):
+        smoothed_kernel_diagonal(model12, WIN, 1e12, point)
+
+
+def test_cut_table_limit_is_one_constant(model12, monkeypatch):
+    win = Window("gaussian", 0.0, 0.15)
+    # the far edge of a cut at lam = 700 is floor(700 + sqrt(1400)/0.15) = 949
+    monkeypatch.setattr(smoothing, "_CUT_TABLE_MAX", 950)
+    assert np.isfinite(smoothed_trace(model12, win, 700.0).value)
+    monkeypatch.setattr(smoothing, "_CUT_TABLE_MAX", 949)
+    with pytest.raises(CoverageError, match="950 entries, above the 949"):
+        smoothed_trace(model12, win, 700.0)
 
 
 def test_trace_grid_matches_pointwise_calls(model12):

@@ -113,20 +113,23 @@ def test_toeplitz_blocks_do_not_depend_on_the_rule(weights, k, degrees):
 
 
 def test_toeplitz_fd_derivative_route_agrees(model12):
-    a = toeplitz_matrix(model12, 6, derivative="analytic")
-    b = toeplitz_matrix(model12, 6, derivative="fd")
-    assert len(a) == len(b) == 7
-    assert max(np.abs(x - y).max() for x, y in zip(a, b)) < 1e-6
+    """The closed-form derivative of the assembly matches central differences of the monomials."""
+    blocks = toeplitz_matrix(model12, 6)
+    assert len(blocks) == 7
+    assert max(np.abs(op - _literal_toeplitz(model12, j, "fd", 6)).max()
+               for j, op in enumerate(blocks)) < 1e-6
 
 
-def _literal_toeplitz(model, k, derivative, rule_degree):
+def _literal_toeplitz(model, k, route, rule_degree):
     """Node-by-node assembly of the degree-k block over the flattened rule of
-    degree ``rule_degree``: conj(V) w V^T and conj(V) w (iD)^T."""
+    degree ``rule_degree``: conj(V) w V^T and conj(V) w (iD)^T, with D the
+    monomials differentiated along the field in closed form (route
+    "analytic") or by central differences of step 1e-6 (route "fd")."""
     block = degree_block(model, k)
     z, w = sphere_rule(model.dim, rule_degree + 2, rule_degree + 2)
     field = spectral.contact_field(model, z)
     V = monomial_values(block.exponents, z)  # (m, dim)
-    if derivative == "analytic":
+    if route == "analytic":
         D = V * ((field / z) @ block.exponents.T)
     else:
         h = 1e-6
@@ -140,12 +143,17 @@ def _literal_toeplitz(model, k, derivative, rule_degree):
     return 0.5 * (op + op.conj().T)
 
 
-@pytest.mark.parametrize("derivative", ["analytic", "fd"])
+# the literal sum matches the assembly to rounding by the same derivative, and
+# to the central difference's error by the other
+ROUTE_TOL = {"analytic": 1e-12, "fd": 1e-8}
+
+
+@pytest.mark.parametrize("route", ["analytic", "fd"])
 @pytest.mark.parametrize(
     "weights,k", [((1, 2), 0), ((1, 2), 3), ((1, 2), 8), ((1, 1, 2), 2), ((1, 1, 2), 6),
                   ((1, 2, 3), 1), ((1, 2, 3), 5), ((1, 1, 1, 2), 1), ((1, 1, 1, 2), 2)],
 )
-def test_toeplitz_matches_literal_node_sum(weights, k, derivative):
+def test_toeplitz_matches_literal_node_sum(weights, k, route):
     """The folded, sum-factorised assembly is the node-by-node quadrature sum, reordered.
 
     Every block of degree j <= k is summed over the degree-k rule, as the
@@ -153,19 +161,19 @@ def test_toeplitz_matches_literal_node_sum(weights, k, derivative):
     the fold and a three-dimensional FFT.
     """
     model = make_model(weights)
-    factorised = toeplitz_matrix(model, k, derivative=derivative)
+    factorised = toeplitz_matrix(model, k)
     assert len(factorised) == k + 1
     for j, op in enumerate(factorised):
-        assert np.abs(op - _literal_toeplitz(model, j, derivative, k)).max() < 1e-12, j
+        assert np.abs(op - _literal_toeplitz(model, j, route, k)).max() < ROUTE_TOL[route], j
 
 
-@pytest.mark.parametrize("derivative", ["analytic", "fd"])
+@pytest.mark.parametrize("route", ["analytic", "fd"])
 @pytest.mark.parametrize(
     "weights,k,coupled",
     [((1, 2), 4, (0, 1)), ((1, 1, 2), 3, (1, 2)), ((1, 1, 1, 2), 1, (0, 3)),
      ((1, 1, 1, 2), 2, (2, 3))],
 )
-def test_toeplitz_detects_phase_dependent_field(monkeypatch, weights, k, coupled, derivative):
+def test_toeplitz_detects_phase_dependent_field(monkeypatch, weights, k, coupled, route):
     """A field -i(W + eps H)z that breaks the torus symmetry shows up off the diagonal.
 
     H couples coordinates of different weight, so the field depends on the
@@ -179,11 +187,11 @@ def test_toeplitz_detects_phase_dependent_field(monkeypatch, weights, k, coupled
     H[j, l], H[l, j] = 0.6 + 0.8j, 0.6 - 0.8j
     M = np.diag(model.weight_array) + eps * H
     monkeypatch.setattr(spectral, "contact_field", lambda _model, z: -1j * (z @ M.T))
-    blocks = toeplitz_matrix(model, k, derivative=derivative)
+    blocks = toeplitz_matrix(model, k)
     assert len(blocks) == k + 1
     for degree, factorised in enumerate(blocks):
-        literal = _literal_toeplitz(model, degree, derivative, k)
-        assert np.abs(factorised - literal).max() < 1e-12
+        literal = _literal_toeplitz(model, degree, route, k)
+        assert np.abs(factorised - literal).max() < ROUTE_TOL[route]
 
         block = degree_block(model, degree)
         expected = np.diag(block.eigenvalues).astype(complex)
@@ -196,16 +204,16 @@ def test_toeplitz_detects_phase_dependent_field(monkeypatch, weights, k, coupled
                     alpha[dst] += 1
                     a = index[tuple(alpha)]
                     expected[a, b] += eps * beta[src] * H[src, dst] * block.norms[a] / block.norms[b]
-        tol = 1e-12 if derivative == "analytic" else 1e-8
-        assert np.abs(factorised - expected).max() < tol
+        assert np.abs(factorised - expected).max() < 1e-12
         if degree > 0:  # degree 0 is one constant section, which no field couples
             off = factorised - np.diag(np.diag(factorised))
             assert 0.5 * eps < np.abs(off).max() < 10 * eps, degree
 
 
-def test_toeplitz_gram_tolerance_still_enforced(model12):
+def test_toeplitz_gram_tolerance_still_enforced(model12, monkeypatch):
+    monkeypatch.setattr(spectral, "_GRAM_TOL", 1e-300)
     with pytest.raises(QuadratureError, match="under-resolved"):
-        toeplitz_matrix(model12, 4, gram_tol=1e-300)
+        toeplitz_matrix(model12, 4)
 
 
 @pytest.mark.parametrize("d", [1, 2])
