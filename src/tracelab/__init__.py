@@ -27,7 +27,6 @@ from .errors import (
     PeriodError,
     QuadratureError,
     TracelabError,
-    UncalibratedModelError,
 )
 from .geometry import (
     FixedComponent,

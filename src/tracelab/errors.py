@@ -5,12 +5,8 @@ class TracelabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class UncalibratedModelError(TracelabError):
-    """Flow requested on a model whose lift constants are not set."""
-
-
 class CalibrationError(TracelabError):
-    """No candidate lift convention reproduces the integrated contact flow."""
+    """The assembled contact field does not generate the closed-form flow."""
 
 
 class PeriodError(TracelabError):

@@ -11,35 +11,25 @@ plain complex ndarrays of shape (..., d+1); the last axis is the homogeneous
 coordinate.  A projective point is such a vector up to phase.
 
 The one-parameter group generated by the contact lift of the Hamiltonian
-field acts by coordinate phases.  Its exact representation is *calibrated*,
-not assumed: `calibrate` integrates the explicitly assembled contact field
-(step-doubled RK4) and selects the sign/shift convention that reproduces it.
-On these models the calibrated flow is z -> exp(-i*tau*diag(w)) z.
+field acts by coordinate phases.  The contact field, assembled explicitly by
+`contact_field`, is the linear field -i*diag(w)*z (its f*z terms cancel), so
+the flow is z -> exp(-i*tau*diag(w)) z in closed form.  `calibrate` checks
+that identity on every model `make_model` builds.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import numpy.random  # loaded lazily by numpy; every calibration draws its starts from it
 
-from .errors import (
-    CalibrationError,
-    ChartError,
-    CleanLocusError,
-    PeriodError,
-    UncalibratedModelError,
-)
+from .errors import CalibrationError, ChartError, CleanLocusError, PeriodError
 
 _FIX_TOL = 1e-9  # phase tolerance deciding membership of a fixed locus
-_CALIBRATION_TOL = 1e-8  # endpoint error a lift convention must reproduce the flow within
+_CALIBRATION_TOL = 1e-12  # relative gap allowed between contact_field and -i*diag(w)*z
 _NORMAL_FD_STEP = 1e-5  # central-difference step of the normal flow differential
-_RK4_STEPS_PER_WEIGHT = 32  # initial RK4 steps over tau in [0, 1], per unit of max(w)
-_RK4_MAX_DOUBLINGS = 4  # step doublings allowed before the integration gives up
 
 
 # ----------------------------------------------------------------------------
@@ -49,49 +39,22 @@ _RK4_MAX_DOUBLINGS = 4  # step doublings allowed before the integration gives up
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveModel:
-    """Weighted projective model: dimension, weights, lift convention.
-
-    ``lift_sign``/``lift_shift`` encode the calibrated representation of the
-    lifted flow, z -> exp(i * lift_sign * tau * (w_j + lift_shift)) z_j.  They
-    are ``None`` until `calibrate` has run (or explicit values were supplied).
-    """
+    """Weighted projective model: dimension d and the d+1 positive weights."""
 
     dim: int
     weights: tuple
-    lift_sign: int | None = None
-    lift_shift: float | None = None
-
-    @property
-    def calibrated(self) -> bool:
-        return self.lift_sign is not None and self.lift_shift is not None
 
     @property
     def weight_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
 
 
-def make_model(weights, calibration="auto") -> ProjectiveModel:
-    """Build (and by default calibrate) a weighted projective model.
-
-    Parameters
-    ----------
-    weights : sequence of positive ints, length d+1
-    calibration : "auto" | "none" | {"lift_sign": +-1, "lift_shift": float}
-    """
+def make_model(weights) -> ProjectiveModel:
+    """The weighted projective model of ``weights`` (>= 2 positive ints), its field checked."""
     ws = tuple(int(w) for w in weights)
     if len(ws) < 2 or any(w <= 0 for w in ws):
         raise ValueError("weights must be >= 2 strictly positive integers")
-    model = ProjectiveModel(dim=len(ws) - 1, weights=ws)
-    if calibration == "auto":
-        return calibrate(model)
-    if calibration == "none":
-        return model
-    if isinstance(calibration, dict):
-        sign = int(calibration["lift_sign"])
-        if sign not in (-1, 1):
-            raise ValueError("lift_sign must be +-1")
-        return replace(model, lift_sign=sign, lift_shift=float(calibration["lift_shift"]))
-    raise ValueError(f"unrecognised calibration value: {calibration!r}")
+    return calibrate(ProjectiveModel(dim=len(ws) - 1, weights=ws))
 
 
 def random_sphere_point(model: ProjectiveModel, rng) -> np.ndarray:
@@ -117,9 +80,10 @@ def contact_field(model: ProjectiveModel, z: np.ndarray) -> np.ndarray:
     Assembled from its two defining pieces: the horizontal lift of the
     Hamiltonian field of f (the ambient Hamiltonian field -i(diag(w) - f)z of
     the weight quotient, which is tangent to the sphere and already
-    horizontal) minus f times the vertical circle generator iz.  The flow
-    representation is *not* used here; this field is what `calibrate`
-    integrates to fix that representation.
+    horizontal) minus f times the vertical circle generator iz.  The f*z
+    terms cancel, leaving -i*diag(w)*z, the generator of `flow_phases`;
+    criterion 1's quadrature (`spectral.toeplitz_matrix`) consumes this
+    assembled form.
     """
     z = np.asarray(z)
     f = hamiltonian(model, z)[..., None]
@@ -128,86 +92,29 @@ def contact_field(model: ProjectiveModel, z: np.ndarray) -> np.ndarray:
     return horizontal - f * vertical
 
 
-def integrate_contact_field(model: ProjectiveModel, z0: np.ndarray, tol: float) -> np.ndarray:
-    """Endpoints at tau = 1 of dz/dtau = contact_field(z), batched over z0.
-
-    Classical RK4 with step doubling: n = 32*max(w) steps against 2n from the
-    same starts.  The fine endpoint is accepted once its Richardson estimate
-    max|fine - coarse|/15 is at most ``tol``; otherwise n doubles (the old
-    fine run becomes the new coarse one), at most `_RK4_MAX_DOUBLINGS` times,
-    and past that a CalibrationError is raised.
-    """
-    z0 = np.asarray(z0, dtype=complex)
-    n = _RK4_STEPS_PER_WEIGHT * max(model.weights)
-    coarse = _rk4(model, z0, n)
-    for _ in range(_RK4_MAX_DOUBLINGS + 1):
-        fine = _rk4(model, z0, 2 * n)
-        estimate = float(np.abs(fine - coarse).max()) / 15.0
-        if estimate <= tol:
-            return fine
-        coarse, n = fine, 2 * n
-    raise CalibrationError(
-        f"contact-field integration did not converge: error estimate {estimate:.2e} "
-        f"above {tol:.1e} at {n} RK4 steps"
-    )
-
-
-def _rk4(model: ProjectiveModel, z: np.ndarray, n: int) -> np.ndarray:
-    """n classical RK4 steps of the contact field over tau in [0, 1]."""
-    h, half, sixth = 1.0 / n, 0.5 / n, 1.0 / (6.0 * n)
-    for _ in range(n):
-        k1 = contact_field(model, z)
-        k2 = contact_field(model, z + half * k1)
-        k3 = contact_field(model, z + half * k2)
-        k4 = contact_field(model, z + h * k3)
-        z = z + sixth * (k1 + k4 + 2.0 * (k2 + k3))
-    return z
-
-
 def calibrate(model: ProjectiveModel) -> ProjectiveModel:
-    """Fix the lift convention by integrating the contact field.
+    """Check that the assembled contact field generates `flow_phases`.
 
-    `integrate_contact_field` carries three random sphere points (drawn from
-    seed 0) over tau in [0, 1] along the assembled contact field
-    (step-doubled RK4, accepted at an estimated error of tol/100 with tol =
-    `_CALIBRATION_TOL`; never the flow formula itself).  The endpoints are
-    compared against the candidate phase representations
-    exp(i*sign*tau*(w + shift)) for sign in {-1,+1} and shift in {-1, 0, +1}.
-    The unique candidate within tol wins; none within tol, two within 10*tol
-    or an unconverged integration raise CalibrationError.
+    At three fixed sphere points with every coordinate nonzero and distinct
+    moduli, `contact_field` must equal -i*diag(w)*z to `_CALIBRATION_TOL`
+    relative to its size; otherwise CalibrationError.  Returns the model.
     """
-    rng, tol = np.random.default_rng(0), _CALIBRATION_TOL
-    starts = np.array([random_sphere_point(model, rng) for _ in range(3)])
-    w = model.weight_array
-    endpoints = integrate_contact_field(model, starts, tol=tol / 100.0)
-
-    scores = {}
-    for sign, shift in itertools.product((-1, 1), (-1.0, 0.0, 1.0)):
-        err = 0.0
-        for z0, zT in zip(starts, endpoints):
-            cand = np.exp(1j * sign * (w + shift)) * z0
-            err = max(err, float(np.abs(cand - zT).max()))
-        scores[(sign, shift)] = err
-    ranked = sorted(scores.items(), key=lambda kv: kv[1])
-    (best, best_err), (_, runner_up) = ranked[0], ranked[1]
-    if best_err > tol:
+    j = np.arange(1, model.dim + 2)
+    z = np.array([j**p * np.exp(1j * (p + 1) * j) for p in range(3)])
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    expected = -1j * model.weight_array * z
+    gap = float(np.abs(contact_field(model, z) - expected).max() / np.abs(expected).max())
+    if not gap <= _CALIBRATION_TOL:
         raise CalibrationError(
-            f"no lift convention reproduces the integrated flow (best err {best_err:.2e})"
+            f"the contact field is not -i*diag(w)*z: relative gap {gap:.2e} "
+            f"above {_CALIBRATION_TOL:.0e}"
         )
-    if runner_up < 10 * tol:
-        raise CalibrationError("lift calibration is ambiguous between two conventions")
-    return replace(model, lift_sign=best[0], lift_shift=best[1])
-
-
-def _require_calibrated(model: ProjectiveModel) -> None:
-    if not model.calibrated:
-        raise UncalibratedModelError("uncalibrated model: run calibrate() first")
+    return model
 
 
 def flow_phases(model: ProjectiveModel, tau: float) -> np.ndarray:
-    """Per-coordinate phases of the lifted flow at time tau."""
-    _require_calibrated(model)
-    return np.exp(1j * model.lift_sign * tau * (model.weight_array + model.lift_shift))
+    """Per-coordinate phases exp(-i*tau*w) of the lifted flow at time tau."""
+    return np.exp(-1j * tau * model.weight_array)
 
 
 def flow_sphere(model: ProjectiveModel, tau: float, z: np.ndarray) -> np.ndarray:
@@ -223,22 +130,18 @@ def flow_sphere(model: ProjectiveModel, tau: float, z: np.ndarray) -> np.ndarray
 def period_gap(model: ProjectiveModel, tau0: float) -> float:
     """Distance from tau0 to the nearest other period.
 
-    The periods are 0 and the multiples +-2*pi*j/e of the effective weights
-    e = |w_i + shift|; they are symmetric about 0, so the gap at tau0 is the
-    gap at |tau0|.  Of each e only the multiples bracketing |tau0| can be
-    nearest, so the cost does not grow with |tau0|.
+    The periods are 0 and the multiples +-2*pi*j/w_i of the weights; they
+    are symmetric about 0, so the gap at tau0 is the gap at |tau0|.  Of each
+    w_i only the multiples bracketing |tau0| can be nearest, so the cost does
+    not grow with |tau0|.
     """
-    _require_calibrated(model)
     if not math.isfinite(tau0):
         raise PeriodError(f"tau0={tau0!r} is not finite")
     tau0 = abs(tau0)
-    effective = [abs(w + model.lift_shift) for w in model.weights]
-    if any(e == 0 for e in effective):
-        raise PeriodError("a coordinate is flow-inert; every time is a period")
     candidates = [0.0]
-    for e in effective:
-        k = math.floor(tau0 * e / (2.0 * np.pi))
-        candidates += [2.0 * np.pi * j / e for j in range(max(k - 1, 1), k + 3)]
+    for w in model.weights:
+        k = math.floor(tau0 * w / (2.0 * np.pi))
+        candidates += [2.0 * np.pi * j / w for j in range(max(k - 1, 1), k + 3)]
     return min(abs(tau0 - t) for t in candidates if abs(t - tau0) > 1e-9)
 
 
@@ -258,7 +161,7 @@ class FixedComponent:
     tau0: float
     index_set: tuple
     f_j: int
-    normal_angles: np.ndarray
+    normal_angles: tuple
     c_value: complex
     period: Fraction
     m_only: bool = False
@@ -276,7 +179,6 @@ def fixed_components(model: ProjectiveModel, tau0: float):
     flagged ``m_only``.  Raises PeriodError when tau0 fixes nothing upstairs,
     CleanLocusError when a normal angle degenerates.
     """
-    _require_calibrated(model)
     phases = flow_phases(model, tau0)
     angles = np.mod(np.angle(phases), 2.0 * np.pi)
 
@@ -300,7 +202,7 @@ def fixed_components(model: ProjectiveModel, tau0: float):
     for g in groups:
         rest = [j for j in range(model.dim + 1) if j not in g]
         # turns of the inverse-time differential relative to the component, at the exact period
-        rel = [-model.lift_sign * period * (model.weights[j] - model.weights[g[0]]) for j in rest]
+        rel = [period * (model.weights[j] - model.weights[g[0]]) for j in rest]
         if any(r.denominator == 1 for r in rel):
             raise CleanLocusError("fixed locus not clean: unit normal phase")
         out.append(
@@ -308,7 +210,7 @@ def fixed_components(model: ProjectiveModel, tau0: float):
                 tau0=float(tau0),
                 index_set=tuple(g),
                 f_j=len(g) - 1,
-                normal_angles=np.array([2.0 * np.pi * float(r % 1) for r in rel]),
+                normal_angles=tuple(2.0 * np.pi * float(r % 1) for r in rel),
                 c_value=complex(np.prod(1.0 - turn_phase(rel))),
                 period=period,
                 m_only=(g is not x_group),
@@ -329,12 +231,9 @@ def turn_phase(turns) -> np.ndarray:
 
 
 def _period_turns(model: ProjectiveModel, tau0: float, group) -> Fraction:
-    """Period in turns near tau0 fixing ``group``: p/e, tau0 e ~ 2 pi p, e = w_i + shift."""
-    for i in group:
-        e = Fraction(model.weights[i]) + Fraction(model.lift_shift)
-        if e:
-            return Fraction(round(tau0 * float(e) / (2.0 * math.pi))) / e
-    raise PeriodError("the fixed component is flow-inert; it has no isolated period")
+    """Period in turns near tau0 fixing ``group``: p/w, tau0 w ~ 2 pi p, w = w_i, i in group."""
+    w = model.weights[group[0]]
+    return Fraction(round(tau0 * w / (2.0 * math.pi)), w)
 
 
 # ----------------------------------------------------------------------------
@@ -436,7 +335,6 @@ class HeisenbergChart:
 
 def heisenberg_chart(model: ProjectiveModel, x0: np.ndarray, tau0: float) -> HeisenbergChart:
     """Adapted chart at x0 on the component fixed upstairs at tau0."""
-    _require_calibrated(model)
     x0 = np.asarray(x0, dtype=complex)
     off = abs(np.linalg.norm(x0) - 1.0)
     if off > 1e-10:

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import time
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,8 @@ def parse_lambda_grid(text: str) -> np.ndarray:
 
 
 def _field(d: dict, key: str, caster, default=..., where: str = "config"):
-    if key not in d:
+    """``caster(d[key])``, naming the field on failure; null counts as absent."""
+    if d.get(key) is None:
         if default is ...:
             raise ConfigError(f"{where}.{key}: missing required field")
         return default
@@ -95,18 +97,19 @@ def read_config_file(path) -> dict:
     return data
 
 
-def _check_calibration(cal) -> None:
-    """"auto", "none", or {"lift_sign": +-1, "lift_shift": finite number}."""
-    if isinstance(cal, dict):
-        sign, shift = cal.get("lift_sign"), cal.get("lift_shift")
-        ok = sign in (-1, 1) and isinstance(shift, (int, float)) and math.isfinite(shift)
-    else:
-        ok = isinstance(cal, str) and cal in ("auto", "none")
-    if not ok:
-        raise ConfigError(
-            f"config.model.calibration: {cal!r} is not 'auto', 'none' or "
-            "{lift_sign: +-1, lift_shift: number}"
-        )
+def _integer(value) -> int:
+    """A config integer: integral numbers pass; strings, booleans and fractions raise."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _integers(values) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"expected a list of integers, got {values!r}")
+    return tuple(_integer(v) for v in values)
 
 
 def _displacement(values) -> np.ndarray:
@@ -133,7 +136,6 @@ class ExperimentConfig:
     u: np.ndarray | None = None
     C: float = 1.3
     tail_tol: float = 1e-10
-    calibration: object = "auto"
     x0_index: int | None = None
     cache_dir: str | None = None
     out_dir: str = "out"
@@ -148,7 +150,6 @@ class ExperimentConfig:
         if len(self.weights) < 2 or any(int(w) <= 0 for w in self.weights):
             raise ConfigError("config.model.weights: need at least two positive integers")
         self.weights = tuple(int(w) for w in self.weights)
-        _check_calibration(self.calibration)
         if self.k_max < 0:
             raise ConfigError("config.k_max: must be >= 0")
         numbers = {"C": self.C, "tail_tol": self.tail_tol}
@@ -187,7 +188,7 @@ class ExperimentConfig:
     def model(self) -> ProjectiveModel:
         """The calibrated model, built once per config."""
         if self._model is None:
-            self._model = make_model(self.weights, calibration=self.calibration)
+            self._model = make_model(self.weights)
         return self._model
 
     @classmethod
@@ -196,13 +197,15 @@ class ExperimentConfig:
             raise ConfigError("config: expected a JSON object")
         kind = _field(d, "kind", str)
         model_d = config_section(d, "model")
-        weights = _field(model_d, "weights", lambda v: tuple(int(w) for w in v), where="config.model")
-        dim = _field(model_d, "dim", int, default=None, where="config.model")
+        weights = _field(model_d, "weights", _integers, where="config.model")
+        dim = _field(model_d, "dim", _integer, default=None, where="config.model")
         if dim is not None and dim != len(weights) - 1:
             raise ConfigError(
                 f"config.model.dim: {dim} inconsistent with {len(weights)} weights"
             )
-        calibration = model_d.get("calibration", "auto")
+        calibration = model_d.get("calibration")
+        if calibration not in (None, "auto"):  # the contact field fixes the flow; nothing to choose
+            raise ConfigError(f"config.model.calibration: {calibration!r} is not 'auto'")
         win = None
         if d.get("window") is not None:
             wd = config_section(d, "window")
@@ -224,17 +227,16 @@ class ExperimentConfig:
         return cls(
             kind=kind,
             weights=weights,
-            k_max=_field(d, "k_max", int),
+            k_max=_field(d, "k_max", _integer),
             window=win,
             lambda_grid=grid,
             u=u,
             C=_field(d, "C", float, default=1.3),
             tail_tol=_field(d, "tail_tol", float, default=1e-10),
-            calibration=calibration,
-            x0_index=_field(d, "x0_index", int, default=None),
+            x0_index=_field(d, "x0_index", _integer, default=None),
             cache_dir=_field(d, "cache_dir", str, default=None),
             out_dir=_field(d, "out_dir", str, default="out"),
-            seed=_field(d, "seed", int, default=0),
+            seed=_field(d, "seed", _integer, default=0),
         )
 
     @classmethod
@@ -244,7 +246,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         d = {
             "kind": self.kind,
-            "model": {"weights": list(self.weights), "calibration": self.calibration},
+            "model": {"weights": list(self.weights), "calibration": "auto"},
             "k_max": self.k_max,
             "C": self.C,
             "tail_tol": self.tail_tol,

@@ -274,8 +274,6 @@ class SpectralPackage:
         arrays = {"values": self.values, "multiplicities": self.multiplicities}
         meta = {
             "weights": list(self.model.weights),
-            "lift_sign": self.model.lift_sign,
-            "lift_shift": self.model.lift_shift,
             "k_max": self.k_max,
             "coverage_max": self.coverage_max,
             "format": _CACHE_FORMAT,
@@ -307,12 +305,8 @@ class SpectralPackage:
         if stored != _payload_digest(arrays, meta):
             raise CacheError("spectral cache corrupt: checksum mismatch")
         try:
-            model = make_model(
-                meta["weights"],
-                calibration={"lift_sign": meta["lift_sign"], "lift_shift": meta["lift_shift"]},
-            )
             return SpectralPackage(
-                model=model,
+                model=make_model(meta["weights"]),
                 k_max=int(meta["k_max"]),
                 values=arrays["values"],
                 multiplicities=arrays["multiplicities"],

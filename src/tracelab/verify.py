@@ -83,7 +83,7 @@ class _Shared:
 
     @functools.cached_property
     def model112(self):
-        """The calibrated (1, 1, 2) model, built once."""
+        """The (1, 1, 2) model, built (and its contact field checked) once."""
         return make_model((1, 1, 2))
 
     @functools.cached_property

@@ -140,7 +140,7 @@ def test_criterion_11_local_global_consistency(shared):
 def test_manifest_and_exit_code(tmp_path, monkeypatch):
     """The aggregate runner reports 10/11 and a nonzero exit code honestly.
 
-    It calibrates each of its two models once.
+    It builds each of its two models once.
     """
     built = []
     make_model = verify.make_model

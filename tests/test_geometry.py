@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracelab.asymptotics import covector_pairing, local_prediction
-from tracelab.errors import (
-    CalibrationError,
-    ChartError,
-    CleanLocusError,
-    PeriodError,
-    UncalibratedModelError,
-)
+from tracelab.errors import CalibrationError, ChartError, CleanLocusError, PeriodError
 from tracelab import geometry
 from tracelab.geometry import (
     calibrate,
@@ -22,7 +16,6 @@ from tracelab.geometry import (
     flow_sphere,
     hamiltonian,
     heisenberg_chart,
-    integrate_contact_field,
     make_model,
     period_gap,
     random_sphere_point,
@@ -47,59 +40,50 @@ def _random_points(rng, n, dim):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def test_calibration_finds_expected_convention(model12):
-    assert model12.lift_sign == -1
-    assert model12.lift_shift == 0.0
-
-
-def test_calibration_is_deterministic():
-    a = make_model((1, 3))
-    b = make_model((1, 3))
-    assert (a.lift_sign, a.lift_shift) == (b.lift_sign, b.lift_shift)
-
-
 CALIBRATION_WEIGHTS = [(1, 2), (1, 1, 2), (1, 2, 3), (3, 5), (2, 3, 5, 7)]
 
 
 @pytest.mark.parametrize("weights", CALIBRATION_WEIGHTS)
 def test_contact_field_integration_matches_solve_ivp_and_closed_form(weights):
-    from scipy.integrate import solve_ivp  # independent oracle for the RK4 endpoints
+    """The assembled contact field, integrated by scipy, lands on the closed-form flow."""
+    from scipy.integrate import solve_ivp  # independent oracle for the flow
 
-    tol = 1e-8  # geometry._CALIBRATION_TOL, calibrate's tolerance
-    model = make_model(weights, calibration="none")
+    model = make_model(weights)
     starts = _random_points(np.random.default_rng(7), 3, model.dim + 1)
-    ends = integrate_contact_field(model, starts, tol=tol / 100.0)
     n = model.dim + 1
 
     def rhs(_tau, y):
         v = contact_field(model, y[:n] + 1j * y[n:])
         return np.concatenate([v.real, v.imag])
 
-    for z0, z1 in zip(starts, ends):
+    for z0 in starts:
         sol = solve_ivp(rhs, (0.0, 1.0), np.concatenate([z0.real, z0.imag]), rtol=1e-11, atol=1e-12)
         assert sol.success
         reference = sol.y[:n, -1] + 1j * sol.y[n:, -1]
-        assert np.abs(z1 - reference).max() < tol
-        assert np.abs(z1 - np.exp(-1j * model.weight_array) * z0).max() < tol
+        assert np.abs(flow_sphere(model, 1.0, z0) - reference).max() < 1e-8
 
 
 @pytest.mark.parametrize("weights", CALIBRATION_WEIGHTS)
 def test_calibration_convention_across_weights(weights):
+    """The contact field is -i diag(w) z, the generator of the flow, at random points."""
     model = make_model(weights)
-    assert (model.lift_sign, model.lift_shift) == (-1, 0.0)
+    z = _random_points(np.random.default_rng(sum(weights)), 50, model.dim + 1)
+    expected = -1j * model.weight_array * z
+    assert np.abs(contact_field(model, z) - expected).max() <= 1e-15 * np.abs(expected).max()
+    assert calibrate(model) is model
 
 
-def test_calibration_refuses_unconverged_integration(monkeypatch):
-    # at 64 against 128 steps the (1, 2) error estimate is ~8e-10, above tol/100
-    monkeypatch.setattr(geometry, "_RK4_MAX_DOUBLINGS", 0)
-    with pytest.raises(CalibrationError, match="did not converge"):
+def test_calibration_refuses_a_field_that_is_not_the_flow_generator(monkeypatch):
+    real = geometry.contact_field
+    monkeypatch.setattr(geometry, "contact_field", lambda model, z: real(model, z) + 1e-9j * z)
+    with pytest.raises(CalibrationError, match="not -i\\*diag"):
         make_model((1, 2))
-
-
-def test_uncalibrated_model_refuses_flow():
-    raw = make_model((1, 2), calibration="none")
-    with pytest.raises(UncalibratedModelError):
-        flow_sphere(raw, 0.3, np.array([1.0 + 0j, 0.0]))
+    # so is a field wrong in one coordinate: every test point has all coordinates nonzero
+    monkeypatch.setattr(
+        geometry, "contact_field", lambda model, z: real(model, z) * np.array([1.0, 1.0, 2.0])
+    )
+    with pytest.raises(CalibrationError):
+        make_model((1, 1, 2))
 
 
 def test_hamiltonian_range(model12):
@@ -147,11 +131,10 @@ def _enumerated_period_gap(model, tau0):
     """period_gap by listing 0 and every period +-2 pi k/e with |2 pi k/e| <= |tau0| + 4 pi."""
     horizon = abs(tau0) + 4.0 * np.pi
     fracs = set()
-    for e in (abs(w + model.lift_shift) for w in model.weights):
-        ef = Fraction(e).limit_denominator(10**6)
+    for w in model.weights:
         k = 1
-        while 2.0 * np.pi * k / e <= horizon * (1 + 1e-12):
-            fracs.add(Fraction(k, 1) / ef)
+        while 2.0 * np.pi * k / w <= horizon * (1 + 1e-12):
+            fracs.add(Fraction(k, w))
             k += 1
     pts = [0.0] + [sign * float(2.0 * np.pi * fr) for fr in fracs for sign in (1, -1)]
     return min(abs(tau0 - t) for t in pts if abs(t - tau0) > 1e-9)
@@ -279,9 +262,6 @@ def test_fixed_components_record_their_period_in_turns(model12):
     assert fixed_components(model12, 0.0)[0].period == 0
     model123 = make_model((1, 2, 3))
     assert fixed_components(model123, 2.0 * np.pi / 3.0)[0].period == Fraction(1, 3)
-    inert = make_model((1, 2), calibration={"lift_sign": -1, "lift_shift": -1.0})
-    with pytest.raises(PeriodError, match="flow-inert"):
-        fixed_components(inert, 1.0)
 
 
 def test_non_period_raises(model12):
@@ -330,13 +310,9 @@ def test_flow_differential_normal(model12, model112):
     # unitarity and determinant consistency with the component data
     assert np.abs(B.conj().T @ B - np.eye(2)).max() < 1e-8
     assert abs(np.linalg.det(np.eye(2) - B) - chartb.component.c_value) < 1e-6
-
-
-def _same_component(a, b) -> bool:
-    fields = ("tau0", "index_set", "f_j", "c_value", "period", "m_only")
-    return all(getattr(a, f) == getattr(b, f) for f in fields) and np.array_equal(
-        a.normal_angles, b.normal_angles
-    )
+    # the (1, 1, 2) component at pi has two normal angles and compares whole
+    assert chartb.component == fixed_components(model112, np.pi)[0]
+    assert chartb.component.normal_angles == (np.pi, np.pi)
 
 
 @settings(max_examples=80, deadline=None)
@@ -348,7 +324,7 @@ def test_the_chart_carries_the_one_sphere_fixed_component(weights, data):
     """At every period 2 pi j / w_i exactly one component is fixed on the
     sphere, `fixed_components` lists it first, and a chart centred anywhere
     on it carries it."""
-    model = make_model(weights, calibration={"lift_sign": -1, "lift_shift": 0.0})
+    model = make_model(weights)
     w = data.draw(st.sampled_from(weights), label="w_i")
     j = data.draw(st.integers(0, 2 * w), label="j")
     tau0 = 2.0 * np.pi * j / w
@@ -361,7 +337,7 @@ def test_the_chart_carries_the_one_sphere_fixed_component(weights, data):
     x0[list(comp.index_set)] = rng.normal(size=comp.f_j + 1) + 1j * rng.normal(size=comp.f_j + 1)
     x0 /= np.linalg.norm(x0)
     chart = heisenberg_chart(model, x0, tau0)
-    assert _same_component(chart.component, comp)
+    assert chart.component == comp
     assert chart.n_tangent == comp.f_j and chart.tau0 == comp.tau0
     assert chart.normal_dim == comp.normal_dim
 
@@ -373,7 +349,7 @@ def test_chart_at_a_non_coordinate_centre_of_the_122_line():
     model = make_model((1, 2, 2))
     x0 = np.array([0.0, 0.6, 0.8j])
     chart = heisenberg_chart(model, x0, np.pi)
-    assert _same_component(chart.component, fixed_components(model, np.pi)[0])
+    assert chart.component == fixed_components(model, np.pi)[0]
     assert chart.component.index_set == (1, 2) and chart.component.c_value == 2.0
     assert (chart.n_tangent, chart.normal_dim, chart.tau0) == (1, 1, np.pi)
     A = flow_differential_normal(model, chart)
@@ -386,13 +362,3 @@ def test_chart_at_a_non_coordinate_centre_of_the_122_line():
     line, _ = smoothed_kernel_diagonal(model, win, 40.0, point)
     apex, _ = smoothed_kernel_diagonal(make_model((1, 1, 2)), win, 40.0, np.array([0, 0, 1 + 0j]))
     assert abs(line[0] - apex[0]) < 1e-13 * abs(apex[0])
-
-
-def test_calibration_override_dict():
-    m = make_model((1, 2), calibration={"lift_sign": -1, "lift_shift": 0.0})
-    assert m.calibrated
-    # wrong conventions are detectable: calibrate() from scratch disagrees
-    # with a deliberately flipped sign
-    flipped = make_model((1, 2), calibration={"lift_sign": 1, "lift_shift": 0.0})
-    x = np.array([0.6 + 0j, 0.8])
-    assert np.abs(flow_sphere(m, 0.5, x) - flow_sphere(flipped, 0.5, x)).max() > 1e-3

@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tracelab.errors import ConfigError
 from tracelab.harness import CACHE_ENV_VAR, ExperimentConfig, parse_lambda_grid, run
@@ -56,6 +59,51 @@ def test_config_dim_consistency():
     cfg["model"]["dim"] = 2
     with pytest.raises(ConfigError, match="config.model.dim"):
         ExperimentConfig.from_dict(cfg)
+
+
+def test_integral_numbers_are_integers():
+    cfg = ExperimentConfig.from_dict(_base_config(k_max=10.0, model={"weights": [1.0, 2]}))
+    assert (cfg.k_max, cfg.weights) == (10, (1, 2))
+    assert type(cfg.k_max) is int and all(type(w) is int for w in cfg.weights)
+
+
+def _with(path: str, value) -> dict:
+    """A valid spectrum config with ``value`` at ``path`` ("k_max" or "model.<key>")."""
+    cfg = {"kind": "spectrum", "model": {"weights": [1, 2]}, "k_max": 10}
+    *section, key = path.split(".")
+    (cfg["model"] if section else cfg)[key] = value
+    return cfg
+
+
+_fraction = st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer())
+_not_integer = st.one_of(_fraction, st.booleans(), st.text(max_size=4))
+_FAULTS = st.one_of(
+    st.tuples(st.just("model.weights"), st.one_of(
+        st.lists(st.integers(1, 5), max_size=1),
+        st.lists(st.integers(-3, 5), min_size=2, max_size=4).filter(lambda w: min(w) <= 0),
+        st.lists(st.one_of(st.integers(1, 5), _not_integer), min_size=2, max_size=4).filter(
+            lambda w: not all(type(v) is int for v in w)),
+        st.text(max_size=4),
+    )),
+    st.tuples(st.just("model.dim"), st.one_of(st.integers(-3, 9).filter(lambda d: d != 1), _not_integer)),
+    st.tuples(st.just("model.calibration"), st.one_of(
+        st.text(max_size=6).filter(lambda c: c != "auto"), st.integers(),
+        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    )),
+    st.tuples(st.just("k_max"), st.one_of(_not_integer, st.integers(-10, -1))),
+    st.tuples(st.sampled_from(["x0_index", "seed"]), _not_integer),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fault=_FAULTS)
+@example(fault=("model.weights", [1.5, 2.7]))  # int() would truncate these to (1, 2) and 10
+@example(fault=("model.weights", "12"))
+@example(fault=("k_max", 10.9))
+def test_malformed_config_fields_are_config_errors_naming_the_field(fault):
+    path, value = fault
+    with pytest.raises(ConfigError, match=re.escape(f"config.{path}:")):
+        ExperimentConfig.from_dict(_with(path, value))
 
 
 def test_config_tolerance_positive():
@@ -309,6 +357,8 @@ def test_cli_bad_config_file_is_config_error(tmp_path, capsys, content, field):
         ("trace", {"tail_tol": float("nan")}, [], "config.tail_tol"),
         ("trace", {"lambda_grid": [50.0, float("nan")]}, [], "config.lambda_grid"),
         ("trace", {}, ["--lambda-grid", "50:inf:3"], "lambda_grid: endpoints"),
+        ("trace", {"model": {"weights": [1.5, 2]}}, [], "config.model.weights"),
+        ("trace", {"model": {"calibration": "none"}}, [], "config.model.calibration"),
     ],
 )
 def test_cli_malformed_config_exits_2(tmp_path, capsys, kind, override, flags, field):
@@ -346,8 +396,11 @@ def test_config_from_file_errors_are_config_errors(tmp_path):
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_base_config()))
-    expected = ExperimentConfig.from_dict(_base_config()).digest()
-    assert ExperimentConfig.from_file(path).digest() == expected
+    cfg = ExperimentConfig.from_dict(_base_config())
+    assert ExperimentConfig.from_file(path).digest() == cfg.digest()
+    # a manifest's config, nulls included, reads back as the same run
+    again = ExperimentConfig.from_dict(cfg.to_dict())
+    assert again.digest() == cfg.digest() and again.cache_dir is None
 
 
 def test_window_guard_measures_the_gap_to_negative_periods(tmp_path, capsys):

@@ -40,7 +40,7 @@ def test_brute_spectrum_matches_package():
 def test_package_multiplicities_match_brute_spectrum(weights):
     """The degree/value table gives the lattice multiplicities over the whole
     truncated range, above the coverage edge included."""
-    pkg = eigendata(make_model(weights, calibration="none"), 12)
+    pkg = eigendata(make_model(weights), 12)
     brute = brute_spectrum(weights, 12)
     assert pkg.values.tolist() == [v for v, _ in brute]
     assert pkg.multiplicities.tolist() == [m for _, m in brute]

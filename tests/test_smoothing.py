@@ -144,7 +144,7 @@ def test_denumerants_refuse_past_int64():
     with pytest.raises(CoverageError, match="int64"):
         _denumerants((1,) * 10, 1000)
     with pytest.raises(CoverageError, match="int64"):
-        smoothed_trace(make_model((1,) * 10, calibration="none"), Window("gaussian", 0.0, 0.3), 1000.0)
+        smoothed_trace(make_model((1,) * 10), Window("gaussian", 0.0, 0.3), 1000.0)
 
 
 def test_fubini_diagonal_integrates_to_trace(model12):
@@ -297,7 +297,7 @@ def test_unresolved_decimal_row_shows_a_bound_above_its_value():
     # rounding bound exceeds |value|, and with the cut remainder it covers
     # the 50-digit oracle's error
     weights, lam = (3, 1, 1), 175.297
-    model = make_model(weights, calibration="none")
+    model = make_model(weights)
     win = Window("gaussian", np.pi, 0.2338)
     pts = np.sqrt(np.array([[0.1194, 0.6018, 0.2788]]))
     values, remainders, bounds, decimal_rows = _diagonal_values(
@@ -338,7 +338,7 @@ def test_trace_keeps_its_digits_under_cancellation():
     # at tau0 = pi the (1, 1, 1, 2) trace is pi/8 at every integer lambda,
     # while kappa = sum |terms| / |sum| runs from 1.3e9 to 1.3e15; summed in
     # double it read 0.9251 pi/8 at lambda = 1e5
-    model = make_model((1, 1, 1, 2), calibration="none")
+    model = make_model((1, 1, 1, 2))
     res = smoothed_trace(model, Window("gaussian", np.pi, 0.15), np.linspace(1e3, 1e5, 4))
     assert res.decimal.all()
     for value, remainder, bound in zip(res.value, res.cut_remainder, res.rounding_bound):
@@ -360,7 +360,7 @@ def test_trace_keeps_its_digits_under_cancellation():
 def test_trace_matches_exact_integer_oracle_over_random_models(weights, j, pick, lam, scale):
     # tau0 is 0 (j = 0) or the period 2 pi j / w of one of the weights
     tau0 = 2 * np.pi * j / weights[pick % len(weights)]
-    model = make_model(weights, calibration={"lift_sign": -1, "lift_shift": 0.0})
+    model = make_model(weights)
     win = _trace_window(model, tau0, scale)
     assume(win is not None)
     res = smoothed_trace(model, win, lam)
@@ -438,7 +438,7 @@ def _lattice_diagonal(pkg, win, lam, points):
 @pytest.mark.parametrize("weights", [(1, 2), (1, 1, 2), (1, 2, 3)])
 @pytest.mark.parametrize("arithmetic", ["double", "decimal"])
 def test_recurrence_matches_lattice_sum(weights, arithmetic):
-    model = make_model(weights, calibration="none")
+    model = make_model(weights)
     small = eigendata(model, 70)
     win = Window("gaussian", 1.0, 0.3)
     lam = 20.0
@@ -505,7 +505,7 @@ def _reference_cut(win, model, lam, target, scale):
 
 @pytest.mark.parametrize("weights", [(1, 2), (1, 1, 2), (2, 3)])
 def test_grid_cut_matches_per_lambda_sort(weights):
-    model = make_model(weights, calibration="none")
+    model = make_model(weights)
     win = Window("gaussian", 0.0, 0.4)
     lams = np.array([-120.0, -3.5, 0.0, 0.5, 2.25, 17.0, 17.5, 60.75, 140.0])
     for target in (1e-3, 1e-12, 1e-40, 1e-290):
@@ -567,8 +567,7 @@ def _trace_window(model, tau0, scale):
 # 1.3e-20: more than the rounding slack, so the tail needs a proven bound
 @example(weights=[1, 1], lam=-15.0, tau0=0.0, scale=0.5)
 def test_trace_matches_lattice_sum_over_random_models(weights, lam, tau0, scale):
-    # every weight vector calibrates to this convention (see test_geometry)
-    model = make_model(weights, calibration={"lift_sign": -1, "lift_shift": 0.0})
+    model = make_model(weights)
     win = _trace_window(model, tau0, scale)
     assume(win is not None)
     res = smoothed_trace(model, win, lam)
@@ -616,7 +615,7 @@ def test_kernel_matches_decimal_oracle_over_random_models(data):
     delta = data.draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), label="delta")
     t = (1.0 - delta) * on / on.sum() + delta * off / off.sum()
     pts = np.sqrt(t)[None, :]
-    model = make_model(weights, calibration="none")
+    model = make_model(weights)
     values, remainders, bounds, decimal_rows = _diagonal_values(
         model, win, np.array([lam]), pts, 1e-10
     )

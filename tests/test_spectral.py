@@ -309,8 +309,7 @@ def write_weightless_cache(path) -> None:
     from tracelab.spectral import _CACHE_FORMAT, _payload_digest
 
     arrays = {"values": np.array([1.0, 3.0]), "multiplicities": np.array([1, 2])}
-    meta = {"weights": None, "lift_sign": None, "lift_shift": None, "k_max": None,
-            "coverage_max": float("inf"), "format": _CACHE_FORMAT}
+    meta = {"weights": None, "k_max": None, "coverage_max": float("inf"), "format": _CACHE_FORMAT}
     digest = np.frombuffer(bytes.fromhex(_payload_digest(arrays, meta)), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.bytes_(json.dumps(meta, sort_keys=True).encode()),
@@ -322,6 +321,25 @@ def test_weightless_cache_is_cache_error(tmp_path):
     write_weightless_cache(path)
     with pytest.raises(CacheError, match="incomplete"):
         SpectralPackage.load(path)
+
+
+def test_cache_with_lift_keys_still_loads(tmp_path):
+    """Format-2 files also stored the lift convention; the checksum covers those
+    keys and the load ignores them."""
+    from tracelab.spectral import _CACHE_FORMAT, _payload_digest
+
+    pkg = eigendata(make_model((1, 2)), 6)
+    arrays = {"values": pkg.values, "multiplicities": pkg.multiplicities}
+    meta = {"weights": [1, 2], "lift_sign": -1, "lift_shift": 0.0, "k_max": 6,
+            "coverage_max": pkg.coverage_max, "format": _CACHE_FORMAT}
+    digest = np.frombuffer(bytes.fromhex(_payload_digest(arrays, meta)), dtype=np.uint8)
+    path = tmp_path / "pkg.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.bytes_(json.dumps(meta, sort_keys=True).encode()),
+                 checksum=digest, **arrays)
+    loaded = SpectralPackage.load(path)
+    assert loaded.model.weights == (1, 2) and loaded.k_max == 6
+    assert np.array_equal(loaded.lambda_all, pkg.lambda_all)
 
 
 def test_cache_format_1_is_rejected(tmp_path):
