@@ -213,9 +213,9 @@ def unitary_eigenbasis(A: np.ndarray):
 def gaussian_normal_integral(A: np.ndarray, seed: int = 0) -> GaussianIntegralResult:
     """Closed form pi^c/det(id-A) for the normal Gaussian integral, with its oracle.
 
-    The integral of exp(psi2(Av, v)) over C^c.  Twenty random directions
-    (drawn from ``seed``) probe that Re psi2 is negative definite.  The
-    quadrature oracle rotates to a unitary eigenbasis of A
+    The integral of exp(psi2(Av, v)) over C^c.  Twenty random directions,
+    drawn from ``seed`` in one batch, probe that Re psi2 is negative
+    definite.  The quadrature oracle rotates to a unitary eigenbasis of A
     (`unitary_eigenbasis`; Lebesgue-invariant), where the integrand is a
     product over eigenlines, and evaluates the square tensor Gauss-Legendre
     rule of the psi2 integrand on each line (`_line_integral`).
@@ -227,12 +227,11 @@ def gaussian_normal_integral(A: np.ndarray, seed: int = 0) -> GaussianIntegralRe
     det = np.linalg.det(np.eye(c) - A)
     if abs(det) < 1e-10:
         raise CleanLocusError("non-clean matrix: det(id - A) vanishes")
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        v = rng.normal(size=c) + 1j * rng.normal(size=c)
-        r = psi2(A @ v, v).real
-        if r > -1e-12 * np.linalg.norm(v) ** 2:
-            raise CleanLocusError("integral not absolutely convergent: psi2 real part degenerate")
+    draws = np.random.default_rng(seed).normal(size=(20, 2, c))
+    v = draws[:, 0] + 1j * draws[:, 1]
+    r = psi2(v @ A.T, v).real
+    if (r > -1e-12 * (np.abs(v) ** 2).sum(axis=1)).any():
+        raise CleanLocusError("integral not absolutely convergent: psi2 real part degenerate")
     closed = np.pi**c / det
     eigs, _ = unitary_eigenbasis(A)
     quadrature = 1.0 + 0.0j

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import time
-from numbers import Integral
+from numbers import Complex, Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -61,16 +61,21 @@ def parse_lambda_grid(text: str) -> np.ndarray:
     return grid
 
 
+def _cast(path: str, caster, value):
+    """``caster(value)``; a TypeError or ValueError becomes a ConfigError naming ``path``."""
+    try:
+        return caster(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _field(d: dict, key: str, caster, default=..., where: str = "config"):
     """``caster(d[key])``, naming the field on failure; null counts as absent."""
     if d.get(key) is None:
         if default is ...:
             raise ConfigError(f"{where}.{key}: missing required field")
         return default
-    try:
-        return caster(d[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key}: {exc}") from None
+    return _cast(f"{where}.{key}", caster, d[key])
 
 
 def config_section(d: dict, key: str) -> dict:
@@ -106,17 +111,45 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _sequence(values) -> list:
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise TypeError(f"expected a list, got {values!r}")
+    return list(values)
+
+
 def _integers(values) -> tuple:
-    if not isinstance(values, (list, tuple)):
-        raise TypeError(f"expected a list of integers, got {values!r}")
-    return tuple(_integer(v) for v in values)
+    return tuple(_integer(v) for v in _sequence(values))
+
+
+def _number(value) -> float:
+    """A config number: finite ints and floats pass; strings, booleans and non-finite values raise."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
+def _grid(values) -> np.ndarray:
+    """A lambda grid: 'start:stop:count[:geometric]' or a list of numbers."""
+    if isinstance(values, str):
+        return parse_lambda_grid(values)
+    return np.array([_number(v) for v in _sequence(values)], dtype=float)
 
 
 def _displacement(values) -> np.ndarray:
-    """Normal displacement: numbers, or [re, im] pairs."""
-    return np.asarray(
-        [complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v) for v in values]
-    )
+    """Normal displacement: numbers, [re, im] pairs of numbers, or complex numbers."""
+
+    def entry(v):
+        if isinstance(v, (list, tuple)):
+            if len(v) != 2:
+                raise ValueError(f"{v!r} is not a number or an [re, im] pair")
+            return complex(_number(v[0]), _number(v[1]))
+        if isinstance(v, Complex) and not isinstance(v, Real):
+            return complex(_number(v.real), _number(v.imag))
+        return complex(_number(v))
+
+    return np.array([entry(v) for v in _sequence(values)], dtype=complex)
 
 
 @dataclasses.dataclass
@@ -125,7 +158,8 @@ class ExperimentConfig:
 
     ``window`` may be None only for the spectrum and verify kinds.  The
     window-width guard keeps the window's `Window.halfwidth` inside half the
-    period gap around tau0.
+    period gap around tau0.  The constructor checks every field as
+    `from_dict` does: integers by `_integer`, other numbers by `_number`.
     """
 
     kind: str
@@ -147,27 +181,28 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"config.kind: {self.kind!r} not one of {KINDS}")
-        if len(self.weights) < 2 or any(int(w) <= 0 for w in self.weights):
+        self.weights = _cast("config.model.weights", _integers, self.weights)
+        if len(self.weights) < 2 or any(w <= 0 for w in self.weights):
             raise ConfigError("config.model.weights: need at least two positive integers")
-        self.weights = tuple(int(w) for w in self.weights)
+        self.k_max = _cast("config.k_max", _integer, self.k_max)
         if self.k_max < 0:
             raise ConfigError("config.k_max: must be >= 0")
-        numbers = {"C": self.C, "tail_tol": self.tail_tol}
+        if self.x0_index is not None:
+            self.x0_index = _cast("config.x0_index", _integer, self.x0_index)
+        self.seed = _cast("config.seed", _integer, self.seed)
+        self.C = _cast("config.C", _number, self.C)
+        self.tail_tol = _cast("config.tail_tol", _number, self.tail_tol)
         if self.window is not None:
-            numbers.update({"window.tau0": self.window.tau0, "window.eps": self.window.eps})
-        for where, value in numbers.items():
-            if not math.isfinite(value):
-                raise ConfigError(f"config.{where}: {value!r} is not a finite number")
+            _cast("config.window.tau0", _number, self.window.tau0)
+            _cast("config.window.eps", _number, self.window.eps)
         if self.tail_tol <= 0:
             raise ConfigError("config.tail_tol: tolerances must be positive")
-        if self.u is not None and not np.isfinite(self.u).all():
-            raise ConfigError("config.u: components must be finite")
+        if self.u is not None:
+            self.u = _cast("config.u", _displacement, self.u)
         if self.lambda_grid is not None:
-            g = np.asarray(self.lambda_grid, dtype=float)
+            g = _cast("config.lambda_grid", _grid, self.lambda_grid)
             if g.size == 0:
                 raise ConfigError("config.lambda_grid: grid must be nonempty")
-            if not np.isfinite(g).all():
-                raise ConfigError("config.lambda_grid: entries must be finite")
             if g.size > 1 and not (np.diff(g) > 0).all():
                 raise ConfigError("config.lambda_grid: grid must be strictly increasing")
             self.lambda_grid = g
@@ -212,27 +247,20 @@ class ExperimentConfig:
             shape = _field(wd, "shape", str, default="bump", where="config.window")
             if shape not in SHAPES:
                 raise ConfigError(f"config.window.shape: {shape!r} not one of {SHAPES}")
-            tau0 = _field(wd, "tau0", float, where="config.window")
-            eps = _field(wd, "eps", float, where="config.window")
+            tau0 = _field(wd, "tau0", _number, where="config.window")
+            eps = _field(wd, "eps", _number, where="config.window")
             if eps <= 0:
                 raise ConfigError("config.window.eps: must be positive")
             win = Window(shape, tau0, eps)
-        grid = None
-        if "lambda_grid" in d and d["lambda_grid"] is not None:
-            lg = d["lambda_grid"]
-            grid = parse_lambda_grid(lg) if isinstance(lg, str) else np.asarray(lg, dtype=float)
-        u = None
-        if "u" in d and d["u"] is not None:
-            u = _field(d, "u", _displacement)
         return cls(
             kind=kind,
             weights=weights,
             k_max=_field(d, "k_max", _integer),
             window=win,
-            lambda_grid=grid,
-            u=u,
-            C=_field(d, "C", float, default=1.3),
-            tail_tol=_field(d, "tail_tol", float, default=1e-10),
+            lambda_grid=_field(d, "lambda_grid", _grid, default=None),
+            u=_field(d, "u", _displacement, default=None),
+            C=_field(d, "C", _number, default=1.3),
+            tail_tol=_field(d, "tail_tol", _number, default=1e-10),
             x0_index=_field(d, "x0_index", _integer, default=None),
             cache_dir=_field(d, "cache_dir", str, default=None),
             out_dir=_field(d, "out_dir", str, default="out"),

@@ -72,6 +72,8 @@ _DOUBLE_KAPPA_BOUND = 1e-13
 # double-length long double, and the rounding unit its window cut meets
 _DECIMAL_DIGITS = 40
 _DECIMAL_UNIT = 1e-39
+# the decimal path's Gaussian factors step at this many digits more
+_STEP_DIGITS = 10
 _BUMP_REFUSAL = (
     "the bump transform's envelope decays like exp(-sqrt(eps*s)), so the geometric "
     "far-tail bound does not cover it"
@@ -327,7 +329,15 @@ def _rounding_bounds(win, model, lams, sums, coefficient_units) -> np.ndarray:
     - C = ``coefficient_units``: 0 for d(n) exact in decimal, 1 for d(n)
       rounded to double, (d + 4) floor(n_hi/min_w) for h_n, whose positive
       recurrence rounds d + 4 times a step along at most n/min_w steps;
-    - 8 x_max + 2 for the gaussian factor, whose exponent is computed to 8u;
+    - 8 x_max + 2 for the gaussian factor, whose exponent double computes
+      to 8u; a decimal row keeps that margin for its product c_n E_k and
+      adds G for its stepped factors E_k (`_gaussian_steps`), at most
+      (k^2 + |k| + 1 + 8 h (|f| + |k| + 1)^2) u' off with h = eps^2/2 and
+      u' = 10^-_STEP_DIGITS u.  |f| <= 1/2 when round(lam) lies in the cut;
+      otherwise c is the cut's end nearest lam, f and k have opposite signs
+      and |f| + |k| = |lam - n|.  So |k| <= s_max + 1/2, |f| + |k| <= s_max
+      + 1, and G = 10^-_STEP_DIGITS (1 + 4 eps^2) (s_max + 2)^2 (0 for
+      double rows);
     - P s_max + Q for the phase.  Double rounds s tau0 twice and cos, sin
       once: P = 2 |tau0|, Q = 2.  A decimal Taylor cos/sin (at most 60 terms
       after reduction to |r| <= pi, term k off by 2k u, partial sums at most
@@ -340,7 +350,7 @@ def _rounding_bounds(win, model, lams, sums, coefficient_units) -> np.ndarray:
     Summing N complex terms adds sqrt(2) (N - 1) u sum |terms|; a factor 2
     takes up the sqrt(2) and the second-order terms:
 
-        rho = 2 u (N + C + 8 x_max + P s_max + Q + 2d + 12) sum |terms|,
+        rho = 2 u (N + C + 8 x_max + G + P s_max + Q + 2d + 12) sum |terms|,
 
     plus 2^-52 |value| for a decimal row's rounding to double.  rho passes
     |value| once kappa passes about 1 / (2 u N), near 1e36 in decimal: such
@@ -353,24 +363,33 @@ def _rounding_bounds(win, model, lams, sums, coefficient_units) -> np.ndarray:
     x_max = 0.5 * (win.eps * s_max) ** 2
     tau = abs(win.tau0)
     phase = np.where(decimal, (4 * tau + 820) * s_max + tau + 820, 2 * tau * s_max + 2)
-    units = n_terms + coefficient_units + 8 * x_max + phase + 2 * model.dim + 12
+    steps = np.where(decimal, 10.0**-_STEP_DIGITS * (1 + 4 * win.eps**2) * (s_max + 2) ** 2, 0.0)
+    units = n_terms + coefficient_units + 8 * x_max + steps + phase + 2 * model.dim + 12
     return 2.0 * u * units * magnitudes + np.where(decimal, 2.0**-52 * np.abs(values), 0.0)
 
 
 def _h_table(t: np.ndarray, weights, n_max: int) -> np.ndarray:
-    """h_n(t) for n = 0..n_max (rows), one column per row of t."""
+    """h_n(t) for n = 0..n_max (rows), one column per row of t.
+
+    The recurrence n h_n = sum_w (n + d w) t_w h_{n - w}, with equal weights
+    merged and the factor columns (n + d w) t_w tabulated once; each step
+    multiplies, adds the terms in weight order to zero and divides by n.
+    """
     d = len(weights) - 1
     coeffs: dict = {}
     for tw, w in zip(np.asarray(t, dtype=float).T, weights):
         coeffs[w] = coeffs[w] + tw if w in coeffs else tw
-    h = np.zeros((max(n_max, 0) + 1, t.shape[0]))
+    n = np.arange(max(n_max, 0) + 1)
+    factors = [(w, np.multiply.outer(n + d * w, tw)) for w, tw in coeffs.items()]
+    h = np.zeros((n.size, t.shape[0]))
     h[0] = 1
-    for n in range(1, n_max + 1):
-        acc = np.zeros(t.shape[0])
-        for w, tw in coeffs.items():
-            if n >= w:
-                acc += (n + d * w) * tw * h[n - w]
-        h[n] = acc / n
+    term = np.empty(t.shape[0])
+    for m in range(1, n_max + 1):
+        for w, factor in factors:
+            if m >= w:
+                np.multiply(factor[m], h[m - w], out=term)
+                h[m] += term
+        h[m] /= m
     return h
 
 
@@ -400,14 +419,15 @@ def _decimal_sums(
         c_n eps sqrt(2 pi) exp(-eps^2 (f - k)^2 / 2) exp(-i f tau0) exp(i k tau0),
 
     where exp(i k tau0) steps from one Taylor cos/sin of tau0, so no
-    argument is large.  Each result is rounded to complex once.
+    argument is large, and the Gaussian factors step outward from k = 0
+    (`_gaussian_steps`), four exponentials per row.  Each result is rounded
+    to complex once.
     """
     values = np.zeros(len(lams), dtype=complex)
     magnitudes = np.zeros(len(lams))
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
         eps, tau0 = Decimal(win.eps), Decimal(win.tau0)
-        half_eps2 = eps * eps / 2
         peak = scale(eps * (2 * _PI).sqrt(), _PI)
         rows = zip(map(float, lams), map(int, lo), map(int, hi), coefficients)
         for i, (lam, a, b, row) in enumerate(rows):
@@ -416,10 +436,11 @@ def _decimal_sums(
             c = min(max(round(lam), a), b)
             powers = _cis_powers(tau0, max(b - c, c - a))
             f = Decimal(lam) - c
+            gauss = _gaussian_steps(eps, Decimal(lam), c, c - a, b - c)
             re = im = mag = Decimal(0)
             for n in range(a, b + 1):
                 k = n - c
-                g = row[n] * (-half_eps2 * (f - k) ** 2).exp()
+                g = row[n] * gauss[n - a]
                 cos_k, sin_k = powers[abs(k)]
                 re += g * cos_k
                 im += g * sin_k if k >= 0 else -g * sin_k
@@ -430,6 +451,41 @@ def _decimal_sums(
             )
             magnitudes[i] = float(peak * mag)
     return values, magnitudes
+
+
+def _gaussian_steps(eps: Decimal, lam: Decimal, c: int, left: int, right: int) -> list:
+    """exp(-h (f - k)^2), h = eps^2/2 and f = lam - c, for k = -left..right.
+
+    Stepped outward from k = 0 at ``_DECIMAL_DIGITS + _STEP_DIGITS``
+    digits: with E_k the factor at k,
+
+        E_{k+1} = E_k r_k,  r_k = e^{-h(1 - 2f)} (e^{-2h})^k,
+        E_{k-1} = E_k s_k,  s_k = e^{-h(1 + 2f)} (e^{-2h})^|k|,
+
+    so a row takes the four exponentials E_0, r_0, s_0 and e^{-2h}.  With
+    u' = 10^-_STEP_DIGITS `_DECIMAL_UNIT`, the unit of that precision, E_k
+    is off by at most (k^2 + |k| + 1) u' from its roundings (r_k is off by
+    (2|k| + 1) u', and each step adds r_k's error and one rounding), plus
+    the error of its exponent: h f^2 is taken to 6u' relative, h(1 -+ 2f)
+    to 6u' h (1 + 2|f|) absolute and 2h to 3u' relative, used once, |k|
+    times and k(k - 1)/2 times, in all at most 8 h (|f| + |k| + 1)^2 u'.
+    `_rounding_bounds` charges both.
+    """
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS + _STEP_DIGITS
+        h = eps * eps / 2
+        f = lam - c
+        step = (-2 * h).exp()
+        centre = (-h * f * f).exp()
+        sides = []
+        for count, ratio in ((right, (-h * (1 - 2 * f)).exp()), (left, (-h * (1 + 2 * f)).exp())):
+            e, side = centre, []
+            for _ in range(count):
+                e *= ratio
+                ratio *= step
+                side.append(e)
+            sides.append(side)
+    return sides[1][::-1] + [centre] + sides[0]
 
 
 def _decimal_h(t_row, weights, n_max: int) -> list:

@@ -10,12 +10,16 @@ e^{i<alpha,phi>}, so the Gram and operator matrices are angle sums of the
 contact field at the frequencies beta - alpha, weighted by sqrt(t)^alpha
 sqrt(t)^beta.  Those frequencies sum to zero, so at each moment node the
 field is evaluated once, summed along the angle grid's diagonal and
-transformed by one d-dimensional FFT, and each degree gathers its
-frequencies from that transform.  That is the literal quadrature sum
-reordered, and it establishes that the monomials are eigensections with the
-affine eigenvalue law <alpha, w>.  All monomial values, there and in
-`eigensection_values`, come from one evaluator, `monomial_values`, which
-multiplies out a table of coordinate powers and gathers it by exponent.
+transformed by one d-dimensional FFT.  The moment weight depends on alpha
+and beta only through alpha + beta, sqrt(t)^alpha sqrt(t)^beta =
+sqrt(t)^(alpha + beta), so each degree sums the transform over the moment
+nodes once per alpha + beta, in one matrix product, and gathers entry
+(alpha, beta) at alpha + beta and frequency beta - alpha.  That is the
+literal quadrature sum reordered, and it establishes that the monomials are
+eigensections with the affine eigenvalue law <alpha, w>.  Monomial values
+elsewhere, as in `eigensection_values`, come from one evaluator,
+`monomial_values`, which multiplies out a table of coordinate powers and
+gathers it by exponent.
 
 A `SpectralPackage` tabulates that law for the ``spectrum`` kind and the
 degree-block checks: the distinct integer eigenvalues with their
@@ -53,18 +57,21 @@ _GRAM_TOL = 1e-10
 # ----------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=512)
 def multi_indices(d: int, k: int) -> np.ndarray:
     """All exponent vectors alpha in N^{d+1} with |alpha| = k, lexicographic.
 
     Stars and bars: d bars among k + d slots split k stars into d + 1 parts.
     Descending bar positions list the first coordinate descending, then the
-    rest the same way.
+    rest the same way.  Memoised, so the array is read-only.
     """
     n = math.comb(k + d, d)
     flat = itertools.chain.from_iterable(itertools.combinations(range(k + d), d))
     bars = np.fromiter(flat, dtype=np.int64, count=n * d).reshape(n, d)[::-1]
     edges = np.hstack([np.full((n, 1), -1), bars, np.full((n, 1), k + d)])
-    return np.diff(edges, axis=1) - 1
+    alphas = np.diff(edges, axis=1) - 1
+    alphas.flags.writeable = False
+    return alphas
 
 
 def section_dimension(d: int, k: int) -> int:
@@ -174,59 +181,81 @@ def toeplitz_matrix(model: ProjectiveModel, k: int) -> list[np.ndarray]:
     node has a zero coordinate).  Sum-factorised as the module docstring
     says: z^alpha = sqrt(t)^alpha e^{i<alpha,phi>}, each q_j = field_j / z_j
     is summed along the diagonal grid axis (every frequency beta - alpha
-    sums to zero) and transformed once per moment node, and each degree
-    contracts the transform with its exponents, gathers its frequencies and
-    sums over the moment nodes in blocks of at most `_BLOCK_ENTRIES` per
-    array.  That is the node-by-node sum reordered, with no torus invariance
-    assumed: a field that depends on the phases shows up off the diagonal.
-    Each normalised Gram matrix must be the identity to `_GRAM_TOL` and each
-    result Hermitian.
+    sums to zero) and transformed once per moment node into S.  The moment
+    weight of entry (alpha, beta) is sqrt(t)^alpha sqrt(t)^beta =
+    sqrt(t)^(alpha + beta), so each degree's moment sum runs once per sigma
+    of twice that degree (`multi_indices`), as one matrix product X = (w
+    sqrt(t)^sigma)^T S over the moment nodes, and
+
+        op[alpha, beta] = sum_i beta_i X[alpha + beta, beta - alpha, i],
+        gram[alpha, beta] = (sum_m w sqrt(t)^sigma)[alpha + beta] ones[beta - alpha],
+
+    with every sqrt(t)^sigma taken from one table of coordinate powers up to
+    2k.  At n angles per axis X holds C(2j + d, d) n^d (d + 1) entries at
+    degree j, about 4^d/d! times the transform S at the top degree.  That is the
+    node-by-node sum reordered, with no torus invariance assumed: S keeps
+    every frequency, so a field that depends on the phases shows up off the
+    diagonal.  Each normalised Gram matrix must be the identity to
+    `_GRAM_TOL` and each result Hermitian.
     """
     d = model.dim
-    blocks = [degree_block(model, j) for j in range(k + 1)]
     rule = toeplitz_rule(model, k)
-    n = rule.n_angles
+    n, m_t = rule.n_angles, rule.t.shape[0]
     fold = (n,) * d  # the angle grid with its diagonal axis s summed out
     step = max(1, _BLOCK_ENTRIES // (n ** (d + 1) * (d + 1)))  # moment nodes per block
-    S = np.empty((rule.t.shape[0], n**d, d + 1), dtype=complex)
-    for lo in range(0, rule.t.shape[0], step):
+    S = np.empty((m_t, n**d * (d + 1)), dtype=complex)
+    for lo in range(0, m_t, step):
         z = rule.nodes(slice(lo, lo + step))  # (m, *fold, s, d+1)
         q = contact_field(model, z) / z
         # sum along the diagonal, then one d-dimensional transform per moment node
         sums = np.fft.ifftn(q.sum(axis=-2), axes=tuple(range(1, d + 1)), norm="forward")
-        S[lo : lo + step] = sums.reshape(len(sums), -1, d + 1)
+        S[lo : lo + step] = sums.reshape(len(sums), -1)
     ones = np.fft.ifftn(np.full(fold, float(n)), norm="forward").ravel()  # Gram: q = 1, folded
-    root_t = np.sqrt(rule.t)
+    # powers[i, a] = sqrt(t_i)^a at every moment node, a <= 2k
+    powers = np.empty((d + 1, 2 * k + 1, m_t))
+    powers[:, 0] = 1.0
+    root_t = np.sqrt(rule.t).T
+    for a in range(1, 2 * k + 1):
+        np.multiply(powers[:, a - 1], root_t, out=powers[:, a])
 
+    binom = np.array([[math.comb(x, r) for r in range(d + 1)] for x in range(2 * k + d)])
     out = []
-    for block in blocks:
+    for j in range(k + 1):
+        block = degree_block(model, j)
         exponents, dim = block.exponents, block.dim
-        # flat index of the frequency beta - alpha (mod n) on the folded grid, per (alpha, beta)
-        gamma = (exponents[:, :d] - exponents[:, None, :d]) % n  # (alpha, beta, j < d)
+        sigma = multi_indices(d, 2 * j)
+        moment = np.prod(powers[np.arange(d + 1), sigma], axis=1) * rule.weights  # (sigma, m_t)
+        X = (moment @ S).reshape(len(sigma), n**d, d + 1)
+        # row of alpha + beta in sigma and flat frequency beta - alpha (mod n), per (alpha, beta)
+        pair = _index_rank(exponents[:, None, :] + exponents, 2 * j, binom)
+        gamma = (exponents[:, :d] - exponents[:, None, :d]) % n
         freq = np.ravel_multi_index(tuple(np.moveaxis(gamma, -1, 0)), fold)
-        entry = (freq * dim + np.arange(dim)).ravel()  # column beta read at frequency beta - alpha
-        R = monomial_values(exponents, root_t)  # (m_t, dim)
-        gram = ((rule.weights * R.T) @ R) * ones[freq]
-        op = np.zeros((dim, dim), dtype=complex)
-        step = max(1, _BLOCK_ENTRIES // (dim * max(dim, n**d)))
-        for lo in range(0, len(R), step):
-            rows = slice(lo, lo + step)
-            # column beta: sum_j beta_j (transform of field_j / z_j)
-            sums = S[rows] @ exponents.T.astype(float)
-            Q = np.take(sums.reshape(len(sums), -1), entry, axis=1).reshape(-1, dim, dim)
-            Rs = R[rows]
-            Q *= rule.weights[rows, None, None] * Rs[:, :, None] * Rs[:, None, :]
-            op += Q.sum(axis=0)
+        gram = moment.sum(axis=1)[pair] * ones[freq]
+        op = np.einsum("abi,bi->ab", X[pair, freq], exponents)
         scale = np.outer(block.norms, block.norms)
         residual = np.abs(gram / scale - np.eye(dim)).max()
         if residual > _GRAM_TOL:
-            raise QuadratureError(f"quadrature under-resolved at k={block.k}: Gram residual {residual:.2e}")
+            raise QuadratureError(f"quadrature under-resolved at k={j}: Gram residual {residual:.2e}")
         op *= 1j / scale
         herm = np.abs(op - op.conj().T).max()
         if herm > 1e-9:
-            raise QuadratureError(f"assembled block not Hermitian at k={block.k}: residual {herm:.2e}")
+            raise QuadratureError(f"assembled block not Hermitian at k={j}: residual {herm:.2e}")
         out.append(0.5 * (op + op.conj().T))
     return out
+
+
+def _index_rank(alphas: np.ndarray, k: int, binom: np.ndarray) -> np.ndarray:
+    """Row of each exponent vector (last axis, |alpha| = k) in `multi_indices`(d, k).
+
+    That order lists the bar positions b_1 < ... < b_d, b_i = alpha_0 + ...
+    + alpha_{i-1} + i - 1, of stars and bars in descending lexicographic
+    order, where the combinatorial number system ranks them as
+    sum_i C(k + d - 1 - b_i, d + 1 - i); ``binom[x, r]`` = C(x, r) for x <
+    k + d, r <= d.
+    """
+    d = alphas.shape[-1] - 1
+    bars = np.cumsum(alphas[..., :d], axis=-1) + np.arange(d)
+    return binom[k + d - 1 - bars, d - np.arange(d)].sum(axis=-1)
 
 
 # ----------------------------------------------------------------------------

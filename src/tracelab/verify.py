@@ -45,6 +45,7 @@ from .smoothing import (
     _diagonal_values,
     negative_lambda_scan,
     offlocus_decay_scan,
+    parity_scan,
     parity_split,
     scaled_diagonal_scan,
     smoothed_trace,
@@ -276,12 +277,8 @@ def crit_08_parity(sh: _Shared) -> CriterionResult:
     odd0 = parity_split(sh.model, win, chart, np.array([0.0 + 0j]), 300.0).odd
     vanishes = odd0 == 0.0
     grid = np.geomspace(100.0, 560.0, 8)
-    u = np.array([0.7 + 0j])
-    ratios = []
-    for lam in grid:
-        split = parity_split(sh.model, win, chart, u, float(lam))
-        ratios.append(abs(split.odd) / abs(split.even))
-    ratios = np.array(ratios)
+    rep = parity_scan(sh.model, win, chart, np.array([0.7 + 0j]), grid)
+    ratios = np.abs(rep.exact) / np.abs(rep.predicted)  # |odd| / |even|
     if (ratios > 0).all():
         slope = float(np.polyfit(np.log(grid), np.log(ratios), 1)[0])
         slope_ok = abs(slope + 0.5) < 0.1

@@ -106,6 +106,61 @@ def test_malformed_config_fields_are_config_errors_naming_the_field(fault):
         ExperimentConfig.from_dict(_with(path, value))
 
 
+def _trace_with(path: str, value) -> dict:
+    """A valid trace config with ``value`` at ``path`` (a key, or "window.<key>")."""
+    cfg = {
+        "kind": "trace", "model": {"weights": [1, 2]}, "k_max": 10,
+        "window": {"shape": "gaussian", "tau0": 0.0, "eps": 0.15}, "lambda_grid": "20:40:5",
+    }
+    *section, key = path.split(".")
+    (cfg["window"] if section else cfg)[key] = value
+    return cfg
+
+
+_not_number = st.one_of(
+    st.booleans(), st.text(max_size=4), st.none().map(lambda _: [1.0]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+)
+_NUMBER_FAULTS = st.one_of(
+    st.tuples(st.sampled_from(["C", "tail_tol", "window.tau0", "window.eps"]), _not_number),
+    st.tuples(st.just("lambda_grid"), st.one_of(
+        st.lists(st.one_of(st.floats(1, 100), _not_number), min_size=1, max_size=4).filter(
+            lambda g: not all(type(v) is float and np.isfinite(v) for v in g)),
+        st.integers(), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    )),
+    st.tuples(st.just("u"), st.one_of(
+        st.lists(_not_number, min_size=1, max_size=1),
+        st.lists(st.tuples(st.floats(-1, 1), _not_number).map(list), min_size=1, max_size=1),
+        st.lists(st.lists(st.floats(-1, 1), min_size=0, max_size=3).filter(lambda p: len(p) != 2),
+                 min_size=1, max_size=1),
+    )),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fault=_NUMBER_FAULTS)
+@example(fault=("lambda_grid", ["abc", 10]))  # numpy raised a ValueError traceback
+@example(fault=("lambda_grid", [[1, 2], 10]))
+@example(fault=("C", True))  # these three were taken as 1.0, 1e-10 and 0.0
+@example(fault=("tail_tol", "1e-10"))
+@example(fault=("window.tau0", "0"))
+def test_malformed_numbers_are_config_errors_naming_the_field(fault):
+    path, value = fault
+    with pytest.raises(ConfigError, match=re.escape(f"config.{path}:")):
+        ExperimentConfig.from_dict(_trace_with(path, value))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("weights", (1.5, 2.7)), ("k_max", 10.9), ("x0_index", 0.5), ("seed", "1"), ("C", "1.3")],
+)
+def test_constructor_refuses_what_from_dict_refuses(field, value):
+    # the Python constructor used to truncate (1.5, 2.7) to (1, 2) and keep k_max 10.9
+    kwargs = {"kind": "spectrum", "weights": (1, 2), "k_max": 10, field: value}
+    with pytest.raises(ConfigError, match=re.escape(f"{field}:")):
+        ExperimentConfig(**kwargs)
+
+
 def test_config_tolerance_positive():
     with pytest.raises(ConfigError, match="tail_tol"):
         ExperimentConfig.from_dict(_base_config(tail_tol=-1.0))

@@ -13,10 +13,12 @@ from tracelab.oracles import brute_smoothed_trace, eigenvalue_multiplicity, pois
 from tracelab.quadrature import sphere_rule
 from tracelab.smoothing import (
     _DECIMAL_UNIT,
+    _STEP_DIGITS,
     _decimal_h,
     _decimal_sums,
     _denumerants,
     _diagonal_values,
+    _gaussian_steps,
     _h_table,
     _window_cut,
     _window_sums,
@@ -395,6 +397,17 @@ def test_parity_split_reconstruction(model12, chart):
     assert odd == 0.0
 
 
+def test_parity_grid_equals_per_lambda_splits(model12, chart):
+    # criterion 8's grid in one parity_scan call, against one parity_split per lambda
+    grid = np.geomspace(100.0, 560.0, 8)
+    u = np.array([0.7 + 0j])
+    rep = parity_scan(model12, WIN, chart, u, grid)
+    splits = [parity_split(model12, WIN, chart, u, float(lam)) for lam in grid]
+    assert np.array_equal(rep.exact, [s.odd for s in splits])
+    assert np.array_equal(rep.predicted, [s.even for s in splits])
+    assert np.array_equal(rep.meta["window_cut_remainders"], [s.cut_remainder for s in splits])
+
+
 def test_kernel_diagonal_positive_at_center(model12, chart):
     # with a window centered at a period the on-locus diagonal is large
     vals, bound = smoothed_kernel_diagonal(model12, WIN, 300.0, chart.center[None, :])
@@ -629,3 +642,61 @@ def test_kernel_matches_decimal_oracle_over_random_models(data):
     assert abs(values[0] - ref) <= bound
     # the row's own reported rounding bound covers the same error
     assert abs(values[0] - ref) <= remainders[0] + bounds[0] + 1e-300
+
+
+# ----------------------------------------------------------------------------
+# the h_n table and the stepped decimal Gaussian factors
+# ----------------------------------------------------------------------------
+
+
+def _h_table_loop(t, weights, n_max):
+    """The h_n recurrence one step at a time, each term formed afresh: the
+    loop `_h_table` tabulates its factors for."""
+    d = len(weights) - 1
+    coeffs: dict = {}
+    for tw, w in zip(np.asarray(t, dtype=float).T, weights):
+        coeffs[w] = coeffs[w] + tw if w in coeffs else tw
+    h = np.zeros((max(n_max, 0) + 1, t.shape[0]))
+    h[0] = 1
+    for n in range(1, n_max + 1):
+        acc = np.zeros(t.shape[0])
+        for w, tw in coeffs.items():
+            if n >= w:
+                acc += (n + d * w) * tw * h[n - w]
+        h[n] = acc / n
+    return h
+
+
+@pytest.mark.parametrize("weights", [(1, 2), (1, 1, 2), (3, 1, 1), (2, 3, 5, 7)])
+def test_h_table_matches_the_step_loop_bitwise(weights):
+    rng = np.random.default_rng(len(weights) + sum(weights))
+    t = rng.dirichlet(np.ones(len(weights)), size=6)
+    t[0] = np.eye(len(weights))[-1]  # a coordinate point: zero moments
+    for n_max in (0, 1, 5, 400):
+        assert np.array_equal(_h_table(t, weights, n_max), _h_table_loop(t, weights, n_max))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eps=st.floats(0.05, 1.0),
+    f=st.floats(-0.5, 0.5),
+    k=st.integers(-2000, 2000),
+)
+@example(eps=1.0, f=0.5, k=2000)
+@example(eps=0.05, f=-0.5, k=-2000)
+def test_stepped_gaussian_factors_within_their_bound(eps, f, k):
+    c = 5000
+    lam = c + f
+    factors = _gaussian_steps(Decimal(eps), Decimal(lam), c, max(-k, 0), max(k, 0))
+    got = factors[-1] if k >= 0 else factors[0]
+    unit = Decimal(_DECIMAL_UNIT) * Decimal(10) ** -_STEP_DIGITS
+    with localcontext() as ctx:
+        ctx.prec = 60
+        h = Decimal(eps) ** 2 / 2
+        fd = Decimal(lam) - c
+        rel = abs(got / (-h * (fd - k) ** 2).exp() - 1)
+        # the bound `_gaussian_steps` derives, and the one `_rounding_bounds`
+        # charges a cut whose farthest term is this one
+        derived = (k * k + abs(k) + 1 + 8 * h * (abs(fd) + abs(k) + 1) ** 2) * unit
+        charged = (1 + 4 * Decimal(eps) ** 2) * (abs(fd - k) + 2) ** 2 * unit
+    assert rel <= derived <= charged

@@ -47,6 +47,18 @@ def _recursive_multi_indices(d, k):
     return np.concatenate(blocks)
 
 
+def test_multi_indices_are_read_only_and_ranked():
+    first = multi_indices(2, 6)
+    assert multi_indices(2, 6) is first  # memoised
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 1
+    for d, k in [(1, 9), (2, 6), (3, 5)]:
+        binom = np.array([[math.comb(x, r) for r in range(d + 1)] for x in range(k + d)])
+        rank = spectral._index_rank(multi_indices(d, k), k, binom)
+        assert np.array_equal(rank, np.arange(section_dimension(d, k)))
+
+
 def test_multi_indices_match_the_recursion():
     for d in range(4):
         for k in range(41):
