@@ -489,15 +489,22 @@ def _gaussian_steps(eps: Decimal, lam: Decimal, c: int, left: int, right: int) -
 
 
 def _decimal_h(t_row, weights, n_max: int) -> list:
-    """`_h_table` for one point, in ``_DECIMAL_DIGITS``-digit decimal."""
+    """`_h_table` for one point, in ``_DECIMAL_DIGITS``-digit decimal.
+
+    h_n = sum over i with n >= w_i of t_i (n + d w_i) h_{n - w_i}, divided
+    by n; the sum starts from its first term (an empty one is 0)."""
     d = len(weights) - 1
-    coeffs = [(Decimal(float(tw)), w) for tw, w in zip(t_row, weights)]
+    coeffs = [(Decimal(float(tw)), w, d * w) for tw, w in zip(t_row, weights)]
     h = [Decimal(1)]
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
         for n in range(1, n_max + 1):
-            terms = (tw * (n + d * w) * h[n - w] for tw, w in coeffs if n >= w)
-            h.append(sum(terms, Decimal(0)) / n)
+            acc = None
+            for tw, w, dw in coeffs:
+                if n >= w:
+                    term = tw * (n + dw) * h[n - w]
+                    acc = term if acc is None else acc + term
+            h.append((Decimal(0) if acc is None else acc) / n)
     return h
 
 

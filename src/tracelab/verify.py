@@ -57,6 +57,8 @@ SIGMA = 0.15
 # criterion 10 draws covectors until 20 are admissible; the cap stops a
 # stream of inadmissible draws from spinning forever
 _CRIT10_MAX_ATTEMPTS = 200
+# criterion 11 evaluates its n*n slice grid this many rows at a time
+_SLICE_ROWS = 16
 
 
 @dataclasses.dataclass
@@ -390,7 +392,10 @@ def _slice_integral(pred, lam: float) -> complex:
     Rotates to a unitary eigenbasis of the normal map (`unitary_eigenbasis`;
     Lebesgue-invariant), where the integrand factorises over eigenlines, and
     on each line evaluates predict_local itself on the literal n*n grid of
-    the square tensor Gauss-Legendre rule from `gaussian_line_rule`.
+    the square tensor Gauss-Legendre rule from `gaussian_line_rule`.  The
+    grid goes through predict_local `_SLICE_ROWS` rows (nodes x_i + i*x_j at
+    fixed i) at a time; each block is summed against w along its rows, and
+    the n row sums against w once all are in, so no n*n array is held.
     """
     c = pred.normal_dim
     base = complex(predict_local(pred, np.zeros(c, dtype=complex), lam))
@@ -402,9 +407,12 @@ def _slice_integral(pred, lam: float) -> complex:
     for j in range(c):
         mu = complex(eigs[j])
         x, w = gaussian_line_rule((1.0 - mu.real) / f, abs(mu.imag) / f)
-        V = (x[:, None] + 1j * x[None, :]).ravel()
-        vals = predict_local(pred, np.outer(V, U[:, j]), lam) / base
-        total *= complex(vals.reshape(w.size, w.size).dot(w).dot(w))
+        row_sums = np.empty(w.size, dtype=complex)
+        for lo in range(0, w.size, _SLICE_ROWS):
+            V = (x[lo : lo + _SLICE_ROWS, None] + 1j * x[None, :]).ravel()
+            vals = predict_local(pred, np.outer(V, U[:, j]), lam) / base
+            row_sums[lo : lo + _SLICE_ROWS] = vals.reshape(-1, w.size).dot(w)
+        total *= complex(row_sums.dot(w))
     return total
 
 

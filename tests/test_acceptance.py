@@ -21,7 +21,10 @@ import numpy as np
 import pytest
 
 from tracelab import verify
-from tracelab.quadrature import sphere_rule
+from tracelab.asymptotics import local_prediction, predict_local, unitary_eigenbasis
+from tracelab.harness import _default_chart
+from tracelab.quadrature import gaussian_line_rule, sphere_rule
+from tracelab.windows import Window
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -135,6 +138,37 @@ def test_criterion_10_stationary_phase(shared):
 
 def test_criterion_11_local_global_consistency(shared):
     _check(verify.crit_11_local_global_consistency(shared))
+
+
+def _slice_integral_one_shot(pred, lam):
+    """`verify._slice_integral` with each line's whole n*n grid in one
+    predict_local call, summed against w along rows and then columns."""
+    c = pred.normal_dim
+    base = complex(predict_local(pred, np.zeros(c, dtype=complex), lam))
+    eigs, U = unitary_eigenbasis(pred.normal_map)
+    total = base
+    f = pred.f_center
+    for j in range(c):
+        mu = complex(eigs[j])
+        x, w = gaussian_line_rule((1.0 - mu.real) / f, abs(mu.imag) / f)
+        V = (x[:, None] + 1j * x[None, :]).ravel()
+        vals = predict_local(pred, np.outer(V, U[:, j]), lam) / base
+        total *= complex(vals.reshape(w.size, w.size).dot(w).dot(w))
+    return total
+
+
+@pytest.mark.parametrize("rows", [5, verify._SLICE_ROWS])
+@pytest.mark.parametrize("which", ["model", "model112"])
+def test_row_blocked_slice_integral_matches_the_one_shot_grid(shared, monkeypatch, which, rows):
+    """Criterion 11's row blocks (a ragged last block too) sum the same grid."""
+    model = getattr(shared, which)
+    win = Window("gaussian", np.pi, verify.SIGMA)
+    pred = local_prediction(model, _default_chart(model, np.pi, None), win)
+    assert pred.normal_dim > 0
+    monkeypatch.setattr(verify, "_SLICE_ROWS", rows)
+    got = verify._slice_integral(pred, 300.5)
+    ref = _slice_integral_one_shot(pred, 300.5)
+    assert abs(got - ref) <= 1e-15 * abs(ref)
 
 
 def test_manifest_and_exit_code(tmp_path, monkeypatch):

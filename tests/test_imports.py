@@ -1,5 +1,6 @@
 """tracelab runs on numpy alone: scans, the bump transform and the verify
-suite complete in an interpreter where every ``import scipy`` fails."""
+suite complete in an interpreter where every ``import scipy`` fails, and
+the verify suite's Gauss-Legendre rules need no ``numpy.polynomial``."""
 
 import os
 import subprocess
@@ -46,6 +47,7 @@ from tracelab import verify
 
 results, manifest, code = verify.run_all(seed=5, echo=lambda line: None)
 assert code == 1 and [r.index for r in results if not r.passed] == [8]
+assert "numpy.polynomial" not in sys.modules, "verify imported numpy.polynomial"
 """
 
 

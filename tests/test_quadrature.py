@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from tracelab.errors import QuadratureError
 from tracelab.quadrature import (
+    _legendre_reference,
     fubini_study_volume,
     gauss_legendre,
     gaussian_line_rule,
@@ -28,14 +30,84 @@ def test_gauss_legendre_interval_transform():
 def test_gauss_legendre_memoised_rule_is_unchanged():
     """The memoised reference rule gives the same bits, and callers cannot corrupt it."""
     for n in (1, 7, 90):
-        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        ref_x, ref_w = (a.copy() for a in _legendre_reference(n))
         for _ in range(2):
             x, w = gauss_legendre(n, -3.0, 5.0)
             assert np.array_equal(x, 4.0 * (ref_x + 1.0) - 3.0)
             assert np.array_equal(w, 4.0 * ref_w)
             x[:] = np.nan  # the returned arrays are the caller's own
+        memo_x, memo_w = _legendre_reference(n)
+        assert memo_x is _legendre_reference(n)[0]
+        assert not memo_x.flags.writeable and not memo_w.flags.writeable
+        with pytest.raises(ValueError):
+            memo_w[0] = 0.0
+        assert np.array_equal(memo_x, ref_x) and np.array_equal(memo_w, ref_w)
     x, w = gauss_legendre(7)
-    assert np.array_equal(x, 0.5 * (np.polynomial.legendre.leggauss(7)[0] + 1.0))
+    assert np.array_equal(x, 0.5 * (_legendre_reference(7)[0] + 1.0))
+
+
+def _mpmath_legendre_node(mp, n, x0):
+    """The Gauss-Legendre node next to x0 and its weight, at 40 digits: Newton's
+    method on the recurrence from x0, then 2/((1 - x^2) P_n'(x)^2)."""
+
+    def value_slope(x):
+        prev, cur = mp.mpf(1), x
+        for j in range(2, n + 1):
+            prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+        return cur, n * (x * cur - prev) / (x * x - 1)
+
+    with mp.workdps(40):
+        x = mp.mpf(float(x0))
+        for _ in range(2):  # quadratic from a double: two steps pass 40 digits
+            p, dp = value_slope(x)
+            x -= p / dp
+        _, dp = value_slope(x)
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 33, 128, 200, 256, 512, 1024, 1400])
+def test_gauss_legendre_rule_against_mpmath(n):
+    """Sampled nodes (both ends included) within 2e-16, weights within 1e-11
+    relative; numpy's eigenvalue-based `leggauss` misses that weight bound
+    from n = 128 on (1.4e-11 at n = 128, 2.2e-11 at n = 200, 1.2e-8 at
+    n = 1400)."""
+    mp = pytest.importorskip("mpmath")
+    x, w = _legendre_reference(n)
+    samples = {0, 1, n // 7, n // 2, n - 1} & set(range(n))
+    for i in sorted(samples):
+        ref_x, ref_w = _mpmath_legendre_node(mp, n, x[i])
+        assert abs(float(x[i] - ref_x)) <= 2e-16, (n, i)
+        assert abs(float((w[i] - ref_w) / ref_w)) <= 1e-11, (n, i)
+
+
+@pytest.mark.parametrize("n", list(range(1, 40)) + [128, 200, 256, 512, 1024, 1400])
+def test_gauss_legendre_rule_is_symmetric_and_positive(n):
+    x, w = _legendre_reference(n)
+    assert x.shape == w.shape == (n,)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert (np.diff(x) > 0).all() and -1.0 < x[0] and x[-1] < 1.0
+    assert (w > 0).all()
+    assert abs(math.fsum(w) - 2.0) <= 2e-15
+    if n % 2:
+        assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])  # +0.0, not -0.0
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1(n):
+    x, w = _legendre_reference(n)
+    for p in range(2 * n):
+        exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
+        assert abs(np.dot(w, x**p) - exact) <= 1e-15, (n, p)
+
+
+def test_gauss_legendre_rule_refuses_instead_of_iterating_on(monkeypatch):
+    from tracelab import quadrature
+
+    monkeypatch.setattr(quadrature, "_NEWTON_SWEEPS", 1)  # Tricomi's guesses are not 1e-15 close
+    with pytest.raises(QuadratureError, match="did not converge"):
+        quadrature._legendre_reference.__wrapped__(200)
+    with pytest.raises(ValueError):
+        quadrature._legendre_reference.__wrapped__(0)
 
 
 @pytest.mark.parametrize("decay, rate", [(0.3, 0.0), (1.2, 2.5), (0.05, 0.4)])

@@ -676,6 +676,38 @@ def test_h_table_matches_the_step_loop_bitwise(weights):
         assert np.array_equal(_h_table(t, weights, n_max), _h_table_loop(t, weights, n_max))
 
 
+def _decimal_h_generator(t_row, weights, n_max):
+    """`_decimal_h` as a generator summed by `sum()` from Decimal(0) each step:
+    the same products, added in the same order."""
+    d = len(weights) - 1
+    coeffs = [(Decimal(float(tw)), w) for tw, w in zip(t_row, weights)]
+    h = [Decimal(1)]
+    with localcontext() as ctx:
+        ctx.prec = smoothing._DECIMAL_DIGITS
+        for n in range(1, n_max + 1):
+            terms = (tw * (n + d * w) * h[n - w] for tw, w in coeffs if n >= w)
+            h.append(sum(terms, Decimal(0)) / n)
+    return h
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    weights=st.sampled_from([(1, 2), (1, 1, 2), (2, 3, 5), (3, 1, 1)]),
+    seed=st.integers(0, 2**32 - 1),
+    axis=st.integers(-1, 3),
+    n_max=st.integers(0, 700),
+)
+@example(weights=(2, 3, 5), seed=0, axis=2, n_max=700)
+def test_decimal_h_matches_the_generator_sum(weights, seed, axis, n_max):
+    """The explicit loop gives the generator's decimals: equal, and equal as strings."""
+    t = np.random.default_rng(seed).dirichlet(np.ones(len(weights)))
+    if 0 <= axis < len(weights):
+        t = np.eye(len(weights))[axis]  # a coordinate point: zero moments
+    got, ref = _decimal_h(t, weights, n_max), _decimal_h_generator(t, weights, n_max)
+    assert got == ref
+    assert list(map(str, got)) == list(map(str, ref))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     eps=st.floats(0.05, 1.0),
