@@ -1,11 +1,12 @@
-"""Experiment orchestration: validated configs, caching, deterministic artifacts.
+"""Experiment orchestration: one config table, validated configs, caching, deterministic artifacts.
 
-A run is: validate an ExperimentConfig, dispatch on the experiment kind, and
-write the artifacts — CSV + JSON report, a gnuplot script, and a manifest
-carrying the config hash so identical configs are provably identical runs.
-Traces and kernel scans sum over every degree of the calibrated model; only
-the ``spectrum`` kind builds a degree-truncated spectral package, from the
-cache when a valid one exists (rebuilding on checksum mismatch).
+`FIELDS` lists each config field once (JSON path, caster, default, range
+check, CLI flag).  The CLI, `from_dict`, validation and `to_dict` loop over
+it, and the fields are checked together before `run` creates an output
+directory.  A run writes a CSV + JSON report, a gnuplot script and a
+manifest carrying the config hash.  Traces and kernel scans sum over every
+degree of the model; only ``spectrum`` builds a degree-truncated spectral
+package, from the cache when a valid one exists.
 """
 
 from __future__ import annotations
@@ -18,15 +19,17 @@ import os
 import time
 from numbers import Complex, Integral, Real
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
+from .asymptotics import predict_global_component
 from .errors import CacheError, ConfigError, PeriodError
 from .geometry import ProjectiveModel, fixed_components, heisenberg_chart, make_model, period_gap
 from .reports import ScanReport
-from .smoothing import _row_budgets, offlocus_decay_scan, parity_scan, scaled_diagonal_scan
-from .smoothing import smoothed_trace
+from .smoothing import _GAUSS_FAR, _row_budgets, offlocus_decay_scan, parity_scan
+from .smoothing import scaled_diagonal_scan, smoothed_trace
 from .spectral import SpectralPackage, eigendata
 from .windows import SHAPES, Window
 
@@ -67,15 +70,6 @@ def _cast(path: str, caster, value):
         return caster(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def _field(d: dict, key: str, caster, default=..., where: str = "config"):
-    """``caster(d[key])``, naming the field on failure; null counts as absent."""
-    if d.get(key) is None:
-        if default is ...:
-            raise ConfigError(f"{where}.{key}: missing required field")
-        return default
-    return _cast(f"{where}.{key}", caster, d[key])
 
 
 def config_section(d: dict, key: str) -> dict:
@@ -152,73 +146,145 @@ def _displacement(values) -> np.ndarray:
     return np.array([entry(v) for v in _sequence(values)], dtype=complex)
 
 
-@dataclasses.dataclass
+class Field(NamedTuple):
+    """One entry of `FIELDS`: JSON path, caster, default (``...``: required,
+    within a window for ``window.`` fields), (predicate, range in words)
+    check, CLI flag and help.  The path's last part, `key`, is the keyword
+    and attribute of `ExperimentConfig`, or of its `Window`.  `to_dict` leaves
+    out a None value (writes null if ``null``) and skips a field not ``written``."""
+
+    path: str
+    cast: Callable
+    default: object = ...
+    check: tuple | None = None
+    flag: str | None = None
+    help: str | None = None
+    written: bool = True
+    null: bool = False
+
+    @property
+    def section(self) -> str:
+        return self.path.rpartition(".")[0]
+
+    @property
+    def key(self) -> str:
+        return self.path.rpartition(".")[2]
+
+
+FIELDS = (
+    Field("kind", str, check=(lambda k: k in KINDS, f"one of {', '.join(KINDS)}")),
+    Field("model.weights", _integers, ..., (lambda w: len(w) >= 2 and min(w) > 0,
+          "at least two positive integers"), "--weights", "comma-separated, e.g. 1,2"),
+    Field("model.dim", _integer, None, None, "--dim", "checks len(weights) - 1", written=False),
+    Field("model.calibration", str, "auto", (lambda c: c == "auto", "'auto'")),
+    Field("k_max", _integer, 120, (lambda k: k >= 0, ">= 0"), "--kmax",
+          "degree truncation of spectrum; others ignore it"),
+    Field("window.shape", str, "bump", (lambda s: s in SHAPES, f"one of {', '.join(SHAPES)}"),
+          "--shape", "bump or gaussian (default bump)"),
+    Field("window.tau0", _number, ..., None, "--tau0", "window center (a period for trace kinds)"),
+    Field("window.eps", _number, ..., (lambda e: e > 0, "> 0"), "--eps", "window width parameter"),
+    Field("lambda_grid", _grid, None, (lambda g: g.size > 0 and (np.diff(g) > 0).all(),
+          "nonempty and strictly increasing"), "--lambda-grid", "start:stop:count[:geometric]"),
+    Field("u", _displacement, None, None, "--u", "comma-separated real normal displacement"),
+    Field("C", _number, 1.3, (lambda c: c > 0, "> 0"), "--C", "off-locus distance constant"),
+    Field("tail_tol", _number, 1e-10, (lambda t: t > 0, "> 0")),
+    Field("x0_index", _integer, None, null=True),
+    Field("cache_dir", str, None, None, "--cache", "spectrum's package cache", null=True),
+    Field("out_dir", str, "out", None, "--out", "output directory"),
+    Field("seed", _integer, 0, None, "--seed", "seed for sampled checks"),
+)
+
+
+def _value(f: Field, raw):
+    """``raw``, a JSON value, cast and range-checked as field ``f``; None takes the default."""
+    if raw is None:
+        if f.default is ...:
+            raise ConfigError(f"config.{f.path}: missing required field")
+        return f.default
+    value = _cast(f"config.{f.path}", f.cast, raw)
+    if f.check is not None and not f.check[0](value):
+        raise ConfigError(f"config.{f.path}: must be {f.check[1]}, got {value!r}")
+    return value
+
+
 class ExperimentConfig:
     """Validated description of one run.
 
-    ``window`` may be None only for the spectrum and verify kinds.  The
-    window-width guard keeps the window's `Window.halfwidth` inside half the
-    period gap around tau0.  The constructor checks every field as
-    `from_dict` does: integers by `_integer`, other numbers by `_number`.
+    Keywords: ``window``, a `Window` (None only for spectrum and verify), and
+    the `Field.key` of every other field of `FIELDS`; an absent or None one
+    takes the field's default (verify, which builds its own models, takes
+    weights (1, 2)).  Each value is cast and checked as in `from_dict`, then
+    the fields together, so `run` refuses nothing after creating ``out_dir``.
     """
 
-    kind: str
-    weights: tuple
-    k_max: int
-    window: Window | None = None
-    lambda_grid: np.ndarray | None = None
-    u: np.ndarray | None = None
-    C: float = 1.3
-    tail_tol: float = 1e-10
-    x0_index: int | None = None
-    cache_dir: str | None = None
-    out_dir: str = "out"
-    seed: int = 0
-    _model: ProjectiveModel | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(self, window: Window | None = None, **keywords):
+        keys = {f.key for f in FIELDS if f.section != "window"}
+        if not keywords.keys() <= keys:
+            raise TypeError(f"unexpected keywords {sorted(keywords.keys() - keys)}")
+        if keywords.get("weights") is None and keywords.get("kind") == "verify":
+            keywords["weights"] = (1, 2)
+        for f in FIELDS:
+            if f.section != "window":
+                setattr(self, f.key, _value(f, keywords.get(f.key)))
+            elif window is not None:
+                _value(f, getattr(window, f.key))  # the window keeps the values it was given
+        self.window, self._model = window, None
+        self._scan = self._check_together()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"config.kind: {self.kind!r} not one of {KINDS}")
-        self.weights = _cast("config.model.weights", _integers, self.weights)
-        if len(self.weights) < 2 or any(w <= 0 for w in self.weights):
-            raise ConfigError("config.model.weights: need at least two positive integers")
-        self.k_max = _cast("config.k_max", _integer, self.k_max)
-        if self.k_max < 0:
-            raise ConfigError("config.k_max: must be >= 0")
-        if self.x0_index is not None:
-            self.x0_index = _cast("config.x0_index", _integer, self.x0_index)
-        self.seed = _cast("config.seed", _integer, self.seed)
-        self.C = _cast("config.C", _number, self.C)
-        self.tail_tol = _cast("config.tail_tol", _number, self.tail_tol)
-        if self.window is not None:
-            _cast("config.window.tau0", _number, self.window.tau0)
-            _cast("config.window.eps", _number, self.window.eps)
-        if self.tail_tol <= 0:
-            raise ConfigError("config.tail_tol: tolerances must be positive")
-        if self.u is not None:
-            self.u = _cast("config.u", _displacement, self.u)
-        if self.lambda_grid is not None:
-            g = _cast("config.lambda_grid", _grid, self.lambda_grid)
-            if g.size == 0:
-                raise ConfigError("config.lambda_grid: grid must be nonempty")
-            if g.size > 1 and not (np.diff(g) > 0).all():
-                raise ConfigError("config.lambda_grid: grid must be strictly increasing")
-            self.lambda_grid = g
-        if self.kind in ("trace", "local", "offlocus", "parity"):
-            if self.window is None:
-                raise ConfigError(f"config.window: required for kind {self.kind!r}")
-            if self.lambda_grid is None:
-                raise ConfigError(f"config.lambda_grid: required for kind {self.kind!r}")
-        if self.window is not None:
-            gap = period_gap(self.model(), self.window.tau0)
-            halfwidth = self.window.halfwidth
-            if halfwidth >= gap / 2.0:
+    def _check_together(self) -> tuple | None:
+        """Check the fields against each other; a kernel scan's chart and u.
+
+        The trace and kernel kinds need a window and a grid.  `_rounding_bounds`
+        charges a double row's phase 2 |tau0| s_max units of 2^-53, the error
+        in radians of s*tau0 (rounded twice), and a window cut keeps |lam - n|
+        <= s_max = `_GAUSS_FAR`/eps: so |tau0| < 2^52 eps/_GAUSS_FAR (1.8e13 at
+        eps 0.15) resolves the phase to a radian.  The window must fit in half
+        the period gap.  A kernel scan samples where `HeisenbergChart` is
+        exact: lambda > 0 and the chart radius below pi/2, the radius being 2C
+        lam^(-7/18) (offlocus) or |u|/sqrt(lam) (local, parity; u defaults to
+        0 and 0.5 per normal direction) at the smallest lam.
+        """
+        if self.dim is not None and self.dim != len(self.weights) - 1:
+            raise ConfigError(f"config.model.dim: must be {len(self.weights) - 1}, got {self.dim}")
+        if self.kind not in ("spectrum", "verify"):
+            for name in ("window", "lambda_grid"):
+                if getattr(self, name) is None:
+                    raise ConfigError(f"config.{name}: required for kind {self.kind!r}")
+        win = self.window
+        if win is not None:
+            limit = 2.0**52 * win.eps / _GAUSS_FAR
+            if not abs(win.tau0) < limit:
                 raise ConfigError(
-                    f"config.window.eps: effective half-width {halfwidth:.3g} must stay "
-                    f"below half the period gap {gap / 2.0:.3g} at tau0={self.window.tau0:.6g}"
+                    f"config.window.tau0: |tau0| must be below 2^52 eps/sqrt(1400) = {limit:.3g} "
+                    f"to resolve s*tau0 across the window cut, got {win.tau0:.6g}"
                 )
+            gap = period_gap(self.model(), win.tau0)
+            if win.halfwidth >= gap / 2.0:
+                raise ConfigError(
+                    f"config.window.eps: effective half-width {win.halfwidth:.3g} must stay "
+                    f"below half the period gap {gap / 2.0:.3g} at tau0={win.tau0:.6g}"
+                )
+        if self.kind not in ("local", "offlocus", "parity"):
+            return None
+        lam = float(self.lambda_grid[0])
+        if lam <= 0:
+            raise ConfigError(f"config.lambda_grid: kind {self.kind!r} needs lambda > 0, got {lam}")
+        chart = _default_chart(self.model(), win.tau0, self.x0_index)  # checks x0_index
+        c, u = chart.normal_dim, self.u
+        if u is None:
+            u = np.full(c, 0.5 if self.kind == "parity" else 0.0, dtype=complex)
+        elif len(u) != c:
+            raise ConfigError(f"config.u: {len(u)} components, the chart's normal dimension {c}")
+        if self.kind == "offlocus":
+            field, radius = "C", 2.0 * self.C * lam ** (-7.0 / 18.0)
+        else:  # hypot over the real and imaginary parts: |u| without overflow
+            field, radius = "u", math.hypot(*u.view(float)) / math.sqrt(lam)
+        if not radius < math.pi / 2:
+            raise ConfigError(
+                f"config.{field}: the chart radius at lambda={lam:.6g}, {radius:.3g}, must be "
+                "below pi/2, where the chart is exact"
+            )
+        return chart, u
 
     def model(self) -> ProjectiveModel:
         """The calibrated model, built once per config."""
@@ -228,71 +294,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config a JSON object describes; keys outside `FIELDS` are ignored."""
         if not isinstance(d, dict):
             raise ConfigError("config: expected a JSON object")
-        kind = _field(d, "kind", str)
-        model_d = config_section(d, "model")
-        weights = _field(model_d, "weights", _integers, where="config.model")
-        dim = _field(model_d, "dim", _integer, default=None, where="config.model")
-        if dim is not None and dim != len(weights) - 1:
-            raise ConfigError(
-                f"config.model.dim: {dim} inconsistent with {len(weights)} weights"
-            )
-        calibration = model_d.get("calibration")
-        if calibration not in (None, "auto"):  # the contact field fixes the flow; nothing to choose
-            raise ConfigError(f"config.model.calibration: {calibration!r} is not 'auto'")
-        win = None
+
+        def raw(f: Field):
+            return (config_section(d, f.section) if f.section else d).get(f.key)
+
+        window = None
         if d.get("window") is not None:
-            wd = config_section(d, "window")
-            shape = _field(wd, "shape", str, default="bump", where="config.window")
-            if shape not in SHAPES:
-                raise ConfigError(f"config.window.shape: {shape!r} not one of {SHAPES}")
-            tau0 = _field(wd, "tau0", _number, where="config.window")
-            eps = _field(wd, "eps", _number, where="config.window")
-            if eps <= 0:
-                raise ConfigError("config.window.eps: must be positive")
-            win = Window(shape, tau0, eps)
-        return cls(
-            kind=kind,
-            weights=weights,
-            k_max=_field(d, "k_max", _integer),
-            window=win,
-            lambda_grid=_field(d, "lambda_grid", _grid, default=None),
-            u=_field(d, "u", _displacement, default=None),
-            C=_field(d, "C", _number, default=1.3),
-            tail_tol=_field(d, "tail_tol", _number, default=1e-10),
-            x0_index=_field(d, "x0_index", _integer, default=None),
-            cache_dir=_field(d, "cache_dir", str, default=None),
-            out_dir=_field(d, "out_dir", str, default="out"),
-            seed=_field(d, "seed", _integer, default=0),
-        )
+            window = Window(**{f.key: _value(f, raw(f)) for f in FIELDS if f.section == "window"})
+        return cls(window=window, **{f.key: raw(f) for f in FIELDS if f.section != "window"})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         return cls.from_dict(read_config_file(path))
 
     def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "model": {"weights": list(self.weights), "calibration": "auto"},
-            "k_max": self.k_max,
-            "C": self.C,
-            "tail_tol": self.tail_tol,
-            "x0_index": self.x0_index,
-            "cache_dir": self.cache_dir,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-        }
-        if self.window is not None:
-            d["window"] = {
-                "shape": self.window.shape,
-                "tau0": self.window.tau0,
-                "eps": self.window.eps,
-            }
-        if self.lambda_grid is not None:
-            d["lambda_grid"] = [float(x) for x in self.lambda_grid]
-        if self.u is not None:
-            d["u"] = [[v.real, v.imag] for v in np.asarray(self.u, dtype=complex)]
+        """The config as `from_dict` reads it, arrays as lists."""
+        d: dict = {}
+        for f in FIELDS:
+            value = getattr(self.window if f.section == "window" else self, f.key, None)
+            if isinstance(value, np.ndarray):
+                pairs = value.dtype == complex  # u, written as [re, im] pairs
+                value = (value.view(float).reshape(-1, 2) if pairs else value).tolist()
+            if f.written and (value is not None or f.null):
+                (d.setdefault(f.section, {}) if f.section else d)[f.key] = value
         return d
 
     def digest(self) -> str:
@@ -410,29 +437,15 @@ def run(cfg: ExperimentConfig) -> RunResult:
 
 
 def _kernel_report(cfg: ExperimentConfig) -> ScanReport:
-    """The local, offlocus or parity scan at the default chart of the window's period."""
-    model = cfg.model()
-    chart = _default_chart(model, cfg.window.tau0, cfg.x0_index)
-    args = (cfg.lambda_grid, cfg.tail_tol)
+    """The local, offlocus or parity scan at the chart and displacement the config checked."""
+    (chart, u), args = cfg._scan, (cfg.lambda_grid, cfg.tail_tol)
     if cfg.kind == "offlocus":
-        return offlocus_decay_scan(model, cfg.window, chart, cfg.C, *args)
-    c = chart.normal_dim
-    if cfg.u is None:
-        u = np.full(c, 0.5 + 0j) if cfg.kind == "parity" else np.zeros(c, dtype=complex)
-    elif len(cfg.u) != c:
-        raise ConfigError(
-            f"config.u: {len(cfg.u)} components given, the chart at tau0="
-            f"{cfg.window.tau0:.6g} has normal dimension {c}"
-        )
-    else:
-        u = cfg.u
+        return offlocus_decay_scan(cfg.model(), cfg.window, chart, cfg.C, *args)
     scan = scaled_diagonal_scan if cfg.kind == "local" else parity_scan
-    return scan(model, cfg.window, chart, u, *args)
+    return scan(cfg.model(), cfg.window, chart, u, *args)
 
 
 def _trace_report(cfg: ExperimentConfig) -> ScanReport:
-    from .asymptotics import predict_global_component
-
     model, win, grid = cfg.model(), cfg.window, cfg.lambda_grid
     trace = smoothed_trace(model, win, grid, cfg.tail_tol)
     try:

@@ -208,7 +208,7 @@ def _window_cut(
         i = int(np.argmax(far))
         raise CoverageError(
             f"lambda={lams[i]:.6g} needs a window-cut table of {far[i] + 1:.3g} entries, above "
-            f"the {_CUT_TABLE_MAX} a cut may tabulate (ROADMAP item 4: an O(1/eps) cut)"
+            f"the {_CUT_TABLE_MAX} a cut may tabulate (ROADMAP item 1: an O(1/eps) cut)"
         )
     n_far = far.astype(np.int64)
     # terms beyond n_far: the majorant ratio b(n+1)/b(n) is at most

@@ -50,6 +50,9 @@ from .quadrature import SphereProductRule, sphere_product_rule, sphere_rule
 _BLOCK_ENTRIES = 1 << 13
 # largest entry of |normalised Gram matrix - id| a block's quadrature may leave
 _GRAM_TOL = 1e-10
+# most entry-steps k_max (d + 1)(k_max w_max + 1) a multiplicity table may take: on
+# a 2-core x86, (1, 2) at k_max 4,095 (2^26) takes 0.1 s and at k_max 20,000 1.8 s
+_MULTIPLICITY_WORK_MAX = 1 << 26
 
 
 # ----------------------------------------------------------------------------
@@ -360,8 +363,16 @@ def _multiplicities(weights, k_max: int) -> np.ndarray:
     The coin-counting recursion of the denumerants of the weights, with the
     degree as a second index: rows[i] holds the degree-k counts using the
     first i+1 weights, and adding weight w_i maps (k - 1, n - w_i) to (k, n).
+    Every entry counts some of the C(k_max + d + 1, d + 1) alpha with |alpha|
+    <= k_max, so a table where that passes 2^63, or one of more than
+    `_MULTIPLICITY_WORK_MAX` entry-steps, is refused before it is allocated.
     """
-    top = k_max * max(weights)
+    d, top = len(weights) - 1, k_max * max(weights)
+    if math.comb(k_max + d + 1, d + 1) >= 2**63:
+        raise CoverageError(f"multiplicities to degree {k_max} may pass the int64 range")
+    if k_max * (d + 1) * (top + 1) > _MULTIPLICITY_WORK_MAX:
+        raise CoverageError(f"multiplicities to degree {k_max} take more than "
+                            f"{_MULTIPLICITY_WORK_MAX} entry-steps")
     rows = np.zeros((len(weights), top + 1), dtype=np.int64)
     rows[:, 0] = 1  # degree 0
     counts = rows[-1].copy()

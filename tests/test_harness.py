@@ -1,5 +1,11 @@
+import contextlib
+import io
 import json
+import math
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracelab.errors import ConfigError
-from tracelab.harness import CACHE_ENV_VAR, ExperimentConfig, parse_lambda_grid, run
+from tracelab.harness import CACHE_ENV_VAR, FIELDS, KINDS, ExperimentConfig, parse_lambda_grid, run
+from tracelab.harness import _displacement, _grid, _integer, _integers, _number
+from tracelab.windows import Window
 from tracelab import cli
 
 
@@ -54,9 +62,12 @@ def test_config_bad_kind():
         ExperimentConfig.from_dict(_base_config(kind="scan"))
 
 
-def test_config_dim_consistency():
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(-3, 9).filter(lambda d: d != 1))
+@example(dim=2)
+def test_config_dim_consistency(dim):
     cfg = _base_config()
-    cfg["model"]["dim"] = 2
+    cfg["model"]["dim"] = dim
     with pytest.raises(ConfigError, match="config.model.dim"):
         ExperimentConfig.from_dict(cfg)
 
@@ -67,32 +78,65 @@ def test_integral_numbers_are_integers():
     assert type(cfg.k_max) is int and all(type(w) is int for w in cfg.weights)
 
 
-def _with(path: str, value) -> dict:
-    """A valid spectrum config with ``value`` at ``path`` ("k_max" or "model.<key>")."""
-    cfg = {"kind": "spectrum", "model": {"weights": [1, 2]}, "k_max": 10}
-    *section, key = path.split(".")
-    (cfg["model"] if section else cfg)[key] = value
-    return cfg
-
-
 _fraction = st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer())
 _not_integer = st.one_of(_fraction, st.booleans(), st.text(max_size=4))
-_FAULTS = st.one_of(
-    st.tuples(st.just("model.weights"), st.one_of(
-        st.lists(st.integers(1, 5), max_size=1),
-        st.lists(st.integers(-3, 5), min_size=2, max_size=4).filter(lambda w: min(w) <= 0),
+_not_number = st.one_of(
+    st.booleans(), st.text(max_size=4), st.just([1.0]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+)
+# per caster of the table: values it refuses, and values it takes (the range
+# check of the field then decides)
+_MALFORMED = {
+    str: st.nothing(),
+    _integer: _not_integer,
+    _number: _not_number,
+    _integers: st.one_of(
+        st.text(max_size=4),
         st.lists(st.one_of(st.integers(1, 5), _not_integer), min_size=2, max_size=4).filter(
             lambda w: not all(type(v) is int for v in w)),
-        st.text(max_size=4),
-    )),
-    st.tuples(st.just("model.dim"), st.one_of(st.integers(-3, 9).filter(lambda d: d != 1), _not_integer)),
-    st.tuples(st.just("model.calibration"), st.one_of(
-        st.text(max_size=6).filter(lambda c: c != "auto"), st.integers(),
-        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
-    )),
-    st.tuples(st.just("k_max"), st.one_of(_not_integer, st.integers(-10, -1))),
-    st.tuples(st.sampled_from(["x0_index", "seed"]), _not_integer),
-)
+    ),
+    _grid: st.one_of(
+        st.lists(st.one_of(st.floats(1, 100), _not_number), min_size=1, max_size=4).filter(
+            lambda g: not all(type(v) is float and np.isfinite(v) for v in g)),
+        st.integers(), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    ),
+    _displacement: st.one_of(
+        st.lists(_not_number, min_size=1, max_size=1),
+        st.lists(st.tuples(st.floats(-1, 1), _not_number).map(list), min_size=1, max_size=1),
+        st.lists(st.lists(st.floats(-1, 1), min_size=0, max_size=3).filter(lambda p: len(p) != 2),
+                 min_size=1, max_size=1),
+    ),
+}
+_WELL_FORMED = {
+    str: st.one_of(st.text(max_size=6), st.integers(),
+                   st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)),
+    _integer: st.integers(-10, 10),
+    _number: st.floats(-1e3, 1e3),
+    _integers: st.lists(st.integers(-3, 5), max_size=4),
+    _grid: st.lists(st.floats(1, 100), max_size=4),
+}
+
+
+def _bad_values(f):
+    """(path, value) with a value field ``f``'s caster or range check refuses."""
+    bad = _MALFORMED[f.cast]
+    if f.check is not None:
+        bad = st.one_of(bad, _WELL_FORMED[f.cast].filter(lambda v: not f.check[0](f.cast(v))))
+    return bad.map(lambda v: (f.path, v))
+
+
+_FAULTS = st.sampled_from([f for f in FIELDS if f.cast is not str or f.check]).flatmap(_bad_values)
+
+
+def _trace_with(path: str, value) -> dict:
+    """A valid trace config with ``value`` at ``path``."""
+    cfg = {
+        "kind": "trace", "model": {"weights": [1, 2]}, "k_max": 10,
+        "window": {"shape": "gaussian", "tau0": 0.0, "eps": 0.15}, "lambda_grid": "20:40:5",
+    }
+    section, _, key = path.rpartition(".")
+    (cfg[section] if section else cfg)[key] = value
+    return cfg
 
 
 @settings(max_examples=150, deadline=None)
@@ -100,54 +144,38 @@ _FAULTS = st.one_of(
 @example(fault=("model.weights", [1.5, 2.7]))  # int() would truncate these to (1, 2) and 10
 @example(fault=("model.weights", "12"))
 @example(fault=("k_max", 10.9))
-def test_malformed_config_fields_are_config_errors_naming_the_field(fault):
-    path, value = fault
-    with pytest.raises(ConfigError, match=re.escape(f"config.{path}:")):
-        ExperimentConfig.from_dict(_with(path, value))
-
-
-def _trace_with(path: str, value) -> dict:
-    """A valid trace config with ``value`` at ``path`` (a key, or "window.<key>")."""
-    cfg = {
-        "kind": "trace", "model": {"weights": [1, 2]}, "k_max": 10,
-        "window": {"shape": "gaussian", "tau0": 0.0, "eps": 0.15}, "lambda_grid": "20:40:5",
-    }
-    *section, key = path.split(".")
-    (cfg["window"] if section else cfg)[key] = value
-    return cfg
-
-
-_not_number = st.one_of(
-    st.booleans(), st.text(max_size=4), st.none().map(lambda _: [1.0]),
-    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
-)
-_NUMBER_FAULTS = st.one_of(
-    st.tuples(st.sampled_from(["C", "tail_tol", "window.tau0", "window.eps"]), _not_number),
-    st.tuples(st.just("lambda_grid"), st.one_of(
-        st.lists(st.one_of(st.floats(1, 100), _not_number), min_size=1, max_size=4).filter(
-            lambda g: not all(type(v) is float and np.isfinite(v) for v in g)),
-        st.integers(), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
-    )),
-    st.tuples(st.just("u"), st.one_of(
-        st.lists(_not_number, min_size=1, max_size=1),
-        st.lists(st.tuples(st.floats(-1, 1), _not_number).map(list), min_size=1, max_size=1),
-        st.lists(st.lists(st.floats(-1, 1), min_size=0, max_size=3).filter(lambda p: len(p) != 2),
-                 min_size=1, max_size=1),
-    )),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(fault=_NUMBER_FAULTS)
 @example(fault=("lambda_grid", ["abc", 10]))  # numpy raised a ValueError traceback
 @example(fault=("lambda_grid", [[1, 2], 10]))
 @example(fault=("C", True))  # these three were taken as 1.0, 1e-10 and 0.0
 @example(fault=("tail_tol", "1e-10"))
 @example(fault=("window.tau0", "0"))
-def test_malformed_numbers_are_config_errors_naming_the_field(fault):
+@example(fault=("C", -1.0))  # offlocus sampled at a negative distance
+def test_malformed_config_fields_are_config_errors_naming_the_field(fault):
+    # every field of the table refuses what its caster or range check
+    # refuses: in from_dict, in the constructor and on the command line
     path, value = fault
-    with pytest.raises(ConfigError, match=re.escape(f"config.{path}:")):
+    named = re.escape(f"config.{path}:")
+    with pytest.raises(ConfigError, match=named):
         ExperimentConfig.from_dict(_trace_with(path, value))
+    window = Window("gaussian", 0.0, 0.15)
+    keywords = {"kind": "trace", "weights": (1, 2), "lambda_grid": "20:40:5"}
+    section, _, key = path.rpartition(".")
+    if section == "window":
+        setattr(window, key, value)  # past the Window's own checks, as a caller could
+    else:
+        keywords[key] = value
+    with pytest.raises(ConfigError, match=named):
+        ExperimentConfig(window=window, **keywords)
+    if path == "kind":
+        return  # the subcommand names the kind
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp, "cfg.json")
+        config.write_text(json.dumps(_trace_with(path, value)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["trace", "--config", str(config), "--out", str(Path(tmp, "out"))])
+        assert code == 2 and f"config.{path}:" in err.getvalue()
+        assert not Path(tmp, "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -368,10 +396,70 @@ def test_run_calibrates_once(tmp_path, monkeypatch):
 def test_cli_bad_numbers_are_config_errors(tmp_path, capsys, flags, field):
     argv = ["local", "--weights", "1,2", "--kmax", "10", "--shape", "gaussian", "--tau0",
             "3.141592653589793", "--eps", "0.15", "--lambda-grid", "50:60:2",
-            "--out", str(tmp_path)] + flags
+            "--out", str(tmp_path / "out")] + flags
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and field in err
+    assert not (tmp_path / "out").exists()  # refused before the run made its directory
+
+
+_WINDOW_PI = ["--weights", "1,2", "--shape", "gaussian", "--tau0", "3.141592653589793",
+              "--eps", "0.15"]
+
+
+@pytest.mark.parametrize(
+    "kind, flags, field",
+    [
+        ("local", ["--lambda-grid", "50:60:2", "--u", "1e200"], "config.u"),  # wrote NaN rows
+        ("offlocus", ["--lambda-grid", "50:60:2", "--C", "1e300"], "config.C"),  # NaN exact columns
+        ("offlocus", ["--lambda-grid", "50:60:2", "--C", "-1"], "config.C"),
+        ("trace", ["--lambda-grid", "50:60:2", "--tau0", "1e300"], "config.window.tau0"),
+        ("offlocus", ["--lambda-grid", "0:10:3"], "config.lambda_grid"),  # NaN rows at lambda 0
+        ("parity", ["--lambda-grid", "0:10:3"], "config.lambda_grid"),
+        ("local", ["--lambda-grid=-10:10:3"], "config.lambda_grid"),  # a math domain error
+        ("parity", ["--lambda-grid", "0.01:1:3"], "config.u"),  # the default u, 0.5, at lambda 0.01
+    ],
+)
+def test_cli_out_of_range_configs_exit_2_before_writing(tmp_path, capsys, kind, flags, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # |u| and 2C lambda^(-7/18) are taken without overflow
+        assert cli.main([kind, *_WINDOW_PI, *flags, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and field in err
+    assert not (tmp_path / "out").exists()
+
+
+def _refusal(config: dict) -> str:
+    try:
+        ExperimentConfig.from_dict(config)
+    except ConfigError as exc:
+        return str(exc)
+    return ""
+
+
+def test_window_phase_limit_follows_eps():
+    # |tau0| < 2^52 eps / sqrt(1400): 1.8e13 at eps 0.15, twice that at 0.3 (far
+    # out, the period-gap guard may refuse the window too, naming window.eps)
+    limit = 2.0**52 * 0.15 / math.sqrt(1400.0)
+    for tau0, eps, refused in ((0.99 * limit, 0.15, False), (1.01 * limit, 0.15, True),
+                               (1.01 * limit, 0.3, False), (-1.01 * limit, 0.15, True)):
+        config = {"kind": "spectrum", "model": {"weights": [1, 1]},
+                  "window": {"shape": "gaussian", "tau0": tau0, "eps": eps}}
+        assert _refusal(config).startswith("config.window.tau0") == refused
+
+
+def test_chart_radius_limit_is_pi_over_2():
+    # local at lambda = 4: |u| = 2 pi/2 - 1e-9 samples radius just below pi/2, 2 pi/2 at it
+    base = {"kind": "local", "model": {"weights": [1, 2]}, "lambda_grid": [4.0, 9.0],
+            "window": {"shape": "gaussian", "tau0": math.pi, "eps": 0.15}}
+    ExperimentConfig.from_dict({**base, "u": [math.pi - 1e-9]})
+    with pytest.raises(ConfigError, match="config.u: the chart radius"):
+        ExperimentConfig.from_dict({**base, "u": [[0.0, math.pi]]})
+    # offlocus at lambda = 1: the radius is 2C
+    base = {**base, "kind": "offlocus", "lambda_grid": [1.0, 2.0]}
+    ExperimentConfig.from_dict({**base, "C": math.pi / 4 - 1e-9})
+    with pytest.raises(ConfigError, match="config.C: the chart radius"):
+        ExperimentConfig.from_dict({**base, "C": math.pi / 4})
 
 
 def test_config_file_bad_displacement():
@@ -446,6 +534,59 @@ def test_config_from_file_errors_are_config_errors(tmp_path):
     (tmp_path / "window.json").write_text(json.dumps(_base_config(window=[0.0, 0.15])))
     with pytest.raises(ConfigError, match="config.window"):
         ExperimentConfig.from_file(tmp_path / "window.json")
+
+
+_KIND_CONFIGS = {
+    "spectrum": {"model": {"weights": [1, 2]}, "cache_dir": "cache"},
+    "trace": {"model": {"weights": [1, 2]}, "lambda_grid": [10.0, 15.0, 20.0],
+              "window": {"shape": "gaussian", "tau0": 0.0, "eps": 0.15}},
+    "local": {"model": {"weights": [1, 1, 2], "dim": 2}, "lambda_grid": "20:60:3",
+              "window": {"shape": "gaussian", "tau0": math.pi, "eps": 0.15},
+              "u": [0.5, [0.25, -0.1]], "x0_index": 2},
+    "offlocus": {"model": {"weights": [1, 2]}, "lambda_grid": [80.0, 160.0], "C": 0.9,
+                 "window": {"shape": "gaussian", "tau0": math.pi, "eps": 0.15}},
+    "parity": {"model": {"weights": [1, 2]}, "lambda_grid": [80.0, 160.0], "u": [0.7],
+               "window": {"shape": "gaussian", "tau0": math.pi, "eps": 0.15}, "seed": 4},
+    "verify": {"seed": 5},  # verify builds its own models and needs no weights
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_to_dict_round_trips_for_every_kind(kind):
+    cfg = ExperimentConfig.from_dict({**_KIND_CONFIGS[kind], "kind": kind})
+    again = ExperimentConfig.from_dict(cfg.to_dict())
+    assert again.to_dict() == cfg.to_dict() and again.digest() == cfg.digest()
+    assert cfg.k_max == 120  # a config without k_max takes the default the CLI always filled
+
+
+def test_config_digests_are_pinned():
+    # to_dict's format is the manifests' and the digests': these two were
+    # computed before the config table existed
+    trace = {"kind": "trace", "model": {"weights": [1, 2]}, "k_max": 120,
+             "window": {"shape": "gaussian", "tau0": math.pi, "eps": 0.15},
+             "lambda_grid": "150:400:26:geometric", "out_dir": "out/trace"}
+    local = {"kind": "local", "model": {"weights": [1, 1, 2], "dim": 2}, "k_max": 120,
+             "window": {"shape": "gaussian", "tau0": math.pi, "eps": 0.15},
+             "lambda_grid": [20.5, 40.0], "u": [0.5, [0.25, -0.1]], "x0_index": 2, "C": 0.9,
+             "seed": 3}
+    assert ExperimentConfig.from_dict(trace).digest() == (
+        "b450491cf703389c9bc3906f7c09e07b2dcef5a40e6fee894739bcb6d9fea6eb")
+    assert ExperimentConfig.from_dict(local).digest() == (
+        "de9b67b6aeb75426e5d1c1edfdf791da293f08b8159c760df0f2a6c0c7477280")
+
+
+def _readme_row(f) -> str:
+    default = ("required" if f.default is ... else "unset" if f.default is None
+               else f"`{json.dumps(f.default)}`")
+    flag = f"`{f.flag}`" if f.flag else "—"
+    return f"| `{f.path}` | {flag} | {default} | {f.check[1] if f.check else '—'} |"
+
+
+def test_readme_config_table_is_the_field_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = "\n".join(["| field | flag | default | range |", "|---|---|---|---|",
+                       *map(_readme_row, FIELDS)])
+    assert table in readme, table
 
 
 def test_config_file_round_trip(tmp_path):

@@ -569,17 +569,33 @@ def _trace_window(model, tau0, scale):
     return Window("gaussian", tau0, eps) if eps >= 0.1 else None
 
 
+@st.composite
+def _windowed_models(draw):
+    """(weights, tau0, scale) whose `_trace_window` has eps >= 0.1.
+
+    tau0 is a period 2 pi j/w in [-7, 7] or the midpoint of two neighbouring
+    ones, among the points whose gap admits eps = scale * gap/8 >= 0.1 at
+    some scale <= 0.99; 0 always does (gap 2 pi/max(w) >= 1.25).  Drawing
+    tau0 at random instead lost most draws once a weight was 4 or 5.
+    """
+    weights = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    model = make_model(weights)
+    periods = sorted({2 * np.pi * j / w for w in weights for j in range(-w - 1, w + 2)})
+    points = [t for t in periods + [(a + b) / 2 for a, b in zip(periods, periods[1:])]
+              if abs(t) <= 7.0]
+    gaps = {t: period_gap(model, t) for t in points}
+    tau0 = draw(st.sampled_from([t for t in points if gaps[t] >= 0.81 / 0.99]))
+    scale = draw(st.floats(max(0.3, 0.81 / gaps[tau0]), 0.99))  # 0.81: eps >= 0.1 after rounding
+    return weights, tau0, scale
+
+
 @settings(max_examples=25, deadline=None)
-@given(
-    weights=st.lists(st.integers(1, 5), min_size=2, max_size=4),
-    lam=st.floats(-30.0, 250.0),
-    tau0=st.one_of(st.sampled_from([0.0, np.pi]), st.floats(-7.0, 7.0)),
-    scale=st.floats(0.3, 0.99),
-)
+@given(case=_windowed_models(), lam=st.floats(-30.0, 250.0))
 # a degree tail of 6.8e-10 whose terms, stopped once below 1e-18, missed
 # 1.3e-20: more than the rounding slack, so the tail needs a proven bound
-@example(weights=[1, 1], lam=-15.0, tau0=0.0, scale=0.5)
-def test_trace_matches_lattice_sum_over_random_models(weights, lam, tau0, scale):
+@example(case=([1, 1], 0.0, 0.5), lam=-15.0)
+def test_trace_matches_lattice_sum_over_random_models(case, lam):
+    weights, tau0, scale = case
     model = make_model(weights)
     win = _trace_window(model, tau0, scale)
     assume(win is not None)

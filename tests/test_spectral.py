@@ -1,10 +1,11 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from tracelab import spectral
+from tracelab import cli, spectral
 from tracelab.errors import CacheError, CoverageError, QuadratureError
 from tracelab.geometry import flow_sphere, make_model
 from tracelab.quadrature import sphere_rule
@@ -300,6 +301,35 @@ def test_szego_diagonal_constant(model12):
 def test_coverage_max(model12):
     pkg = eigendata(model12, 10)
     assert pkg.coverage_max == 11.0  # (k_max + 1) * min(w)
+
+
+def test_multiplicities_exact_up_to_the_int64_guard():
+    # eleven weights 1: counts[n] = C(n + 10, 10); the guard refuses k_max 255,
+    # the first whose C(k_max + 11, 11) monomials pass 2^63, and 254 is exact
+    counts = spectral._multiplicities((1,) * 11, 254)
+    assert [int(c) for c in counts] == [math.comb(n + 10, 10) for n in range(255)]
+    with pytest.raises(CoverageError, match="int64"):
+        spectral._multiplicities((1,) * 11, 255)
+
+
+def test_multiplicity_work_cap(monkeypatch):
+    # k_max (d + 1)(k_max w_max + 1) entry-steps: (1, 2) at k_max 2 takes 20
+    monkeypatch.setattr(spectral, "_MULTIPLICITY_WORK_MAX", 20)
+    assert spectral._multiplicities((1, 2), 2).tolist() == [1, 1, 2, 1, 1]
+    with pytest.raises(CoverageError, match="entry-steps"):
+        spectral._multiplicities((1, 2), 3)
+
+
+@pytest.mark.parametrize(
+    "weights, kmax",
+    [("1,1,1,1,1,1,1,1,1,1,1", "1000"),  # wrapped int64: 346 negative counts
+     ("1,2", "100000000")],  # a 3.2 GB table, still running after 60 s
+)
+def test_cli_spectrum_refuses_tables_it_cannot_count(tmp_path, capsys, weights, kmax):
+    start = time.perf_counter()
+    assert cli.main(["spectrum", "--weights", weights, "--kmax", kmax, "--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 1.0  # refused before anything is allocated
+    assert capsys.readouterr().err.startswith("error: multiplicities to degree")
 
 
 def test_cache_roundtrip_bit_exact(tmp_path, model12):
