@@ -178,6 +178,24 @@ def test_malformed_config_fields_are_config_errors_naming_the_field(fault):
         assert not Path(tmp, "out").exists()
 
 
+_NUMBER_FAULTS = st.sampled_from(
+    [f for f in FIELDS if f.cast in (_number, _grid, _displacement)]
+).flatmap(lambda f: _MALFORMED[f.cast].map(lambda v: (f.path, v)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fault=_NUMBER_FAULTS)
+@example(fault=("lambda_grid", ["abc", 10]))  # numpy raised a ValueError traceback
+@example(fault=("lambda_grid", [[1, 2], 10]))
+@example(fault=("C", True))  # these three were taken as 1.0, 1e-10 and 0.0
+@example(fault=("tail_tol", "1e-10"))
+@example(fault=("window.tau0", "0"))
+def test_malformed_numbers_are_config_errors_naming_the_field(fault):
+    path, value = fault
+    with pytest.raises(ConfigError, match=re.escape(f"config.{path}:")):
+        ExperimentConfig.from_dict(_trace_with(path, value))
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("weights", (1.5, 2.7)), ("k_max", 10.9), ("x0_index", 0.5), ("seed", "1"), ("C", "1.3")],
