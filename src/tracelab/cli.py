@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for f in FIELDS:
             if f.flag:
                 p.add_argument(f.flag, dest=f.path, metavar=f.key.upper(), help=f.help)
-        p.add_argument("--precision", help="ignored: rows pick double or decimal by conditioning")
+        p.add_argument("--precision", help="ignored: each row picks its arithmetic itself")
     return parser
 
 

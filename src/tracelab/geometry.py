@@ -133,16 +133,19 @@ def period_gap(model: ProjectiveModel, tau0: float) -> float:
     The periods are 0 and the multiples +-2*pi*j/w_i of the weights; they
     are symmetric about 0, so the gap at tau0 is the gap at |tau0|.  Of each
     w_i only the multiples bracketing |tau0| can be nearest, so the cost does
-    not grow with |tau0|.
+    not grow with |tau0|.  A candidate within `_FIX_TOL`, or within
+    2^-40 |tau0| (the rounding of 2*pi*j/w and of tau0 itself), is tau0's
+    own period and is skipped.
     """
     if not math.isfinite(tau0):
         raise PeriodError(f"tau0={tau0!r} is not finite")
     tau0 = abs(tau0)
+    own = max(_FIX_TOL, 2.0**-40 * tau0)
     candidates = [0.0]
     for w in model.weights:
         k = math.floor(tau0 * w / (2.0 * np.pi))
         candidates += [2.0 * np.pi * j / w for j in range(max(k - 1, 1), k + 3)]
-    return min(abs(tau0 - t) for t in candidates if abs(t - tau0) > 1e-9)
+    return min(abs(tau0 - t) for t in candidates if abs(t - tau0) > own)
 
 
 @dataclass(frozen=True)

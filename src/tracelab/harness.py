@@ -28,9 +28,9 @@ from .asymptotics import predict_global_component
 from .errors import CacheError, ConfigError, PeriodError
 from .geometry import ProjectiveModel, fixed_components, heisenberg_chart, make_model, period_gap
 from .reports import ScanReport
-from .smoothing import _GAUSS_FAR, _row_budgets, offlocus_decay_scan, parity_scan
+from .smoothing import _GAUSS_FAR, _arithmetic, _row_budgets, offlocus_decay_scan, parity_scan
 from .smoothing import scaled_diagonal_scan, smoothed_trace
-from .spectral import SpectralPackage, eigendata
+from .spectral import SpectralPackage, check_multiplicity_table, eigendata
 from .windows import SHAPES, Window
 
 CACHE_ENV_VAR = "TRACELAB_CACHE"
@@ -234,18 +234,21 @@ class ExperimentConfig:
     def _check_together(self) -> tuple | None:
         """Check the fields against each other; a kernel scan's chart and u.
 
-        The trace and kernel kinds need a window and a grid.  `_rounding_bounds`
-        charges a double row's phase 2 |tau0| s_max units of 2^-53, the error
-        in radians of s*tau0 (rounded twice), and a window cut keeps |lam - n|
-        <= s_max = `_GAUSS_FAR`/eps: so |tau0| < 2^52 eps/_GAUSS_FAR (1.8e13 at
-        eps 0.15) resolves the phase to a radian.  The window must fit in half
-        the period gap.  A kernel scan samples where `HeisenbergChart` is
+        A ``spectrum`` table must be one `check_multiplicity_table` accepts
+        (a CoverageError, exit 3).  The trace and kernel kinds need a window
+        and a grid.  `_rounding_bounds` charges a double row's phase 2 |tau0|
+        s_max units of 2^-53, the error in radians of s*tau0 (rounded
+        twice), and a window cut keeps |lam - n| <= s_max = `_GAUSS_FAR`/eps:
+        so |tau0| < 2^52 eps/_GAUSS_FAR (1.8e13 at eps 0.15) resolves the
+        phase to a radian.  The window must fit in half the period gap.  A kernel scan samples where `HeisenbergChart` is
         exact: lambda > 0 and the chart radius below pi/2, the radius being 2C
         lam^(-7/18) (offlocus) or |u|/sqrt(lam) (local, parity; u defaults to
         0 and 0.5 per normal direction) at the smallest lam.
         """
         if self.dim is not None and self.dim != len(self.weights) - 1:
             raise ConfigError(f"config.model.dim: must be {len(self.weights) - 1}, got {self.dim}")
+        if self.kind == "spectrum":
+            check_multiplicity_table(self.weights, self.k_max)
         if self.kind not in ("spectrum", "verify"):
             for name in ("window", "lambda_grid"):
                 if getattr(self, name) is None:
@@ -458,6 +461,6 @@ def _trace_report(cfg: ExperimentConfig) -> ScanReport:
         "kind_detail": "smoothed trace vs sum of component leading terms",
         "tau0": win.tau0,
         "n_components": int(comp is not None),
-        **_row_budgets(trace.cut_remainder, trace.rounding_bound, trace.decimal),
+        **_row_budgets(trace.cut_remainder, trace.rounding_bound, _arithmetic(trace.decimal)),
     }
     return ScanReport("trace", grid, trace.value, predicted, meta=meta)

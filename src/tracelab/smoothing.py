@@ -28,14 +28,23 @@ kept sum, so it costs no digits; it is built for a whole lambda grid at once.
 The bump's transform envelope decays only like exp(-sqrt(eps s)), beyond any
 geometric series, so bump sums refuse with CoverageError.
 
-One routine, `_conditioned_sums`, picks the arithmetic of every row of
-either quantity.  Near a period the phases alternate and the sum cancels:
-kappa = sum |terms| / |sum| is 5e7 to 2e12 on the off-locus diagonal scans
-and grows like lam^d on a trace at tau0 = pi.  Each row is summed in double,
-and a row that double would leave fewer than 13 digits is cut again and
-summed in 40-digit decimal, with exact integer d(n) for traces.  Each row
-reports its arithmetic and a rounding bound (`_rounding_bounds`) next to its
-window-cut remainder.
+A kernel row for the gaussian window on a model whose weights are all 1 or
+2 is first formed in closed form (`_closed_form_diagonal`): there the
+generating function has two poles, x = 1 and x = -1/T (T the weight-2
+moment sum), and Poisson summation turns each into a few gaussian moment
+sums, so a row costs O(1) in lam and needs no h_n.  Such a row is kept
+when it does not cancel (its own kappa is at most `_CLOSED_FORM_KAPPA`) and
+its remainder (the omitted aliases and the negative-n tail, both bounded in
+closed form) meets the cut target; it is labelled "closed-form".
+
+Every other row, traces included, is an eigen-sum, and one routine,
+`_conditioned_sums`, picks its arithmetic.  Near a period the phases
+alternate and the sum cancels: kappa = sum |terms| / |sum| is 5e7 to 2e12
+on the off-locus diagonal scans and grows like lam^d on a trace at tau0 =
+pi.  Each row is summed in double, and a row that double would leave fewer
+than 13 digits is cut again and summed in 40-digit decimal, with exact
+integer d(n) for traces.  Each row reports its arithmetic and a rounding
+bound (`_rounding_bounds`, or the closed form's own) next to its remainder.
 """
 
 from __future__ import annotations
@@ -78,6 +87,12 @@ _BUMP_REFUSAL = (
     "the bump transform's envelope decays like exp(-sqrt(eps*s)), so the geometric "
     "far-tail bound does not cover it"
 )
+# the closed form sums every alias whose gaussian factor lies within
+# e^-_ALIAS_SPAN of its pole's largest, and bounds the rest
+_ALIAS_SPAN = 750.0
+# a closed-form row is kept only if it does not cancel: sum of its term
+# majorants over |value| at most this (every acceptance row reads <= 2.2)
+_CLOSED_FORM_KAPPA = 16.0
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 
 
@@ -530,6 +545,250 @@ def _cis_powers(theta: Decimal, k_max: int) -> list:
     return powers
 
 
+# ----------------------------------------------------------------------------
+# kernel rows in closed form: the gaussian window on weights in {1, 2}
+# ----------------------------------------------------------------------------
+
+
+def _pole_weights(d: int, T: float) -> tuple[list, list]:
+    """Partial-fraction weights (a_j), (b_j), j = 0..d, of (1 - x)^-(d+1)
+    (1 + T x)^-(d+1): h_n = sum_j (a_j + (-T)^n b_j) C(n + d - j, d - j)."""
+    r = 1.0 / (1.0 + T)
+    a = [math.comb(d + j, j) * r ** (d + 1) * (T * r) ** j for j in range(d + 1)]
+    b = [math.comb(d + j, j) * (T * r) ** (d + 1) * r**j for j in range(d + 1)]
+    return a, b
+
+
+def _normal_moments(d: int) -> tuple[list, list]:
+    """E[Z^i] and E[|Z|^i], i = 0..d, for Z standard normal."""
+    absolute = [1.0, math.sqrt(2.0 / math.pi)]
+    for i in range(2, d + 1):
+        absolute.append((i - 1) * absolute[i - 2])
+    absolute = absolute[: d + 1]
+    return [m if i % 2 == 0 else 0.0 for i, m in enumerate(absolute)], absolute
+
+
+def _binomial_moments(weights, mu, sigma: float, moments):
+    """sum_j weights[j] sum_i e_i sigma^i moments[i], with e_i the coefficients
+    of y in C(mu + y + m, m) = prod_{l <= m} (mu + l + y)/m!, m = d - j.  With
+    moments[i] = E[Z^i] this is E[sum_j weights[j] C(mu + sigma Z + m, m)]."""
+    d = len(weights) - 1
+    coeffs, total = [1.0], weights[d]
+    for m in range(1, d + 1):
+        coeffs = [(mu + m) * x + y for x, y in zip(coeffs + [0.0], [0.0] + coeffs)]
+        expect = sum(e * sigma**i * moments[i] for i, e in enumerate(coeffs))
+        total += weights[d - m] * expect / math.factorial(m)
+    return total
+
+
+def _aliases(theta0: float, eps: float) -> tuple[list, list]:
+    """The aliases theta_k = theta0 - 2 pi k of one pole: every (k, theta_k)
+    whose gaussian factor exp(-theta_k^2/(2 eps^2)) lies within
+    e^-`_ALIAS_SPAN` of the largest, and the first theta_k beyond on each side."""
+    k0 = round(theta0 / (2.0 * math.pi))
+    reach = (theta0 - 2.0 * math.pi * k0) ** 2 + 2.0 * eps**2 * _ALIAS_SPAN
+    kept, beyond = [], []
+    for k, step in ((k0, 1), (k0 - 1, -1)):
+        while (theta := theta0 - 2.0 * math.pi * k) ** 2 <= reach:
+            kept.append((k, theta))
+            k += step
+        beyond.append(theta)
+    return kept, beyond
+
+
+def _pole_sum(d: int, win: Window, lam: float, pole):
+    """One pole's Poisson terms: (value, parts, remainder), ``parts`` the
+    (majorant, rounding units) of each kept term (`_closed_form_diagonal`)."""
+    L, phi, weights, sign = pole
+    u, eps = 2.0**-53, win.eps
+    inv = 1.0 / eps**2
+    signed, absolute = _normal_moments(d)
+    centre = lam + L * inv
+    f = lam - round(lam)
+
+    def majorant(theta, slack=0.0):
+        """A bound on the modulus of the alias at theta, 2 pi e^{Re X} times E
+        of P with |mu| + |Z|/eps + l in every factor; ``slack`` widens
+        |Im mu| eps^2 by its rounding error."""
+        grow = lam * L + 0.5 * (L * L - theta * theta) * inv
+        base = abs(centre) + (abs(theta) + slack) * inv
+        return 2.0 * math.pi * math.exp(grow) * _binomial_moments(weights, base, 1 / eps, absolute)
+
+    kept, beyond = _aliases(phi + win.tau0, eps)
+    remainder = 0.0
+    for theta in beyond:  # the ratio of consecutive omitted majorants is at most q
+        q = (1.0 + 2.0 * math.pi / abs(theta)) ** d
+        q *= math.exp(-2.0 * math.pi * (abs(theta) + math.pi) * inv)
+        if not q < 1.0:
+            raise OverflowError("the omitted aliases do not decay")
+        remainder += majorant(theta) / (1.0 - q)
+    value, parts = 0j, []
+    for k, theta in kept:
+        grow = lam * L + 0.5 * (L * L - theta * theta) * inv
+        turn = (phi - 2.0 * math.pi * k) * f + L * theta * inv
+        poly = _binomial_moments(weights, complex(centre, theta * inv), 1 / eps, signed)
+        rotor = complex(math.cos(turn), math.sin(turn))
+        value += sign * 2.0 * math.pi * math.exp(grow) * rotor * poly
+        e_theta = 2.0 * u * (abs(phi + win.tau0) + 2.0 * math.pi * abs(k))
+        e_mu = 4.0 * u * (abs(lam) + abs(L) * inv) + (3.0 * u * abs(theta) + e_theta) * inv
+        size = (abs(lam * L) + 0.5 * (L * L + theta * theta) * inv
+                + abs((phi - 2.0 * math.pi * k) * f) + abs(L * theta) * inv)
+        slack = e_theta + e_mu * eps**2
+        base = abs(centre) + (abs(theta) + slack) * inv
+        units = (8.0 * size + (abs(theta) + abs(L)) * e_theta * inv / u
+                 + (d * e_mu / base / u if base else 0.0) + 8 * d + 20)
+        parts.append((majorant(theta, slack), units))
+    return value, parts, remainder
+
+
+def _negative_tail(d: int, win: Window, lam: float, a_w, b_w, log_t: float):
+    """sum over n <= -deg Q of F(n) chihat(lam - n), F(n) = sum_j (a_j +
+    (-T)^n b_j) C(n + d - j, d - j) continuing h_n; Q, the denominator of
+    the generating function, has degree 2(d+1), or d+1 when T = 0 (``b_w``
+    None).  Summed while lam - n <= `_GAUSS_FAR`/eps and bounded
+    geometrically beyond: (value, parts, remainder) as `_pole_sum` returns them."""
+    top = -(d + 1) * (1 if b_w is None else 2)
+    first = min(top, math.floor(lam - _GAUSS_FAR / win.eps))  # the first n bounded
+    n = np.arange(top, first - 1, -1, dtype=float)
+    s = lam - n
+    binomials = [np.ones_like(n)]
+    for m in range(1, d + 1):
+        binomials.append(binomials[-1] * (n + m) / m)
+    growth = n * log_t  # log T^n >= 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.exp(growth)
+        value = sum(a * binomials[d - j] for j, a in enumerate(a_w))
+        size = sum(a * np.abs(binomials[d - j]) for j, a in enumerate(a_w))
+        if b_w is not None:
+            value = value + np.where(n % 2, -power, power) * sum(
+                b * binomials[d - j] for j, b in enumerate(b_w)
+            )
+            size = size + power * sum(b * np.abs(binomials[d - j]) for j, b in enumerate(b_w))
+        size = size * win.fourier_envelope(s)
+    # the majorant's ratio from n to n - 1: at most (1/T) |n|/(|n| - d) exp(-eps^2 (2s + 1)/2)
+    q = math.exp(-log_t - 0.5 * win.eps**2 * (2.0 * s[-1] + 1.0)) * first / (first + d)
+    if not (np.isfinite(size).all() and q < 1.0):
+        raise OverflowError("the negative tail does not decay")
+    remainder = float(size[-1] / (1.0 - q))
+    n, s, value, size, growth = n[:-1], s[:-1], value[:-1], size[:-1], growth[:-1]
+    total = complex(np.sum(value * win.fourier(s))) if n.size else 0j
+    units = 4 * d + 14 + 2.0 * growth + 4.0 * (win.eps * s) ** 2 + 2.0 * abs(win.tau0) * s
+    return total, list(zip(size.tolist(), units.tolist())), remainder
+
+
+def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol: float):
+    """Kernel rows in closed form, for a gaussian window on weights in {1, 2}:
+    values, remainders and rounding bounds, and the mask of rows taken.
+
+    ``t`` holds each row's moments |z_i|^2.  The closed form evaluates the
+    kernel at the sphere point z/|z|: t1 and T = t2 are the moment sums over
+    the coordinates of weight 1 and 2 divided by |z|^2, and T = 1 - t1 holds
+    exactly in the formula, while the eigen-sum sums the series of t as given,
+    whose moments sum to 1 only up to rounding (h_n grows like (sum t)^n).
+
+    **Derivation.**  With t1 + T = 1, 1 - t1 x - T x^2 = (1 - x)(1 + T x), so
+    G(x) = sum_n h_n x^n = (1 - x)^-(d+1) (1 + T x)^-(d+1) has two poles, and
+    partial fractions (`_pole_weights`) give h_n = A(n) + (-T)^n B(n), n >= 0:
+
+        A(n) = sum_j C(d+j, j) (1+T)^-(d+1) (T/(1+T))^j C(n+d-j, d-j),
+        B(n) = sum_j C(d+j, j) (T/(1+T))^(d+1) (1+T)^-j C(n+d-j, d-j).
+
+    G is proper with a denominator Q of degree 2(d+1) (d+1 when T = 0), so
+    the continuation F(n) of that formula vanishes for -deg Q < n < 0 (R. P.
+    Stanley, Enumerative Combinatorics 1, Prop. 4.2.3), and the row is the
+    sum of F(n) chihat(lam - n) over all integers less the n <= -deg Q.
+    Poisson summation against chihat(s) = eps sqrt(2 pi) exp(-eps^2 s^2/2 -
+    i s tau0) turns a pole's rho^n P(n) (rho = 1 with A; log rho = log T +
+    i pi with B) into aliases
+
+        2 pi e^{lam (log rho - 2 pi i k)} e^{a^2/(2 eps^2)} E[P(lam + a/eps^2 + Z/eps)],
+        a = log rho + i theta_k,   theta_k = arg rho + tau0 - 2 pi k,
+
+    by completing the square and shifting the contour; Z is standard normal
+    and E a gaussian moment sum of degree d (`_binomial_moments`).  The
+    aliases within e^-`_ALIAS_SPAN` of a pole's largest are summed
+    (`_aliases`); beyond, consecutive majorants (below) fall by at least
+    (1 + 2 pi/|theta|)^d e^{-2 pi (|theta| + pi)/eps^2}, a geometric bound.
+    The subtracted n are summed while lam - n <= `_GAUSS_FAR`/eps and bounded
+    geometrically beyond (`_negative_tail`).  Both bounds make the row's
+    remainder.  A row costs O(d^2) per alias and O(1/eps) tail terms at any
+    lam, no table of h_n and no decimal pass.
+
+    **Accuracy rules.**  log T is log1p(-t1) while t1 <= 1/2, never the log
+    of a rounded T near 1 (else log T).  The phase is reduced exactly: with
+    c = round(lam) and f = lam - c (exact), e^{i lam (arg rho - 2 pi k)} =
+    (rho/|rho|)^c e^{i f (arg rho - 2 pi k)}, so no argument grows with lam.
+
+    **Rounding** (first order, u = 2^-53; N. J. Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, ch. 3).  A kept alias is 2 pi
+    (+-1) e^X E with X formed from lam, log T, theta and f in a few
+    operations: X is off by 8u |X|_+ (|X|_+ the sum of the moduli of its
+    parts, log T's own error included) plus (|theta| + |log T|) e_theta/eps^2,
+    theta = theta_0 - 2 pi k being off by e_theta <= 2u (|theta_0| + 2 pi |k|);
+    exp, cos, sin and the products add a few u.  E's centre mu is off by
+    e_mu <= 4u (|lam| + |log T|/eps^2) + (3u |theta| + e_theta)/eps^2.  E
+    multiplies out d linear factors mu + l + y and sums against the moments,
+    each operation off by u and each factor by e_mu + u |mu + l|, so E is off
+    by ((8d + 20) u + d e_mu/|mu|_+) Ebar, Ebar being E with |mu|_+ + l in
+    every factor and the moments E|Z|^i: the term's majorant, which also
+    bounds its modulus.  A subtracted term carries (4d + 14 + 2 |n log T| +
+    8x + 2 |tau0| s) u, as in `_rounding_bounds`.  Summing N terms and the
+    factor d!/pi^d add (N + 2d + 4) u per term; a factor 2 takes up the
+    sqrt(2) of complex sums and the second-order terms:
+
+        rho = 2u sum_terms (units + N + 2d + 4) majorant.
+
+    **Scope and fallback.**  A row is taken when the window is gaussian,
+    every weight is 1 or 2, nothing overflows, the negative tail decays, the
+    closed form's own kappa = sum majorants / |value|, the subtracted tail
+    included, is at most `_CLOSED_FORM_KAPPA`, and the remainder meets
+    min(tail_tol, u sum majorants).  That turns away rows whose B-pole centre
+    lam + log T/eps^2 lies below 0 (T well below 1 at small lam), where the
+    Poisson sum cancels against the tail.  `_DOUBLE_KAPPA_BOUND` (kappa up to
+    about 900) would let such a row keep only 13 digits where its eigen-sum,
+    whose terms may not cancel at all, keeps more: a (1, 2, 2) row at tau0 =
+    0, lam = 0 with kappa 840 was 8.7e-14 off.  Every row it does not take is
+    summed by `_eigen_sum_diagonal`.
+    """
+    values = np.zeros(lams.size, dtype=complex)
+    remainders, bounds = np.zeros(lams.size), np.zeros(lams.size)
+    taken = np.zeros(lams.size, dtype=bool)
+    weights = np.asarray(model.weights)
+    if win.shape != "gaussian" or not np.isin(weights, (1, 2)).all():
+        return values, remainders, bounds, taken
+    d, u = model.dim, 2.0**-53
+    scale = math.factorial(d) / math.pi**d
+    mass = t.sum(axis=1)
+    t1 = t[:, weights == 1].sum(axis=1) / mass
+    t2 = t[:, weights == 2].sum(axis=1) / mass
+    for i, (lam, x1, x2) in enumerate(zip(lams.tolist(), t1.tolist(), t2.tolist())):
+        a_w, b_w = _pole_weights(d, x2)
+        log_t = (math.log1p(-x1) if x1 <= 0.5 else math.log(x2)) if x2 > 0.0 else 0.0
+        try:
+            # per pole: log |rho|, arg rho, weights and (rho/|rho|)^round(lam)
+            poles = [(0.0, 0.0, a_w, 1.0)]
+            if x2 > 0.0:
+                poles.append((log_t, math.pi, b_w, -1.0 if round(lam) % 2 else 1.0))
+            sums = [_pole_sum(d, win, lam, pole) for pole in poles]
+            tail = _negative_tail(d, win, lam, a_w, b_w if x2 > 0.0 else None, log_t)
+        except (OverflowError, ValueError):  # a term overflows, or lam is not finite
+            continue
+        value = sum(v for v, _, _ in sums) - tail[0]
+        parts = [p for _, ps, _ in sums for p in ps] + tail[1]
+        magnitude = sum(m for m, _ in parts)
+        remainder = sum(r for _, _, r in sums) + tail[2]
+        bound = 2.0 * u * sum(m * (units + len(parts) + 2 * d + 4) for m, units in parts)
+        if not (math.isfinite(magnitude) and math.isfinite(bound) and math.isfinite(remainder)):
+            continue
+        if not magnitude <= _CLOSED_FORM_KAPPA * abs(value):
+            continue
+        if remainder > _final_cut_target(tail_tol, u, magnitude * scale) / scale:
+            continue
+        values[i], remainders[i], bounds[i] = value * scale, remainder * scale, bound * scale
+        taken[i] = True
+    return values, remainders, bounds, taken
+
+
 def _diagonal_values(
     model: ProjectiveModel,
     win: Window,
@@ -537,11 +796,38 @@ def _diagonal_values(
     points: np.ndarray,
     tail_tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact diagonal at paired (lam_i, point_i): the values, their window-cut
-    remainders and rounding bounds, and the mask of rows summed in decimal
-    (`_conditioned_sums`)."""
+    """Exact diagonal at paired (lam_i, point_i): the values, their
+    remainders and rounding bounds, and each row's arithmetic: "closed-form"
+    (`_closed_form_diagonal`), else "double" or "decimal" from
+    `_eigen_sum_diagonal`."""
     t = np.abs(np.atleast_2d(np.asarray(points, dtype=complex))) ** 2
     lams = np.broadcast_to(np.asarray(lams, dtype=float), (t.shape[0],))
+    values, remainders, bounds, taken = _closed_form_diagonal(model, win, lams, t, tail_tol)
+    precision = np.full(lams.size, "closed-form", dtype=object)
+    rest = np.flatnonzero(~taken)
+    if rest.size:
+        values[rest], remainders[rest], bounds[rest], decimal = _eigen_sum_diagonal(
+            model, win, lams[rest], t[rest], tail_tol
+        )
+        precision[rest] = _arithmetic(decimal)
+    return values, remainders, bounds, precision
+
+
+# a row's arithmetic, cheapest first
+_ARITHMETICS = ("closed-form", "double", "decimal")
+
+
+def _arithmetic(decimal_rows) -> np.ndarray:
+    """The eigen-sum arithmetic of each row: "decimal" or "double"."""
+    return np.where(decimal_rows, "decimal", "double").astype(object)
+
+
+def _eigen_sum_diagonal(
+    model: ProjectiveModel, win: Window, lams: np.ndarray, t: np.ndarray, tail_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact diagonal at paired (lam_i, moments t_i) as a window-cut
+    eigen-sum: the values, their window-cut remainders and rounding bounds,
+    and the mask of rows summed in decimal (`_conditioned_sums`)."""
     weights, d = model.weights, model.dim
 
     def exact(rows, hi):
@@ -611,7 +897,7 @@ def scaled_diagonal_scan(
     u = np.asarray(u, dtype=complex)
     pred = local_prediction(model, chart, win)
     points = np.array([chart.normal_point(u / math.sqrt(l)) for l in lams])
-    exact, remainders, bounds, decimal_rows = _diagonal_values(model, win, lams, points, tail_tol)
+    exact, remainders, bounds, precision = _diagonal_values(model, win, lams, points, tail_tol)
     predicted = predict_local(pred, u, lams)
     meta = {
         "kind_detail": "scaled diagonal vs local leading term",
@@ -620,7 +906,7 @@ def scaled_diagonal_scan(
         **_chart_meta(chart),
         "u": u,
         "window": {"shape": win.shape, "eps": win.eps},
-        **_row_budgets(remainders, bounds, decimal_rows),
+        **_row_budgets(remainders, bounds, precision),
     }
     return ScanReport("local", lams, exact, np.asarray(predicted), meta=meta)
 
@@ -648,7 +934,7 @@ def offlocus_decay_scan(
     direction = np.asarray(direction, dtype=complex) / np.linalg.norm(direction)
     dist = 2.0 * C * lams ** (-7.0 / 18.0)
     points = np.array([chart.normal_point(r * direction) for r in dist])
-    exact, remainders, bounds, decimal_rows = _diagonal_values(model, win, lams, points, tail_tol)
+    exact, remainders, bounds, precision = _diagonal_values(model, win, lams, points, tail_tol)
     predicted = ((lams / np.pi) ** model.dim).astype(complex)
     ratios = np.abs(exact) / np.abs(predicted)
     top = lams >= lams.max() / 2.0
@@ -665,7 +951,7 @@ def offlocus_decay_scan(
         "C": float(C),
         "direction": direction,
         "normalisation": "(lam/pi)^d",
-        **_row_budgets(remainders, bounds, decimal_rows),
+        **_row_budgets(remainders, bounds, precision),
         "tau0": chart.tau0,
         **_chart_meta(chart),
     }
@@ -702,7 +988,7 @@ def negative_lambda_scan(
     meta = {
         "kind_detail": "smoothed trace at negative lambda",
         "window": {"shape": win.shape, "eps": win.eps, "tau0": win.tau0},
-        **_row_budgets(res.cut_remainder, res.rounding_bound, res.decimal),
+        **_row_budgets(res.cut_remainder, res.rounding_bound, _arithmetic(res.decimal)),
     }
     return ScanReport("negative", lams, exact, predicted, meta=meta, fits=fits)
 
@@ -735,13 +1021,14 @@ def parity_split(
 
 
 def _parity_parts(model, win, chart, u, lams, tail_tol):
-    """Even and odd parts, remainders, rounding bounds and decimal-row mask
-    along a grid: one `_diagonal_values` call over all points +-u/sqrt(lam).
-    Each part takes the larger remainder and bound of its two rows."""
+    """Even and odd parts, remainders, rounding bounds and arithmetic along a
+    grid: one `_diagonal_values` call over all points +-u/sqrt(lam).  Each
+    part takes the larger remainder and bound of its two rows, and the
+    costlier arithmetic of the two (closed-form < double < decimal)."""
     u = np.asarray(u, dtype=complex)
     pts = [chart.normal_point(u / math.sqrt(lam)) for lam in lams]
     pts += [chart.normal_point(-u / math.sqrt(lam)) for lam in lams]
-    values, remainders, bounds, decimal_rows = _diagonal_values(
+    values, remainders, bounds, precision = _diagonal_values(
         model, win, np.concatenate([lams, lams]), np.array(pts), tail_tol
     )
     n = len(lams)
@@ -751,7 +1038,7 @@ def _parity_parts(model, win, chart, u, lams, tail_tol):
         (plus - minus) / 2.0,
         np.maximum(remainders[:n], remainders[n:]),
         np.maximum(bounds[:n], bounds[n:]),
-        decimal_rows[:n] | decimal_rows[n:],
+        [max(a, b, key=_ARITHMETICS.index) for a, b in zip(precision[:n], precision[n:])],
     )
 
 
@@ -765,23 +1052,21 @@ def parity_scan(
 ) -> ScanReport:
     """`parity_split` along a grid: exact column = odd part, predicted = even part."""
     lams = np.asarray(lambda_grid, dtype=float)
-    even, odd, remainders, bounds, decimal_rows = _parity_parts(
-        model, win, chart, u, lams, tail_tol
-    )
+    even, odd, remainders, bounds, precision = _parity_parts(model, win, chart, u, lams, tail_tol)
     meta = {
         "kind_detail": "exact column = odd part, predicted column = even part",
         "u": np.asarray(u, dtype=complex),
         "tau0": chart.tau0,
         **_chart_meta(chart),
-        **_row_budgets(remainders, bounds, decimal_rows),
+        **_row_budgets(remainders, bounds, precision),
     }
     return ScanReport("parity", lams, odd, even, meta=meta)
 
 
-def _row_budgets(remainders, bounds, decimal_rows) -> dict:
-    """Each row's window-cut remainder, rounding bound and arithmetic, for the JSONs."""
+def _row_budgets(remainders, bounds, precision) -> dict:
+    """Each row's remainder, rounding bound and arithmetic, for the JSONs."""
     return {
         "window_cut_remainders": remainders,
         "rounding_bounds": bounds,
-        "precision": ["decimal" if row else "double" for row in np.atleast_1d(decimal_rows)],
+        "precision": [str(p) for p in np.atleast_1d(precision)],
     }

@@ -357,22 +357,32 @@ def _payload_digest(arrays: dict, meta: dict) -> str:
     return h.hexdigest()
 
 
-def _multiplicities(weights, k_max: int) -> np.ndarray:
-    """counts[n] = #{alpha in N^{d+1} : |alpha| <= k_max, <alpha, w> = n}.
-
-    The coin-counting recursion of the denumerants of the weights, with the
-    degree as a second index: rows[i] holds the degree-k counts using the
-    first i+1 weights, and adding weight w_i maps (k - 1, n - w_i) to (k, n).
-    Every entry counts some of the C(k_max + d + 1, d + 1) alpha with |alpha|
-    <= k_max, so a table where that passes 2^63, or one of more than
-    `_MULTIPLICITY_WORK_MAX` entry-steps, is refused before it is allocated.
-    """
+def check_multiplicity_table(weights, k_max: int) -> None:
+    """Refuse, with CoverageError, a `_multiplicities` table that could wrap
+    or would take too long: every entry counts some of the C(k_max + d + 1,
+    d + 1) alpha with |alpha| <= k_max, so that count must stay below 2^63,
+    and the table takes k_max (d + 1)(k_max w_max + 1) entry-steps, at most
+    `_MULTIPLICITY_WORK_MAX`.  The ``spectrum`` config checks it too, so the
+    refusal comes before the run creates its output directory."""
     d, top = len(weights) - 1, k_max * max(weights)
     if math.comb(k_max + d + 1, d + 1) >= 2**63:
         raise CoverageError(f"multiplicities to degree {k_max} may pass the int64 range")
     if k_max * (d + 1) * (top + 1) > _MULTIPLICITY_WORK_MAX:
         raise CoverageError(f"multiplicities to degree {k_max} take more than "
                             f"{_MULTIPLICITY_WORK_MAX} entry-steps")
+
+
+def _multiplicities(weights, k_max: int) -> np.ndarray:
+    """counts[n] = #{alpha in N^{d+1} : |alpha| <= k_max, <alpha, w> = n}.
+
+    The coin-counting recursion of the denumerants of the weights, with the
+    degree as a second index: rows[i] holds the degree-k counts using the
+    first i+1 weights, and adding weight w_i maps (k - 1, n - w_i) to (k, n).
+    A table `check_multiplicity_table` refuses is refused before it is
+    allocated.
+    """
+    check_multiplicity_table(weights, k_max)
+    top = k_max * max(weights)
     rows = np.zeros((len(weights), top + 1), dtype=np.int64)
     rows[:, 0] = 1  # degree 0
     counts = rows[-1].copy()

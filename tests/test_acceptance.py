@@ -106,6 +106,13 @@ def test_criterion_07_offlocus_decay(shared):
     _check(verify.crit_07_offlocus_decay(shared))
 
 
+def test_criterion_07_rows_are_resolved(shared):
+    # its rows are in closed form: each rounding bound is a small fraction of
+    # its value (0.63 when the fixed-distance row, kappa ~ 1e33, was a
+    # decimal eigen-sum)
+    assert verify.crit_07_offlocus_decay(shared).measured["rounding_rel_max"] < 1e-10
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="odd part is identically zero on torus-symmetric models; "

@@ -156,6 +156,16 @@ def test_period_gap_is_immediate_at_large_and_infinite_tau0(model12):
         period_gap(model12, float("inf"))
 
 
+@pytest.mark.parametrize("weights, tau0, gap", [((1, 2), 2e9 * np.pi + np.pi, np.pi),
+                                               ((1, 2, 3), 2e9 * np.pi + 2 * np.pi / 3, np.pi / 3)])
+def test_period_gap_skips_its_own_period_at_large_tau0(weights, tau0, gap):
+    # 2 pi j/w and tau0 round apart by about 1e-6 at |tau0| ~ 6e9: that copy
+    # of tau0's own period is not a neighbour, so the gap is the one at small
+    # tau0 to the resolution of tau0 (it read 9.5e-7 on (1, 2))
+    for t in (tau0, -tau0):
+        assert abs(period_gap(make_model(weights), t) - gap) < 1e-5
+
+
 def _coordinate_gram_schmidt(x0, order, tol, rows=()):
     """The frame loop the chart and the covector pairing each carried inline.
 

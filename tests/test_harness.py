@@ -322,11 +322,21 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["trace", "local"])
 def test_cli_lambda_beyond_the_cut_table_exits_3(tmp_path, capsys, kind):
-    argv = [kind, "--weights", "1,2", "--shape", "gaussian", "--tau0", "0", "--eps", "0.15",
+    # (1, 3): kernel rows the closed form does not take are eigen-sum rows
+    argv = [kind, "--weights", "1,3", "--shape", "gaussian", "--tau0", "0", "--eps", "0.15",
             "--lambda-grid", "1e12:2e12:2", "--out", str(tmp_path)]
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: lambda=") and "needs a window-cut table" in err
+
+
+def test_cli_trace_at_a_large_period(tmp_path):
+    # tau0 = 2 pi 1e9 + pi on (1, 2): the period gap is pi, so eps 0.15 fits
+    # (the rounded copy of tau0's own period once made it 9.5e-7, exit 2)
+    argv = ["trace", "--weights", "1,2", "--shape", "gaussian", "--tau0", "6283185310.321179",
+            "--eps", "0.15", "--lambda-grid", "100:110:3", "--out", str(tmp_path / "t")]
+    assert cli.main(argv) == 0
+    assert len((tmp_path / "t" / "trace.csv").read_text().splitlines()) == 4
 
 
 def test_cli_spectrum_smoke(tmp_path):
@@ -662,8 +672,8 @@ def test_cancellation_trace_prediction_is_real(tmp_path):
 
 
 def test_offlocus_ignores_precision(tmp_path):
-    # each row picks its arithmetic from its conditioning: neither the flag
-    # nor a config-file key changes a byte, and every off-locus row cancels
+    # each row picks its arithmetic by itself: neither the flag nor a
+    # config-file key changes a byte, and every off-locus row is in closed form
     args = ["--weights", "1,2", "--shape", "gaussian", "--tau0", "3.141592653589793",
             "--eps", "0.15", "--lambda-grid", "80:400:3", "--C", "1.3"]
     cfg = tmp_path / "cfg.json"
@@ -675,7 +685,7 @@ def test_offlocus_ignores_precision(tmp_path):
         assert cli.main(["offlocus", *args, *extra, "--out", str(out)]) == 0
         runs[name] = (out / "offlocus.csv").read_bytes(), (out / "offlocus.json").read_bytes()
     assert runs["none"] == runs["flag"] == runs["config"]
-    assert json.loads(runs["none"][1])["meta"]["precision"] == ["decimal"] * 3
+    assert json.loads(runs["none"][1])["meta"]["precision"] == ["closed-form"] * 3
 
 
 @pytest.mark.parametrize("kind", ["local", "offlocus", "parity"])

@@ -18,6 +18,7 @@ from tracelab.smoothing import (
     _decimal_sums,
     _denumerants,
     _diagonal_values,
+    _eigen_sum_diagonal,
     _gaussian_steps,
     _h_table,
     _window_cut,
@@ -89,14 +90,15 @@ def test_bump_trace_refuses_from_the_cut(model12):
 
 def test_lambda_beyond_the_cut_table_refuses(model12, chart):
     # lambda = 1e12 would tabulate 1e12 values of n; past 9.2e18 the count
-    # would not even fit int64
+    # would not even fit int64.  A kernel row on (1, 3), which the closed
+    # form does not take, is an eigen-sum row and refuses the same way
     with pytest.raises(CoverageError, match=r"lambda=1e\+12 needs a window-cut table"):
         smoothed_trace(model12, Window("gaussian", 0.0, 0.15), 1e12)
     with pytest.raises(CoverageError, match=r"lambda=1e\+19 needs a window-cut table"):
         smoothed_trace(model12, Window("gaussian", 0.0, 0.15), [10.0, 1e19])
-    point = chart.normal_point(np.array([0.5 + 0j]) / 1e6)
+    point = np.array([0.6, 0.8 + 0j])
     with pytest.raises(CoverageError, match=r"lambda=1e\+12 needs a window-cut table"):
-        smoothed_kernel_diagonal(model12, WIN, 1e12, point)
+        smoothed_kernel_diagonal(make_model((1, 3)), Window("gaussian", 0.0, 0.15), 1e12, point)
 
 
 def test_cut_table_limit_is_one_constant(model12, monkeypatch):
@@ -217,34 +219,48 @@ def test_offlocus_scan_decays(model12, chart):
     mags = np.abs(rep.ratios)
     assert mags[-1] < mags[0]
     assert rep.fits["decay_exponent"] < -1.0
-    assert rep.meta["precision"] == ["decimal"] * 8
+    assert rep.meta["precision"] == ["closed-form"] * 8
 
 
 def test_arithmetic_follows_the_measured_conditioning(model12, chart):
-    # on-locus rows (kappa <= 3) stay in double; off-locus rows (kappa >= 5e7)
-    # run in decimal, and the scans report which
+    # the scans report each row's arithmetic: every (1, 2) row here is in
+    # closed form.  The eigen-sum that serves the rows the closed form does
+    # not take keeps on-locus rows (kappa <= 3) in double and sums off-locus
+    # rows (kappa >= 5e7) in decimal
     grid = np.geomspace(100.0, 560.0, 5)
     u = np.array([0.7 + 0j])
-    assert scaled_diagonal_scan(model12, WIN, chart, u, grid).meta["precision"] == ["double"] * 5
-    assert parity_scan(model12, WIN, chart, u, grid).meta["precision"] == ["double"] * 5
+    assert scaled_diagonal_scan(model12, WIN, chart, u, grid).meta["precision"] == ["closed-form"] * 5
+    assert parity_scan(model12, WIN, chart, u, grid).meta["precision"] == ["closed-form"] * 5
     off = offlocus_decay_scan(model12, WIN, chart, 1.3, grid)
-    assert off.meta["precision"] == ["decimal"] * 5
+    assert off.meta["precision"] == ["closed-form"] * 5
+    on_points = np.array([chart.normal_point(u / np.sqrt(lam)) for lam in grid])
+    off_points = np.array([chart.normal_point(np.array([2.6 * lam ** (-7 / 18)])) for lam in grid])
+    assert not _eigen_sum_diagonal(model12, WIN, grid, np.abs(on_points) ** 2, 1e-10)[3].any()
+    assert _eigen_sum_diagonal(model12, WIN, grid, np.abs(off_points) ** 2, 1e-10)[3].all()
     pt = chart.normal_point(np.array([0.5 + 0j]))
-    _, _, _, decimal_rows = _diagonal_values(
-        model12, WIN, np.array([300.0, 300.0]), np.array([chart.center, pt]), 1e-10
-    )
+    lams, points = np.array([300.0, 300.0]), np.array([chart.center, pt])
+    _, _, _, decimal_rows = _eigen_sum_diagonal(model12, WIN, lams, np.abs(points) ** 2, 1e-10)
     assert decimal_rows.tolist() == [False, True]
+    assert _diagonal_values(model12, WIN, lams, points, 1e-10)[3].tolist() == ["closed-form"] * 2
 
 
 _PI50 = Decimal("3.1415926535897932384626433832795028841971693993751058209749445923078164")
 
 
-def _cos_sin50(x: Decimal):
+# pi to 230 digits, for the oracle sums that need more than fifty
+_PI230 = Decimal(
+    "3.14159265358979323846264338327950288419716939937510582097494459230781640628620899862803482534"
+    "21170679821480865132823066470938446095505822317253594081284811174502841027019385211055596446"
+    "229489549303819644288109756659334461284756482"
+)
+
+
+def _cos_sin50(x: Decimal, pi: Decimal = _PI50, digits: int = 50):
     """cos and sin by the Taylor series after reduction by 2 pi (50 digits)."""
-    r = x - 2 * _PI50 * (x / (2 * _PI50)).to_integral_value()
+    r = x - 2 * pi * (x / (2 * pi)).to_integral_value()
     cos = sin = Decimal(0)
     term, k = Decimal(1), 0
-    while k < 4 or abs(term) > Decimal(10) ** -55:
+    while k < 4 or abs(term) > Decimal(10) ** -(digits + 5):
         if k % 2 == 0:
             cos += term if k % 4 == 0 else -term
         else:
@@ -254,24 +270,29 @@ def _cos_sin50(x: Decimal):
     return cos, sin
 
 
-def _decimal_diagonal(t, weights, win, lam, n_top, n_lo=0):
-    """The kernel sum over n_lo..n_top term by term in 50-digit decimal
-    arithmetic (no factoring): (value, sum |terms|)."""
+def _decimal_diagonal(t, weights, win, lam, n_top, n_lo=0, sphere=False, digits=50):
+    """The kernel sum over n_lo..n_top term by term in ``digits``-digit
+    decimal arithmetic (no factoring): (value, sum |terms|).  With ``sphere``
+    the moments are first divided by their sum: the sphere point the closed
+    form evaluates."""
+    pi = _PI50 if digits <= 60 else _PI230
     with localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = digits
         d = len(weights) - 1
         t = [Decimal(float(x)) for x in t]
+        if sphere:
+            t = [x / sum(t) for x in t]
         h = [Decimal(1)]
         for n in range(1, n_top + 1):
             acc = sum((ti * (n + d * w) * h[n - w] for ti, w in zip(t, weights) if n >= w), Decimal(0))
             h.append(acc / n)
         eps, tau0 = Decimal(win.eps), Decimal(win.tau0)
-        peak = eps * (2 * _PI50).sqrt() * math.factorial(d) / _PI50**d
+        peak = eps * (2 * pi).sqrt() * math.factorial(d) / pi**d
         re = im = mag = Decimal(0)
         for n in range(n_lo, n_top + 1):
             s = Decimal(lam) - n
             g = h[n] * peak * (-((eps * s) ** 2) / 2).exp()
-            c, sn = _cos_sin50(s * tau0)
+            c, sn = _cos_sin50(s * tau0, pi, digits)
             re, im, mag = re + g * c, im - g * sn, mag + g
         return complex(float(re), float(im)), float(mag)
 
@@ -289,7 +310,7 @@ def test_decimal_path_survives_offlocus_cancellation(model12, chart):
     assert rem[0] < 1e-30
     assert abs(dec[0] - ref) < 1e-15 * abs(ref)
     assert abs(dbl[0] - ref) > 1e-6 * abs(ref)
-    auto, auto_rem, _, decimal_rows = _diagonal_values(model12, WIN, lam, pts, 1e-10)
+    auto, auto_rem, _, decimal_rows = _eigen_sum_diagonal(model12, WIN, lam, t, 1e-10)
     assert decimal_rows[0] and auto_rem[0] < 1e-30
     assert abs(auto[0] - ref) < 1e-15 * abs(ref)
 
@@ -302,12 +323,12 @@ def test_unresolved_decimal_row_shows_a_bound_above_its_value():
     model = make_model(weights)
     win = Window("gaussian", np.pi, 0.2338)
     pts = np.sqrt(np.array([[0.1194, 0.6018, 0.2788]]))
-    values, remainders, bounds, decimal_rows = _diagonal_values(
+    values, remainders, bounds, precision = _diagonal_values(
         model, win, np.array([lam]), pts, 1e-10
     )
     n_top, n_lo = int(lam + 40.0 / win.eps), max(0, int(lam - 40.0 / win.eps))
     ref, magnitude = _decimal_diagonal(np.abs(pts[0]) ** 2, weights, win, lam, n_top, n_lo)
-    assert decimal_rows[0] and magnitude > 1e39 * abs(ref)
+    assert precision[0] == "decimal" and magnitude > 1e39 * abs(ref)
     assert bounds[0] >= abs(values[0])
     assert abs(values[0] - ref) <= remainders[0] + bounds[0]
 
@@ -645,15 +666,24 @@ def test_kernel_matches_decimal_oracle_over_random_models(data):
     t = (1.0 - delta) * on / on.sum() + delta * off / off.sum()
     pts = np.sqrt(t)[None, :]
     model = make_model(weights)
-    values, remainders, bounds, decimal_rows = _diagonal_values(
+    values, remainders, bounds, precision = _diagonal_values(
         model, win, np.array([lam]), pts, 1e-10
     )
-    # the oracle keeps every term above exp(-800) of the window
+    # the oracle keeps every term above exp(-800) of the window, at the
+    # sphere point for a closed-form row, and 20 digits beyond its own
+    # cancellation: fifty digits, or more where the terms cancel further
     n_top, n_lo = int(lam + 40.0 / win.eps), max(0, int(lam - 40.0 / win.eps))
-    ref, magnitude = _decimal_diagonal(np.abs(pts[0]) ** 2, weights, win, lam, n_top, n_lo)
+    sphere, digits = precision[0] == "closed-form", 50
+    ref, magnitude = _decimal_diagonal(np.abs(pts[0]) ** 2, weights, win, lam, n_top, n_lo, sphere)
+    while digits < 220 and magnitude > 10.0 ** (digits - 20) * abs(ref):
+        needed = 20 + math.ceil(math.log10(magnitude / max(abs(ref), 1e-300)))
+        digits = min(220, max(digits + 10, needed))
+        ref, magnitude = _decimal_diagonal(
+            np.abs(pts[0]) ** 2, weights, win, lam, n_top, n_lo, sphere, digits
+        )
     # the first-order rounding bound of an n_top-step recurrence and sum in
     # the arithmetic used (Higham, ch. 3-4), plus the final rounding to double
-    unit = _DECIMAL_UNIT if decimal_rows[0] else 2.0**-53
+    unit = _DECIMAL_UNIT if precision[0] == "decimal" else 2.0**-53
     bound = remainders[0] + 4 * n_top * unit * magnitude + 2.0**-53 * abs(ref) + 1e-300
     assert abs(values[0] - ref) <= bound
     # the row's own reported rounding bound covers the same error

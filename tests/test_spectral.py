@@ -8,6 +8,7 @@ import pytest
 from tracelab import cli, spectral
 from tracelab.errors import CacheError, CoverageError, QuadratureError
 from tracelab.geometry import flow_sphere, make_model
+from tracelab.harness import ExperimentConfig
 from tracelab.quadrature import sphere_rule
 from tracelab.spectral import (
     SpectralPackage,
@@ -330,6 +331,18 @@ def test_cli_spectrum_refuses_tables_it_cannot_count(tmp_path, capsys, weights, 
     assert cli.main(["spectrum", "--weights", weights, "--kmax", kmax, "--out", str(tmp_path)]) == 3
     assert time.perf_counter() - start < 1.0  # refused before anything is allocated
     assert capsys.readouterr().err.startswith("error: multiplicities to degree")
+
+
+@pytest.mark.parametrize("weights, kmax", [("1,1,1,1,1,1,1,1,1,1,1", "1000"), ("1,2", "100000000")])
+def test_spectrum_refuses_before_creating_its_output(tmp_path, capsys, weights, kmax):
+    # the guards of `_multiplicities` run when the config is checked, so the
+    # refusal (exit 3) leaves no output directory behind
+    out = tmp_path / "D"
+    assert cli.main(["spectrum", "--weights", weights, "--kmax", kmax, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: multiplicities to degree")
+    assert not out.exists()
+    with pytest.raises(CoverageError, match="multiplicities to degree"):
+        ExperimentConfig(kind="spectrum", weights=tuple(map(int, weights.split(","))), k_max=int(kmax))
 
 
 def test_cache_roundtrip_bit_exact(tmp_path, model12):
