@@ -127,25 +127,39 @@ def flow_sphere(model: ProjectiveModel, tau: float, z: np.ndarray) -> np.ndarray
 # ----------------------------------------------------------------------------
 
 
+def _phase_tol(model: ProjectiveModel, tau0: float) -> float:
+    """Angle within which a flow phase e^{-i w tau0} counts as 1 (tau0 a period of w).
+
+    `_FIX_TOL`, plus what rounding moves the largest phase w*tau0 by: tau0 is
+    a double within ulp/2 of the period it stands for, and a period 2*pi*j/w
+    computed in double is a few ulps off, so 4 w ulp(tau0) covers both.
+    `period_gap`, `fixed_components` and `heisenberg_chart` all decide by it.
+    """
+    return _FIX_TOL + 4.0 * max(model.weights) * math.ulp(abs(tau0))
+
+
 def period_gap(model: ProjectiveModel, tau0: float) -> float:
     """Distance from tau0 to the nearest other period.
 
-    The periods are 0 and the multiples +-2*pi*j/w_i of the weights; they
+    The periods are the multiples +-2*pi*j/w_i (j >= 0) of the weights; they
     are symmetric about 0, so the gap at tau0 is the gap at |tau0|.  Of each
     w_i only the multiples bracketing |tau0| can be nearest, so the cost does
-    not grow with |tau0|.  A candidate within `_FIX_TOL`, or within
-    2^-40 |tau0| (the rounding of 2*pi*j/w and of tau0 itself), is tau0's
-    own period and is skipped.
+    not grow with |tau0|.  A multiple 2*pi*j/w whose phase w*|tau0 - 2*pi*j/w|
+    is within `_phase_tol` is tau0's own period, the one `fixed_components`
+    finds, and is skipped.
     """
     if not math.isfinite(tau0):
         raise PeriodError(f"tau0={tau0!r} is not finite")
     tau0 = abs(tau0)
-    own = max(_FIX_TOL, 2.0**-40 * tau0)
-    candidates = [0.0]
+    tol = _phase_tol(model, tau0)
+    gaps = []
     for w in model.weights:
         k = math.floor(tau0 * w / (2.0 * np.pi))
-        candidates += [2.0 * np.pi * j / w for j in range(max(k - 1, 1), k + 3)]
-    return min(abs(tau0 - t) for t in candidates if abs(t - tau0) > own)
+        for j in range(max(k - 1, 0), k + 3):
+            gap = abs(tau0 - 2.0 * np.pi * j / w)
+            if w * gap >= tol:
+                gaps.append(gap)
+    return min(gaps)
 
 
 @dataclass(frozen=True)
@@ -178,12 +192,13 @@ def fixed_components(model: ProjectiveModel, tau0: float):
     """Connected components of the fixed locus at time tau0.
 
     Exactly one component is fixed on the sphere bundle (phase 1 to within
-    `_FIX_TOL`), and it comes first; components fixed only downstairs follow,
+    `_phase_tol`), and it comes first; components fixed only downstairs follow,
     flagged ``m_only``.  Raises PeriodError when tau0 fixes nothing upstairs,
     CleanLocusError when a normal angle degenerates.
     """
     phases = flow_phases(model, tau0)
     angles = np.mod(np.angle(phases), 2.0 * np.pi)
+    tol = _phase_tol(model, tau0)
 
     def angdist(a, b):
         return abs((a - b + np.pi) % (2.0 * np.pi) - np.pi)
@@ -191,13 +206,13 @@ def fixed_components(model: ProjectiveModel, tau0: float):
     groups: list[list[int]] = []
     for i in range(model.dim + 1):
         for g in groups:
-            if angdist(angles[i], angles[g[0]]) < _FIX_TOL:
+            if angdist(angles[i], angles[g[0]]) < tol:
                 g.append(i)
                 break
         else:
             groups.append([i])
 
-    x_group = next((g for g in groups if angdist(angles[g[0]], 0.0) < _FIX_TOL), None)
+    x_group = next((g for g in groups if angdist(angles[g[0]], 0.0) < tol), None)
     if x_group is None:
         raise PeriodError(f"tau0={tau0!r} is not a period of the lifted flow")
     period = _period_turns(model, tau0, x_group)
@@ -342,7 +357,7 @@ def heisenberg_chart(model: ProjectiveModel, x0: np.ndarray, tau0: float) -> Hei
     off = abs(np.linalg.norm(x0) - 1.0)
     if off > 1e-10:
         raise ValueError(f"chart center is off the unit sphere by {off:.2e}")
-    if np.abs(flow_sphere(model, tau0, x0) - x0).max() > 1e-9:
+    if np.abs(flow_sphere(model, tau0, x0) - x0).max() > _phase_tol(model, tau0):
         raise ChartError("chart center is not on the fixed locus of this period")
     component = fixed_components(model, tau0)[0]
     fixed_idx = list(component.index_set)

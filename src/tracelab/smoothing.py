@@ -87,9 +87,6 @@ _BUMP_REFUSAL = (
     "the bump transform's envelope decays like exp(-sqrt(eps*s)), so the geometric "
     "far-tail bound does not cover it"
 )
-# the closed form sums every alias whose gaussian factor lies within
-# e^-_ALIAS_SPAN of its pole's largest, and bounds the rest
-_ALIAS_SPAN = 750.0
 # a closed-form row is kept only if it does not cancel: sum of its term
 # majorants over |value| at most this (every acceptance row reads <= 2.2)
 _CLOSED_FORM_KAPPA = 16.0
@@ -584,9 +581,10 @@ def _binomial_moments(weights, mu, sigma: float, moments):
 def _aliases(theta0: float, eps: float) -> tuple[list, list]:
     """The aliases theta_k = theta0 - 2 pi k of one pole: every (k, theta_k)
     whose gaussian factor exp(-theta_k^2/(2 eps^2)) lies within
-    e^-`_ALIAS_SPAN` of the largest, and the first theta_k beyond on each side."""
+    exp(-`_GAUSS_FAR`^2/2) of the largest, the reach of the window cut's
+    factors, and the first theta_k beyond on each side."""
     k0 = round(theta0 / (2.0 * math.pi))
-    reach = (theta0 - 2.0 * math.pi * k0) ** 2 + 2.0 * eps**2 * _ALIAS_SPAN
+    reach = (theta0 - 2.0 * math.pi * k0) ** 2 + (eps * _GAUSS_FAR) ** 2
     kept, beyond = [], []
     for k, step in ((k0, 1), (k0 - 1, -1)):
         while (theta := theta0 - 2.0 * math.pi * k) ** 2 <= reach:
@@ -706,7 +704,7 @@ def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol
 
     by completing the square and shifting the contour; Z is standard normal
     and E a gaussian moment sum of degree d (`_binomial_moments`).  The
-    aliases within e^-`_ALIAS_SPAN` of a pole's largest are summed
+    aliases within exp(-`_GAUSS_FAR`^2/2) of a pole's largest are summed
     (`_aliases`); beyond, consecutive majorants (below) fall by at least
     (1 + 2 pi/|theta|)^d e^{-2 pi (|theta| + pi)/eps^2}, a geometric bound.
     The subtracted n are summed while lam - n <= `_GAUSS_FAR`/eps and bounded

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -156,14 +157,34 @@ def test_period_gap_is_immediate_at_large_and_infinite_tau0(model12):
         period_gap(model12, float("inf"))
 
 
-@pytest.mark.parametrize("weights, tau0, gap", [((1, 2), 2e9 * np.pi + np.pi, np.pi),
-                                               ((1, 2, 3), 2e9 * np.pi + 2 * np.pi / 3, np.pi / 3)])
-def test_period_gap_skips_its_own_period_at_large_tau0(weights, tau0, gap):
-    # 2 pi j/w and tau0 round apart by about 1e-6 at |tau0| ~ 6e9: that copy
-    # of tau0's own period is not a neighbour, so the gap is the one at small
-    # tau0 to the resolution of tau0 (it read 9.5e-7 on (1, 2))
+LARGE_PERIODS = [((1, 2), 2e9 * np.pi + np.pi, np.pi, (1,)),
+                 ((1, 2, 3), 2e9 * np.pi + 2 * np.pi / 3, np.pi / 3, (2,)),
+                 ((1, 2), 2 * np.pi * 6.4e11, np.pi, (0, 1)),
+                 ((1, 2), 2 * np.pi * 6.4e11 + np.pi, np.pi, (1,))]
+
+
+@pytest.mark.parametrize("weights, tau0, gap, index_set", LARGE_PERIODS)
+def test_period_gap_skips_its_own_period_at_large_tau0(weights, tau0, gap, index_set):
+    # 2 pi j/w and tau0 round apart by a few ulps of tau0: that copy of tau0's
+    # own period is not a neighbour, so the gap is the one at small tau0 to
+    # the resolution of tau0 (it read 9.5e-7 on (1, 2) at 2 pi 1e9 + pi), and
+    # the skip is no wider than that (at 4e12 it once skipped the periods at
+    # +-pi as well and read 2 pi)
     for t in (tau0, -tau0):
-        assert abs(period_gap(make_model(weights), t) - gap) < 1e-5
+        assert abs(period_gap(make_model(weights), t) - gap) < 16 * math.ulp(tau0)
+
+
+@pytest.mark.parametrize("weights, tau0, gap, index_set", LARGE_PERIODS)
+def test_fixed_components_agree_with_period_gap_at_large_tau0(weights, tau0, gap, index_set):
+    # the period period_gap skips is the one fixed_components finds; halfway
+    # to the neighbouring period is no period for either
+    model = make_model(weights)
+    comp = fixed_components(model, tau0)[0]
+    assert comp.index_set == index_set and not comp.m_only
+    assert abs(2 * np.pi * float(comp.period) - tau0) < 16 * math.ulp(tau0)
+    with pytest.raises(PeriodError):
+        fixed_components(model, tau0 + gap / 2)
+    assert abs(period_gap(model, tau0 + gap / 2) - gap / 2) < 16 * math.ulp(tau0)
 
 
 def _coordinate_gram_schmidt(x0, order, tol, rows=()):
