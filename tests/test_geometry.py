@@ -157,28 +157,18 @@ def test_period_gap_is_immediate_at_large_and_infinite_tau0(model12):
         period_gap(model12, float("inf"))
 
 
-LARGE_PERIODS = [((1, 2), 2e9 * np.pi + np.pi, np.pi, (1,)),
-                 ((1, 2, 3), 2e9 * np.pi + 2 * np.pi / 3, np.pi / 3, (2,)),
-                 ((1, 2), 2 * np.pi * 6.4e11, np.pi, (0, 1)),
-                 ((1, 2), 2 * np.pi * 6.4e11 + np.pi, np.pi, (1,))]
-
-
-@pytest.mark.parametrize("weights, tau0, gap, index_set", LARGE_PERIODS)
+@pytest.mark.parametrize("weights, tau0, gap, index_set",
+                         [((1, 2), 2e9 * np.pi + np.pi, np.pi, (1,)),
+                          ((1, 2, 3), 2e9 * np.pi + 2 * np.pi / 3, np.pi / 3, (2,)),
+                          ((1, 2), 2 * np.pi * 6.4e11, np.pi, (0, 1)),
+                          ((1, 2), 2 * np.pi * 6.4e11 + np.pi, np.pi, (1,))])
 def test_period_gap_skips_its_own_period_at_large_tau0(weights, tau0, gap, index_set):
-    # 2 pi j/w and tau0 round apart by a few ulps of tau0: that copy of tau0's
-    # own period is not a neighbour, so the gap is the one at small tau0 to
-    # the resolution of tau0 (it read 9.5e-7 on (1, 2) at 2 pi 1e9 + pi), and
-    # the skip is no wider than that (at 4e12 it once skipped the periods at
-    # +-pi as well and read 2 pi)
-    for t in (tau0, -tau0):
-        assert abs(period_gap(make_model(weights), t) - gap) < 16 * math.ulp(tau0)
-
-
-@pytest.mark.parametrize("weights, tau0, gap, index_set", LARGE_PERIODS)
-def test_fixed_components_agree_with_period_gap_at_large_tau0(weights, tau0, gap, index_set):
-    # the period period_gap skips is the one fixed_components finds; halfway
-    # to the neighbouring period is no period for either
+    # 2 pi j/w and tau0 round apart by a few ulps of tau0: the period skipped
+    # is the one fixed_components finds, no neighbour at +-gap is skipped with
+    # it, and halfway to the neighbour is no period for either
     model = make_model(weights)
+    for t in (tau0, -tau0):
+        assert abs(period_gap(model, t) - gap) < 16 * math.ulp(tau0)
     comp = fixed_components(model, tau0)[0]
     assert comp.index_set == index_set and not comp.m_only
     assert abs(2 * np.pi * float(comp.period) - tau0) < 16 * math.ulp(tau0)

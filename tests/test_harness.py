@@ -331,8 +331,7 @@ def test_cli_lambda_beyond_the_cut_table_exits_3(tmp_path, capsys, kind):
 
 
 def test_cli_trace_at_a_large_period(tmp_path):
-    # tau0 = 2 pi 1e9 + pi on (1, 2): the period gap is pi, so eps 0.15 fits
-    # (the rounded copy of tau0's own period once made it 9.5e-7, exit 2),
+    # tau0 = 2 pi 1e9 + pi on (1, 2): the period gap is pi, so eps 0.15 fits,
     # and the component that period fixes is the one the prediction uses
     argv = ["trace", "--weights", "1,2", "--shape", "gaussian", "--tau0", "6283185310.321179",
             "--eps", "0.15", "--lambda-grid", "100:110:3", "--out", str(tmp_path / "t")]
@@ -343,8 +342,7 @@ def test_cli_trace_at_a_large_period(tmp_path):
 
 def test_cli_trace_window_over_a_large_period_gap_exits_2(tmp_path, capsys):
     # tau0 = 2 pi 6.4e11 on (1, 2): the neighbouring periods sit at +-pi, so
-    # the eps 0.5 window (half-width 2) overlaps them; skipping tau0's own
-    # period by 2^-40 |tau0| once skipped those too and ran with no warning
+    # the eps 0.5 window (half-width 2) overlaps them
     argv = ["trace", "--weights", "1,2", "--shape", "gaussian", "--tau0", repr(2 * math.pi * 6.4e11),
             "--eps", "0.5", "--lambda-grid", "100:110:3", "--out", str(tmp_path / "t")]
     assert cli.main(argv) == 2
