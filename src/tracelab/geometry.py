@@ -29,7 +29,6 @@ from .errors import CalibrationError, ChartError, CleanLocusError, PeriodError
 
 _FIX_TOL = 1e-9  # phase tolerance deciding membership of a fixed locus
 _CALIBRATION_TOL = 1e-12  # relative gap allowed between contact_field and -i*diag(w)*z
-_NORMAL_FD_STEP = 1e-5  # central-difference step of the normal flow differential
 
 
 # ----------------------------------------------------------------------------
@@ -374,42 +373,16 @@ def heisenberg_chart(model: ProjectiveModel, x0: np.ndarray, tau0: float) -> Hei
 def flow_differential_normal(model: ProjectiveModel, chart: HeisenbergChart) -> np.ndarray:
     """Matrix of the inverse-time flow differential on the chart's normal space.
 
-    Computed by Richardson-extrapolated central differences (step
-    `_NORMAL_FD_STEP`) of the flow at time -chart.tau0 read in the chart —
-    no weight bookkeeping enters.  The result is unitary to ~1e-8 and
-    satisfies det(id - A) = chart.component.c_value.
+    The flow at time -tau0 is z -> exp(i tau0 diag(w)) z.  The chart's
+    normal rows are exactly the coordinate vectors e_j off the component (its
+    centre lies on the component's coordinates), and reading the image in
+    the chart divides out the centre's phase e^{i tau0 w_c}, w_c the weight
+    of the component's first coordinate.  So the map is diagonal,
+    e^{i tau0 (w_j - w_c)} on normal coordinate j, and at the component's
+    exact period p (in turns) it is diag(turn_phase(p (w_j - w_c))): the
+    turns whose product of (1 - phase) is ``chart.component.c_value``.
     """
-    c = chart.normal_dim
-    if c == 0:
-        return np.zeros((0, 0), dtype=complex)
-
-    def image(u: np.ndarray) -> np.ndarray:
-        y = flow_sphere(model, -chart.tau0, chart.normal_point(u))
-        _, v = chart.coords(y)
-        return v[chart.n_tangent :]
-
-    def deriv(a: int, step: float, direction: complex) -> np.ndarray:
-        """Richardson-extrapolated central difference along direction * e_a."""
-        e = np.zeros(c, dtype=complex)
-        out = []
-        for hh in (step, step / 2.0):
-            e[a] = direction * hh
-            plus = image(e)
-            e[a] = -direction * hh
-            out.append((plus - image(e)) / (2.0 * hh))
-        return (4.0 * out[1] - out[0]) / 3.0
-
-    A = np.zeros((c, c), dtype=complex)
-    for a in range(c):
-        dx = deriv(a, _NORMAL_FD_STEP, 1.0)
-        # holomorphy check along the imaginary direction
-        if np.abs(deriv(a, _NORMAL_FD_STEP, 1j) - 1j * dx).max() > 1e-6:
-            raise CleanLocusError("flow differential is not complex-linear on the normal space")
-        A[:, a] = dx
-
-    if np.abs(A.conj().T @ A - np.eye(c)).max() > 1e-8:
-        raise CleanLocusError("normal differential failed the unitarity check")
-    det_err = abs(np.linalg.det(np.eye(c) - A) - chart.component.c_value)
-    if det_err > 1e-6 * max(1.0, abs(chart.component.c_value)):
-        raise CleanLocusError(f"det(id - A) disagrees with the component value by {det_err:.2e}")
-    return A
+    comp = chart.component
+    w_c = model.weights[comp.index_set[0]]
+    normal = [w for j, w in enumerate(model.weights) if j not in comp.index_set]
+    return np.diag(turn_phase([comp.period * (w - w_c) for w in normal]))

@@ -236,9 +236,9 @@ class ExperimentConfig:
 
         A ``spectrum`` table must be one `check_multiplicity_table` accepts
         (a CoverageError, exit 3).  The trace and kernel kinds need a window
-        and a grid.  `_rounding_bounds` charges a double row's phase 2 |tau0|
-        s_max units of 2^-53, the error in radians of s*tau0 (rounded
-        twice), and a window cut keeps |lam - n| <= s_max = `_GAUSS_FAR`/eps:
+        and a grid.  `_rounding_bounds` charges a double row's term at s =
+        |lam - n| with 2 |tau0| s units of 2^-53, the error in radians of
+        s*tau0 (rounded twice), and a window cut keeps s <= `_GAUSS_FAR`/eps:
         so |tau0| < 2^52 eps/_GAUSS_FAR (1.8e13 at eps 0.15) resolves the
         phase to a radian.  The window must fit in half the period gap.  A kernel scan samples where `HeisenbergChart` is
         exact: lambda > 0 and the chart radius below pi/2, the radius being 2C

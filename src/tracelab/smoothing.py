@@ -21,11 +21,12 @@ h_n = sum_k C(k+d, d) P(S_k = n) for the walk S_k whose steps are w_i with
 probabilities t_i; steps are >= 1, so the walk hits n at most once and then
 after k <= n/min_w steps, which gives h_n <= C(floor(n/min_w) + d, d).
 Fixing one coordinate of minimal weight, the other d determine it, so d(n)
-obeys the same bound.  The Gaussian majorant terms are summed out to a far
-edge and bounded by a geometric series beyond it.  The cut is the narrowest
-whose remainder lies below both ``tail_tol`` and the rounding level of the
-kept sum, so it costs no digits; it is built for a whole lambda grid at once.
-The bump's transform envelope decays only like exp(-sqrt(eps s)), beyond any
+obeys the same bound.  Every row keeps one fixed cut, all n >= 0 with
+|lam - n| <= `_GAUSS_FAR`/eps, where the Gaussian factor exp(-(eps s)^2/2)
+has fallen to about 1e-304; the majorant terms outside it are bounded by a
+geometric series on each side (`_window_cut`).  The closed form's aliases,
+`_negative_tail` and the harness's tau0 limit use the same reach.  The
+bump's transform envelope decays only like exp(-sqrt(eps s)), beyond any
 geometric series, so bump sums refuse with CoverageError.
 
 A kernel row for the gaussian window on a model whose weights are all 1 or
@@ -42,9 +43,10 @@ Every other row, traces included, is an eigen-sum, and one routine,
 alternate and the sum cancels: kappa = sum |terms| / |sum| is 5e7 to 2e12
 on the off-locus diagonal scans and grows like lam^d on a trace at tau0 =
 pi.  Each row is summed in double, and a row that double would leave fewer
-than 13 digits is cut again and summed in 40-digit decimal, with exact
-integer d(n) for traces.  Each row reports its arithmetic and a rounding
-bound (`_rounding_bounds`, or the closed form's own) next to its remainder.
+than 13 digits is summed again over the same cut in 40-digit decimal, with
+exact integer d(n) for traces.  Each row reports its arithmetic and a rounding
+bound (`_rounding_bounds`, or the closed form's own) next to its remainder;
+the bound charges each term's rounding at its own distance |lam - n|.
 """
 
 from __future__ import annotations
@@ -62,16 +64,15 @@ from .reports import ScanReport
 from .spectral import SpectralPackage, section_dimension
 from .windows import Window
 
-# smallest remainder a window cut is asked for; keeps the cut finite when the
-# kept sum underflows (far below the spectrum)
+# smallest target a window cut's remainder must meet; rows far below the
+# spectrum, whose kept sum underflows, do not refuse
 _CUT_FLOOR = 1e-290
-# the Gaussian majorant is summed term by term out to where exp(-(eps s)^2/2)
-# is about 1e-304, and by a geometric series beyond
+# a window cut keeps |lam - n| <= _GAUSS_FAR/eps, where exp(-(eps s)^2/2) is
+# about 1e-304, and bounds the terms beyond by a geometric series
 _GAUSS_FAR = math.sqrt(1400.0)
-# entries per array of one block of lambda rows in a window cut: 64 kB
-_CUT_BLOCK = 1 << 13
-# largest window-cut table n = 0..n_far: a one-point (1, 2) trace at lambda = 1e6
-# tabulates about 1e6 entries and peaks near 90 MB, at 2e6 near 145 MB
+# largest coefficient table n = 0..n_hi a cut may ask for (`_denumerants`,
+# `_h_table`): a one-point (1, 2) trace at lambda = 1e6 tabulates about 1e6
+# entries and peaks near 90 MB, at 2e6 near 145 MB
 _CUT_TABLE_MAX = 1 << 21
 # double keeps about 13 digits of a sum whose condition number kappa
 # satisfies kappa * 2^-53 <= 1e-13 (kappa up to about 900); rows past it are
@@ -160,7 +161,7 @@ def smoothed_trace(
 ) -> TraceResult:
     """Exact smoothed trace sum_n d(n) transform(lam - n) over every degree.
 
-    ``lam`` is a number or a grid; one window cut serves the whole grid.
+    ``lam`` is a number or a grid, each lam with its own window cut.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
 
@@ -200,90 +201,48 @@ def _walk_majorant(n: np.ndarray, d: int, min_w: int) -> np.ndarray:
 
 
 def _window_cut(
-    win: Window, model: ProjectiveModel, lams: np.ndarray, targets: np.ndarray, scale: float
+    win: Window, model: ProjectiveModel, lams: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Narrowest cuts n_lo..n_hi, one per lam, whose remainder is <= its target.
+    """The cut lo..hi of each lam, all n >= 0 with |lam - n| <= `_GAUSS_FAR`/eps
+    (empty: hi = lo - 1), and its unscaled remainder: a bound on sum b(n)
+    envelope(lam - n) over the n >= 0 outside it, b the walk majorant.
 
-    n = 0, 1, ... enter by increasing |lam - n| (ties: smaller n first), so a
-    cut is a run of integers (empty: n_hi = n_lo - 1).  Its remainder bounds
-    sum |c_n chihat(lam - n)| outside it: the majorant sum times ``scale``
-    (d!/pi^d for kernels, 1 for traces).  Rows go in blocks of about
-    ``_CUT_BLOCK`` entries; n beyond a row's far edge enter with term zero.
-    A cut that would tabulate more than `_CUT_TABLE_MAX` values of n is
-    refused before anything is allocated.
+    To the right the term ratio from n to n + 1 is at most q = (1 + d/(m+1))
+    exp(-eps^2 (2s+1)/2), m = floor(n/min_w) and s = n - lam, decreasing in
+    n, so the terms from n0 = hi + 1 on sum to at most b(n0) envelope(n0 -
+    lam)/(1 - q(n0)).  To the left (lo > 0) b does not grow as n falls and
+    the envelope ratio from n to n - 1 is at most exp(-eps^2 (2s+1)/2), s =
+    lam - n, so the terms from n1 = lo - 1 down sum to at most b(n1)
+    envelope(lam - n1)/(1 - exp(-eps^2 (2(lam - n1) + 1)/2)).  A cut whose
+    coefficient table 0..hi would pass `_CUT_TABLE_MAX` entries is refused
+    before anything is allocated.
     """
     if win.shape != "gaussian":
         raise CoverageError(_BUMP_REFUSAL)
     d, min_w = model.dim, int(min(model.weights))
-    far = np.maximum(0.0, np.floor(lams + _GAUSS_FAR / win.eps))
+    reach = _GAUSS_FAR / win.eps
+    far = np.floor(lams + reach)
     if far.max(initial=0.0) >= _CUT_TABLE_MAX:
         i = int(np.argmax(far))
         raise CoverageError(
             f"lambda={lams[i]:.6g} needs a window-cut table of {far[i] + 1:.3g} entries, above "
             f"the {_CUT_TABLE_MAX} a cut may tabulate (ROADMAP item 1: an O(1/eps) cut)"
         )
-    n_far = far.astype(np.int64)
-    # terms beyond n_far: the majorant ratio b(n+1)/b(n) is at most
-    # (1 + d/(m+1)) exp(-eps^2 (2s+1)/2), decreasing in n, so the tail is
-    # at most b(n0)/(1 - q) with q the ratio bound at n0 = n_far + 1
-    s0 = n_far + 1 - lams
-    q = (1.0 + d / ((n_far + 1) // min_w + 1)) * np.exp(-0.5 * win.eps**2 * (2.0 * s0 + 1.0))
-    b0 = _walk_majorant(n_far + 1, d, min_w) * win.fourier_envelope(s0)
-    with np.errstate(divide="ignore"):
-        beyond = np.where(q < 1.0, b0 / (1.0 - q), np.inf)
-    lo = np.zeros(lams.size, dtype=np.int64)
-    hi = np.full(lams.size, -1, dtype=np.int64)
-    remainder = np.empty(lams.size)
-    rows = max(1, _CUT_BLOCK // (int(n_far.max(initial=0)) + 2))
-    for start in range(0, lams.size, rows):
-        blk = slice(start, start + rows)
-        n = np.arange(int(n_far[blk].max()) + 1)
-        dist = np.abs(lams[blk, None] - n)
-        inside = n <= n_far[blk, None]
-        terms = np.where(inside, _walk_majorant(n, d, min_w) * win.fourier_envelope(dist), 0.0)
-        order = np.argsort(dist, axis=1, kind="stable")
-        outside = np.cumsum(np.take_along_axis(terms, order, axis=1)[:, ::-1], axis=1)[:, ::-1]
-        outside = (np.pad(outside, ((0, 0), (0, 1))) + beyond[blk, None]) * scale
-        ok = outside <= targets[blk, None]
-        if not ok.any(axis=1).all():
-            i = int(np.argmin(ok.any(axis=1)))
-            raise CoverageError(
-                f"window cut remainder cannot reach {targets[blk][i]:.2e} "
-                f"(best {outside[i, -1]:.2e}) at lambda={lams[blk][i]}"
-            )
-        j = np.argmax(ok, axis=1)
-        rowid = np.arange(j.size)
-        # the j-th nearest n ends the run of the j nearest, on its own side of lam
-        last = order[rowid, np.maximum(j - 1, 0)]
-        right = last >= lams[blk]
-        lo[blk] = np.where(j == 0, 0, np.where(right, last - j + 1, last))
-        hi[blk] = np.where(j == 0, -1, np.where(right, last, last + j - 1))
-        remainder[blk] = outside[rowid, j]
-    return lo, hi, remainder
+    lo = np.maximum(np.ceil(lams - reach), 0.0).astype(np.int64)
+    hi = np.maximum(far, lo - 1).astype(np.int64)
+
+    def tail(n, s, growth):
+        q = growth * np.exp(-0.5 * win.eps**2 * (2.0 * s + 1.0))
+        size = _walk_majorant(n, d, min_w) * win.fourier_envelope(s)
+        with np.errstate(divide="ignore"):
+            return np.where(q < 1.0, size / (1.0 - q), np.inf)
+
+    right = tail(hi + 1, hi + 1 - lams, 1.0 + d / ((hi + 1) // min_w + 1))
+    left = np.where(lo > 0, tail(lo - 1, lams - lo + 1, 1.0), 0.0)
+    return lo, hi, right + left
 
 
-def _cut_sums(win, model, lams, tail_tol, unit, scale, evaluate, targets=None):
-    """Sums ``evaluate(lo, hi)`` -> (values, sum |terms|) cut within
-    min(tail_tol, unit * sum |terms|).  The first cut meets ``targets``,
-    by default unit * tail_tol, which is final unless the kept sum is
-    smaller than tail_tol; only points it does not serve are cut again,
-    wider.  Returns (values, magnitudes, remainders, lo, hi).
-    """
-    if targets is None:
-        targets = np.full(lams.size, max(unit * tail_tol, _CUT_FLOOR))
-    lo, hi, remainders = _window_cut(win, model, lams, targets, scale)
-    while True:
-        values, magnitudes = evaluate(lo, hi)
-        final = _final_cut_target(tail_tol, unit, magnitudes)
-        wider = remainders > final
-        if not wider.any():
-            return values, magnitudes, remainders, lo, hi
-        lo[wider], hi[wider], remainders[wider] = _window_cut(
-            win, model, lams[wider], final[wider], scale
-        )
-
-
-def _final_cut_target(tail_tol: float, unit: float, magnitudes: np.ndarray) -> np.ndarray:
+def _final_cut_target(tail_tol: float, unit, magnitudes: np.ndarray) -> np.ndarray:
     """What a cut must meet: min(tail_tol, unit * sum |terms|), above the floor."""
     return np.maximum(np.minimum(tail_tol, unit * magnitudes), _CUT_FLOOR)
 
@@ -300,84 +259,87 @@ def _conditioned_sums(win, model, lams, tail_tol, scale, table, exact):
     ``scale(x, pi)`` applies the constant factor with each arithmetic's pi;
     ``table(n_max)`` gives c_0..c_{n_max} in double, one column per lam, and
     ``exact(rows, hi)`` the exact c_n (ints or decimals) of the lams indexed
-    by ``rows``, one sequence per row up to its ``hi``.  Each row is summed
-    in double; one with kappa * 2^-53 > `_DOUBLE_KAPPA_BOUND` is cut again
-    at `_DECIMAL_UNIT` and summed by `_decimal_sums`.  Returns (values,
-    sum |terms|, remainders, decimal-row mask, lo, hi).
+    by ``rows``, one sequence per row up to its ``hi``.  One window cut
+    serves both passes: each row is summed in double, and one with kappa *
+    2^-53 > `_DOUBLE_KAPPA_BOUND` again in decimal (`_decimal_sums`).  A row
+    whose remainder exceeds `_final_cut_target` in its arithmetic refuses.
+    Returns (values, moments, remainders, decimal-row mask, lo, hi), the
+    moments as `_window_sums` gives them, with each decimal row's sum |terms|.
     """
-    unit = float(np.finfo(np.float64).eps)
     dbl_scale = scale(1.0, np.pi)
-
-    def evaluate(lo, hi):
-        return _window_sums(win, lams, table(int(hi.max(initial=-1))), lo, hi, dbl_scale)
-
-    values, magnitudes, remainders, lo, hi = _cut_sums(
-        win, model, lams, tail_tol, unit, dbl_scale, evaluate
-    )
-    decimal = magnitudes * 2.0**-53 > _DOUBLE_KAPPA_BOUND * np.abs(values)
+    lo, hi, remainders = _window_cut(win, model, lams)
+    remainders = remainders * dbl_scale
+    values, moments = _window_sums(win, lams, table(int(hi.max(initial=-1))), lo, hi, dbl_scale)
+    decimal = moments[0] * 2.0**-53 > _DOUBLE_KAPPA_BOUND * np.abs(values)
     rows = np.flatnonzero(decimal)
     if rows.size:
-
-        def evaluate_decimal(lo, hi):
-            return _decimal_sums(win, lams[rows], exact(rows, hi), scale, lo, hi)
-
-        targets = _final_cut_target(tail_tol, _DECIMAL_UNIT, magnitudes[rows])
-        values[rows], magnitudes[rows], remainders[rows], lo[rows], hi[rows] = _cut_sums(
-            win, model, lams[rows], tail_tol, _DECIMAL_UNIT, dbl_scale, evaluate_decimal, targets
+        values[rows], moments[0, rows] = _decimal_sums(
+            win, lams[rows], exact(rows, hi[rows]), scale, lo[rows], hi[rows]
         )
-    return values, magnitudes, remainders, decimal, lo, hi
+    units = np.where(decimal, _DECIMAL_UNIT, float(np.finfo(np.float64).eps))
+    targets = _final_cut_target(tail_tol, units, moments[0])
+    short = np.flatnonzero(~(remainders <= targets))
+    if short.size:
+        i = short[0]
+        raise CoverageError(
+            f"window cut remainder {remainders[i]:.2e} cannot reach {targets[i]:.2e} "
+            f"at lambda={lams[i]}"
+        )
+    return values, moments, remainders, decimal, lo, hi
 
 
-def _rounding_bounds(win, model, lams, sums, coefficient_units) -> np.ndarray:
+def _rounding_bounds(win, model, lams, sums, fixed_units, units_per_n=0.0) -> np.ndarray:
     """First-order bounds on the rounding error of each row of ``sums``, the
     result of `_conditioned_sums`.
 
-    With u the unit of the row's arithmetic (2^-53, or `_DECIMAL_UNIT`), N
-    kept terms, s_max the largest |lam - n| in the cut and x_max =
-    (eps s_max)^2 / 2, each computed term carries a relative error of at
-    most u times the sum of (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, ch. 3-4):
+    With u the unit of the row's arithmetic (2^-53, or `_DECIMAL_UNIT`) and
+    N kept terms, the term at n, s = lam - n and x = (eps s)^2 / 2, carries
+    a relative error of at most u times the sum of (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, ch. 3-4):
 
-    - C = ``coefficient_units``: 0 for d(n) exact in decimal, 1 for d(n)
-      rounded to double, (d + 4) floor(n_hi/min_w) for h_n, whose positive
-      recurrence rounds d + 4 times a step along at most n/min_w steps;
-    - 8 x_max + 2 for the gaussian factor, whose exponent double computes
-      to 8u; a decimal row keeps that margin for its product c_n E_k and
-      adds G for its stepped factors E_k (`_gaussian_steps`), at most
-      (k^2 + |k| + 1 + 8 h (|f| + |k| + 1)^2) u' off with h = eps^2/2 and
-      u' = 10^-_STEP_DIGITS u.  |f| <= 1/2 when round(lam) lies in the cut;
-      otherwise c is the cut's end nearest lam, f and k have opposite signs
-      and |f| + |k| = |lam - n|.  So |k| <= s_max + 1/2, |f| + |k| <= s_max
-      + 1, and G = 10^-_STEP_DIGITS (1 + 4 eps^2) (s_max + 2)^2 (0 for
+    - C = ``fixed_units`` + ``units_per_n`` n for its coefficient: 0 for
+      d(n) exact in decimal, 1 for d(n) rounded to double, (d + 4) n/min_w
+      for h_n, whose positive recurrence rounds d + 4 times a step along at
+      most n/min_w steps; n = lam - s <= max(lam, 0) + |s|;
+    - 8x + 2 for the gaussian factor, whose exponent double computes to 8u;
+      a decimal row keeps that margin for its product c_n E_k and adds G for
+      its stepped factor E_k (`_gaussian_steps`), at most (k^2 + |k| + 1 +
+      8 h (|f| + |k| + 1)^2) u' off with h = eps^2/2, u' = 10^-_STEP_DIGITS u
+      and k = n - c, f = lam - c.  |f| <= 1/2 when c = round(lam) lies in
+      the cut; otherwise c is the cut's end nearest lam, f and k have
+      opposite signs and |f| + |k| = |s|.  So |k| <= |s| + 1/2, |f| + |k| <=
+      |s| + 1, and G = 10^-_STEP_DIGITS (1 + 4 eps^2) (|s| + 2)^2 (0 for
       double rows);
-    - P s_max + Q for the phase.  Double rounds s tau0 twice and cos, sin
+    - P |s| + Q for the phase.  Double rounds s tau0 twice and cos, sin
       once: P = 2 |tau0|, Q = 2.  A decimal Taylor cos/sin (at most 60 terms
       after reduction to |r| <= pi, term k off by 2k u, partial sums at most
       1 plus the tail) is off by < 3 pi e^pi + 60 < 280 units, so cis by
       < 400u plus (|theta| + 5)u for the reduction; cis(tau0) is stepped
-      |k| <= 2 s + 1 times at 3u more each and cis(-f tau0), |f| <= s, turns
-      the sum once: P = 4 |tau0| + 820, Q = |tau0| + 820;
+      |k| <= 2|s| + 1 times at 3u more each and cis(-f tau0), |f| <= |s| +
+      1/2, turns the sum once: P = 4 |tau0| + 820, Q = |tau0| + 820;
     - 2d + 10 for eps sqrt(2 pi), d!/pi^d and the joining products.
 
-    Summing N complex terms adds sqrt(2) (N - 1) u sum |terms|; a factor 2
-    takes up the sqrt(2) and the second-order terms:
+    Summing N complex terms adds sqrt(2) (N - 1) u per |term|; a factor 2
+    takes up the sqrt(2) and the second-order terms.  So with the moments
+    M_j = sum |t| |s|^j of the kept terms t (`_window_sums`),
 
-        rho = 2 u (N + C + 8 x_max + G + P s_max + Q + 2d + 12) sum |terms|,
+        rho = 2 u sum_terms |t| (N + C + 8x + G + P |s| + Q + 2d + 12)
 
-    plus 2^-52 |value| for a decimal row's rounding to double.  rho passes
-    |value| once kappa passes about 1 / (2 u N), near 1e36 in decimal: such
-    a row is unresolved, and its bound says so.
+    is a polynomial in |s| of degree 2, charged exactly against M_0, M_1
+    and M_2; a decimal row sums the same cut, so it reads M_1 and M_2 of the
+    double pass.  A decimal row adds 2^-52 |value| for its rounding to
+    double.  rho passes |value| once kappa passes about 1 / (2 u N), near
+    1e36 in decimal: such a row is unresolved, and its bound says so.
     """
-    values, magnitudes, _, decimal, lo, hi = sums
+    values, (m0, m1, m2), _, decimal, lo, hi = sums
     u = np.where(decimal, _DECIMAL_UNIT, 2.0**-53)
-    n_terms = np.maximum(hi - lo + 1, 0)
-    s_max = np.where(n_terms > 0, np.maximum(np.abs(lams - lo), np.abs(lams - hi)), 0.0)
-    x_max = 0.5 * (win.eps * s_max) ** 2
     tau = abs(win.tau0)
-    phase = np.where(decimal, (4 * tau + 820) * s_max + tau + 820, 2 * tau * s_max + 2)
-    steps = np.where(decimal, 10.0**-_STEP_DIGITS * (1 + 4 * win.eps**2) * (s_max + 2) ** 2, 0.0)
-    units = n_terms + coefficient_units + 8 * x_max + steps + phase + 2 * model.dim + 12
-    return 2.0 * u * units * magnitudes + np.where(decimal, 2.0**-52 * np.abs(values), 0.0)
+    p, q = np.where(decimal, 4 * tau + 820, 2 * tau), np.where(decimal, tau + 820, 2.0)
+    g = np.where(decimal, 10.0**-_STEP_DIGITS * (1 + 4 * win.eps**2), 0.0)  # times (|s| + 2)^2
+    n_terms = np.maximum(hi - lo + 1, 0)
+    fixed = n_terms + fixed_units + units_per_n * np.maximum(lams, 0.0) + q + 2 * model.dim + 12
+    units = (fixed + 4 * g) * m0 + (units_per_n + p + 4 * g) * m1 + (4 * win.eps**2 + g) * m2
+    return 2.0 * u * units + np.where(decimal, 2.0**-52 * np.abs(values), 0.0)
 
 
 def _h_table(t: np.ndarray, weights, n_max: int) -> np.ndarray:
@@ -406,16 +368,20 @@ def _h_table(t: np.ndarray, weights, n_max: int) -> np.ndarray:
 
 
 def _window_sums(win: Window, lams, h: np.ndarray, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
-    """Kept sums sum_n h_n chihat(lam - n) over lo..hi and their absolute sums, per point."""
+    """Kept sums sum_n h_n chihat(lam - n) over lo..hi per point, and the
+    moments sum |t| |s|^j, j = 0, 1, 2, of their terms t at s = lam - n (rows
+    of a (3, points) array)."""
     values = np.zeros(len(lams), dtype=complex)
-    magnitudes = np.zeros(len(lams))
+    moments = np.zeros((3, len(lams)))
     for i, (lam, a, b) in enumerate(zip(lams, lo, hi)):
         if b < a:
             continue
-        terms = h[a : b + 1, i] * win.fourier(lam - np.arange(a, b + 1, dtype=float))
+        s = lam - np.arange(a, b + 1, dtype=float)
+        terms = h[a : b + 1, i] * win.fourier(s)
+        size, dist = np.abs(terms) * scale, np.abs(s)
         values[i] = complex(terms.sum() * scale)
-        magnitudes[i] = float(np.abs(terms).sum() * scale)
-    return values, magnitudes
+        moments[:, i] = size.sum(), (size * dist).sum(), (size * dist * dist).sum()
+    return values, moments
 
 
 def _decimal_sums(
@@ -501,15 +467,19 @@ def _gaussian_steps(eps: Decimal, lam: Decimal, c: int, left: int, right: int) -
 
 
 def _decimal_h(t_row, weights, n_max: int) -> list:
-    """`_h_table` for one point, in ``_DECIMAL_DIGITS``-digit decimal.
+    """`_h_table` for one point, in ``_DECIMAL_DIGITS``-digit decimal, at the
+    sphere point: the moments are divided by their sum first, which double
+    rounds to 1 while the series grows like (sum t)^n.
 
     h_n = sum over i with n >= w_i of t_i (n + d w_i) h_{n - w_i}, divided
     by n; the sum starts from its first term (an empty one is 0)."""
     d = len(weights) - 1
-    coeffs = [(Decimal(float(tw)), w, d * w) for tw, w in zip(t_row, weights)]
     h = [Decimal(1)]
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
+        moments = [Decimal(float(tw)) for tw in t_row]
+        mass = sum(moments)
+        coeffs = [(tw / mass, w, d * w) for tw, w in zip(moments, weights)]
         for n in range(1, n_max + 1):
             acc = None
             for tw, w, dw in coeffs:
@@ -578,26 +548,39 @@ def _binomial_moments(weights, mu, sigma: float, moments):
     return total
 
 
-def _aliases(theta0: float, eps: float) -> tuple[list, list]:
-    """The aliases theta_k = theta0 - 2 pi k of one pole: every (k, theta_k)
-    whose gaussian factor exp(-theta_k^2/(2 eps^2)) lies within
-    exp(-`_GAUSS_FAR`^2/2) of the largest, the reach of the window cut's
-    factors, and the first theta_k beyond on each side."""
-    k0 = round(theta0 / (2.0 * math.pi))
-    reach = (theta0 - 2.0 * math.pi * k0) ** 2 + (eps * _GAUSS_FAR) ** 2
-    kept, beyond = [], []
-    for k, step in ((k0, 1), (k0 - 1, -1)):
-        while (theta := theta0 - 2.0 * math.pi * k) ** 2 <= reach:
-            kept.append((k, theta))
-            k += step
-        beyond.append(theta)
+def _aliases(half_turns: int, tau0: float, eps: float, f: float) -> tuple[list, list]:
+    """The aliases theta_k = phi + tau0 - 2 pi k of a pole at arg phi =
+    ``half_turns`` pi: every (k, theta_k, turn_k) whose gaussian factor
+    exp(-theta_k^2/(2 eps^2)) lies within exp(-`_GAUSS_FAR`^2/2) of the
+    largest, the reach of the window cut's factors, and the first theta_k
+    beyond on each side.  theta_k and turn_k = (phi - 2 pi k) f, reduced to
+    [-pi, pi], are formed in ``_DECIMAL_DIGITS``-digit decimal with `_PI` and
+    rounded once, so neither loses digits to a large tau0 or k."""
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        phi, two_pi = half_turns * _PI, 2 * _PI
+        theta0 = phi + Decimal(tau0)
+
+        def alias(k):
+            turn = (phi - two_pi * k) * Decimal(f)
+            turn -= two_pi * (turn / two_pi).to_integral_value()
+            return k, float(theta0 - two_pi * k), float(turn)
+
+        k0 = int((theta0 / two_pi).to_integral_value())
+        reach = alias(k0)[1] ** 2 + (eps * _GAUSS_FAR) ** 2
+        kept, beyond = [], []
+        for k, step in ((k0, 1), (k0 - 1, -1)):
+            while (term := alias(k))[1] ** 2 <= reach:
+                kept.append(term)
+                k += step
+            beyond.append(term[1])
     return kept, beyond
 
 
 def _pole_sum(d: int, win: Window, lam: float, pole):
     """One pole's Poisson terms: (value, parts, remainder), ``parts`` the
     (majorant, rounding units) of each kept term (`_closed_form_diagonal`)."""
-    L, phi, weights, sign = pole
+    L, half_turns, weights, sign = pole
     u, eps = 2.0**-53, win.eps
     inv = 1.0 / eps**2
     signed, absolute = _normal_moments(d)
@@ -612,7 +595,7 @@ def _pole_sum(d: int, win: Window, lam: float, pole):
         base = abs(centre) + (abs(theta) + slack) * inv
         return 2.0 * math.pi * math.exp(grow) * _binomial_moments(weights, base, 1 / eps, absolute)
 
-    kept, beyond = _aliases(phi + win.tau0, eps)
+    kept, beyond = _aliases(half_turns, win.tau0, eps, f)
     remainder = 0.0
     for theta in beyond:  # the ratio of consecutive omitted majorants is at most q
         q = (1.0 + 2.0 * math.pi / abs(theta)) ** d
@@ -621,16 +604,16 @@ def _pole_sum(d: int, win: Window, lam: float, pole):
             raise OverflowError("the omitted aliases do not decay")
         remainder += majorant(theta) / (1.0 - q)
     value, parts = 0j, []
-    for k, theta in kept:
+    for k, theta, reduced in kept:
         grow = lam * L + 0.5 * (L * L - theta * theta) * inv
-        turn = (phi - 2.0 * math.pi * k) * f + L * theta * inv
+        turn = reduced + L * theta * inv
         poly = _binomial_moments(weights, complex(centre, theta * inv), 1 / eps, signed)
         rotor = complex(math.cos(turn), math.sin(turn))
         value += sign * 2.0 * math.pi * math.exp(grow) * rotor * poly
-        e_theta = 2.0 * u * (abs(phi + win.tau0) + 2.0 * math.pi * abs(k))
+        e_theta = u * abs(theta) + 4 * _DECIMAL_UNIT * (abs(win.tau0) + 2.0 * math.pi * abs(k) + 7)
         e_mu = 4.0 * u * (abs(lam) + abs(L) * inv) + (3.0 * u * abs(theta) + e_theta) * inv
         size = (abs(lam * L) + 0.5 * (L * L + theta * theta) * inv
-                + abs((phi - 2.0 * math.pi * k) * f) + abs(L * theta) * inv)
+                + abs(reduced) + abs(L * theta) * inv)
         slack = e_theta + e_mu * eps**2
         base = abs(centre) + (abs(theta) + slack) * inv
         units = (8.0 * size + (abs(theta) + abs(L)) * e_theta * inv / u
@@ -715,14 +698,17 @@ def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol
     **Accuracy rules.**  log T is log1p(-t1) while t1 <= 1/2, never the log
     of a rounded T near 1 (else log T).  The phase is reduced exactly: with
     c = round(lam) and f = lam - c (exact), e^{i lam (arg rho - 2 pi k)} =
-    (rho/|rho|)^c e^{i f (arg rho - 2 pi k)}, so no argument grows with lam.
+    (rho/|rho|)^c e^{i f (arg rho - 2 pi k)}, so no argument grows with lam,
+    and `_aliases` forms theta_k and f (arg rho - 2 pi k) mod 2 pi in
+    decimal, so none grows with tau0 or k.
 
     **Rounding** (first order, u = 2^-53; N. J. Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, ch. 3).  A kept alias is 2 pi
     (+-1) e^X E with X formed from lam, log T, theta and f in a few
     operations: X is off by 8u |X|_+ (|X|_+ the sum of the moduli of its
     parts, log T's own error included) plus (|theta| + |log T|) e_theta/eps^2,
-    theta = theta_0 - 2 pi k being off by e_theta <= 2u (|theta_0| + 2 pi |k|);
+    theta being off by e_theta <= u |theta| (its rounding to double) plus
+    four decimal roundings of numbers below |tau0| + 2 pi |k| + 7;
     exp, cos, sin and the products add a few u.  E's centre mu is off by
     e_mu <= 4u (|lam| + |log T|/eps^2) + (3u |theta| + e_theta)/eps^2.  E
     multiplies out d linear factors mu + l + y and sums against the moments,
@@ -763,10 +749,10 @@ def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol
         a_w, b_w = _pole_weights(d, x2)
         log_t = (math.log1p(-x1) if x1 <= 0.5 else math.log(x2)) if x2 > 0.0 else 0.0
         try:
-            # per pole: log |rho|, arg rho, weights and (rho/|rho|)^round(lam)
-            poles = [(0.0, 0.0, a_w, 1.0)]
+            # per pole: log |rho|, arg rho in half turns, weights and (rho/|rho|)^round(lam)
+            poles = [(0.0, 0, a_w, 1.0)]
             if x2 > 0.0:
-                poles.append((log_t, math.pi, b_w, -1.0 if round(lam) % 2 else 1.0))
+                poles.append((log_t, 1, b_w, -1.0 if round(lam) % 2 else 1.0))
             sums = [_pole_sum(d, win, lam, pole) for pole in poles]
             tail = _negative_tail(d, win, lam, a_w, b_w if x2 > 0.0 else None, log_t)
         except (OverflowError, ValueError):  # a term overflows, or lam is not finite
@@ -837,8 +823,8 @@ def _eigen_sum_diagonal(
     sums = _conditioned_sums(
         win, model, lams, tail_tol, scale, lambda n_max: _h_table(t, weights, n_max), exact
     )
-    values, _, remainders, decimal, _, hi = sums
-    bounds = _rounding_bounds(win, model, lams, sums, (d + 4) * (hi // min(weights)))
+    values, _, remainders, decimal, _, _ = sums
+    bounds = _rounding_bounds(win, model, lams, sums, 0.0, (d + 4) / min(weights))
     return values, remainders, bounds, decimal
 
 

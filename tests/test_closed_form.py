@@ -165,6 +165,23 @@ def test_criterion_7_row_against_fifty_digits(chart):
     assert abs(values[0] - ref) <= bounds[0] < 1e-10 * abs(values[0])
 
 
+def test_offlocus_row_at_a_large_period_against_fifty_digits():
+    # (1, 2) at tau0 = 2 pi 1e9 + pi, the off-locus distance 2.6 lam^(-7/18),
+    # lambda = 300: alias angles and turns formed in double were 2.4e-6 off
+    tau0 = 2 * np.pi * 1e9 + np.pi
+    model = make_model((1, 2))
+    chart = heisenberg_chart(model, np.array([0.0, 1.0 + 0j]), tau0)
+    pt = chart.normal_point(np.array([2.6 * 300.0 ** (-7 / 18) + 0j]))
+    win = Window("gaussian", tau0, 0.15)
+    values, rems, bounds, precision = _diagonal_values(
+        model, win, np.array([300.0]), pt[None, :], 1e-10
+    )
+    ref, magnitude = _mp_diagonal((1, 2), np.abs(pt) ** 2, 300.0, tau0, 0.15, 1e12)
+    assert precision.tolist() == ["closed-form"] and magnitude > 1e10 * abs(ref)
+    assert abs(values[0] - ref) <= 1e-13 * abs(ref)
+    assert abs(values[0] - ref) <= rems[0] + bounds[0]
+
+
 def test_large_lambda_rows_need_no_coefficient_table(chart, monkeypatch):
     def refuse(*args):
         raise AssertionError("an h_n table was built")

@@ -336,6 +336,57 @@ def test_flow_differential_normal(model12, model112):
     assert chartb.component.normal_angles == (np.pi, np.pi)
 
 
+def _finite_difference_normal_map(model, chart, step=1e-5):
+    """The inverse-time flow differential on the normal space by
+    Richardson-extrapolated central differences of the flow read in the
+    chart: no weight bookkeeping enters."""
+    c = chart.normal_dim
+
+    def image(u):
+        _, v = chart.coords(flow_sphere(model, -chart.tau0, chart.normal_point(u)))
+        return v[chart.n_tangent :]
+
+    A = np.zeros((c, c), dtype=complex)
+    for a in range(c):
+        e, out = np.zeros(c, dtype=complex), []
+        for h in (step, step / 2.0):
+            e[a] = h
+            plus = image(e)
+            e[a] = -h
+            out.append((plus - image(e)) / (2.0 * h))
+        A[:, a] = (4.0 * out[1] - out[0]) / 3.0
+    return A
+
+
+@pytest.mark.parametrize(
+    "weights, centre, tau0",
+    [
+        ((1, 2), [0, 1], np.pi),
+        ((1, 1, 2), [0, 0, 1], np.pi),
+        ((1, 1, 1, 2), [0, 0, 0, 1], np.pi),
+        ((1, 2, 2), [0, 0.6, 0.8j], np.pi),
+        ((1, 2, 3), [0, 0, 1], 2 * np.pi / 3),
+        ((1, 2, 3), [0, 0, 1], -2 * np.pi / 3),
+        ((2, 3, 5), [0, 0, 1], 2 * np.pi / 5),
+    ],
+)
+def test_normal_map_matches_the_finite_difference(weights, centre, tau0):
+    model = make_model(weights)
+    chart = heisenberg_chart(model, np.array(centre, dtype=complex), tau0)
+    A = flow_differential_normal(model, chart)
+    assert np.abs(A - _finite_difference_normal_map(model, chart)).max() <= 1e-15
+    assert np.prod(1.0 - np.diag(A)) == chart.component.c_value
+
+
+def test_normal_map_is_exact_at_a_large_period(model12):
+    # the finite difference sees tau0's rounding (2.6e-7 off -1 here); the
+    # closed form takes the exact period
+    tau0 = 2 * np.pi * 1e9 + np.pi
+    chart = heisenberg_chart(model12, np.array([0.0, 1.0 + 0j]), tau0)
+    assert flow_differential_normal(model12, chart).tolist() == [[-1.0]]
+    assert abs(_finite_difference_normal_map(model12, chart)[0, 0] + 1.0) > 1e-8
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     weights=st.lists(st.integers(1, 5), min_size=2, max_size=4),

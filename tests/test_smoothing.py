@@ -158,8 +158,7 @@ def test_fubini_diagonal_integrates_to_trace(model12):
     # the diagonal is a polynomial of degree n_hi/min_w in the moment
     # coordinates, n_hi the top of its window cut: the sphere rule of one
     # degree more integrates it exactly, and orthonormality gives the trace
-    scale = 1.0 / np.pi
-    _, n_hi, _ = _window_cut(win, model12, np.array([lam]), np.array([1e-8 * 2.0**-52]), scale)
+    _, n_hi, _ = _window_cut(win, model12, np.array([lam]))
     nodes, wts = sphere_rule(1, int(n_hi[0]) + 1, 1)
     vals, _ = smoothed_kernel_diagonal(model12, win, lam, nodes, tail_tol=1e-8)
     assert abs(np.dot(wts, vals) - tr) < 1e-6 * abs(tr)
@@ -192,22 +191,26 @@ def _decimal_rows(t, weights, hi):
     return [_decimal_h(row, weights, int(b)) for row, b in zip(t, hi)]
 
 
-def _scan_cut(win, model, lams, points, target):
-    """Moment coordinates, the kernel scale d!/pi^d and one window cut for a scan."""
+def _scan_cut(win, model, lams, points):
+    """Moment coordinates, the kernel scale d!/pi^d and one window cut for a
+    scan, its remainders scaled."""
     t = np.abs(points) ** 2
     scale = math.factorial(model.dim) / np.pi**model.dim
-    lo, hi, rem = _window_cut(win, model, lams, np.full(lams.size, target), scale)
-    return t, scale, lo, hi, rem
+    lo, hi, rem = _window_cut(win, model, lams)
+    return t, scale, lo, hi, rem * scale
 
 
 def test_scan_precision_paths_agree(model12, chart):
     # on the locus the terms do not cancel (kappa <= 3), so double keeps the
-    # decimal value to its own rounding level on the same cut
+    # decimal value to its own rounding level on the same cut.  The decimal
+    # path divides the moments by their sum; t0 = 1 - t1 (exact, t1 > 1/2)
+    # makes that sum exactly 1, so both paths evaluate the same point
     lams = np.geomspace(150.0, 300.0, 4)
     pts = np.array([chart.normal_point(np.array([0.3 + 0j]) / np.sqrt(l)) for l in lams])
-    t, scale, lo, hi, _ = _scan_cut(WIN, model12, lams, pts, 1e-30)
+    t, scale, lo, hi, _ = _scan_cut(WIN, model12, lams, pts)
+    t[:, 0] = 1.0 - t[:, 1]
     h = _h_table(t, (1, 2), int(hi.max()))
-    dbl, dbl_mag = _window_sums(WIN, lams, h, lo, hi, scale)
+    dbl, (dbl_mag, _, _) = _window_sums(WIN, lams, h, lo, hi, scale)
     dec, dec_mag = _decimal_sums(WIN, lams, _decimal_rows(t, (1, 2), hi), _kernel_scale(1), lo, hi)
     assert (dbl_mag <= 3 * np.abs(dec)).all()
     assert np.abs(dbl - dec).max() < 1e-14 * np.abs(dec).max()
@@ -299,12 +302,12 @@ def _decimal_diagonal(t, weights, win, lam, n_top, n_lo=0, sphere=False, digits=
 
 def test_decimal_path_survives_offlocus_cancellation(model12, chart):
     """Off the locus the terms cancel by ~1e12.  On the same cut the decimal
-    sum keeps the value to double rounding and the double sum does not; the
-    automatic path picks decimal."""
+    sum keeps the value at the sphere point to double rounding and the double
+    sum does not; the automatic path picks decimal."""
     lam = np.array([550.0])
     pts = chart.normal_point(np.array([[2.6 * 550.0 ** (-7 / 18) + 0j]]))
-    ref, _ = _decimal_diagonal(np.abs(pts[0]) ** 2, (1, 2), WIN, 550.0, 670)
-    t, scale, lo, hi, rem = _scan_cut(WIN, model12, lam, pts, 1e-40)
+    ref, _ = _decimal_diagonal(np.abs(pts[0]) ** 2, (1, 2), WIN, 550.0, 670, sphere=True)
+    t, scale, lo, hi, rem = _scan_cut(WIN, model12, lam, pts)
     dec, _ = _decimal_sums(WIN, lam, _decimal_rows(t, (1, 2), hi), _kernel_scale(1), lo, hi)
     dbl, _ = _window_sums(WIN, lam, _h_table(t, (1, 2), int(hi[0])), lo, hi, scale)
     assert rem[0] < 1e-30
@@ -313,6 +316,28 @@ def test_decimal_path_survives_offlocus_cancellation(model12, chart):
     auto, auto_rem, _, decimal_rows = _eigen_sum_diagonal(model12, WIN, lam, t, 1e-10)
     assert decimal_rows[0] and auto_rem[0] < 1e-30
     assert abs(auto[0] - ref) < 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("weights", [(1, 3), (1, 2, 3)])
+def test_eigen_sum_rows_evaluate_the_sphere_point(weights):
+    """Rows the closed form does not take, at tau0 = 2 pi/3 and normal
+    distance 0.2, 0.3 and 0.5 from the weight-3 point: the 50-digit sum at
+    t/sum(t) lies within each row's remainder plus rounding bound.  The
+    decimal rows divide the moments by their sum in decimal, as the oracle
+    does; summed at t, whose sum double rounds to 1, they were up to 24
+    times their bound off."""
+    model = make_model(weights)
+    win = Window("gaussian", 2 * np.pi / 3, 0.1)
+    chart = heisenberg_chart(model, np.eye(len(weights))[-1].astype(complex), win.tau0)
+    u = np.eye(chart.normal_dim)[0]
+    lams = np.repeat([150.0, 300.0], 3)
+    pts = np.array([chart.normal_point(r * u) for r in [0.2, 0.3, 0.5] * 2])
+    values, remainders, bounds, precision = _diagonal_values(model, win, lams, pts, 1e-10)
+    assert precision.tolist() == ["double", "decimal", "decimal"] * 2
+    for lam, t, value, remainder, bound in zip(lams, np.abs(pts) ** 2, values, remainders, bounds):
+        n_top, n_lo = int(lam + 40.0 / win.eps), max(0, int(lam - 40.0 / win.eps))
+        ref, _ = _decimal_diagonal(t, weights, win, lam, n_top, n_lo, sphere=True)
+        assert abs(value - ref) <= remainder + bound
 
 
 def test_unresolved_decimal_row_shows_a_bound_above_its_value():
@@ -368,6 +393,20 @@ def test_trace_keeps_its_digits_under_cancellation():
         err = _decimal_error(complex(value), _PI50 / 8, Decimal(0))
         assert err <= 1e-12 * np.pi / 8
         assert err <= remainder + bound
+
+
+def test_trace_bound_charges_each_term_at_its_own_distance():
+    # (1, 1, 1) at tau0 = -12 pi, eps 0.15, lambda = 64719: no cancellation,
+    # and a phase |s tau0| up to 9400 radians at the cut's edges.  Charging
+    # every term at the edge gave 1.6e-12 of the value; each at its own
+    # distance gives about 2e-13, still above the error
+    win = Window("gaussian", -12 * np.pi, 0.15)
+    lam = 64719.0
+    res = smoothed_trace(make_model((1, 1, 1)), win, lam)
+    n_lo, n_top = int(lam - 40.0 / win.eps), int(lam + 40.0 / win.eps)
+    err = _decimal_error(res.value, *_decimal_trace((1, 1, 1), win, lam, n_lo, n_top))
+    assert not res.decimal
+    assert err <= res.cut_remainder + res.rounding_bound <= 3e-13 * abs(res.value)
 
 
 @settings(max_examples=20, deadline=None)
@@ -482,7 +521,7 @@ def test_recurrence_matches_lattice_sum(weights, arithmetic):
     pts = np.array([random_sphere_point(model, rng) for _ in range(4)])
     ref = _lattice_diagonal(small, win, lam, pts)
     lams = np.full(4, lam)
-    t, scale, lo, hi, remainders = _scan_cut(win, model, lams, pts, 1e-25)
+    t, scale, lo, hi, remainders = _scan_cut(win, model, lams, pts)
     if arithmetic == "double":
         got, _ = _window_sums(win, lams, _h_table(t, weights, int(hi.max())), lo, hi, scale)
     else:
@@ -507,47 +546,35 @@ def test_degree_truncation_within_certified_tail(model12):
         assert (diff <= bound + remainder + 1e-12 * np.abs(full)).all()  # ... and certified
 
 
-def test_widening_the_cut_stays_within_the_remainder(model12, chart):
-    lam = 300.0
-    pts = chart.normal_point(np.array([[0.5 + 0j], [1.5 + 0j]]) / np.sqrt(lam))
-    wide, wide_rem = smoothed_kernel_diagonal(model12, WIN, lam, pts)
-    targets = np.array([1e-1, 1e-4, 1e-8])
-    lo, hi, rem = _window_cut(WIN, model12, np.full(3, lam), targets, 1.0 / np.pi)
-    assert (np.diff(lo) <= 0).all() and (np.diff(hi) >= 0).all()  # tighter target, wider cut
-    h = _h_table(np.abs(pts) ** 2, (1, 2), int(lam) + 200)
-    for a, b, r, target in zip(lo, hi, rem, targets):
-        assert 0.0 < r <= target
-        vals, _ = _window_sums(WIN, [lam, lam], h, [a, a], [b, b], 1.0 / np.pi)
-        assert (np.abs(wide - vals) <= r + wide_rem + 1e-12 * np.abs(wide)).all()
-
-
-def _reference_cut(win, model, lam, target, scale):
-    """The window cut of one lam by a full sort of its majorant terms."""
+def _outside_majorant(win, model, lam, lo, hi):
+    """sum C(floor(n/min_w) + d, d) envelope(lam - n) over the n >= 0 outside
+    lo..hi, with Python-int binomials: exactly out to 2 * `_GAUSS_FAR`/eps
+    beyond the cut, whose far terms underflow, and a geometric tail past that."""
     d, min_w = model.dim, min(model.weights)
-    n_far = max(0, math.floor(lam + math.sqrt(1400.0) / win.eps))
-    n = np.arange(n_far + 1)
-    s0 = n_far + 1 - lam
-    q = (1.0 + d / ((n_far + 1) // min_w + 1)) * np.exp(-0.5 * win.eps**2 * (2.0 * s0 + 1.0))
-    b0 = math.comb((n_far + 1) // min_w + d, d) * float(win.fourier_envelope(s0))
-    terms = np.array([math.comb(m // min_w + d, d) for m in n]) * win.fourier_envelope(lam - n)
-    order = np.argsort(np.abs(lam - n), kind="stable")
-    outside = (np.append(np.cumsum(terms[order][::-1])[::-1], 0.0) + b0 / (1.0 - q)) * scale
-    j = int(np.argmax(outside <= target))
-    kept = order[:j]
-    return (int(kept.min()), int(kept.max())) if j else (0, -1), outside[j]
+
+    def term(n):
+        return math.comb(n // min_w + d, d) * float(win.fourier_envelope(lam - n))
+
+    far = hi + 1 + math.ceil(2 * smoothing._GAUSS_FAR / win.eps)
+    total = math.fsum(term(n) for n in [*range(lo), *range(hi + 1, far)])
+    q = (1.0 + d / (far // min_w + 1)) * math.exp(-0.5 * win.eps**2 * (2.0 * (far - lam) + 1.0))
+    return total + term(far) / (1.0 - q)
 
 
 @pytest.mark.parametrize("weights", [(1, 2), (1, 1, 2), (2, 3)])
-def test_grid_cut_matches_per_lambda_sort(weights):
+def test_the_cut_keeps_the_whole_gaussian_reach(weights):
+    # every row keeps all n >= 0 within the reach, and its remainder bounds
+    # the majorant outside it
     model = make_model(weights)
     win = Window("gaussian", 0.0, 0.4)
     lams = np.array([-120.0, -3.5, 0.0, 0.5, 2.25, 17.0, 17.5, 60.75, 140.0])
-    for target in (1e-3, 1e-12, 1e-40, 1e-290):
-        lo, hi, rem = _window_cut(win, model, lams, np.full(lams.size, target), 1.0)
-        for lam, a, b, r in zip(lams, lo, hi, rem):
-            (ra, rb), rr = _reference_cut(win, model, lam, target, 1.0)
-            assert (a, b) == (ra, rb)
-            assert abs(r - rr) <= 1e-14 * rr
+    reach = smoothing._GAUSS_FAR / win.eps
+    lo, hi, rem = _window_cut(win, model, lams)
+    for lam, a, b, r in zip(lams, lo.tolist(), hi.tolist(), rem):
+        kept = [n for n in range(int(lam + reach) + 2) if abs(lam - n) <= reach]
+        assert (a, b) == ((kept[0], kept[-1]) if kept else (0, -1))
+        # past 1e-308 the terms are subnormal, each rounded to 5e-324 absolute
+        assert r >= _outside_majorant(win, model, lam, a, b) - 1e-320
 
 
 def test_grouped_trace_equals_per_eigenvalue_sum(pkg, model12):
@@ -670,16 +697,17 @@ def test_kernel_matches_decimal_oracle_over_random_models(data):
         model, win, np.array([lam]), pts, 1e-10
     )
     # the oracle keeps every term above exp(-800) of the window, at the
-    # sphere point for a closed-form row, and 20 digits beyond its own
-    # cancellation: fifty digits, or more where the terms cancel further
+    # sphere point t/sum(t) (closed-form and decimal rows evaluate it; a
+    # double row's bound covers the rounding of sum(t) to 1), and 20 digits
+    # beyond its own cancellation: fifty, or more where the terms cancel further
     n_top, n_lo = int(lam + 40.0 / win.eps), max(0, int(lam - 40.0 / win.eps))
-    sphere, digits = precision[0] == "closed-form", 50
-    ref, magnitude = _decimal_diagonal(np.abs(pts[0]) ** 2, weights, win, lam, n_top, n_lo, sphere)
+    digits = 50
+    ref, magnitude = _decimal_diagonal(np.abs(pts[0]) ** 2, weights, win, lam, n_top, n_lo, True)
     while digits < 220 and magnitude > 10.0 ** (digits - 20) * abs(ref):
         needed = 20 + math.ceil(math.log10(magnitude / max(abs(ref), 1e-300)))
         digits = min(220, max(digits + 10, needed))
         ref, magnitude = _decimal_diagonal(
-            np.abs(pts[0]) ** 2, weights, win, lam, n_top, n_lo, sphere, digits
+            np.abs(pts[0]) ** 2, weights, win, lam, n_top, n_lo, True, digits
         )
     # the first-order rounding bound of an n_top-step recurrence and sum in
     # the arithmetic used (Higham, ch. 3-4), plus the final rounding to double
@@ -724,12 +752,14 @@ def test_h_table_matches_the_step_loop_bitwise(weights):
 
 def _decimal_h_generator(t_row, weights, n_max):
     """`_decimal_h` as a generator summed by `sum()` from Decimal(0) each step:
-    the same products, added in the same order."""
+    the same products, added in the same order, of the same moments divided
+    by their sum."""
     d = len(weights) - 1
-    coeffs = [(Decimal(float(tw)), w) for tw, w in zip(t_row, weights)]
     h = [Decimal(1)]
     with localcontext() as ctx:
         ctx.prec = smoothing._DECIMAL_DIGITS
+        moments = [Decimal(float(tw)) for tw in t_row]
+        coeffs = [(tw / sum(moments), w) for tw, w in zip(moments, weights)]
         for n in range(1, n_max + 1):
             terms = (tw * (n + d * w) * h[n - w] for tw, w in coeffs if n >= w)
             h.append(sum(terms, Decimal(0)) / n)
