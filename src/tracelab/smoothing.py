@@ -234,7 +234,8 @@ def _window_cut(
     def tail(n, s, growth):
         q = growth * np.exp(-0.5 * win.eps**2 * (2.0 * s + 1.0))
         size = _walk_majorant(n, d, min_w) * win.fourier_envelope(s)
-        with np.errstate(divide="ignore"):
+        # 0/0 arises only in a left tail that lo = 0 masks
+        with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(q < 1.0, size / (1.0 - q), np.inf)
 
     right = tail(hi + 1, hi + 1 - lams, 1.0 + d / ((hi + 1) // min_w + 1))
