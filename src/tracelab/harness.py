@@ -25,10 +25,10 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import predict_global_component
-from .errors import CacheError, ConfigError, PeriodError
+from .errors import CacheError, ConfigError, CoverageError, PeriodError
 from .geometry import ProjectiveModel, fixed_components, heisenberg_chart, make_model, period_gap
 from .reports import ScanReport
-from .smoothing import _GAUSS_FAR, _arithmetic, _row_budgets, offlocus_decay_scan, parity_scan
+from .smoothing import _arithmetic, _check_tau0, _row_budgets, offlocus_decay_scan, parity_scan
 from .smoothing import scaled_diagonal_scan, smoothed_trace
 from .spectral import SpectralPackage, check_multiplicity_table, eigendata
 from .windows import SHAPES, Window
@@ -236,11 +236,11 @@ class ExperimentConfig:
 
         A ``spectrum`` table must be one `check_multiplicity_table` accepts
         (a CoverageError, exit 3).  The trace and kernel kinds need a window
-        and a grid.  `_rounding_bounds` charges a double row's term at s =
-        |lam - n| with 2 |tau0| s units of 2^-53, the error in radians of
-        s*tau0 (rounded twice), and a window cut keeps s <= `_GAUSS_FAR`/eps:
-        so |tau0| < 2^52 eps/_GAUSS_FAR (1.8e13 at eps 0.15) resolves the
-        phase to a radian.  The window must fit in half the period gap.  A kernel scan samples where `HeisenbergChart` is
+        and a grid.  |tau0| must be below the limit of
+        `smoothing._check_tau0`, 2^52 eps/sqrt(1400) (1.8e13 at eps 0.15),
+        under which every phase argument of a window cut stays resolved; the
+        eigen-sums refuse past it too.  The window must fit in half the
+        period gap.  A kernel scan samples where `HeisenbergChart` is
         exact: lambda > 0 and the chart radius below pi/2, the radius being 2C
         lam^(-7/18) (offlocus) or |u|/sqrt(lam) (local, parity; u defaults to
         0 and 0.5 per normal direction) at the smallest lam.
@@ -255,12 +255,10 @@ class ExperimentConfig:
                     raise ConfigError(f"config.{name}: required for kind {self.kind!r}")
         win = self.window
         if win is not None:
-            limit = 2.0**52 * win.eps / _GAUSS_FAR
-            if not abs(win.tau0) < limit:
-                raise ConfigError(
-                    f"config.window.tau0: |tau0| must be below 2^52 eps/sqrt(1400) = {limit:.3g} "
-                    f"to resolve s*tau0 across the window cut, got {win.tau0:.6g}"
-                )
+            try:
+                _check_tau0(win)
+            except CoverageError as exc:
+                raise ConfigError(f"config.window.tau0: {exc}") from None
             gap = period_gap(self.model(), win.tau0)
             if win.halfwidth >= gap / 2.0:
                 raise ConfigError(

@@ -44,9 +44,14 @@ alternate and the sum cancels: kappa = sum |terms| / |sum| is 5e7 to 2e12
 on the off-locus diagonal scans and grows like lam^d on a trace at tau0 =
 pi.  Each row is summed in double, and a row that double would leave fewer
 than 13 digits is summed again over the same cut in 40-digit decimal, with
-exact integer d(n) for traces.  Each row reports its arithmetic and a rounding
-bound (`_rounding_bounds`, or the closed form's own) next to its remainder;
-the bound charges each term's rounding at its own distance |lam - n|.
+exact integer d(n) for traces.  Both passes take their phases from one
+table of cis(k tau0), |k| <= K, built once per call at 40 digits
+(`_phase_table`): with c = round(lam) and f = lam - c a row is
+e^{-i f tau0} sum_k c_{c+k} chihat_0(f - k) cis(k tau0), so no phase
+argument grows with |lam - n| and a row takes one complex exponential.
+Each row reports its arithmetic and a rounding bound (`_rounding_bounds`,
+or the closed form's own) next to its remainder; the bound charges each
+term's rounding at its own distance |lam - n|.
 """
 
 from __future__ import annotations
@@ -84,6 +89,8 @@ _DECIMAL_DIGITS = 40
 _DECIMAL_UNIT = 1e-39
 # the decimal path's Gaussian factors step at this many digits more
 _STEP_DIGITS = 10
+# the double pass sums its rows in blocks of at most this many terms
+_BLOCK_TERMS = 1 << 13
 _BUMP_REFUSAL = (
     "the bump transform's envelope decays like exp(-sqrt(eps*s)), so the geometric "
     "far-tail bound does not cover it"
@@ -243,6 +250,26 @@ def _window_cut(
     return lo, hi, right + left
 
 
+def _check_tau0(win: Window) -> None:
+    """Refuse (CoverageError) a window whose |tau0| is not below 2^52
+    eps/`_GAUSS_FAR`, 1.8e13 at eps 0.15.
+
+    A cut keeps |s| = |lam - n| <= `_GAUSS_FAR`/eps, and the phase table
+    |k| <= K, so below the limit every phase argument is under about 2^52
+    radians: `_negative_tail`, which still forms s*tau0 in double, keeps it to
+    a radian, and the 40-digit reduction of tau0 in `_cis` leaves the table
+    more than 20 digits.  Far beyond it that reduction loses every digit
+    (near |tau0| = 1e40), and at tau0 = 1e300 the closed form's alias loop
+    did not return within a minute.
+    """
+    limit = 2.0**52 * win.eps / _GAUSS_FAR
+    if not abs(win.tau0) < limit:
+        raise CoverageError(
+            f"|tau0| must be below 2^52 eps/sqrt(1400) = {limit:.3g} to resolve the phases "
+            f"across the window cut, got {win.tau0:.6g}"
+        )
+
+
 def _final_cut_target(tail_tol: float, unit, magnitudes: np.ndarray) -> np.ndarray:
     """What a cut must meet: min(tail_tol, unit * sum |terms|), above the floor."""
     return np.maximum(np.minimum(tail_tol, unit * magnitudes), _CUT_FLOOR)
@@ -260,22 +287,26 @@ def _conditioned_sums(win, model, lams, tail_tol, scale, table, exact):
     ``scale(x, pi)`` applies the constant factor with each arithmetic's pi;
     ``table(n_max)`` gives c_0..c_{n_max} in double, one column per lam, and
     ``exact(rows, hi)`` the exact c_n (ints or decimals) of the lams indexed
-    by ``rows``, one sequence per row up to its ``hi``.  One window cut
-    serves both passes: each row is summed in double, and one with kappa *
-    2^-53 > `_DOUBLE_KAPPA_BOUND` again in decimal (`_decimal_sums`).  A row
-    whose remainder exceeds `_final_cut_target` in its arithmetic refuses.
+    by ``rows``, one sequence per row up to its ``hi``.  One window cut and
+    one phase table (`_phase_table`) serve both passes: each row is summed in
+    double, and one with kappa * 2^-53 > `_DOUBLE_KAPPA_BOUND` again in
+    decimal (`_decimal_sums`).  A tau0 past `_check_tau0`'s limit, or a row
+    whose remainder exceeds `_final_cut_target` in its arithmetic, refuses.
     Returns (values, moments, remainders, decimal-row mask, lo, hi), the
     moments as `_window_sums` gives them, with each decimal row's sum |terms|.
     """
     dbl_scale = scale(1.0, np.pi)
     lo, hi, remainders = _window_cut(win, model, lams)
     remainders = remainders * dbl_scale
-    values, moments = _window_sums(win, lams, table(int(hi.max(initial=-1))), lo, hi, dbl_scale)
+    _check_tau0(win)
+    phases = _phase_table(win)
+    h = table(int(hi.max(initial=-1)))
+    values, moments = _window_sums(win, lams, h, lo, hi, dbl_scale, phases)
     decimal = moments[0] * 2.0**-53 > _DOUBLE_KAPPA_BOUND * np.abs(values)
     rows = np.flatnonzero(decimal)
     if rows.size:
         values[rows], moments[0, rows] = _decimal_sums(
-            win, lams[rows], exact(rows, hi[rows]), scale, lo[rows], hi[rows]
+            win, lams[rows], exact(rows, hi[rows]), scale, lo[rows], hi[rows], phases
         )
     units = np.where(decimal, _DECIMAL_UNIT, float(np.finfo(np.float64).eps))
     targets = _final_cut_target(tail_tol, units, moments[0])
@@ -294,9 +325,10 @@ def _rounding_bounds(win, model, lams, sums, fixed_units, units_per_n=0.0) -> np
     result of `_conditioned_sums`.
 
     With u the unit of the row's arithmetic (2^-53, or `_DECIMAL_UNIT`) and
-    N kept terms, the term at n, s = lam - n and x = (eps s)^2 / 2, carries
-    a relative error of at most u times the sum of (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002, ch. 3-4):
+    N kept terms, c = round(lam) and f = lam - c (|f| <= 1/2), the term at
+    n = c + k, s = lam - n = f - k and x = (eps s)^2 / 2, carries a relative
+    error of at most u times the sum of (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, ch. 3-4):
 
     - C = ``fixed_units`` + ``units_per_n`` n for its coefficient: 0 for
       d(n) exact in decimal, 1 for d(n) rounded to double, (d + 4) n/min_w
@@ -305,42 +337,50 @@ def _rounding_bounds(win, model, lams, sums, fixed_units, units_per_n=0.0) -> np
     - 8x + 2 for the gaussian factor, whose exponent double computes to 8u;
       a decimal row keeps that margin for its product c_n E_k and adds G for
       its stepped factor E_k (`_gaussian_steps`), at most (k^2 + |k| + 1 +
-      8 h (|f| + |k| + 1)^2) u' off with h = eps^2/2, u' = 10^-_STEP_DIGITS u
-      and k = n - c, f = lam - c.  |f| <= 1/2 when c = round(lam) lies in
-      the cut; otherwise c is the cut's end nearest lam, f and k have
-      opposite signs and |f| + |k| = |s|.  So |k| <= |s| + 1/2, |f| + |k| <=
-      |s| + 1, and G = 10^-_STEP_DIGITS (1 + 4 eps^2) (|s| + 2)^2 (0 for
-      double rows);
-    - P |s| + Q for the phase.  Double rounds s tau0 twice and cos, sin
-      once: P = 2 |tau0|, Q = 2.  A decimal Taylor cos/sin (at most 60 terms
-      after reduction to |r| <= pi, term k off by 2k u, partial sums at most
-      1 plus the tail) is off by < 3 pi e^pi + 60 < 280 units, so cis by
-      < 400u plus (|theta| + 5)u for the reduction; cis(tau0) is stepped
-      |k| <= 2|s| + 1 times at 3u more each and cis(-f tau0), |f| <= |s| +
-      1/2, turns the sum once: P = 4 |tau0| + 820, Q = |tau0| + 820;
+      8 h (|f| + |k| + 1)^2) u' off with h = eps^2/2 and u' =
+      10^-_STEP_DIGITS u.  As |k| <= |s| + |f| <= |s| + 1/2, G =
+      10^-_STEP_DIGITS (1 + 4 eps^2) (|s| + 2)^2 (0 for double rows);
+    - P |s| + Q for cis(k tau0) from the phase table (`_phase_table`).  A
+      double entry is the rounding of the 40-digit value, within one unit: P
+      = 0, Q = 1 (0 at tau0 = 0, where every entry is exactly 1).  A decimal
+      Taylor cos/sin (at most 60 terms after reduction to |r| <= pi, term k
+      off by 2k u, partial sums at most 1 plus the tail) is off by < 3 pi
+      e^pi + 60 < 280 units, so cis by < 400u plus (|theta| + 5)u for the
+      reduction; cis(tau0) is stepped |k| <= |s| + |f| times at 3u more
+      each: P = |tau0| + 408, Q = |f| (|tau0| + 408);
     - 2d + 10 for eps sqrt(2 pi), d!/pi^d and the joining products.
 
-    Summing N complex terms adds sqrt(2) (N - 1) u per |term|; a factor 2
-    takes up the sqrt(2) and the second-order terms.  So with the moments
-    M_j = sum |t| |s|^j of the kept terms t (`_window_sums`),
+    Summing N complex terms adds sqrt(2) (N - 1) u per |term| (the double
+    pass's zeros outside the cut add nothing); a factor 2 takes up the
+    sqrt(2) and the second-order terms.  The turn e^{-i f tau0} multiplies
+    the row's sum once, so its error is relative to |value|, R units: in
+    double f tau0 is rounded once (|f| |tau0| units), cos and sin are within
+    2 units and the complex product within 3, R = |f| |tau0| + 5 (0 at tau0
+    = 0, where the turn is exactly 1); in decimal f tau0 is rounded once and
+    reduced as above, R = 2 |f| |tau0| + 408.  So with the moments M_j = sum
+    |t| |s|^j of the kept terms t (`_window_sums`),
 
-        rho = 2 u sum_terms |t| (N + C + 8x + G + P |s| + Q + 2d + 12)
+        rho = 2 u (sum_terms |t| (N + C + 8x + G + P |s| + Q + 2d + 12) + R |value|)
 
-    is a polynomial in |s| of degree 2, charged exactly against M_0, M_1
-    and M_2; a decimal row sums the same cut, so it reads M_1 and M_2 of the
-    double pass.  A decimal row adds 2^-52 |value| for its rounding to
+    is charged exactly against M_0, M_1 and M_2 (a polynomial in |s| of
+    degree 2); a decimal row sums the same cut, so it reads M_1 and M_2 of
+    the double pass.  A decimal row adds 2^-52 |value| for its rounding to
     double.  rho passes |value| once kappa passes about 1 / (2 u N), near
     1e36 in decimal: such a row is unresolved, and its bound says so.
     """
     values, (m0, m1, m2), _, decimal, lo, hi = sums
     u = np.where(decimal, _DECIMAL_UNIT, 2.0**-53)
     tau = abs(win.tau0)
-    p, q = np.where(decimal, 4 * tau + 820, 2 * tau), np.where(decimal, tau + 820, 2.0)
+    f = np.abs(lams - np.rint(lams))
+    p = np.where(decimal, tau + 408, 0.0)
+    q = np.where(decimal, f * (tau + 408), 1.0 if tau else 0.0)
+    turn = np.where(decimal, 2 * f * tau + 408, f * tau + 5 if tau else 0.0)
     g = np.where(decimal, 10.0**-_STEP_DIGITS * (1 + 4 * win.eps**2), 0.0)  # times (|s| + 2)^2
     n_terms = np.maximum(hi - lo + 1, 0)
     fixed = n_terms + fixed_units + units_per_n * np.maximum(lams, 0.0) + q + 2 * model.dim + 12
     units = (fixed + 4 * g) * m0 + (units_per_n + p + 4 * g) * m1 + (4 * win.eps**2 + g) * m2
-    return 2.0 * u * units + np.where(decimal, 2.0**-52 * np.abs(values), 0.0)
+    magnitude = np.abs(values)
+    return 2.0 * u * (units + turn * magnitude) + np.where(decimal, 2.0**-52 * magnitude, 0.0)
 
 
 def _h_table(t: np.ndarray, weights, n_max: int) -> np.ndarray:
@@ -368,39 +408,78 @@ def _h_table(t: np.ndarray, weights, n_max: int) -> np.ndarray:
     return h
 
 
-def _window_sums(win: Window, lams, h: np.ndarray, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
+def _phase_table(win: Window) -> tuple[list, np.ndarray, np.ndarray]:
+    """cis(k tau0) out to K = ceil(`_GAUSS_FAR`/eps) + 1, as (exact, cos,
+    sin): ``exact`` the (cos, sin) of k = 0..K at `_DECIMAL_DIGITS` digits,
+    stepped from cis(tau0) (`_cis_powers`), and ``cos`` and ``sin`` their
+    roundings to double for k = -K..K.  With c = round(lam), every n of a
+    row's cut has |n - c| <= |lam - n| + 1/2 <= K."""
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        exact = _cis_powers(Decimal(win.tau0), math.ceil(_GAUSS_FAR / win.eps) + 1)
+    cos = np.array([float(c) for c, _ in exact])
+    sin = np.array([float(s) for _, s in exact])
+    return exact, np.concatenate([cos[:0:-1], cos]), np.concatenate([-sin[:0:-1], sin])
+
+
+def _window_sums(
+    win: Window, lams, h: np.ndarray, lo, hi, scale, phases
+) -> tuple[np.ndarray, np.ndarray]:
     """Kept sums sum_n h_n chihat(lam - n) over lo..hi per point, and the
     moments sum |t| |s|^j, j = 0, 1, 2, of their terms t at s = lam - n (rows
-    of a (3, points) array)."""
+    of a (3, points) array).
+
+    With c = round(lam) and f = lam - c, chihat(lam - n) = e^{-i f tau0}
+    chihat_0(f - k) cis(k tau0) at n = c + k, so a row is
+
+        e^{-i f tau0} sum_{|k| <= K} h_{c+k} chihat_0(f - k) cis(k tau0)
+
+    over the fixed window |k| <= K, masked to lo..hi, with cis(k tau0)
+    read from the double entries of ``phases`` (`_phase_table`): one complex
+    exponential per row.  The window's width does not depend on the grid, so
+    neither does a row's value; rows go in blocks of at most `_BLOCK_TERMS`
+    terms.
+    """
     values = np.zeros(len(lams), dtype=complex)
     moments = np.zeros((3, len(lams)))
-    for i, (lam, a, b) in enumerate(zip(lams, lo, hi)):
-        if b < a:
-            continue
-        s = lam - np.arange(a, b + 1, dtype=float)
-        terms = h[a : b + 1, i] * win.fourier(s)
-        size, dist = np.abs(terms) * scale, np.abs(s)
-        values[i] = complex(terms.sum() * scale)
-        moments[:, i] = size.sum(), (size * dist).sum(), (size * dist * dist).sum()
+    _, cos, sin = phases
+    reach = (cos.size - 1) // 2
+    ks = np.arange(-reach, reach + 1)
+    rows = np.flatnonzero(hi >= lo)
+    centres = np.rint(lams)
+    step = max(1, _BLOCK_TERMS // ks.size)
+    for first in range(0, rows.size, step):
+        i = rows[first : first + step]
+        f = lams[i] - centres[i]
+        n = centres[i, None].astype(np.int64) + ks
+        kept = (n >= lo[i, None]) & (n <= hi[i, None])
+        s = f[:, None] - ks
+        g = np.where(kept, h[np.clip(n, 0, h.shape[0] - 1), i[:, None]], 0.0) * win.fourier_base(s)
+        sums = (g * cos).sum(axis=1) + 1j * (g * sin).sum(axis=1)
+        turns = np.array([complex(math.cos(x), -math.sin(x)) for x in (f * win.tau0).tolist()])
+        values[i] = sums * turns * scale
+        size, dist = np.abs(g) * scale, np.abs(s)
+        moments[:, i] = size.sum(axis=1), (size * dist).sum(axis=1), (size * dist * dist).sum(axis=1)
     return values, moments
 
 
 def _decimal_sums(
-    win: Window, lams, coefficients, scale, lo, hi
+    win: Window, lams, coefficients, scale, lo, hi, phases
 ) -> tuple[np.ndarray, np.ndarray]:
     """`_window_sums` at ``_DECIMAL_DIGITS`` significant digits.
 
     ``coefficients`` yields one row c_0..c_hi per lam (exact ints, or
     decimals from `_decimal_h`); ``scale(x, pi)`` applies the constant with
-    the decimal pi.  Phases are taken relative to the integer c nearest lam
-    inside the cut: with f = lam - c the term at n = c + k is
+    the decimal pi.  As in `_window_sums`, with c = round(lam) and f = lam -
+    c the term at n = c + k is
 
         c_n eps sqrt(2 pi) exp(-eps^2 (f - k)^2 / 2) exp(-i f tau0) exp(i k tau0),
 
-    where exp(i k tau0) steps from one Taylor cos/sin of tau0, so no
-    argument is large, and the Gaussian factors step outward from k = 0
-    (`_gaussian_steps`), four exponentials per row.  Each result is rounded
-    to complex once.
+    where exp(i k tau0) is read from the decimal entries of ``phases``
+    (`_phase_table`), so no argument
+    is large, the Gaussian factors step outward from k = 0
+    (`_gaussian_steps`), four exponentials per row, and exp(-i f tau0) turns
+    the row's sum once.  Each result is rounded to complex once.
     """
     values = np.zeros(len(lams), dtype=complex)
     magnitudes = np.zeros(len(lams))
@@ -408,12 +487,12 @@ def _decimal_sums(
         ctx.prec = _DECIMAL_DIGITS
         eps, tau0 = Decimal(win.eps), Decimal(win.tau0)
         peak = scale(eps * (2 * _PI).sqrt(), _PI)
+        powers = phases[0]
         rows = zip(map(float, lams), map(int, lo), map(int, hi), coefficients)
         for i, (lam, a, b, row) in enumerate(rows):
             if b < a:
                 continue
-            c = min(max(round(lam), a), b)
-            powers = _cis_powers(tau0, max(b - c, c - a))
+            c = round(lam)
             f = Decimal(lam) - c
             gauss = _gaussian_steps(eps, Decimal(lam), c, c - a, b - c)
             re = im = mag = Decimal(0)
@@ -433,7 +512,8 @@ def _decimal_sums(
 
 
 def _gaussian_steps(eps: Decimal, lam: Decimal, c: int, left: int, right: int) -> list:
-    """exp(-h (f - k)^2), h = eps^2/2 and f = lam - c, for k = -left..right.
+    """exp(-h (f - k)^2), h = eps^2/2 and f = lam - c, for k = -left..right
+    (a range that need not hold 0: the steps start from k = 0 either way).
 
     Stepped outward from k = 0 at ``_DECIMAL_DIGITS + _STEP_DIGITS``
     digits: with E_k the factor at k,
@@ -464,7 +544,8 @@ def _gaussian_steps(eps: Decimal, lam: Decimal, c: int, left: int, right: int) -
                 ratio *= step
                 side.append(e)
             sides.append(side)
-    return sides[1][::-1] + [centre] + sides[0]
+    first = len(sides[1]) - left  # the index of k = -left
+    return (sides[1][::-1] + [centre] + sides[0])[first : first + left + right + 1]
 
 
 def _decimal_h(t_row, weights, n_max: int) -> list:
@@ -784,7 +865,9 @@ def _diagonal_values(
     """Exact diagonal at paired (lam_i, point_i): the values, their
     remainders and rounding bounds, and each row's arithmetic: "closed-form"
     (`_closed_form_diagonal`), else "double" or "decimal" from
-    `_eigen_sum_diagonal`."""
+    `_eigen_sum_diagonal`.  A tau0 past `_check_tau0`'s limit refuses
+    before either runs."""
+    _check_tau0(win)
     t = np.abs(np.atleast_2d(np.asarray(points, dtype=complex))) ** 2
     lams = np.broadcast_to(np.asarray(lams, dtype=float), (t.shape[0],))
     values, remainders, bounds, taken = _closed_form_diagonal(model, win, lams, t, tail_tol)

@@ -43,8 +43,10 @@ class Window:
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ValueError(f"unknown window shape {self.shape!r}")
-        if self.eps <= 0:
-            raise ValueError("window width must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("window width must be positive and finite")
+        if not math.isfinite(self.tau0):
+            raise ValueError("window center must be finite")
 
     # -- time side ---------------------------------------------------------
 

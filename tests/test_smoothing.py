@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tracelab import smoothing
+from tracelab import cli, smoothing
 from tracelab.errors import CoverageError, PeriodError
 from tracelab.geometry import heisenberg_chart, make_model, period_gap, random_sphere_point
 from tracelab.oracles import brute_smoothed_trace, eigenvalue_multiplicity, poisson_trace
@@ -14,6 +14,7 @@ from tracelab.quadrature import sphere_rule
 from tracelab.smoothing import (
     _DECIMAL_UNIT,
     _STEP_DIGITS,
+    _rounding_bounds,
     _decimal_h,
     _decimal_sums,
     _denumerants,
@@ -21,6 +22,7 @@ from tracelab.smoothing import (
     _eigen_sum_diagonal,
     _gaussian_steps,
     _h_table,
+    _phase_table,
     _window_cut,
     _window_sums,
     negative_lambda_scan,
@@ -101,6 +103,20 @@ def test_lambda_beyond_the_cut_table_refuses(model12, chart):
         smoothed_kernel_diagonal(make_model((1, 3)), Window("gaussian", 0.0, 0.15), 1e12, point)
 
 
+def test_tau0_past_the_phase_limit_refuses(model12, chart):
+    # |tau0| < 2^52 eps/sqrt(1400), 1.8e13 at eps 0.15: past it a trace
+    # returned a value with a bound of 7.5e287, and a kernel row in closed
+    # form did not return at all
+    limit = 2.0**52 * 0.15 / smoothing._GAUSS_FAR
+    assert np.isfinite(smoothed_trace(model12, Window("gaussian", 0.99 * limit, 0.15), 100.0).value)
+    for tau0 in (1.01 * limit, -1.01 * limit, 1e300):
+        win = Window("gaussian", tau0, 0.15)
+        with pytest.raises(CoverageError, match="tau0"):
+            smoothed_trace(model12, win, 100.0)
+        with pytest.raises(CoverageError, match="tau0"):
+            smoothed_kernel_diagonal(model12, win, 100.0, chart.center[None, :])
+
+
 def test_cut_table_limit_is_one_constant(model12, monkeypatch):
     win = Window("gaussian", 0.0, 0.15)
     # the far edge of a cut at lam = 700 is floor(700 + sqrt(1400)/0.15) = 949
@@ -120,6 +136,97 @@ def test_trace_grid_matches_pointwise_calls(model12):
     assert res.cut_remainder.tolist() == [p.cut_remainder for p in points]
     assert res.n_eigenvalues == sum(p.n_eigenvalues for p in points)
     assert points[0].n_eigenvalues == 0 < points[1].n_eigenvalues
+
+
+@pytest.mark.parametrize("tau0", [np.pi, 2 * np.pi / 3, -12 * np.pi, 2 * np.pi * 1e9 + np.pi])
+def test_phase_table_is_cis_correctly_rounded(tau0):
+    # every double entry of the table is mpmath's cis(k tau0), |k| <= K,
+    # correctly rounded, and every decimal entry is within the |k| (|tau0| +
+    # 408) units of `_DECIMAL_UNIT` that `_rounding_bounds` charges it
+    mpmath = pytest.importorskip("mpmath")
+    exact, double_cos, double_sin = _phase_table(Window("gaussian", tau0, 0.15))
+    reach = math.ceil(smoothing._GAUSS_FAR / 0.15) + 1
+    assert len(exact) == reach + 1 and double_cos.shape == double_sin.shape == (2 * reach + 1,)
+    with mpmath.workdps(60):
+        for k in range(-reach, reach + 1):
+            cos, sin = mpmath.cos(k * mpmath.mpf(tau0)), mpmath.sin(k * mpmath.mpf(tau0))
+            assert (double_cos[reach + k], double_sin[reach + k]) == (float(cos), float(sin)), k
+            if k >= 0:
+                exact_cos, exact_sin = (mpmath.mpf(str(x)) for x in exact[k])
+                error = mpmath.hypot(exact_cos - cos, exact_sin - sin)
+                assert error <= k * (abs(tau0) + 408) * _DECIMAL_UNIT, k
+
+
+def test_trace_at_pi_keeps_thirteen_digits(model12):
+    # at tau0 = pi kappa grows like lam, and a sum that rounded s tau0 per
+    # term read 1.2e-13 (median) and 2.8e-13 (max) here.  The reference sums
+    # |lam - n| <= 80 in 40-digit mpmath; the terms beyond are below 1e-28
+    mpmath = pytest.importorskip("mpmath")
+    win = Window("gaussian", np.pi, 0.15)
+    lams = np.linspace(150.0, 400.0, 100)
+    res = smoothed_trace(model12, win, lams)
+    assert not res.decimal.any()
+    errors = []
+    with mpmath.workdps(40):
+        eps, tau0 = mpmath.mpf(win.eps), mpmath.mpf(win.tau0)
+        for lam, value in zip(lams, res.value):
+            terms = []
+            for n in range(math.ceil(lam - 80.0), math.floor(lam + 80.0) + 1):
+                s = mpmath.mpf(lam) - n
+                terms.append((n // 2 + 1) * mpmath.exp(-((eps * s) ** 2) / 2) * mpmath.expj(-s * tau0))
+            ref = eps * mpmath.sqrt(2 * mpmath.pi) * mpmath.fsum(terms)
+            errors.append((float(abs(mpmath.mpc(value) - ref)), float(abs(ref))))
+    err, mag = np.array(errors).T
+    assert (err <= res.cut_remainder + res.rounding_bound + 1e-27).all()
+    assert np.median(err / mag) <= 5e-14 and (err / mag).max() <= 2e-13
+
+
+def _per_term_phase_bounds(win, model, lams, sums, fixed_units, units_per_n=0.0):
+    """`_rounding_bounds` with each term's phase charged at its own s tau0, as
+    a sum that forms e^{-i s tau0} term by term must be: P = 2|tau0|, Q = 2
+    in double (s tau0 rounded twice, cos and sin once), and P = 4|tau0| +
+    820, Q = |tau0| + 820 in decimal, where cis(tau0) stepped from the cut's
+    end nearest lam when round(lam) lay outside the cut."""
+    values, (m0, m1, m2), _, decimal, lo, hi = sums
+    u = np.where(decimal, _DECIMAL_UNIT, 2.0**-53)
+    tau = abs(win.tau0)
+    p, q = np.where(decimal, 4 * tau + 820, 2 * tau), np.where(decimal, tau + 820, 2.0)
+    g = np.where(decimal, 10.0**-_STEP_DIGITS * (1 + 4 * win.eps**2), 0.0)
+    n_terms = np.maximum(hi - lo + 1, 0)
+    fixed = n_terms + fixed_units + units_per_n * np.maximum(lams, 0.0) + q + 2 * model.dim + 12
+    units = (fixed + 4 * g) * m0 + (units_per_n + p + 4 * g) * m1 + (4 * win.eps**2 + g) * m2
+    return 2.0 * u * units + np.where(decimal, 2.0**-52 * np.abs(values), 0.0)
+
+
+_PI_FLAGS = ["--shape", "gaussian", "--tau0", "3.141592653589793", "--eps", "0.15"]
+# the benchmark's trace-scan grid at seed 1
+_TRACE_SCAN_GRID = ["--lambda-grid", "150.1343642441124:399.1525662630628:400"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--weights", "1,2", *_PI_FLAGS, *_TRACE_SCAN_GRID],
+        ["trace", "--weights", "1,2", "--shape", "gaussian", "--tau0", "0", "--eps", "0.15",
+         *_TRACE_SCAN_GRID],
+        ["trace", "--weights", "1,1,1,2", *_PI_FLAGS, "--lambda-grid", "1000:100000:4"],
+        ["verify", "--seed", "5"],
+    ],
+    ids=["trace-pi", "trace-0", "trace-1112", "verify"],
+)
+def test_row_bounds_no_larger_than_per_term_phases(argv, monkeypatch, tmp_path, capsys):
+    # one phase table and one turn per row charge no row more than phases
+    # taken term by term would: every eigen-sum row of these runs
+    checked = []
+
+    def both(win, model, lams, sums, *units):
+        bounds = _rounding_bounds(win, model, lams, sums, *units)
+        checked.append(bool((bounds <= _per_term_phase_bounds(win, model, lams, sums, *units)).all()))
+        return bounds
+
+    monkeypatch.setattr(smoothing, "_rounding_bounds", both)
+    cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert checked and all(checked)
 
 
 def _coin_counts(weights, n_max):
@@ -210,8 +317,11 @@ def test_scan_precision_paths_agree(model12, chart):
     t, scale, lo, hi, _ = _scan_cut(WIN, model12, lams, pts)
     t[:, 0] = 1.0 - t[:, 1]
     h = _h_table(t, (1, 2), int(hi.max()))
-    dbl, (dbl_mag, _, _) = _window_sums(WIN, lams, h, lo, hi, scale)
-    dec, dec_mag = _decimal_sums(WIN, lams, _decimal_rows(t, (1, 2), hi), _kernel_scale(1), lo, hi)
+    phases = _phase_table(WIN)
+    dbl, (dbl_mag, _, _) = _window_sums(WIN, lams, h, lo, hi, scale, phases)
+    dec, dec_mag = _decimal_sums(
+        WIN, lams, _decimal_rows(t, (1, 2), hi), _kernel_scale(1), lo, hi, phases
+    )
     assert (dbl_mag <= 3 * np.abs(dec)).all()
     assert np.abs(dbl - dec).max() < 1e-14 * np.abs(dec).max()
     assert np.abs(dbl_mag - dec_mag).max() < 1e-14 * dec_mag.max()
@@ -308,8 +418,11 @@ def test_decimal_path_survives_offlocus_cancellation(model12, chart):
     pts = chart.normal_point(np.array([[2.6 * 550.0 ** (-7 / 18) + 0j]]))
     ref, _ = _decimal_diagonal(np.abs(pts[0]) ** 2, (1, 2), WIN, 550.0, 670, sphere=True)
     t, scale, lo, hi, rem = _scan_cut(WIN, model12, lam, pts)
-    dec, _ = _decimal_sums(WIN, lam, _decimal_rows(t, (1, 2), hi), _kernel_scale(1), lo, hi)
-    dbl, _ = _window_sums(WIN, lam, _h_table(t, (1, 2), int(hi[0])), lo, hi, scale)
+    phases = _phase_table(WIN)
+    dec, _ = _decimal_sums(
+        WIN, lam, _decimal_rows(t, (1, 2), hi), _kernel_scale(1), lo, hi, phases
+    )
+    dbl, _ = _window_sums(WIN, lam, _h_table(t, (1, 2), int(hi[0])), lo, hi, scale, phases)
     assert rem[0] < 1e-30
     assert abs(dec[0] - ref) < 1e-15 * abs(ref)
     assert abs(dbl[0] - ref) > 1e-6 * abs(ref)
@@ -522,11 +635,13 @@ def test_recurrence_matches_lattice_sum(weights, arithmetic):
     ref = _lattice_diagonal(small, win, lam, pts)
     lams = np.full(4, lam)
     t, scale, lo, hi, remainders = _scan_cut(win, model, lams, pts)
+    phases = _phase_table(win)
     if arithmetic == "double":
-        got, _ = _window_sums(win, lams, _h_table(t, weights, int(hi.max())), lo, hi, scale)
+        h = _h_table(t, weights, int(hi.max()))
+        got, _ = _window_sums(win, lams, h, lo, hi, scale, phases)
     else:
         got, _ = _decimal_sums(
-            win, lams, _decimal_rows(t, weights, hi), _kernel_scale(model.dim), lo, hi
+            win, lams, _decimal_rows(t, weights, hi), _kernel_scale(model.dim), lo, hi, phases
         )
     assert remainders.max() < 1e-20
     assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()

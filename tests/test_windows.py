@@ -122,3 +122,10 @@ def test_invalid_shape_rejected():
         Window("hann", 0.0, 1.0)
     with pytest.raises(ValueError):
         Window("bump", 0.0, -1.0)
+    # NaN fails every comparison, so "eps <= 0" alone let it through
+    for eps in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="width must be positive and finite"):
+            Window("gaussian", 0.0, eps)
+    for tau0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="center must be finite"):
+            Window("gaussian", tau0, 0.15)
