@@ -24,6 +24,7 @@ from .errors import (
     CoverageError,
     DegenerateDirectionError,
     FitError,
+    InputError,
     PeriodError,
     QuadratureError,
     TracelabError,

@@ -43,3 +43,11 @@ class DegenerateDirectionError(TracelabError):
 
 class ConfigError(TracelabError):
     """Experiment configuration failed validation; message names the field."""
+
+
+class InputError(TracelabError, ValueError):
+    """A library argument is malformed: a weight vector, window, point or lambda.
+
+    Also a ValueError, so callers that caught the ValueError these raised
+    before keep working.
+    """

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CalibrationError, ChartError, CleanLocusError, PeriodError
+from .errors import CalibrationError, ChartError, CleanLocusError, InputError, PeriodError
 
 _FIX_TOL = 1e-9  # phase tolerance deciding membership of a fixed locus
 _CALIBRATION_TOL = 1e-12  # relative gap allowed between contact_field and -i*diag(w)*z
@@ -52,7 +52,7 @@ def make_model(weights) -> ProjectiveModel:
     """The weighted projective model of ``weights`` (>= 2 positive ints), its field checked."""
     ws = tuple(int(w) for w in weights)
     if len(ws) < 2 or any(w <= 0 for w in ws):
-        raise ValueError("weights must be >= 2 strictly positive integers")
+        raise InputError("weights must be >= 2 strictly positive integers")
     return calibrate(ProjectiveModel(dim=len(ws) - 1, weights=ws))
 
 

@@ -84,23 +84,27 @@ def poisson_trace(weights, win: Window, lam: float) -> complex:
     times 2*pi*k (with a d/dtau term from the linear factor) and the
     alternating piece into window values at 2*pi*k - pi, |k| <=
     `_POISSON_MODES`.  Valid for lam a few window widths above 0 (the
-    negative-n ghost terms are then negligible).
+    negative-n ghost terms are then negligible).  The phases are formed from
+    lam reduced mod 1 (e^{-2 pi i k lam}) and mod 2 (e^{i (pi - 2 pi k)
+    lam}) by `math.fmod`, which is exact, so no phase argument grows with
+    lam.
     """
     weights = tuple(sorted(int(w) for w in weights))
     out = 0.0 + 0.0j
     ks = range(-_POISSON_MODES, _POISSON_MODES + 1)
+    lam1, lam2 = math.fmod(lam, 1.0), math.fmod(lam, 2.0)
     if weights == (1, 2):
         for k in ks:
             tau = 2.0 * np.pi * k
             chi = float(win.value(tau))
             dchi = _window_slope(win, tau)
-            out += np.exp(-2j * np.pi * k * lam) * (
+            out += np.exp(-2j * np.pi * k * lam1) * (
                 (2.0 * lam + 3.0) / 4.0 * 2.0 * np.pi * chi + 1j * np.pi * dchi
             )
             tau_a = 2.0 * np.pi * k - np.pi
             out += (
                 (np.pi / 2.0)
-                * np.exp(1j * (np.pi - 2.0 * np.pi * k) * lam)
+                * np.exp(1j * (np.pi - 2.0 * np.pi * k) * lam2)
                 * float(win.value(tau_a))
             )
         return complex(out)
@@ -109,7 +113,7 @@ def poisson_trace(weights, win: Window, lam: float) -> complex:
             tau = 2.0 * np.pi * k
             chi = float(win.value(tau))
             dchi = _window_slope(win, tau)
-            out += np.exp(-2j * np.pi * k * lam) * (
+            out += np.exp(-2j * np.pi * k * lam1) * (
                 (lam + 1.0) * 2.0 * np.pi * chi + 2j * np.pi * dchi
             )
         return complex(out)

@@ -29,14 +29,19 @@ geometric series on each side (`_window_cut`).  The closed form's aliases,
 bump's transform envelope decays only like exp(-sqrt(eps s)), beyond any
 geometric series, so bump sums refuse with CoverageError.
 
-A kernel row for the gaussian window on a model whose weights are all 1 or
-2 is first formed in closed form (`_closed_form_diagonal`): there the
-generating function has two poles, x = 1 and x = -1/T (T the weight-2
-moment sum), and Poisson summation turns each into a few gaussian moment
-sums, so a row costs O(1) in lam and needs no h_n.  Such a row is kept
-when it does not cancel (its own kappa is at most `_CLOSED_FORM_KAPPA`) and
-its remainder (the omitted aliases and the negative-n tail, both bounded in
-closed form) meets the cut target; it is labelled "closed-form".
+A kernel row for the gaussian window is first formed in closed form
+(`_closed_form_diagonal`), on any weights: the generating function
+(1 - sum_i t_i x^{w_i})^{-(d+1)} has one (d+1)-fold pole rho per root of
+p_t, rho = 1 and the Newton-polished roots of a deflated polynomial
+(`_poles`), and Poisson summation turns each pole's rho^n P(n) into a few
+gaussian moment sums, so a row costs O(1) in lam and needs no h_n.  Each
+input of a pole's exponent (the moments, exact from the chart radius on a
+coordinate chart; the roots; log |rho|, arg rho, and the exponent, turn and
+centre themselves) is formed at `_DECIMAL_DIGITS` digits and rounded once.
+Such a row is kept when its poles are separated, it does not cancel (its
+own kappa is at most `_CLOSED_FORM_KAPPA`) and its remainder (the omitted
+aliases and the negative-n tail, both bounded in closed form) meets the cut
+target; it is labelled "closed-form".
 
 Every other row, traces included, is an eigen-sum, and one routine,
 `_conditioned_sums`, picks its arithmetic.  Near a period the phases
@@ -56,14 +61,15 @@ term's rounding at its own distance |lam - n|.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 
 from .asymptotics import local_prediction, predict_local
-from .errors import CoverageError
+from .errors import CoverageError, InputError
 from .geometry import HeisenbergChart, ProjectiveModel
 from .reports import ScanReport
 from .spectral import SpectralPackage, section_dimension
@@ -170,7 +176,7 @@ def smoothed_trace(
 
     ``lam`` is a number or a grid, each lam with its own window cut.
     """
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    lams = _check_lambdas(np.atleast_1d(np.asarray(lam, dtype=float)))
 
     def table(n_max):
         counts = _denumerants(model.weights, n_max).astype(float)
@@ -270,6 +276,13 @@ def _check_tau0(win: Window) -> None:
         )
 
 
+def _check_lambdas(lams: np.ndarray) -> np.ndarray:
+    """``lams``, refused (InputError) unless every lam is finite."""
+    if not np.isfinite(lams).all():
+        raise InputError(f"lambda must be finite, got {lams[~np.isfinite(lams)][0]}")
+    return lams
+
+
 def _final_cut_target(tail_tol: float, unit, magnitudes: np.ndarray) -> np.ndarray:
     """What a cut must meet: min(tail_tol, unit * sum |terms|), above the floor."""
     return np.maximum(np.minimum(tail_tol, unit * magnitudes), _CUT_FLOOR)
@@ -343,9 +356,11 @@ def _rounding_bounds(win, model, lams, sums, fixed_units, units_per_n=0.0) -> np
     - P |s| + Q for cis(k tau0) from the phase table (`_phase_table`).  A
       double entry is the rounding of the 40-digit value, within one unit: P
       = 0, Q = 1 (0 at tau0 = 0, where every entry is exactly 1).  A decimal
-      Taylor cos/sin (at most 60 terms after reduction to |r| <= pi, term k
-      off by 2k u, partial sums at most 1 plus the tail) is off by < 3 pi
-      e^pi + 60 < 280 units, so cis by < 400u plus (|theta| + 5)u for the
+      cos/sin (`_sin_cos` after reduction to |r| <= pi: Horner steps S_k =
+      1 - S_{k+1} a_k, a_k = r^2/(2k(2k -+ 1)) <= 4.94, each rounding 3 times
+      on numbers below 5, its error reaching the result times the product
+      of the later a_j, which sums to less than 12 over the steps) is off by
+      < 100 units, charged 280, so cis by < 400u plus (|theta| + 5)u for the
       reduction; cis(tau0) is stepped |k| <= |s| + |f| times at 3u more
       each: P = |tau0| + 408, Q = |f| (|tau0| + 408);
     - 2d + 10 for eps sqrt(2 pi), d!/pi^d and the joining products.
@@ -408,18 +423,26 @@ def _h_table(t: np.ndarray, weights, n_max: int) -> np.ndarray:
     return h
 
 
-def _phase_table(win: Window) -> tuple[list, np.ndarray, np.ndarray]:
+def _phase_table(win: Window) -> tuple[tuple, np.ndarray, np.ndarray]:
     """cis(k tau0) out to K = ceil(`_GAUSS_FAR`/eps) + 1, as (exact, cos,
     sin): ``exact`` the (cos, sin) of k = 0..K at `_DECIMAL_DIGITS` digits,
     stepped from cis(tau0) (`_cis_powers`), and ``cos`` and ``sin`` their
-    roundings to double for k = -K..K.  With c = round(lam), every n of a
-    row's cut has |n - c| <= |lam - n| + 1/2 <= K."""
+    roundings to double for k = -K..K, read-only.  With c = round(lam), every
+    n of a row's cut has |n - c| <= |lam - n| + 1/2 <= K.  Built once per
+    (tau0, eps) and shared by every later call."""
+    return _phase_table_at(float(win.tau0), float(win.eps))
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_table_at(tau0: float, eps: float) -> tuple[tuple, np.ndarray, np.ndarray]:
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
-        exact = _cis_powers(Decimal(win.tau0), math.ceil(_GAUSS_FAR / win.eps) + 1)
+        exact = _cis_powers(Decimal(tau0), math.ceil(_GAUSS_FAR / eps) + 1)
     cos = np.array([float(c) for c, _ in exact])
     sin = np.array([float(s) for _, s in exact])
-    return exact, np.concatenate([cos[:0:-1], cos]), np.concatenate([-sin[:0:-1], sin])
+    cos, sin = np.concatenate([cos[:0:-1], cos]), np.concatenate([-sin[:0:-1], sin])
+    cos.flags.writeable = sin.flags.writeable = False
+    return tuple(exact), cos, sin
 
 
 def _window_sums(
@@ -572,16 +595,27 @@ def _decimal_h(t_row, weights, n_max: int) -> list:
     return h
 
 
+def _sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
+    """sin x and cos x, |x| <= 4, at the context's precision: both Taylor
+    series in Horner form, cut after the first term below 10^-(prec + 2)
+    (about 30 terms at |x| = pi and 40 digits)."""
+    x2, tiny, ax2 = x * x, 10.0 ** -(getcontext().prec + 2), float(x) ** 2
+    terms, size = 1, 1.0
+    while size > tiny:
+        size *= ax2 / ((2 * terms - 1) * (2 * terms))
+        terms += 1
+    sin = cos = Decimal(1)
+    for k in range(terms, 0, -1):
+        sin = 1 - sin * x2 / (2 * k * (2 * k + 1))
+        cos = 1 - cos * x2 / (2 * k * (2 * k - 1))
+    return x * sin, cos
+
+
 def _cis(theta: Decimal) -> tuple[Decimal, Decimal]:
-    """(cos theta, sin theta) by the Taylor series after reduction to |r| <= pi."""
+    """(cos theta, sin theta) by `_sin_cos` after reduction to |r| <= pi."""
     two_pi = 2 * _PI
-    r = theta - two_pi * (theta / two_pi).to_integral_value()
-    c, s, term_c, term_s, k = Decimal(0), Decimal(0), Decimal(1), Decimal(0), 0
-    while k < 4 or abs(term_c) + abs(term_s) > Decimal(10) ** -(_DECIMAL_DIGITS + 2):
-        # the terms of exp(i r) = sum (i r)^k / k!
-        c, s, k = c + term_c, s + term_s, k + 1
-        term_c, term_s = -term_s * r / k, term_c * r / k
-    return c, s
+    sin, cos = _sin_cos(theta - two_pi * (theta / two_pi).to_integral_value())
+    return cos, sin
 
 
 def _cis_powers(theta: Decimal, k_max: int) -> list:
@@ -595,17 +629,220 @@ def _cis_powers(theta: Decimal, k_max: int) -> list:
 
 
 # ----------------------------------------------------------------------------
-# kernel rows in closed form: the gaussian window on weights in {1, 2}
+# kernel rows in closed form: the poles of the generating function
 # ----------------------------------------------------------------------------
 
+# two poles closer than this, relative to the larger modulus, are not
+# separated: their partial fractions would cancel, and the row is summed by
+# the eigen-sum instead
+_ROOT_SEPARATION = 1e-3
+# Newton steps polishing each double root of p_t at `_DECIMAL_DIGITS` digits:
+# the error goes about 1e-13 -> 1e-26 -> 1e-40 at the separation above
+_NEWTON_STEPS = 3
 
-def _pole_weights(d: int, T: float) -> tuple[list, list]:
-    """Partial-fraction weights (a_j), (b_j), j = 0..d, of (1 - x)^-(d+1)
-    (1 + T x)^-(d+1): h_n = sum_j (a_j + (-T)^n b_j) C(n + d - j, d - j)."""
-    r = 1.0 / (1.0 + T)
-    a = [math.comb(d + j, j) * r ** (d + 1) * (T * r) ** j for j in range(d + 1)]
-    b = [math.comb(d + j, j) * (T * r) ** (d + 1) * r**j for j in range(d + 1)]
-    return a, b
+
+@dataclass(frozen=True)
+class _Pole:
+    """One pole rho = e^(log_modulus + i arg) of sum_n h_n x^n: it adds
+
+        rho^n sum_j weights[j] C(n + d - j, d - j)
+
+    to h_n for every integer n.  ``log_modulus`` (<= 0) and ``arg`` (in
+    [-pi, pi]) are `_DECIMAL_DIGITS`-digit decimals, each within ``error``;
+    ``weights`` are the partial-fraction weights rounded once to complex, and
+    before that rounding each was within ``spread`` times its majorant
+    (``majorants[j]``, a bound on its modulus)."""
+
+    log_modulus: Decimal
+    arg: Decimal
+    weights: tuple
+    majorants: tuple
+    error: float
+    spread: float
+
+
+def _log_polar(re: Decimal, im: Decimal) -> tuple[Decimal, Decimal]:
+    """(log |rho|, arg rho) of rho = re + i im != 0 at the context's
+    precision, each from its double by one correction step: Halley's for
+    log |rho|^2 (error cubed, one decimal exp), and for the angle the sine of
+    its error, im cos(phi) - re sin(phi) over |rho| (error cubed over 6)."""
+    norm = re * re + im * im
+    y = Decimal(math.log(float(norm)))
+    e = y.exp()
+    log_modulus = (y + 2 * (norm - e) / (norm + e)) / 2
+    if im == 0:
+        return log_modulus, Decimal(0) if re > 0 else _PI
+    phi = Decimal(math.atan2(float(im), float(re)))
+    sin, cos = _sin_cos(phi)
+    return log_modulus, phi + (im * cos - re * sin) / norm.sqrt()
+
+
+def _cmul(a: tuple, b: tuple) -> tuple:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _cdiv(a: tuple, b: tuple) -> tuple:
+    n = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n
+
+
+def _polished_roots(q: list) -> list | None:
+    """The roots of S(y) = sum_k q[k] y^(m-k), m = len(q) - 1, q[0] = 1, as
+    (re, im, radius): ``np.roots`` polished by `_NEWTON_STEPS` Newton steps at
+    the context's precision, each with the radius of a disc that holds a root
+    of S.  S has a root within m |S(y)|/|S'(y)| of any y, so the radius is m
+    (|S(y)| + e_S)/|S'(y)| with e_S = 8 m u_dec sum_k q_k |y|^(m-k) for the
+    rounding of the evaluation and of the q_k (u_dec = `_DECIMAL_UNIT`).
+    None when the double roots already fail `_ROOT_SEPARATION`."""
+    m = len(q) - 1
+    if m <= 1:  # S(y) = y + q_1, or no root
+        return [(-q[1], Decimal(0), 4 * _DECIMAL_UNIT * float(q[1]))] if m else []
+    guesses = [complex(g) for g in np.roots([float(x) for x in q])]
+    if _separation([1.0] + guesses) < _ROOT_SEPARATION:
+        return None
+    roots = []
+    for g in guesses:
+        y = (Decimal(g.real), Decimal(g.imag))
+        for step in range(_NEWTON_STEPS + 1):
+            s, ds = (q[0], Decimal(0)), (Decimal(0), Decimal(0))
+            for x in q[1:]:
+                ds = _cmul(ds, y)
+                ds = (ds[0] + s[0], ds[1] + s[1])
+                s = _cmul(s, y)
+                s = (s[0] + x, s[1])
+            if step < _NEWTON_STEPS:
+                dy = _cdiv(s, ds)
+                y = (y[0] - dy[0], y[1] - dy[1])
+        size = abs(complex(float(y[0]), float(y[1])))
+        e_s = 8 * m * _DECIMAL_UNIT * sum(float(x) * size ** (m - k) for k, x in enumerate(q))
+        value = abs(complex(float(s[0]), float(s[1])))
+        roots.append((y[0], y[1], m * (value + e_s) / abs(complex(float(ds[0]), float(ds[1])))))
+    return roots
+
+
+def _separation(roots) -> float:
+    """The least |rho_r - rho_s| / max(|rho_r|, |rho_s|) over pairs of roots."""
+    return min(
+        (abs(a - b) / max(abs(a), abs(b)) for i, a in enumerate(roots) for b in roots[:i]),
+        default=math.inf,
+    )
+
+
+def _laurent(d: int, r: int, roots: list, centres: list) -> tuple[tuple, tuple, float]:
+    """The partial-fraction weights of pole r of G = prod_s (1 - rho_s x)^-(d+1).
+
+    With y = 1 - rho_r x and q_s = rho_s/rho_r, each other factor is
+    (1 - q_s + q_s y)^-(d+1) = (1 - q_s)^-(d+1) sum_m C(d+m, m) (-beta_s)^m y^m,
+    beta_s = q_s/(1 - q_s), so the coefficient phi_m of y^m in their product,
+    m = 0..d, weighs (1 - rho_r x)^-(d+1-m), which adds C(n + d - m, d - m)
+    rho_r^n to h_n: the Laurent expansion of the (d+1)-fold pole, formed at
+    the context's precision from ``roots`` and rounded once.  Returns
+    (weights, majorants, spread): the majorants are the same product with
+    every term's modulus, taken from the double ``centres``.  A root moved by
+    its radius moves q_s by dq_s <= (radius_s + |q_s| radius_r)/|rho_r|, and
+    so each product term by at most (2d + 1) dq_s (1/|1 - q_s| + 1/|q_s|) of
+    its modulus to first order; the spread adds 8 (D + d)(d + 1) decimal
+    units for the arithmetic, D the number of poles.
+    """
+    rho, one = roots[r][:2], (Decimal(1), Decimal(0))
+    series, bounds = None, [1.0] + [0.0] * d
+    spread = 8.0 * (len(roots) + d) * (d + 1) * _DECIMAL_UNIT
+    for s, (re, im, radius) in enumerate(roots):
+        if s == r:
+            continue
+        q = _cdiv((re, im), rho)
+        inv = _cdiv(one, (1 - q[0], -q[1]))
+        beta, term = _cmul(q, inv), inv
+        for _ in range(d):
+            term = _cmul(term, inv)
+        terms = [term]
+        for m in range(1, d + 1):
+            term = _cmul(term, beta)
+            term = (-term[0] * (d + m) / m, -term[1] * (d + m) / m)
+            terms.append(term)
+        if series is None:
+            series = terms
+        else:
+            products = [[_cmul(a, b) for b in terms] for a in series]
+            series = [
+                (sum(products[i][m - i][0] for i in range(m + 1)),
+                 sum(products[i][m - i][1] for i in range(m + 1)))
+                for m in range(d + 1)
+            ]
+        q_f = centres[s] / centres[r]
+        a_q, a_inv = abs(q_f), 1.0 / abs(1.0 - q_f)
+        sizes = [a_inv ** (d + 1) * math.comb(d + m, m) * (a_q * a_inv) ** m for m in range(d + 1)]
+        bounds = [sum(bounds[i] * sizes[m - i] for i in range(m + 1)) for m in range(d + 1)]
+        dq = (radius + a_q * roots[r][2]) / abs(centres[r])
+        spread += (2 * d + 1) * dq * (a_inv + 1.0 / a_q)
+    weights = tuple(complex(float(re), float(im)) for re, im in series or [one] + [(0, 0)] * d)
+    return weights, tuple(bounds), spread
+
+
+def _poles(d: int, moments: tuple) -> list | None:
+    """The poles of G(x) = sum_n h_n x^n = p_t(x)^-(d+1), p_t(x) = 1 - sum_w
+    c_w x^w, for ``moments`` ((w, c_w), ...) as `_merged_moments` gives them.
+
+    With D the largest w whose c_w > 0, p_t(x) = (1 - x) sum_{m<D} Q_m x^m,
+    Q_m = sum_{w>m} c_w (sums of positive moments, no cancellation), so p_t
+    = prod_rho (1 - rho x) over rho = 1 and the D - 1 roots of S(y) =
+    sum_m Q_m y^(D-1-m) (`_polished_roots`), all with |rho| <= 1.  The root
+    1 is exact for moments that sum to 1; the decimal moments sum to 1
+    within 2 D decimal units, which moves it by at most that (p_t'(1) <= -1).
+    None when two poles are closer than `_ROOT_SEPARATION` or their discs
+    meet.
+    """
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        top = max(w for w, c in moments if c > 0)
+        tails = [sum((c for w, c in moments if w > m), Decimal(0)) for m in range(top)]
+        roots = _polished_roots(tails)
+        if roots is None:
+            return None
+        roots = [(Decimal(1), Decimal(0), 2 * top * _DECIMAL_UNIT)] + roots
+        centres = [complex(float(re), float(im)) for re, im, _ in roots]
+        gap = min((abs(a - b) for i, a in enumerate(centres) for b in centres[:i]), default=math.inf)
+        if _separation(centres) < _ROOT_SEPARATION or max(x for _, _, x in roots) > gap / 4:
+            return None
+        poles = []
+        for r, (re, im, radius) in enumerate(roots):
+            log_modulus, arg = _log_polar(re, im) if r else (Decimal(0), Decimal(0))
+            weights, majorants, spread = _laurent(d, r, roots, centres)
+            # |d log rho| <= |d rho|/(|rho| - |d rho|), and the decimal steps
+            error = radius / (abs(centres[r]) - radius)
+            error += 8 * _DECIMAL_UNIT * (1 + abs(float(log_modulus)) + abs(float(arg)))
+            poles.append(_Pole(log_modulus, arg, weights, majorants, error, spread))
+    return poles
+
+
+def _merged_moments(weights, row) -> tuple:
+    """One row's moments summed per distinct weight and divided by their
+    total at `_DECIMAL_DIGITS` digits: ((w, c_w), ...) by increasing w.  A
+    double is taken exactly, a decimal (`_chart_moments`) as it is."""
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        merged: dict = {}
+        for w, x in zip(weights, row):
+            merged[w] = merged.get(w, 0) + Decimal(x)
+        total = sum(merged.values())
+        return tuple((w, merged[w] / total) for w in sorted(merged))
+
+
+def _sphere_moments(model: ProjectiveModel, points) -> np.ndarray:
+    """|z_i|^2 of each point, one row per point: the pole path's input check
+    refuses (InputError) a point with the wrong number of coordinates, and a
+    zero or non-finite one, before any row is summed."""
+    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    if pts.ndim != 2 or pts.shape[1] != model.dim + 1:
+        raise InputError(
+            f"a point of the weights {model.weights} has {model.dim + 1} coordinates, "
+            f"got an array of shape {np.shape(points)}"
+        )
+    t = np.abs(pts) ** 2
+    mass = t.sum(axis=1)
+    if not (np.isfinite(mass) & (mass > 0)).all():
+        raise InputError("a kernel point must be finite and nonzero")
+    return t
 
 
 def _normal_moments(d: int) -> tuple[list, list]:
@@ -630,54 +867,73 @@ def _binomial_moments(weights, mu, sigma: float, moments):
     return total
 
 
-def _aliases(half_turns: int, tau0: float, eps: float, f: float) -> tuple[list, list]:
-    """The aliases theta_k = phi + tau0 - 2 pi k of a pole at arg phi =
-    ``half_turns`` pi: every (k, theta_k, turn_k) whose gaussian factor
-    exp(-theta_k^2/(2 eps^2)) lies within exp(-`_GAUSS_FAR`^2/2) of the
-    largest, the reach of the window cut's factors, and the first theta_k
-    beyond on each side.  theta_k and turn_k = (phi - 2 pi k) f, reduced to
-    [-pi, pi], are formed in ``_DECIMAL_DIGITS``-digit decimal with `_PI` and
-    rounded once, so neither loses digits to a large tau0 or k."""
+def _aliases(pole: _Pole, win: Window, lam: float) -> tuple[list, list]:
+    """The aliases theta_k = phi + tau0 - 2 pi k of ``pole`` (phi its arg):
+    every k whose gaussian factor exp(-theta_k^2/(2 eps^2)) lies within
+    exp(-`_GAUSS_FAR`^2/2) of the largest, the reach of the window cut's
+    factors, and the first theta_k beyond on each side.
+
+    For each kept alias the inputs of its term are formed at
+    `_DECIMAL_DIGITS` digits from the decimal log |rho| = L and phi: with c =
+    round(lam) and f = lam - c (exact),
+
+        X    = lam L + (L^2 - theta^2)/(2 eps^2),
+        turn = c phi + f (phi - 2 pi k) + L theta/eps^2   (mod 2 pi; 2 pi k c drops),
+        mu   = lam + L/eps^2 + i theta/eps^2,
+
+    and each is rounded once, X and turn as a double and the double of what
+    that rounding left.  Returns the kept (theta, X, X_lo, turn, turn_lo, mu,
+    size), size the sum of the moduli of their parts, and the theta beyond."""
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
-        phi, two_pi = half_turns * _PI, 2 * _PI
-        theta0 = phi + Decimal(tau0)
+        two_pi, log_modulus, phi = 2 * _PI, pole.log_modulus, pole.arg
+        eps2, c = Decimal(win.eps) ** 2, round(lam)
+        lam_d = Decimal(lam)
+        f, spin = lam_d - c, c * phi
+        grow, shift = lam_d * log_modulus + log_modulus * log_modulus / (2 * eps2), log_modulus / eps2
+        theta0 = phi + Decimal(win.tau0)
+        centre = float(lam_d + shift)
+        L, arg, inv, f_f = float(log_modulus), float(phi), 1.0 / win.eps**2, lam - c
 
-        def alias(k):
-            turn = (phi - two_pi * k) * Decimal(f)
+        def alias(k, theta, th):
+            x = grow - theta * theta / (2 * eps2)
+            turn = spin + f * (phi - two_pi * k) + shift * theta
             turn -= two_pi * (turn / two_pi).to_integral_value()
-            return k, float(theta0 - two_pi * k), float(turn)
+            x_hi, turn_hi = float(x), float(turn)
+            size = (abs(lam * L) + 0.5 * (L * L + th * th) * inv + abs(c * arg)
+                    + abs(f_f) * abs(arg - 2.0 * math.pi * k) + abs(L * th) * inv)
+            lows = float(x - Decimal(x_hi)), float(turn - Decimal(turn_hi))
+            return th, x_hi, lows[0], turn_hi, lows[1], complex(centre, float(theta / eps2)), size
 
         k0 = int((theta0 / two_pi).to_integral_value())
-        reach = alias(k0)[1] ** 2 + (eps * _GAUSS_FAR) ** 2
+        reach = float(theta0 - two_pi * k0) ** 2 + (win.eps * _GAUSS_FAR) ** 2
         kept, beyond = [], []
         for k, step in ((k0, 1), (k0 - 1, -1)):
-            while (term := alias(k))[1] ** 2 <= reach:
-                kept.append(term)
+            while (th := float(theta := theta0 - two_pi * k)) ** 2 <= reach:
+                kept.append(alias(k, theta, th))
                 k += step
-            beyond.append(term[1])
+            beyond.append(th)
     return kept, beyond
 
 
-def _pole_sum(d: int, win: Window, lam: float, pole):
+def _pole_sum(d: int, win: Window, lam: float, pole: _Pole):
     """One pole's Poisson terms: (value, parts, remainder), ``parts`` the
     (majorant, rounding units) of each kept term (`_closed_form_diagonal`)."""
-    L, half_turns, weights, sign = pole
     u, eps = 2.0**-53, win.eps
     inv = 1.0 / eps**2
     signed, absolute = _normal_moments(d)
+    L = float(pole.log_modulus)
     centre = lam + L * inv
-    f = lam - round(lam)
 
     def majorant(theta, slack=0.0):
         """A bound on the modulus of the alias at theta, 2 pi e^{Re X} times E
-        of P with |mu| + |Z|/eps + l in every factor; ``slack`` widens
-        |Im mu| eps^2 by its rounding error."""
+        of P with the majorant weights and |mu| + |Z|/eps + l in every factor;
+        ``slack`` widens |Im mu| eps^2 by its error."""
         grow = lam * L + 0.5 * (L * L - theta * theta) * inv
         base = abs(centre) + (abs(theta) + slack) * inv
-        return 2.0 * math.pi * math.exp(grow) * _binomial_moments(weights, base, 1 / eps, absolute)
+        return 2.0 * math.pi * math.exp(grow) * _binomial_moments(pole.majorants, base, 1 / eps, absolute)
 
-    kept, beyond = _aliases(half_turns, win.tau0, eps, f)
+    kept, beyond = _aliases(pole, win, lam)
     remainder = 0.0
     for theta in beyond:  # the ratio of consecutive omitted majorants is at most q
         q = (1.0 + 2.0 * math.pi / abs(theta)) ** d
@@ -686,86 +942,86 @@ def _pole_sum(d: int, win: Window, lam: float, pole):
             raise OverflowError("the omitted aliases do not decay")
         remainder += majorant(theta) / (1.0 - q)
     value, parts = 0j, []
-    for k, theta, reduced in kept:
-        grow = lam * L + 0.5 * (L * L - theta * theta) * inv
-        turn = reduced + L * theta * inv
-        poly = _binomial_moments(weights, complex(centre, theta * inv), 1 / eps, signed)
-        rotor = complex(math.cos(turn), math.sin(turn))
-        value += sign * 2.0 * math.pi * math.exp(grow) * rotor * poly
-        e_theta = u * abs(theta) + 4 * _DECIMAL_UNIT * (abs(win.tau0) + 2.0 * math.pi * abs(k) + 7)
-        e_mu = 4.0 * u * (abs(lam) + abs(L) * inv) + (3.0 * u * abs(theta) + e_theta) * inv
-        size = (abs(lam * L) + 0.5 * (L * L + theta * theta) * inv
-                + abs(reduced) + abs(L * theta) * inv)
-        slack = e_theta + e_mu * eps**2
+    for theta, x, x_lo, turn, turn_lo, mu, size in kept:
+        poly = _binomial_moments(pole.weights, mu, 1 / eps, signed)
+        rotor = complex(math.cos(turn), math.sin(turn)) * complex(1.0, turn_lo)
+        value += 2.0 * math.pi * math.exp(x) * (1.0 + x_lo) * rotor * poly
+        # the decimal errors of X and turn: from L and phi (the pole's error)
+        # and from the steps that formed them
+        e_dec = (2.0 * abs(lam) + 1.0 + 2.0 * (abs(L) + abs(theta)) * inv) * pole.error
+        e_dec += 16 * _DECIMAL_UNIT * size
+        e_mu = u * (abs(mu.real) + abs(mu.imag)) + 2.0 * pole.error * inv
+        e_mu += 4 * _DECIMAL_UNIT * (abs(lam) + (abs(L) + abs(theta)) * inv)
+        slack = e_mu * eps**2
         base = abs(centre) + (abs(theta) + slack) * inv
-        units = (8.0 * size + (abs(theta) + abs(L)) * e_theta * inv / u
-                 + (d * e_mu / base / u if base else 0.0) + 8 * d + 20)
+        units = (8 * d + 34 + u * x * x + (e_dec + pole.spread) / u
+                 + (d * e_mu / base / u if base else 0.0))
         parts.append((majorant(theta, slack), units))
     return value, parts, remainder
 
 
-def _negative_tail(d: int, win: Window, lam: float, a_w, b_w, log_t: float):
-    """sum over n <= -deg Q of F(n) chihat(lam - n), F(n) = sum_j (a_j +
-    (-T)^n b_j) C(n + d - j, d - j) continuing h_n; Q, the denominator of
-    the generating function, has degree 2(d+1), or d+1 when T = 0 (``b_w``
-    None).  Summed while lam - n <= `_GAUSS_FAR`/eps and bounded
-    geometrically beyond: (value, parts, remainder) as `_pole_sum` returns them."""
-    top = -(d + 1) * (1 if b_w is None else 2)
-    first = min(top, math.floor(lam - _GAUSS_FAR / win.eps))  # the first n bounded
-    n = np.arange(top, first - 1, -1, dtype=float)
+def _negative_tail(d: int, win: Window, lam: float, poles: list, top: int):
+    """sum over n <= -(d+1) ``top`` of F(n) chihat(lam - n), F(n) = sum over
+    ``poles`` of rho^n P(n) continuing h_n; (d+1) top is the degree of Q =
+    p_t^(d+1), the generating function's denominator.  Summed while lam - n
+    <= `_GAUSS_FAR`/eps and bounded geometrically beyond: (value, parts,
+    remainder) as `_pole_sum` returns them."""
+    first_n = -(d + 1) * top
+    first = min(first_n, math.floor(lam - _GAUSS_FAR / win.eps))  # the first n bounded
+    n = np.arange(first_n, first - 1, -1, dtype=float)
     s = lam - n
     binomials = [np.ones_like(n)]
     for m in range(1, d + 1):
         binomials.append(binomials[-1] * (n + m) / m)
-    growth = n * log_t  # log T^n >= 0
+    value, size = np.zeros(n.size, dtype=complex), np.zeros(n.size)
+    logs = [(float(p.log_modulus), float(p.arg), p) for p in poles]
     with np.errstate(over="ignore", invalid="ignore"):
-        power = np.exp(growth)
-        value = sum(a * binomials[d - j] for j, a in enumerate(a_w))
-        size = sum(a * np.abs(binomials[d - j]) for j, a in enumerate(a_w))
-        if b_w is not None:
-            value = value + np.where(n % 2, -power, power) * sum(
-                b * binomials[d - j] for j, b in enumerate(b_w)
+        for L, arg, pole in logs:
+            power = np.exp(n * L)  # |rho|^n >= 1
+            value += power * np.exp(1j * n * arg) * sum(
+                a * binomials[d - j] for j, a in enumerate(pole.weights)
             )
-            size = size + power * sum(b * np.abs(binomials[d - j]) for j, b in enumerate(b_w))
+            size += power * sum(m * np.abs(binomials[d - j]) for j, m in enumerate(pole.majorants))
         size = size * win.fourier_envelope(s)
-    # the majorant's ratio from n to n - 1: at most (1/T) |n|/(|n| - d) exp(-eps^2 (2s + 1)/2)
-    q = math.exp(-log_t - 0.5 * win.eps**2 * (2.0 * s[-1] + 1.0)) * first / (first + d)
+    # the majorant's ratio from n to n - 1: at most max 1/|rho| |n|/(|n| - d) exp(-eps^2 (2s + 1)/2)
+    lowest = min(L for L, _, _ in logs)
+    q = math.exp(-lowest - 0.5 * win.eps**2 * (2.0 * s[-1] + 1.0)) * first / (first + d)
     if not (np.isfinite(size).all() and q < 1.0):
         raise OverflowError("the negative tail does not decay")
     remainder = float(size[-1] / (1.0 - q))
-    n, s, value, size, growth = n[:-1], s[:-1], value[:-1], size[:-1], growth[:-1]
+    n, s, value, size = n[:-1], s[:-1], value[:-1], size[:-1]
     total = complex(np.sum(value * win.fourier(s))) if n.size else 0j
-    units = 4 * d + 14 + 2.0 * growth + 4.0 * (win.eps * s) ** 2 + 2.0 * abs(win.tau0) * s
+    phase = max(abs(L) + abs(arg) + pole.error for L, arg, pole in logs)
+    spread = max(pole.spread for pole in poles)
+    units = (4 * d + 16 + 2.0 * np.abs(n) * phase + spread / 2.0**-53
+             + 4.0 * (win.eps * s) ** 2 + 2.0 * abs(win.tau0) * s)
     return total, list(zip(size.tolist(), units.tolist())), remainder
 
 
 def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol: float):
-    """Kernel rows in closed form, for a gaussian window on weights in {1, 2}:
+    """Kernel rows in closed form for the gaussian window, on any weights:
     values, remainders and rounding bounds, and the mask of rows taken.
 
-    ``t`` holds each row's moments |z_i|^2.  The closed form evaluates the
-    kernel at the sphere point z/|z|: t1 and T = t2 are the moment sums over
-    the coordinates of weight 1 and 2 divided by |z|^2, and T = 1 - t1 holds
-    exactly in the formula, while the eigen-sum sums the series of t as given,
-    whose moments sum to 1 only up to rounding (h_n grows like (sum t)^n).
+    ``t`` holds each row's moments, doubles |z_i|^2 or the decimals of
+    `_chart_moments`.  The closed form evaluates the kernel at the sphere
+    point: `_merged_moments` sums them per weight and divides by their total
+    at `_DECIMAL_DIGITS` digits, so sum_w c_w = 1 holds in the formula, while
+    the eigen-sum sums the series of t as given (h_n grows like (sum t)^n).
 
-    **Derivation.**  With t1 + T = 1, 1 - t1 x - T x^2 = (1 - x)(1 + T x), so
-    G(x) = sum_n h_n x^n = (1 - x)^-(d+1) (1 + T x)^-(d+1) has two poles, and
-    partial fractions (`_pole_weights`) give h_n = A(n) + (-T)^n B(n), n >= 0:
+    **Derivation.**  G(x) = sum_n h_n x^n = p_t(x)^-(d+1) with p_t(x) = 1 -
+    sum_w c_w x^w = prod_rho (1 - rho x): rho = 1 and the other roots
+    (`_poles`, all with |rho| <= 1).  Partial fractions at each
+    (d+1)-fold pole (`_laurent`) give h_n = sum_rho rho^n P_rho(n) for n >=
+    0, deg P_rho <= d.  G is proper with a denominator of degree (d+1) D, D
+    the largest weight with c_w > 0, so the continuation F(n) of that formula
+    vanishes for -(d+1) D < n < 0 (R. P. Stanley, Enumerative Combinatorics
+    1, Prop. 4.2.3), and the row is the sum of F(n) chihat(lam - n) over all
+    integers less the n <= -(d+1) D.  Poisson summation against chihat(s) =
+    eps sqrt(2 pi) exp(-eps^2 s^2/2 - i s tau0) turns a pole's rho^n P(n),
+    log rho = L + i phi, into aliases
 
-        A(n) = sum_j C(d+j, j) (1+T)^-(d+1) (T/(1+T))^j C(n+d-j, d-j),
-        B(n) = sum_j C(d+j, j) (T/(1+T))^(d+1) (1+T)^-j C(n+d-j, d-j).
-
-    G is proper with a denominator Q of degree 2(d+1) (d+1 when T = 0), so
-    the continuation F(n) of that formula vanishes for -deg Q < n < 0 (R. P.
-    Stanley, Enumerative Combinatorics 1, Prop. 4.2.3), and the row is the
-    sum of F(n) chihat(lam - n) over all integers less the n <= -deg Q.
-    Poisson summation against chihat(s) = eps sqrt(2 pi) exp(-eps^2 s^2/2 -
-    i s tau0) turns a pole's rho^n P(n) (rho = 1 with A; log rho = log T +
-    i pi with B) into aliases
-
-        2 pi e^{lam (log rho - 2 pi i k)} e^{a^2/(2 eps^2)} E[P(lam + a/eps^2 + Z/eps)],
-        a = log rho + i theta_k,   theta_k = arg rho + tau0 - 2 pi k,
+        2 pi e^{lam (L + i phi - 2 pi i k)} e^{a^2/(2 eps^2)} E[P(lam + a/eps^2 + Z/eps)],
+        a = L + i theta_k,   theta_k = phi + tau0 - 2 pi k,
 
     by completing the square and shifting the contour; Z is standard normal
     and E a gaussian moment sum of degree d (`_binomial_moments`).  The
@@ -774,70 +1030,72 @@ def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol
     (1 + 2 pi/|theta|)^d e^{-2 pi (|theta| + pi)/eps^2}, a geometric bound.
     The subtracted n are summed while lam - n <= `_GAUSS_FAR`/eps and bounded
     geometrically beyond (`_negative_tail`).  Both bounds make the row's
-    remainder.  A row costs O(d^2) per alias and O(1/eps) tail terms at any
+    remainder.  A row costs O(D d^2) per alias and O(1/eps) tail terms at any
     lam, no table of h_n and no decimal pass.
 
-    **Accuracy rules.**  log T is log1p(-t1) while t1 <= 1/2, never the log
-    of a rounded T near 1 (else log T).  The phase is reduced exactly: with
-    c = round(lam) and f = lam - c (exact), e^{i lam (arg rho - 2 pi k)} =
-    (rho/|rho|)^c e^{i f (arg rho - 2 pi k)}, so no argument grows with lam,
-    and `_aliases` forms theta_k and f (arg rho - 2 pi k) mod 2 pi in
-    decimal, so none grows with tau0 or k.
+    **Accuracy rules.**  Every input of a term's exponent is formed past
+    double and rounded once: the moments (exactly from the chart radius on a
+    coordinate chart, `_chart_moments`), the roots (Newton-polished, with an
+    enclosure), L and phi, and then X = lam L + (L^2 - theta^2)/(2 eps^2),
+    the turn c phi + f (phi - 2 pi k) + L theta/eps^2 reduced mod 2 pi (c =
+    round(lam), f = lam - c, so 2 pi k c drops exactly) and the centre mu,
+    all at `_DECIMAL_DIGITS` digits (`_aliases`).  X and the turn are split
+    into a double and the double of its rounding error, so e^X is e^{X_hi}
+    (1 + X_lo) and the rotor cis(turn_hi) (1 + i turn_lo): no term loses
+    digits to |X|, lam, tau0 or k.
 
     **Rounding** (first order, u = 2^-53; N. J. Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, ch. 3).  A kept alias is 2 pi
-    (+-1) e^X E with X formed from lam, log T, theta and f in a few
-    operations: X is off by 8u |X|_+ (|X|_+ the sum of the moduli of its
-    parts, log T's own error included) plus (|theta| + |log T|) e_theta/eps^2,
-    theta being off by e_theta <= u |theta| (its rounding to double) plus
-    four decimal roundings of numbers below |tau0| + 2 pi |k| + 7;
-    exp, cos, sin and the products add a few u.  E's centre mu is off by
-    e_mu <= 4u (|lam| + |log T|/eps^2) + (3u |theta| + e_theta)/eps^2.  E
-    multiplies out d linear factors mu + l + y and sums against the moments,
-    each operation off by u and each factor by e_mu + u |mu + l|, so E is off
-    by ((8d + 20) u + d e_mu/|mu|_+) Ebar, Ebar being E with |mu|_+ + l in
-    every factor and the moments E|Z|^i: the term's majorant, which also
-    bounds its modulus.  A subtracted term carries (4d + 14 + 2 |n log T| +
-    8x + 2 |tau0| s) u, as in `_rounding_bounds`.  Summing N terms and the
-    factor d!/pi^d add (N + 2d + 4) u per term; a factor 2 takes up the
-    sqrt(2) of complex sums and the second-order terms:
+    e^{X_hi} (1 + X_lo) rotor E.  exp, cos and sin are within a unit each,
+    the first-order corrections and the four products within 14 more, and
+    the corrections leave u X^2 (second order, charged).  The decimal inputs
+    are off by e_dec <= (2 |lam| + 1 + 2 (|L| + |theta|)/eps^2) e_pole (e_pole
+    the pole's error in L and phi) plus 16 decimal units of the moduli of
+    their parts, charged e_dec/u.  mu is off by e_mu <= u (|Re mu| + |Im mu|)
+    plus its decimal error.  E multiplies out d linear factors mu + l + y and
+    sums against the moments, each operation off by u and each factor by e_mu
+    + u |mu + l|, so E is off by ((8d + 20) u + d e_mu/|mu|_+) Ebar, Ebar
+    being E with the majorant weights, |mu|_+ + l in every factor and the
+    moments E|Z|^i: the term's majorant, which also bounds its modulus; the
+    weights add one unit for their rounding and the pole's spread.  A
+    subtracted term carries (4d + 16 + 2 |n| (|L| + |phi| + e_pole) + 8x + 2
+    |tau0| s + spread/u) u over the poles, as in `_rounding_bounds`.  Summing
+    N terms and the factor d!/pi^d add (N + 2d + 4) u per term; a factor 2
+    takes up the sqrt(2) of complex sums and the second-order terms:
 
         rho = 2u sum_terms (units + N + 2d + 4) majorant.
 
-    **Scope and fallback.**  A row is taken when the window is gaussian,
-    every weight is 1 or 2, nothing overflows, the negative tail decays, the
-    closed form's own kappa = sum majorants / |value|, the subtracted tail
-    included, is at most `_CLOSED_FORM_KAPPA`, and the remainder meets
-    min(tail_tol, u sum majorants).  That turns away rows whose B-pole centre
-    lam + log T/eps^2 lies below 0 (T well below 1 at small lam), where the
-    Poisson sum cancels against the tail.  `_DOUBLE_KAPPA_BOUND` (kappa up to
-    about 900) would let such a row keep only 13 digits where its eigen-sum,
-    whose terms may not cancel at all, keeps more: a (1, 2, 2) row at tau0 =
-    0, lam = 0 with kappa 840 was 8.7e-14 off.  Every row it does not take is
-    summed by `_eigen_sum_diagonal`.
+    **Scope and fallback.**  A row is taken when the window is gaussian, its
+    poles are separated (`_ROOT_SEPARATION`, with disjoint enclosures),
+    nothing overflows, the negative tail decays, the closed form's own kappa
+    = sum majorants / |value|, the subtracted tail included, is at most
+    `_CLOSED_FORM_KAPPA`, and the remainder meets min(tail_tol, u sum
+    majorants).  That turns away rows whose poles cancel each other or the
+    tail (a pole of modulus well below 1 at small lam), where a kappa near
+    `_DOUBLE_KAPPA_BOUND`'s 900 would keep only 13 digits while the
+    eigen-sum, whose terms may not cancel at all, keeps more: a (1, 2, 2) row
+    at tau0 = 0, lam = 0 with kappa 840 was 8.7e-14 off.  Every row it does
+    not take is summed by `_eigen_sum_diagonal`.
     """
     values = np.zeros(lams.size, dtype=complex)
     remainders, bounds = np.zeros(lams.size), np.zeros(lams.size)
     taken = np.zeros(lams.size, dtype=bool)
-    weights = np.asarray(model.weights)
-    if win.shape != "gaussian" or not np.isin(weights, (1, 2)).all():
+    if win.shape != "gaussian":
         return values, remainders, bounds, taken
     d, u = model.dim, 2.0**-53
     scale = math.factorial(d) / math.pi**d
-    mass = t.sum(axis=1)
-    t1 = t[:, weights == 1].sum(axis=1) / mass
-    t2 = t[:, weights == 2].sum(axis=1) / mass
-    for i, (lam, x1, x2) in enumerate(zip(lams.tolist(), t1.tolist(), t2.tolist())):
-        a_w, b_w = _pole_weights(d, x2)
-        log_t = (math.log1p(-x1) if x1 <= 0.5 else math.log(x2)) if x2 > 0.0 else 0.0
+    known: dict = {}  # rows at the same moments (a parity pair) share their poles
+    for i, (lam, row) in enumerate(zip(lams.tolist(), t)):
         try:
-            # per pole: log |rho|, arg rho in half turns, weights and (rho/|rho|)^round(lam)
-            poles = [(0.0, 0, a_w, 1.0)]
-            if x2 > 0.0:
-                poles.append((log_t, 1, b_w, -1.0 if round(lam) % 2 else 1.0))
+            moments = _merged_moments(model.weights, row)
+            if moments not in known:
+                known[moments] = _poles(d, moments)
+            poles = known[moments]
+            if poles is None:
+                continue
             sums = [_pole_sum(d, win, lam, pole) for pole in poles]
-            tail = _negative_tail(d, win, lam, a_w, b_w if x2 > 0.0 else None, log_t)
-        except (OverflowError, ValueError):  # a term overflows, or lam is not finite
+            tail = _negative_tail(d, win, lam, poles, max(w for w, c in moments if c > 0))
+        except (OverflowError, ValueError):  # a term overflows, or a pole underflows double
             continue
         value = sum(v for v, _, _ in sums) - tail[0]
         parts = [p for _, ps, _ in sums for p in ps] + tail[1]
@@ -861,16 +1119,21 @@ def _diagonal_values(
     lams: np.ndarray,
     points: np.ndarray,
     tail_tol: float,
+    moments: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact diagonal at paired (lam_i, point_i): the values, their
     remainders and rounding bounds, and each row's arithmetic: "closed-form"
     (`_closed_form_diagonal`), else "double" or "decimal" from
-    `_eigen_sum_diagonal`.  A tau0 past `_check_tau0`'s limit refuses
-    before either runs."""
+    `_eigen_sum_diagonal`.  ``moments``, when given, holds each point's
+    decimal moments (`_chart_moments`) for the closed form; the eigen-sum
+    reads the points.  A tau0 past `_check_tau0`'s limit, a non-finite lam
+    and a malformed point (`_sphere_moments`) refuse before either runs."""
     _check_tau0(win)
-    t = np.abs(np.atleast_2d(np.asarray(points, dtype=complex))) ** 2
-    lams = np.broadcast_to(np.asarray(lams, dtype=float), (t.shape[0],))
-    values, remainders, bounds, taken = _closed_form_diagonal(model, win, lams, t, tail_tol)
+    t = _sphere_moments(model, points)
+    lams = _check_lambdas(np.broadcast_to(np.asarray(lams, dtype=float), (t.shape[0],)))
+    values, remainders, bounds, taken = _closed_form_diagonal(
+        model, win, lams, t if moments is None else moments, tail_tol
+    )
     precision = np.full(lams.size, "closed-form", dtype=object)
     rest = np.flatnonzero(~taken)
     if rest.size:
@@ -926,9 +1189,7 @@ def smoothed_kernel_diagonal(
     the window cut truncates it (see the module docstring).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    values, remainders, _, _ = _diagonal_values(
-        model, win, np.full(pts.shape[0], float(lam)), pts, tail_tol
-    )
+    values, remainders, _, _ = _diagonal_values(model, win, float(lam), pts, tail_tol)
     return values, float(remainders.max(initial=0.0))
 
 
@@ -944,6 +1205,71 @@ def _chart_meta(chart: HeisenbergChart) -> dict:
         "index_set": list(chart.component.index_set),
         "normal_dim": chart.component.normal_dim,
     }
+
+
+def _chart_moments(chart: HeisenbergChart, direction, radii: list | None) -> list | None:
+    """The moments |z_i|^2 of the chart points at normal displacement r
+    u/|u| (u = ``direction``, a normal vector) for each r of ``radii``
+    (decimals), at `_DECIMAL_DIGITS` digits: cos^2 r on the centre's
+    coordinate, sin^2 r |u_j|^2/|u|^2 on the coordinate of normal frame row
+    j and 0 elsewhere, the great-circle chart's point exactly.  That holds
+    when the centre is a coordinate point and the normal rows are coordinate
+    vectors, as on every chart `harness._default_chart` builds.  Otherwise,
+    or when ``radii`` is None, u is not finite or some r > 2 (`_sin_cos`),
+    None: the rows take the moments of their double points."""
+    if radii is None or not np.isfinite(direction).all() or max(radii, default=0) > 2:
+        return None
+    rows = np.abs(np.vstack([chart.center, chart.frame[chart.n_tangent :]]))
+    axes = rows.argmax(axis=1)
+    if not np.array_equal(rows, np.eye(rows.shape[1])[axes]):
+        return None
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        sizes = [Decimal(x.real) ** 2 + Decimal(x.imag) ** 2 for x in np.ravel(direction).tolist()]
+        total = sum(sizes)
+        shares = [x / total if total else x for x in sizes]
+        out = []
+        for r in radii:
+            sin, cos = _sin_cos(r)
+            row = [Decimal(0)] * rows.shape[1]
+            row[axes[0]] = cos * cos
+            for j, share in zip(axes[1:].tolist(), shares):
+                row[j] = sin * sin * share
+            out.append(tuple(row))
+    return out
+
+
+def _displacement_radii(u, lams) -> list | None:
+    """|u|/sqrt(lam) per lam at `_DECIMAL_DIGITS` digits, the chart radius
+    of the scaled scans; None unless u is finite and every lam positive and
+    finite."""
+    lams = np.ravel(lams)
+    if not (np.isfinite(u).all() and np.isfinite(lams).all() and (lams > 0).all()):
+        return None
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        norm2 = sum(Decimal(x.real) ** 2 + Decimal(x.imag) ** 2 for x in np.ravel(u).tolist())
+        return [(norm2 / Decimal(lam)).sqrt() for lam in lams.tolist()]
+
+
+def _offlocus_radii(C: float, lams) -> list | None:
+    """2 C lam^(-7/18) per lam at `_DECIMAL_DIGITS` digits: from the double
+    power, two Newton steps y <- y (1 + (lam^-7 y^-18 - 1)/18) (quadratic,
+    error about 8.5 e^2: 3e-16 -> 1e-30 -> past 1e-40).
+    None unless C and every lam are finite and every lam positive."""
+    lams = np.ravel(lams)
+    if not (math.isfinite(C) and np.isfinite(lams).all() and (lams > 0).all()):
+        return None
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        out = []
+        for lam in lams.tolist():
+            x = Decimal(lam)
+            target, y = x**-7, Decimal(lam ** (-7.0 / 18.0))
+            for _ in range(2):
+                y += y * (target / y**18 - 1) / 18
+            out.append(2 * Decimal(C) * y)
+        return out
 
 
 def scaled_diagonal_scan(
@@ -965,7 +1291,10 @@ def scaled_diagonal_scan(
     u = np.asarray(u, dtype=complex)
     pred = local_prediction(model, chart, win)
     points = np.array([chart.normal_point(u / math.sqrt(l)) for l in lams])
-    exact, remainders, bounds, precision = _diagonal_values(model, win, lams, points, tail_tol)
+    moments = _chart_moments(chart, u, _displacement_radii(u, lams))
+    exact, remainders, bounds, precision = _diagonal_values(
+        model, win, lams, points, tail_tol, moments
+    )
     predicted = predict_local(pred, u, lams)
     meta = {
         "kind_detail": "scaled diagonal vs local leading term",
@@ -998,11 +1327,14 @@ def offlocus_decay_scan(
     the normalised modulus being fit.
     """
     lams = np.asarray(lambda_grid, dtype=float)
-    direction = np.eye(chart.normal_dim)[0] if direction is None else direction
-    direction = np.asarray(direction, dtype=complex) / np.linalg.norm(direction)
+    given = np.eye(chart.normal_dim)[0] if direction is None else direction
+    direction = np.asarray(given, dtype=complex) / np.linalg.norm(given)
     dist = 2.0 * C * lams ** (-7.0 / 18.0)
     points = np.array([chart.normal_point(r * direction) for r in dist])
-    exact, remainders, bounds, precision = _diagonal_values(model, win, lams, points, tail_tol)
+    moments = _chart_moments(chart, given, _offlocus_radii(C, lams))
+    exact, remainders, bounds, precision = _diagonal_values(
+        model, win, lams, points, tail_tol, moments
+    )
     predicted = ((lams / np.pi) ** model.dim).astype(complex)
     ratios = np.abs(exact) / np.abs(predicted)
     top = lams >= lams.max() / 2.0
@@ -1096,8 +1428,10 @@ def _parity_parts(model, win, chart, u, lams, tail_tol):
     u = np.asarray(u, dtype=complex)
     pts = [chart.normal_point(u / math.sqrt(lam)) for lam in lams]
     pts += [chart.normal_point(-u / math.sqrt(lam)) for lam in lams]
+    moments = _chart_moments(chart, u, _displacement_radii(u, lams))
     values, remainders, bounds, precision = _diagonal_values(
-        model, win, np.concatenate([lams, lams]), np.array(pts), tail_tol
+        model, win, np.concatenate([lams, lams]), np.array(pts), tail_tol,
+        None if moments is None else moments * 2,
     )
     n = len(lams)
     plus, minus = values[:n], values[n:]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .quadrature import gauss_legendre
 
 SHAPES = ("bump", "gaussian")
@@ -42,11 +43,11 @@ class Window:
 
     def __post_init__(self):
         if self.shape not in SHAPES:
-            raise ValueError(f"unknown window shape {self.shape!r}")
+            raise InputError(f"unknown window shape {self.shape!r}")
         if not 0 < self.eps < math.inf:
-            raise ValueError("window width must be positive and finite")
+            raise InputError("window width must be positive and finite")
         if not math.isfinite(self.tau0):
-            raise ValueError("window center must be finite")
+            raise InputError("window center must be finite")
 
     # -- time side ---------------------------------------------------------
 

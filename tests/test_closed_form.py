@@ -1,6 +1,7 @@
 """Kernel rows in closed form (`smoothing._closed_form_diagonal`) against the
 h_n recurrence, the window-cut eigen-sum and 50-digit mpmath sums."""
 
+import json
 import math
 
 import numpy as np
@@ -11,12 +12,18 @@ from hypothesis import strategies as st
 from tracelab import cli, smoothing
 from tracelab.asymptotics import local_prediction, predict_local
 from tracelab.geometry import heisenberg_chart, make_model
+from tracelab.harness import _default_chart
 from tracelab.smoothing import (
+    _chart_moments,
     _closed_form_diagonal,
     _diagonal_values,
+    _displacement_radii,
     _eigen_sum_diagonal,
     _h_table,
-    _pole_weights,
+    _merged_moments,
+    _offlocus_radii,
+    _poles,
+    offlocus_decay_scan,
     parity_scan,
 )
 from tracelab.windows import Window
@@ -61,17 +68,24 @@ def _kappa(weights, lam, eps, value):
 
 
 def _closed_form_h(weights, t, n):
-    """h_0..h_n from the partial fractions, with the size of their two parts."""
-    w = np.asarray(weights)
-    d, T = len(weights) - 1, float(t[w == 2].sum())
-    a, b = _pole_weights(d, T)
+    """h_0..h_n from the pole list's partial fractions, with the size of
+    each pole's part.  A pole's rho^k is taken as |rho|^k times (rho/|rho|)^k
+    by real and complex powers, not from the double log, so its phase keeps
+    full accuracy."""
+    d = len(weights) - 1
     k = np.arange(n + 1, dtype=float)
     binom = [np.ones_like(k)]
     for m in range(1, d + 1):
         binom.append(binom[-1] * (k + m) / m)
-    A = sum(aj * binom[d - j] for j, aj in enumerate(a))
-    B = sum(bj * binom[d - j] for j, bj in enumerate(b)) * (-T) ** k
-    return A + B, np.abs(A) + np.abs(B)
+    total, size = np.zeros(n + 1, dtype=complex), np.zeros(n + 1)
+    for pole in _poles(d, _merged_moments(weights, t)):
+        L, phi = float(pole.log_modulus), float(pole.arg)
+        turn = np.array([complex(math.cos(phi), math.sin(phi)) ** int(j) for j in k])
+        if phi == 0.0 or abs(phi) == math.pi:
+            turn = np.cos(phi) ** k
+        part = np.exp(L) ** k * turn * sum(a * binom[d - j] for j, a in enumerate(pole.weights))
+        total, size = total + part, size + np.abs(part)
+    return total.real, size
 
 
 @pytest.mark.parametrize("weights", [(1, 2), (1, 1, 2), (1, 2, 2), (1, 1, 1, 2)])
@@ -89,6 +103,152 @@ def test_closed_form_h_matches_h_table(weights):
         closed, parts = _closed_form_h(weights, t, n_max)
         tolerance = (d + 4) * n * U * table[:, i] + 64 * U * parts
         assert (np.abs(closed - table[:, i]) <= tolerance).all()
+
+
+@pytest.mark.parametrize("weights", [(1, 3), (2, 3), (1, 4), (1, 1, 3), (1, 2, 3), (2, 3, 5)])
+def test_pole_list_h_matches_h_table(weights):
+    # every weight vector: h_n = sum_rho rho^n P_rho(n) from the polished
+    # roots and the Laurent weights, against the recurrence, to the
+    # recurrence's rounding plus a few units per power step of each pole's part
+    rng = np.random.default_rng(sum(weights) + len(weights))
+    d, n_max = len(weights) - 1, 200
+    rows = [_dyadic_moments(rng, len(weights)) for _ in range(6)]
+    rows += [np.eye(len(weights))[0], np.eye(len(weights))[-1]]
+    table = _h_table(np.array(rows), weights, n_max)
+    n = np.arange(n_max + 1)
+    for i, t in enumerate(rows):
+        closed, parts = _closed_form_h(weights, t, n_max)
+        tolerance = (d + 4) * n * U * table[:, i] + 64 * (n + 1) * U * parts
+        assert (np.abs(closed - table[:, i]) <= tolerance).all(), (weights, t)
+
+
+def test_colliding_roots_fall_back_to_the_eigen_sum():
+    # (2, 3) at moments (3/4, 1/4): p_t(x) = (1 - x)(1 + x/2)^2 has a double
+    # root, so the poles are not separated and the eigen-sum sums the row; a
+    # nearby separated row is in closed form.  Both hold their bounds
+    model, win = make_model((2, 3)), Window("gaussian", np.pi, 0.1)
+    assert _poles(1, _merged_moments((2, 3), [0.75, 0.25])) is None
+    for t, label in (([0.75, 0.25], ["decimal"]), ([0.7, 0.3], ["closed-form"])):
+        pts = np.sqrt(np.array([t]))
+        values, rems, bounds, precision = _diagonal_values(model, win, np.array([60.0]), pts, 1e-10)
+        assert precision.tolist() == label
+        kappa = _kappa((2, 3), 60.0, 0.1, values[0])
+        ref, _ = _mp_diagonal((2, 3), np.abs(pts[0]) ** 2, 60.0, np.pi, 0.1, kappa)
+        assert abs(values[0] - ref) <= rems[0] + bounds[0]
+
+
+@pytest.mark.parametrize("weights", [(1, 3), (1, 2, 3)])
+def test_general_weight_offlocus_rows_against_fifty_digits(weights):
+    # tau0 = 2 pi/3, eps 0.1, normal distance 0.2-0.5 from the weight-3
+    # point, lambda 150 and 300: the eigen-sum cancels by up to 1e17 here
+    # (these rows were decimal eigen-sum rows); the closed form is within
+    # 1e-13 of a 50-digit sum and within its own remainder plus bound
+    model = make_model(weights)
+    win = Window("gaussian", 2 * np.pi / 3, 0.1)
+    chart = heisenberg_chart(model, np.eye(len(weights))[-1].astype(complex), win.tau0)
+    u = np.eye(chart.normal_dim)[0]
+    lams = np.repeat([150.0, 300.0], 4)
+    pts = np.array([chart.normal_point(r * u) for r in [0.2, 0.3, 0.4, 0.5] * 2])
+    values, rems, bounds, precision = _diagonal_values(model, win, lams, pts, 1e-10)
+    assert precision.tolist() == ["closed-form"] * 8
+    for lam, t, value, rem, bound in zip(lams, np.abs(pts) ** 2, values, rems, bounds):
+        ref, _ = _mp_diagonal(weights, t, lam, win.tau0, win.eps, _kappa(weights, lam, win.eps, value))
+        assert abs(value - ref) <= 1e-13 * abs(ref)
+        assert abs(value - ref) <= rem + bound < abs(value)
+
+
+@st.composite
+def _general_rows(draw):
+    """A model of 2-4 weights in 1..5, tau0 a period of one of its weights
+    or a midpoint, exact dyadic moments on the fixed coordinates of that
+    period (on the locus) or on every coordinate (off it), lambda and eps."""
+    weights = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=4)))
+    w = draw(st.sampled_from(weights))
+    j = draw(st.integers(-3, 3))
+    tau0 = 2 * np.pi * j / w + draw(st.sampled_from([0.0, np.pi / (2 * w)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fixed = [i for i, wi in enumerate(weights) if abs(math.remainder(tau0 * wi, 2 * np.pi)) < 1e-9]
+    support = fixed if (fixed and draw(st.booleans())) else list(range(len(weights)))
+    t = np.zeros(len(weights))
+    t[support] = _dyadic_moments(rng, len(support))
+    lam = draw(st.floats(20.0, 400.0))
+    eps = draw(st.floats(0.15, 0.5))
+    return weights, t, lam, Window("gaussian", tau0, eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(row=_general_rows())
+def test_closed_form_agrees_with_the_eigen_sum_on_general_weights(row):
+    # both sum the series at the same sphere point (moments summing to 1
+    # exactly): they agree within both remainders and rounding bounds
+    weights, t, lam, win = row
+    model = make_model(weights)
+    lams, ts = np.array([lam]), t[None, :]
+    value, rem, bound, taken = _closed_form_diagonal(model, win, lams, ts, 1e-10)
+    if not taken[0]:
+        return  # an eigen-sum row
+    other, other_rem, other_bound, _ = _eigen_sum_diagonal(model, win, lams, ts, 1e-10)
+    assert abs(value[0] - other[0]) <= rem[0] + bound[0] + other_rem[0] + other_bound[0]
+
+
+def test_general_weight_rows_at_a_million_need_no_coefficient_table(monkeypatch):
+    # a (1, 3) row at t = (0.7, 0.3) took 14.4 s at lambda = 1e6 as an
+    # eigen-sum; in closed form it builds no h_n table at any lambda
+    def refuse(*args):
+        raise AssertionError("an h_n table was built")
+
+    monkeypatch.setattr(smoothing, "_h_table", refuse)
+    monkeypatch.setattr(smoothing, "_decimal_h", refuse)
+    win = Window("gaussian", 2 * np.pi / 3, 0.15)
+    for weights, t in (((1, 3), [0.7, 0.3]), ((1, 2, 3), [0.5, 0.2, 0.3])):
+        pts = np.sqrt(np.array([t]))
+        for lam in (1e3, 1e6):
+            values, rems, bounds, precision = _diagonal_values(
+                make_model(weights), win, np.array([lam]), pts, 1e-10
+            )
+            assert precision.tolist() == ["closed-form"]
+            assert abs(values[0]) > 0 and 0.0 <= rems[0] <= 1e-10 * abs(values[0])
+            assert 0.0 < bounds[0] < 1e-12 * abs(values[0])
+
+
+@pytest.mark.parametrize(
+    "weights, tau0, u",
+    [((1, 2), np.pi, [0.5]), ((1, 1, 2), np.pi, [0.5, 0.25j]), ((1, 2, 3), 2 * np.pi / 3, [0.3, -0.4])],
+)
+def test_chart_moments_are_the_chart_points_moments(weights, tau0, u):
+    # on a default chart the decimal moments, rounded, are the moments of
+    # the double chart points, to a few units of rounding in those points
+    model = make_model(weights)
+    chart = _default_chart(model, tau0, None)
+    u = np.array(u, dtype=complex)
+    lams = np.array([50.0, 300.0, 1e6])
+    rows = _chart_moments(chart, u, _displacement_radii(u, lams))
+    for row, lam in zip(rows, lams):
+        assert math.isclose(sum(map(float, row)), 1.0, rel_tol=1e-15)
+        t = np.abs(chart.normal_point(u / math.sqrt(lam))) ** 2
+        assert np.allclose([float(x) for x in row], t, rtol=1e-14, atol=0.0)
+    radii = _offlocus_radii(1.3, lams)
+    assert [float(r) for r in radii] == pytest.approx(2.6 * lams ** (-7 / 18), rel=1e-15)
+    # a chart centred off the coordinate points reads its points' own moments
+    tilted = heisenberg_chart(make_model((1, 2, 2)), np.array([0.0, 0.6, 0.8 + 0j]), np.pi)
+    assert _chart_moments(tilted, np.array([0.5 + 0j]), _displacement_radii([0.5], lams)) is None
+
+
+def test_offlocus_scan_reads_the_chart_radius():
+    # the scan's rows are the closed form at the decimal moments of the
+    # radius 2 C lam^(-7/18): within 1e-14 of 50 digits at those moments,
+    # where the double points' moments moved the parent's rows by up to 1e-14
+    mpmath = pytest.importorskip("mpmath")
+    model = make_model((1, 2))
+    chart = _default_chart(model, np.pi, None)
+    grid = np.array([75.0, 300.0, 600.0])
+    rep = offlocus_decay_scan(model, WIN, chart, 1.3, grid)
+    for lam, value in zip(grid, rep.exact):
+        with mpmath.workdps(50):
+            r = 2 * mpmath.mpf(1.3) * mpmath.mpf(lam) ** (mpmath.mpf(-7) / 18)
+            t = [mpmath.sin(r) ** 2, mpmath.cos(r) ** 2]
+        ref, _ = _mp_diagonal((1, 2), t, lam, np.pi, 0.15, 1e20)
+        assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
 def test_zero_mass_rows_against_mpmath():
@@ -216,4 +376,15 @@ def test_cli_local_at_a_million(tmp_path):
     assert cli.main(argv) == 0
     rows = (tmp_path / "local.csv").read_text().splitlines()[1:]
     assert len(rows) == 3
+    assert all(abs(float(row.split(",")[5]) - 1.0) < 1e-3 for row in rows)
+
+
+@pytest.mark.parametrize("weights", ["1,3", "1,2,3"])
+def test_cli_general_weights_local_at_a_million(tmp_path, weights):
+    argv = ["local", "--weights", weights, "--shape", "gaussian", "--tau0", repr(2 * np.pi / 3),
+            "--eps", "0.1", "--lambda-grid", "1e6:2e6:3", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    meta = json.loads((tmp_path / "local.json").read_text())["meta"]
+    assert meta["precision"] == ["closed-form"] * 3
+    rows = (tmp_path / "local.csv").read_text().splitlines()[1:]
     assert all(abs(float(row.split(",")[5]) - 1.0) < 1e-3 for row in rows)

@@ -320,10 +320,21 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# a trace on (1, 3); a kernel row on (2, 3) at tau0 = pi whose moments are
+# (3/4, 1/4), where p_t(x) = (1 - x)(1 + x/2)^2 has a double root: its
+# poles are not separated, so the closed form leaves it to the eigen-sum.
+# Its chart radius |u|/sqrt(lambda) = pi/6 at lambda = 1e12 puts sin^2 = 1/4
+# on the normal coordinate
+_BEYOND_THE_CUT_TABLE = {
+    "trace": ["--weights", "1,3", "--tau0", "0", "--eps", "0.15"],
+    "local": ["--weights", "2,3", "--tau0", "3.141592653589793", "--eps", "0.1",
+              "--u", repr(1e6 * math.pi / 6)],
+}
+
+
 @pytest.mark.parametrize("kind", ["trace", "local"])
 def test_cli_lambda_beyond_the_cut_table_exits_3(tmp_path, capsys, kind):
-    # (1, 3): kernel rows the closed form does not take are eigen-sum rows
-    argv = [kind, "--weights", "1,3", "--shape", "gaussian", "--tau0", "0", "--eps", "0.15",
+    argv = [kind, *_BEYOND_THE_CUT_TABLE[kind], "--shape", "gaussian",
             "--lambda-grid", "1e12:2e12:2", "--out", str(tmp_path)]
     assert cli.main(argv) == 3
     err = capsys.readouterr().err

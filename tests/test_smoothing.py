@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -7,13 +8,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tracelab import cli, smoothing
-from tracelab.errors import CoverageError, PeriodError
+from tracelab.errors import CoverageError, InputError, PeriodError, TracelabError
 from tracelab.geometry import heisenberg_chart, make_model, period_gap, random_sphere_point
 from tracelab.oracles import brute_smoothed_trace, eigenvalue_multiplicity, poisson_trace
 from tracelab.quadrature import sphere_rule
 from tracelab.smoothing import (
     _DECIMAL_UNIT,
     _STEP_DIGITS,
+    _arithmetic,
     _rounding_bounds,
     _decimal_h,
     _decimal_sums,
@@ -92,15 +94,15 @@ def test_bump_trace_refuses_from_the_cut(model12):
 
 def test_lambda_beyond_the_cut_table_refuses(model12, chart):
     # lambda = 1e12 would tabulate 1e12 values of n; past 9.2e18 the count
-    # would not even fit int64.  A kernel row on (1, 3), which the closed
-    # form does not take, is an eigen-sum row and refuses the same way
+    # would not even fit int64.  A kernel row summed by the eigen-sum (the
+    # rows the closed form does not take) refuses the same way
     with pytest.raises(CoverageError, match=r"lambda=1e\+12 needs a window-cut table"):
         smoothed_trace(model12, Window("gaussian", 0.0, 0.15), 1e12)
     with pytest.raises(CoverageError, match=r"lambda=1e\+19 needs a window-cut table"):
         smoothed_trace(model12, Window("gaussian", 0.0, 0.15), [10.0, 1e19])
-    point = np.array([0.6, 0.8 + 0j])
+    t = np.array([[0.36, 0.64]])
     with pytest.raises(CoverageError, match=r"lambda=1e\+12 needs a window-cut table"):
-        smoothed_kernel_diagonal(make_model((1, 3)), Window("gaussian", 0.0, 0.15), 1e12, point)
+        _eigen_sum_diagonal(make_model((1, 3)), Window("gaussian", 0.0, 0.15), np.array([1e12]), t, 1e-10)
 
 
 def test_tau0_past_the_phase_limit_refuses(model12, chart):
@@ -136,6 +138,53 @@ def test_trace_grid_matches_pointwise_calls(model12):
     assert res.cut_remainder.tolist() == [p.cut_remainder for p in points]
     assert res.n_eigenvalues == sum(p.n_eigenvalues for p in points)
     assert points[0].n_eigenvalues == 0 < points[1].n_eigenvalues
+
+
+def test_phase_table_is_built_once_per_window(model12):
+    # a second call at the same (tau0, eps) returns the same read-only table,
+    # and a trace summed with the cached table is bit-identical to one that
+    # built it
+    smoothing._phase_table_at.cache_clear()
+    win = Window("gaussian", np.pi, 0.15)
+    grid = np.linspace(150.0, 400.0, 7)
+    first = smoothed_trace(model12, win, grid).value
+    table = _phase_table(win)
+    assert _phase_table(Window("gaussian", np.pi, 0.15)) is table
+    assert not (table[1].flags.writeable or table[2].flags.writeable)
+    with pytest.raises(ValueError):
+        table[1][0] = 0.0
+    assert smoothed_trace(model12, win, grid).value.tolist() == first.tolist()
+    assert _phase_table(Window("gaussian", 0.0, 0.15)) is not table
+
+
+def test_non_finite_lambda_is_an_input_error(model12, chart):
+    # -inf returned 0 with a NaN rounding bound
+    for lam in (-math.inf, math.inf, math.nan):
+        with pytest.raises(InputError, match="lambda must be finite"):
+            smoothed_trace(model12, WIN, lam)
+        with pytest.raises(InputError, match="lambda must be finite"):
+            smoothed_kernel_diagonal(model12, WIN, lam, chart.center)
+
+
+def test_zero_point_is_an_input_error(model12):
+    # the zero vector returned 0 after two 0/0 RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="finite and nonzero"):
+            smoothed_kernel_diagonal(model12, WIN, 100.0, np.zeros(2, dtype=complex))
+
+
+def test_point_of_the_wrong_width_is_an_input_error(model12):
+    # a 3-coordinate point on (1, 2) raised IndexError
+    with pytest.raises(InputError, match="has 2 coordinates"):
+        smoothed_kernel_diagonal(model12, WIN, 100.0, np.array([0.6, 0.8, 0.0 + 0j]))
+
+
+def test_bad_model_and_window_are_input_errors_and_value_errors():
+    for call in (lambda: make_model((0, 1)), lambda: Window("gaussian", 0.0, -1.0)):
+        with pytest.raises(InputError) as caught:
+            call()
+        assert isinstance(caught.value, TracelabError) and isinstance(caught.value, ValueError)
 
 
 @pytest.mark.parametrize("tau0", [np.pi, 2 * np.pi / 3, -12 * np.pi, 2 * np.pi * 1e9 + np.pi])
@@ -433,20 +482,22 @@ def test_decimal_path_survives_offlocus_cancellation(model12, chart):
 
 @pytest.mark.parametrize("weights", [(1, 3), (1, 2, 3)])
 def test_eigen_sum_rows_evaluate_the_sphere_point(weights):
-    """Rows the closed form does not take, at tau0 = 2 pi/3 and normal
-    distance 0.2, 0.3 and 0.5 from the weight-3 point: the 50-digit sum at
-    t/sum(t) lies within each row's remainder plus rounding bound.  The
-    decimal rows divide the moments by their sum in decimal, as the oracle
-    does; summed at t, whose sum double rounds to 1, they were up to 24
-    times their bound off."""
+    """Eigen-sum rows at tau0 = 2 pi/3 and normal distance 0.2, 0.3 and 0.5
+    from the weight-3 point (the closed form takes these rows; the eigen-sum
+    serves the rows it does not): the 50-digit sum at t/sum(t) lies within
+    each row's remainder plus rounding bound.  The decimal rows divide the
+    moments by their sum in decimal, as the oracle does; summed at t, whose
+    sum double rounds to 1, they were up to 24 times their bound off."""
     model = make_model(weights)
     win = Window("gaussian", 2 * np.pi / 3, 0.1)
     chart = heisenberg_chart(model, np.eye(len(weights))[-1].astype(complex), win.tau0)
     u = np.eye(chart.normal_dim)[0]
     lams = np.repeat([150.0, 300.0], 3)
     pts = np.array([chart.normal_point(r * u) for r in [0.2, 0.3, 0.5] * 2])
-    values, remainders, bounds, precision = _diagonal_values(model, win, lams, pts, 1e-10)
-    assert precision.tolist() == ["double", "decimal", "decimal"] * 2
+    values, remainders, bounds, decimal = _eigen_sum_diagonal(
+        model, win, lams, np.abs(pts) ** 2, 1e-10
+    )
+    assert _arithmetic(decimal).tolist() == ["double", "decimal", "decimal"] * 2
     for lam, t, value, remainder, bound in zip(lams, np.abs(pts) ** 2, values, remainders, bounds):
         n_top, n_lo = int(lam + 40.0 / win.eps), max(0, int(lam - 40.0 / win.eps))
         ref, _ = _decimal_diagonal(t, weights, win, lam, n_top, n_lo, sphere=True)
