@@ -134,13 +134,48 @@ def predict_local(pred: LocalPrediction, u, lam) -> np.ndarray:
 
 
 def _period_phase(period: Fraction, lam) -> np.ndarray:
-    """e^{-i lam T} at the period T = 2*pi*period, batched over lam: lam *
-    period is taken exactly (as Fractions) and reduced by `turn_phase`, so
-    the phase does not drift with lam."""
+    """e^{-i lam T} at the period T = 2*pi*period, batched over lam, exactly
+    as `turn_phase` gives it at the turns -lam * period, so the phase does
+    not drift with lam.
+
+    With period = p/q, lam is reduced mod q (`np.fmod`, exact) and written
+    m 2^-j, m an integer (`np.frexp`, trailing zero bits stripped), so the
+    turn is the residue N of -m p modulo D = q 2^j over D (|p| reduced mod
+    D first), reduced to [-1/2, 1/2]: int64 arithmetic over the grid.  Quarter turns come out exact and
+    the rest as e^{2 pi i N/D}, N/D correctly rounded (N/q is a division of
+    two exact doubles, then scaled by 2^-j), bit for bit the Fraction's
+    rounding.  Where D passes 2^53 or m p might pass int64, the turn is taken
+    as a Fraction."""
     lam = np.asarray(lam, dtype=float)
     finite = np.isfinite(lam)
-    turns = [-Fraction(v) * period for v in np.where(finite, lam, 0.0).ravel().tolist()]
-    return np.where(finite, turn_phase(turns).reshape(lam.shape), np.nan)
+    x = np.where(finite, lam, 0.0).ravel()
+    p, q = period.numerator, period.denominator
+    out = np.empty(x.size, dtype=complex)
+    top = 53 - q.bit_length()  # D = q 2^j <= 2^53 for j <= top
+    if top >= 0:
+        mant, expo = np.frexp(np.fmod(x, q))
+        m = np.ldexp(mant, 53).astype(np.int64)
+        j = 53 - expo.astype(np.int64)
+        low = np.frexp((m & -m).astype(float))[1] - 1  # trailing zero bits of m != 0
+        shift = np.where(m == 0, j, np.minimum(low, j))
+        m, j = m >> shift, j - shift
+        fast = (j >= 0) & (j <= top)
+        j = np.where(fast, j, 0)
+        D = np.int64(q) << j
+        p_r = np.mod(abs(p) % (q << top), D)  # |p| mod D, as D divides q 2^top
+        fast &= np.abs(m).astype(float) * p_r.astype(float) < 2.0**62
+        N = np.mod((-1 if p > 0 else 1) * np.where(fast, m, 0) * np.where(fast, p_r, 0), D)
+        N = np.where(2 * N > D, N - D, N)
+        quarter = fast & (4 * N % D == 0)
+        exact = np.array([1, 1j, -1, -1j])[(4 * N // D) % 4]
+        with np.errstate(invalid="ignore"):
+            out = np.where(quarter, exact, np.exp(2j * np.pi * np.ldexp(N / q, -j)))
+    else:
+        fast = np.zeros(x.size, dtype=bool)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out[slow] = turn_phase([-Fraction(v) * period for v in x[slow].tolist()])
+    return np.where(finite, out.reshape(lam.shape), np.nan)
 
 
 def component_f_integral(model: ProjectiveModel, component: FixedComponent) -> float:

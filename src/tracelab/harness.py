@@ -28,7 +28,7 @@ from .asymptotics import predict_global_component
 from .errors import CacheError, ConfigError, CoverageError, PeriodError
 from .geometry import ProjectiveModel, fixed_components, heisenberg_chart, make_model, period_gap
 from .reports import ScanReport
-from .smoothing import _arithmetic, _check_tau0, _row_budgets, offlocus_decay_scan, parity_scan
+from .smoothing import _check_tau0, _row_budgets, offlocus_decay_scan, parity_scan
 from .smoothing import scaled_diagonal_scan, smoothed_trace
 from .spectral import SpectralPackage, check_multiplicity_table, eigendata
 from .windows import SHAPES, Window
@@ -459,6 +459,6 @@ def _trace_report(cfg: ExperimentConfig) -> ScanReport:
         "kind_detail": "smoothed trace vs sum of component leading terms",
         "tau0": win.tau0,
         "n_components": int(comp is not None),
-        **_row_budgets(trace.cut_remainder, trace.rounding_bound, _arithmetic(trace.decimal)),
+        **_row_budgets(trace.cut_remainder, trace.rounding_bound, trace.precision),
     }
     return ScanReport("trace", grid, trace.value, predicted, meta=meta)

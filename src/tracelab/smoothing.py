@@ -29,6 +29,16 @@ geometric series on each side (`_window_cut`).  The closed form's aliases,
 bump's transform envelope decays only like exp(-sqrt(eps s)), beyond any
 geometric series, so bump sums refuse with CoverageError.
 
+A trace row for the gaussian window is first formed in closed form
+(`_closed_form_trace`), on any weights: d(n) is a quasi-polynomial whose
+poles are roots of unity (`_unit_poles`, exact Fractions, built once per
+weight vector), and Poisson summation turns it into a few period terms
+near tau0, each a gaussian times a Hermite polynomial in lam, with the
+phase e^{-i lam tau} taken from an exact reduction of lam (`_period_phase`),
+less a ghost part from n <= -sum w (reciprocity).  Such a row costs O(1)
+in lam, is labelled "closed-form", and reports the omitted periods and
+the ghost tail as its remainder.
+
 A kernel row for the gaussian window is first formed in closed form
 (`_closed_form_diagonal`), on any weights: the generating function
 (1 - sum_i t_i x^{w_i})^{-(d+1)} has one (d+1)-fold pole rho per root of
@@ -43,11 +53,11 @@ own kappa is at most `_CLOSED_FORM_KAPPA`) and its remainder (the omitted
 aliases and the negative-n tail, both bounded in closed form) meets the cut
 target; it is labelled "closed-form".
 
-Every other row, traces included, is an eigen-sum, and one routine,
-`_conditioned_sums`, picks its arithmetic.  Near a period the phases
-alternate and the sum cancels: kappa = sum |terms| / |sum| is 5e7 to 2e12
-on the off-locus diagonal scans and grows like lam^d on a trace at tau0 =
-pi.  Each row is summed in double, and a row that double would leave fewer
+Every other row (bump windows, rows that cancel, trace rows past 2^52) is
+an eigen-sum, and one routine, `_conditioned_sums`, picks its arithmetic.
+Near a period the phases alternate and the sum cancels: kappa = sum
+|terms| / |sum| is 5e7 to 2e12 on the off-locus diagonal scans and grows
+like lam^d on a trace at tau0 = pi.  Each row is summed in double, and a row that double would leave fewer
 than 13 digits is summed again over the same cut in 40-digit decimal, with
 exact integer d(n) for traces.  Both passes take their phases from one
 table of cis(k tau0), |k| <= K, built once per call at 40 digits
@@ -65,10 +75,11 @@ import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
+from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import local_prediction, predict_local
+from .asymptotics import _period_phase, local_prediction, predict_local
 from .errors import CoverageError, InputError
 from .geometry import HeisenbergChart, ProjectiveModel
 from .reports import ScanReport
@@ -111,17 +122,21 @@ _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459"
 class TraceResult:
     """Smoothed traces (scalars, or arrays along a grid) with their error budgets.
 
-    ``cut_remainder`` bounds the window cut, ``rounding_bound`` the rounding
-    of the kept sum (`_rounding_bounds`), and ``decimal`` marks the rows
-    summed in decimal.  ``n_eigenvalues`` counts the eigenvalues, with
-    multiplicity, inside the kept cuts (summed over a grid).
+    ``precision`` names each row's arithmetic: "closed-form"
+    (`_closed_form_trace`), or "double" or "decimal" for an eigen-sum row.
+    ``cut_remainder`` bounds what a row leaves out
+    (an eigen-sum row's window cut; a closed-form row's omitted periods and
+    ghost tail) and ``rounding_bound`` the rounding of what it keeps.
+    ``n_eigenvalues`` counts the terms summed over the grid: the eigenvalues,
+    with multiplicity, inside an eigen-sum row's cut, and for a closed-form
+    row one per period term plus the eigenvalues of its ghost sum.
     """
 
     value: complex | np.ndarray
     cut_remainder: float | np.ndarray
     n_eigenvalues: int
     rounding_bound: float | np.ndarray
-    decimal: bool | np.ndarray
+    precision: str | np.ndarray
 
 
 def spectral_tail_bound(pkg: SpectralPackage, win: Window, lam: float) -> float:
@@ -174,9 +189,33 @@ def smoothed_trace(
 ) -> TraceResult:
     """Exact smoothed trace sum_n d(n) transform(lam - n) over every degree.
 
-    ``lam`` is a number or a grid, each lam with its own window cut.
+    ``lam`` is a number or a grid.  Each row is first formed in closed form
+    from the quasi-polynomial of d(n) (`_closed_form_trace`); the rows it
+    does not take are eigen-sums over their own window cut
+    (`_eigen_sum_trace`).  A tau0 past `_check_tau0`'s limit or a non-finite
+    lam refuses before either runs.
     """
+    _check_tau0(win)
     lams = _check_lambdas(np.atleast_1d(np.asarray(lam, dtype=float)))
+    values, remainders, bounds, terms, taken = _closed_form_trace(model, win, lams, tail_tol)
+    precision = np.full(lams.size, "closed-form", dtype=object)
+    rest = np.flatnonzero(~taken)
+    if rest.size:
+        values[rest], remainders[rest], bounds[rest], decimal, terms[rest] = _eigen_sum_trace(
+            model, win, lams[rest], tail_tol
+        )
+        precision[rest] = _arithmetic(decimal)
+    if np.ndim(lam) == 0:
+        return TraceResult(
+            complex(values[0]), float(remainders[0]), int(terms[0]), float(bounds[0]), str(precision[0])
+        )
+    return TraceResult(values, remainders, int(terms.sum()), bounds, precision)
+
+
+def _eigen_sum_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, tail_tol: float):
+    """The trace rows at ``lams`` as window-cut eigen-sums (`_conditioned_sums`):
+    values, remainders, rounding bounds, the mask of decimal rows and each
+    row's count of eigenvalues inside its cut."""
 
     def table(n_max):
         counts = _denumerants(model.weights, n_max).astype(float)
@@ -189,14 +228,15 @@ def smoothed_trace(
     values, _, remainders, decimal, lo, hi = sums
     # d(n) is exact in decimal and rounded once to double
     bounds = _rounding_bounds(win, model, lams, sums, np.where(decimal, 0.0, 1.0))
+    return values, remainders, bounds, decimal, _cut_counts(model, lo, hi)
+
+
+def _cut_counts(model: ProjectiveModel, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The eigenvalues, with multiplicity, in each cut lo..hi (0 if empty),
+    as doubles: d(n) passes int64 on large cuts."""
     counts = _denumerants(model.weights, int(hi.max(initial=-1)))
     below = np.concatenate([[0.0], np.cumsum(counts, dtype=float)])
-    kept = int(np.sum(below[hi + 1] - below[lo]))
-    if np.ndim(lam) == 0:
-        return TraceResult(
-            complex(values[0]), float(remainders[0]), kept, float(bounds[0]), bool(decimal[0])
-        )
-    return TraceResult(values, remainders, kept, bounds, decimal)
+    return below[hi + 1] - below[lo]
 
 
 # ----------------------------------------------------------------------------
@@ -264,9 +304,10 @@ def _check_tau0(win: Window) -> None:
     |k| <= K, so below the limit every phase argument is under about 2^52
     radians: `_negative_tail`, which still forms s*tau0 in double, keeps it to
     a radian, and the 40-digit reduction of tau0 in `_cis` leaves the table
-    more than 20 digits.  Far beyond it that reduction loses every digit
-    (near |tau0| = 1e40), and at tau0 = 1e300 the closed form's alias loop
-    did not return within a minute.
+    more than 20 digits, as it leaves the closed forms' angles theta = tau0
+    - tau (`_aliases`, `_unit_aliases`).  Far beyond it that reduction loses
+    every digit (near |tau0| = 1e40), and at tau0 = 1e300 the closed form's
+    alias loop did not return within a minute.
     """
     limit = 2.0**52 * win.eps / _GAUSS_FAR
     if not abs(win.tau0) < limit:
@@ -693,30 +734,37 @@ def _polished_roots(q: list) -> list | None:
     of S.  S has a root within m |S(y)|/|S'(y)| of any y, so the radius is m
     (|S(y)| + e_S)/|S'(y)| with e_S = 8 m u_dec sum_k q_k |y|^(m-k) for the
     rounding of the evaluation and of the q_k (u_dec = `_DECIMAL_UNIT`).
-    None when the double roots already fail `_ROOT_SEPARATION`."""
+    The q_k are real, so ``np.roots`` returns complex roots in conjugate
+    pairs, and every step on the conjugate of a guess is the conjugate of
+    the step on the guess (each rounding is symmetric under negation): the
+    second root of a pair is taken as the conjugate of the first.  None when
+    the double roots already fail `_ROOT_SEPARATION`."""
     m = len(q) - 1
     if m <= 1:  # S(y) = y + q_1, or no root
         return [(-q[1], Decimal(0), 4 * _DECIMAL_UNIT * float(q[1]))] if m else []
     guesses = [complex(g) for g in np.roots([float(x) for x in q])]
     if _separation([1.0] + guesses) < _ROOT_SEPARATION:
         return None
-    roots = []
+    roots, polished = [], {}
     for g in guesses:
-        y = (Decimal(g.real), Decimal(g.imag))
-        for step in range(_NEWTON_STEPS + 1):
-            s, ds = (q[0], Decimal(0)), (Decimal(0), Decimal(0))
+        if g.imag < 0 and g.conjugate() in polished:
+            re, im, radius = polished[g.conjugate()]
+            roots.append((re, im.copy_negate(), radius))
+            continue
+        y0, y1 = Decimal(g.real), Decimal(g.imag)
+        for step in range(_NEWTON_STEPS + 1):  # Horner for S (s) and S' (t)
+            s0, s1, t0, t1 = q[0], Decimal(0), Decimal(0), Decimal(0)
             for x in q[1:]:
-                ds = _cmul(ds, y)
-                ds = (ds[0] + s[0], ds[1] + s[1])
-                s = _cmul(s, y)
-                s = (s[0] + x, s[1])
+                t0, t1 = t0 * y0 - t1 * y1 + s0, t0 * y1 + t1 * y0 + s1
+                s0, s1 = s0 * y0 - s1 * y1 + x, s0 * y1 + s1 * y0
             if step < _NEWTON_STEPS:
-                dy = _cdiv(s, ds)
-                y = (y[0] - dy[0], y[1] - dy[1])
-        size = abs(complex(float(y[0]), float(y[1])))
+                dy = _cdiv((s0, s1), (t0, t1))
+                y0, y1 = y0 - dy[0], y1 - dy[1]
+        size = abs(complex(float(y0), float(y1)))
         e_s = 8 * m * _DECIMAL_UNIT * sum(float(x) * size ** (m - k) for k, x in enumerate(q))
-        value = abs(complex(float(s[0]), float(s[1])))
-        roots.append((y[0], y[1], m * (value + e_s) / abs(complex(float(ds[0]), float(ds[1])))))
+        value = abs(complex(float(s0), float(s1)))
+        polished[g] = (y0, y1, m * (value + e_s) / abs(complex(float(t0), float(t1))))
+        roots.append(polished[g])
     return roots
 
 
@@ -751,22 +799,23 @@ def _laurent(d: int, r: int, roots: list, centres: list) -> tuple[tuple, tuple, 
         if s == r:
             continue
         q = _cdiv((re, im), rho)
-        inv = _cdiv(one, (1 - q[0], -q[1]))
-        beta, term = _cmul(q, inv), inv
+        i0, i1 = t0, t1 = _cdiv(one, (1 - q[0], -q[1]))
+        b0, b1 = _cmul(q, (i0, i1))
         for _ in range(d):
-            term = _cmul(term, inv)
-        terms = [term]
+            t0, t1 = t0 * i0 - t1 * i1, t0 * i1 + t1 * i0
+        terms = [(t0, t1)]
         for m in range(1, d + 1):
-            term = _cmul(term, beta)
-            term = (-term[0] * (d + m) / m, -term[1] * (d + m) / m)
-            terms.append(term)
+            t0, t1 = t0 * b0 - t1 * b1, t0 * b1 + t1 * b0
+            t0, t1 = -t0 * (d + m) / m, -t1 * (d + m) / m
+            terms.append((t0, t1))
         if series is None:
             series = terms
-        else:
-            products = [[_cmul(a, b) for b in terms] for a in series]
+        else:  # the product's coefficients of y^0..y^d, inline complex products
             series = [
-                (sum(products[i][m - i][0] for i in range(m + 1)),
-                 sum(products[i][m - i][1] for i in range(m + 1)))
+                (sum(series[i][0] * terms[m - i][0] - series[i][1] * terms[m - i][1]
+                     for i in range(m + 1)),
+                 sum(series[i][0] * terms[m - i][1] + series[i][1] * terms[m - i][0]
+                     for i in range(m + 1)))
                 for m in range(d + 1)
             ]
         q_f = centres[s] / centres[r]
@@ -789,6 +838,8 @@ def _poles(d: int, moments: tuple) -> list | None:
     sum_m Q_m y^(D-1-m) (`_polished_roots`), all with |rho| <= 1.  The root
     1 is exact for moments that sum to 1; the decimal moments sum to 1
     within 2 D decimal units, which moves it by at most that (p_t'(1) <= -1).
+    The coefficients are real, so the conjugate of a complex pole has the
+    conjugate log, arg and weights: each conjugate pair is formed once.
     None when two poles are closer than `_ROOT_SEPARATION` or their discs
     meet.
     """
@@ -804,14 +855,21 @@ def _poles(d: int, moments: tuple) -> list | None:
         gap = min((abs(a - b) for i, a in enumerate(centres) for b in centres[:i]), default=math.inf)
         if _separation(centres) < _ROOT_SEPARATION or max(x for _, _, x in roots) > gap / 4:
             return None
-        poles = []
+        poles, formed = [], {}
         for r, (re, im, radius) in enumerate(roots):
+            if (re, im.copy_negate()) in formed:  # the conjugate pole: conjugate log, arg, weights
+                p = formed[re, im.copy_negate()]
+                poles.append(_Pole(p.log_modulus, p.arg.copy_negate(), tuple(x.conjugate() for x in p.weights),
+                                   p.majorants, p.error, p.spread))
+                continue
             log_modulus, arg = _log_polar(re, im) if r else (Decimal(0), Decimal(0))
             weights, majorants, spread = _laurent(d, r, roots, centres)
             # |d log rho| <= |d rho|/(|rho| - |d rho|), and the decimal steps
             error = radius / (abs(centres[r]) - radius)
             error += 8 * _DECIMAL_UNIT * (1 + abs(float(log_modulus)) + abs(float(arg)))
             poles.append(_Pole(log_modulus, arg, weights, majorants, error, spread))
+            if im:
+                formed[re, im] = poles[-1]
     return poles
 
 
@@ -1194,6 +1252,303 @@ def smoothed_kernel_diagonal(
 
 
 # ----------------------------------------------------------------------------
+# traces in closed form: the quasi-polynomial of d(n)
+# ----------------------------------------------------------------------------
+
+# the largest lcm(w) (d + 1) whose quasi-polynomial a trace tabulates; models
+# past it keep the eigen-sum
+_QUASI_TABLE_MAX = 1 << 16
+# a closed-form trace row takes |lam| below this: past 2^52 the doubles are
+# spaced 1 or more apart, so a double lam no longer resolves n
+_CLOSED_FORM_LAMBDA = 2.0**52
+
+
+@dataclass(frozen=True)
+class _UnitPole:
+    """One pole zeta = e^(2 pi i turn) of prod_i (1 - x^{w_i})^-1, a root of
+    unity: it adds zeta^n sum_j coeffs[j] n^j to d(n).  ``coeffs`` are
+    rounded once from `_DECIMAL_DIGITS`-digit sums, and ``majorants[j]`` is
+    |coeffs[j]| plus their error over 2^-53."""
+
+    turn: Fraction
+    coeffs: tuple
+    majorants: tuple
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_poles(weights: tuple) -> tuple | None:
+    """The poles of sum_n d(n) x^n on the unit circle, with the coefficients
+    of their polynomials; None when lcm(w) (d + 1) passes `_QUASI_TABLE_MAX`.
+    Built once per weight vector (``weights`` sorted).
+
+    d(n) is a quasi-polynomial of degree d and period L = lcm(w) (M. Beck
+    and S. Robins, *Computing the Continuous Discretely*, ch. 1-2): d(n) =
+    sum_j c_j(n mod L) n^j for every n >= 0.  Each c_j(r) is an exact
+    Fraction, interpolated from the exact d(r + t L), t = 0..d (Newton's
+    forward differences in t, then t = (n - r)/L).  A root of unity zeta of
+    order o is a pole of order m(o) = #{i : o | w_i}, so its polynomial
+    P_zeta has degree below m(o), and zeta = e^(2 pi i a/L) contributes
+    sum_r c_j(r) zeta^-r / L to the n^j coefficient.  That sum is taken
+    only where it can be nonzero: for j < m(o), over c_j's own exact period
+    P_j (the least divisor of L that c_j repeats with) and only at the a
+    that P_j allows, at `_DECIMAL_DIGITS` digits with exact quarter turns,
+    and rounded once; conjugate poles take conjugate coefficients.  A pole
+    that does not exist is an exact zero, not a rounding residue (a double
+    DFT over all L residues left spurious lam^3 terms in the zeta = -1 row
+    of (1, 1, 1, 2)).
+    """
+    d, period = len(weights) - 1, math.lcm(*weights)
+    if period * (d + 1) > _QUASI_TABLE_MAX:
+        return None
+    counts = [1] + [0] * (period * (d + 1) - 1)
+    for w in weights:
+        for v in range(w, len(counts)):
+            counts[v] += counts[v - w]
+    falling = [[Fraction(1)]]  # C(t, k) in powers of t
+    for k in range(1, d + 1):
+        step = [Fraction(0)] * (k + 1)
+        for i, a in enumerate(falling[-1]):
+            step[i + 1] += a / k
+            step[i] -= a * (k - 1) / k
+        falling.append(step)
+    c = [[Fraction(0)] * period for _ in range(d + 1)]
+    for r in range(period):
+        diffs = [counts[r + t * period] for t in range(d + 1)]
+        in_t = [Fraction(0)] * (d + 1)
+        for k in range(d + 1):
+            for i, a in enumerate(falling[k]):
+                in_t[i] += diffs[0] * a
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        for i, a in enumerate(in_t):
+            a /= period**i
+            for j in range(i + 1):
+                c[j][r] += a * math.comb(i, j) * (-r) ** (i - j)
+    own = [next(p for p in range(1, period + 1) if period % p == 0
+                and all(x == row[k % p] for k, x in enumerate(row))) for row in c]
+    cis: dict = {}
+    poles = []
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        for a in range(period // 2 + 1):
+            order = period // math.gcd(a, period)
+            degree = sum(w % order == 0 for w in weights) - 1
+            coeffs, majorants = [], []
+            for j in range(degree + 1):
+                p = own[j]
+                if a * p % period:  # zeta is not an own frequency of c_j
+                    coeffs.append(0j)
+                    majorants.append(0.0)
+                    continue
+                if p not in cis:
+                    cis[p] = [_unit_cis(k, p) for k in range(p)]
+                q, re, im = a * p // period, Decimal(0), Decimal(0)
+                for r in range(p):
+                    x = Decimal(c[j][r].numerator) / c[j][r].denominator
+                    cos, sin = cis[p][q * r % p]
+                    re, im = re + x * cos, im - x * sin
+                value = complex(float(re / p), float(im / p))
+                error = 4 * (p + 1) * _DECIMAL_UNIT * float(max(abs(x) for x in c[j][:p]))
+                coeffs.append(value)
+                majorants.append(abs(value) + error * 2.0**53)
+            if any(coeffs):
+                poles.append(_UnitPole(Fraction(a, period), tuple(coeffs), tuple(majorants)))
+                if 0 < 2 * a < period:
+                    poles.append(_UnitPole(
+                        Fraction(period - a, period), tuple(x.conjugate() for x in coeffs),
+                        tuple(majorants),
+                    ))
+    return tuple(poles)
+
+
+def _unit_cis(k: int, p: int) -> tuple[Decimal, Decimal]:
+    """(cos, sin) of 2 pi k/p at the context's precision, exact on quarter turns."""
+    if 4 * k % p == 0:
+        return ((1, 0), (0, 1), (-1, 0), (0, -1))[4 * k // p]
+    sin, cos = _sin_cos(2 * _PI * (k if 2 * k <= p else k - p) / p)
+    return cos, sin
+
+
+def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, tail_tol: float):
+    """Trace rows in closed form for the gaussian window, on any weights:
+    values, remainders, rounding bounds, term counts and the mask of rows
+    taken, vectorised over the grid.
+
+    **Derivation.**  With d(n) = sum_zeta zeta^n P_zeta(n) over the poles of
+    `_unit_poles` for n >= 0, the quasi-polynomial Q(n) of the right side
+    vanishes for -sum w < n < 0 and equals (-1)^d d(-n - sum w) for n <=
+    -sum w (reciprocity; R. P. Stanley, Enumerative Combinatorics 1, Prop.
+    4.2.3).  So the trace is sum over all integers of Q(n) chihat(lam - n)
+    less the ghost part (-1)^d sum_{m >= 0} d(m) chihat(lam + sum w + m).
+    Poisson summation, with n^j e^{i n tau} = (-i d/dtau)^j e^{i n tau} and
+    integration by parts, turns the pole zeta = e^{-i tau} into periods
+
+        2 pi e^{-i lam tau} ((lam + i d/dtau)^j chi)(tau),  tau = 2 pi (k - turn),
+
+    and for the gaussian (lam + i d/dtau)^j chi = chi E[(mu + Z/eps)^j], mu =
+    lam + i theta/eps^2, theta = tau0 - tau, Z standard normal (the Hermite
+    polynomials He_m(x) = E[(x + iZ)^m]).  So each period term is 2 pi
+    chi(tau) e^{-i lam tau} R(mu), R(mu) = sum_k b_k mu^k with b_k = sum_j
+    C_j C(j, k) eps^(k - j) E[Z^(j - k)], evaluated over the whole grid by
+    Horner's rule.  The periods of each pole within exp(-`_GAUSS_FAR`^2/2)
+    of its largest chi are summed, as `_aliases` keeps a kernel pole's; past
+    them consecutive majorants fall by at least (1 + 2 pi/|theta|)^deg
+    e^{-2 pi (|theta| + pi)/eps^2}, a geometric bound.  The ghost part is
+    the eigen-sum at lam' = -lam - sum w, conjugated (chihat(s) and
+    chihat(-s) are conjugate): its window cut is empty once lam + sum w
+    passes `_GAUSS_FAR`/eps, and its geometric remainder is the whole part.
+    Both remainders make the row's.
+
+    **Exact phases.**  theta = tau0 - 2 pi (k - turn) is formed at
+    `_DECIMAL_DIGITS` digits (exact for every tau0 below `_check_tau0`'s
+    limit), and chi(tau) = exp(-theta^2/(2 eps^2)) and theta/eps^2 from it,
+    each rounded once.  e^{-i lam tau} is `_period_phase` at the exact turn k
+    - turn: lam is reduced exactly, half and quarter turns are exact, and
+    the rest is one exponential of a correctly rounded turn.
+
+    **Rounding** (first order, u = 2^-53; N. J. Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, ch. 3).  With deg the degree
+    of a pole's polynomial, a period term is off by at most u times its
+    majorant M = 2 pi chi(tau) sum_j Cbar_j E[(|mu| + |Z|/eps)^j] (Cbar the
+    coefficient majorants, which also bound every |b_k|, so M bounds the
+    term and every partial Horner sum) times: 2 for C_j, whose decimal error
+    Cbar carries; 2 deg + 6 for forming b_k (the eps powers, the products
+    and the sum of at most deg + 1 parts); 5 deg + 2 for Horner's rule in
+    complex arithmetic; deg for mu, whose imaginary part is rounded once
+    (|R'(mu)| |dmu| <= deg M u); 12 for the phase (the turn rounded once,
+    2 pi and the product twice more, |2 pi r| <= pi, and cos and sin within
+    a unit each); 1 for chi; 6 for the products 2 pi chi e^{-i lam tau} R.
+    The ghost's rounding is `_rounding_bounds`' over its kept terms.
+    Summing the N period terms and the ghost adds N + 2 units per term; a
+    factor 2 takes up the sqrt(2) of complex sums and the second-order
+    terms:
+
+        rho = 2u sum_terms (8 deg + 29 + N + 2) M + ghost's bound.
+
+    **Scope and fallback.**  A row is taken when the window is gaussian,
+    lcm(w) (d + 1) <= `_QUASI_TABLE_MAX`, -sum w < lam < `_CLOSED_FORM_LAMBDA`
+    (for lam <= -sum w the ghost holds the terms nearest the window's peak),
+    nothing overflows, kappa = (sum M + sum |ghost terms|)/|value| is at most
+    `_CLOSED_FORM_KAPPA` (small and negative lam, where the ghost cancels the
+    Poisson side, fail it), and the remainder meets min(tail_tol, u sum M).
+    """
+    values = np.zeros(lams.size, dtype=complex)
+    remainders, bounds, terms = np.zeros(lams.size), np.zeros(lams.size), np.zeros(lams.size)
+    taken = np.zeros(lams.size, dtype=bool)
+    poles = _unit_poles(tuple(sorted(model.weights))) if win.shape == "gaussian" else None
+    total_w = sum(model.weights)
+    rows = np.flatnonzero((lams > -total_w) & (np.abs(lams) < _CLOSED_FORM_LAMBDA))
+    if poles is None or not rows.size:
+        return values, remainders, bounds, terms, taken
+    lam, eps, u = lams[rows], win.eps, 2.0**-53
+    signed, absolute = _normal_moments(model.dim)
+    aliases = [(pole, *_unit_aliases(pole, win)) for pole in poles]
+    n_terms = sum(len(kept) for _, kept, _ in aliases)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, magnitude = np.zeros(lam.size, dtype=complex), np.zeros(lam.size)
+        units, remainder = np.zeros(lam.size), np.zeros(lam.size)
+        for pole, kept, beyond in aliases:
+            b, bbar = _mu_polynomial(pole, eps, signed, absolute)
+            deg = len(b) - 1
+            for theta in beyond:  # consecutive omitted majorants fall by at least q
+                q = (1.0 + 2.0 * math.pi / abs(theta)) ** deg
+                q *= math.exp(-2.0 * math.pi * (abs(theta) + math.pi) / eps**2)
+                far = math.exp(-0.5 * (theta / eps) ** 2) * _horner(bbar, np.abs(lam) + abs(theta) / eps**2)
+                remainder += 2.0 * math.pi * far / (1.0 - q) if q < 1.0 else np.inf
+            for chi, y, turn in kept:
+                term = 2.0 * math.pi * chi * _period_phase(turn, lam) * _horner(b, lam + 1j * y)
+                size = 2.0 * math.pi * chi * _horner(bbar, np.hypot(lam, y))
+                value += term
+                magnitude += size
+                units += (8 * deg + 29 + n_terms + 2) * size
+        # the whole ghost part is at most envelope(s0)/(1 - q0), s0 = lam + sum w
+        # (the ratio bound of `_window_cut`'s right tail from m = 0); a ghost
+        # below 2^-20 units of the row is left to the remainder
+        s0 = lam + total_w
+        q0 = (1.0 + model.dim) * np.exp(-0.5 * eps**2 * (2.0 * s0 + 1.0))
+        whole = np.where(q0 < 1.0, win.fourier_envelope(s0) / (1.0 - q0), np.inf)
+        small = whole <= 2.0**-20 * u * magnitude
+        remainder += np.where(small, whole, 0.0)
+        bound, ghost_terms = 2.0 * u * units, np.zeros(lam.size)
+        summed = np.flatnonzero(~small)
+        if summed.size:
+            ghost = _ghost_trace(model, win, lam[summed])
+            value[summed] -= ghost[0]
+            magnitude[summed] += ghost[1]
+            remainder[summed] += ghost[2]
+            bound[summed] += ghost[3]
+            ghost_terms[summed] = ghost[4]
+        ok = np.isfinite(value) & np.isfinite(magnitude) & np.isfinite(bound) & np.isfinite(remainder)
+        ok &= magnitude <= _CLOSED_FORM_KAPPA * np.abs(value)
+        ok &= remainder <= _final_cut_target(tail_tol, u, magnitude)
+    kept = rows[ok]
+    values[kept], remainders[kept], bounds[kept] = value[ok], remainder[ok], bound[ok]
+    terms[kept] = n_terms + ghost_terms[ok]
+    taken[kept] = True
+    return values, remainders, bounds, terms, taken
+
+
+def _unit_aliases(pole: _UnitPole, win: Window) -> tuple[list, list]:
+    """The periods tau = 2 pi (k - turn) of ``pole`` whose chi(tau) lies within
+    exp(-`_GAUSS_FAR`^2/2) of the largest, as `_aliases` keeps a kernel
+    pole's, each as (chi(tau), theta/eps^2, k - turn), theta = tau0 - tau
+    formed at `_DECIMAL_DIGITS` digits; and the first theta beyond on each
+    side."""
+    kept, beyond = [], []
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        tau0, eps2, two_pi = Decimal(win.tau0), Decimal(win.eps) ** 2, 2 * _PI
+        turn = Decimal(pole.turn.numerator) / pole.turn.denominator
+        k0 = int((tau0 / two_pi + turn).to_integral_value())
+        reach = float(tau0 - two_pi * (k0 - turn)) ** 2 + (win.eps * _GAUSS_FAR) ** 2
+        for k, step in ((k0, 1), (k0 - 1, -1)):
+            while float(theta := tau0 - two_pi * (k - turn)) ** 2 <= reach:
+                chi = float((-theta * theta / (2 * eps2)).exp())
+                kept.append((chi, float(theta / eps2), k - pole.turn))
+                k += step
+            beyond.append(float(theta))
+    return kept, beyond
+
+
+def _mu_polynomial(pole: _UnitPole, eps: float, signed: list, absolute: list) -> tuple[list, list]:
+    """The coefficients b_k of R(mu) = E[P(mu + Z/eps)] = sum_j C_j E[(mu +
+    Z/eps)^j], and bbar_k, the same with the coefficient majorants and
+    E|Z|^i: sum_k bbar_k x^k = E[Pbar(x + |Z|/eps)] bounds |R| and every
+    partial Horner sum at |mu| <= x (`_closed_form_trace`)."""
+    degree = len(pole.coeffs) - 1
+    b, bbar = [], []
+    for k in range(degree + 1):
+        b.append(sum(pole.coeffs[j] * math.comb(j, k) * eps ** (k - j) * signed[j - k]
+                     for j in range(k, degree + 1)))
+        bbar.append(sum(pole.majorants[j] * math.comb(j, k) * eps ** (k - j) * absolute[j - k]
+                        for j in range(k, degree + 1)))
+    return b, bbar
+
+
+def _horner(coeffs: list, x):
+    """sum_k coeffs[k] x^k by Horner's rule, batched over x."""
+    out = coeffs[-1] * np.ones_like(x)
+    for c in coeffs[-2::-1]:
+        out = out * x + c
+    return out
+
+
+def _ghost_trace(model: ProjectiveModel, win: Window, lams: np.ndarray):
+    """The ghost part (-1)^d sum_{m >= 0} d(m) chihat(lam + sum w + m) of
+    each row (`_closed_form_trace`), as the conjugate of the eigen-sum at
+    lam' = -lam - sum w, summed in double: (values, sum |terms|,
+    remainders, rounding bounds, kept eigenvalues)."""
+    mirror = -lams - sum(model.weights)
+    lo, hi, remainders = _window_cut(win, model, mirror)
+    counts = _denumerants(model.weights, int(hi.max(initial=-1))).astype(float)
+    table = np.broadcast_to(counts[:, None], (counts.size, mirror.size))
+    values, moments = _window_sums(win, mirror, table, lo, hi, 1.0, _phase_table(win))
+    sums = (values, moments, remainders, np.zeros(mirror.size, dtype=bool), lo, hi)
+    bounds = _rounding_bounds(win, model, mirror, sums, 1.0)
+    sign = (-1) ** model.dim
+    return sign * np.conj(values), moments[0], remainders, bounds, _cut_counts(model, lo, hi)
+
+
+# ----------------------------------------------------------------------------
 # scans
 # ----------------------------------------------------------------------------
 
@@ -1388,7 +1743,7 @@ def negative_lambda_scan(
     meta = {
         "kind_detail": "smoothed trace at negative lambda",
         "window": {"shape": win.shape, "eps": win.eps, "tau0": win.tau0},
-        **_row_budgets(res.cut_remainder, res.rounding_bound, _arithmetic(res.decimal)),
+        **_row_budgets(res.cut_remainder, res.rounding_bound, res.precision),
     }
     return ScanReport("negative", lams, exact, predicted, meta=meta, fits=fits)
 

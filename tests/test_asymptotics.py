@@ -6,6 +6,7 @@ import pytest
 
 from tracelab.asymptotics import (
     _line_integral,
+    _period_phase,
     component_f_integral,
     fit_expansion,
     gaussian_normal_integral,
@@ -17,7 +18,7 @@ from tracelab.asymptotics import (
     unitary_eigenbasis,
 )
 from tracelab.errors import CleanLocusError, DegenerateDirectionError, FitError
-from tracelab.geometry import fixed_components, heisenberg_chart, make_model
+from tracelab.geometry import fixed_components, heisenberg_chart, make_model, turn_phase
 from tracelab.quadrature import gaussian_line_rule, simplex_rule
 from tracelab.windows import Window
 
@@ -260,3 +261,24 @@ def test_fit_expansion_integer_ladder():
 def test_fit_expansion_needs_points():
     with pytest.raises(FitError):
         fit_expansion((np.array([10.0, 20.0]), np.array([1.0, 1.0])), n_terms=3)
+
+
+@pytest.mark.parametrize(
+    "period",
+    [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 5), Fraction(-13, 7), Fraction(0), Fraction(7, 210),
+     Fraction(2 * 10**9 + 1, 2), Fraction(-(10**9) - 1, 3), Fraction(1, 2**40)],
+)
+def test_period_phase_is_the_fraction_path_bit_for_bit(period):
+    # the int64 reduction over the grid gives exactly the phases of the exact
+    # turns -lam * period (`turn_phase`), including p ~ 1e9, subnormal and
+    # huge lam, and the non-finite lam that map to NaN
+    rng = np.random.default_rng(abs(hash(period)) % 2**32)
+    lams = np.concatenate([
+        rng.uniform(-1e3, 1e3, 300), rng.uniform(0.0, 1e12, 100), np.round(rng.uniform(-1e6, 1e6, 100)),
+        rng.uniform(-1.0, 1.0, 100) * 2.0 ** rng.integers(-1070, 70, 100),
+        [0.0, -0.0, 0.5, 2.5, 1e300, 5e-324, 2.0**53, 2.0**60],
+    ])
+    turns = [-Fraction(x) * period for x in lams.tolist()]
+    assert _period_phase(period, lams).tolist() == turn_phase(turns).tolist()
+    edge = _period_phase(period, np.array([np.inf, np.nan, -np.inf, 1.0]))
+    assert np.isnan(edge[:3]).all() and edge[3] == turn_phase([-period])[0]

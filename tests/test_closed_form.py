@@ -122,6 +122,35 @@ def test_pole_list_h_matches_h_table(weights):
         assert (np.abs(closed - table[:, i]) <= tolerance).all(), (weights, t)
 
 
+@pytest.mark.parametrize("weights", [(1, 1, 1, 5), (2, 3, 5, 7), (1, 13)])
+def test_conjugate_poles_are_formed_as_exact_conjugates(weights):
+    # each complex pole's conjugate is in the list with the negated arg, the
+    # conjugate weights and the same majorants, error and spread; polishing
+    # and expanding the conjugate separately gives the same bits, since every
+    # decimal rounding is symmetric under negation
+    rng = np.random.default_rng(len(weights))
+    moments = _merged_moments(weights, rng.uniform(0.1, 1.0, len(weights)))
+    d = len(weights) - 1
+    poles = _poles(d, moments)
+    complex_poles = [p for p in poles if p.arg not in (0, smoothing._PI)]
+    assert complex_poles and len(complex_poles) % 2 == 0
+    for p in complex_poles:
+        partner = [c for c in complex_poles
+                   if c.arg == p.arg.copy_negate() and c.log_modulus == p.log_modulus]
+        assert len(partner) == 1
+        c = partner[0]
+        assert c.weights == tuple(x.conjugate() for x in p.weights)
+        assert (c.majorants, c.error, c.spread) == (p.majorants, p.error, p.spread)
+    with smoothing.localcontext() as ctx:
+        ctx.prec = smoothing._DECIMAL_DIGITS
+        top = max(w for w, x in moments if x > 0)
+        tails = [sum((x for w, x in moments if w > m), smoothing.Decimal(0)) for m in range(top)]
+        roots = smoothing._polished_roots(tails)
+    for g in roots:
+        if g[1] < 0:
+            assert (g[0], g[1].copy_negate(), g[2]) in roots
+
+
 def test_colliding_roots_fall_back_to_the_eigen_sum():
     # (2, 3) at moments (3/4, 1/4): p_t(x) = (1 - x)(1 + x/2)^2 has a double
     # root, so the poles are not separated and the eigen-sum sums the row; a

@@ -320,22 +320,22 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-# a trace on (1, 3); a kernel row on (2, 3) at tau0 = pi whose moments are
+# a trace on (1, 3) past 2^52, where the closed form leaves its rows to the
+# eigen-sum; a kernel row on (2, 3) at tau0 = pi whose moments are
 # (3/4, 1/4), where p_t(x) = (1 - x)(1 + x/2)^2 has a double root: its
 # poles are not separated, so the closed form leaves it to the eigen-sum.
 # Its chart radius |u|/sqrt(lambda) = pi/6 at lambda = 1e12 puts sin^2 = 1/4
 # on the normal coordinate
 _BEYOND_THE_CUT_TABLE = {
-    "trace": ["--weights", "1,3", "--tau0", "0", "--eps", "0.15"],
+    "trace": ["--weights", "1,3", "--tau0", "0", "--eps", "0.15", "--lambda-grid", "1e16:2e16:2"],
     "local": ["--weights", "2,3", "--tau0", "3.141592653589793", "--eps", "0.1",
-              "--u", repr(1e6 * math.pi / 6)],
+              "--u", repr(1e6 * math.pi / 6), "--lambda-grid", "1e12:2e12:2"],
 }
 
 
 @pytest.mark.parametrize("kind", ["trace", "local"])
 def test_cli_lambda_beyond_the_cut_table_exits_3(tmp_path, capsys, kind):
-    argv = [kind, *_BEYOND_THE_CUT_TABLE[kind], "--shape", "gaussian",
-            "--lambda-grid", "1e12:2e12:2", "--out", str(tmp_path)]
+    argv = [kind, *_BEYOND_THE_CUT_TABLE[kind], "--shape", "gaussian", "--out", str(tmp_path)]
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: lambda=") and "needs a window-cut table" in err
@@ -672,8 +672,8 @@ def test_trace_ignores_kmax(tmp_path):
     meta = runs["0"][1]["meta"]
     remainders = meta["window_cut_remainders"]
     assert len(remainders) == 5 and max(remainders) < 1e-20
-    # tau0 = 0: no cancellation, every row stays in double with a small bound
-    assert meta["precision"] == ["double"] * 5
+    # every row is closed-form, with a small bound
+    assert meta["precision"] == ["closed-form"] * 5
     assert len(meta["rounding_bounds"]) == 5 and 0 < max(meta["rounding_bounds"]) < 1e-8
     assert "package" not in json.loads((tmp_path / "0" / "manifest.json").read_text())
 

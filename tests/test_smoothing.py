@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 import warnings
 from decimal import Decimal, localcontext
 
@@ -22,6 +23,7 @@ from tracelab.smoothing import (
     _denumerants,
     _diagonal_values,
     _eigen_sum_diagonal,
+    _eigen_sum_trace,
     _gaussian_steps,
     _h_table,
     _phase_table,
@@ -93,11 +95,13 @@ def test_bump_trace_refuses_from_the_cut(model12):
 
 
 def test_lambda_beyond_the_cut_table_refuses(model12, chart):
-    # lambda = 1e12 would tabulate 1e12 values of n; past 9.2e18 the count
-    # would not even fit int64.  A kernel row summed by the eigen-sum (the
-    # rows the closed form does not take) refuses the same way
+    # an eigen-sum row at lambda = 1e12 would tabulate 1e12 values of n;
+    # past 9.2e18 the count would not even fit int64.  The closed form takes
+    # trace rows below 2^52 only, so 1e19 reaches the eigen-sum through
+    # `smoothed_trace`; a kernel row summed by the eigen-sum (the rows the
+    # closed form does not take) refuses the same way
     with pytest.raises(CoverageError, match=r"lambda=1e\+12 needs a window-cut table"):
-        smoothed_trace(model12, Window("gaussian", 0.0, 0.15), 1e12)
+        _eigen_sum_trace(model12, Window("gaussian", 0.0, 0.15), np.array([1e12]), 1e-10)
     with pytest.raises(CoverageError, match=r"lambda=1e\+19 needs a window-cut table"):
         smoothed_trace(model12, Window("gaussian", 0.0, 0.15), [10.0, 1e19])
     t = np.array([[0.36, 0.64]])
@@ -122,11 +126,12 @@ def test_tau0_past_the_phase_limit_refuses(model12, chart):
 def test_cut_table_limit_is_one_constant(model12, monkeypatch):
     win = Window("gaussian", 0.0, 0.15)
     # the far edge of a cut at lam = 700 is floor(700 + sqrt(1400)/0.15) = 949
+    lam = np.array([700.0])
     monkeypatch.setattr(smoothing, "_CUT_TABLE_MAX", 950)
-    assert np.isfinite(smoothed_trace(model12, win, 700.0).value)
+    assert np.isfinite(_eigen_sum_trace(model12, win, lam, 1e-10)[0]).all()
     monkeypatch.setattr(smoothing, "_CUT_TABLE_MAX", 949)
     with pytest.raises(CoverageError, match="950 entries, above the 949"):
-        smoothed_trace(model12, win, 700.0)
+        _eigen_sum_trace(model12, win, lam, 1e-10)
 
 
 def test_trace_grid_matches_pointwise_calls(model12):
@@ -214,7 +219,7 @@ def test_trace_at_pi_keeps_thirteen_digits(model12):
     win = Window("gaussian", np.pi, 0.15)
     lams = np.linspace(150.0, 400.0, 100)
     res = smoothed_trace(model12, win, lams)
-    assert not res.decimal.any()
+    assert "decimal" not in res.precision.tolist()
     errors = []
     with mpmath.workdps(40):
         eps, tau0 = mpmath.mpf(win.eps), mpmath.mpf(win.tau0)
@@ -265,8 +270,11 @@ _TRACE_SCAN_GRID = ["--lambda-grid", "150.1343642441124:399.1525662630628:400"]
 )
 def test_row_bounds_no_larger_than_per_term_phases(argv, monkeypatch, tmp_path, capsys):
     # one phase table and one turn per row charge no row more than phases
-    # taken term by term would: every eigen-sum row of these runs
+    # taken term by term would: every eigen-sum row of these runs.  The
+    # trace runs are summed by the eigen-sum (the closed form gets no poles)
     checked = []
+    if argv[0] == "trace":
+        monkeypatch.setattr(smoothing, "_unit_poles", lambda weights: None)
 
     def both(win, model, lams, sums, *units):
         bounds = _rounding_bounds(win, model, lams, sums, *units)
@@ -304,7 +312,7 @@ def test_denumerants_refuse_past_int64():
     with pytest.raises(CoverageError, match="int64"):
         _denumerants((1,) * 10, 1000)
     with pytest.raises(CoverageError, match="int64"):
-        smoothed_trace(make_model((1,) * 10), Window("gaussian", 0.0, 0.3), 1000.0)
+        _eigen_sum_trace(make_model((1,) * 10), Window("gaussian", 0.0, 0.3), np.array([1000.0]), 1e-10)
 
 
 def test_fubini_diagonal_integrates_to_trace(model12):
@@ -548,12 +556,17 @@ def _decimal_error(value: complex, re: Decimal, im: Decimal) -> float:
 
 def test_trace_keeps_its_digits_under_cancellation():
     # at tau0 = pi the (1, 1, 1, 2) trace is pi/8 at every integer lambda,
-    # while kappa = sum |terms| / |sum| runs from 1.3e9 to 1.3e15; summed in
-    # double it read 0.9251 pi/8 at lambda = 1e5
+    # while an eigen-sum's kappa = sum |terms| / |sum| runs from 1.3e9 to
+    # 1.3e15: summed in double it read 0.9251 pi/8 at lambda = 1e5.  The
+    # eigen-sum sums these rows in decimal; the closed form has no
+    # cancelling sum
     model = make_model((1, 1, 1, 2))
-    res = smoothed_trace(model, Window("gaussian", np.pi, 0.15), np.linspace(1e3, 1e5, 4))
-    assert res.decimal.all()
-    for value, remainder, bound in zip(res.value, res.cut_remainder, res.rounding_bound):
+    win, lams = Window("gaussian", np.pi, 0.15), np.linspace(1e3, 1e5, 4)
+    res = smoothed_trace(model, win, lams)
+    values, remainders, bounds, decimal, _ = _eigen_sum_trace(model, win, lams, 1e-10)
+    assert decimal.all() and res.precision.tolist() == ["closed-form"] * 4
+    rows = [*zip(values, remainders, bounds), *zip(res.value, res.cut_remainder, res.rounding_bound)]
+    for value, remainder, bound in rows:
         err = _decimal_error(complex(value), _PI50 / 8, Decimal(0))
         assert err <= 1e-12 * np.pi / 8
         assert err <= remainder + bound
@@ -563,14 +576,15 @@ def test_trace_bound_charges_each_term_at_its_own_distance():
     # (1, 1, 1) at tau0 = -12 pi, eps 0.15, lambda = 64719: no cancellation,
     # and a phase |s tau0| up to 9400 radians at the cut's edges.  Charging
     # every term at the edge gave 1.6e-12 of the value; each at its own
-    # distance gives about 2e-13, still above the error
+    # distance gives about 2e-13, still above the error.  The eigen-sum
+    # entry, since the closed form takes this row
     win = Window("gaussian", -12 * np.pi, 0.15)
     lam = 64719.0
-    res = smoothed_trace(make_model((1, 1, 1)), win, lam)
+    values, remainders, bounds, decimal, _ = _eigen_sum_trace(make_model((1, 1, 1)), win, np.array([lam]), 1e-10)
     n_lo, n_top = int(lam - 40.0 / win.eps), int(lam + 40.0 / win.eps)
-    err = _decimal_error(res.value, *_decimal_trace((1, 1, 1), win, lam, n_lo, n_top))
-    assert not res.decimal
-    assert err <= res.cut_remainder + res.rounding_bound <= 3e-13 * abs(res.value)
+    err = _decimal_error(complex(values[0]), *_decimal_trace((1, 1, 1), win, lam, n_lo, n_top))
+    assert not decimal[0]
+    assert err <= remainders[0] + bounds[0] <= 3e-13 * abs(values[0])
 
 
 @settings(max_examples=20, deadline=None)
@@ -974,3 +988,139 @@ def test_stepped_gaussian_factors_within_their_bound(eps, f, k):
         derived = (k * k + abs(k) + 1 + 8 * h * (abs(fd) + abs(k) + 1) ** 2) * unit
         charged = (1 + 4 * Decimal(eps) ** 2) * (abs(fd - k) + 2) ** 2 * unit
     assert rel <= derived <= charged
+
+
+# ----------------------------------------------------------------------------
+# traces in closed form (`_closed_form_trace`)
+# ----------------------------------------------------------------------------
+
+
+def _mpmath_trace(weights, win, lam, n_lo, n_top, digits=40):
+    """The eigen-sum over n_lo..n_top at ``digits`` digits in mpmath, with
+    exact integer d(n): (value, sum of the moduli of its terms)."""
+    mpmath = pytest.importorskip("mpmath")
+    counts = _coin_counts(weights, n_top)
+    with mpmath.workdps(digits):
+        eps, tau0, lam = mpmath.mpf(win.eps), mpmath.mpf(win.tau0), mpmath.mpf(lam)
+        peak = eps * mpmath.sqrt(2 * mpmath.pi)
+        terms = [counts[n] * peak * mpmath.exp(-((eps * (lam - n)) ** 2) / 2)
+                 for n in range(n_lo, n_top + 1)]
+        value = mpmath.fsum(t * mpmath.expj(-(lam - n) * tau0) for n, t in zip(range(n_lo, n_top + 1), terms))
+        return value, mpmath.fsum(terms)
+
+
+def test_unit_poles_of_one_two():
+    # d(n) = floor(n/2) + 1 = (2n + 3)/4 + (-1)^n/4 on (1, 2), exactly
+    poles = smoothing._unit_poles((1, 2))
+    assert [(p.turn, p.coeffs) for p in poles] == [(0, (0.75, 0.5)), (Fraction(1, 2), (0.25,))]
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1, 2), (1, 2, 3), (2, 3, 5, 7), (1, 3)])
+def test_unit_poles_are_the_roots_of_unity_with_their_orders(weights):
+    # a root of unity of order o is a pole of order #{i : o | w_i}; every other
+    # root of unity is absent, not a rounding residue, and conjugate poles
+    # carry conjugate coefficients
+    poles = smoothing._unit_poles(weights)
+    period = math.lcm(*weights)
+    expected = {Fraction(a, period) for a in range(period)
+                if any(w % (period // math.gcd(a, period)) == 0 for w in weights)}
+    assert {p.turn for p in poles} == expected
+    by_turn = {p.turn: p for p in poles}
+    for p in poles:
+        order = p.turn.denominator
+        assert len(p.coeffs) == sum(w % order == 0 for w in weights) and p.coeffs[-1] != 0
+        conjugate = by_turn[(1 - p.turn) % 1]
+        assert conjugate.coeffs == tuple(c.conjugate() for c in p.coeffs)
+    assert smoothing._unit_poles(weights) is poles  # built once per weight vector
+
+
+def test_unit_poles_reproduce_the_denumerants():
+    # sum over the poles of zeta^n P_zeta(n) is d(n) for n >= 0, 0 for
+    # -sum w < n < 0 and (-1)^d d(-n - sum w) below (reciprocity)
+    for weights in [(1, 1, 1, 2), (1, 2, 3), (2, 3, 5, 7), (2, 3)]:
+        poles, d, total = smoothing._unit_poles(weights), len(weights) - 1, sum(weights)
+        counts = _coin_counts(weights, 300)
+        for n in list(range(-total - 60, 240)):
+            q = sum(complex(np.exp(2j * np.pi * float(p.turn * n % 1)))
+                    * sum(c * float(n) ** j for j, c in enumerate(p.coeffs)) for p in poles)
+            want = counts[n] if n >= 0 else 0 if n > -total else (-1) ** d * counts[-n - total]
+            assert abs(q - want) <= 1e-9 * max(1, abs(want)), (weights, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_windowed_models(), lam=st.one_of(st.floats(40.0, 400.0), st.floats(400.0, 1e4)))
+@example(case=([1, 2], np.pi, 0.6), lam=40.5)
+@example(case=([2, 3, 5], 0.0, 0.5), lam=77.25)
+def test_closed_form_trace_agrees_with_the_oracles(case, lam):
+    # 2-4 weights in 1..5, tau0 a period or the midpoint of two: at every
+    # period the row is closed-form, and each row is within its remainder
+    # plus bound of a 40-digit mpmath eigen-sum and, below lambda = 400, of
+    # the lattice sum (which adds its own rounding)
+    weights, tau0, scale = case
+    model = make_model(weights)
+    win = _trace_window(model, tau0, scale)
+    assume(win is not None)
+    res = smoothed_trace(model, win, lam)
+    if any(abs(tau0 - 2 * np.pi * j / w) < 1e-12 for w in weights for j in range(-w - 1, w + 2)):
+        assert res.precision == "closed-form"
+    n_lo, n_top = max(0, int(lam - 40.0 / win.eps)), int(lam + 40.0 / win.eps)
+    ref, magnitude = _mpmath_trace(weights, win, lam, n_lo, n_top)
+    budget = res.cut_remainder + res.rounding_bound
+    assert abs(complex(ref) - res.value) <= budget + 1e-30 * float(magnitude) + 1e-300
+    if lam <= 400.0:
+        brute = brute_smoothed_trace(weights, win, lam, n_top)
+        rounding = 4 * n_top * np.finfo(float).eps * float(magnitude)
+        assert abs(brute - res.value) <= budget + rounding + 1e-300
+
+
+def test_trace_at_pi_keeps_fifteen_digits(model12):
+    # CI's grid: against a 40-digit sum the eigen-sum read 1.5e-14 (median)
+    # and 8.3e-14 (max) here; the closed form is one exact phase times pi/2
+    win = Window("gaussian", np.pi, 0.15)
+    lams = np.linspace(150.0, 400.0, 41)
+    res = smoothed_trace(model12, win, lams)
+    assert res.precision.tolist() == ["closed-form"] * 41
+    errors = []
+    for lam, value, remainder, bound in zip(lams, res.value, res.cut_remainder, res.rounding_bound):
+        ref, _ = _mpmath_trace((1, 2), win, lam, math.ceil(lam - 80.0), math.floor(lam + 80.0))
+        err = abs(complex(ref) - value)
+        assert err <= remainder + bound
+        errors.append(err / abs(complex(ref)))
+    assert np.median(errors) <= 1e-15 and max(errors) <= 1e-15
+
+
+def test_trace_at_a_large_period_against_forty_digits(model12):
+    # tau0 = 2 pi 1e9 + pi: the period and theta = tau0 - tau are formed at
+    # 40 digits, and lam tau is reduced exactly (`_period_phase`)
+    win = Window("gaussian", 2 * np.pi * 1e9 + np.pi, 0.15)
+    lams = np.array([150.25, 300.5, 1234.567])
+    res = smoothed_trace(model12, win, lams)
+    assert res.precision.tolist() == ["closed-form"] * 3
+    for lam, value, remainder, bound in zip(lams, res.value, res.cut_remainder, res.rounding_bound):
+        ref, _ = _mpmath_trace((1, 2), win, lam, math.ceil(lam - 80.0), math.floor(lam + 80.0))
+        err = abs(complex(ref) - value)
+        assert err <= remainder + bound and err <= 1e-15 * abs(complex(ref))
+
+
+def test_general_weight_trace_at_a_billion():
+    # (2, 3, 5, 7) at tau0 = 2 pi/5, eps 0.04: the eigen-sum refuses lambda =
+    # 1e9 (its window-cut table); the closed form keeps 15 terms
+    model, win = make_model((2, 3, 5, 7)), Window("gaussian", 2 * np.pi / 5, 0.04)
+    lams = np.array([1e9, 1e9 + 0.5])
+    res = smoothed_trace(model, win, lams)
+    assert res.precision.tolist() == ["closed-form"] * 2 and res.n_eigenvalues == 30
+    assert np.isfinite(res.cut_remainder).all() and (res.rounding_bound < 1e-13 * np.abs(res.value)).all()
+    with pytest.raises(CoverageError, match="window-cut table"):
+        _eigen_sum_trace(model, win, lams, 1e-10)
+
+
+def test_closed_form_trace_leaves_cancelling_and_huge_rows_to_the_eigen_sum(model12):
+    # lam = 0.5 on (1, 1, 1, 2) at pi: the ghost cancels the Poisson side;
+    # lam <= -sum w: the ghost holds the window's peak; past 2^52 a double
+    # lam no longer resolves n, and the eigen-sum refuses
+    res = smoothed_trace(make_model((1, 1, 1, 2)), WIN, np.array([0.5, 300.0]))
+    assert res.precision.tolist() == ["decimal", "closed-form"]
+    assert smoothed_trace(model12, WIN, -50.0).precision == "double"
+    assert smoothed_trace(model12, WIN, 2.0**52 - 1).precision == "closed-form"
+    with pytest.raises(CoverageError, match="window-cut table"):
+        smoothed_trace(model12, WIN, 2.0**52)
