@@ -141,11 +141,11 @@ def _period_phase(period: Fraction, lam) -> np.ndarray:
     With period = p/q, lam is reduced mod q (`np.fmod`, exact) and written
     m 2^-j, m an integer (`np.frexp`, trailing zero bits stripped), so the
     turn is the residue N of -m p modulo D = q 2^j over D (|p| reduced mod
-    D first), reduced to [-1/2, 1/2]: int64 arithmetic over the grid.  Quarter turns come out exact and
-    the rest as e^{2 pi i N/D}, N/D correctly rounded (N/q is a division of
-    two exact doubles, then scaled by 2^-j), bit for bit the Fraction's
-    rounding.  Where D passes 2^53 or m p might pass int64, the turn is taken
-    as a Fraction."""
+    D first), reduced to [-1/2, 1/2]: int64 arithmetic over the grid.
+    Quarter turns come out exact and the rest as e^{2 pi i N/D}, N/D
+    correctly rounded (N/q is a division of two exact doubles, then scaled
+    by 2^-j), bit for bit the Fraction's rounding.  Where D passes 2^53 or
+    m p might pass int64, the turn is taken as a Fraction."""
     lam = np.asarray(lam, dtype=float)
     finite = np.isfinite(lam)
     x = np.where(finite, lam, 0.0).ravel()

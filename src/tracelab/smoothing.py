@@ -57,16 +57,16 @@ Every other row (bump windows, rows that cancel, trace rows past 2^52) is
 an eigen-sum, and one routine, `_conditioned_sums`, picks its arithmetic.
 Near a period the phases alternate and the sum cancels: kappa = sum
 |terms| / |sum| is 5e7 to 2e12 on the off-locus diagonal scans and grows
-like lam^d on a trace at tau0 = pi.  Each row is summed in double, and a row that double would leave fewer
-than 13 digits is summed again over the same cut in 40-digit decimal, with
-exact integer d(n) for traces.  Both passes take their phases from one
-table of cis(k tau0), |k| <= K, built once per call at 40 digits
-(`_phase_table`): with c = round(lam) and f = lam - c a row is
-e^{-i f tau0} sum_k c_{c+k} chihat_0(f - k) cis(k tau0), so no phase
-argument grows with |lam - n| and a row takes one complex exponential.
-Each row reports its arithmetic and a rounding bound (`_rounding_bounds`,
-or the closed form's own) next to its remainder; the bound charges each
-term's rounding at its own distance |lam - n|.
+like lam^d on a trace at tau0 = pi.  Each row is summed in double, and a
+row that double would leave fewer than 13 digits is summed again over the
+same cut in 40-digit decimal, with exact integer d(n) for traces.  Both
+passes take their phases from one table of cis(k tau0), |k| <= K, built
+once per call at 40 digits (`_phase_table`): with c = round(lam) and f =
+lam - c a row is e^{-i f tau0} sum_k c_{c+k} chihat_0(f - k) cis(k tau0),
+so no phase argument grows with |lam - n| and a row takes one complex
+exponential.  Each row reports its arithmetic and a rounding bound
+(`_rounding_bounds`, or the closed form's own) next to its remainder; the
+bound charges each term's rounding at its own distance |lam - n|.
 """
 
 from __future__ import annotations
@@ -124,12 +124,12 @@ class TraceResult:
 
     ``precision`` names each row's arithmetic: "closed-form"
     (`_closed_form_trace`), or "double" or "decimal" for an eigen-sum row.
-    ``cut_remainder`` bounds what a row leaves out
-    (an eigen-sum row's window cut; a closed-form row's omitted periods and
-    ghost tail) and ``rounding_bound`` the rounding of what it keeps.
-    ``n_eigenvalues`` counts the terms summed over the grid: the eigenvalues,
-    with multiplicity, inside an eigen-sum row's cut, and for a closed-form
-    row one per period term plus the eigenvalues of its ghost sum.
+    ``cut_remainder`` bounds what a row leaves out (an eigen-sum row's
+    window cut; a closed-form row's omitted periods and ghost tail) and
+    ``rounding_bound`` the rounding of what it keeps.  ``n_eigenvalues``
+    counts the terms summed over the grid: the eigenvalues, with
+    multiplicity, inside an eigen-sum row's cut, and for a closed-form row
+    one per period term plus the eigenvalues of its ghost sum.
     """
 
     value: complex | np.ndarray
@@ -207,7 +207,8 @@ def smoothed_trace(
         precision[rest] = _arithmetic(decimal)
     if np.ndim(lam) == 0:
         return TraceResult(
-            complex(values[0]), float(remainders[0]), int(terms[0]), float(bounds[0]), str(precision[0])
+            complex(values[0]), float(remainders[0]), int(terms[0]), float(bounds[0]),
+            str(precision[0]),
         )
     return TraceResult(values, remainders, int(terms.sum()), bounds, precision)
 
@@ -859,8 +860,9 @@ def _poles(d: int, moments: tuple) -> list | None:
         for r, (re, im, radius) in enumerate(roots):
             if (re, im.copy_negate()) in formed:  # the conjugate pole: conjugate log, arg, weights
                 p = formed[re, im.copy_negate()]
-                poles.append(_Pole(p.log_modulus, p.arg.copy_negate(), tuple(x.conjugate() for x in p.weights),
-                                   p.majorants, p.error, p.spread))
+                weights = tuple(x.conjugate() for x in p.weights)
+                poles.append(_Pole(p.log_modulus, p.arg.copy_negate(), weights, p.majorants,
+                                   p.error, p.spread))
                 continue
             log_modulus, arg = _log_polar(re, im) if r else (Decimal(0), Decimal(0))
             weights, majorants, spread = _laurent(d, r, roots, centres)
@@ -1292,10 +1294,13 @@ def _unit_poles(weights: tuple) -> tuple | None:
     only where it can be nonzero: for j < m(o), over c_j's own exact period
     P_j (the least divisor of L that c_j repeats with) and only at the a
     that P_j allows, at `_DECIMAL_DIGITS` digits with exact quarter turns,
-    and rounded once; conjugate poles take conjugate coefficients.  A pole
-    that does not exist is an exact zero, not a rounding residue (a double
-    DFT over all L residues left spurious lam^3 terms in the zeta = -1 row
-    of (1, 1, 1, 2)).
+    and rounded once; conjugate poles take conjugate coefficients.  Before
+    that rounding a coefficient is off by at most (P_j + 284) decimal units
+    of max_r |c_j(r)|: the quotients and the sum round P_j + 4 times, and a
+    `_sin_cos` value is within the 280 units `_rounding_bounds` charges.  A
+    pole that does not exist is an exact zero, not a rounding residue (a
+    double DFT over all L residues left spurious lam^3 terms in the zeta =
+    -1 row of (1, 1, 1, 2)).
     """
     d, period = len(weights) - 1, math.lcm(*weights)
     if period * (d + 1) > _QUASI_TABLE_MAX:
@@ -1347,7 +1352,7 @@ def _unit_poles(weights: tuple) -> tuple | None:
                     cos, sin = cis[p][q * r % p]
                     re, im = re + x * cos, im - x * sin
                 value = complex(float(re / p), float(im / p))
-                error = 4 * (p + 1) * _DECIMAL_UNIT * float(max(abs(x) for x in c[j][:p]))
+                error = (p + 284) * _DECIMAL_UNIT * float(max(abs(x) for x in c[j][:p]))
                 coeffs.append(value)
                 majorants.append(abs(value) + error * 2.0**53)
             if any(coeffs):
@@ -1452,7 +1457,8 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
             for theta in beyond:  # consecutive omitted majorants fall by at least q
                 q = (1.0 + 2.0 * math.pi / abs(theta)) ** deg
                 q *= math.exp(-2.0 * math.pi * (abs(theta) + math.pi) / eps**2)
-                far = math.exp(-0.5 * (theta / eps) ** 2) * _horner(bbar, np.abs(lam) + abs(theta) / eps**2)
+                far = math.exp(-0.5 * (theta / eps) ** 2)
+                far *= _horner(bbar, np.abs(lam) + abs(theta) / eps**2)
                 remainder += 2.0 * math.pi * far / (1.0 - q) if q < 1.0 else np.inf
             for chi, y, turn in kept:
                 term = 2.0 * math.pi * chi * _period_phase(turn, lam) * _horner(b, lam + 1j * y)
@@ -1477,7 +1483,7 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
             remainder[summed] += ghost[2]
             bound[summed] += ghost[3]
             ghost_terms[summed] = ghost[4]
-        ok = np.isfinite(value) & np.isfinite(magnitude) & np.isfinite(bound) & np.isfinite(remainder)
+        ok = np.isfinite([value, magnitude, bound, remainder]).all(axis=0)
         ok &= magnitude <= _CLOSED_FORM_KAPPA * np.abs(value)
         ok &= remainder <= _final_cut_target(tail_tol, u, magnitude)
     kept = rows[ok]

@@ -265,8 +265,8 @@ def test_fit_expansion_needs_points():
 
 @pytest.mark.parametrize(
     "period",
-    [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 5), Fraction(-13, 7), Fraction(0), Fraction(7, 210),
-     Fraction(2 * 10**9 + 1, 2), Fraction(-(10**9) - 1, 3), Fraction(1, 2**40)],
+    [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 5), Fraction(-13, 7), Fraction(0),
+     Fraction(7, 210), Fraction(2 * 10**9 + 1, 2), Fraction(-(10**9) - 1, 3), Fraction(1, 2**40)],
 )
 def test_period_phase_is_the_fraction_path_bit_for_bit(period):
     # the int64 reduction over the grid gives exactly the phases of the exact
@@ -274,7 +274,8 @@ def test_period_phase_is_the_fraction_path_bit_for_bit(period):
     # huge lam, and the non-finite lam that map to NaN
     rng = np.random.default_rng(abs(hash(period)) % 2**32)
     lams = np.concatenate([
-        rng.uniform(-1e3, 1e3, 300), rng.uniform(0.0, 1e12, 100), np.round(rng.uniform(-1e6, 1e6, 100)),
+        rng.uniform(-1e3, 1e3, 300), rng.uniform(0.0, 1e12, 100),
+        np.round(rng.uniform(-1e6, 1e6, 100)),
         rng.uniform(-1.0, 1.0, 100) * 2.0 ** rng.integers(-1070, 70, 100),
         [0.0, -0.0, 0.5, 2.5, 1e300, 5e-324, 2.0**53, 2.0**60],
     ])

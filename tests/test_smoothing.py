@@ -312,7 +312,7 @@ def test_denumerants_refuse_past_int64():
     with pytest.raises(CoverageError, match="int64"):
         _denumerants((1,) * 10, 1000)
     with pytest.raises(CoverageError, match="int64"):
-        _eigen_sum_trace(make_model((1,) * 10), Window("gaussian", 0.0, 0.3), np.array([1000.0]), 1e-10)
+        _eigen_sum_trace(make_model((1,) * 10), Window("gaussian", 0.0, 0.3), np.array([1e3]), 1e-10)
 
 
 def test_fubini_diagonal_integrates_to_trace(model12):
@@ -565,7 +565,8 @@ def test_trace_keeps_its_digits_under_cancellation():
     res = smoothed_trace(model, win, lams)
     values, remainders, bounds, decimal, _ = _eigen_sum_trace(model, win, lams, 1e-10)
     assert decimal.all() and res.precision.tolist() == ["closed-form"] * 4
-    rows = [*zip(values, remainders, bounds), *zip(res.value, res.cut_remainder, res.rounding_bound)]
+    rows = [*zip(values, remainders, bounds)]
+    rows += zip(res.value, res.cut_remainder, res.rounding_bound)
     for value, remainder, bound in rows:
         err = _decimal_error(complex(value), _PI50 / 8, Decimal(0))
         assert err <= 1e-12 * np.pi / 8
@@ -580,7 +581,8 @@ def test_trace_bound_charges_each_term_at_its_own_distance():
     # entry, since the closed form takes this row
     win = Window("gaussian", -12 * np.pi, 0.15)
     lam = 64719.0
-    values, remainders, bounds, decimal, _ = _eigen_sum_trace(make_model((1, 1, 1)), win, np.array([lam]), 1e-10)
+    sums = _eigen_sum_trace(make_model((1, 1, 1)), win, np.array([lam]), 1e-10)
+    values, remainders, bounds, decimal, _ = sums
     n_lo, n_top = int(lam - 40.0 / win.eps), int(lam + 40.0 / win.eps)
     err = _decimal_error(complex(values[0]), *_decimal_trace((1, 1, 1), win, lam, n_lo, n_top))
     assert not decimal[0]
@@ -1005,7 +1007,8 @@ def _mpmath_trace(weights, win, lam, n_lo, n_top, digits=40):
         peak = eps * mpmath.sqrt(2 * mpmath.pi)
         terms = [counts[n] * peak * mpmath.exp(-((eps * (lam - n)) ** 2) / 2)
                  for n in range(n_lo, n_top + 1)]
-        value = mpmath.fsum(t * mpmath.expj(-(lam - n) * tau0) for n, t in zip(range(n_lo, n_top + 1), terms))
+        phases = [mpmath.expj(-(lam - n) * tau0) for n in range(n_lo, n_top + 1)]
+        value = mpmath.fsum(t * phase for t, phase in zip(terms, phases))
         return value, mpmath.fsum(terms)
 
 
@@ -1109,7 +1112,8 @@ def test_general_weight_trace_at_a_billion():
     lams = np.array([1e9, 1e9 + 0.5])
     res = smoothed_trace(model, win, lams)
     assert res.precision.tolist() == ["closed-form"] * 2 and res.n_eigenvalues == 30
-    assert np.isfinite(res.cut_remainder).all() and (res.rounding_bound < 1e-13 * np.abs(res.value)).all()
+    assert np.isfinite(res.cut_remainder).all()
+    assert (res.rounding_bound < 1e-13 * np.abs(res.value)).all()
     with pytest.raises(CoverageError, match="window-cut table"):
         _eigen_sum_trace(model, win, lams, 1e-10)
 
