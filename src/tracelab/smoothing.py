@@ -793,13 +793,14 @@ def _laurent(d: int, r: int, roots: list, centres: list) -> tuple[tuple, tuple, 
     its modulus to first order; the spread adds 8 (D + d)(d + 1) decimal
     units for the arithmetic, D the number of poles.
     """
-    rho, one = roots[r][:2], (Decimal(1), Decimal(0))
+    (r0, r1), one = roots[r][:2], (Decimal(1), Decimal(0))
+    norm = r0 * r0 + r1 * r1
     series, bounds = None, [1.0] + [0.0] * d
     spread = 8.0 * (len(roots) + d) * (d + 1) * _DECIMAL_UNIT
     for s, (re, im, radius) in enumerate(roots):
         if s == r:
             continue
-        q = _cdiv((re, im), rho)
+        q = (re * r0 + im * r1) / norm, (im * r0 - re * r1) / norm  # rho_s/rho_r
         i0, i1 = t0, t1 = _cdiv(one, (1 - q[0], -q[1]))
         b0, b1 = _cmul(q, (i0, i1))
         for _ in range(d):
@@ -811,14 +812,14 @@ def _laurent(d: int, r: int, roots: list, centres: list) -> tuple[tuple, tuple, 
             terms.append((t0, t1))
         if series is None:
             series = terms
-        else:  # the product's coefficients of y^0..y^d, inline complex products
-            series = [
-                (sum(series[i][0] * terms[m - i][0] - series[i][1] * terms[m - i][1]
-                     for i in range(m + 1)),
-                 sum(series[i][0] * terms[m - i][1] + series[i][1] * terms[m - i][0]
-                     for i in range(m + 1)))
-                for m in range(d + 1)
-            ]
+        else:  # the product's coefficients of y^0..y^d, summed from 0 as sum() would
+            product = []
+            for m in range(d + 1):
+                p0 = p1 = 0
+                for (a0, a1), (c0, c1) in zip(series[: m + 1], terms[m::-1]):
+                    p0, p1 = p0 + (a0 * c0 - a1 * c1), p1 + (a0 * c1 + a1 * c0)
+                product.append((p0, p1))
+            series = product
         q_f = centres[s] / centres[r]
         a_q, a_inv = abs(q_f), 1.0 / abs(1.0 - q_f)
         sizes = [a_inv ** (d + 1) * math.comb(d + m, m) * (a_q * a_inv) ** m for m in range(d + 1)]
