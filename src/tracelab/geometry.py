@@ -355,7 +355,7 @@ def heisenberg_chart(model: ProjectiveModel, x0: np.ndarray, tau0: float) -> Hei
     x0 = np.asarray(x0, dtype=complex)
     off = abs(np.linalg.norm(x0) - 1.0)
     if off > 1e-10:
-        raise ValueError(f"chart center is off the unit sphere by {off:.2e}")
+        raise InputError(f"chart center is off the unit sphere by {off:.2e}")
     if np.abs(flow_sphere(model, tau0, x0) - x0).max() > _phase_tol(model, tau0):
         raise ChartError("chart center is not on the fixed locus of this period")
     component = fixed_components(model, tau0)[0]

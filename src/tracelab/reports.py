@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InputError
+
 _FMT = "%.17e"
 CSV_COLUMNS = ("grid", "exact_re", "exact_im", "pred_re", "pred_im", "ratio_abs", "ratio_arg")
 
@@ -33,11 +35,11 @@ class ScanReport:
         self.exact = np.asarray(self.exact, dtype=complex)
         self.predicted = np.asarray(self.predicted, dtype=complex)
         if not (self.grid.shape == self.exact.shape == self.predicted.shape):
-            raise ValueError("grid/exact/predicted must share one shape")
+            raise InputError("grid/exact/predicted must share one shape")
         if self.grid.size and not (
             np.all(np.diff(self.grid) > 0) or np.all(np.diff(self.grid) < 0)
         ):
-            raise ValueError("scan grid must be strictly monotone")
+            raise InputError("scan grid must be strictly monotone")
 
     @property
     def ratios(self) -> np.ndarray:

@@ -53,20 +53,23 @@ own kappa is at most `_CLOSED_FORM_KAPPA`) and its remainder (the omitted
 aliases and the negative-n tail, both bounded in closed form) meets the cut
 target; it is labelled "closed-form".
 
-Every other row (bump windows, rows that cancel, trace rows past 2^52) is
-an eigen-sum, and one routine, `_conditioned_sums`, picks its arithmetic.
-Near a period the phases alternate and the sum cancels: kappa = sum
-|terms| / |sum| is 5e7 to 2e12 on the off-locus diagonal scans and grows
-like lam^d on a trace at tau0 = pi.  Each row is summed in double, and a
-row that double would leave fewer than 13 digits is summed again over the
-same cut in 40-digit decimal, with exact integer d(n) for traces.  Both
-passes take their phases from one table of cis(k tau0), |k| <= K, built
-once per call at 40 digits (`_phase_table`): with c = round(lam) and f =
-lam - c a row is e^{-i f tau0} sum_k c_{c+k} chihat_0(f - k) cis(k tau0),
-so no phase argument grows with |lam - n| and a row takes one complex
-exponential.  Each row reports its arithmetic and a rounding bound
-(`_rounding_bounds`, or the closed form's own) next to its remainder; the
-bound charges each term's rounding at its own distance |lam - n|.
+Every other row (bump windows, colliding poles, trace rows past 2^52, rows
+whose terms overflow) is an eigen-sum over its window cut (`_eigen_sums`),
+in double.  Near a period the phases alternate and the sum cancels: kappa =
+sum |terms| / |sum| is 5e7 to 2e12 on the off-locus diagonal scans and grows
+like lam^d on a trace at tau0 = pi.  A row the closed form formed but turned
+away only for its own kappa is summed as an eigen-sum too, and keeps
+whichever value reports the smaller remainder plus rounding bound
+(`_keep_certified`).  The eigen-sum takes its phases from one table of
+cis(k tau0), |k| <= K, each entry rounded once from 40 digits and built
+once per (tau0, eps) (`_phase_table`): with c = round(lam) and f = lam - c
+a row is e^{-i f tau0} sum_k c_{c+k} chihat_0(f - k) cis(k tau0), so no
+phase argument grows with |lam - n| and a row takes one complex
+exponential.  Each row reports its arithmetic, "closed-form" or "double",
+and a rounding bound (`_rounding_bounds`, or the closed form's own) next to
+its remainder; the eigen-sum's bound charges each term's rounding at its
+own distance |lam - n|, and passes |value| on a row that cancels past what
+double resolves.
 """
 
 from __future__ import annotations
@@ -96,16 +99,10 @@ _GAUSS_FAR = math.sqrt(1400.0)
 # `_h_table`): a one-point (1, 2) trace at lambda = 1e6 tabulates about 1e6
 # entries and peaks near 90 MB, at 2e6 near 145 MB
 _CUT_TABLE_MAX = 1 << 21
-# double keeps about 13 digits of a sum whose condition number kappa
-# satisfies kappa * 2^-53 <= 1e-13 (kappa up to about 900); rows past it are
-# summed again in decimal
-_DOUBLE_KAPPA_BOUND = 1e-13
-# the decimal path: 40 significant digits, at least the 38 of x86
-# double-length long double, and the rounding unit its window cut meets
+# the closed forms' roots, angles and moments and the phase table are formed
+# at 40 significant digits, with this rounding unit, and rounded once
 _DECIMAL_DIGITS = 40
 _DECIMAL_UNIT = 1e-39
-# the decimal path's Gaussian factors step at this many digits more
-_STEP_DIGITS = 10
 # the double pass sums its rows in blocks of at most this many terms
 _BLOCK_TERMS = 1 << 13
 _BUMP_REFUSAL = (
@@ -123,7 +120,7 @@ class TraceResult:
     """Smoothed traces (scalars, or arrays along a grid) with their error budgets.
 
     ``precision`` names each row's arithmetic: "closed-form"
-    (`_closed_form_trace`), or "double" or "decimal" for an eigen-sum row.
+    (`_closed_form_trace`), or "double" for an eigen-sum row.
     ``cut_remainder`` bounds what a row leaves out (an eigen-sum row's
     window cut; a closed-form row's omitted periods and ghost tail) and
     ``rounding_bound`` the rounding of what it keeps.  ``n_eigenvalues``
@@ -192,19 +189,19 @@ def smoothed_trace(
     ``lam`` is a number or a grid.  Each row is first formed in closed form
     from the quasi-polynomial of d(n) (`_closed_form_trace`); the rows it
     does not take are eigen-sums over their own window cut
-    (`_eigen_sum_trace`).  A tau0 past `_check_tau0`'s limit or a non-finite
-    lam refuses before either runs.
+    (`_eigen_sum_trace`), and one it turned away for its kappa keeps the
+    better certified of the two (`_keep_certified`).  A tau0 past
+    `_check_tau0`'s limit or a non-finite lam refuses before either runs.
     """
     _check_tau0(win)
     lams = _check_lambdas(np.atleast_1d(np.asarray(lam, dtype=float)))
-    values, remainders, bounds, terms, taken = _closed_form_trace(model, win, lams, tail_tol)
+    *columns, taken, formed = _closed_form_trace(model, win, lams, tail_tol)
+    values, remainders, bounds, terms = columns
     precision = np.full(lams.size, "closed-form", dtype=object)
     rest = np.flatnonzero(~taken)
     if rest.size:
-        values[rest], remainders[rest], bounds[rest], decimal, terms[rest] = _eigen_sum_trace(
-            model, win, lams[rest], tail_tol
-        )
-        precision[rest] = _arithmetic(decimal)
+        eigen = _eigen_sum_trace(model, win, lams[rest], tail_tol)
+        _keep_certified(rest, formed, columns, eigen, precision)
     if np.ndim(lam) == 0:
         return TraceResult(
             complex(values[0]), float(remainders[0]), int(terms[0]), float(bounds[0]),
@@ -214,22 +211,32 @@ def smoothed_trace(
 
 
 def _eigen_sum_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, tail_tol: float):
-    """The trace rows at ``lams`` as window-cut eigen-sums (`_conditioned_sums`):
-    values, remainders, rounding bounds, the mask of decimal rows and each
-    row's count of eigenvalues inside its cut."""
+    """The trace rows at ``lams`` as window-cut eigen-sums (`_eigen_sums`):
+    values, remainders, rounding bounds and each row's count of eigenvalues
+    inside its cut."""
 
     def table(n_max):
         counts = _denumerants(model.weights, n_max).astype(float)
         return np.broadcast_to(counts[:, None], (counts.size, lams.size))
 
-    def exact(rows, hi):
-        return [_denumerants(model.weights, int(hi.max())).tolist()] * rows.size
+    sums = _eigen_sums(win, model, lams, tail_tol, 1.0, table)
+    values, _, remainders, lo, hi = sums
+    # d(n) is an exact int64 rounded once to double
+    bounds = _rounding_bounds(win, model, lams, sums, 1.0)
+    return values, remainders, bounds, _cut_counts(model, lo, hi)
 
-    sums = _conditioned_sums(win, model, lams, tail_tol, lambda x, pi: x, table, exact)
-    values, _, remainders, decimal, lo, hi = sums
-    # d(n) is exact in decimal and rounded once to double
-    bounds = _rounding_bounds(win, model, lams, sums, np.where(decimal, 0.0, 1.0))
-    return values, remainders, bounds, decimal, _cut_counts(model, lo, hi)
+
+def _keep_certified(rows, formed, columns, eigen, precision) -> None:
+    """Fill ``rows`` of ``columns`` (values, remainders, rounding bounds, and
+    for traces term counts) from the eigen-sum's ``eigen`` columns of those
+    rows, labelled "double", except where the closed form formed the row
+    (``formed``) and reports a smaller remainder plus rounding bound: that
+    row keeps its closed form."""
+    closed = columns[1][rows] + columns[2][rows]
+    use = ~(formed[rows] & (closed < eigen[1] + eigen[2]))
+    for column, new in zip(columns, eigen):
+        column[rows[use]] = new[use]
+    precision[rows[use]] = "double"
 
 
 def _cut_counts(model: ProjectiveModel, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -331,40 +338,25 @@ def _final_cut_target(tail_tol: float, unit, magnitudes: np.ndarray) -> np.ndarr
 
 
 # ----------------------------------------------------------------------------
-# the conditioned sum: one arithmetic decision for traces and kernels
+# the eigen-sum: one window-cut sum for traces and kernels
 # ----------------------------------------------------------------------------
 
 
-def _conditioned_sums(win, model, lams, tail_tol, scale, table, exact):
-    """scale * sum_n c_n chihat(lam - n) per lam, each row in the arithmetic
-    its conditioning needs.
+def _eigen_sums(win, model, lams, tail_tol, scale: float, table):
+    """scale * sum_n c_n chihat(lam - n) per lam in double over its window
+    cut (`_window_cut`), with the phases of `_phase_table`.
 
-    ``scale(x, pi)`` applies the constant factor with each arithmetic's pi;
-    ``table(n_max)`` gives c_0..c_{n_max} in double, one column per lam, and
-    ``exact(rows, hi)`` the exact c_n (ints or decimals) of the lams indexed
-    by ``rows``, one sequence per row up to its ``hi``.  One window cut and
-    one phase table (`_phase_table`) serve both passes: each row is summed in
-    double, and one with kappa * 2^-53 > `_DOUBLE_KAPPA_BOUND` again in
-    decimal (`_decimal_sums`).  A tau0 past `_check_tau0`'s limit, or a row
-    whose remainder exceeds `_final_cut_target` in its arithmetic, refuses.
-    Returns (values, moments, remainders, decimal-row mask, lo, hi), the
-    moments as `_window_sums` gives them, with each decimal row's sum |terms|.
+    ``table(n_max)`` gives c_0..c_{n_max} in double, one column per lam.  A
+    tau0 past `_check_tau0`'s limit, or a row whose remainder exceeds
+    `_final_cut_target`, refuses.  Returns (values, moments, remainders, lo,
+    hi), the moments as `_window_sums` gives them.
     """
-    dbl_scale = scale(1.0, np.pi)
     lo, hi, remainders = _window_cut(win, model, lams)
-    remainders = remainders * dbl_scale
+    remainders = remainders * scale
     _check_tau0(win)
-    phases = _phase_table(win)
     h = table(int(hi.max(initial=-1)))
-    values, moments = _window_sums(win, lams, h, lo, hi, dbl_scale, phases)
-    decimal = moments[0] * 2.0**-53 > _DOUBLE_KAPPA_BOUND * np.abs(values)
-    rows = np.flatnonzero(decimal)
-    if rows.size:
-        values[rows], moments[0, rows] = _decimal_sums(
-            win, lams[rows], exact(rows, hi[rows]), scale, lo[rows], hi[rows], phases
-        )
-    units = np.where(decimal, _DECIMAL_UNIT, float(np.finfo(np.float64).eps))
-    targets = _final_cut_target(tail_tol, units, moments[0])
+    values, moments = _window_sums(win, lams, h, lo, hi, scale, _phase_table(win))
+    targets = _final_cut_target(tail_tol, 2.0**-52, moments[0])
     short = np.flatnonzero(~(remainders <= targets))
     if short.size:
         i = short[0]
@@ -372,72 +364,52 @@ def _conditioned_sums(win, model, lams, tail_tol, scale, table, exact):
             f"window cut remainder {remainders[i]:.2e} cannot reach {targets[i]:.2e} "
             f"at lambda={lams[i]}"
         )
-    return values, moments, remainders, decimal, lo, hi
+    return values, moments, remainders, lo, hi
 
 
 def _rounding_bounds(win, model, lams, sums, fixed_units, units_per_n=0.0) -> np.ndarray:
     """First-order bounds on the rounding error of each row of ``sums``, the
-    result of `_conditioned_sums`.
+    result of `_eigen_sums`.
 
-    With u the unit of the row's arithmetic (2^-53, or `_DECIMAL_UNIT`) and
-    N kept terms, c = round(lam) and f = lam - c (|f| <= 1/2), the term at
-    n = c + k, s = lam - n = f - k and x = (eps s)^2 / 2, carries a relative
-    error of at most u times the sum of (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2002, ch. 3-4):
+    With u = 2^-53 and N kept terms, c = round(lam) and f = lam - c (|f| <=
+    1/2), the term at n = c + k, s = lam - n = f - k and x = (eps s)^2 / 2,
+    carries a relative error of at most u times the sum of (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3-4):
 
-    - C = ``fixed_units`` + ``units_per_n`` n for its coefficient: 0 for
-      d(n) exact in decimal, 1 for d(n) rounded to double, (d + 4) n/min_w
-      for h_n, whose positive recurrence rounds d + 4 times a step along at
-      most n/min_w steps; n = lam - s <= max(lam, 0) + |s|;
+    - C = ``fixed_units`` + ``units_per_n`` n for its coefficient: 1 for
+      d(n) rounded to double, (d + 4) n/min_w for h_n, whose positive
+      recurrence rounds d + 4 times a step along at most n/min_w steps; n =
+      lam - s <= max(lam, 0) + |s|;
     - 8x + 2 for the gaussian factor, whose exponent double computes to 8u;
-      a decimal row keeps that margin for its product c_n E_k and adds G for
-      its stepped factor E_k (`_gaussian_steps`), at most (k^2 + |k| + 1 +
-      8 h (|f| + |k| + 1)^2) u' off with h = eps^2/2 and u' =
-      10^-_STEP_DIGITS u.  As |k| <= |s| + |f| <= |s| + 1/2, G =
-      10^-_STEP_DIGITS (1 + 4 eps^2) (|s| + 2)^2 (0 for double rows);
-    - P |s| + Q for cis(k tau0) from the phase table (`_phase_table`).  A
-      double entry is the rounding of the 40-digit value, within one unit: P
-      = 0, Q = 1 (0 at tau0 = 0, where every entry is exactly 1).  A decimal
-      cos/sin (`_sin_cos` after reduction to |r| <= pi: Horner steps S_k =
-      1 - S_{k+1} a_k, a_k = r^2/(2k(2k -+ 1)) <= 4.94, each rounding 3 times
-      on numbers below 5, its error reaching the result times the product
-      of the later a_j, which sums to less than 12 over the steps) is off by
-      < 100 units, charged 280, so cis by < 400u plus (|theta| + 5)u for the
-      reduction; cis(tau0) is stepped |k| <= |s| + |f| times at 3u more
-      each: P = |tau0| + 408, Q = |f| (|tau0| + 408);
+    - Q for cis(k tau0) from the phase table (`_phase_table`), whose entries
+      are the 40-digit values rounded once: Q = 1 (0 at tau0 = 0, where
+      every entry is exactly 1);
     - 2d + 10 for eps sqrt(2 pi), d!/pi^d and the joining products.
 
-    Summing N complex terms adds sqrt(2) (N - 1) u per |term| (the double
-    pass's zeros outside the cut add nothing); a factor 2 takes up the
-    sqrt(2) and the second-order terms.  The turn e^{-i f tau0} multiplies
-    the row's sum once, so its error is relative to |value|, R units: in
-    double f tau0 is rounded once (|f| |tau0| units), cos and sin are within
-    2 units and the complex product within 3, R = |f| |tau0| + 5 (0 at tau0
-    = 0, where the turn is exactly 1); in decimal f tau0 is rounded once and
-    reduced as above, R = 2 |f| |tau0| + 408.  So with the moments M_j = sum
-    |t| |s|^j of the kept terms t (`_window_sums`),
+    Summing N complex terms adds sqrt(2) (N - 1) u per |term| (the zeros
+    outside the cut add nothing); a factor 2 takes up the sqrt(2) and the
+    second-order terms.  The turn e^{-i f tau0} multiplies the row's sum
+    once, so its error is relative to |value|, R units: f tau0 is rounded
+    once (|f| |tau0| units), cos and sin are within 2 units and the complex
+    product within 3, R = |f| |tau0| + 5 (0 at tau0 = 0, where the turn is
+    exactly 1).  So with the moments M_j = sum |t| |s|^j of the kept terms t
+    (`_window_sums`),
 
-        rho = 2 u (sum_terms |t| (N + C + 8x + G + P |s| + Q + 2d + 12) + R |value|)
+        rho = 2 u (sum_terms |t| (N + C + 8x + Q + 2d + 12) + R |value|)
 
     is charged exactly against M_0, M_1 and M_2 (a polynomial in |s| of
-    degree 2); a decimal row sums the same cut, so it reads M_1 and M_2 of
-    the double pass.  A decimal row adds 2^-52 |value| for its rounding to
-    double.  rho passes |value| once kappa passes about 1 / (2 u N), near
-    1e36 in decimal: such a row is unresolved, and its bound says so.
+    degree 2).  rho passes |value| once kappa passes about 1 / (2 u N): such
+    a row is unresolved, and its bound says so.
     """
-    values, (m0, m1, m2), _, decimal, lo, hi = sums
-    u = np.where(decimal, _DECIMAL_UNIT, 2.0**-53)
+    values, (m0, m1, m2), _, lo, hi = sums
     tau = abs(win.tau0)
     f = np.abs(lams - np.rint(lams))
-    p = np.where(decimal, tau + 408, 0.0)
-    q = np.where(decimal, f * (tau + 408), 1.0 if tau else 0.0)
-    turn = np.where(decimal, 2 * f * tau + 408, f * tau + 5 if tau else 0.0)
-    g = np.where(decimal, 10.0**-_STEP_DIGITS * (1 + 4 * win.eps**2), 0.0)  # times (|s| + 2)^2
+    turn = f * tau + 5 if tau else 0.0
     n_terms = np.maximum(hi - lo + 1, 0)
-    fixed = n_terms + fixed_units + units_per_n * np.maximum(lams, 0.0) + q + 2 * model.dim + 12
-    units = (fixed + 4 * g) * m0 + (units_per_n + p + 4 * g) * m1 + (4 * win.eps**2 + g) * m2
-    magnitude = np.abs(values)
-    return 2.0 * u * (units + turn * magnitude) + np.where(decimal, 2.0**-52 * magnitude, 0.0)
+    fixed = (n_terms + fixed_units + units_per_n * np.maximum(lams, 0.0) + (1.0 if tau else 0.0)
+             + 2 * model.dim + 12)
+    units = fixed * m0 + units_per_n * m1 + 4 * win.eps**2 * m2
+    return 2.0 * 2.0**-53 * (units + turn * np.abs(values))
 
 
 def _h_table(t: np.ndarray, weights, n_max: int) -> np.ndarray:
@@ -465,18 +437,17 @@ def _h_table(t: np.ndarray, weights, n_max: int) -> np.ndarray:
     return h
 
 
-def _phase_table(win: Window) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """cis(k tau0) out to K = ceil(`_GAUSS_FAR`/eps) + 1, as (exact, cos,
-    sin): ``exact`` the (cos, sin) of k = 0..K at `_DECIMAL_DIGITS` digits,
-    stepped from cis(tau0) (`_cis_powers`), and ``cos`` and ``sin`` their
-    roundings to double for k = -K..K, read-only.  With c = round(lam), every
-    n of a row's cut has |n - c| <= |lam - n| + 1/2 <= K.  Built once per
-    (tau0, eps) and shared by every later call."""
+def _phase_table(win: Window) -> tuple[np.ndarray, np.ndarray]:
+    """cis(k tau0) for k = -K..K, K = ceil(`_GAUSS_FAR`/eps) + 1, as read-only
+    (cos, sin) arrays: each entry stepped from cis(tau0) at
+    `_DECIMAL_DIGITS` digits (`_cis_powers`) and rounded once to double.
+    With c = round(lam), every n of a row's cut has |n - c| <= |lam - n| +
+    1/2 <= K.  Built once per (tau0, eps) and shared by every later call."""
     return _phase_table_at(float(win.tau0), float(win.eps))
 
 
 @functools.lru_cache(maxsize=8)
-def _phase_table_at(tau0: float, eps: float) -> tuple[tuple, np.ndarray, np.ndarray]:
+def _phase_table_at(tau0: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
         exact = _cis_powers(Decimal(tau0), math.ceil(_GAUSS_FAR / eps) + 1)
@@ -484,7 +455,7 @@ def _phase_table_at(tau0: float, eps: float) -> tuple[tuple, np.ndarray, np.ndar
     sin = np.array([float(s) for _, s in exact])
     cos, sin = np.concatenate([cos[:0:-1], cos]), np.concatenate([-sin[:0:-1], sin])
     cos.flags.writeable = sin.flags.writeable = False
-    return tuple(exact), cos, sin
+    return cos, sin
 
 
 def _window_sums(
@@ -499,15 +470,14 @@ def _window_sums(
 
         e^{-i f tau0} sum_{|k| <= K} h_{c+k} chihat_0(f - k) cis(k tau0)
 
-    over the fixed window |k| <= K, masked to lo..hi, with cis(k tau0)
-    read from the double entries of ``phases`` (`_phase_table`): one complex
-    exponential per row.  The window's width does not depend on the grid, so
-    neither does a row's value; rows go in blocks of at most `_BLOCK_TERMS`
-    terms.
+    over the fixed window |k| <= K, masked to lo..hi, with cis(k tau0) read
+    from ``phases`` (`_phase_table`): one complex exponential per row.  The
+    window's width does not depend on the grid, so neither does a row's
+    value; rows go in blocks of at most `_BLOCK_TERMS` terms.
     """
     values = np.zeros(len(lams), dtype=complex)
     moments = np.zeros((3, len(lams)))
-    _, cos, sin = phases
+    cos, sin = phases
     reach = (cos.size - 1) // 2
     ks = np.arange(-reach, reach + 1)
     rows = np.flatnonzero(hi >= lo)
@@ -528,119 +498,14 @@ def _window_sums(
     return values, moments
 
 
-def _decimal_sums(
-    win: Window, lams, coefficients, scale, lo, hi, phases
-) -> tuple[np.ndarray, np.ndarray]:
-    """`_window_sums` at ``_DECIMAL_DIGITS`` significant digits.
-
-    ``coefficients`` yields one row c_0..c_hi per lam (exact ints, or
-    decimals from `_decimal_h`); ``scale(x, pi)`` applies the constant with
-    the decimal pi.  As in `_window_sums`, with c = round(lam) and f = lam -
-    c the term at n = c + k is
-
-        c_n eps sqrt(2 pi) exp(-eps^2 (f - k)^2 / 2) exp(-i f tau0) exp(i k tau0),
-
-    where exp(i k tau0) is read from the decimal entries of ``phases``
-    (`_phase_table`), so no argument
-    is large, the Gaussian factors step outward from k = 0
-    (`_gaussian_steps`), four exponentials per row, and exp(-i f tau0) turns
-    the row's sum once.  Each result is rounded to complex once.
-    """
-    values = np.zeros(len(lams), dtype=complex)
-    magnitudes = np.zeros(len(lams))
-    with localcontext() as ctx:
-        ctx.prec = _DECIMAL_DIGITS
-        eps, tau0 = Decimal(win.eps), Decimal(win.tau0)
-        peak = scale(eps * (2 * _PI).sqrt(), _PI)
-        powers = phases[0]
-        rows = zip(map(float, lams), map(int, lo), map(int, hi), coefficients)
-        for i, (lam, a, b, row) in enumerate(rows):
-            if b < a:
-                continue
-            c = round(lam)
-            f = Decimal(lam) - c
-            gauss = _gaussian_steps(eps, Decimal(lam), c, c - a, b - c)
-            re = im = mag = Decimal(0)
-            for n in range(a, b + 1):
-                k = n - c
-                g = row[n] * gauss[n - a]
-                cos_k, sin_k = powers[abs(k)]
-                re += g * cos_k
-                im += g * sin_k if k >= 0 else -g * sin_k
-                mag += g
-            cos_f, sin_f = _cis(-f * tau0)
-            values[i] = complex(
-                float(peak * (re * cos_f - im * sin_f)), float(peak * (re * sin_f + im * cos_f))
-            )
-            magnitudes[i] = float(peak * mag)
-    return values, magnitudes
-
-
-def _gaussian_steps(eps: Decimal, lam: Decimal, c: int, left: int, right: int) -> list:
-    """exp(-h (f - k)^2), h = eps^2/2 and f = lam - c, for k = -left..right
-    (a range that need not hold 0: the steps start from k = 0 either way).
-
-    Stepped outward from k = 0 at ``_DECIMAL_DIGITS + _STEP_DIGITS``
-    digits: with E_k the factor at k,
-
-        E_{k+1} = E_k r_k,  r_k = e^{-h(1 - 2f)} (e^{-2h})^k,
-        E_{k-1} = E_k s_k,  s_k = e^{-h(1 + 2f)} (e^{-2h})^|k|,
-
-    so a row takes the four exponentials E_0, r_0, s_0 and e^{-2h}.  With
-    u' = 10^-_STEP_DIGITS `_DECIMAL_UNIT`, the unit of that precision, E_k
-    is off by at most (k^2 + |k| + 1) u' from its roundings (r_k is off by
-    (2|k| + 1) u', and each step adds r_k's error and one rounding), plus
-    the error of its exponent: h f^2 is taken to 6u' relative, h(1 -+ 2f)
-    to 6u' h (1 + 2|f|) absolute and 2h to 3u' relative, used once, |k|
-    times and k(k - 1)/2 times, in all at most 8 h (|f| + |k| + 1)^2 u'.
-    `_rounding_bounds` charges both.
-    """
-    with localcontext() as ctx:
-        ctx.prec = _DECIMAL_DIGITS + _STEP_DIGITS
-        h = eps * eps / 2
-        f = lam - c
-        step = (-2 * h).exp()
-        centre = (-h * f * f).exp()
-        sides = []
-        for count, ratio in ((right, (-h * (1 - 2 * f)).exp()), (left, (-h * (1 + 2 * f)).exp())):
-            e, side = centre, []
-            for _ in range(count):
-                e *= ratio
-                ratio *= step
-                side.append(e)
-            sides.append(side)
-    first = len(sides[1]) - left  # the index of k = -left
-    return (sides[1][::-1] + [centre] + sides[0])[first : first + left + right + 1]
-
-
-def _decimal_h(t_row, weights, n_max: int) -> list:
-    """`_h_table` for one point, in ``_DECIMAL_DIGITS``-digit decimal, at the
-    sphere point: the moments are divided by their sum first, which double
-    rounds to 1 while the series grows like (sum t)^n.
-
-    h_n = sum over i with n >= w_i of t_i (n + d w_i) h_{n - w_i}, divided
-    by n; the sum starts from its first term (an empty one is 0)."""
-    d = len(weights) - 1
-    h = [Decimal(1)]
-    with localcontext() as ctx:
-        ctx.prec = _DECIMAL_DIGITS
-        moments = [Decimal(float(tw)) for tw in t_row]
-        mass = sum(moments)
-        coeffs = [(tw / mass, w, d * w) for tw, w in zip(moments, weights)]
-        for n in range(1, n_max + 1):
-            acc = None
-            for tw, w, dw in coeffs:
-                if n >= w:
-                    term = tw * (n + dw) * h[n - w]
-                    acc = term if acc is None else acc + term
-            h.append((Decimal(0) if acc is None else acc) / n)
-    return h
-
-
 def _sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
     """sin x and cos x, |x| <= 4, at the context's precision: both Taylor
     series in Horner form, cut after the first term below 10^-(prec + 2)
-    (about 30 terms at |x| = pi and 40 digits)."""
+    (about 30 terms at |x| = pi and 40 digits).  At |x| <= pi each is off by
+    < 100 decimal units, charged 280: the steps S_k = 1 - S_{k+1} a_k, a_k =
+    x^2/(2k(2k -+ 1)) <= 4.94, round 3 times each on numbers below 5, and a
+    step's error reaches the result times the product of the later a_j,
+    which sums to less than 12 over the steps."""
     x2, tiny, ax2 = x * x, 10.0 ** -(getcontext().prec + 2), float(x) ** 2
     terms, size = 1, 1.0
     while size > tiny:
@@ -928,6 +793,15 @@ def _binomial_moments(weights, mu, sigma: float, moments):
     return total
 
 
+def _floored(exponent, size):
+    """e^exponent size (size > 0) as e^(exponent + log size), rounded up to
+    the smallest subnormal: a bound on omitted terms where the product
+    leaves the normal range, so that the bound of a positive quantity never
+    reads 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.maximum(np.exp(exponent + np.log(size)), math.ulp(0.0))
+
+
 def _aliases(pole: _Pole, win: Window, lam: float) -> tuple[list, list]:
     """The aliases theta_k = phi + tau0 - 2 pi k of ``pole`` (phi its arg):
     every k whose gaussian factor exp(-theta_k^2/(2 eps^2)) lies within
@@ -986,13 +860,18 @@ def _pole_sum(d: int, win: Window, lam: float, pole: _Pole):
     L = float(pole.log_modulus)
     centre = lam + L * inv
 
-    def majorant(theta, slack=0.0):
+    def majorant(theta, slack=0.0, omitted=False):
         """A bound on the modulus of the alias at theta, 2 pi e^{Re X} times E
         of P with the majorant weights and |mu| + |Z|/eps + l in every factor;
-        ``slack`` widens |Im mu| eps^2 by its error."""
+        ``slack`` widens |Im mu| eps^2 by its error, and an ``omitted``
+        alias's bound never underflows (`_floored`)."""
         grow = lam * L + 0.5 * (L * L - theta * theta) * inv
         base = abs(centre) + (abs(theta) + slack) * inv
-        return 2.0 * math.pi * math.exp(grow) * _binomial_moments(pole.majorants, base, 1 / eps, absolute)
+        moments = _binomial_moments(pole.majorants, base, 1 / eps, absolute)
+        bound = 2.0 * math.pi * math.exp(grow) * moments
+        if omitted and not bound >= 2.0**-1022:
+            return float(_floored(grow, 2.0 * math.pi * moments))
+        return bound
 
     kept, beyond = _aliases(pole, win, lam)
     remainder = 0.0
@@ -1001,7 +880,7 @@ def _pole_sum(d: int, win: Window, lam: float, pole: _Pole):
         q *= math.exp(-2.0 * math.pi * (abs(theta) + math.pi) * inv)
         if not q < 1.0:
             raise OverflowError("the omitted aliases do not decay")
-        remainder += majorant(theta) / (1.0 - q)
+        remainder += majorant(theta, omitted=True) / (1.0 - q)
     value, parts = 0j, []
     for theta, x, x_lo, turn, turn_lo, mu, size in kept:
         poly = _binomial_moments(pole.weights, mu, 1 / eps, signed)
@@ -1015,8 +894,7 @@ def _pole_sum(d: int, win: Window, lam: float, pole: _Pole):
         e_mu += 4 * _DECIMAL_UNIT * (abs(lam) + (abs(L) + abs(theta)) * inv)
         slack = e_mu * eps**2
         base = abs(centre) + (abs(theta) + slack) * inv
-        units = (8 * d + 34 + u * x * x + (e_dec + pole.spread) / u
-                 + (d * e_mu / base / u if base else 0.0))
+        units = 8 * d + 34 + u * x * x + (e_dec + pole.spread) / u + d * e_mu / (base + 1.0) / u
         parts.append((majorant(theta, slack), units))
     return value, parts, remainder
 
@@ -1061,7 +939,8 @@ def _negative_tail(d: int, win: Window, lam: float, poles: list, top: int):
 
 def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol: float):
     """Kernel rows in closed form for the gaussian window, on any weights:
-    values, remainders and rounding bounds, and the mask of rows taken.
+    values, remainders and rounding bounds, the mask of rows taken and the
+    mask of rows formed (taken, or turned away only for their kappa).
 
     ``t`` holds each row's moments, doubles |z_i|^2 or the decimals of
     `_chart_moments`.  The closed form evaluates the kernel at the sphere
@@ -1115,10 +994,14 @@ def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol
     their parts, charged e_dec/u.  mu is off by e_mu <= u (|Re mu| + |Im mu|)
     plus its decimal error.  E multiplies out d linear factors mu + l + y and
     sums against the moments, each operation off by u and each factor by e_mu
-    + u |mu + l|, so E is off by ((8d + 20) u + d e_mu/|mu|_+) Ebar, Ebar
-    being E with the majorant weights, |mu|_+ + l in every factor and the
-    moments E|Z|^i: the term's majorant, which also bounds its modulus; the
-    weights add one unit for their rounding and the pole's spread.  A
+    + u |mu + l|, so E is off by ((8d + 20) u + d e_mu/(|mu|_+ + 1)) Ebar,
+    Ebar being E with the majorant weights, |mu|_+ + l + |y| in every factor
+    and the moments E|Z|^i: the term's majorant, which also bounds its
+    modulus.  (The factors of C(mu + y + m, m) are mu + l + y with l >= 1,
+    so moving mu by e_mu moves each majorant factor by e_mu, at most
+    e_mu/(|mu|_+ + 1) of it, and Ebar's product of at most d of them by d
+    e_mu/(|mu|_+ + 1) of Ebar to first order; that holds at mu = 0 too.)
+    The weights add one unit for their rounding and the pole's spread.  A
     subtracted term carries (4d + 16 + 2 |n| (|L| + |phi| + e_pole) + 8x + 2
     |tau0| s + spread/u) u over the poles, as in `_rounding_bounds`.  Summing
     N terms and the factor d!/pi^d add (N + 2d + 4) u per term; a factor 2
@@ -1126,23 +1009,23 @@ def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol
 
         rho = 2u sum_terms (units + N + 2d + 4) majorant.
 
-    **Scope and fallback.**  A row is taken when the window is gaussian, its
-    poles are separated (`_ROOT_SEPARATION`, with disjoint enclosures),
-    nothing overflows, the negative tail decays, the closed form's own kappa
+    **Scope and fallback.**  A row is formed when the window is gaussian,
+    its poles are separated (`_ROOT_SEPARATION`, with disjoint enclosures),
+    nothing overflows, the negative tail decays and the remainder meets
+    min(tail_tol, u sum majorants); it is taken when, besides, its own kappa
     = sum majorants / |value|, the subtracted tail included, is at most
-    `_CLOSED_FORM_KAPPA`, and the remainder meets min(tail_tol, u sum
-    majorants).  That turns away rows whose poles cancel each other or the
-    tail (a pole of modulus well below 1 at small lam), where a kappa near
-    `_DOUBLE_KAPPA_BOUND`'s 900 would keep only 13 digits while the
-    eigen-sum, whose terms may not cancel at all, keeps more: a (1, 2, 2) row
-    at tau0 = 0, lam = 0 with kappa 840 was 8.7e-14 off.  Every row it does
-    not take is summed by `_eigen_sum_diagonal`.
+    `_CLOSED_FORM_KAPPA`.  That turns away rows whose poles cancel each
+    other or the tail (a pole of modulus well below 1 at small lam), where
+    the eigen-sum, whose terms may not cancel at all, can keep more digits:
+    a (1, 2, 2) row at tau0 = 0, lam = 0 with kappa 840 was 8.7e-14 off.
+    Every row it does not take is summed by `_eigen_sum_diagonal`, and a
+    formed row keeps the value with the smaller remainder plus bound.
     """
     values = np.zeros(lams.size, dtype=complex)
     remainders, bounds = np.zeros(lams.size), np.zeros(lams.size)
-    taken = np.zeros(lams.size, dtype=bool)
+    taken, formed = np.zeros(lams.size, dtype=bool), np.zeros(lams.size, dtype=bool)
     if win.shape != "gaussian":
-        return values, remainders, bounds, taken
+        return values, remainders, bounds, taken, formed
     d, u = model.dim, 2.0**-53
     scale = math.factorial(d) / math.pi**d
     known: dict = {}  # rows at the same moments (a parity pair) share their poles
@@ -1163,15 +1046,14 @@ def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol
         magnitude = sum(m for m, _ in parts)
         remainder = sum(r for _, _, r in sums) + tail[2]
         bound = 2.0 * u * sum(m * (units + len(parts) + 2 * d + 4) for m, units in parts)
-        if not (math.isfinite(magnitude) and math.isfinite(bound) and math.isfinite(remainder)):
-            continue
-        if not magnitude <= _CLOSED_FORM_KAPPA * abs(value):
+        if not all(map(math.isfinite, (abs(value), magnitude, bound, remainder))):
             continue
         if remainder > _final_cut_target(tail_tol, u, magnitude * scale) / scale:
             continue
         values[i], remainders[i], bounds[i] = value * scale, remainder * scale, bound * scale
-        taken[i] = True
-    return values, remainders, bounds, taken
+        formed[i] = True
+        taken[i] = magnitude <= _CLOSED_FORM_KAPPA * abs(value)
+    return values, remainders, bounds, taken, formed
 
 
 def _diagonal_values(
@@ -1184,56 +1066,42 @@ def _diagonal_values(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact diagonal at paired (lam_i, point_i): the values, their
     remainders and rounding bounds, and each row's arithmetic: "closed-form"
-    (`_closed_form_diagonal`), else "double" or "decimal" from
-    `_eigen_sum_diagonal`.  ``moments``, when given, holds each point's
-    decimal moments (`_chart_moments`) for the closed form; the eigen-sum
-    reads the points.  A tau0 past `_check_tau0`'s limit, a non-finite lam
-    and a malformed point (`_sphere_moments`) refuse before either runs."""
+    (`_closed_form_diagonal`), else "double" from `_eigen_sum_diagonal`,
+    the better certified of the two where the closed form turned a row away
+    for its kappa (`_keep_certified`).  ``moments``, when given, holds each
+    point's decimal moments (`_chart_moments`) for the closed form; the
+    eigen-sum reads the points.  A tau0 past `_check_tau0`'s limit, a
+    non-finite lam and a malformed point (`_sphere_moments`) refuse before
+    either runs."""
     _check_tau0(win)
     t = _sphere_moments(model, points)
     lams = _check_lambdas(np.broadcast_to(np.asarray(lams, dtype=float), (t.shape[0],)))
-    values, remainders, bounds, taken = _closed_form_diagonal(
+    *columns, taken, formed = _closed_form_diagonal(
         model, win, lams, t if moments is None else moments, tail_tol
     )
     precision = np.full(lams.size, "closed-form", dtype=object)
     rest = np.flatnonzero(~taken)
     if rest.size:
-        values[rest], remainders[rest], bounds[rest], decimal = _eigen_sum_diagonal(
-            model, win, lams[rest], t[rest], tail_tol
-        )
-        precision[rest] = _arithmetic(decimal)
-    return values, remainders, bounds, precision
+        eigen = _eigen_sum_diagonal(model, win, lams[rest], t[rest], tail_tol)
+        _keep_certified(rest, formed, columns, eigen, precision)
+    return (*columns, precision)
 
 
 # a row's arithmetic, cheapest first
-_ARITHMETICS = ("closed-form", "double", "decimal")
-
-
-def _arithmetic(decimal_rows) -> np.ndarray:
-    """The eigen-sum arithmetic of each row: "decimal" or "double"."""
-    return np.where(decimal_rows, "decimal", "double").astype(object)
+_ARITHMETICS = ("closed-form", "double")
 
 
 def _eigen_sum_diagonal(
     model: ProjectiveModel, win: Window, lams: np.ndarray, t: np.ndarray, tail_tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact diagonal at paired (lam_i, moments t_i) as a window-cut
-    eigen-sum: the values, their window-cut remainders and rounding bounds,
-    and the mask of rows summed in decimal (`_conditioned_sums`)."""
+    eigen-sum (`_eigen_sums`): the values, their window-cut remainders and
+    rounding bounds."""
     weights, d = model.weights, model.dim
-
-    def exact(rows, hi):
-        return (_decimal_h(t[i], weights, int(b)) for i, b in zip(rows, hi))
-
-    def scale(x, pi):
-        return x * math.factorial(d) / pi**d
-
-    sums = _conditioned_sums(
-        win, model, lams, tail_tol, scale, lambda n_max: _h_table(t, weights, n_max), exact
-    )
-    values, _, remainders, decimal, _, _ = sums
-    bounds = _rounding_bounds(win, model, lams, sums, 0.0, (d + 4) / min(weights))
-    return values, remainders, bounds, decimal
+    scale = math.factorial(d) / np.pi**d
+    sums = _eigen_sums(win, model, lams, tail_tol, scale, lambda n: _h_table(t, weights, n))
+    values, _, remainders, _, _ = sums
+    return values, remainders, _rounding_bounds(win, model, lams, sums, 0.0, (d + 4) / min(weights))
 
 
 def smoothed_kernel_diagonal(
@@ -1298,7 +1166,7 @@ def _unit_poles(weights: tuple) -> tuple | None:
     and rounded once; conjugate poles take conjugate coefficients.  Before
     that rounding a coefficient is off by at most (P_j + 284) decimal units
     of max_r |c_j(r)|: the quotients and the sum round P_j + 4 times, and a
-    `_sin_cos` value is within the 280 units `_rounding_bounds` charges.  A
+    `_sin_cos` value is within the 280 units it is charged.  A
     pole that does not exist is an exact zero, not a rounding residue (a
     double DFT over all L residues left spurious lam^3 terms in the zeta =
     -1 row of (1, 1, 1, 2)).
@@ -1376,8 +1244,9 @@ def _unit_cis(k: int, p: int) -> tuple[Decimal, Decimal]:
 
 def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, tail_tol: float):
     """Trace rows in closed form for the gaussian window, on any weights:
-    values, remainders, rounding bounds, term counts and the mask of rows
-    taken, vectorised over the grid.
+    values, remainders, rounding bounds, term counts, the mask of rows taken
+    and the mask of rows formed (taken, or turned away only for their
+    kappa), vectorised over the grid.
 
     **Derivation.**  With d(n) = sum_zeta zeta^n P_zeta(n) over the poles of
     `_unit_poles` for n >= 0, the quasi-polynomial Q(n) of the right side
@@ -1398,7 +1267,8 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
     Horner's rule.  The periods of each pole within exp(-`_GAUSS_FAR`^2/2)
     of its largest chi are summed, as `_aliases` keeps a kernel pole's; past
     them consecutive majorants fall by at least (1 + 2 pi/|theta|)^deg
-    e^{-2 pi (|theta| + pi)/eps^2}, a geometric bound.  The ghost part is
+    e^{-2 pi (|theta| + pi)/eps^2}, a geometric bound that never underflows
+    to 0 (`_floored`).  The ghost part is
     the eigen-sum at lam' = -lam - sum w, conjugated (chihat(s) and
     chihat(-s) are conjugate): its window cut is empty once lam + sum w
     passes `_GAUSS_FAR`/eps, and its geometric remainder is the whole part.
@@ -1430,21 +1300,22 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
 
         rho = 2u sum_terms (8 deg + 29 + N + 2) M + ghost's bound.
 
-    **Scope and fallback.**  A row is taken when the window is gaussian,
+    **Scope and fallback.**  A row is formed when the window is gaussian,
     lcm(w) (d + 1) <= `_QUASI_TABLE_MAX`, -sum w < lam < `_CLOSED_FORM_LAMBDA`
     (for lam <= -sum w the ghost holds the terms nearest the window's peak),
-    nothing overflows, kappa = (sum M + sum |ghost terms|)/|value| is at most
-    `_CLOSED_FORM_KAPPA` (small and negative lam, where the ghost cancels the
-    Poisson side, fail it), and the remainder meets min(tail_tol, u sum M).
+    nothing overflows and the remainder meets min(tail_tol, u sum M); it is
+    taken when, besides, kappa = (sum M + sum |ghost terms|)/|value| is at
+    most `_CLOSED_FORM_KAPPA` (small and negative lam, where the ghost
+    cancels the Poisson side, fail it).
     """
     values = np.zeros(lams.size, dtype=complex)
     remainders, bounds, terms = np.zeros(lams.size), np.zeros(lams.size), np.zeros(lams.size)
-    taken = np.zeros(lams.size, dtype=bool)
+    taken, formed = np.zeros(lams.size, dtype=bool), np.zeros(lams.size, dtype=bool)
     poles = _unit_poles(tuple(sorted(model.weights))) if win.shape == "gaussian" else None
     total_w = sum(model.weights)
     rows = np.flatnonzero((lams > -total_w) & (np.abs(lams) < _CLOSED_FORM_LAMBDA))
     if poles is None or not rows.size:
-        return values, remainders, bounds, terms, taken
+        return values, remainders, bounds, terms, taken, formed
     lam, eps, u = lams[rows], win.eps, 2.0**-53
     signed, absolute = _normal_moments(model.dim)
     aliases = [(pole, *_unit_aliases(pole, win)) for pole in poles]
@@ -1458,8 +1329,10 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
             for theta in beyond:  # consecutive omitted majorants fall by at least q
                 q = (1.0 + 2.0 * math.pi / abs(theta)) ** deg
                 q *= math.exp(-2.0 * math.pi * (abs(theta) + math.pi) / eps**2)
-                far = math.exp(-0.5 * (theta / eps) ** 2)
-                far *= _horner(bbar, np.abs(lam) + abs(theta) / eps**2)
+                exponent = -0.5 * (theta / eps) ** 2
+                size = _horner(bbar, np.abs(lam) + abs(theta) / eps**2)
+                far = math.exp(exponent) * size
+                far = np.where(far >= 2.0**-1022, far, _floored(exponent, size))
                 remainder += 2.0 * math.pi * far / (1.0 - q) if q < 1.0 else np.inf
             for chi, y, turn in kept:
                 term = 2.0 * math.pi * chi * _period_phase(turn, lam) * _horner(b, lam + 1j * y)
@@ -1485,13 +1358,14 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
             bound[summed] += ghost[3]
             ghost_terms[summed] = ghost[4]
         ok = np.isfinite([value, magnitude, bound, remainder]).all(axis=0)
-        ok &= magnitude <= _CLOSED_FORM_KAPPA * np.abs(value)
         ok &= remainder <= _final_cut_target(tail_tol, u, magnitude)
+        calm = magnitude <= _CLOSED_FORM_KAPPA * np.abs(value)
     kept = rows[ok]
     values[kept], remainders[kept], bounds[kept] = value[ok], remainder[ok], bound[ok]
     terms[kept] = n_terms + ghost_terms[ok]
-    taken[kept] = True
-    return values, remainders, bounds, terms, taken
+    formed[kept] = True
+    taken[kept] = calm[ok]
+    return values, remainders, bounds, terms, taken, formed
 
 
 def _unit_aliases(pole: _UnitPole, win: Window) -> tuple[list, list]:
@@ -1549,7 +1423,7 @@ def _ghost_trace(model: ProjectiveModel, win: Window, lams: np.ndarray):
     counts = _denumerants(model.weights, int(hi.max(initial=-1))).astype(float)
     table = np.broadcast_to(counts[:, None], (counts.size, mirror.size))
     values, moments = _window_sums(win, mirror, table, lo, hi, 1.0, _phase_table(win))
-    sums = (values, moments, remainders, np.zeros(mirror.size, dtype=bool), lo, hi)
+    sums = (values, moments, remainders, lo, hi)
     bounds = _rounding_bounds(win, model, mirror, sums, 1.0)
     sign = (-1) ** model.dim
     return sign * np.conj(values), moments[0], remainders, bounds, _cut_counts(model, lo, hi)
@@ -1736,7 +1610,7 @@ def negative_lambda_scan(
     """
     lams = np.asarray(lambda_grid, dtype=float)
     if (lams >= 0).any():
-        raise ValueError("grid must be strictly negative")
+        raise InputError("grid must be strictly negative")
     res = smoothed_trace(model, win, lams, tail_tol)
     exact = res.value
     predicted = np.ones_like(exact)
@@ -1786,7 +1660,7 @@ def _parity_parts(model, win, chart, u, lams, tail_tol):
     """Even and odd parts, remainders, rounding bounds and arithmetic along a
     grid: one `_diagonal_values` call over all points +-u/sqrt(lam).  Each
     part takes the larger remainder and bound of its two rows, and the
-    costlier arithmetic of the two (closed-form < double < decimal)."""
+    costlier arithmetic of the two (closed-form < double)."""
     u = np.asarray(u, dtype=complex)
     pts = [chart.normal_point(u / math.sqrt(lam)) for lam in lams]
     pts += [chart.normal_point(-u / math.sqrt(lam)) for lam in lams]

@@ -153,11 +153,11 @@ def test_conjugate_poles_are_formed_as_exact_conjugates(weights):
 
 def test_colliding_roots_fall_back_to_the_eigen_sum():
     # (2, 3) at moments (3/4, 1/4): p_t(x) = (1 - x)(1 + x/2)^2 has a double
-    # root, so the poles are not separated and the eigen-sum sums the row; a
-    # nearby separated row is in closed form.  Both hold their bounds
+    # root, so the poles are not separated and the eigen-sum sums the row in
+    # double; a nearby separated row is in closed form.  Both hold their bounds
     model, win = make_model((2, 3)), Window("gaussian", np.pi, 0.1)
     assert _poles(1, _merged_moments((2, 3), [0.75, 0.25])) is None
-    for t, label in (([0.75, 0.25], ["decimal"]), ([0.7, 0.3], ["closed-form"])):
+    for t, label in (([0.75, 0.25], ["double"]), ([0.7, 0.3], ["closed-form"])):
         pts = np.sqrt(np.array([t]))
         values, rems, bounds, precision = _diagonal_values(model, win, np.array([60.0]), pts, 1e-10)
         assert precision.tolist() == label
@@ -213,10 +213,10 @@ def test_closed_form_agrees_with_the_eigen_sum_on_general_weights(row):
     weights, t, lam, win = row
     model = make_model(weights)
     lams, ts = np.array([lam]), t[None, :]
-    value, rem, bound, taken = _closed_form_diagonal(model, win, lams, ts, 1e-10)
+    value, rem, bound, taken, _ = _closed_form_diagonal(model, win, lams, ts, 1e-10)
     if not taken[0]:
         return  # an eigen-sum row
-    other, other_rem, other_bound, _ = _eigen_sum_diagonal(model, win, lams, ts, 1e-10)
+    other, other_rem, other_bound = _eigen_sum_diagonal(model, win, lams, ts, 1e-10)
     assert abs(value[0] - other[0]) <= rem[0] + bound[0] + other_rem[0] + other_bound[0]
 
 
@@ -224,10 +224,10 @@ def test_general_weight_rows_at_a_million_need_no_coefficient_table(monkeypatch)
     # a (1, 3) row at t = (0.7, 0.3) took 14.4 s at lambda = 1e6 as an
     # eigen-sum; in closed form it builds no h_n table at any lambda
     def refuse(*args):
-        raise AssertionError("an h_n table was built")
+        raise AssertionError("an h_n table was built or the eigen-sum ran")
 
     monkeypatch.setattr(smoothing, "_h_table", refuse)
-    monkeypatch.setattr(smoothing, "_decimal_h", refuse)
+    monkeypatch.setattr(smoothing, "_eigen_sum_diagonal", refuse)
     win = Window("gaussian", 2 * np.pi / 3, 0.15)
     for weights, t in (((1, 3), [0.7, 0.3]), ((1, 2, 3), [0.5, 0.2, 0.3])):
         pts = np.sqrt(np.array([t]))
@@ -236,7 +236,7 @@ def test_general_weight_rows_at_a_million_need_no_coefficient_table(monkeypatch)
                 make_model(weights), win, np.array([lam]), pts, 1e-10
             )
             assert precision.tolist() == ["closed-form"]
-            assert abs(values[0]) > 0 and 0.0 <= rems[0] <= 1e-10 * abs(values[0])
+            assert abs(values[0]) > 0 and 0.0 < rems[0] <= 1e-10 * abs(values[0])
             assert 0.0 < bounds[0] < 1e-12 * abs(values[0])
 
 
@@ -289,7 +289,7 @@ def test_zero_mass_rows_against_mpmath():
         win = Window("gaussian", tau0, 0.2)
         model = make_model(weights)
         for lam in (30.0, 250.5):
-            values, rems, bounds, taken = _closed_form_diagonal(
+            values, rems, bounds, taken, _ = _closed_form_diagonal(
                 model, win, np.array([lam]), np.array([t]), 1e-10
             )
             assert taken[0], (weights, t, tau0, lam)
@@ -297,6 +297,20 @@ def test_zero_mass_rows_against_mpmath():
             ref, magnitude = _mp_diagonal(weights, t, lam, tau0, win.eps, kappa)
             assert magnitude < kappa * abs(ref)
             assert abs(values[0] - ref) <= rems[0] + bounds[0]
+
+
+def test_mu_charge_near_mu_zero_against_fifty_digits():
+    # (1, 2, 2) at tau0 = 0, eps 0.15, lam = 0, t = (0.2, 0.3, 0.5): on the
+    # rho = 1 pole's alias at theta = 0, mu is 0 up to its rounding, and a
+    # charge d e_mu/|mu|_+ of d/u units made the row's bound 35.6 against a
+    # value of 4.49; d e_mu/(|mu|_+ + 1) bounds it by 3.0e-12
+    model, win, t = make_model((1, 2, 2)), Window("gaussian", 0.0, 0.15), [0.2, 0.3, 0.5]
+    values, rems, bounds, precision = _diagonal_values(
+        model, win, np.array([0.0]), np.sqrt([t]), 1e-10
+    )
+    ref, _ = _mp_diagonal((1, 2, 2), t, 0.0, win.tau0, win.eps)
+    assert precision.tolist() == ["closed-form"]
+    assert abs(values[0] - ref) <= rems[0] + bounds[0] <= 1e-11 * abs(ref)
 
 
 @st.composite
@@ -322,10 +336,10 @@ def test_closed_form_agrees_with_the_eigen_sum(row, oracle):
     weights, t, lam, win = row
     model = make_model(weights)
     lams, ts = np.array([lam]), t[None, :]
-    value, rem, bound, taken = _closed_form_diagonal(model, win, lams, ts, 1e-10)
+    value, rem, bound, taken, _ = _closed_form_diagonal(model, win, lams, ts, 1e-10)
     if not taken[0]:
         return  # an eigen-sum row
-    other, other_rem, other_bound, _ = _eigen_sum_diagonal(model, win, lams, ts, 1e-10)
+    other, other_rem, other_bound = _eigen_sum_diagonal(model, win, lams, ts, 1e-10)
     assert abs(value[0] - other[0]) <= rem[0] + bound[0] + other_rem[0] + other_bound[0]
     # the oracle's digits follow the cancellation the closed form's value implies
     kappa = _kappa(weights, lam, win.eps, value[0])
@@ -373,10 +387,10 @@ def test_offlocus_row_at_a_large_period_against_fifty_digits():
 
 def test_large_lambda_rows_need_no_coefficient_table(chart, monkeypatch):
     def refuse(*args):
-        raise AssertionError("an h_n table was built")
+        raise AssertionError("an h_n table was built or the eigen-sum ran")
 
     monkeypatch.setattr(smoothing, "_h_table", refuse)
-    monkeypatch.setattr(smoothing, "_decimal_h", refuse)
+    monkeypatch.setattr(smoothing, "_eigen_sum_diagonal", refuse)
     model = make_model((1, 2))
     for lam in (1e6, 1e12):
         pt = chart.normal_point(np.array([0.5 + 0j]) / math.sqrt(lam))
@@ -385,7 +399,8 @@ def test_large_lambda_rows_need_no_coefficient_table(chart, monkeypatch):
         )
         assert precision.tolist() == ["closed-form"]
         assert np.isfinite(values[0]) and abs(values[0]) > 0
-        assert 0.0 <= rems[0] <= 1e-10 and 0.0 < bounds[0] < 1e-12 * abs(values[0])
+        # the omitted aliases' bound underflows double, and rounds up, not to 0
+        assert 0.0 < rems[0] <= 1e-10 and 0.0 < bounds[0] < 1e-12 * abs(values[0])
         # the local leading term holds to its lam^(-1/2) correction
         predicted = predict_local(local_prediction(model, chart, WIN), np.array([0.5 + 0j]), lam)
         assert abs(values[0] / predicted - 1.0) < 10.0 / math.sqrt(lam)

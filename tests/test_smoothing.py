@@ -13,18 +13,13 @@ from tracelab.errors import CoverageError, InputError, PeriodError, TracelabErro
 from tracelab.geometry import heisenberg_chart, make_model, period_gap, random_sphere_point
 from tracelab.oracles import brute_smoothed_trace, eigenvalue_multiplicity, poisson_trace
 from tracelab.quadrature import sphere_rule
+from tracelab.reports import ScanReport
 from tracelab.smoothing import (
-    _DECIMAL_UNIT,
-    _STEP_DIGITS,
-    _arithmetic,
     _rounding_bounds,
-    _decimal_h,
-    _decimal_sums,
     _denumerants,
     _diagonal_values,
     _eigen_sum_diagonal,
     _eigen_sum_trace,
-    _gaussian_steps,
     _h_table,
     _phase_table,
     _window_cut,
@@ -155,9 +150,9 @@ def test_phase_table_is_built_once_per_window(model12):
     first = smoothed_trace(model12, win, grid).value
     table = _phase_table(win)
     assert _phase_table(Window("gaussian", np.pi, 0.15)) is table
-    assert not (table[1].flags.writeable or table[2].flags.writeable)
+    assert not (table[0].flags.writeable or table[1].flags.writeable)
     with pytest.raises(ValueError):
-        table[1][0] = 0.0
+        table[0][0] = 0.0
     assert smoothed_trace(model12, win, grid).value.tolist() == first.tolist()
     assert _phase_table(Window("gaussian", 0.0, 0.15)) is not table
 
@@ -192,23 +187,34 @@ def test_bad_model_and_window_are_input_errors_and_value_errors():
         assert isinstance(caught.value, TracelabError) and isinstance(caught.value, ValueError)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: negative_lambda_scan(make_model((1, 2)), WIN, np.array([-5.0, 5.0])),
+        lambda: heisenberg_chart(make_model((1, 2)), np.array([0.0, 2.0 + 0j]), np.pi),
+        lambda: ScanReport("trace", [1.0, 2.0], [1.0], [1.0]),
+        lambda: ScanReport("trace", [2.0, 1.0, 3.0], [1.0] * 3, [1.0] * 3),
+    ],
+    ids=["positive-grid", "chart-off-sphere", "report-shape", "report-not-monotone"],
+)
+def test_exported_entry_points_refuse_bad_input_with_input_errors(call):
+    # each raised a plain ValueError; InputError is one too
+    with pytest.raises(InputError):
+        call()
+
+
 @pytest.mark.parametrize("tau0", [np.pi, 2 * np.pi / 3, -12 * np.pi, 2 * np.pi * 1e9 + np.pi])
 def test_phase_table_is_cis_correctly_rounded(tau0):
-    # every double entry of the table is mpmath's cis(k tau0), |k| <= K,
-    # correctly rounded, and every decimal entry is within the |k| (|tau0| +
-    # 408) units of `_DECIMAL_UNIT` that `_rounding_bounds` charges it
+    # every entry of the table is mpmath's cis(k tau0), |k| <= K, correctly
+    # rounded, as `_rounding_bounds` charges it
     mpmath = pytest.importorskip("mpmath")
-    exact, double_cos, double_sin = _phase_table(Window("gaussian", tau0, 0.15))
+    double_cos, double_sin = _phase_table(Window("gaussian", tau0, 0.15))
     reach = math.ceil(smoothing._GAUSS_FAR / 0.15) + 1
-    assert len(exact) == reach + 1 and double_cos.shape == double_sin.shape == (2 * reach + 1,)
+    assert double_cos.shape == double_sin.shape == (2 * reach + 1,)
     with mpmath.workdps(60):
         for k in range(-reach, reach + 1):
             cos, sin = mpmath.cos(k * mpmath.mpf(tau0)), mpmath.sin(k * mpmath.mpf(tau0))
             assert (double_cos[reach + k], double_sin[reach + k]) == (float(cos), float(sin)), k
-            if k >= 0:
-                exact_cos, exact_sin = (mpmath.mpf(str(x)) for x in exact[k])
-                error = mpmath.hypot(exact_cos - cos, exact_sin - sin)
-                assert error <= k * (abs(tau0) + 408) * _DECIMAL_UNIT, k
 
 
 def test_trace_at_pi_keeps_thirteen_digits(model12):
@@ -219,7 +225,7 @@ def test_trace_at_pi_keeps_thirteen_digits(model12):
     win = Window("gaussian", np.pi, 0.15)
     lams = np.linspace(150.0, 400.0, 100)
     res = smoothed_trace(model12, win, lams)
-    assert "decimal" not in res.precision.tolist()
+    assert res.precision.tolist() == ["closed-form"] * 100
     errors = []
     with mpmath.workdps(40):
         eps, tau0 = mpmath.mpf(win.eps), mpmath.mpf(win.tau0)
@@ -237,19 +243,13 @@ def test_trace_at_pi_keeps_thirteen_digits(model12):
 
 def _per_term_phase_bounds(win, model, lams, sums, fixed_units, units_per_n=0.0):
     """`_rounding_bounds` with each term's phase charged at its own s tau0, as
-    a sum that forms e^{-i s tau0} term by term must be: P = 2|tau0|, Q = 2
-    in double (s tau0 rounded twice, cos and sin once), and P = 4|tau0| +
-    820, Q = |tau0| + 820 in decimal, where cis(tau0) stepped from the cut's
-    end nearest lam when round(lam) lay outside the cut."""
-    values, (m0, m1, m2), _, decimal, lo, hi = sums
-    u = np.where(decimal, _DECIMAL_UNIT, 2.0**-53)
-    tau = abs(win.tau0)
-    p, q = np.where(decimal, 4 * tau + 820, 2 * tau), np.where(decimal, tau + 820, 2.0)
-    g = np.where(decimal, 10.0**-_STEP_DIGITS * (1 + 4 * win.eps**2), 0.0)
+    a sum that forms e^{-i s tau0} term by term must be: P |s| + Q with P =
+    2|tau0| and Q = 2 (s tau0 rounded twice, cos and sin once)."""
+    _, (m0, m1, m2), _, lo, hi = sums
+    p, q = 2 * abs(win.tau0), 2.0
     n_terms = np.maximum(hi - lo + 1, 0)
     fixed = n_terms + fixed_units + units_per_n * np.maximum(lams, 0.0) + q + 2 * model.dim + 12
-    units = (fixed + 4 * g) * m0 + (units_per_n + p + 4 * g) * m1 + (4 * win.eps**2 + g) * m2
-    return 2.0 * u * units + np.where(decimal, 2.0**-52 * np.abs(values), 0.0)
+    return 2.0 * 2.0**-53 * (fixed * m0 + (units_per_n + p) * m1 + 4 * win.eps**2 * m2)
 
 
 _PI_FLAGS = ["--shape", "gaussian", "--tau0", "3.141592653589793", "--eps", "0.15"]
@@ -345,16 +345,6 @@ def test_scan_u_zero_matches_plain_diagonal(model12, chart):
     assert abs(rep.exact[0] - direct[0]) < 1e-12 * abs(direct[0])
 
 
-def _kernel_scale(d):
-    """The kernel's constant d!/pi^d as a function of pi, for `_decimal_sums`."""
-    return lambda x, pi: x * math.factorial(d) / pi**d
-
-
-def _decimal_rows(t, weights, hi):
-    """Decimal h_n rows of the points t up to each cut top."""
-    return [_decimal_h(row, weights, int(b)) for row, b in zip(t, hi)]
-
-
 def _scan_cut(win, model, lams, points):
     """Moment coordinates, the kernel scale d!/pi^d and one window cut for a
     scan, its remainders scaled."""
@@ -364,54 +354,12 @@ def _scan_cut(win, model, lams, points):
     return t, scale, lo, hi, rem * scale
 
 
-def test_scan_precision_paths_agree(model12, chart):
-    # on the locus the terms do not cancel (kappa <= 3), so double keeps the
-    # decimal value to its own rounding level on the same cut.  The decimal
-    # path divides the moments by their sum; t0 = 1 - t1 (exact, t1 > 1/2)
-    # makes that sum exactly 1, so both paths evaluate the same point
-    lams = np.geomspace(150.0, 300.0, 4)
-    pts = np.array([chart.normal_point(np.array([0.3 + 0j]) / np.sqrt(l)) for l in lams])
-    t, scale, lo, hi, _ = _scan_cut(WIN, model12, lams, pts)
-    t[:, 0] = 1.0 - t[:, 1]
-    h = _h_table(t, (1, 2), int(hi.max()))
-    phases = _phase_table(WIN)
-    dbl, (dbl_mag, _, _) = _window_sums(WIN, lams, h, lo, hi, scale, phases)
-    dec, dec_mag = _decimal_sums(
-        WIN, lams, _decimal_rows(t, (1, 2), hi), _kernel_scale(1), lo, hi, phases
-    )
-    assert (dbl_mag <= 3 * np.abs(dec)).all()
-    assert np.abs(dbl - dec).max() < 1e-14 * np.abs(dec).max()
-    assert np.abs(dbl_mag - dec_mag).max() < 1e-14 * dec_mag.max()
-
-
 def test_offlocus_scan_decays(model12, chart):
     rep = offlocus_decay_scan(model12, WIN, chart, 1.0, np.geomspace(80.0, 380.0, 8))
     mags = np.abs(rep.ratios)
     assert mags[-1] < mags[0]
     assert rep.fits["decay_exponent"] < -1.0
     assert rep.meta["precision"] == ["closed-form"] * 8
-
-
-def test_arithmetic_follows_the_measured_conditioning(model12, chart):
-    # the scans report each row's arithmetic: every (1, 2) row here is in
-    # closed form.  The eigen-sum that serves the rows the closed form does
-    # not take keeps on-locus rows (kappa <= 3) in double and sums off-locus
-    # rows (kappa >= 5e7) in decimal
-    grid = np.geomspace(100.0, 560.0, 5)
-    u = np.array([0.7 + 0j])
-    assert scaled_diagonal_scan(model12, WIN, chart, u, grid).meta["precision"] == ["closed-form"] * 5
-    assert parity_scan(model12, WIN, chart, u, grid).meta["precision"] == ["closed-form"] * 5
-    off = offlocus_decay_scan(model12, WIN, chart, 1.3, grid)
-    assert off.meta["precision"] == ["closed-form"] * 5
-    on_points = np.array([chart.normal_point(u / np.sqrt(lam)) for lam in grid])
-    off_points = np.array([chart.normal_point(np.array([2.6 * lam ** (-7 / 18)])) for lam in grid])
-    assert not _eigen_sum_diagonal(model12, WIN, grid, np.abs(on_points) ** 2, 1e-10)[3].any()
-    assert _eigen_sum_diagonal(model12, WIN, grid, np.abs(off_points) ** 2, 1e-10)[3].all()
-    pt = chart.normal_point(np.array([0.5 + 0j]))
-    lams, points = np.array([300.0, 300.0]), np.array([chart.center, pt])
-    _, _, _, decimal_rows = _eigen_sum_diagonal(model12, WIN, lams, np.abs(points) ** 2, 1e-10)
-    assert decimal_rows.tolist() == [False, True]
-    assert _diagonal_values(model12, WIN, lams, points, 1e-10)[3].tolist() == ["closed-form"] * 2
 
 
 _PI50 = Decimal("3.1415926535897932384626433832795028841971693993751058209749445923078164")
@@ -467,65 +415,57 @@ def _decimal_diagonal(t, weights, win, lam, n_top, n_lo=0, sphere=False, digits=
         return complex(float(re), float(im)), float(mag)
 
 
-def test_decimal_path_survives_offlocus_cancellation(model12, chart):
-    """Off the locus the terms cancel by ~1e12.  On the same cut the decimal
-    sum keeps the value at the sphere point to double rounding and the double
-    sum does not; the automatic path picks decimal."""
-    lam = np.array([550.0])
-    pts = chart.normal_point(np.array([[2.6 * 550.0 ** (-7 / 18) + 0j]]))
-    ref, _ = _decimal_diagonal(np.abs(pts[0]) ** 2, (1, 2), WIN, 550.0, 670, sphere=True)
-    t, scale, lo, hi, rem = _scan_cut(WIN, model12, lam, pts)
-    phases = _phase_table(WIN)
-    dec, _ = _decimal_sums(
-        WIN, lam, _decimal_rows(t, (1, 2), hi), _kernel_scale(1), lo, hi, phases
-    )
-    dbl, _ = _window_sums(WIN, lam, _h_table(t, (1, 2), int(hi[0])), lo, hi, scale, phases)
-    assert rem[0] < 1e-30
-    assert abs(dec[0] - ref) < 1e-15 * abs(ref)
-    assert abs(dbl[0] - ref) > 1e-6 * abs(ref)
-    auto, auto_rem, _, decimal_rows = _eigen_sum_diagonal(model12, WIN, lam, t, 1e-10)
-    assert decimal_rows[0] and auto_rem[0] < 1e-30
-    assert abs(auto[0] - ref) < 1e-15 * abs(ref)
-
-
 @pytest.mark.parametrize("weights", [(1, 3), (1, 2, 3)])
 def test_eigen_sum_rows_evaluate_the_sphere_point(weights):
     """Eigen-sum rows at tau0 = 2 pi/3 and normal distance 0.2, 0.3 and 0.5
     from the weight-3 point (the closed form takes these rows; the eigen-sum
     serves the rows it does not): the 50-digit sum at t/sum(t) lies within
-    each row's remainder plus rounding bound.  The decimal rows divide the
-    moments by their sum in decimal, as the oracle does; summed at t, whose
-    sum double rounds to 1, they were up to 24 times their bound off."""
+    each row's remainder plus rounding bound, though the rows at 0.3 and
+    0.5 cancel by up to 1e17 and sum t as given, whose sum double rounds
+    to 1."""
     model = make_model(weights)
     win = Window("gaussian", 2 * np.pi / 3, 0.1)
     chart = heisenberg_chart(model, np.eye(len(weights))[-1].astype(complex), win.tau0)
     u = np.eye(chart.normal_dim)[0]
     lams = np.repeat([150.0, 300.0], 3)
     pts = np.array([chart.normal_point(r * u) for r in [0.2, 0.3, 0.5] * 2])
-    values, remainders, bounds, decimal = _eigen_sum_diagonal(
-        model, win, lams, np.abs(pts) ** 2, 1e-10
-    )
-    assert _arithmetic(decimal).tolist() == ["double", "decimal", "decimal"] * 2
+    values, remainders, bounds = _eigen_sum_diagonal(model, win, lams, np.abs(pts) ** 2, 1e-10)
     for lam, t, value, remainder, bound in zip(lams, np.abs(pts) ** 2, values, remainders, bounds):
         n_top, n_lo = int(lam + 40.0 / win.eps), max(0, int(lam - 40.0 / win.eps))
         ref, _ = _decimal_diagonal(t, weights, win, lam, n_top, n_lo, sphere=True)
         assert abs(value - ref) <= remainder + bound
 
 
-def test_unresolved_decimal_row_shows_a_bound_above_its_value():
-    # kappa = 5.9e40: forty digits cannot resolve this off-locus row, so its
-    # rounding bound exceeds |value|, and with the cut remainder it covers
-    # the 50-digit oracle's error
-    weights, lam = (3, 1, 1), 175.297
-    model = make_model(weights)
-    win = Window("gaussian", np.pi, 0.2338)
-    pts = np.sqrt(np.array([[0.1194, 0.6018, 0.2788]]))
+# an off-locus (3, 1, 1) row whose eigen-sum cancels by kappa = 5.9e40
+_CANCELLING_ROW = ((3, 1, 1), 175.297, Window("gaussian", np.pi, 0.2338), [0.1194, 0.6018, 0.2788])
+
+
+def test_cancelling_kernel_row_is_closed_form_within_its_bound():
+    # the closed form turns the row away for its own kappa, but certifies it
+    # far better than the eigen-sum can, so the row keeps its closed form:
+    # within its remainder plus bound (3.6e-49) of an 80-digit sum at the
+    # sphere point, whose |value| is 1.8e-37
+    weights, lam, win, t = _CANCELLING_ROW
+    pts = np.sqrt(np.array([t]))
     values, remainders, bounds, precision = _diagonal_values(
-        model, win, np.array([lam]), pts, 1e-10
+        make_model(weights), win, np.array([lam]), pts, 1e-10
     )
     n_top, n_lo = int(lam + 40.0 / win.eps), max(0, int(lam - 40.0 / win.eps))
-    ref, magnitude = _decimal_diagonal(np.abs(pts[0]) ** 2, weights, win, lam, n_top, n_lo)
-    assert precision[0] == "decimal" and magnitude > 1e39 * abs(ref)
+    ref, magnitude = _decimal_diagonal(np.abs(pts[0]) ** 2, weights, win, lam, n_top, n_lo, True, 80)
+    assert precision.tolist() == ["closed-form"] and magnitude > 1e40 * abs(ref)
+    assert abs(values[0] - ref) <= remainders[0] + bounds[0] <= 1e-11 * abs(ref)
+
+
+def test_unresolved_eigen_sum_row_shows_a_bound_above_its_value():
+    # double cannot resolve the same row as an eigen-sum, so its rounding
+    # bound exceeds |value|, and with the cut remainder it covers the
+    # 50-digit oracle's error
+    weights, lam, win, t = _CANCELLING_ROW
+    values, remainders, bounds = _eigen_sum_diagonal(
+        make_model(weights), win, np.array([lam]), np.array([t]), 1e-10
+    )
+    n_top, n_lo = int(lam + 40.0 / win.eps), max(0, int(lam - 40.0 / win.eps))
+    ref, _ = _decimal_diagonal(t, weights, win, lam, n_top, n_lo)
     assert bounds[0] >= abs(values[0])
     assert abs(values[0] - ref) <= remainders[0] + bounds[0]
 
@@ -558,19 +498,18 @@ def test_trace_keeps_its_digits_under_cancellation():
     # at tau0 = pi the (1, 1, 1, 2) trace is pi/8 at every integer lambda,
     # while an eigen-sum's kappa = sum |terms| / |sum| runs from 1.3e9 to
     # 1.3e15: summed in double it read 0.9251 pi/8 at lambda = 1e5.  The
-    # eigen-sum sums these rows in decimal; the closed form has no
-    # cancelling sum
+    # closed form has no cancelling sum and keeps 12 digits; the eigen-sum's
+    # bound covers what it loses
     model = make_model((1, 1, 1, 2))
     win, lams = Window("gaussian", np.pi, 0.15), np.linspace(1e3, 1e5, 4)
     res = smoothed_trace(model, win, lams)
-    values, remainders, bounds, decimal, _ = _eigen_sum_trace(model, win, lams, 1e-10)
-    assert decimal.all() and res.precision.tolist() == ["closed-form"] * 4
-    rows = [*zip(values, remainders, bounds)]
-    rows += zip(res.value, res.cut_remainder, res.rounding_bound)
-    for value, remainder, bound in rows:
+    assert res.precision.tolist() == ["closed-form"] * 4
+    for value, remainder, bound in zip(res.value, res.cut_remainder, res.rounding_bound):
         err = _decimal_error(complex(value), _PI50 / 8, Decimal(0))
         assert err <= 1e-12 * np.pi / 8
         assert err <= remainder + bound
+    for value, remainder, bound, _ in zip(*_eigen_sum_trace(model, win, lams, 1e-10)):
+        assert _decimal_error(complex(value), _PI50 / 8, Decimal(0)) <= remainder + bound
 
 
 def test_trace_bound_charges_each_term_at_its_own_distance():
@@ -582,10 +521,9 @@ def test_trace_bound_charges_each_term_at_its_own_distance():
     win = Window("gaussian", -12 * np.pi, 0.15)
     lam = 64719.0
     sums = _eigen_sum_trace(make_model((1, 1, 1)), win, np.array([lam]), 1e-10)
-    values, remainders, bounds, decimal, _ = sums
+    values, remainders, bounds, _ = sums
     n_lo, n_top = int(lam - 40.0 / win.eps), int(lam + 40.0 / win.eps)
     err = _decimal_error(complex(values[0]), *_decimal_trace((1, 1, 1), win, lam, n_lo, n_top))
-    assert not decimal[0]
     assert err <= remainders[0] + bounds[0] <= 3e-13 * abs(values[0])
 
 
@@ -689,7 +627,7 @@ def _lattice_diagonal(pkg, win, lam, points):
 
 
 @pytest.mark.parametrize("weights", [(1, 2), (1, 1, 2), (1, 2, 3)])
-@pytest.mark.parametrize("arithmetic", ["double", "decimal"])
+@pytest.mark.parametrize("arithmetic", ["double", "closed-form"])
 def test_recurrence_matches_lattice_sum(weights, arithmetic):
     model = make_model(weights)
     small = eigendata(model, 70)
@@ -702,14 +640,11 @@ def test_recurrence_matches_lattice_sum(weights, arithmetic):
     ref = _lattice_diagonal(small, win, lam, pts)
     lams = np.full(4, lam)
     t, scale, lo, hi, remainders = _scan_cut(win, model, lams, pts)
-    phases = _phase_table(win)
     if arithmetic == "double":
         h = _h_table(t, weights, int(hi.max()))
-        got, _ = _window_sums(win, lams, h, lo, hi, scale, phases)
-    else:
-        got, _ = _decimal_sums(
-            win, lams, _decimal_rows(t, weights, hi), _kernel_scale(model.dim), lo, hi, phases
-        )
+        got, _ = _window_sums(win, lams, h, lo, hi, scale, _phase_table(win))
+    else:  # the closed form at these points, each row in whichever arithmetic it keeps
+        got, remainders, _, _ = _diagonal_values(model, win, lams, pts, 1e-10)
     assert remainders.max() < 1e-20
     assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
@@ -879,8 +814,8 @@ def test_kernel_matches_decimal_oracle_over_random_models(data):
         model, win, np.array([lam]), pts, 1e-10
     )
     # the oracle keeps every term above exp(-800) of the window, at the
-    # sphere point t/sum(t) (closed-form and decimal rows evaluate it; a
-    # double row's bound covers the rounding of sum(t) to 1), and 20 digits
+    # sphere point t/sum(t) (closed-form rows evaluate it; a double row's
+    # bound covers the rounding of sum(t) to 1), and 20 digits
     # beyond its own cancellation: fifty, or more where the terms cancel further
     n_top, n_lo = int(lam + 40.0 / win.eps), max(0, int(lam - 40.0 / win.eps))
     digits = 50
@@ -892,8 +827,8 @@ def test_kernel_matches_decimal_oracle_over_random_models(data):
             np.abs(pts[0]) ** 2, weights, win, lam, n_top, n_lo, True, digits
         )
     # the first-order rounding bound of an n_top-step recurrence and sum in
-    # the arithmetic used (Higham, ch. 3-4), plus the final rounding to double
-    unit = _DECIMAL_UNIT if precision[0] == "decimal" else 2.0**-53
+    # double (Higham, ch. 3-4), plus the final rounding to double
+    unit = 2.0**-53
     bound = remainders[0] + 4 * n_top * unit * magnitude + 2.0**-53 * abs(ref) + 1e-300
     assert abs(values[0] - ref) <= bound
     # the row's own reported rounding bound covers the same error
@@ -901,7 +836,7 @@ def test_kernel_matches_decimal_oracle_over_random_models(data):
 
 
 # ----------------------------------------------------------------------------
-# the h_n table and the stepped decimal Gaussian factors
+# the h_n table
 # ----------------------------------------------------------------------------
 
 
@@ -930,66 +865,6 @@ def test_h_table_matches_the_step_loop_bitwise(weights):
     t[0] = np.eye(len(weights))[-1]  # a coordinate point: zero moments
     for n_max in (0, 1, 5, 400):
         assert np.array_equal(_h_table(t, weights, n_max), _h_table_loop(t, weights, n_max))
-
-
-def _decimal_h_generator(t_row, weights, n_max):
-    """`_decimal_h` as a generator summed by `sum()` from Decimal(0) each step:
-    the same products, added in the same order, of the same moments divided
-    by their sum."""
-    d = len(weights) - 1
-    h = [Decimal(1)]
-    with localcontext() as ctx:
-        ctx.prec = smoothing._DECIMAL_DIGITS
-        moments = [Decimal(float(tw)) for tw in t_row]
-        coeffs = [(tw / sum(moments), w) for tw, w in zip(moments, weights)]
-        for n in range(1, n_max + 1):
-            terms = (tw * (n + d * w) * h[n - w] for tw, w in coeffs if n >= w)
-            h.append(sum(terms, Decimal(0)) / n)
-    return h
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    weights=st.sampled_from([(1, 2), (1, 1, 2), (2, 3, 5), (3, 1, 1)]),
-    seed=st.integers(0, 2**32 - 1),
-    axis=st.integers(-1, 3),
-    n_max=st.integers(0, 700),
-)
-@example(weights=(2, 3, 5), seed=0, axis=2, n_max=700)
-def test_decimal_h_matches_the_generator_sum(weights, seed, axis, n_max):
-    """The explicit loop gives the generator's decimals: equal, and equal as strings."""
-    t = np.random.default_rng(seed).dirichlet(np.ones(len(weights)))
-    if 0 <= axis < len(weights):
-        t = np.eye(len(weights))[axis]  # a coordinate point: zero moments
-    got, ref = _decimal_h(t, weights, n_max), _decimal_h_generator(t, weights, n_max)
-    assert got == ref
-    assert list(map(str, got)) == list(map(str, ref))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    eps=st.floats(0.05, 1.0),
-    f=st.floats(-0.5, 0.5),
-    k=st.integers(-2000, 2000),
-)
-@example(eps=1.0, f=0.5, k=2000)
-@example(eps=0.05, f=-0.5, k=-2000)
-def test_stepped_gaussian_factors_within_their_bound(eps, f, k):
-    c = 5000
-    lam = c + f
-    factors = _gaussian_steps(Decimal(eps), Decimal(lam), c, max(-k, 0), max(k, 0))
-    got = factors[-1] if k >= 0 else factors[0]
-    unit = Decimal(_DECIMAL_UNIT) * Decimal(10) ** -_STEP_DIGITS
-    with localcontext() as ctx:
-        ctx.prec = 60
-        h = Decimal(eps) ** 2 / 2
-        fd = Decimal(lam) - c
-        rel = abs(got / (-h * (fd - k) ** 2).exp() - 1)
-        # the bound `_gaussian_steps` derives, and the one `_rounding_bounds`
-        # charges a cut whose farthest term is this one
-        derived = (k * k + abs(k) + 1 + 8 * h * (abs(fd) + abs(k) + 1) ** 2) * unit
-        charged = (1 + 4 * Decimal(eps) ** 2) * (abs(fd - k) + 2) ** 2 * unit
-    assert rel <= derived <= charged
 
 
 # ----------------------------------------------------------------------------
@@ -1112,18 +987,30 @@ def test_general_weight_trace_at_a_billion():
     lams = np.array([1e9, 1e9 + 0.5])
     res = smoothed_trace(model, win, lams)
     assert res.precision.tolist() == ["closed-form"] * 2 and res.n_eigenvalues == 30
-    assert np.isfinite(res.cut_remainder).all()
+    # the omitted periods' bound underflows double, and rounds up, not to 0
+    assert np.isfinite(res.cut_remainder).all() and (res.cut_remainder > 0).all()
     assert (res.rounding_bound < 1e-13 * np.abs(res.value)).all()
     with pytest.raises(CoverageError, match="window-cut table"):
         _eigen_sum_trace(model, win, lams, 1e-10)
 
 
 def test_closed_form_trace_leaves_cancelling_and_huge_rows_to_the_eigen_sum(model12):
-    # lam = 0.5 on (1, 1, 1, 2) at pi: the ghost cancels the Poisson side;
+    # lam = -3 and 0.5 on (1, 1, 1, 2) at pi: the ghost cancels the Poisson
+    # side, so the eigen-sum sums these rows too, and each keeps the value
+    # with the smaller remainder plus bound, within it of a 50-digit sum;
     # lam <= -sum w: the ghost holds the window's peak; past 2^52 a double
     # lam no longer resolves n, and the eigen-sum refuses
-    res = smoothed_trace(make_model((1, 1, 1, 2)), WIN, np.array([0.5, 300.0]))
-    assert res.precision.tolist() == ["decimal", "closed-form"]
+    model, lams = make_model((1, 1, 1, 2)), np.array([-3.0, 0.5, 300.0])
+    res = smoothed_trace(model, WIN, lams)
+    assert res.precision.tolist() == ["double", "closed-form", "closed-form"]
+    _, closed_rem, closed_bound, _, taken, formed = smoothing._closed_form_trace(model, WIN, lams, 1e-10)
+    _, eigen_rem, eigen_bound, _ = _eigen_sum_trace(model, WIN, lams, 1e-10)
+    assert formed.all() and taken.tolist() == [False, False, True]
+    budget = res.cut_remainder + res.rounding_bound
+    assert budget[:2].tolist() == np.minimum(closed_rem + closed_bound, eigen_rem + eigen_bound)[:2].tolist()
+    for lam, value, allowed in zip(lams[:2], res.value, budget):
+        re, im = _decimal_trace((1, 1, 1, 2), WIN, lam, 0, int(lam + 40.0 / WIN.eps))
+        assert _decimal_error(complex(value), re, im) <= allowed
     assert smoothed_trace(model12, WIN, -50.0).precision == "double"
     assert smoothed_trace(model12, WIN, 2.0**52 - 1).precision == "closed-form"
     with pytest.raises(CoverageError, match="window-cut table"):
