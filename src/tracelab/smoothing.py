@@ -37,7 +37,9 @@ near tau0, each a gaussian times a Hermite polynomial in lam, with the
 phase e^{-i lam tau} taken from an exact reduction of lam (`_period_phase`),
 less a ghost part from n <= -sum w (reciprocity).  Such a row costs O(1)
 in lam, is labelled "closed-form", and reports the omitted periods and
-the ghost tail as its remainder.
+the ghost tail as its remainder.  Where its period terms cancel each
+other past `_CLOSED_FORM_KAPPA` their sum is formed again at
+`_DECIMAL_DIGITS` digits, as its inputs already are (`_exact_periods`).
 
 A kernel row for the gaussian window is first formed in closed form
 (`_closed_form_diagonal`), on any weights: the generating function
@@ -60,9 +62,10 @@ sum |terms| / |sum| is 5e7 to 2e12 on the off-locus diagonal scans and grows
 like lam^d on a trace at tau0 = pi.  A row the closed form formed but turned
 away only for its own kappa is summed as an eigen-sum too, and keeps
 whichever value reports the smaller remainder plus rounding bound
-(`_keep_certified`).  The eigen-sum takes its phases from one table of
-cis(k tau0), |k| <= K, each entry rounded once from 40 digits and built
-once per (tau0, eps) (`_phase_table`): with c = round(lam) and f = lam - c
+(`_keep_certified`); no eigen-sum is summed past double.  The eigen-sum
+takes its phases from one table of cis(k tau0), |k| <= K, each entry
+rounded once from 40 digits and built once per (tau0, eps)
+(`_phase_table`): with c = round(lam) and f = lam - c
 a row is e^{-i f tau0} sum_k c_{c+k} chihat_0(f - k) cis(k tau0), so no
 phase argument grows with |lam - n| and a row takes one complex
 exponential.  Each row reports its arithmetic, "closed-form" or "double",
@@ -793,13 +796,15 @@ def _binomial_moments(weights, mu, sigma: float, moments):
     return total
 
 
-def _floored(exponent, size):
-    """e^exponent size (size > 0) as e^(exponent + log size), rounded up to
-    the smallest subnormal: a bound on omitted terms where the product
-    leaves the normal range, so that the bound of a positive quantity never
-    reads 0."""
+def _floored(exponent: float, size):
+    """e^exponent size (size > 0), a bound on omitted terms that never reads
+    0: where e^exponent or the product leaves the normal range it is taken
+    as e^(exponent + log size), rounded up to the smallest subnormal."""
+    scale = math.exp(exponent)
+    direct = scale * size
     with np.errstate(divide="ignore", over="ignore"):
-        return np.maximum(np.exp(exponent + np.log(size)), math.ulp(0.0))
+        low = np.maximum(np.exp(exponent + np.log(size)), math.ulp(0.0))
+    return np.where((direct >= 2.0**-1022) & (scale >= 2.0**-1022), direct, low)
 
 
 def _aliases(pole: _Pole, win: Window, lam: float) -> tuple[list, list]:
@@ -868,10 +873,9 @@ def _pole_sum(d: int, win: Window, lam: float, pole: _Pole):
         grow = lam * L + 0.5 * (L * L - theta * theta) * inv
         base = abs(centre) + (abs(theta) + slack) * inv
         moments = _binomial_moments(pole.majorants, base, 1 / eps, absolute)
-        bound = 2.0 * math.pi * math.exp(grow) * moments
-        if omitted and not bound >= 2.0**-1022:
+        if omitted:
             return float(_floored(grow, 2.0 * math.pi * moments))
-        return bound
+        return 2.0 * math.pi * math.exp(grow) * moments
 
     kept, beyond = _aliases(pole, win, lam)
     remainder = 0.0
@@ -1138,12 +1142,15 @@ _CLOSED_FORM_LAMBDA = 2.0**52
 class _UnitPole:
     """One pole zeta = e^(2 pi i turn) of prod_i (1 - x^{w_i})^-1, a root of
     unity: it adds zeta^n sum_j coeffs[j] n^j to d(n).  ``coeffs`` are
-    rounded once from `_DECIMAL_DIGITS`-digit sums, and ``majorants[j]`` is
-    |coeffs[j]| plus their error over 2^-53."""
+    rounded once from the `_DECIMAL_DIGITS`-digit sums ``exact`` (re, im),
+    which are within ``errors[j]`` of the true coefficients, and
+    ``majorants[j]`` is |coeffs[j]| plus errors[j] over 2^-53."""
 
     turn: Fraction
     coeffs: tuple
     majorants: tuple
+    exact: tuple
+    errors: tuple
 
 
 @functools.lru_cache(maxsize=16)
@@ -1206,12 +1213,14 @@ def _unit_poles(weights: tuple) -> tuple | None:
         for a in range(period // 2 + 1):
             order = period // math.gcd(a, period)
             degree = sum(w % order == 0 for w in weights) - 1
-            coeffs, majorants = [], []
+            coeffs, majorants, exact, errors = [], [], [], []
             for j in range(degree + 1):
                 p = own[j]
                 if a * p % period:  # zeta is not an own frequency of c_j
                     coeffs.append(0j)
                     majorants.append(0.0)
+                    exact.append((Decimal(0), Decimal(0)))
+                    errors.append(0.0)
                     continue
                 if p not in cis:
                     cis[p] = [_unit_cis(k, p) for k in range(p)]
@@ -1220,16 +1229,18 @@ def _unit_poles(weights: tuple) -> tuple | None:
                     x = Decimal(c[j][r].numerator) / c[j][r].denominator
                     cos, sin = cis[p][q * r % p]
                     re, im = re + x * cos, im - x * sin
-                value = complex(float(re / p), float(im / p))
-                error = (p + 284) * _DECIMAL_UNIT * float(max(abs(x) for x in c[j][:p]))
+                exact.append((re / p, im / p))
+                value = complex(float(exact[-1][0]), float(exact[-1][1]))
+                errors.append((p + 284) * _DECIMAL_UNIT * float(max(abs(x) for x in c[j][:p])))
                 coeffs.append(value)
-                majorants.append(abs(value) + error * 2.0**53)
+                majorants.append(abs(value) + errors[-1] * 2.0**53)
             if any(coeffs):
-                poles.append(_UnitPole(Fraction(a, period), tuple(coeffs), tuple(majorants)))
+                fields = tuple(majorants), tuple(exact), tuple(errors)
+                poles.append(_UnitPole(Fraction(a, period), tuple(coeffs), *fields))
                 if 0 < 2 * a < period:
                     poles.append(_UnitPole(
                         Fraction(period - a, period), tuple(x.conjugate() for x in coeffs),
-                        tuple(majorants),
+                        fields[0], tuple((re, -im) for re, im in exact), fields[2],
                     ))
     return tuple(poles)
 
@@ -1300,13 +1311,47 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
 
         rho = 2u sum_terms (8 deg + 29 + N + 2) M + ghost's bound.
 
+    **Cancelling rows.**  Period terms can cancel past double: on (1, 3) at
+    tau0 = pi (the double, pi - 1.2e-16) the terms at tau = 2 pi/3 and 4 pi/3
+    are conjugates but for that 1.2e-16, so at integer lam = 1 mod 3 two
+    terms near 3e-11 leave 3.6e-25, below their rounding.  So a formed row
+    whose kappa passes `_CLOSED_FORM_KAPPA`, and whose period terms alone
+    cancel past it too (sum M > `_CLOSED_FORM_KAPPA` |their sum|; where
+    only the ghost cancels them its double rounding stays, and 40 digits
+    would gain a constant factor), has its period sum formed again at
+    `_DECIMAL_DIGITS` digits and rounded once (`_exact_periods`): from
+    the decimal coefficients of `_unit_poles`, chi and y = theta/eps^2, with
+    the phase cis(-2 pi r), r = lam (k - turn) reduced mod 1 in exact
+    Fractions (`_unit_cis`, exact on quarter turns); the ghost stays in
+    double.  With v = `_DECIMAL_UNIT`, theta
+    is off by e_theta <= 5 v (2 + |tau0| + |theta|) (2 pi v from the turn's
+    decimal, a unit of 2 pi |k - turn| for each of three roundings, one of
+    |theta|), y by e_y = e_theta/eps^2 + 2 v |y|, and chi relatively by v (4
+    a + 1) + |theta| e_theta/eps^2, a = theta^2/(2 eps^2).  A term is off by
+    at most v M times 2 deg + 8 for b_k, 5 deg + 2 for Horner's rule, 420
+    for the phase (`_sin_cos`' 280 units per part at |2 pi r| <= pi, its
+    argument within 3 units), chi's share, 6 for the products and N + 2 for
+    the sum; and by 2 pi chi (Ebar(|mu|) + e_y Rbar'(|mu| + e_y)) for the
+    coefficients' own errors (Ebar: `_mu_polynomial` of ``errors``) and for
+    mu (Rbar': the derivative of the majorant's polynomial, which bounds
+    |R(mu + dmu) - R(mu)| <= |dmu| Rbar'(|mu| + |dmu|)).  Rounding the sum
+    to double and subtracting the ghost add u (|sum| + sum |ghost terms|)
+    each; with the factor 2,
+
+        rho = 2 sum_terms [v (7 deg + 440 + N + 4a + |theta| e_theta/(v eps^2)) M
+              + 2 pi chi (Ebar + e_y Rbar')] + 2u (|sum| + sum |ghost terms|)
+              + ghost's bound.
+
     **Scope and fallback.**  A row is formed when the window is gaussian,
     lcm(w) (d + 1) <= `_QUASI_TABLE_MAX`, -sum w < lam < `_CLOSED_FORM_LAMBDA`
     (for lam <= -sum w the ghost holds the terms nearest the window's peak),
     nothing overflows and the remainder meets min(tail_tol, u sum M); it is
-    taken when, besides, kappa = (sum M + sum |ghost terms|)/|value| is at
-    most `_CLOSED_FORM_KAPPA` (small and negative lam, where the ghost
-    cancels the Poisson side, fail it).
+    taken when, besides, kappa = (sum M + sum |ghost terms|)/|value| of the
+    double evaluation is at most `_CLOSED_FORM_KAPPA` (small and negative
+    lam, where the ghost cancels the Poisson side, and the cancelling period
+    terms above fail it).  A formed row that is not taken, with its period
+    sum at 40 digits where those terms cancel, is compared with the
+    eigen-sum (`_keep_certified`).
     """
     values = np.zeros(lams.size, dtype=complex)
     remainders, bounds, terms = np.zeros(lams.size), np.zeros(lams.size), np.zeros(lams.size)
@@ -1321,23 +1366,23 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
     aliases = [(pole, *_unit_aliases(pole, win)) for pole in poles]
     n_terms = sum(len(kept) for _, kept, _ in aliases)
     with np.errstate(over="ignore", invalid="ignore"):
-        value, magnitude = np.zeros(lam.size, dtype=complex), np.zeros(lam.size)
+        periods, magnitude = np.zeros(lam.size, dtype=complex), np.zeros(lam.size)
         units, remainder = np.zeros(lam.size), np.zeros(lam.size)
         for pole, kept, beyond in aliases:
-            b, bbar = _mu_polynomial(pole, eps, signed, absolute)
+            b = _mu_polynomial(pole.coeffs, eps, signed)
+            bbar = _mu_polynomial(pole.majorants, eps, absolute)
             deg = len(b) - 1
             for theta in beyond:  # consecutive omitted majorants fall by at least q
                 q = (1.0 + 2.0 * math.pi / abs(theta)) ** deg
                 q *= math.exp(-2.0 * math.pi * (abs(theta) + math.pi) / eps**2)
-                exponent = -0.5 * (theta / eps) ** 2
                 size = _horner(bbar, np.abs(lam) + abs(theta) / eps**2)
-                far = math.exp(exponent) * size
-                far = np.where(far >= 2.0**-1022, far, _floored(exponent, size))
+                far = _floored(-0.5 * (theta / eps) ** 2, size)
                 remainder += 2.0 * math.pi * far / (1.0 - q) if q < 1.0 else np.inf
             for chi, y, turn in kept:
+                chi, y = float(chi), float(y)
                 term = 2.0 * math.pi * chi * _period_phase(turn, lam) * _horner(b, lam + 1j * y)
                 size = 2.0 * math.pi * chi * _horner(bbar, np.hypot(lam, y))
-                value += term
+                periods += term
                 magnitude += size
                 units += (8 * deg + 29 + n_terms + 2) * size
         # the whole ghost part is at most envelope(s0)/(1 - q0), s0 = lam + sum w
@@ -1348,18 +1393,25 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
         whole = np.where(q0 < 1.0, win.fourier_envelope(s0) / (1.0 - q0), np.inf)
         small = whole <= 2.0**-20 * u * magnitude
         remainder += np.where(small, whole, 0.0)
-        bound, ghost_terms = 2.0 * u * units, np.zeros(lam.size)
+        ghosts, ghost_size = np.zeros(lam.size, dtype=complex), np.zeros(lam.size)
+        ghost_bound, ghost_terms = np.zeros(lam.size), np.zeros(lam.size)
         summed = np.flatnonzero(~small)
         if summed.size:
             ghost = _ghost_trace(model, win, lam[summed])
-            value[summed] -= ghost[0]
-            magnitude[summed] += ghost[1]
+            ghosts[summed], ghost_size[summed] = ghost[0], ghost[1]
             remainder[summed] += ghost[2]
-            bound[summed] += ghost[3]
-            ghost_terms[summed] = ghost[4]
-        ok = np.isfinite([value, magnitude, bound, remainder]).all(axis=0)
-        ok &= remainder <= _final_cut_target(tail_tol, u, magnitude)
-        calm = magnitude <= _CLOSED_FORM_KAPPA * np.abs(value)
+            ghost_bound[summed], ghost_terms[summed] = ghost[3], ghost[4]
+        value, total = periods - ghosts, magnitude + ghost_size
+        bound = 2.0 * u * units + ghost_bound
+        ok = np.isfinite([value, total, bound, remainder]).all(axis=0)
+        ok &= remainder <= _final_cut_target(tail_tol, u, total)
+        calm = total <= _CLOSED_FORM_KAPPA * np.abs(value)
+        fine = np.flatnonzero(ok & ~calm & (magnitude > _CLOSED_FORM_KAPPA * np.abs(periods)))
+        if fine.size:  # a row whose period terms cancel: their sum at 40 digits
+            exact, exact_bound = _exact_periods(aliases, win, lam[fine], n_terms, signed, absolute)
+            value[fine] = exact - ghosts[fine]
+            bound[fine] = exact_bound + ghost_bound[fine]
+            bound[fine] += 2.0 * u * (np.abs(exact) + ghost_size[fine])
     kept = rows[ok]
     values[kept], remainders[kept], bounds[kept] = value[ok], remainder[ok], bound[ok]
     terms[kept] = n_terms + ghost_terms[ok]
@@ -1368,12 +1420,55 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
     return values, remainders, bounds, terms, taken, formed
 
 
+def _exact_periods(aliases: list, win: Window, lams: np.ndarray, n_terms: int, signed, absolute):
+    """The period sums of `_closed_form_trace` at ``lams`` formed at
+    `_DECIMAL_DIGITS` digits and rounded once to complex, and the bounds on
+    their decimal rounding derived there."""
+    eps, v = win.eps, _DECIMAL_UNIT
+    values, bounds, terms = np.zeros(lams.size, dtype=complex), np.zeros(lams.size), []
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        two_pi, eps_d, moments = 2 * _PI, Decimal(eps), [Decimal(m) for m in signed]
+        for pole, kept, _ in aliases:
+            parts = (_mu_polynomial([c[i] for c in pole.exact], eps_d, moments) for i in (0, 1))
+            b = list(zip(*parts))  # (re, im) of each b_k
+            bbar = _mu_polynomial(pole.majorants, eps, absolute)
+            ebar = _mu_polynomial(pole.errors, eps, absolute)
+            slope = [k * c for k, c in enumerate(bbar)][1:] or [0.0]
+            for chi, y, turn in kept:
+                terms.append((two_pi * chi, y, turn, b))
+                theta, scale = float(y) * eps**2, 2.0 * math.pi * float(chi)
+                tilt = 5.0 * (2.0 + abs(win.tau0) + abs(theta)) / eps**2  # e_theta/(v eps^2)
+                e_y = v * (tilt + 2.0 * abs(float(y)))
+                mod = np.hypot(lams, float(y))
+                units = 7 * (len(b) - 1) + 440 + n_terms + 2.0 * (theta / eps) ** 2
+                bounds += v * (units + abs(theta) * tilt) * scale * _horner(bbar, mod)
+                bounds += scale * (_horner(ebar, mod) + e_y * _horner(slope, mod + e_y))
+        phases: dict = {}  # cis(2 pi r) by the exact turn r, shared across rows
+        for i, lam in enumerate(lams.tolist()):
+            x, exact_lam, re, im = Decimal(lam), Fraction(lam), Decimal(0), Decimal(0)
+            for f, y, turn, b in terms:
+                r = exact_lam * turn
+                r -= round(r)
+                if r not in phases:
+                    phases[r] = _unit_cis(r.numerator, r.denominator)
+                cos, sin = phases[r]
+                h = b[-1]
+                for c in b[-2::-1]:  # Horner's rule at mu = lam + i y
+                    h = _cmul(h, (x, y))
+                    h = h[0] + c[0], h[1] + c[1]
+                term = _cmul((cos, -sin), h)
+                re, im = re + f * term[0], im + f * term[1]
+            values[i] = complex(float(re), float(im))
+    return values, 2.0 * bounds
+
+
 def _unit_aliases(pole: _UnitPole, win: Window) -> tuple[list, list]:
     """The periods tau = 2 pi (k - turn) of ``pole`` whose chi(tau) lies within
     exp(-`_GAUSS_FAR`^2/2) of the largest, as `_aliases` keeps a kernel
-    pole's, each as (chi(tau), theta/eps^2, k - turn), theta = tau0 - tau
-    formed at `_DECIMAL_DIGITS` digits; and the first theta beyond on each
-    side."""
+    pole's, each as (chi(tau), theta/eps^2, k - turn), theta = tau0 - tau,
+    chi and theta/eps^2 as `_DECIMAL_DIGITS`-digit decimals; and the first
+    theta beyond on each side."""
     kept, beyond = [], []
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
@@ -1383,26 +1478,21 @@ def _unit_aliases(pole: _UnitPole, win: Window) -> tuple[list, list]:
         reach = float(tau0 - two_pi * (k0 - turn)) ** 2 + (win.eps * _GAUSS_FAR) ** 2
         for k, step in ((k0, 1), (k0 - 1, -1)):
             while float(theta := tau0 - two_pi * (k - turn)) ** 2 <= reach:
-                chi = float((-theta * theta / (2 * eps2)).exp())
-                kept.append((chi, float(theta / eps2), k - pole.turn))
+                kept.append(((-theta * theta / (2 * eps2)).exp(), theta / eps2, k - pole.turn))
                 k += step
             beyond.append(float(theta))
     return kept, beyond
 
 
-def _mu_polynomial(pole: _UnitPole, eps: float, signed: list, absolute: list) -> tuple[list, list]:
+def _mu_polynomial(coeffs, eps, moments: list) -> list:
     """The coefficients b_k of R(mu) = E[P(mu + Z/eps)] = sum_j C_j E[(mu +
-    Z/eps)^j], and bbar_k, the same with the coefficient majorants and
-    E|Z|^i: sum_k bbar_k x^k = E[Pbar(x + |Z|/eps)] bounds |R| and every
-    partial Horner sum at |mu| <= x (`_closed_form_trace`)."""
-    degree = len(pole.coeffs) - 1
-    b, bbar = [], []
-    for k in range(degree + 1):
-        b.append(sum(pole.coeffs[j] * math.comb(j, k) * eps ** (k - j) * signed[j - k]
-                     for j in range(k, degree + 1)))
-        bbar.append(sum(pole.majorants[j] * math.comb(j, k) * eps ** (k - j) * absolute[j - k]
-                        for j in range(k, degree + 1)))
-    return b, bbar
+    Z/eps)^j], P = sum_j coeffs[j] n^j and ``moments`` E[Z^i], in the
+    arithmetic of ``coeffs`` and ``eps`` (double or decimal).  With the
+    coefficient majorants and E|Z|^i, sum_k bbar_k x^k = E[Pbar(x + |Z|/eps)]
+    bounds |R| and every partial Horner sum at |mu| <= x (`_closed_form_trace`)."""
+    degree = len(coeffs) - 1
+    return [sum(coeffs[j] * math.comb(j, k) * eps ** (k - j) * moments[j - k]
+                for j in range(k, degree + 1)) for k in range(degree + 1)]
 
 
 def _horner(coeffs: list, x):

@@ -422,7 +422,9 @@ def test_eigen_sum_rows_evaluate_the_sphere_point(weights):
     serves the rows it does not): the 50-digit sum at t/sum(t) lies within
     each row's remainder plus rounding bound, though the rows at 0.3 and
     0.5 cancel by up to 1e17 and sum t as given, whose sum double rounds
-    to 1."""
+    to 1.  Double resolves every row but lambda = 300 at 0.5, whose bound
+    passes |value| (it certifies 1e-4 of the value at lambda = 150, 0.5),
+    and keeps 9 digits at 0.2."""
     model = make_model(weights)
     win = Window("gaussian", 2 * np.pi / 3, 0.1)
     chart = heisenberg_chart(model, np.eye(len(weights))[-1].astype(complex), win.tau0)
@@ -434,6 +436,8 @@ def test_eigen_sum_rows_evaluate_the_sphere_point(weights):
         n_top, n_lo = int(lam + 40.0 / win.eps), max(0, int(lam - 40.0 / win.eps))
         ref, _ = _decimal_diagonal(t, weights, win, lam, n_top, n_lo, sphere=True)
         assert abs(value - ref) <= remainder + bound
+    assert (bounds < np.abs(values)).tolist() == [True] * 5 + [False]
+    assert (bounds[[0, 3]] <= 1e-9 * np.abs(values[[0, 3]])).all()
 
 
 # an off-locus (3, 1, 1) row whose eigen-sum cancels by kappa = 5.9e40
@@ -510,6 +514,24 @@ def test_trace_keeps_its_digits_under_cancellation():
         assert err <= remainder + bound
     for value, remainder, bound, _ in zip(*_eigen_sum_trace(model, win, lams, 1e-10)):
         assert _decimal_error(complex(value), _PI50 / 8, Decimal(0)) <= remainder + bound
+
+
+def test_trace_rows_whose_period_terms_cancel_keep_their_digits():
+    # (1, 3) at tau0 = pi, the double just below pi: at integer lambda = 1
+    # mod 3 the period terms at tau = 2 pi/3 and 4 pi/3, near 3e-11, differ
+    # from a cancelling conjugate pair only through pi - tau0 and leave
+    # 3.6e-25.  Summed in double they were 5% off with a bound 1.4 |value|;
+    # formed at 40 digits the rows are within their budget of a 50-digit
+    # sum, and that budget is below 1e-6 |value|
+    model, win = make_model((1, 3)), Window("gaussian", np.pi, 0.15)
+    lams = np.arange(67.0, 119.0, 3.0)
+    res = smoothed_trace(model, win, lams)
+    assert res.precision.tolist() == ["closed-form"] * lams.size
+    for lam, value, remainder, bound in zip(lams, res.value, res.cut_remainder, res.rounding_bound):
+        re, im = _decimal_trace((1, 3), win, lam, 0, int(lam + 40.0 / win.eps))
+        assert abs(complex(float(re), float(im))) < 1e-24
+        err = _decimal_error(complex(value), re, im)
+        assert err <= remainder + bound <= 1e-6 * abs(complex(float(re), float(im)))
 
 
 def test_trace_bound_charges_each_term_at_its_own_distance():
