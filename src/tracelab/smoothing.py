@@ -1323,11 +1323,11 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
     the decimal coefficients of `_unit_poles`, chi and y = theta/eps^2, with
     the phase cis(-2 pi r), r = lam (k - turn) reduced mod 1 in exact
     Fractions (`_unit_cis`, exact on quarter turns); the ghost stays in
-    double.  With v = `_DECIMAL_UNIT`, theta
-    is off by e_theta <= 5 v (2 + |tau0| + |theta|) (2 pi v from the turn's
-    decimal, a unit of 2 pi |k - turn| for each of three roundings, one of
-    |theta|), y by e_y = e_theta/eps^2 + 2 v |y|, and chi relatively by v (4
-    a + 1) + |theta| e_theta/eps^2, a = theta^2/(2 eps^2).  A term is off by
+    double.  With v = `_DECIMAL_UNIT`, theta is off by e_theta <= 5 v (2 +
+    |tau0| + |theta|) (2 pi v from the turn's decimal, a unit of 2 pi |k -
+    turn| for each of three roundings, one of |theta|), y by e_y =
+    e_theta/eps^2 + 2 v |y|, and chi relatively by v (4 a + 1) + |theta|
+    e_theta/eps^2, a = theta^2/(2 eps^2).  A term is off by
     at most v M times 2 deg + 8 for b_k, 5 deg + 2 for Horner's rule, 420
     for the phase (`_sin_cos`' 280 units per part at |2 pi r| <= pi, its
     argument within 3 units), chi's share, 6 for the products and N + 2 for
@@ -1335,8 +1335,8 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
     coefficients' own errors (Ebar: `_mu_polynomial` of ``errors``) and for
     mu (Rbar': the derivative of the majorant's polynomial, which bounds
     |R(mu + dmu) - R(mu)| <= |dmu| Rbar'(|mu| + |dmu|)).  Rounding the sum
-    to double and subtracting the ghost add u (|sum| + sum |ghost terms|)
-    each; with the factor 2,
+    to double and subtracting the ghost add at most u (|sum| + sum |ghost
+    terms|) each; with the factor 2 on the terms,
 
         rho = 2 sum_terms [v (7 deg + 440 + N + 4a + |theta| e_theta/(v eps^2)) M
               + 2 pi chi (Ebar + e_y Rbar')] + 2u (|sum| + sum |ghost terms|)
