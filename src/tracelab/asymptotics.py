@@ -246,27 +246,31 @@ def unitary_eigenbasis(A: np.ndarray):
     return eigs, U
 
 
-def gaussian_normal_integral(A: np.ndarray, seed: int = 0) -> GaussianIntegralResult:
+def gaussian_normal_integral(A: np.ndarray) -> GaussianIntegralResult:
     """Closed form pi^c/det(id-A) for the normal Gaussian integral, with its oracle.
 
-    The integral of exp(psi2(Av, v)) over C^c.  Twenty random directions,
-    drawn from ``seed`` in one batch, probe that Re psi2 is negative
-    definite.  The quadrature oracle rotates to a unitary eigenbasis of A
+    The integral of exp(psi2(Av, v)) over C^c, A unitary.  Re psi2(Av, v) =
+    -||(A - id)v||^2/2, so the integrand decays in every direction by at
+    least sigma^2/2, sigma the least singular value of A - id; the integral
+    is refused as not absolutely convergent when that rate is below 1e-12.
+    The quadrature oracle rotates to a unitary eigenbasis of A
     (`unitary_eigenbasis`; Lebesgue-invariant), where the integrand is a
     product over eigenlines, and evaluates the square tensor Gauss-Legendre
     rule of the psi2 integrand on each line (`_line_integral`).
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     c = A.shape[0]
+    if A.shape != (c, c) or not np.isfinite(A).all():
+        raise InputError(f"A must be a finite square matrix, got shape {A.shape}")
     if c == 0:
         return GaussianIntegralResult(1.0 + 0j, 1.0 + 0j, 0.0)
+    if np.abs(A.conj().T @ A - np.eye(c)).max() > 1e-10:
+        raise InputError("A must be unitary: the closed form holds only then")
     det = np.linalg.det(np.eye(c) - A)
     if abs(det) < 1e-10:
         raise CleanLocusError("non-clean matrix: det(id - A) vanishes")
-    draws = np.random.default_rng(seed).normal(size=(20, 2, c))
-    v = draws[:, 0] + 1j * draws[:, 1]
-    r = psi2(v @ A.T, v).real
-    if (r > -1e-12 * (np.abs(v) ** 2).sum(axis=1)).any():
+    sigma = np.linalg.svd(A - np.eye(c), compute_uv=False).min()
+    if 0.5 * sigma**2 < 1e-12:
         raise CleanLocusError("integral not absolutely convergent: psi2 real part degenerate")
     closed = np.pi**c / det
     eigs, _ = unitary_eigenbasis(A)
@@ -320,9 +324,12 @@ def covector_pairing(model: ProjectiveModel, x0: np.ndarray, omega: np.ndarray) 
     -f(x0)*omega_0.
     """
     d = model.dim
+    x0 = np.asarray(x0, dtype=complex)
+    if x0.shape != (d + 1,) or not abs(np.linalg.norm(x0) - 1.0) <= 1e-10:  # NaN fails too
+        raise InputError(f"x0 must be a point of the unit sphere in C^{d + 1}")
     omega = np.asarray(omega, dtype=float)
-    if omega.shape != (1 + 2 * d,):
-        raise ValueError(f"omega must have length {1 + 2*d}")
+    if omega.shape != (1 + 2 * d,) or not np.isfinite(omega).all():
+        raise InputError(f"omega must be a finite covector of length {1 + 2*d}")
     f = float(hamiltonian(model, x0))
     field = contact_field(model, x0)
     horizontal = field + f * (1j * x0)  # remove the vertical part

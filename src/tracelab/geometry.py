@@ -20,6 +20,7 @@ that identity on every model `make_model` builds.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,8 +57,10 @@ def make_model(weights) -> ProjectiveModel:
     return calibrate(ProjectiveModel(dim=len(ws) - 1, weights=ws))
 
 
-def random_sphere_point(model: ProjectiveModel, rng) -> np.ndarray:
-    z = rng.normal(size=model.dim + 1) + 1j * rng.normal(size=model.dim + 1)
+def random_sphere_point(model: ProjectiveModel, rng: random.Random) -> np.ndarray:
+    """A uniform point of the unit sphere in C^(d+1): a standard complex
+    Gaussian vector, drawn coordinate by coordinate from ``rng``, normalised."""
+    z = np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(model.dim + 1)])
     return z / np.linalg.norm(z)
 
 

@@ -12,7 +12,6 @@ package, from the cache when a valid one exists.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -191,7 +190,7 @@ FIELDS = (
     Field("x0_index", _integer, None, null=True),
     Field("cache_dir", str, None, None, "--cache", "spectrum's package cache", null=True),
     Field("out_dir", str, "out", None, "--out", "output directory"),
-    Field("seed", _integer, 0, None, "--seed", "seed for sampled checks"),
+    Field("seed", _integer, 0, None, "--seed", "seed of verify's sampled criteria (2, 9 and 10)"),
 )
 
 
@@ -324,6 +323,8 @@ class ExperimentConfig:
         return d
 
     def digest(self) -> str:
+        import hashlib  # loads OpenSSL; only runs that write a config hash need it
+
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 

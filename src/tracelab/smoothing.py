@@ -488,7 +488,7 @@ def _window_sums(win: Window, lams, h: np.ndarray, lo, hi, scale, phases) -> tup
     rows = np.flatnonzero(hi >= lo)
     centres = np.rint(lams)
     widths = -(-(hi - lo + 1) // _WINDOW_STEP) * _WINDOW_STEP  # lo - c >= -K; past hi masked
-    for width in np.unique(widths[rows]):
+    for width in sorted(set(widths[rows].tolist())):  # np.unique would load numpy.ma
         group = rows[widths[rows] == width]
         step = max(1, _BLOCK_TERMS // width)
         for first in range(0, group.size, step):

@@ -32,7 +32,6 @@ it: they sum over every degree (see smoothing.py).
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -349,6 +348,8 @@ class SpectralPackage:
 
 
 def _payload_digest(arrays: dict, meta: dict) -> str:
+    import hashlib  # loads OpenSSL; only cache reads and writes need it
+
     h = hashlib.sha256()
     h.update(json.dumps(meta, sort_keys=True).encode())
     for key in sorted(k for k in arrays if k != "checksum"):

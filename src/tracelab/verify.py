@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import os
+import random
 import sys
 import time
 from pathlib import Path
@@ -127,7 +128,7 @@ def crit_01_spectral_structure(sh: _Shared) -> CriterionResult:
 
 def crit_02_normalization_anchors(sh: _Shared) -> CriterionResult:
     """Section dimensions, Szego diagonal constancy, Fubini-Study volumes."""
-    rng = np.random.default_rng(sh.seed + 2)
+    rng = random.Random(sh.seed + 2)
     dims_ok = all(
         len(multi_indices(1, k)) == math.comb(k + 1, 1) for k in range(61)
     ) and all(len(multi_indices(2, k)) == math.comb(k + 2, 2) for k in range(21))
@@ -305,15 +306,15 @@ def crit_08_parity(sh: _Shared) -> CriterionResult:
 
 def crit_09_gaussian_integral(sh: _Shared) -> CriterionResult:
     """Closed form pi^c/det(id - A) against the rotated quadrature oracle."""
-    rng = np.random.default_rng(sh.seed + 9)
+    rng = random.Random(sh.seed + 9)
     worst = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
     for c in (1, 2, 3, 4):
         for _ in range(20):
-            g = rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c))
-            Q = np.linalg.qr(g)[0]
-            phases = rng.uniform(0.2, 2.0 * np.pi - 0.2, size=c)
+            g = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(c * c)]
+            Q = np.linalg.qr(np.reshape(g, (c, c)))[0]
+            phases = np.array([rng.uniform(0.2, 2.0 * np.pi - 0.2) for _ in range(c)])
             A = (Q * np.exp(1j * phases)) @ Q.conj().T
-            res = gaussian_normal_integral(A, seed=sh.seed)
+            res = gaussian_normal_integral(A)
             worst[c] = max(worst[c], res.quadrature_rel_error)
     ok = worst[1] < 1e-5 and worst[2] < 1e-5 and worst[3] < 1e-3 and worst[4] < 1e-3
     return CriterionResult(
@@ -333,7 +334,7 @@ def crit_09_gaussian_integral(sh: _Shared) -> CriterionResult:
 
 def crit_10_stationary_phase(sh: _Shared) -> CriterionResult:
     """Closed-form critical point and Hessian determinant of the trace phase."""
-    rng = np.random.default_rng(sh.seed + 10)
+    rng = random.Random(sh.seed + 10)
     x_fixed = sh.chart.center
     worst_grad = 0.0
     worst_det = 0.0
@@ -341,7 +342,7 @@ def crit_10_stationary_phase(sh: _Shared) -> CriterionResult:
     while count < 20 and attempts < _CRIT10_MAX_ATTEMPTS:
         attempts += 1
         x0 = x_fixed if count < 10 else random_sphere_point(sh.model, rng)
-        omega = np.concatenate([[rng.uniform(0.2, 2.0)], rng.normal(size=2)])
+        omega = np.array([rng.uniform(0.2, 2.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)])
         try:
             chk = stationary_point_check(sh.model, x0, omega)
         except DegenerateDirectionError:

@@ -141,6 +141,16 @@ def test_gaussian_integral_rejects_non_clean():
         gaussian_normal_integral(np.eye(2, dtype=complex))
 
 
+def test_gaussian_integral_refuses_a_nearly_flat_direction():
+    # det(id - A) = 8e-6 clears the determinant test, but along e_1 the
+    # integrand decays at |1 - e^{1e-6 i}|^2 / 2 = 5e-13 per |v|^2; twenty
+    # random directions missed it and the quadrature read 6e3 off
+    A = np.diag(np.exp(1j * np.array([1e-6, np.pi, np.pi, np.pi])))
+    assert abs(np.linalg.det(np.eye(4) - A)) > 1e-10
+    with pytest.raises(CleanLocusError, match="not absolutely convergent"):
+        gaussian_normal_integral(A)
+
+
 def test_gaussian_integral_c0_is_one():
     res = gaussian_normal_integral(np.zeros((0, 0), dtype=complex))
     assert res.closed_form == 1.0

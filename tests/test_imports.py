@@ -1,6 +1,8 @@
 """tracelab runs on numpy alone: scans, the bump transform and the verify
 suite complete in an interpreter where every ``import scipy`` fails, and
-the verify suite's Gauss-Legendre rules need no ``numpy.polynomial``."""
+the verify suite's Gauss-Legendre rules need no ``numpy.polynomial``.  The
+verify suite loads neither numpy.random, numpy.ma nor OpenSSL's hashlib
+binding, and importing tracelab does not load the latter."""
 
 import os
 import subprocess
@@ -74,3 +76,29 @@ def test_criterion_9_does_not_import_scipy_stats():
 
 def test_verify_suite_does_not_import_scipy_submodules():
     assert _run_without_scipy(VERIFY_SCRIPT) == "['scipy']"
+
+
+FOOTPRINT_SCRIPT = """
+import sys
+import tracelab
+
+assert "_hashlib" not in sys.modules, "import tracelab loaded _hashlib"
+import tracelab.cli
+
+assert tracelab.cli.main(["verify", "--seed", "5", "--out", sys.argv[1]]) == 1
+print(sorted(name for name in ("numpy.random", "numpy.ma", "_hashlib") if name in sys.modules))
+"""
+
+
+def test_verify_loads_no_random_masked_or_openssl_modules(tmp_path):
+    # seeded draws come from stdlib random, definiteness from one SVD, and
+    # hashlib only where a digest is made
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

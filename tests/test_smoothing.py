@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 import time
 import warnings
@@ -10,7 +11,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tracelab import cli, smoothing
-from tracelab.asymptotics import local_prediction, predict_local, psi2
+from tracelab.asymptotics import (
+    gaussian_normal_integral,
+    local_prediction,
+    predict_local,
+    psi2,
+    stationary_point_check,
+)
 from tracelab.errors import CoverageError, InputError, PeriodError, TracelabError
 from tracelab.geometry import heisenberg_chart, make_model, period_gap, random_sphere_point
 from tracelab.oracles import brute_smoothed_trace, eigenvalue_multiplicity, poisson_trace
@@ -56,6 +63,7 @@ def chart(model12):
 
 
 WIN = Window("gaussian", np.pi, 0.15)
+X0, OMEGA = np.array([0.0, 1.0 + 0j]), np.array([1.0, 0.0, 0.0])  # an admissible stationary check
 
 
 @pytest.mark.parametrize("weights", [(1, 2), (1, 1)])
@@ -204,12 +212,29 @@ def _local_prediction_12():
         lambda: predict_local(_local_prediction_12(), np.array([0.1, 0.2]), 100.0),
         lambda: predict_local(_local_prediction_12(), np.zeros((2, 1)), np.array([1.0, 2.0])),
         lambda: psi2(np.zeros(2), np.zeros(3)),
+        lambda: gaussian_normal_integral(np.zeros((2, 3))),
+        lambda: gaussian_normal_integral(np.array([[np.nan]])),
+        lambda: gaussian_normal_integral(np.array([[-1.0, 0.0], [0.0, np.inf]])),
+        lambda: gaussian_normal_integral(-np.ones((2, 2, 2))),
+        lambda: gaussian_normal_integral(0.5j * np.eye(2)),
+        lambda: stationary_point_check(make_model((1, 2)), X0, np.array([1.0, 0.0])),
+        lambda: stationary_point_check(make_model((1, 2)), X0, np.array([np.nan, 0.0, 0.0])),
+        lambda: stationary_point_check(make_model((1, 2)), np.array([0.0, 0.6, 0.8]), OMEGA),
+        lambda: stationary_point_check(make_model((1, 2)), np.array([np.nan, 1.0]), OMEGA),
+        lambda: stationary_point_check(make_model((1, 2)), np.zeros(2), OMEGA),
+        lambda: stationary_point_check(make_model((1, 2)), np.array([0.0, 2.0 + 0j]), OMEGA),
     ],
     ids=["positive-grid", "chart-off-sphere", "report-shape", "report-not-monotone",
-         "predict-local-dimension", "predict-local-batch", "psi2-dimension"],
+         "predict-local-dimension", "predict-local-batch", "psi2-dimension",
+         "gaussian-integral-2x3", "gaussian-integral-nan", "gaussian-integral-inf",
+         "gaussian-integral-3d", "gaussian-integral-not-unitary", "stationary-omega-length",
+         "stationary-omega-nan", "stationary-x0-length", "stationary-x0-nan", "stationary-x0-zero",
+         "stationary-x0-off-sphere"],
 )
 def test_exported_entry_points_refuse_bad_input_with_input_errors(call):
-    # each raised a plain ValueError; InputError is one too
+    # each raised a plain ValueError (a NaN omega numpy's LinAlgError), but
+    # a non-unitary A, whose closed form was silently wrong; InputError is a
+    # ValueError too
     with pytest.raises(InputError):
         call()
 
@@ -682,7 +707,7 @@ def test_recurrence_matches_lattice_sum(weights, arithmetic):
     lam = 20.0
     # degrees beyond 70 are negligible here, so the lattice is the full sum
     assert _degree_tail_bound(small, win, lam) < 1e-30
-    rng = np.random.default_rng(sum(weights))
+    rng = random.Random(sum(weights))
     pts = np.array([random_sphere_point(model, rng) for _ in range(4)])
     ref = _lattice_diagonal(small, win, lam, pts)
     lams = np.full(4, lam)
@@ -700,7 +725,7 @@ def test_degree_truncation_within_certified_tail(model12):
     """Untruncated minus degree-truncated diagonal is bounded by the degree tail bound."""
     small = eigendata(model12, 40)
     win = Window("gaussian", np.pi, 0.3)
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     pts = np.array([random_sphere_point(model12, rng) for _ in range(5)])
     for lam in (30.0, 36.0):
         bound = _degree_tail_bound(small, win, lam)
