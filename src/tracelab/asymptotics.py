@@ -444,7 +444,9 @@ def fit_expansion(scan, half_powers: bool = True, n_terms: int = 3) -> FitResult
     ``half_powers`` is false).  Accepts a ScanReport (uses its grid/ratios)
     or a (grid, ratios) pair.  Returns the coefficients at the largest order
     together with the rms residual after each order and the measured log-log
-    slope of |ratio - 1| (the empirical first-correction exponent).
+    slope of |ratio - 1| (the empirical first-correction exponent).  A grid
+    and ratios of different shapes, or a grid point that is not positive and
+    finite, or a ratio that is not finite, refuse with InputError.
     """
     if isinstance(scan, ScanReport):
         grid, ratios = scan.grid, scan.ratios
@@ -452,6 +454,12 @@ def fit_expansion(scan, half_powers: bool = True, n_terms: int = 3) -> FitResult
         grid, ratios = scan
         grid = np.asarray(grid, dtype=float)
         ratios = np.asarray(ratios, dtype=complex)
+    if grid.ndim != 1 or grid.shape != ratios.shape:
+        raise InputError(
+            f"a fit needs one ratio per grid point, got shapes {grid.shape} and {ratios.shape}"
+        )
+    if not ((grid > 0).all() and np.isfinite(grid).all() and np.isfinite(ratios).all()):
+        raise InputError("a fit needs positive finite grid points and finite ratios")
     if grid.size < n_terms + 2:
         raise FitError("ill-conditioned fit: not enough grid points")
     y = ratios - 1.0

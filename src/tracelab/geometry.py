@@ -69,9 +69,21 @@ def random_sphere_point(model: ProjectiveModel, rng: random.Random) -> np.ndarra
 # ----------------------------------------------------------------------------
 
 
+def check_points(model: ProjectiveModel, z) -> np.ndarray:
+    """``z`` as an array of points, refused (InputError) unless its last axis
+    holds the model's dim + 1 coordinates."""
+    z = np.asarray(z)
+    if z.ndim == 0 or z.shape[-1] != model.dim + 1:
+        raise InputError(
+            f"a point of the weights {model.weights} has {model.dim + 1} coordinates, "
+            f"got an array of shape {z.shape}"
+        )
+    return z
+
+
 def hamiltonian(model: ProjectiveModel, z: np.ndarray) -> np.ndarray:
     """Weight quotient f = sum w_i |z_i|^2 / ||z||^2; batched over leading axes."""
-    z = np.asarray(z)
+    z = check_points(model, z)
     t = np.abs(z) ** 2
     return (t * model.weight_array).sum(axis=-1) / t.sum(axis=-1)
 
@@ -121,7 +133,7 @@ def flow_phases(model: ProjectiveModel, tau: float) -> np.ndarray:
 
 def flow_sphere(model: ProjectiveModel, tau: float, z: np.ndarray) -> np.ndarray:
     """Lifted flow on the unit sphere (batched)."""
-    return flow_phases(model, tau) * np.asarray(z)
+    return flow_phases(model, tau) * check_points(model, z)
 
 
 # ----------------------------------------------------------------------------

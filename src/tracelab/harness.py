@@ -237,12 +237,13 @@ class ExperimentConfig:
         (a CoverageError, exit 3).  The trace and kernel kinds need a window
         and a grid.  |tau0| must be below the limit of
         `smoothing._check_tau0`, 2^52 eps/sqrt(1400) (1.8e13 at eps 0.15),
-        under which every phase argument of a window cut stays resolved; the
-        eigen-sums refuse past it too.  The window must fit in half the
-        period gap.  A kernel scan samples where `HeisenbergChart` is
-        exact: lambda > 0 and the chart radius below pi/2, the radius being 2C
-        lam^(-7/18) (offlocus) or |u|/sqrt(lam) (local, parity; u defaults to
-        0 and 0.5 per normal direction) at the smallest lam.
+        under which the phase table and the pole sum's aliases stay
+        resolved; every trace and kernel row refuses past it too.  The
+        window must fit in half the period gap.  A kernel scan samples where
+        `HeisenbergChart` is exact: lambda > 0 and the chart radius below
+        pi/2, the radius being 2C lam^(-7/18) (offlocus) or |u|/sqrt(lam)
+        (local, parity; u defaults to 0 and 0.5 per normal direction) at the
+        smallest lam.
         """
         if self.dim is not None and self.dim != len(self.weights) - 1:
             raise ConfigError(f"config.model.dim: must be {len(self.weights) - 1}, got {self.dim}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -84,36 +85,39 @@ def poisson_trace(weights, win: Window, lam: float) -> complex:
     times 2*pi*k (with a d/dtau term from the linear factor) and the
     alternating piece into window values at 2*pi*k - pi, |k| <=
     `_POISSON_MODES`.  Valid for lam a few window widths above 0 (the
-    negative-n ghost terms are then negligible).  The phases are formed from
-    lam reduced mod 1 (e^{-2 pi i k lam}) and mod 2 (e^{i (pi - 2 pi k)
-    lam}) by `math.fmod`, which is exact, so no phase argument grows with
-    lam.
+    negative-n ghost terms are then negligible).  Each phase e^{i pi s} is
+    taken at its turn s reduced exactly with `fractions.Fraction` (k lam
+    mod 1 for e^{-2 pi i k lam}, (1 - 2k) lam mod 2 for e^{i (pi - 2 pi k)
+    lam}), a double again since lam is, so only pi s, cos and sin round and
+    no phase argument grows with lam.
     """
     weights = tuple(sorted(int(w) for w in weights))
     out = 0.0 + 0.0j
     ks = range(-_POISSON_MODES, _POISSON_MODES + 1)
-    lam1, lam2 = math.fmod(lam, 1.0), math.fmod(lam, 2.0)
+    x = Fraction(lam)
+
+    def cis_pi(s: Fraction) -> complex:
+        """e^{i pi s}, s reduced mod 2 exactly to [-1, 1] first."""
+        angle = math.pi * float(s - 2 * round(s / 2))
+        return complex(math.cos(angle), math.sin(angle))
+
     if weights == (1, 2):
         for k in ks:
             tau = 2.0 * np.pi * k
             chi = float(win.value(tau))
             dchi = _window_slope(win, tau)
-            out += np.exp(-2j * np.pi * k * lam1) * (
+            out += cis_pi(-2 * k * x) * (
                 (2.0 * lam + 3.0) / 4.0 * 2.0 * np.pi * chi + 1j * np.pi * dchi
             )
             tau_a = 2.0 * np.pi * k - np.pi
-            out += (
-                (np.pi / 2.0)
-                * np.exp(1j * (np.pi - 2.0 * np.pi * k) * lam2)
-                * float(win.value(tau_a))
-            )
+            out += (np.pi / 2.0) * cis_pi((1 - 2 * k) * x) * float(win.value(tau_a))
         return complex(out)
     if weights == (1, 1):
         for k in ks:
             tau = 2.0 * np.pi * k
             chi = float(win.value(tau))
             dchi = _window_slope(win, tau)
-            out += np.exp(-2j * np.pi * k * lam1) * (
+            out += cis_pi(-2 * k * x) * (
                 (lam + 1.0) * 2.0 * np.pi * chi + 2j * np.pi * dchi
             )
         return complex(out)

@@ -29,32 +29,29 @@ geometric series on each side (`_window_cut`).  The closed form's aliases,
 bump's transform envelope decays only like exp(-sqrt(eps s)), beyond any
 geometric series, so bump sums refuse with CoverageError.
 
-A trace row for the gaussian window is first formed in closed form
-(`_closed_form_trace`), on any weights: d(n) = sum_zeta zeta^n P_zeta(n)
-over the poles zeta of its generating function, roots of unity, with P_zeta
-from the kernel poles' Laurent expansion (`_unit_poles`, `_laurent`), and
-Poisson summation turns it into a few period terms near tau0, each a
-gaussian times a Hermite polynomial in lam, with the phase e^{-i lam tau}
-from an exact reduction of lam (`_period_phase`), less a ghost part from
-n <= -sum w (reciprocity).  Such a row costs O(1)
-in lam, is labelled "closed-form", and reports the omitted periods and
-the ghost tail as its remainder.  Where its period terms cancel each
-other past `_CLOSED_FORM_KAPPA` their sum is formed again at
-`_DECIMAL_DIGITS` digits, as its inputs already are (`_exact_periods`).
-
-A kernel row for the gaussian window is first formed in closed form
-(`_closed_form_diagonal`), on any weights: the generating function
-(1 - sum_i t_i x^{w_i})^{-(d+1)} has one (d+1)-fold pole rho per root of
-p_t, rho = 1 and the Newton-polished roots of a deflated polynomial
-(`_poles`), and Poisson summation turns each pole's rho^n P(n) into a few
-gaussian moment sums, so a row costs O(1) in lam and needs no h_n.  Each
-input of a pole's exponent (the moments, exact from the chart radius on a
-coordinate chart; the roots; log |rho|, arg rho, and the exponent, turn and
-centre themselves) is formed at `_DECIMAL_DIGITS` digits and rounded once.
-Such a row is kept when its poles are separated, it does not cancel (its
-own kappa is at most `_CLOSED_FORM_KAPPA`) and its remainder (the omitted
-aliases and the negative-n tail, both bounded in closed form) meets the cut
-target; it is labelled "closed-form".
+Gaussian rows are first formed in closed form, traces and kernel
+diagonals alike: c_n = sum_rho rho^n P_rho(n) over the poles rho of the
+coefficients' generating function, each one `_Pole` record (log |rho|, arg
+rho, an exact turn for a root of unity, and P_rho in powers of n with
+40-digit coefficients, their errors and majorants).  The trace's poles are
+the roots of unity of prod_i (1 - x^{w_i})^-1 (`_unit_poles`), the kernel's
+rho = 1 and the Newton-polished roots of a deflated p_t (`_poles`); both
+take P_rho from the same Laurent expansion (`_laurent`, `_pole_record`).
+Poisson summation turns each pole into a few aliases near tau0 (one alias
+walk, `_alias_walk`), each 2 pi e^X e^{i phase} R(mu), R a gaussian moment
+polynomial in mu evaluated by Horner's rule over the grid, with one bound
+on the omitted aliases and one rounding derivation (`_pole_sum`).  The
+phase of a root of unity comes from an exact reduction of lam
+(`_period_phase`); any other pole's exponent is formed per row at
+`_DECIMAL_DIGITS` digits and rounded once.  The part of the continued
+formula at negative n is subtracted: the trace's reciprocity ghost, an
+eigen-sum at -lam - sum w (`_ghost_trace`), and the kernel's n <= -(d+1)D,
+summed from the poles (`_negative_tail`).  Such a row costs O(1) in lam,
+is labelled "closed-form", and reports its omitted aliases and negative-n
+part as its remainder.  It is kept when its poles are separated, it does
+not cancel (its own kappa is at most `_CLOSED_FORM_KAPPA`) and its
+remainder meets the cut target; trace period terms that cancel past that
+are summed again at `_DECIMAL_DIGITS` digits (`_exact_periods`).
 
 Every other row (bump windows, colliding poles, trace rows past 2^52, rows
 whose terms overflow) is an eigen-sum over its window cut (`_eigen_sums`),
@@ -103,6 +100,10 @@ _GAUSS_FAR = math.sqrt(1400.0)
 # `_h_table`): a one-point (1, 2) trace at lambda = 1e6 tabulates about 1e6
 # entries and peaks near 90 MB, at 2e6 near 145 MB
 _CUT_TABLE_MAX = 1 << 21
+# a trace's pole sum takes its rows in blocks of about this many (alias,
+# row) terms, some 20 MB of arrays (`_pole_sum`'s fixed cost per call is a
+# few hundred us on a handful of poles)
+_POLE_BLOCK = 1 << 16
 # the closed forms' roots, angles and moments and the phase table are formed
 # at 40 significant digits, with this rounding unit, and rounded once
 _DECIMAL_DIGITS = 40
@@ -317,11 +318,11 @@ def _check_tau0(win: Window) -> None:
     A cut keeps |s| = |lam - n| <= `_GAUSS_FAR`/eps, and the phase table
     |k| <= K, so below the limit every phase argument is under about 2^52
     radians: `_negative_tail`, which still forms s*tau0 in double, keeps it to
-    a radian, and the 40-digit reduction of tau0 in `_cis` leaves the table
-    more than 20 digits, as it leaves the closed forms' angles theta = tau0
-    - tau (`_aliases`, `_unit_aliases`).  Far beyond it that reduction loses
-    every digit (near |tau0| = 1e40), and at tau0 = 1e300 the closed form's
-    alias loop did not return within a minute.
+    a radian, and the 40-digit reduction of tau0 in `_cis_powers` leaves the
+    table more than 20 digits, as it leaves the pole sum's angles theta =
+    tau0 - 2 pi (k - turn) (`_alias_walk`).  Far beyond it that reduction
+    loses every digit (near |tau0| = 1e40), and at tau0 = 1e300 the alias
+    walk did not return within a minute.
     """
     limit = 2.0**52 * win.eps / _GAUSS_FAR
     if not abs(win.tau0) < limit:
@@ -528,16 +529,11 @@ def _sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
     return x * sin, cos
 
 
-def _cis(theta: Decimal) -> tuple[Decimal, Decimal]:
-    """(cos theta, sin theta) by `_sin_cos` after reduction to |r| <= pi."""
-    two_pi = 2 * _PI
-    sin, cos = _sin_cos(theta - two_pi * (theta / two_pi).to_integral_value())
-    return cos, sin
-
-
 def _cis_powers(theta: Decimal, k_max: int) -> list:
-    """(cos k theta, sin k theta) for k = 0..k_max, by stepping cis(theta)."""
-    step_c, step_s = _cis(theta)
+    """(cos k theta, sin k theta) for k = 0..k_max, by stepping cis(theta),
+    itself `_sin_cos` of theta reduced to |r| <= pi."""
+    two_pi = 2 * _PI
+    step_s, step_c = _sin_cos(theta - two_pi * (theta / two_pi).to_integral_value())
     powers = [(Decimal(1), Decimal(0))]
     for _ in range(k_max):
         c, s = powers[-1]
@@ -546,7 +542,7 @@ def _cis_powers(theta: Decimal, k_max: int) -> list:
 
 
 # ----------------------------------------------------------------------------
-# kernel rows in closed form: the poles of the generating function
+# the poles of the generating functions: one record for traces and kernels
 # ----------------------------------------------------------------------------
 
 # two poles closer than this, relative to the larger modulus, are not
@@ -560,22 +556,24 @@ _NEWTON_STEPS = 3
 
 @dataclass(frozen=True)
 class _Pole:
-    """One pole rho = e^(log_modulus + i arg) of sum_n h_n x^n: it adds
-
-        rho^n sum_j weights[j] C(n + d - j, d - j)
-
-    to h_n for every integer n.  ``log_modulus`` (<= 0) and ``arg`` (in
-    [-pi, pi]) are `_DECIMAL_DIGITS`-digit decimals, each within ``error``;
-    ``weights`` are the partial-fraction weights rounded once to complex, and
-    before that rounding each was within ``spread`` times its majorant
-    (``majorants[j]``, a bound on its modulus)."""
+    """One pole rho = e^(log_modulus + i arg) of a generating function sum_n
+    c_n x^n: it adds rho^n sum_j coeffs[j] n^j to c_n for every integer n.
+    ``log_modulus`` (<= 0, and 0 on the unit circle) and ``arg`` (in [-pi,
+    pi]) are `_DECIMAL_DIGITS`-digit decimals, each within ``error``;
+    ``turn`` is arg/(2 pi) mod 1 as an exact Fraction for a root of unity of
+    the trace (whose ``error`` is 0), else None.  ``coeffs`` are rounded once
+    from the decimal sums ``exact`` (re, im), which are within ``errors[j]``
+    of the true coefficients, and ``majorants[j]`` is |coeffs[j]| plus
+    errors[j] over 2^-53 (`_pole_record`)."""
 
     log_modulus: Decimal
     arg: Decimal
-    weights: tuple
+    turn: Fraction | None
+    coeffs: tuple
+    exact: tuple
+    errors: tuple
     majorants: tuple
     error: float
-    spread: float
 
 
 def _log_polar(re: Decimal, im: Decimal) -> tuple[Decimal, Decimal]:
@@ -714,6 +712,59 @@ def _laurent(r: int, roots: list, centres: list, orders: list) -> tuple[list, tu
     return series or [one] + [(0, 0)] * (size - 1), tuple(bounds), spread
 
 
+@functools.lru_cache(maxsize=None)
+def _binomial_bases(d: int) -> tuple:
+    """C(n + K, K) = prod_{l <= K} (n + l)/l in powers of n, K = 0..d: each
+    coefficient e, an exact rational, as (e rounded to `_DECIMAL_DIGITS`
+    digits, e rounded to double)."""
+    bases = [[Fraction(1)]]
+    for k in range(1, d + 1):
+        bases.append([(a + k * b) / k for a, b in zip([0] + bases[-1], bases[-1] + [0])])
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        return tuple(tuple((Decimal(e.numerator) / e.denominator, float(e)) for e in basis)
+                     for basis in bases)
+
+
+def _pole_record(r, roots, centres, orders, log_modulus, arg, turn, error) -> _Pole:
+    """Pole r of prod_s (1 - rho_s x)^-orders[s] (``roots`` and ``centres``
+    as `_laurent` takes them) as a `_Pole`, at the context's precision.
+
+    Its Laurent series phi (`_laurent`) adds sum_k phi_k C(n + K, K) rho^n,
+    K = m - 1 - k and m = orders[r], to the n-th coefficient; it is
+    converted once to powers of n by the exact rationals e_Kj = [n^j]
+    C(n + K, K) (`_binomial_bases`), each rounded once.  Coefficient j is
+    then off by at most (spread + (m + 1) v) sum_k e_Kj phibar_k (v =
+    `_DECIMAL_UNIT`, phibar the series' majorants: v/2 for e_Kj and for the
+    product, sqrt(2) v/2 for each of m - 1 sums, and phi_k within spread
+    phibar_k).  The other poles of a real one pair off as conjugates of
+    equal order, so its series is real and the imaginary parts, rounding
+    residue, are dropped."""
+    series, bounds, spread = _laurent(r, roots, centres, orders)
+    if roots[r][1] == 0:
+        series = [(re, Decimal(0)) for re, _ in series]
+    size = orders[r]
+    exact, weight = [(Decimal(0), Decimal(0))] * size, [0.0] * size
+    for (p0, p1), bound, basis in zip(series, bounds, _binomial_bases(size - 1)[::-1]):
+        for j, (x, e) in enumerate(basis):
+            exact[j] = exact[j][0] + p0 * x, exact[j][1] + p1 * x
+            weight[j] += e * bound
+    errors = tuple((spread + (size + 1) * _DECIMAL_UNIT) * w for w in weight)
+    coeffs = tuple(complex(float(re), float(im)) for re, im in exact)
+    majorants = tuple(abs(c) + e * 2.0**53 for c, e in zip(coeffs, errors))
+    return _Pole(log_modulus, arg, turn, coeffs, tuple(exact), errors, majorants, error)
+
+
+def _conjugate(p: _Pole) -> _Pole:
+    """The pole conjugate to ``p`` of a real generating function: the
+    conjugate arg, turn and coefficients, the same errors and majorants."""
+    return _Pole(
+        p.log_modulus, p.arg.copy_negate(), None if p.turn is None else 1 - p.turn,
+        tuple(c.conjugate() for c in p.coeffs), tuple((x, y.copy_negate()) for x, y in p.exact),
+        p.errors, p.majorants, p.error,
+    )
+
+
 def _poles(d: int, moments: tuple) -> list | None:
     """The poles of G(x) = sum_n h_n x^n = p_t(x)^-(d+1), p_t(x) = 1 - sum_w
     c_w x^w, for ``moments`` ((w, c_w), ...) as `_merged_moments` gives them.
@@ -724,10 +775,9 @@ def _poles(d: int, moments: tuple) -> list | None:
     sum_m Q_m y^(D-1-m) (`_polished_roots`), all with |rho| <= 1.  The root
     1 is exact for moments that sum to 1; the decimal moments sum to 1
     within 2 D decimal units, which moves it by at most that (p_t'(1) <= -1).
-    The coefficients are real, so the conjugate of a complex pole has the
-    conjugate log, arg and weights: each conjugate pair is formed once.
-    None when two poles are closer than `_ROOT_SEPARATION` or their discs
-    meet.
+    The coefficients are real, so each conjugate pair is formed once
+    (`_conjugate`).  None when two poles are closer than `_ROOT_SEPARATION`
+    or their discs meet.
     """
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
@@ -743,22 +793,259 @@ def _poles(d: int, moments: tuple) -> list | None:
             return None
         poles, formed = [], {}
         for r, (re, im, radius) in enumerate(roots):
-            if (re, im.copy_negate()) in formed:  # the conjugate pole: conjugate log, arg, weights
-                p = formed[re, im.copy_negate()]
-                weights = tuple(x.conjugate() for x in p.weights)
-                poles.append(_Pole(p.log_modulus, p.arg.copy_negate(), weights, p.majorants,
-                                   p.error, p.spread))
+            if (re, im.copy_negate()) in formed:
+                poles.append(_conjugate(formed[re, im.copy_negate()]))
                 continue
             log_modulus, arg = _log_polar(re, im) if r else (Decimal(0), Decimal(0))
-            series, majorants, spread = _laurent(r, roots, centres, [d + 1] * len(roots))
-            weights = tuple(complex(float(re), float(im)) for re, im in series)
             # |d log rho| <= |d rho|/(|rho| - |d rho|), and the decimal steps
             error = radius / (abs(centres[r]) - radius)
             error += 8 * _DECIMAL_UNIT * (1 + abs(float(log_modulus)) + abs(float(arg)))
-            poles.append(_Pole(log_modulus, arg, weights, majorants, error, spread))
+            orders = [d + 1] * len(roots)
+            poles.append(_pole_record(r, roots, centres, orders, log_modulus, arg, None, error))
             if im:
                 formed[re, im] = poles[-1]
     return poles
+
+
+# ----------------------------------------------------------------------------
+# the pole sum: one pole's Poisson terms near tau0, for traces and kernels
+# ----------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _normal_moments(d: int) -> tuple[list, list]:
+    """E[Z^i] and E[|Z|^i], i = 0..d, for Z standard normal."""
+    absolute = [1.0, math.sqrt(2.0 / math.pi)]
+    for i in range(2, d + 1):
+        absolute.append((i - 1) * absolute[i - 2])
+    absolute = absolute[: d + 1]
+    return [m if i % 2 == 0 else 0.0 for i, m in enumerate(absolute)], absolute
+
+
+def _mu_polynomial(coeffs, eps, moments: list) -> list:
+    """The coefficients b_k of R(mu) = E[P(mu + Z/eps)] = sum_j C_j E[(mu +
+    Z/eps)^j], P = sum_j coeffs[j] n^j and ``moments`` E[Z^i], in the
+    arithmetic of ``coeffs`` and ``eps`` (double or decimal).  With the
+    coefficient majorants and E|Z|^i, sum_k bbar_k x^k = E[Pbar(x + |Z|/eps)]
+    bounds |R| and every partial Horner sum at |mu| <= x (`_pole_sum`)."""
+    degree = len(coeffs) - 1
+    return [sum(coeffs[j] * math.comb(j, k) * eps ** (k - j) * moments[j - k]
+                for j in range(k, degree + 1)) for k in range(degree + 1)]
+
+
+def _horner(coeffs, x):
+    """sum_k coeffs[k] x^k by Horner's rule, batched over x."""
+    if len(coeffs) == 1:
+        return coeffs[0] * np.ones_like(x)
+    out = coeffs[-1] * x + coeffs[-2]
+    for c in coeffs[-3::-1]:
+        out = out * x + c
+    return out
+
+
+def _floored(exponent, scale, size):
+    """e^exponent size (size > 0), a bound on omitted terms that never reads
+    0, from ``scale``, e^exponent as the caller forms it: where the scale
+    or the product leaves the normal range it is taken as e^(exponent + log
+    size), rounded up to the smallest subnormal (under the caller's
+    np.errstate, which ignores overflow)."""
+    direct = scale * size
+    low = np.maximum(np.exp(exponent + np.log(size)), math.ulp(0.0))
+    return np.where((direct >= 2.0**-1022) & (scale >= 2.0**-1022), direct, low)
+
+
+@functools.lru_cache(maxsize=256)
+def _alias_walk(pole: _Pole, tau0: float, eps: float) -> tuple[list, list]:
+    """The aliases theta_k = tau0 - 2 pi (k - t) of ``pole``, t its turn
+    (arg/(2 pi) where it has none) at `_DECIMAL_DIGITS` digits: every k
+    whose gaussian factor exp(-theta_k^2/(2 eps^2)) lies within
+    exp(-`_GAUSS_FAR`^2/2) of the largest, the reach of the window cut's
+    factors, and the first theta_k beyond on each side, as doubles.  Each
+    kept alias is (k, theta, theta/eps^2, chi) in decimals, with chi =
+    exp(-theta^2/(2 eps^2)) for a pole with an exact turn (else None).  It
+    does not depend on lam, so a trace's walks are formed once per window."""
+    kept, beyond = [], []
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        tau0, eps2, two_pi = Decimal(tau0), Decimal(eps) ** 2, 2 * _PI
+        if pole.turn is None:
+            turn = pole.arg / two_pi
+        else:
+            turn = Decimal(pole.turn.numerator) / pole.turn.denominator
+        k0 = int((tau0 / two_pi + turn).to_integral_value())
+        reach = float(tau0 - two_pi * (k0 - turn)) ** 2 + (eps * _GAUSS_FAR) ** 2
+        for k, step in ((k0, 1), (k0 - 1, -1)):
+            while float(theta := tau0 - two_pi * (k - turn)) ** 2 <= reach:
+                chi = None if pole.turn is None else (-theta * theta / (2 * eps2)).exp()
+                kept.append((k, theta, theta / eps2, chi))
+                k += step
+            beyond.append(float(theta))
+    return kept, beyond
+
+
+def _row_inputs(pole: _Pole, win: Window, lam: np.ndarray, kept: list):
+    """The per-row inputs of the kept aliases of a pole with no exact turn
+    (`_pole_sum`): Re mu per row, and four (alias, row) arrays: the weight
+    2 pi e^X e^{i phase}, its majorant 2 pi e^{X_hi}, the extra rounding
+    units u X^2 + e_dec/u and e_mu.  X, the phase and Re mu are formed at
+    `_DECIMAL_DIGITS` digits from the decimal L, phi and theta, X and the
+    phase rounded to a double and the double of what that rounding left:
+    the weight is 2 pi e^{X_hi} (1 + X_lo) cis(phase_hi) (1 + i phase_lo)."""
+    eps, u, v = win.eps, 2.0**-53, _DECIMAL_UNIT
+    L, phi, error = pole.log_modulus, pole.arg, pole.error
+    Lf, arg, inv = abs(float(L)), float(phi), 1.0 / eps**2
+    rows, centre = [], []
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        two_pi, eps2 = 2 * _PI, Decimal(eps) ** 2
+        shift = L / eps2
+        for value in lam.tolist():
+            c, lam_d = round(value), Decimal(value)
+            f, grow = lam_d - c, lam_d * L + L * L / (2 * eps2)
+            centre.append(float(lam_d + shift))
+            for k, theta, _, _ in kept:
+                x = grow - theta * theta / (2 * eps2)
+                turn = c * phi + f * (phi - two_pi * k) + shift * theta
+                turn -= two_pi * (turn / two_pi).to_integral_value()
+                x_hi, turn_hi = float(x), float(turn)
+                x_lo, turn_lo = float(x - Decimal(x_hi)), float(turn - Decimal(turn_hi))
+                peak = 2.0 * math.pi * math.exp(x_hi) if x_hi < 709.78 else math.inf
+                rotor = complex(math.cos(turn_hi), math.sin(turn_hi)) * complex(1.0, turn_lo)
+                th, fl = abs(float(theta)), abs(value - c)
+                e_theta = error + 5 * v * (2.0 + abs(win.tau0) + th)
+                parts = (abs(value) * Lf + 0.5 * (Lf * Lf + th * th) * inv + abs(c * arg)
+                         + fl * abs(arg - 2.0 * math.pi * k) + Lf * th * inv)
+                e_dec = (2.0 * abs(value) + 1.0 + (Lf + th) * inv) * error
+                e_dec += (Lf + th) * inv * e_theta + 16 * v * parts
+                e_mu = (error + e_theta) * inv + 4 * v * (abs(value) + (Lf + th) * inv)
+                rows.append((peak * (1.0 + x_lo) * rotor, peak, u * x_hi * x_hi + e_dec / u, e_mu))
+    weight, peak, extra, e_mu = np.array(rows).reshape(lam.size, len(kept), 4).T
+    return np.array(centre), list(zip(weight, peak.real, extra.real, e_mu.real))
+
+
+def _pole_sum(items: list, win: Window, lam: np.ndarray, count, sums: tuple) -> None:
+    """Add the Poisson terms of ``items``, (pole, its `_alias_walk`, rows)
+    triples, to ``sums`` = (value, magnitude, units, remainder) at those
+    rows of the grid ``lam``, in place: the sums of the kept aliases, of
+    their majorants M, of their rounding units times M (each term carrying
+    ``count`` more units for the sum it joins) and the bounds on the
+    omitted aliases.  Every (alias, row) term of every item is evaluated at
+    once, each pole's polynomials padded with zero coefficients to the
+    highest degree, and added to its row in the order of the items and
+    their walks (``np.add.at``, one addition at a time).
+
+    **Derivation.**  A pole rho = e^{L + i phi} adds rho^n P(n), P(n) =
+    sum_j C_j n^j, to the coefficient c_n of a row's sum_n c_n chihat(lam -
+    n), at every integer n.  Poisson summation against chihat(s) = eps
+    sqrt(2 pi) exp(-eps^2 s^2/2 - i s tau0), with n^j e^{i n tau} = (-i
+    d/dtau)^j e^{i n tau}, completing the square and shifting the contour,
+    turns it into the aliases
+
+        2 pi e^X e^{i phase} R(mu),        R(mu) = E[P(mu + Z/eps)],
+        X = lam L + (L^2 - theta^2)/(2 eps^2),
+        phase = lam (phi - 2 pi k) + L theta/eps^2,
+        mu = lam + L/eps^2 + i theta/eps^2,   theta = phi + tau0 - 2 pi k,
+
+    Z standard normal.  On the unit circle (L = 0, phi = 2 pi turn) e^X is
+    the window's chi(tau) = exp(-theta^2/(2 eps^2)) at the period tau = 2 pi
+    (k - turn) and the phase is -lam tau.  R(mu) = sum_k b_k mu^k, b_k =
+    sum_j C_j C(j, k) eps^(k - j) E[Z^(j - k)] (`_mu_polynomial`; the
+    Hermite polynomials He_m(x) = E[(x + iZ)^m]), by Horner's rule over the
+    grid.  With the coefficient majorants Cbar and E|Z|^i its majorant
+    Rbar(x) = sum_k bbar_k x^k bounds |R|, every |b_k| and every partial
+    Horner sum at |mu| <= x, so M = 2 pi e^X Rbar(|mu|) bounds the term.
+    The aliases within exp(-`_GAUSS_FAR`^2/2) of the largest are summed
+    (`_alias_walk`); past them consecutive majorants fall by at least (1 + 2
+    pi/|theta|)^deg e^{-2 pi (|theta| + pi)/eps^2}, deg = deg P, a geometric
+    bound that never underflows to 0 (`_floored`).
+
+    **Exact inputs.**  theta is formed at `_DECIMAL_DIGITS` digits, within
+    e_theta <= e_pole + 5 v (2 + |tau0| + |theta|) (v = `_DECIMAL_UNIT`,
+    e_pole the pole's error in L and phi: 2 pi v from the turn's decimal, a
+    unit of 2 pi |k - turn| for each of three roundings, one of |theta|),
+    and theta/eps^2 from it, rounded once.  For a pole with an exact turn
+    (every trace pole) chi is formed from theta and rounded once, and the
+    phase is `_period_phase` at the exact turn k - turn: lam is reduced
+    exactly, half and quarter turns are exact, and the rest is one
+    exponential of a correctly rounded turn.  For any other pole X, the
+    phase c phi + f (phi - 2 pi k) + L theta/eps^2 (c = round(lam), f = lam
+    - c, so 2 pi k c drops exactly) reduced mod 2 pi, and Re mu are formed
+    per row (`_row_inputs`), X and the phase split into a double and the
+    double of its rounding error: e^X is e^{X_hi} (1 + X_lo) and the rotor
+    cis(phase_hi) (1 + i phase_lo), so no term loses digits to |X|, lam,
+    tau0 or k.
+
+    **Rounding** (first order, u = 2^-53; N. J. Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, ch. 3).  A term is off by at
+    most u M times: 2 for C_j, whose decimal error Cbar carries; 2 deg + 6
+    for forming b_k (the eps powers, the products and the sum of at most
+    deg + 1 parts); 5 deg + 2 for Horner's rule in complex arithmetic; deg
+    for mu, whose parts are rounded once (|R'(mu)| |dmu| <= deg M u); 13
+    for e^X and the phase (an exact turn rounded once, 2 pi and the product
+    twice more, |2 pi r| <= pi, cos and sin within a unit each, and chi
+    rounded once; else exp, cos and sin a unit each, the two corrections
+    and their products 5 more, leaving u X^2, second order, charged); 6 for
+    the products 2 pi e^X e^{i phase} R; and ``count``.  A pole with no
+    exact turn adds its decimal errors: X and the phase are off by e_dec <=
+    (2 |lam| + 1 + (|L| + |theta|)/eps^2) e_pole + (|L| + |theta|)
+    e_theta/eps^2 plus 16 decimal units of the moduli of their parts,
+    charged e_dec/u, and mu by e_mu <= (e_pole + e_theta)/eps^2 + 4 v (|lam|
+    + (|L| + |theta|)/eps^2), charged 2 pi e^X e_mu Rbar'(|mu| + e_mu)/u,
+    as |R(mu + dmu) - R(mu)| <= |dmu| Rbar'(|mu| + |dmu|).  So
+
+        units = (8 deg + 29 + count) M  [+ (u X^2 + e_dec/u) M + 2 pi e^X e_mu Rbar'/u].
+    """
+    eps, u = win.eps, 2.0**-53
+    top = max(len(pole.coeffs) for pole, _, _ in items)
+    polys, terms, sides = [], [], []  # per item; per alias and per omitted side
+    for i, (pole, (kept, beyond), rows) in enumerate(items):
+        signed, absolute = _normal_moments(len(pole.coeffs) - 1)
+        b = _mu_polynomial(pole.coeffs, eps, signed)
+        bbar = _mu_polynomial(pole.majorants, eps, absolute)
+        slope = [k * c for k, c in enumerate(bbar)][1:]
+        polys.append([x + [0.0] * (top - len(x)) for x in (b, bbar, slope)] + [len(b) - 1])
+        at = lam[rows]
+        if pole.turn is None:
+            centre, inputs = _row_inputs(pole, win, at, kept)
+            L = float(pole.log_modulus)
+            grow = L * at + 0.5 * L * L / eps**2
+        else:
+            centre, grow = at, None
+            peaks = [2.0 * math.pi * float(chi) for _, _, _, chi in kept]
+            inputs = [(p * _period_phase(k - pole.turn, at), p, 0.0, 0.0) for p, (k, *_) in zip(peaks, kept)]
+        terms += [(i, rows, centre, float(y), *row) for (_, _, y, _), row in zip(kept, inputs)]
+        for theta in beyond:  # consecutive omitted majorants fall by at least q
+            q = (1.0 + 2.0 * math.pi / abs(theta)) ** polys[-1][3]
+            q *= math.exp(-2.0 * math.pi * (abs(theta) + math.pi) / eps**2)
+            expo = -0.5 * (theta / eps) ** 2
+            scale = math.exp(expo) if grow is None else math.exp(expo) * np.exp(grow)
+            exponent = expo if grow is None else expo + grow
+            sides.append((i, rows, np.abs(centre) + abs(theta) / eps**2, q, exponent, scale))
+    coeffs = [np.array(x) for x in zip(*polys)]  # b, bbar, slope rows and degrees, by item
+
+    def flat(parts):  # one entry per (alias or side, row); a column is all scalars or all arrays
+        sizes = [len(part[1]) for part in parts]
+        return [np.concatenate(column) if isinstance(column[0], np.ndarray)
+                else np.array(column).repeat(sizes) for column in zip(*parts)]
+
+    item, rows, x, q, expo, scale = flat(sides)
+    size = _horner(coeffs[1][item].T, x)
+    far = _floored(expo, scale, size)
+    np.add.at(sums[3], rows, np.where(q < 1.0, 2.0 * math.pi * far / (1.0 - q), np.inf))
+    item, rows, centre, y, weight, peak, extra, e_mu = flat(terms)
+    modulus = np.hypot(centre, y)
+    size = peak * _horner(coeffs[1][item].T, modulus)
+    units = (8 * coeffs[3][item] + 29 + count) * size
+    if e_mu.any():  # the decimal errors of poles with no exact turn (`_row_inputs`)
+        units += extra * size + peak * e_mu * _horner(coeffs[2][item].T, modulus + e_mu) / u
+    np.add.at(sums[0], rows, weight * _horner(coeffs[0][item].T, centre + 1j * y))
+    np.add.at(sums[1], rows, size)
+    np.add.at(sums[2], rows, units)
+
+
+# ----------------------------------------------------------------------------
+# kernel rows in closed form
+# ----------------------------------------------------------------------------
 
 
 def _merged_moments(weights, row) -> tuple:
@@ -791,171 +1078,35 @@ def _sphere_moments(model: ProjectiveModel, points) -> np.ndarray:
     return t
 
 
-def _normal_moments(d: int) -> tuple[list, list]:
-    """E[Z^i] and E[|Z|^i], i = 0..d, for Z standard normal."""
-    absolute = [1.0, math.sqrt(2.0 / math.pi)]
-    for i in range(2, d + 1):
-        absolute.append((i - 1) * absolute[i - 2])
-    absolute = absolute[: d + 1]
-    return [m if i % 2 == 0 else 0.0 for i, m in enumerate(absolute)], absolute
-
-
-def _binomial_moments(weights, mu, sigma: float, moments):
-    """sum_j weights[j] sum_i e_i sigma^i moments[i], with e_i the coefficients
-    of y in C(mu + y + m, m) = prod_{l <= m} (mu + l + y)/m!, m = d - j.  With
-    moments[i] = E[Z^i] this is E[sum_j weights[j] C(mu + sigma Z + m, m)]."""
-    d = len(weights) - 1
-    coeffs, total = [1.0], weights[d]
-    for m in range(1, d + 1):
-        coeffs = [(mu + m) * x + y for x, y in zip(coeffs + [0.0], [0.0] + coeffs)]
-        expect = sum(e * sigma**i * moments[i] for i, e in enumerate(coeffs))
-        total += weights[d - m] * expect / math.factorial(m)
-    return total
-
-
-def _floored(exponent: float, size):
-    """e^exponent size (size > 0), a bound on omitted terms that never reads
-    0: where e^exponent or the product leaves the normal range it is taken
-    as e^(exponent + log size), rounded up to the smallest subnormal."""
-    scale = math.exp(exponent)
-    direct = scale * size
-    with np.errstate(divide="ignore", over="ignore"):
-        low = np.maximum(np.exp(exponent + np.log(size)), math.ulp(0.0))
-    return np.where((direct >= 2.0**-1022) & (scale >= 2.0**-1022), direct, low)
-
-
-def _aliases(pole: _Pole, win: Window, lam: float) -> tuple[list, list]:
-    """The aliases theta_k = phi + tau0 - 2 pi k of ``pole`` (phi its arg):
-    every k whose gaussian factor exp(-theta_k^2/(2 eps^2)) lies within
-    exp(-`_GAUSS_FAR`^2/2) of the largest, the reach of the window cut's
-    factors, and the first theta_k beyond on each side.
-
-    For each kept alias the inputs of its term are formed at
-    `_DECIMAL_DIGITS` digits from the decimal log |rho| = L and phi: with c =
-    round(lam) and f = lam - c (exact),
-
-        X    = lam L + (L^2 - theta^2)/(2 eps^2),
-        turn = c phi + f (phi - 2 pi k) + L theta/eps^2   (mod 2 pi; 2 pi k c drops),
-        mu   = lam + L/eps^2 + i theta/eps^2,
-
-    and each is rounded once, X and turn as a double and the double of what
-    that rounding left.  Returns the kept (theta, X, X_lo, turn, turn_lo, mu,
-    size), size the sum of the moduli of their parts, and the theta beyond."""
-    with localcontext() as ctx:
-        ctx.prec = _DECIMAL_DIGITS
-        two_pi, log_modulus, phi = 2 * _PI, pole.log_modulus, pole.arg
-        eps2, c = Decimal(win.eps) ** 2, round(lam)
-        lam_d = Decimal(lam)
-        f, spin = lam_d - c, c * phi
-        grow, shift = lam_d * log_modulus + log_modulus * log_modulus / (2 * eps2), log_modulus / eps2
-        theta0 = phi + Decimal(win.tau0)
-        centre = float(lam_d + shift)
-        L, arg, inv, f_f = float(log_modulus), float(phi), 1.0 / win.eps**2, lam - c
-
-        def alias(k, theta, th):
-            x = grow - theta * theta / (2 * eps2)
-            turn = spin + f * (phi - two_pi * k) + shift * theta
-            turn -= two_pi * (turn / two_pi).to_integral_value()
-            x_hi, turn_hi = float(x), float(turn)
-            size = (abs(lam * L) + 0.5 * (L * L + th * th) * inv + abs(c * arg)
-                    + abs(f_f) * abs(arg - 2.0 * math.pi * k) + abs(L * th) * inv)
-            lows = float(x - Decimal(x_hi)), float(turn - Decimal(turn_hi))
-            return th, x_hi, lows[0], turn_hi, lows[1], complex(centre, float(theta / eps2)), size
-
-        k0 = int((theta0 / two_pi).to_integral_value())
-        reach = float(theta0 - two_pi * k0) ** 2 + (win.eps * _GAUSS_FAR) ** 2
-        kept, beyond = [], []
-        for k, step in ((k0, 1), (k0 - 1, -1)):
-            while (th := float(theta := theta0 - two_pi * k)) ** 2 <= reach:
-                kept.append(alias(k, theta, th))
-                k += step
-            beyond.append(th)
-    return kept, beyond
-
-
-def _pole_sum(d: int, win: Window, lam: float, pole: _Pole):
-    """One pole's Poisson terms: (value, parts, remainder), ``parts`` the
-    (majorant, rounding units) of each kept term (`_closed_form_diagonal`)."""
-    u, eps = 2.0**-53, win.eps
-    inv = 1.0 / eps**2
-    signed, absolute = _normal_moments(d)
-    L = float(pole.log_modulus)
-    centre = lam + L * inv
-
-    def majorant(theta, slack=0.0, omitted=False):
-        """A bound on the modulus of the alias at theta, 2 pi e^{Re X} times E
-        of P with the majorant weights and |mu| + |Z|/eps + l in every factor;
-        ``slack`` widens |Im mu| eps^2 by its error, and an ``omitted``
-        alias's bound never underflows (`_floored`)."""
-        grow = lam * L + 0.5 * (L * L - theta * theta) * inv
-        base = abs(centre) + (abs(theta) + slack) * inv
-        moments = _binomial_moments(pole.majorants, base, 1 / eps, absolute)
-        if omitted:
-            return float(_floored(grow, 2.0 * math.pi * moments))
-        return 2.0 * math.pi * math.exp(grow) * moments
-
-    kept, beyond = _aliases(pole, win, lam)
-    remainder = 0.0
-    for theta in beyond:  # the ratio of consecutive omitted majorants is at most q
-        q = (1.0 + 2.0 * math.pi / abs(theta)) ** d
-        q *= math.exp(-2.0 * math.pi * (abs(theta) + math.pi) * inv)
-        if not q < 1.0:
-            raise OverflowError("the omitted aliases do not decay")
-        remainder += majorant(theta, omitted=True) / (1.0 - q)
-    value, parts = 0j, []
-    for theta, x, x_lo, turn, turn_lo, mu, size in kept:
-        poly = _binomial_moments(pole.weights, mu, 1 / eps, signed)
-        rotor = complex(math.cos(turn), math.sin(turn)) * complex(1.0, turn_lo)
-        value += 2.0 * math.pi * math.exp(x) * (1.0 + x_lo) * rotor * poly
-        # the decimal errors of X and turn: from L and phi (the pole's error)
-        # and from the steps that formed them
-        e_dec = (2.0 * abs(lam) + 1.0 + 2.0 * (abs(L) + abs(theta)) * inv) * pole.error
-        e_dec += 16 * _DECIMAL_UNIT * size
-        e_mu = u * (abs(mu.real) + abs(mu.imag)) + 2.0 * pole.error * inv
-        e_mu += 4 * _DECIMAL_UNIT * (abs(lam) + (abs(L) + abs(theta)) * inv)
-        slack = e_mu * eps**2
-        base = abs(centre) + (abs(theta) + slack) * inv
-        units = 8 * d + 34 + u * x * x + (e_dec + pole.spread) / u + d * e_mu / (base + 1.0) / u
-        parts.append((majorant(theta, slack), units))
-    return value, parts, remainder
-
-
 def _negative_tail(d: int, win: Window, lam: float, poles: list, top: int):
     """sum over n <= -(d+1) ``top`` of F(n) chihat(lam - n), F(n) = sum over
     ``poles`` of rho^n P(n) continuing h_n; (d+1) top is the degree of Q =
     p_t^(d+1), the generating function's denominator.  Summed while lam - n
-    <= `_GAUSS_FAR`/eps and bounded geometrically beyond: (value, parts,
-    remainder) as `_pole_sum` returns them."""
+    <= `_GAUSS_FAR`/eps and bounded geometrically beyond: (value, sum of the
+    majorants, sum of rounding units times majorant, remainder, number of
+    terms), as `_closed_form_diagonal` charges them."""
     first_n = -(d + 1) * top
     first = min(first_n, math.floor(lam - _GAUSS_FAR / win.eps))  # the first n bounded
     n = np.arange(first_n, first - 1, -1, dtype=float)
     s = lam - n
-    binomials = [np.ones_like(n)]
-    for m in range(1, d + 1):
-        binomials.append(binomials[-1] * (n + m) / m)
-    value, size = np.zeros(n.size, dtype=complex), np.zeros(n.size)
-    logs = [(float(p.log_modulus), float(p.arg), p) for p in poles]
+    # one row per pole: log |rho| and arg rho, and the coefficients and majorants as columns
+    L, arg = (np.array([[float(x)] for x in xs]) for xs in zip(*((p.log_modulus, p.arg) for p in poles)))
+    coeffs, majorants = (np.array(xs).T[:, :, None] for xs in zip(*((p.coeffs, p.majorants) for p in poles)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for L, arg, pole in logs:
-            power = np.exp(n * L)  # |rho|^n >= 1
-            value += power * np.exp(1j * n * arg) * sum(
-                a * binomials[d - j] for j, a in enumerate(pole.weights)
-            )
-            size += power * sum(m * np.abs(binomials[d - j]) for j, m in enumerate(pole.majorants))
-        size = size * win.fourier_envelope(s)
+        power = np.exp(n * L)  # |rho|^n >= 1
+        value = (power * np.exp(1j * n * arg) * _horner(coeffs, n)).sum(axis=0)
+        size = (power * _horner(majorants, -n)).sum(axis=0) * win.fourier_envelope(s)
     # the majorant's ratio from n to n - 1: at most max 1/|rho| |n|/(|n| - d) exp(-eps^2 (2s + 1)/2)
-    lowest = min(L for L, _, _ in logs)
-    q = math.exp(-lowest - 0.5 * win.eps**2 * (2.0 * s[-1] + 1.0)) * first / (first + d)
+    q = math.exp(-L.min() - 0.5 * win.eps**2 * (2.0 * s[-1] + 1.0)) * first / (first + d)
     if not (np.isfinite(size).all() and q < 1.0):
         raise OverflowError("the negative tail does not decay")
     remainder = float(size[-1] / (1.0 - q))
     n, s, value, size = n[:-1], s[:-1], value[:-1], size[:-1]
     total = complex(np.sum(value * win.fourier(s))) if n.size else 0j
-    phase = max(abs(L) + abs(arg) + pole.error for L, arg, pole in logs)
-    spread = max(pole.spread for pole in poles)
-    units = (4 * d + 16 + 2.0 * np.abs(n) * phase + spread / 2.0**-53
-             + 4.0 * (win.eps * s) ** 2 + 2.0 * abs(win.tau0) * s)
-    return total, list(zip(size.tolist(), units.tolist())), remainder
+    phase = float((np.abs(L) + np.abs(arg)).max()) + max(p.error for p in poles)
+    units = (4 * d + 18 + 2.0 * np.abs(n) * phase + 4.0 * (win.eps * s) ** 2
+             + 2.0 * abs(win.tau0) * s)
+    return total, float(size.sum()), float((units * size).sum()), remainder, n.size
 
 
 def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol: float):
@@ -968,67 +1119,30 @@ def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol
     point: `_merged_moments` sums them per weight and divides by their total
     at `_DECIMAL_DIGITS` digits, so sum_w c_w = 1 holds in the formula, while
     the eigen-sum sums the series of t as given (h_n grows like (sum t)^n).
+    Rows at the same moments (a parity pair, or every row at the chart
+    centre) share their poles and are summed together.
 
     **Derivation.**  G(x) = sum_n h_n x^n = p_t(x)^-(d+1) with p_t(x) = 1 -
     sum_w c_w x^w = prod_rho (1 - rho x): rho = 1 and the other roots
-    (`_poles`, all with |rho| <= 1).  Partial fractions at each
-    (d+1)-fold pole (`_laurent`) give h_n = sum_rho rho^n P_rho(n) for n >=
-    0, deg P_rho <= d.  G is proper with a denominator of degree (d+1) D, D
-    the largest weight with c_w > 0, so the continuation F(n) of that formula
-    vanishes for -(d+1) D < n < 0 (R. P. Stanley, Enumerative Combinatorics
-    1, Prop. 4.2.3), and the row is the sum of F(n) chihat(lam - n) over all
-    integers less the n <= -(d+1) D.  Poisson summation against chihat(s) =
-    eps sqrt(2 pi) exp(-eps^2 s^2/2 - i s tau0) turns a pole's rho^n P(n),
-    log rho = L + i phi, into aliases
+    (`_poles`, all with |rho| <= 1).  Partial fractions at each (d+1)-fold
+    pole give h_n = sum_rho rho^n P_rho(n) for n >= 0, deg P_rho <= d.  G is
+    proper with a denominator of degree (d+1) D, D the largest weight with
+    c_w > 0, so the continuation F(n) of that formula vanishes for -(d+1) D
+    < n < 0 (R. P. Stanley, Enumerative Combinatorics 1, Prop. 4.2.3), and
+    the row is d!/pi^d times each pole's Poisson sum (`_pole_sum`) less the
+    n <= -(d+1) D, summed while lam - n <= `_GAUSS_FAR`/eps and bounded
+    geometrically beyond (`_negative_tail`).  The omitted aliases and that
+    bound make the row's remainder.  A row costs O(D d^2) per alias and
+    O(1/eps) tail terms at any lam, and no table of h_n.
 
-        2 pi e^{lam (L + i phi - 2 pi i k)} e^{a^2/(2 eps^2)} E[P(lam + a/eps^2 + Z/eps)],
-        a = L + i theta_k,   theta_k = phi + tau0 - 2 pi k,
-
-    by completing the square and shifting the contour; Z is standard normal
-    and E a gaussian moment sum of degree d (`_binomial_moments`).  The
-    aliases within exp(-`_GAUSS_FAR`^2/2) of a pole's largest are summed
-    (`_aliases`); beyond, consecutive majorants (below) fall by at least
-    (1 + 2 pi/|theta|)^d e^{-2 pi (|theta| + pi)/eps^2}, a geometric bound.
-    The subtracted n are summed while lam - n <= `_GAUSS_FAR`/eps and bounded
-    geometrically beyond (`_negative_tail`).  Both bounds make the row's
-    remainder.  A row costs O(D d^2) per alias and O(1/eps) tail terms at any
-    lam, no table of h_n and no decimal pass.
-
-    **Accuracy rules.**  Every input of a term's exponent is formed past
-    double and rounded once: the moments (exactly from the chart radius on a
-    coordinate chart, `_chart_moments`), the roots (Newton-polished, with an
-    enclosure), L and phi, and then X = lam L + (L^2 - theta^2)/(2 eps^2),
-    the turn c phi + f (phi - 2 pi k) + L theta/eps^2 reduced mod 2 pi (c =
-    round(lam), f = lam - c, so 2 pi k c drops exactly) and the centre mu,
-    all at `_DECIMAL_DIGITS` digits (`_aliases`).  X and the turn are split
-    into a double and the double of its rounding error, so e^X is e^{X_hi}
-    (1 + X_lo) and the rotor cis(turn_hi) (1 + i turn_lo): no term loses
-    digits to |X|, lam, tau0 or k.
-
-    **Rounding** (first order, u = 2^-53; N. J. Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002, ch. 3).  A kept alias is 2 pi
-    e^{X_hi} (1 + X_lo) rotor E.  exp, cos and sin are within a unit each,
-    the first-order corrections and the four products within 14 more, and
-    the corrections leave u X^2 (second order, charged).  The decimal inputs
-    are off by e_dec <= (2 |lam| + 1 + 2 (|L| + |theta|)/eps^2) e_pole (e_pole
-    the pole's error in L and phi) plus 16 decimal units of the moduli of
-    their parts, charged e_dec/u.  mu is off by e_mu <= u (|Re mu| + |Im mu|)
-    plus its decimal error.  E multiplies out d linear factors mu + l + y and
-    sums against the moments, each operation off by u and each factor by e_mu
-    + u |mu + l|, so E is off by ((8d + 20) u + d e_mu/(|mu|_+ + 1)) Ebar,
-    Ebar being E with the majorant weights, |mu|_+ + l + |y| in every factor
-    and the moments E|Z|^i: the term's majorant, which also bounds its
-    modulus.  (The factors of C(mu + y + m, m) are mu + l + y with l >= 1,
-    so moving mu by e_mu moves each majorant factor by e_mu, at most
-    e_mu/(|mu|_+ + 1) of it, and Ebar's product of at most d of them by d
-    e_mu/(|mu|_+ + 1) of Ebar to first order; that holds at mu = 0 too.)
-    The weights add one unit for their rounding and the pole's spread.  A
-    subtracted term carries (4d + 16 + 2 |n| (|L| + |phi| + e_pole) + 8x + 2
-    |tau0| s + spread/u) u over the poles, as in `_rounding_bounds`.  Summing
-    N terms and the factor d!/pi^d add (N + 2d + 4) u per term; a factor 2
+    **Rounding.**  A subtracted term carries (4d + 18 + 2 |n| (|L| + |phi| +
+    e_pole) + 8x + 2 |tau0| s) units over the poles, as in
+    `_rounding_bounds`: 2 for its coefficients, 2d for Horner's rule at n,
+    and the phase n phi, |rho|^n and the gaussian as there.  Summing the N
+    terms and the factor d!/pi^d add N + 2d + 4 units per term; a factor 2
     takes up the sqrt(2) of complex sums and the second-order terms:
 
-        rho = 2u sum_terms (units + N + 2d + 4) majorant.
+        rho = 2u (sum_terms units + (N + 2d + 4) sum_terms M).
 
     **Scope and fallback.**  A row is formed when the window is gaussian,
     its poles are separated (`_ROOT_SEPARATION`, with disjoint enclosures),
@@ -1044,36 +1158,49 @@ def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol
     """
     values = np.zeros(lams.size, dtype=complex)
     remainders, bounds = np.zeros(lams.size), np.zeros(lams.size)
-    taken, formed = np.zeros(lams.size, dtype=bool), np.zeros(lams.size, dtype=bool)
+    formed = np.zeros(lams.size, dtype=bool)
     if win.shape != "gaussian":
-        return values, remainders, bounds, taken, formed
+        return values, remainders, bounds, formed.copy(), formed
     d, u = model.dim, 2.0**-53
     scale = math.factorial(d) / math.pi**d
-    known: dict = {}  # rows at the same moments (a parity pair) share their poles
-    for i, (lam, row) in enumerate(zip(lams.tolist(), t)):
+    groups: dict = {}
+    for i, row in enumerate(t):
+        groups.setdefault(_merged_moments(model.weights, row), []).append(i)
+    items, tails = [], []  # every pole of every row; each group's rows, poles, D and term count
+    for moments, rows in groups.items():
         try:
-            moments = _merged_moments(model.weights, row)
-            if moments not in known:
-                known[moments] = _poles(d, moments)
-            poles = known[moments]
-            if poles is None:
+            poles = _poles(d, moments)
+        except (OverflowError, ValueError):  # a pole underflows double
+            continue
+        if poles is None:
+            continue
+        walks = [_alias_walk(pole, win.tau0, win.eps) for pole in poles]
+        items += [(pole, walk, np.array(rows)) for pole, walk in zip(poles, walks)]
+        n_terms = sum(len(kept) for kept, _ in walks) + 2 * d + 4
+        tails.append((rows, poles, max(w for w, c in moments if c > 0), n_terms))
+    sums = value, magnitude, units, remainder = np.zeros(lams.size, dtype=complex), *np.zeros((3, lams.size))
+    n_terms = np.zeros(lams.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if items:
+            _pole_sum(items, win, lams, 0, sums)
+    for rows, poles, top, count in tails:
+        for row in rows:
+            try:
+                tail = _negative_tail(d, win, float(lams[row]), poles, top)
+            except OverflowError:
                 continue
-            sums = [_pole_sum(d, win, lam, pole) for pole in poles]
-            tail = _negative_tail(d, win, lam, poles, max(w for w, c in moments if c > 0))
-        except (OverflowError, ValueError):  # a term overflows, or a pole underflows double
-            continue
-        value = sum(v for v, _, _ in sums) - tail[0]
-        parts = [p for _, ps, _ in sums for p in ps] + tail[1]
-        magnitude = sum(m for m, _ in parts)
-        remainder = sum(r for _, _, r in sums) + tail[2]
-        bound = 2.0 * u * sum(m * (units + len(parts) + 2 * d + 4) for m, units in parts)
-        if not all(map(math.isfinite, (abs(value), magnitude, bound, remainder))):
-            continue
-        if remainder > _final_cut_target(tail_tol, u, magnitude * scale) / scale:
-            continue
-        values[i], remainders[i], bounds[i] = value * scale, remainder * scale, bound * scale
-        formed[i] = True
-        taken[i] = magnitude <= _CLOSED_FORM_KAPPA * abs(value)
+            value[row] -= tail[0]
+            magnitude[row] += tail[1]
+            units[row] += tail[2]
+            remainder[row] += tail[3]
+            n_terms[row] = count + tail[4]
+            formed[row] = True
+    bound = 2.0 * u * (units + n_terms * magnitude)
+    formed &= np.isfinite([value, magnitude, bound, remainder]).all(axis=0)
+    formed &= remainder <= _final_cut_target(tail_tol, u, magnitude * scale) / scale
+    values[formed], remainders[formed] = value[formed] * scale, remainder[formed] * scale
+    bounds[formed] = bound[formed] * scale
+    taken = formed & (magnitude <= _CLOSED_FORM_KAPPA * np.abs(value))
     return values, remainders, bounds, taken, formed
 
 
@@ -1155,21 +1282,6 @@ _UNIT_POLES_WORK = 1 << 18
 _CLOSED_FORM_LAMBDA = 2.0**52
 
 
-@dataclass(frozen=True)
-class _UnitPole:
-    """One pole zeta = e^(2 pi i turn) of prod_i (1 - x^{w_i})^-1, a root of
-    unity: it adds zeta^n sum_j coeffs[j] n^j to d(n).  ``coeffs`` are
-    rounded once from the `_DECIMAL_DIGITS`-digit sums ``exact`` (re, im),
-    which are within ``errors[j]`` of the true coefficients, and
-    ``majorants[j]`` is |coeffs[j]| plus errors[j] over 2^-53."""
-
-    turn: Fraction
-    coeffs: tuple
-    majorants: tuple
-    exact: tuple
-    errors: tuple
-
-
 @functools.lru_cache(maxsize=16)
 def _unit_poles(weights: tuple) -> tuple | None:
     """The poles of sum_n d(n) x^n on the unit circle, with the coefficients
@@ -1178,20 +1290,13 @@ def _unit_poles(weights: tuple) -> tuple | None:
 
     prod_i (1 - x^{w_i})^-1 = prod_zeta (1 - zeta x)^-m(zeta) over the
     roots of unity zeta = e^(2 pi i turn) with m(zeta) = #{i : zeta^{w_i} =
-    1} > 0, so d(n) = sum_zeta zeta^n sum_k phi_k C(n + K, K), K = m - 1 -
-    k, from each pole's Laurent series phi (`_laurent`).  The roots are
-    formed by `_unit_cis`, exact on quarter turns and else within 404
-    decimal units (v = `_DECIMAL_UNIT`): the angle 2 pi k/p rounds three
-    times, 1.5 v of |angle| <= pi, each part is within `_sin_cos`' 280 v,
-    and 285 sqrt(2) < 404.  A pole with turn <= 1/2 is expanded, and its
-    series converted once to powers of n by the exact rationals e_Kj = [n^j]
-    prod_{l <= K} (n + l)/l, each rounded once: coefficient j is then off by
-    at most (spread + (m + 1) v) sum_k e_Kj phibar_k, phibar the series'
-    majorants (v/2 for e_Kj and for the product, sqrt(2) v/2 for each of m -
-    1 sums, and phi_k within spread phibar_k).  The other poles of a real
-    one (turn 0 or 1/2) pair off as conjugates of equal order, so its series
-    is real and the imaginary parts, rounding residue, are dropped; a
-    conjugate pole takes the conjugate coefficients.
+    1} > 0, so d(n) = sum_zeta zeta^n P_zeta(n), each P_zeta from the pole's
+    Laurent series (`_pole_record`).  The roots are formed by `_cis`, exact
+    on quarter turns and else within 404 decimal units (v =
+    `_DECIMAL_UNIT`): the angle 2 pi k/p rounds three times, 1.5 v of
+    |angle| <= pi, each part is within `_sin_cos`' 280 v, and 285 sqrt(2) <
+    404.  A pole with turn <= 1/2 is expanded, and the pole at 1 - turn is
+    its conjugate (`_conjugate`).
 
     The work W, O(R^2) in the number R of poles, is capped by
     `_UNIT_POLES_WORK`: an expanded pole folds in R - 1 factors, of about
@@ -1199,7 +1304,7 @@ def _unit_poles(weights: tuple) -> tuple | None:
     4 m^2 (long rationals), so W = sum (sum w + (R + 3) m^2) over them.  At
     least R/2 poles are expanded, so W >= R^2/2 >= max(w)^2/2.
     """
-    d, top = len(weights) - 1, max(weights)
+    top = max(weights)
     if top * top > 2 * _UNIT_POLES_WORK:
         return None
     turns = sorted({Fraction(k, w) for w in weights for k in range(w)})
@@ -1207,38 +1312,24 @@ def _unit_poles(weights: tuple) -> tuple | None:
     work = sum(sum(weights) + (len(turns) + 3) * m * m for t, m in zip(turns, orders) if 2 * t <= 1)
     if work > _UNIT_POLES_WORK:
         return None
-    bases = [[Fraction(1)]]  # prod_{l <= K} (n + l)/l in powers of n, K = 0..d
-    for k in range(1, d + 1):
-        bases.append([(a + k * b) / k for a, b in zip([0] + bases[-1], bases[-1] + [0])])
     poles = []
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
         roots = [(Decimal(c), Decimal(s), 404 * _DECIMAL_UNIT if 4 * t.numerator % t.denominator else 0.0)
-                 for t in turns for c, s in [_unit_cis(t.numerator, t.denominator)]]
+                 for t in turns for c, s in [_cis(t)]]
         centres = [complex(float(re), float(im)) for re, im, _ in roots]
         for r, turn in enumerate(t for t in turns if 2 * t <= 1):
-            series, bounds, spread = _laurent(r, roots, centres, orders)
-            if turn.denominator <= 2:
-                series = [(re, Decimal(0)) for re, _ in series]
-            size = orders[r]
-            exact, weight = [(Decimal(0), Decimal(0))] * size, [0.0] * size
-            for (p0, p1), bound, basis in zip(series, bounds, bases[size - 1 :: -1]):
-                for j, e in enumerate(basis):
-                    x = Decimal(e.numerator) / e.denominator
-                    exact[j] = exact[j][0] + p0 * x, exact[j][1] + p1 * x
-                    weight[j] += float(e) * bound
-            errors = tuple((spread + (size + 1) * _DECIMAL_UNIT) * w for w in weight)
-            coeffs = tuple(complex(float(re), float(im)) for re, im in exact)
-            majorants = tuple(abs(c) + e * 2.0**53 for c, e in zip(coeffs, errors))
-            poles.append(_UnitPole(turn, coeffs, majorants, tuple(exact), errors))
+            arg = 2 * _PI * turn.numerator / turn.denominator
+            poles.append(_pole_record(r, roots, centres, orders, Decimal(0), arg, turn, 0.0))
             if 0 < 2 * turn < 1:
-                conjugates = tuple(x.conjugate() for x in coeffs), tuple((x, -y) for x, y in exact)
-                poles.append(_UnitPole(1 - turn, conjugates[0], majorants, conjugates[1], errors))
+                poles.append(_conjugate(poles[-1]))
     return tuple(poles)
 
 
-def _unit_cis(k: int, p: int) -> tuple[Decimal, Decimal]:
-    """(cos, sin) of 2 pi k/p at the context's precision, exact on quarter turns."""
+def _cis(turn: Fraction) -> tuple[Decimal, Decimal]:
+    """(cos, sin) of 2 pi turn at the context's precision, exact on quarter
+    turns, else `_sin_cos` of the angle reduced to [-pi, pi]."""
+    k, p = turn.numerator % turn.denominator, turn.denominator
     if 4 * k % p == 0:
         return ((1, 0), (0, 1), (-1, 0), (0, -1))[4 * k // p]
     sin, cos = _sin_cos(2 * _PI * (k if 2 * k <= p else k - p) / p)
@@ -1255,53 +1346,20 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
     `_unit_poles` for n >= 0, the quasi-polynomial Q(n) of the right side
     vanishes for -sum w < n < 0 and equals (-1)^d d(-n - sum w) for n <=
     -sum w (reciprocity; R. P. Stanley, Enumerative Combinatorics 1, Prop.
-    4.2.3).  So the trace is sum over all integers of Q(n) chihat(lam - n)
-    less the ghost part (-1)^d sum_{m >= 0} d(m) chihat(lam + sum w + m).
-    Poisson summation, with n^j e^{i n tau} = (-i d/dtau)^j e^{i n tau} and
-    integration by parts, turns the pole zeta = e^{-i tau} into periods
-
-        2 pi e^{-i lam tau} ((lam + i d/dtau)^j chi)(tau),  tau = 2 pi (k - turn),
-
-    and for the gaussian (lam + i d/dtau)^j chi = chi E[(mu + Z/eps)^j], mu =
-    lam + i theta/eps^2, theta = tau0 - tau, Z standard normal (the Hermite
-    polynomials He_m(x) = E[(x + iZ)^m]).  So each period term is 2 pi
-    chi(tau) e^{-i lam tau} R(mu), R(mu) = sum_k b_k mu^k with b_k = sum_j
-    C_j C(j, k) eps^(k - j) E[Z^(j - k)], evaluated over the whole grid by
-    Horner's rule.  The periods of each pole within exp(-`_GAUSS_FAR`^2/2)
-    of its largest chi are summed, as `_aliases` keeps a kernel pole's; past
-    them consecutive majorants fall by at least (1 + 2 pi/|theta|)^deg
-    e^{-2 pi (|theta| + pi)/eps^2}, a geometric bound that never underflows
-    to 0 (`_floored`).  The ghost part is
+    4.2.3).  So the trace is each pole's Poisson sum over all integers
+    (`_pole_sum`: its periods tau = 2 pi (k - turn) near tau0, each a
+    gaussian chi(tau) times e^{-i lam tau} and a Hermite polynomial in lam)
+    less the ghost part (-1)^d sum_{m >= 0} d(m) chihat(lam + sum w + m):
     the eigen-sum at lam' = -lam - sum w, conjugated (chihat(s) and
-    chihat(-s) are conjugate): its window cut is empty once lam + sum w
-    passes `_GAUSS_FAR`/eps, and its geometric remainder is the whole part.
-    Both remainders make the row's.
+    chihat(-s) are conjugate), whose window cut is empty once lam + sum w
+    passes `_GAUSS_FAR`/eps and whose geometric remainder is then the whole
+    part (`_ghost_trace`).  The omitted periods and the ghost's remainder
+    make the row's.  The ghost's rounding is `_rounding_bounds`' over its
+    kept terms; summing the N period terms and the ghost adds N + 2 units
+    per term, and a factor 2 takes up the sqrt(2) of complex sums and the
+    second-order terms:
 
-    **Exact phases.**  theta = tau0 - 2 pi (k - turn) is formed at
-    `_DECIMAL_DIGITS` digits (exact for every tau0 below `_check_tau0`'s
-    limit), and chi(tau) = exp(-theta^2/(2 eps^2)) and theta/eps^2 from it,
-    each rounded once.  e^{-i lam tau} is `_period_phase` at the exact turn k
-    - turn: lam is reduced exactly, half and quarter turns are exact, and
-    the rest is one exponential of a correctly rounded turn.
-
-    **Rounding** (first order, u = 2^-53; N. J. Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002, ch. 3).  With deg the degree
-    of a pole's polynomial, a period term is off by at most u times its
-    majorant M = 2 pi chi(tau) sum_j Cbar_j E[(|mu| + |Z|/eps)^j] (Cbar the
-    coefficient majorants, which also bound every |b_k|, so M bounds the
-    term and every partial Horner sum) times: 2 for C_j, whose decimal error
-    Cbar carries; 2 deg + 6 for forming b_k (the eps powers, the products
-    and the sum of at most deg + 1 parts); 5 deg + 2 for Horner's rule in
-    complex arithmetic; deg for mu, whose imaginary part is rounded once
-    (|R'(mu)| |dmu| <= deg M u); 12 for the phase (the turn rounded once,
-    2 pi and the product twice more, |2 pi r| <= pi, and cos and sin within
-    a unit each); 1 for chi; 6 for the products 2 pi chi e^{-i lam tau} R.
-    The ghost's rounding is `_rounding_bounds`' over its kept terms.
-    Summing the N period terms and the ghost adds N + 2 units per term; a
-    factor 2 takes up the sqrt(2) of complex sums and the second-order
-    terms:
-
-        rho = 2u sum_terms (8 deg + 29 + N + 2) M + ghost's bound.
+        rho = 2u sum_terms (8 deg + 31 + N) M + ghost's bound.
 
     **Cancelling rows.**  Period terms can cancel past double: on (1, 3) at
     tau0 = pi (the double, pi - 1.2e-16) the terms at tau = 2 pi/3 and 4 pi/3
@@ -1314,14 +1372,13 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
     `_DECIMAL_DIGITS` digits and rounded once (`_exact_periods`): from
     the decimal coefficients of `_unit_poles`, chi and y = theta/eps^2, with
     the phase cis(-2 pi r), r = lam (k - turn) reduced mod 1 in exact
-    Fractions (`_unit_cis`, exact on quarter turns); the ghost stays in
-    double, and a ghost left to the remainder as below 2^-20 units of the
-    period majorants is summed after all where its whole bound passes 2^-20
-    units of that 40-digit sum.  With v = `_DECIMAL_UNIT`, theta is off by
-    e_theta <= 5 v (2 + |tau0| + |theta|) (2 pi v from the turn's decimal,
-    a unit of 2 pi |k - turn| for each of three roundings, one of |theta|),
-    y by e_y = e_theta/eps^2 + 2 v |y|, and chi relatively by v (4 a + 1)
-    + |theta| e_theta/eps^2, a = theta^2/(2 eps^2).  A term is off by at
+    Fractions (`_cis`, exact on quarter turns); the ghost stays in double,
+    and a ghost left to the remainder as below 2^-20 units of the period
+    majorants is summed after all where its whole bound passes 2^-20 units
+    of that 40-digit sum.  With v = `_DECIMAL_UNIT` and theta off by
+    e_theta <= 5 v (2 + |tau0| + |theta|) (`_pole_sum`), y is off by e_y =
+    e_theta/eps^2 + 2 v |y|, and chi relatively by v (4 a + 1) + |theta|
+    e_theta/eps^2, a = theta^2/(2 eps^2).  A term is off by at
     most v M times 2 deg + 8 for b_k, 5 deg + 2 for Horner's rule, 420
     for the phase (`_sin_cos`' 280 units per part at |2 pi r| <= pi, its
     argument within 3 units), chi's share, 6 for the products and N + 2 for
@@ -1356,29 +1413,15 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
     if poles is None or not rows.size:
         return values, remainders, bounds, terms, taken, formed
     lam, eps, u = lams[rows], win.eps, 2.0**-53
-    signed, absolute = _normal_moments(model.dim)
-    aliases = [(pole, *_unit_aliases(pole, win)) for pole in poles]
-    n_terms = sum(len(kept) for _, kept, _ in aliases)
-    with np.errstate(over="ignore", invalid="ignore"):
-        periods, magnitude = np.zeros(lam.size, dtype=complex), np.zeros(lam.size)
-        units, remainder = np.zeros(lam.size), np.zeros(lam.size)
-        for pole, kept, beyond in aliases:
-            b = _mu_polynomial(pole.coeffs, eps, signed)
-            bbar = _mu_polynomial(pole.majorants, eps, absolute)
-            deg = len(b) - 1
-            for theta in beyond:  # consecutive omitted majorants fall by at least q
-                q = (1.0 + 2.0 * math.pi / abs(theta)) ** deg
-                q *= math.exp(-2.0 * math.pi * (abs(theta) + math.pi) / eps**2)
-                size = _horner(bbar, np.abs(lam) + abs(theta) / eps**2)
-                far = _floored(-0.5 * (theta / eps) ** 2, size)
-                remainder += 2.0 * math.pi * far / (1.0 - q) if q < 1.0 else np.inf
-            for chi, y, turn in kept:
-                chi, y = float(chi), float(y)
-                term = 2.0 * math.pi * chi * _period_phase(turn, lam) * _horner(b, lam + 1j * y)
-                size = 2.0 * math.pi * chi * _horner(bbar, np.hypot(lam, y))
-                periods += term
-                magnitude += size
-                units += (8 * deg + 29 + n_terms + 2) * size
+    walks = [(pole, _alias_walk(pole, win.tau0, win.eps)) for pole in poles]
+    n_terms = sum(len(kept) for _, (kept, _) in walks)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sums = periods, magnitude, units, remainder = (np.zeros(lam.size, dtype=complex),
+                                                       *np.zeros((3, lam.size)))
+        step = -(-_POLE_BLOCK // n_terms)  # rows per call: about `_POLE_BLOCK` terms at a time
+        for start in range(0, lam.size, step):
+            part = np.arange(start, min(start + step, lam.size))
+            _pole_sum([(pole, walk, part) for pole, walk in walks], win, lam, n_terms + 2, sums)
         # the whole ghost part is at most envelope(s0)/(1 - q0), s0 = lam + sum w
         # (the ratio bound of `_window_cut`'s right tail from m = 0); a ghost
         # below 2^-20 units of the row is left to the remainder
@@ -1403,7 +1446,7 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
         calm = total <= _CLOSED_FORM_KAPPA * np.abs(value)
         fine = np.flatnonzero(ok & ~calm & (magnitude > _CLOSED_FORM_KAPPA * np.abs(periods)))
         if fine.size:  # a row whose period terms cancel: their sum at 40 digits
-            exact, exact_bound = _exact_periods(aliases, win, lam[fine], n_terms, signed, absolute)
+            exact, exact_bound = _exact_periods(walks, win, lam[fine], n_terms)
             # a ghost left to the remainder is judged again, against |value|
             sum_ghosts(fine[left[fine] & (whole[fine] > 2.0**-20 * u * np.abs(exact))])
             value[fine] = exact - ghosts[fine]
@@ -1418,7 +1461,7 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
     return values, remainders, bounds, terms, taken, formed
 
 
-def _exact_periods(aliases: list, win: Window, lams: np.ndarray, n_terms: int, signed, absolute):
+def _exact_periods(walks: list, win: Window, lams: np.ndarray, n_terms: int):
     """The period sums of `_closed_form_trace` at ``lams`` formed at
     `_DECIMAL_DIGITS` digits and rounded once to complex, and the bounds on
     their decimal rounding derived there."""
@@ -1426,15 +1469,17 @@ def _exact_periods(aliases: list, win: Window, lams: np.ndarray, n_terms: int, s
     values, bounds, terms = np.zeros(lams.size, dtype=complex), np.zeros(lams.size), []
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
-        two_pi, eps_d, moments = 2 * _PI, Decimal(eps), [Decimal(m) for m in signed]
-        for pole, kept, _ in aliases:
+        two_pi, eps_d = 2 * _PI, Decimal(eps)
+        for pole, (kept, _) in walks:
+            signed, absolute = _normal_moments(len(pole.coeffs) - 1)
+            moments = [Decimal(m) for m in signed]
             parts = (_mu_polynomial([c[i] for c in pole.exact], eps_d, moments) for i in (0, 1))
             b = list(zip(*parts))  # (re, im) of each b_k
             bbar = _mu_polynomial(pole.majorants, eps, absolute)
             ebar = _mu_polynomial(pole.errors, eps, absolute)
             slope = [k * c for k, c in enumerate(bbar)][1:] or [0.0]
-            for chi, y, turn in kept:
-                terms.append((two_pi * chi, y, turn, b))
+            for k, _, y, chi in kept:
+                terms.append((two_pi * chi, y, k - pole.turn, b))
                 theta, scale = float(y) * eps**2, 2.0 * math.pi * float(chi)
                 tilt = 5.0 * (2.0 + abs(win.tau0) + abs(theta)) / eps**2  # e_theta/(v eps^2)
                 e_y = v * (tilt + 2.0 * abs(float(y)))
@@ -1449,7 +1494,7 @@ def _exact_periods(aliases: list, win: Window, lams: np.ndarray, n_terms: int, s
                 r = exact_lam * turn
                 r -= round(r)
                 if r not in phases:
-                    phases[r] = _unit_cis(r.numerator, r.denominator)
+                    phases[r] = _cis(r)
                 cos, sin = phases[r]
                 h = b[-1]
                 for c in b[-2::-1]:  # Horner's rule at mu = lam + i y
@@ -1459,46 +1504,6 @@ def _exact_periods(aliases: list, win: Window, lams: np.ndarray, n_terms: int, s
                 re, im = re + f * term[0], im + f * term[1]
             values[i] = complex(float(re), float(im))
     return values, 2.0 * bounds
-
-
-def _unit_aliases(pole: _UnitPole, win: Window) -> tuple[list, list]:
-    """The periods tau = 2 pi (k - turn) of ``pole`` whose chi(tau) lies within
-    exp(-`_GAUSS_FAR`^2/2) of the largest, as `_aliases` keeps a kernel
-    pole's, each as (chi(tau), theta/eps^2, k - turn), theta = tau0 - tau,
-    chi and theta/eps^2 as `_DECIMAL_DIGITS`-digit decimals; and the first
-    theta beyond on each side."""
-    kept, beyond = [], []
-    with localcontext() as ctx:
-        ctx.prec = _DECIMAL_DIGITS
-        tau0, eps2, two_pi = Decimal(win.tau0), Decimal(win.eps) ** 2, 2 * _PI
-        turn = Decimal(pole.turn.numerator) / pole.turn.denominator
-        k0 = int((tau0 / two_pi + turn).to_integral_value())
-        reach = float(tau0 - two_pi * (k0 - turn)) ** 2 + (win.eps * _GAUSS_FAR) ** 2
-        for k, step in ((k0, 1), (k0 - 1, -1)):
-            while float(theta := tau0 - two_pi * (k - turn)) ** 2 <= reach:
-                kept.append(((-theta * theta / (2 * eps2)).exp(), theta / eps2, k - pole.turn))
-                k += step
-            beyond.append(float(theta))
-    return kept, beyond
-
-
-def _mu_polynomial(coeffs, eps, moments: list) -> list:
-    """The coefficients b_k of R(mu) = E[P(mu + Z/eps)] = sum_j C_j E[(mu +
-    Z/eps)^j], P = sum_j coeffs[j] n^j and ``moments`` E[Z^i], in the
-    arithmetic of ``coeffs`` and ``eps`` (double or decimal).  With the
-    coefficient majorants and E|Z|^i, sum_k bbar_k x^k = E[Pbar(x + |Z|/eps)]
-    bounds |R| and every partial Horner sum at |mu| <= x (`_closed_form_trace`)."""
-    degree = len(coeffs) - 1
-    return [sum(coeffs[j] * math.comb(j, k) * eps ** (k - j) * moments[j - k]
-                for j in range(k, degree + 1)) for k in range(degree + 1)]
-
-
-def _horner(coeffs: list, x):
-    """sum_k coeffs[k] x^k by Horner's rule, batched over x."""
-    out = coeffs[-1] * np.ones_like(x)
-    for c in coeffs[-2::-1]:
-        out = out * x + c
-    return out
 
 
 def _ghost_trace(model: ProjectiveModel, win: Window, lams: np.ndarray):

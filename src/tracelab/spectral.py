@@ -41,8 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheError, CoverageError, QuadratureError
-from .geometry import ProjectiveModel, contact_field, make_model
+from .errors import CacheError, CoverageError, InputError, QuadratureError
+from .geometry import ProjectiveModel, check_points, contact_field, make_model
 from .quadrature import SphereProductRule, sphere_product_rule, sphere_rule
 
 # entries per array of one block of moment nodes: 128 KB complex, so a block stays in cache
@@ -200,6 +200,7 @@ def toeplitz_matrix(model: ProjectiveModel, k: int) -> list[np.ndarray]:
     diagonal.  Each normalised Gram matrix must be the identity to
     `_GRAM_TOL` and each result Hermitian.
     """
+    _check_degree(k)
     d = model.dim
     rule = toeplitz_rule(model, k)
     n, m_t = rule.n_angles, rule.t.shape[0]
@@ -358,6 +359,12 @@ def _payload_digest(arrays: dict, meta: dict) -> str:
     return h.hexdigest()
 
 
+def _check_degree(k: int) -> None:
+    """Refuse (InputError) a negative degree."""
+    if k < 0:
+        raise InputError(f"a degree must be nonnegative, got {k}")
+
+
 def check_multiplicity_table(weights, k_max: int) -> None:
     """Refuse, with CoverageError, a `_multiplicities` table that could wrap
     or would take too long: every entry counts some of the C(k_max + d + 1,
@@ -403,6 +410,7 @@ def eigendata(model: ProjectiveModel, k_max: int) -> SpectralPackage:
     `toeplitz_matrix` establishes by quadrature), so the multiplicity of n
     is the number of alpha with |alpha| <= k_max and <alpha, w> = n.
     """
+    _check_degree(k_max)
     counts = _multiplicities(model.weights, k_max)
     present = np.flatnonzero(counts)
     return SpectralPackage(
@@ -422,7 +430,7 @@ def eigendata(model: ProjectiveModel, k_max: int) -> SpectralPackage:
 def eigensection_values(pkg: SpectralPackage, k: int, x: np.ndarray) -> np.ndarray:
     """Values of every degree-k eigensection at x (batched; last axis = section)."""
     block = pkg.block(k)
-    return monomial_values(block.exponents, x) / block.norms
+    return monomial_values(block.exponents, check_points(pkg.model, x)) / block.norms
 
 
 def szego_diagonal(pkg: SpectralPackage, k: int, x: np.ndarray) -> np.ndarray:

@@ -17,8 +17,16 @@ from tracelab.asymptotics import (
     stationary_point_check,
     unitary_eigenbasis,
 )
-from tracelab.errors import CleanLocusError, DegenerateDirectionError, FitError
-from tracelab.geometry import fixed_components, heisenberg_chart, make_model, turn_phase
+from tracelab.errors import CleanLocusError, DegenerateDirectionError, FitError, InputError
+from tracelab.geometry import (
+    fixed_components,
+    flow_sphere,
+    hamiltonian,
+    heisenberg_chart,
+    make_model,
+    turn_phase,
+)
+from tracelab.spectral import eigendata, szego_diagonal, toeplitz_matrix
 from tracelab.quadrature import gaussian_line_rule, simplex_rule
 from tracelab.windows import Window
 
@@ -271,6 +279,32 @@ def test_fit_expansion_integer_ladder():
 def test_fit_expansion_needs_points():
     with pytest.raises(FitError):
         fit_expansion((np.array([10.0, 20.0]), np.array([1.0, 1.0])), n_terms=3)
+
+
+_GRID = np.geomspace(100.0, 1000.0, 10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: fit_expansion((_GRID, np.where(_GRID == _GRID[3], np.nan, 1.0 + 1.0 / _GRID))),
+        lambda m: fit_expansion((_GRID, 1.0 + 1.0 / _GRID[:9])),
+        lambda m: fit_expansion((np.where(_GRID == _GRID[3], np.inf, _GRID), 1.0 + 1.0 / _GRID)),
+        lambda m: szego_diagonal(eigendata(m, 4), 3, np.array([0.6, 0.8, 0.0])),
+        lambda m: hamiltonian(m, np.array([0.6, 0.8, 0.0])),
+        lambda m: flow_sphere(m, 0.5, np.array([[0.6, 0.8, 0.0]])),
+        lambda m: eigendata(m, -1),
+        lambda m: toeplitz_matrix(m, -1),
+    ],
+    ids=["fit-nan-ratio", "fit-lengths", "fit-inf-grid", "szego-width", "hamiltonian-width",
+         "flow-width", "eigendata-negative", "toeplitz-negative"],
+)
+def test_malformed_input_raises_a_named_error(call, model12, capfd):
+    # each was a NaN, a silent value, numpy's ValueError or LAPACK's
+    # LinAlgError (with DLASCL on stderr); now a TracelabError, and quietly
+    with pytest.raises(InputError):
+        call(model12)
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -74,16 +74,13 @@ def _closed_form_h(weights, t, n):
     full accuracy."""
     d = len(weights) - 1
     k = np.arange(n + 1, dtype=float)
-    binom = [np.ones_like(k)]
-    for m in range(1, d + 1):
-        binom.append(binom[-1] * (k + m) / m)
     total, size = np.zeros(n + 1, dtype=complex), np.zeros(n + 1)
     for pole in _poles(d, _merged_moments(weights, t)):
         L, phi = float(pole.log_modulus), float(pole.arg)
         turn = np.array([complex(math.cos(phi), math.sin(phi)) ** int(j) for j in k])
         if phi == 0.0 or abs(phi) == math.pi:
             turn = np.cos(phi) ** k
-        part = np.exp(L) ** k * turn * sum(a * binom[d - j] for j, a in enumerate(pole.weights))
+        part = np.exp(L) ** k * turn * sum(c * k**j for j, c in enumerate(pole.coeffs))
         total, size = total + part, size + np.abs(part)
     return total.real, size
 
@@ -125,7 +122,7 @@ def test_pole_list_h_matches_h_table(weights):
 @pytest.mark.parametrize("weights", [(1, 1, 1, 5), (2, 3, 5, 7), (1, 13)])
 def test_conjugate_poles_are_formed_as_exact_conjugates(weights):
     # each complex pole's conjugate is in the list with the negated arg, the
-    # conjugate weights and the same majorants, error and spread; polishing
+    # conjugate coefficients and the same majorants, errors and error; polishing
     # and expanding the conjugate separately gives the same bits, since every
     # decimal rounding is symmetric under negation
     rng = np.random.default_rng(len(weights))
@@ -139,8 +136,8 @@ def test_conjugate_poles_are_formed_as_exact_conjugates(weights):
                    if c.arg == p.arg.copy_negate() and c.log_modulus == p.log_modulus]
         assert len(partner) == 1
         c = partner[0]
-        assert c.weights == tuple(x.conjugate() for x in p.weights)
-        assert (c.majorants, c.error, c.spread) == (p.majorants, p.error, p.spread)
+        assert c.coeffs == tuple(x.conjugate() for x in p.coeffs)
+        assert (c.majorants, c.errors, c.error) == (p.majorants, p.errors, p.error)
     with smoothing.localcontext() as ctx:
         ctx.prec = smoothing._DECIMAL_DIGITS
         top = max(w for w, x in moments if x > 0)

@@ -989,8 +989,11 @@ def test_unit_poles_reproduce_the_denumerants():
     # -sum w < n < 0 and (-1)^d d(-n - sum w) below (reciprocity): from the
     # double coefficients to 1e-9, and from the 40-digit ones, summed at 50
     # digits, to 1e-25; (11, 13, 17, 19) has lcm(w) (d + 1) = 184,756 but 57
-    # poles
+    # poles.  The kernel poles of `_poles` share the record: at dyadic
+    # moments their 40-digit coefficients give h_n(t) for n >= 0 to 1e-25
+    # too, and 0 for -(d+1) D < n < 0, the band `_negative_tail` relies on
     mpmath = pytest.importorskip("mpmath")
+    cases = []
     for weights in [(1, 1, 1, 2), (1, 2, 3), (2, 3, 5, 7), (2, 3), (11, 13, 17, 19)]:
         poles, d, total = smoothing._unit_poles(weights), len(weights) - 1, sum(weights)
         counts = _coin_counts(weights, 300)
@@ -1001,11 +1004,27 @@ def test_unit_poles_reproduce_the_denumerants():
             q = sum(complex(np.exp(2j * np.pi * float(p.turn * n % 1)))
                     * sum(c * float(n) ** j for j, c in enumerate(p.coeffs)) for p in poles)
             assert abs(q - want) <= 1e-9 * max(1, abs(want)), (weights, n)
+        cases.append((weights, poles, ns, wants))
+    for weights, eighths in [((1, 3), (3, 5)), ((2, 3, 5), (1, 2, 5)), ((1, 1, 1, 5), (1, 1, 3, 3))]:
+        d, top = len(weights) - 1, max(weights)
+        t = np.array(eighths) / 8.0  # dyadic moments summing to 1 exactly
+        poles = smoothing._poles(d, smoothing._merged_moments(weights, t))
+        ns = list(range(-(d + 1) * top + 1, 200))
+        with mpmath.workdps(50):
+            h = [mpmath.mpf(1)]
+            for n in range(1, 200):
+                h.append(mpmath.fsum(mpmath.mpf(x) * (n + d * w) * h[n - w]
+                                     for x, w in zip(t, weights) if n >= w) / n)
+            wants = [h[n] if n >= 0 else 0 for n in ns]
+        cases.append((weights, poles, ns, wants))
+    for weights, poles, ns, wants in cases:
         with mpmath.workdps(50):
             sums = [mpmath.mpf(0)] * len(ns)
             for p in poles:
                 coeffs = [mpmath.mpc(str(re), str(im)) for re, im in p.exact]
-                zeta = mpmath.expjpi(2 * mpmath.mpf(p.turn.numerator) / p.turn.denominator)
+                zeta = mpmath.exp(mpmath.mpf(str(p.log_modulus)) + 1j * mpmath.mpf(str(p.arg)))
+                if p.turn is not None:
+                    zeta = mpmath.expjpi(2 * mpmath.mpf(p.turn.numerator) / p.turn.denominator)
                 phase = zeta ** ns[0]
                 for i, n in enumerate(ns):
                     sums[i] += phase * mpmath.polyval(coeffs[::-1], n)
