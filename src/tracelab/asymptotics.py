@@ -41,7 +41,7 @@ from .geometry import (
     hamiltonian,
     turn_phase,
 )
-from .quadrature import gaussian_line_rule
+from .quadrature import gauss_legendre, gaussian_line_size
 from .reports import ScanReport
 from .windows import Window
 
@@ -67,7 +67,7 @@ def psi2(u, w) -> complex | np.ndarray:
     return 1j * herm.imag - 0.5 * sq
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, repr=False)
 class LocalPrediction:
     """Inputs of the local leading term at a fixed-locus point.
 
@@ -217,7 +217,7 @@ def predict_global_component(
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class GaussianIntegralResult:
     closed_form: complex
     quadrature: complex
@@ -232,16 +232,17 @@ def unitary_eigenbasis(A: np.ndarray):
     -cot(phi/2), injectively on the circle minus 1; `numpy.linalg.eigh` of H
     gives an orthonormal eigenbasis U even for repeated eigenvalues.  The
     eigenvalues are the Rayleigh quotients of A on the columns of U.  Returns
-    (eigs, U) with A = U diag(eigs) U*, checked to 1e-10.
+    (eigs, U) with A = U diag(eigs) U*, checked to 1e-10; a stack (..., c, c)
+    of matrices gives stacks of both.
     """
-    c = A.shape[0]
+    eye = np.eye(A.shape[-1])
     try:
-        H = 1j * np.linalg.solve(np.eye(c) - A, np.eye(c) + A)
+        H = 1j * np.linalg.solve(eye - A, eye + A)
     except np.linalg.LinAlgError:
         raise CleanLocusError("non-clean matrix: id - A is singular") from None
-    _, U = np.linalg.eigh(0.5 * (H + H.conj().T))
-    eigs = np.einsum("ij,ik,kj->j", U.conj(), A, U)
-    if np.abs(A - (U * eigs) @ U.conj().T).max() > 1e-10:
+    _, U = np.linalg.eigh(0.5 * (H + H.conj().swapaxes(-1, -2)))
+    eigs = np.einsum("...ij,...ik,...kj->...j", U.conj(), A, U)
+    if np.abs(A - (U * eigs[..., None, :]) @ U.conj().swapaxes(-1, -2)).max() > 1e-10:
         raise QuadratureError("eigen-rotation failed (matrix not unitary?)")
     return eigs, U
 
@@ -256,45 +257,59 @@ def gaussian_normal_integral(A: np.ndarray) -> GaussianIntegralResult:
     The quadrature oracle rotates to a unitary eigenbasis of A
     (`unitary_eigenbasis`; Lebesgue-invariant), where the integrand is a
     product over eigenlines, and evaluates the square tensor Gauss-Legendre
-    rule of the psi2 integrand on each line (`_line_integral`).
+    rule of the psi2 integrand on each line (`_line_integrals`).  A stack
+    (..., c, c) of matrices is checked and integrated in one pass, into
+    arrays over the stack; a refusal names the first matrix at fault.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
-    c = A.shape[0]
-    if A.shape != (c, c) or not np.isfinite(A).all():
-        raise InputError(f"A must be a finite square matrix, got shape {A.shape}")
-    if c == 0:
-        return GaussianIntegralResult(1.0 + 0j, 1.0 + 0j, 0.0)
-    if np.abs(A.conj().T @ A - np.eye(c)).max() > 1e-10:
-        raise InputError("A must be unitary: the closed form holds only then")
-    det = np.linalg.det(np.eye(c) - A)
-    if abs(det) < 1e-10:
-        raise CleanLocusError("non-clean matrix: det(id - A) vanishes")
-    sigma = np.linalg.svd(A - np.eye(c), compute_uv=False).min()
-    if 0.5 * sigma**2 < 1e-12:
-        raise CleanLocusError("integral not absolutely convergent: psi2 real part degenerate")
-    closed = np.pi**c / det
-    eigs, _ = unitary_eigenbasis(A)
-    quadrature = 1.0 + 0.0j
-    for mu in eigs:
-        quadrature *= _line_integral(complex(mu))
+    batch, c = A.shape[:-2], A.shape[-1]
+    if A.shape[-2] != c or not np.isfinite(A).all():
+        raise InputError(f"A must be a finite square matrix (or a stack), got shape {A.shape}")
+    A = A.reshape(math.prod(batch), c, c)
+
+    def refuse(bad, error, message):
+        if bad.any():
+            at = np.unravel_index(np.argmax(bad), batch)
+            raise error(message + (f" (A[{', '.join(str(int(i)) for i in at)}])" if batch else ""))
+
+    closed = quadrature = np.ones(len(A), dtype=complex)
+    if c:
+        eye = np.eye(c)
+        refuse(np.abs(A.conj().swapaxes(-1, -2) @ A - eye).max(axis=(-2, -1)) > 1e-10, InputError,
+               "A must be unitary: the closed form holds only then")
+        det = np.linalg.det(eye - A)
+        refuse(abs(det) < 1e-10, CleanLocusError, "non-clean matrix: det(id - A) vanishes")
+        sigma = np.linalg.svd(A - eye, compute_uv=False).min(axis=-1)
+        refuse(0.5 * sigma**2 < 1e-12, CleanLocusError,
+               "integral not absolutely convergent: psi2 real part degenerate")
+        closed = np.pi**c / det
+        quadrature = _line_integrals(unitary_eigenbasis(A)[0]).prod(axis=-1)
     rel_q = abs(quadrature - closed) / abs(closed)
-    return GaussianIntegralResult(complex(closed), complex(quadrature), float(rel_q))
+    if not batch:
+        return GaussianIntegralResult(complex(closed[0]), complex(quadrature[0]), float(rel_q[0]))
+    return GaussianIntegralResult(*(v.reshape(batch) for v in (closed, quadrature, rel_q)))
 
 
-def _line_integral(mu: complex) -> complex:
-    """Square tensor Gauss-Legendre integral of exp(psi2(mu*v, v)) over one complex line.
+def _line_integrals(mu: np.ndarray) -> np.ndarray:
+    """Square tensor Gauss-Legendre integrals of exp(psi2(mu*v, v)) over one complex line each.
 
     On the line psi2(mu*v, v) = (i*Im mu - 0.5*|mu - 1|^2)*|v|^2, and
     |v|^2 = x^2 + y^2 at v = x + iy, so the n*n tensor sum over the nodes
-    x_i + i*x_j is exactly the square of the 1-d sum of w_i*exp(a*x_i^2):
-    the same rule, reordered, in O(n) work.
+    x_i + i*x_j of `gaussian_line_rule` is exactly the square of the 1-d sum
+    of w_i*exp(a*x_i^2): the same rule, reordered, in O(n) work.  Lines whose
+    rules have the same node count are summed together.
     """
     decay = 1.0 - mu.real  # = 0.5*|mu-1|^2 + ... >= (1-cos phi), the Gaussian rate
-    if decay <= 0:
+    if (decay <= 0).any():
         raise CleanLocusError("non-clean matrix: eigenline without decay")
-    x, w = gaussian_line_rule(decay, abs(mu.imag))
+    n, R = gaussian_line_size(decay, abs(mu.imag))
     a = 1j * mu.imag - 0.5 * abs(mu - 1.0) ** 2
-    return complex(np.dot(w, np.exp(a * x * x)) ** 2)
+    out = np.empty(mu.shape, dtype=complex)
+    for size in set(n.flat):  # not np.unique, which imports numpy.ma
+        on = n == size
+        x, w = gauss_legendre(int(size), -R[on][:, None], R[on][:, None])
+        out[on] = np.einsum("ij,ij->i", w, np.exp(a[on][:, None] * x * x)) ** 2
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -302,7 +317,7 @@ def _line_integral(mu: complex) -> complex:
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class StationaryCheck:
     pairing: float
     seed_point: np.ndarray
@@ -426,7 +441,7 @@ def stationary_point_check(
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class FitResult:
     coefficients: np.ndarray
     residuals: np.ndarray  # rms residual after fitting 0..n terms

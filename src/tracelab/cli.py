@@ -26,19 +26,20 @@ _FROM_TEXT = {_integer: int, _number: float, _integers: lambda t: [int(x) for x 
               _displacement: lambda t: [float(x) for x in t.split(",")]}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(kind: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracelab",
         description="spectral-side versus asymptotic-side experiments on weighted projective models",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        p = sub.add_parser(kind)
-        p.add_argument("--config", help="JSON config file; flags override its fields")
-        for f in FIELDS:
-            if f.flag:
-                p.add_argument(f.flag, dest=f.path, metavar=f.key.upper(), help=f.help)
-        p.add_argument("--precision", help="ignored: each row picks its arithmetic itself")
+    for name in KINDS:
+        p = sub.add_parser(name)
+        if name == kind:  # only the kind invoked needs its flags
+            p.add_argument("--config", help="JSON config file; flags override its fields")
+            for f in FIELDS:
+                if f.flag:
+                    p.add_argument(f.flag, dest=f.path, metavar=f.key.upper(), help=f.help)
+            p.add_argument("--precision", help="ignored: each row picks its arithmetic itself")
     return parser
 
 
@@ -58,7 +59,8 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = _merge(args)
         result = run(cfg)

@@ -37,7 +37,7 @@ _CALIBRATION_TOL = 1e-12  # relative gap allowed between contact_field and -i*di
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class ProjectiveModel:
     """Weighted projective model: dimension d and the d+1 positive weights."""
 
@@ -293,7 +293,7 @@ def complement_frame(x0: np.ndarray, order, tol: float) -> np.ndarray:
     return np.array(rows)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, repr=False)
 class HeisenbergChart:
     """Adapted chart at a point of the fixed component it carries.
 

@@ -384,7 +384,7 @@ def _default_chart(model: ProjectiveModel, tau0: float, x0_index: int | None):
 # ----------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(eq=False, repr=False)
 class RunResult:
     exit_code: int
     artifacts: tuple

@@ -89,7 +89,7 @@ def poisson_trace(weights, win: Window, lam: float) -> complex:
     taken at its turn s reduced exactly with `fractions.Fraction` (k lam
     mod 1 for e^{-2 pi i k lam}, (1 - 2k) lam mod 2 for e^{i (pi - 2 pi k)
     lam}), a double again since lam is, so only pi s, cos and sin round and
-    no phase argument grows with lam.
+    no phase argument grows with lam (and on a quarter turn none round).
     """
     weights = tuple(sorted(int(w) for w in weights))
     out = 0.0 + 0.0j
@@ -97,8 +97,11 @@ def poisson_trace(weights, win: Window, lam: float) -> complex:
     x = Fraction(lam)
 
     def cis_pi(s: Fraction) -> complex:
-        """e^{i pi s}, s reduced mod 2 exactly to [-1, 1] first."""
-        angle = math.pi * float(s - 2 * round(s / 2))
+        """e^{i pi s}, s reduced mod 2 exactly to [-1, 1] first; exact on quarter turns."""
+        s -= 2 * round(s / 2)
+        if (2 * s).denominator == 1:
+            return (1 + 0j, 1j, -1 + 0j, -1j)[int(2 * s) % 4]
+        angle = math.pi * float(s)
         return complex(math.cos(angle), math.sin(angle))
 
     if weights == (1, 2):

@@ -21,7 +21,7 @@ _FMT = "%.17e"
 CSV_COLUMNS = ("grid", "exact_re", "exact_im", "pred_re", "pred_im", "ratio_abs", "ratio_arg")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ScanReport:
     kind: str
     grid: np.ndarray

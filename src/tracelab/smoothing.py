@@ -122,7 +122,7 @@ _CLOSED_FORM_KAPPA = 16.0
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class TraceResult:
     """Smoothed traces (scalars, or arrays along a grid) with their error budgets.
 
@@ -554,7 +554,7 @@ _ROOT_SEPARATION = 1e-3
 _NEWTON_STEPS = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class _Pole:
     """One pole rho = e^(log_modulus + i arg) of a generating function sum_n
     c_n x^n: it adds rho^n sum_j coeffs[j] n^j to c_n for every integer n.
@@ -1721,7 +1721,7 @@ def negative_lambda_scan(
     return ScanReport("negative", lams, exact, predicted, meta=meta, fits=fits)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class ParitySplit:
     """Even and odd parts of the diagonal at +-u/sqrt(lam), with the cut remainder."""
 

@@ -12,9 +12,9 @@ sqrt(t)^beta.  Those frequencies sum to zero, so at each moment node the
 field is evaluated once, summed along the angle grid's diagonal and
 transformed by one d-dimensional FFT.  The moment weight depends on alpha
 and beta only through alpha + beta, sqrt(t)^alpha sqrt(t)^beta =
-sqrt(t)^(alpha + beta), so each degree sums the transform over the moment
-nodes once per alpha + beta, in one matrix product, and gathers entry
-(alpha, beta) at alpha + beta and frequency beta - alpha.  That is the
+sqrt(t)^(alpha + beta), so the transform is summed over the moment nodes
+once per alpha + beta, in one matrix product per chunk of degrees, and
+entry (alpha, beta) is gathered at alpha + beta and frequency beta - alpha.  That is the
 literal quadrature sum reordered, and it establishes that the monomials are
 eigensections with the affine eigenvalue law <alpha, w>.  Monomial values
 elsewhere, as in `eigensection_values`, come from one evaluator,
@@ -47,6 +47,8 @@ from .quadrature import SphereProductRule, sphere_product_rule, sphere_rule
 
 # entries per array of one block of moment nodes: 128 KB complex, so a block stays in cache
 _BLOCK_ENTRIES = 1 << 13
+# entries (alpha, beta) per chunk of `toeplitz_matrix`'s blocks, about 300 transient bytes each
+_PAIR_ENTRIES = 1 << 12
 # largest entry of |normalised Gram matrix - id| a block's quadrature may leave
 _GRAM_TOL = 1e-10
 # most entry-steps k_max (d + 1)(k_max w_max + 1) a multiplicity table may take: on
@@ -88,13 +90,14 @@ def monomial_norms(model: ProjectiveModel, k: int) -> np.ndarray:
     integer factorial.  The quadrature oracle `monomial_norms_quadrature`
     validates this independently.
     """
-    alphas = multi_indices(model.dim, k)
-    log_factorial = np.array([math.log(math.factorial(j)) for j in range(k + model.dim + 1)])
-    log_sq = (
-        model.dim * math.log(math.pi)
-        + log_factorial[alphas].sum(axis=1)
-        - log_factorial[k + model.dim]
-    )
+    return _exponent_norms(model.dim, multi_indices(model.dim, k))
+
+
+def _exponent_norms(d: int, alphas: np.ndarray) -> np.ndarray:
+    """`monomial_norms` of the rows alpha of ``alphas``, of any degrees."""
+    degree = alphas.sum(axis=1)
+    log_factorial = np.array([math.log(math.factorial(j)) for j in range(degree.max(initial=0) + d + 1)])
+    log_sq = d * math.log(math.pi) + log_factorial[alphas].sum(axis=1) - log_factorial[degree + d]
     return np.exp(0.5 * log_sq)
 
 
@@ -107,7 +110,7 @@ def monomial_norms_quadrature(model: ProjectiveModel, k: int) -> np.ndarray:
     return np.sqrt(vals)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, repr=False)
 class EigenBlock:
     """Eigendata of one degree block: the monomials z^alpha, |alpha| = k.
 
@@ -185,8 +188,8 @@ def toeplitz_matrix(model: ProjectiveModel, k: int) -> list[np.ndarray]:
     is summed along the diagonal grid axis (every frequency beta - alpha
     sums to zero) and transformed once per moment node into S.  The moment
     weight of entry (alpha, beta) is sqrt(t)^alpha sqrt(t)^beta =
-    sqrt(t)^(alpha + beta), so each degree's moment sum runs once per sigma
-    of twice that degree (`multi_indices`), as one matrix product X = (w
+    sqrt(t)^(alpha + beta), so the moment sum runs once per sigma of twice
+    each degree (`multi_indices`), as one matrix product X = (w
     sqrt(t)^sigma)^T S over the moment nodes, and
 
         op[alpha, beta] = sum_i beta_i X[alpha + beta, beta - alpha, i],
@@ -198,7 +201,9 @@ def toeplitz_matrix(model: ProjectiveModel, k: int) -> list[np.ndarray]:
     node-by-node sum reordered, with no torus invariance assumed: S keeps
     every frequency, so a field that depends on the phases shows up off the
     diagonal.  Each normalised Gram matrix must be the identity to
-    `_GRAM_TOL` and each result Hermitian.
+    `_GRAM_TOL` and each result Hermitian, or QuadratureError names the
+    first degree that is not.  Blocks of up to `_PAIR_ENTRIES` entries in
+    all are built and checked as one flat array, and returned as its views.
     """
     _check_degree(k)
     d = model.dim
@@ -206,13 +211,12 @@ def toeplitz_matrix(model: ProjectiveModel, k: int) -> list[np.ndarray]:
     n, m_t = rule.n_angles, rule.t.shape[0]
     fold = (n,) * d  # the angle grid with its diagonal axis s summed out
     step = max(1, _BLOCK_ENTRIES // (n ** (d + 1) * (d + 1)))  # moment nodes per block
-    S = np.empty((m_t, n**d * (d + 1)), dtype=complex)
+    S = np.empty((m_t, *fold, d + 1), dtype=complex)
     for lo in range(0, m_t, step):
         z = rule.nodes(slice(lo, lo + step))  # (m, *fold, s, d+1)
-        q = contact_field(model, z) / z
-        # sum along the diagonal, then one d-dimensional transform per moment node
-        sums = np.fft.ifftn(q.sum(axis=-2), axes=tuple(range(1, d + 1)), norm="forward")
-        S[lo : lo + step] = sums.reshape(len(sums), -1)
+        S[lo : lo + step] = (contact_field(model, z) / z).sum(axis=-2)  # along the diagonal
+    # one d-dimensional transform per moment node
+    S = np.fft.ifftn(S, axes=tuple(range(1, d + 1)), norm="forward").reshape(m_t, -1)
     ones = np.fft.ifftn(np.full(fold, float(n)), norm="forward").ravel()  # Gram: q = 1, folded
     # powers[i, a] = sqrt(t_i)^a at every moment node, a <= 2k
     powers = np.empty((d + 1, 2 * k + 1, m_t))
@@ -222,43 +226,64 @@ def toeplitz_matrix(model: ProjectiveModel, k: int) -> list[np.ndarray]:
         np.multiply(powers[:, a - 1], root_t, out=powers[:, a])
 
     binom = np.array([[math.comb(x, r) for r in range(d + 1)] for x in range(2 * k + d)])
-    out = []
-    for j in range(k + 1):
-        block = degree_block(model, j)
-        exponents, dim = block.exponents, block.dim
-        sigma = multi_indices(d, 2 * j)
-        moment = np.prod(powers[np.arange(d + 1), sigma], axis=1) * rule.weights  # (sigma, m_t)
-        X = (moment @ S).reshape(len(sigma), n**d, d + 1)
-        # row of alpha + beta in sigma and flat frequency beta - alpha (mod n), per (alpha, beta)
-        pair = _index_rank(exponents[:, None, :] + exponents, 2 * j, binom)
-        gamma = (exponents[:, :d] - exponents[:, None, :d]) % n
-        freq = np.ravel_multi_index(tuple(np.moveaxis(gamma, -1, 0)), fold)
-        gram = moment.sum(axis=1)[pair] * ones[freq]
-        op = np.einsum("abi,bi->ab", X[pair, freq], exponents)
-        scale = np.outer(block.norms, block.norms)
-        residual = np.abs(gram / scale - np.eye(dim)).max()
-        if residual > _GRAM_TOL:
-            raise QuadratureError(f"quadrature under-resolved at k={j}: Gram residual {residual:.2e}")
+    E = multi_indices(d + 1, k)[:, 1:]  # |alpha| <= k: the slack k - |alpha| descends first
+    partial = np.cumsum(E[:, :d], axis=1)  # alpha_0 + ... + alpha_i, for `_index_rank`
+    norms = _exponent_norms(d, E)
+    column = E.T.copy()  # column[i] = alpha_i of every exponent
+    dims = np.array([section_dimension(d, j) for j in range(k + 1)])
+    first = np.cumsum(dims) - dims  # each degree's first exponent
+    ends = np.cumsum(dims**2)
+    out, j0 = [], 0
+    while j0 <= k:  # the blocks of degrees j0..j1-1
+        j1 = max(j0 + 1, int(np.searchsorted(ends, ends[j0] - dims[j0] ** 2 + _PAIR_ENTRIES, "right")))
+        size = dims[j0:j1] ** 2
+        starts = np.cumsum(size) - size  # each block's first entry, row-major
+        deg = np.repeat(np.arange(j0, j1), size)
+        p = np.arange(size.sum())
+        a, b = np.divmod(p - np.repeat(starts, size), dims[deg])
+        turn = p + (b - a) * (dims[deg] - 1)  # the entry (beta, alpha) of (alpha, beta)
+        a, b = a + first[deg], b + first[deg]
+        sigma = [multi_indices(d, 2 * j) for j in range(j0, j1)]
+        count = np.array([len(m) for m in sigma])
+        sum_row = np.repeat(np.cumsum(count) - count, size)  # row of alpha + beta
+        sum_row += _index_rank(partial.take(a, 0) + partial.take(b, 0), 2 * deg, binom)
+        freq = np.ravel_multi_index(tuple((column[:d].take(b, 1) - column[:d].take(a, 1)) % n), fold)
+        sigma = np.concatenate(sigma)
+        moment = rule.weights * np.prod([powers[i].take(sigma[:, i], 0) for i in range(d + 1)], axis=0)
+        X = (moment @ S.view(float)).view(complex).reshape(-1, d + 1)  # (len(sigma) n^d, d + 1)
+        X = X.take(sum_row * n**d + freq, axis=0)
+        op = sum(X[:, i] * column[i].take(b) for i in range(d + 1))
+        scale = norms.take(a) * norms.take(b)
+        gram = moment.sum(axis=1).take(sum_row) * ones.take(freq) / scale
+        gram[a == b] -= 1.0
         op *= 1j / scale
-        herm = np.abs(op - op.conj().T).max()
-        if herm > 1e-9:
-            raise QuadratureError(f"assembled block not Hermitian at k={j}: residual {herm:.2e}")
-        out.append(0.5 * (op + op.conj().T))
+        flip = op.take(turn).conj()
+        for residual, tol, what in ((gram, _GRAM_TOL, "quadrature under-resolved at k={}: Gram"),
+                                    (op - flip, 1e-9, "assembled block not Hermitian at k={}:")):
+            worst = np.maximum.reduceat(np.abs(residual), starts)  # per degree
+            if (worst > tol).any():
+                j = int(np.argmax(worst > tol))
+                raise QuadratureError(f"{what.format(j0 + j)} residual {worst[j]:.2e}")
+        op += flip
+        op *= 0.5
+        out += [op[s : s + m * m].reshape(m, m) for s, m in zip(starts, dims[j0:j1])]
+        j0 = j1
     return out
 
 
-def _index_rank(alphas: np.ndarray, k: int, binom: np.ndarray) -> np.ndarray:
-    """Row of each exponent vector (last axis, |alpha| = k) in `multi_indices`(d, k).
+def _index_rank(partial: np.ndarray, k, binom: np.ndarray) -> np.ndarray:
+    """Row in `multi_indices`(d, k) of each exponent vector alpha, |alpha| = k,
+    given by its partial sums ``partial[..., i]`` = alpha_0 + ... + alpha_i, i < d.
 
     That order lists the bar positions b_1 < ... < b_d, b_i = alpha_0 + ...
     + alpha_{i-1} + i - 1, of stars and bars in descending lexicographic
     order, where the combinatorial number system ranks them as
     sum_i C(k + d - 1 - b_i, d + 1 - i); ``binom[x, r]`` = C(x, r) for x <
-    k + d, r <= d.
+    k + d, r <= d.  k may be an array that broadcasts against each
+    ``partial[..., i]``.
     """
-    d = alphas.shape[-1] - 1
-    bars = np.cumsum(alphas[..., :d], axis=-1) + np.arange(d)
-    return binom[k + d - 1 - bars, d - np.arange(d)].sum(axis=-1)
+    d = partial.shape[-1]  # >= 1
+    return sum(binom[:, d - i].take(k + d - 1 - i - partial[..., i]) for i in range(d))
 
 
 # ----------------------------------------------------------------------------
@@ -269,7 +294,7 @@ def _index_rank(alphas: np.ndarray, k: int, binom: np.ndarray) -> np.ndarray:
 _CACHE_FORMAT = 2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, repr=False)
 class SpectralPackage:
     """Distinct eigenvalues with their multiplicities through degree k_max.
 

@@ -71,6 +71,31 @@ def test_criterion_01_asks_for_one_legendre_size(shared, monkeypatch):
     assert sizes == {33}, sorted(sizes)  # (62 + 1)//2 + 2 nodes on the moment axis
 
 
+@pytest.mark.parametrize("kernel", ["toeplitz_matrix", "crit_09"])
+def test_verify_kernels_allocate_at_most_3_mb(shared, kernel):
+    """Traced peak allocation of criterion 1's assembly and of criterion 9.
+
+    verify's own peak RSS, 36.2 MB, sits about 2 MB under the 38.5 MB that
+    the benchmark runner's child processes cannot go below (their peak RSS
+    starts at the runner's), so a few MB more of transient arrays would
+    show as a verify-suite peak_rss_mb regression.
+    """
+    import tracemalloc
+
+    from tracelab.geometry import make_model
+    from tracelab.spectral import toeplitz_matrix
+
+    run = {"toeplitz_matrix": lambda: toeplitz_matrix(make_model((1, 2)), 60),
+           "crit_09": lambda: verify.crit_09_gaussian_integral(shared)}[kernel]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6, peak
+
+
 def test_criterion_01_spectral_structure(shared):
     result = verify.crit_01_spectral_structure(shared)
     _check(result)

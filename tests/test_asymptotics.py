@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tracelab.asymptotics import (
-    _line_integral,
+    _line_integrals,
     _period_phase,
     component_f_integral,
     fit_expansion,
@@ -84,6 +84,35 @@ def test_gaussian_integral_random_unitaries():
             assert res.quadrature_rel_error < 1e-5
 
 
+def test_gaussian_integral_of_a_stack_matches_each_matrix():
+    """A (4, 5, c, c) stack integrates as one batch, each entry within 1e-14
+    of its own call; the half turn -id is among them."""
+    rng = np.random.default_rng(31)
+    for c in (1, 3):
+        stack = np.array([_random_unitary(rng, c, rng.uniform(0.2, 2.0 * np.pi - 0.2, size=c))
+                          for _ in range(20)]).reshape(4, 5, c, c)
+        stack[0, 0] = -np.eye(c)
+        res = gaussian_normal_integral(stack)
+        assert res.closed_form.shape == res.quadrature.shape == res.quadrature_rel_error.shape == (4, 5)
+        for i, j in np.ndindex(4, 5):
+            one = gaussian_normal_integral(stack[i, j])
+            assert abs(res.closed_form[i, j] - one.closed_form) <= 1e-14 * abs(one.closed_form)
+            assert abs(res.quadrature[i, j] - one.quadrature) <= 1e-14 * abs(one.quadrature)
+            assert res.quadrature_rel_error[i, j] < 1e-12
+
+
+def test_gaussian_integral_names_the_matrix_a_stack_refuses():
+    rng = np.random.default_rng(32)
+    stack = np.array([_random_unitary(rng, 2, [1.0, 2.5]) for _ in range(6)])
+    stack[4] *= 1.01
+    with pytest.raises(InputError, match=r"unitary.*\(A\[4\]\)"):
+        gaussian_normal_integral(stack)
+    stack[4] /= 1.01
+    stack[1] = np.eye(2)
+    with pytest.raises(CleanLocusError, match=r"det\(id - A\) vanishes \(A\[1\]\)"):
+        gaussian_normal_integral(stack)
+
+
 def _literal_line_sum(mu, x, w):
     """The n*n tensor sum of exp(psi2(mu*V, V)) over the nodes V = x_i + i*x_j."""
     total = 0j
@@ -107,7 +136,7 @@ def test_line_integral_equals_literal_tensor_sum(rung, previous):
         x, w = gaussian_line_rule(1.0 - mu.real, abs(mu.imag))
         assert x.size == rung
         literal = _literal_line_sum(mu, x, w)
-        assert abs(_line_integral(mu) - literal) <= 1e-13 * abs(literal)
+        assert abs(_line_integrals(np.array([mu]))[0] - literal) <= 1e-13 * abs(literal)
 
 
 def _sorted_by_angle(eigs):

@@ -81,9 +81,11 @@ def test_poisson_unknown_weights():
 def test_poisson_trace_phases_keep_full_accuracy():
     # (1, 2) at tau0 = pi, eps 0.15, on 41 points of [150, 400]: the phases
     # are taken at turns reduced exactly (k lam mod 1, (1 - 2k) lam mod 2),
-    # so every row is within 1.5e-16 of a 40-digit sum, the worst 1.22e-16
-    # (reduced in double by fmod it was 5e-16; unreduced, the median was
-    # 3.9e-14 and the max 1.5e-13)
+    # and these lam, multiples of 1/4, put every turn on a quarter turn,
+    # where the phase is exact.  So every row is the 40-digit sum rounded,
+    # the worst 9.3e-45 off (the sum's imaginary part); with cos and sin of
+    # pi s there it was 1.22e-16, reduced in double by fmod 5e-16, and
+    # unreduced the median was 3.9e-14 and the max 1.5e-13
     mpmath = pytest.importorskip("mpmath")
     tau0, eps = 3.141592653589793, 0.15
     win = Window("gaussian", tau0, eps)
@@ -97,4 +99,4 @@ def test_poisson_trace_phases_keep_full_accuracy():
                      for n in range(int(lam) - 80, int(lam) + 81)]
             ref = complex(e * mpmath.sqrt(2 * mpmath.pi) * mpmath.fsum(terms))
             worst = max(worst, abs(poisson_trace((1, 2), win, float(lam)) - ref) / abs(ref))
-    assert worst <= 1.5e-16
+    assert worst <= 1e-40

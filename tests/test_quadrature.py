@@ -103,11 +103,30 @@ def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1(n):
 def test_gauss_legendre_rule_refuses_instead_of_iterating_on(monkeypatch):
     from tracelab import quadrature
 
-    monkeypatch.setattr(quadrature, "_NEWTON_SWEEPS", 1)  # Tricomi's guesses are not 1e-15 close
+    monkeypatch.setattr(quadrature, "_NEWTON_SWEEPS", 1)  # the guesses are not 1e-15 close
     with pytest.raises(QuadratureError, match="did not converge"):
         quadrature._legendre_reference.__wrapped__(200)
     with pytest.raises(ValueError):
         quadrature._legendre_reference.__wrapped__(0)
+
+
+@pytest.mark.parametrize("n, before", [(128, 5), (256, 4), (512, 4), (1400, 4)])
+def test_gauss_legendre_rule_takes_two_recurrence_sweeps(monkeypatch, n, before):
+    """Olver's and Tricomi's guesses leave one Newton sweep and the sweep that
+    confirms it, which also gives the weights; from Tricomi's leading terms,
+    with the weights from a sweep of their own, a rule took ``before``."""
+    from tracelab import quadrature
+
+    sweeps = []
+    value_slope = quadrature._legendre_value_slope
+
+    def counting(m, x):
+        sweeps.append(m)
+        return value_slope(m, x)
+
+    monkeypatch.setattr(quadrature, "_legendre_value_slope", counting)
+    quadrature._legendre_reference.__wrapped__(n)
+    assert len(sweeps) == 2 < before
 
 
 @pytest.mark.parametrize("decay, rate", [(0.3, 0.0), (1.2, 2.5), (0.05, 0.4)])

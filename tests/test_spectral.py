@@ -57,7 +57,8 @@ def test_multi_indices_are_read_only_and_ranked():
         first[0, 0] = 1
     for d, k in [(1, 9), (2, 6), (3, 5)]:
         binom = np.array([[math.comb(x, r) for r in range(d + 1)] for x in range(k + d)])
-        rank = spectral._index_rank(multi_indices(d, k), k, binom)
+        partial = np.cumsum(multi_indices(d, k)[:, :d], axis=1)
+        rank = spectral._index_rank(partial, k, binom)
         assert np.array_equal(rank, np.arange(section_dimension(d, k)))
 
 
@@ -224,9 +225,22 @@ def test_toeplitz_detects_phase_dependent_field(monkeypatch, weights, k, coupled
             assert 0.5 * eps < np.abs(off).max() < 10 * eps, degree
 
 
+@pytest.mark.parametrize("weights,k", [((1, 2), 20), ((1, 1, 2), 7)])
+def test_toeplitz_blocks_do_not_depend_on_the_chunks(monkeypatch, weights, k):
+    """One degree per chunk or all degrees in one: the same blocks."""
+    model = make_model(weights)
+    monkeypatch.setattr(spectral, "_PAIR_ENTRIES", 1)
+    per_degree = toeplitz_matrix(model, k)
+    monkeypatch.setattr(spectral, "_PAIR_ENTRIES", 1 << 30)
+    for alone, together in zip(per_degree, toeplitz_matrix(model, k), strict=True):
+        assert alone.shape == together.shape and np.abs(alone - together).max() < 1e-13
+
+
 def test_toeplitz_gram_tolerance_still_enforced(model12, monkeypatch):
+    """Each degree's Gram check survives the chunked assembly: the first
+    degree past the tolerance, here k = 0 (a 1.1e-16 residual), is named."""
     monkeypatch.setattr(spectral, "_GRAM_TOL", 1e-300)
-    with pytest.raises(QuadratureError, match="under-resolved"):
+    with pytest.raises(QuadratureError, match="under-resolved at k=0:"):
         toeplitz_matrix(model12, 4)
 
 
