@@ -51,9 +51,13 @@ class ProjectiveModel:
 
 def make_model(weights) -> ProjectiveModel:
     """The weighted projective model of ``weights`` (>= 2 positive ints), its field checked."""
-    ws = tuple(int(w) for w in weights)
-    if len(ws) < 2 or any(w <= 0 for w in ws):
-        raise InputError("weights must be >= 2 strictly positive integers")
+    try:
+        ws = tuple(int(w) for w in weights)
+        integral = not isinstance(weights, (str, bytes)) and all(w == v for w, v in zip(weights, ws))
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or len(ws) < 2 or min(ws) <= 0:
+        raise InputError(f"weights must be >= 2 strictly positive integers, got {weights!r}")
     return calibrate(ProjectiveModel(dim=len(ws) - 1, weights=ws))
 
 

@@ -35,6 +35,9 @@ from .windows import SHAPES, Window
 CACHE_ENV_VAR = "TRACELAB_CACHE"
 
 KINDS = ("spectrum", "trace", "local", "offlocus", "parity", "verify")
+# most points a 'start:stop:count' grid may have: a (1, 2) trace of 2^16 rows
+# takes about 2 s and writes 18 MB (2-core x86); 10^7 rows ran past a minute
+_GRID_COUNT_MAX = 1 << 16
 
 
 def parse_lambda_grid(text: str) -> np.ndarray:
@@ -46,8 +49,8 @@ def parse_lambda_grid(text: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"lambda_grid: {exc}") from None
-    if count < 1:
-        raise ConfigError("lambda_grid: count must be >= 1")
+    if not 1 <= count <= _GRID_COUNT_MAX:
+        raise ConfigError(f"lambda_grid: count must be between 1 and {_GRID_COUNT_MAX}, got {count}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"lambda_grid: endpoints must be finite, got {text!r}")
     if len(parts) == 4:

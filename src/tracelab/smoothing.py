@@ -44,32 +44,33 @@ on the omitted aliases and one rounding derivation (`_pole_sum`).  The
 phase of a root of unity comes from an exact reduction of lam
 (`_period_phase`); any other pole's exponent is formed per row at
 `_DECIMAL_DIGITS` digits and rounded once.  The part of the continued
-formula at negative n is subtracted: the trace's reciprocity ghost, an
-eigen-sum at -lam - sum w (`_ghost_trace`), and the kernel's n <= -(d+1)D,
-summed from the poles (`_negative_tail`).  Such a row costs O(1) in lam,
-is labelled "closed-form", and reports its omitted aliases and negative-n
-part as its remainder.  It is kept when its poles are separated, it does
-not cancel (its own kappa is at most `_CLOSED_FORM_KAPPA`) and its
-remainder meets the cut target; trace period terms that cancel past that
-are summed again at `_DECIMAL_DIGITS` digits (`_exact_periods`).
+formula at negative n is subtracted: the trace's reciprocity ghost, (-1)^d
+times the conjugate trace eigen-sum at -lam - sum w, and the kernel's n <=
+-(d+1)D, summed from the poles (`_negative_tail`).  Such a row costs O(1) in
+lam, is labelled "closed-form", and reports its omitted aliases and
+negative-n part as its remainder.  It is kept when its poles are separated,
+it does not cancel (its own kappa is at most `_CLOSED_FORM_KAPPA`) and its
+remainder meets the cut target; trace period terms that cancel past that are
+summed again at `_DECIMAL_DIGITS` digits (`_exact_periods`).
 
 Every other row (bump windows, colliding poles, trace rows past 2^52, rows
-whose terms overflow) is an eigen-sum over its window cut (`_eigen_sums`),
-in double.  Near a period the phases alternate and the sum cancels: kappa =
-sum |terms| / |sum| is 5e7 to 2e12 on the off-locus diagonal scans and grows
-like lam^d on a trace at tau0 = pi.  A row the closed form formed but turned
-away only for its own kappa is summed as an eigen-sum too, and keeps
-whichever value reports the smaller remainder plus rounding bound
-(`_keep_certified`); no eigen-sum is summed past double.  The eigen-sum
-takes its phases from one table of cis(k tau0), |k| <= K, each entry
-rounded once from 40 digits and built once per (tau0, eps)
-(`_phase_table`): with c = round(lam) and f = lam - c
-a row is e^{-i f tau0} sum_k c_{c+k} chihat_0(f - k) cis(k tau0), so no
-phase argument grows with |lam - n| and a row takes one complex
+whose terms overflow) is an eigen-sum over its window cut, in double
+(`_eigen_sum_trace`, `_eigen_sum_diagonal`: `_window_cut`, one coefficient
+table, `_window_sums` and `_rounding_bounds`).  Near a period the phases
+alternate and the sum cancels: kappa = sum |terms| / |sum| is 5e7 to 2e12 on
+the off-locus diagonal scans and grows like lam^d on a trace at tau0 = pi.
+One chooser serves traces and kernels (`_chosen_rows`): a row the closed
+form formed but turned away only for its own kappa is summed as an eigen-sum
+too, and keeps whichever value reports the smaller remainder plus rounding
+bound; no eigen-sum is summed past double.  The eigen-sum takes its phases
+from one table of cis(k tau0), |k| <= K, each entry rounded once from 40
+digits and built once per (tau0, eps) (`_phase_table`): with c = round(lam)
+and f = lam - c a row is e^{-i f tau0} sum_k c_{c+k} chihat_0(f - k) cis(k
+tau0), so no phase argument grows with |lam - n| and a row takes one complex
 exponential.  Each row reports its arithmetic, "closed-form" or "double",
 and a rounding bound (`_rounding_bounds`, or the closed form's own) next to
-its remainder; the eigen-sum's bound charges each term's rounding at its
-own distance |lam - n|, and passes |value| on a row that cancels past what
+its remainder; the eigen-sum's bound charges each term's rounding at its own
+distance |lam - n|, and passes |value| on a row that cancels past what
 double resolves.
 """
 
@@ -80,6 +81,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
@@ -193,65 +195,65 @@ def smoothed_trace(
 ) -> TraceResult:
     """Exact smoothed trace sum_n d(n) transform(lam - n) over every degree.
 
-    ``lam`` is a number or a grid.  Each row is first formed in closed form
-    from the quasi-polynomial of d(n) (`_closed_form_trace`); the rows it
-    does not take are eigen-sums over their own window cut
-    (`_eigen_sum_trace`), and one it turned away for its kappa keeps the
-    better certified of the two (`_keep_certified`).  A tau0 past
-    `_check_tau0`'s limit or a non-finite lam refuses before either runs.
+    ``lam`` is a number or a 1-D grid.  Each row is first formed in closed
+    form from the poles of d(n)'s generating function (`_closed_form_trace`);
+    the rows it does not take are eigen-sums over their own window cut
+    (`_eigen_sum_trace`), chosen between by `_chosen_rows`.
     """
-    _check_tau0(win)
-    lams = _check_lambdas(np.atleast_1d(np.asarray(lam, dtype=float)))
-    *columns, taken, formed = _closed_form_trace(model, win, lams, tail_tol)
-    values, remainders, bounds, terms = columns
-    precision = np.full(lams.size, "closed-form", dtype=object)
-    rest = np.flatnonzero(~taken)
-    if rest.size:
-        eigen = _eigen_sum_trace(model, win, lams[rest], tail_tol)
-        _keep_certified(rest, formed, columns, eigen, precision)
+    (values, remainders, bounds, terms), precision = _chosen_rows(
+        win, lam, tail_tol, None,
+        lambda lams: _closed_form_trace(model, win, lams, tail_tol),
+        lambda lams, rows: _eigen_sum_trace(model, win, lams),
+    )
     if np.ndim(lam) == 0:
-        return TraceResult(
-            complex(values[0]), float(remainders[0]), int(terms[0]), float(bounds[0]),
-            str(precision[0]),
-        )
+        return TraceResult(complex(values[0]), float(remainders[0]), int(terms[0]),
+                           float(bounds[0]), str(precision[0]))
     return TraceResult(values, remainders, int(terms.sum()), bounds, precision)
 
 
-def _eigen_sum_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, tail_tol: float):
-    """The trace rows at ``lams`` as window-cut eigen-sums (`_eigen_sums`):
-    values, remainders, rounding bounds and each row's count of eigenvalues
-    inside its cut."""
+def _chosen_rows(win: Window, lam, tail_tol, size, closed_form, eigen_sum):
+    """The rows of a trace or kernel diagonal: the columns of ``closed_form``
+    (values, remainders, rounding bounds, and for traces term counts) and
+    each row's arithmetic, "closed-form" or "double".  In order: tau0
+    (`_check_tau0`), lam (`_check_lambdas`, ``size`` rows when given) and
+    tail_tol are checked; ``closed_form(lams)`` forms the rows, with masks of
+    the rows taken and formed (taken, or turned away only for their kappa);
+    ``eigen_sum(lams, rows)`` sums the others (values, remainders, bounds,
+    sum |terms|, further columns); a row short of `_final_cut_target`
+    refuses; a formed row keeps the better certified of its two values."""
+    _check_tau0(win)
+    lams = _check_lambdas(lam, size)
+    if not (isinstance(tail_tol, Real) and 0 < tail_tol < math.inf):
+        raise InputError(f"tail_tol must be positive and finite, got {tail_tol!r}")
+    *columns, taken, formed = closed_form(lams)
+    precision = np.full(lams.size, "closed-form", dtype=object)
+    rows = np.flatnonzero(~taken)
+    if rows.size:
+        values, remainders, bounds, magnitudes, *more = eigen_sum(lams[rows], rows)
+        targets = _final_cut_target(tail_tol, 2.0**-52, magnitudes)
+        if not (remainders <= targets).all():
+            i = int(np.argmin(remainders <= targets))  # the first row short of its target
+            raise CoverageError(f"window cut remainder {remainders[i]:.2e} cannot reach "
+                                f"{targets[i]:.2e} at lambda={lams[rows[i]]}")
+        use = ~(formed[rows] & (columns[1][rows] + columns[2][rows] < remainders + bounds))
+        for column, new in zip(columns, (values, remainders, bounds, *more)):
+            column[rows[use]] = new[use]
+        precision[rows[use]] = "double"
+    return columns, precision
 
-    def table(n_max):
-        counts = _denumerants(model.weights, n_max).astype(float)
-        return np.broadcast_to(counts[:, None], (counts.size, lams.size))
 
-    sums = _eigen_sums(win, model, lams, tail_tol, 1.0, table)
-    values, _, remainders, lo, hi = sums
+def _eigen_sum_trace(model: ProjectiveModel, win: Window, lams: np.ndarray):
+    """The trace rows at ``lams`` as window-cut eigen-sums: values,
+    remainders, rounding bounds, sum |terms| and each row's count of
+    eigenvalues inside its cut, all from one table of d(n)."""
+    lo, hi, remainders = _window_cut(win, model, lams)
+    counts = _denumerants(model.weights, int(hi.max(initial=-1))).astype(float)
+    table = np.broadcast_to(counts[:, None], (counts.size, lams.size))
+    values, moments = _window_sums(win, lams, table, lo, hi, 1.0, _phase_table(win))
     # d(n) is an exact int64 rounded once to double
-    bounds = _rounding_bounds(win, model, lams, sums, 1.0)
-    return values, remainders, bounds, _cut_counts(model, lo, hi)
-
-
-def _keep_certified(rows, formed, columns, eigen, precision) -> None:
-    """Fill ``rows`` of ``columns`` (values, remainders, rounding bounds, and
-    for traces term counts) from the eigen-sum's ``eigen`` columns of those
-    rows, labelled "double", except where the closed form formed the row
-    (``formed``) and reports a smaller remainder plus rounding bound: that
-    row keeps its closed form."""
-    closed = columns[1][rows] + columns[2][rows]
-    use = ~(formed[rows] & (closed < eigen[1] + eigen[2]))
-    for column, new in zip(columns, eigen):
-        column[rows[use]] = new[use]
-    precision[rows[use]] = "double"
-
-
-def _cut_counts(model: ProjectiveModel, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The eigenvalues, with multiplicity, in each cut lo..hi (0 if empty),
-    as doubles: d(n) passes int64 on large cuts."""
-    counts = _denumerants(model.weights, int(hi.max(initial=-1)))
-    below = np.concatenate([[0.0], np.cumsum(counts, dtype=float)])
-    return below[hi + 1] - below[lo]
+    bounds = _rounding_bounds(win, model, lams, (values, moments, remainders, lo, hi), 1.0)
+    below = np.concatenate([[0.0], np.cumsum(counts)])  # doubles: d(n) passes int64 on large cuts
+    return values, remainders, bounds, moments[0], below[hi + 1] - below[lo]
 
 
 # ----------------------------------------------------------------------------
@@ -332,8 +334,19 @@ def _check_tau0(win: Window) -> None:
         )
 
 
-def _check_lambdas(lams: np.ndarray) -> np.ndarray:
-    """``lams``, refused (InputError) unless every lam is finite."""
+def _check_lambdas(lam, size: int | None = None) -> np.ndarray:
+    """``lam``, a number or a 1-D grid, as a float grid (broadcast to ``size``
+    rows when given), refused (InputError) unless every lam is real and
+    finite."""
+    try:
+        lams = np.asarray(lam)
+        if lams.dtype.kind not in "iufO" or lams.ndim > 1:
+            raise TypeError
+        lams = np.atleast_1d(lams.astype(float))
+        lams = lams if size is None else np.broadcast_to(lams, (size,))
+    except (TypeError, ValueError):
+        per = "" if size is None else f" (one, or one per point: {size})"
+        raise InputError(f"lambda must be a real number or a 1-D grid{per}, got {lam!r}") from None
     if not np.isfinite(lams).all():
         raise InputError(f"lambda must be finite, got {lams[~np.isfinite(lams)][0]}")
     return lams
@@ -349,34 +362,10 @@ def _final_cut_target(tail_tol: float, unit, magnitudes: np.ndarray) -> np.ndarr
 # ----------------------------------------------------------------------------
 
 
-def _eigen_sums(win, model, lams, tail_tol, scale: float, table):
-    """scale * sum_n c_n chihat(lam - n) per lam in double over its window
-    cut (`_window_cut`), with the phases of `_phase_table`.
-
-    ``table(n_max)`` gives c_0..c_{n_max} in double, one column per lam.  A
-    tau0 past `_check_tau0`'s limit, or a row whose remainder exceeds
-    `_final_cut_target`, refuses.  Returns (values, moments, remainders, lo,
-    hi), the moments as `_window_sums` gives them.
-    """
-    lo, hi, remainders = _window_cut(win, model, lams)
-    remainders = remainders * scale
-    _check_tau0(win)
-    h = table(int(hi.max(initial=-1)))
-    values, moments = _window_sums(win, lams, h, lo, hi, scale, _phase_table(win))
-    targets = _final_cut_target(tail_tol, 2.0**-52, moments[0])
-    short = np.flatnonzero(~(remainders <= targets))
-    if short.size:
-        i = short[0]
-        raise CoverageError(
-            f"window cut remainder {remainders[i]:.2e} cannot reach {targets[i]:.2e} "
-            f"at lambda={lams[i]}"
-        )
-    return values, moments, remainders, lo, hi
-
-
 def _rounding_bounds(win, model, lams, sums, fixed_units, units_per_n=0.0) -> np.ndarray:
-    """First-order bounds on the rounding error of each row of ``sums``, the
-    result of `_eigen_sums`.
+    """First-order bounds on the rounding error of each row of ``sums``,
+    (values, moments, remainders, lo, hi) of an eigen-sum's window cut and
+    `_window_sums`.
 
     With u = 2^-53 and N kept terms, c = round(lam) and f = lam - c (|f| <=
     1/2), the term at n = c + k, s = lam - n = f - k and x = (eps s)^2 / 2,
@@ -1154,7 +1143,7 @@ def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol
     the eigen-sum, whose terms may not cancel at all, can keep more digits:
     a (1, 2, 2) row at tau0 = 0, lam = 0 with kappa 840 was 8.7e-14 off.
     Every row it does not take is summed by `_eigen_sum_diagonal`, and a
-    formed row keeps the value with the smaller remainder plus bound.
+    formed row keeps the better certified value (`_chosen_rows`).
     """
     values = np.zeros(lams.size, dtype=complex)
     remainders, bounds = np.zeros(lams.size), np.zeros(lams.size)
@@ -1213,25 +1202,17 @@ def _diagonal_values(
     moments: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact diagonal at paired (lam_i, point_i): the values, their
-    remainders and rounding bounds, and each row's arithmetic: "closed-form"
-    (`_closed_form_diagonal`), else "double" from `_eigen_sum_diagonal`,
-    the better certified of the two where the closed form turned a row away
-    for its kappa (`_keep_certified`).  ``moments``, when given, holds each
-    point's decimal moments (`_chart_moments`) for the closed form; the
-    eigen-sum reads the points.  A tau0 past `_check_tau0`'s limit, a
-    non-finite lam and a malformed point (`_sphere_moments`) refuse before
-    either runs."""
-    _check_tau0(win)
+    remainders and rounding bounds, and each row's arithmetic, from
+    `_closed_form_diagonal` or `_eigen_sum_diagonal` as `_chosen_rows`
+    picks.  ``moments``, when given, holds each point's decimal moments
+    (`_chart_moments`) for the closed form; the eigen-sum reads the points.
+    A malformed point (`_sphere_moments`) refuses before either runs."""
     t = _sphere_moments(model, points)
-    lams = _check_lambdas(np.broadcast_to(np.asarray(lams, dtype=float), (t.shape[0],)))
-    *columns, taken, formed = _closed_form_diagonal(
-        model, win, lams, t if moments is None else moments, tail_tol
+    columns, precision = _chosen_rows(
+        win, lams, tail_tol, t.shape[0],
+        lambda lams: _closed_form_diagonal(model, win, lams, t if moments is None else moments, tail_tol),
+        lambda lams, rows: _eigen_sum_diagonal(model, win, lams, t[rows]),
     )
-    precision = np.full(lams.size, "closed-form", dtype=object)
-    rest = np.flatnonzero(~taken)
-    if rest.size:
-        eigen = _eigen_sum_diagonal(model, win, lams[rest], t[rest], tail_tol)
-        _keep_certified(rest, formed, columns, eigen, precision)
     return (*columns, precision)
 
 
@@ -1239,17 +1220,17 @@ def _diagonal_values(
 _ARITHMETICS = ("closed-form", "double")
 
 
-def _eigen_sum_diagonal(
-    model: ProjectiveModel, win: Window, lams: np.ndarray, t: np.ndarray, tail_tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact diagonal at paired (lam_i, moments t_i) as a window-cut
-    eigen-sum (`_eigen_sums`): the values, their window-cut remainders and
-    rounding bounds."""
-    weights, d = model.weights, model.dim
-    scale = math.factorial(d) / np.pi**d
-    sums = _eigen_sums(win, model, lams, tail_tol, scale, lambda n: _h_table(t, weights, n))
-    values, _, remainders, _, _ = sums
-    return values, remainders, _rounding_bounds(win, model, lams, sums, 0.0, (d + 4) / min(weights))
+def _eigen_sum_diagonal(model: ProjectiveModel, win: Window, lams: np.ndarray, t: np.ndarray):
+    """Exact diagonal at paired (lam_i, moments t_i) as window-cut
+    eigen-sums: values, remainders, rounding bounds and sum |terms|."""
+    d, scale = model.dim, math.factorial(model.dim) / np.pi**model.dim
+    lo, hi, remainders = _window_cut(win, model, lams)
+    remainders = remainders * scale
+    h = _h_table(t, model.weights, int(hi.max(initial=-1)))
+    values, moments = _window_sums(win, lams, h, lo, hi, scale, _phase_table(win))
+    sums = (values, moments, remainders, lo, hi)
+    bounds = _rounding_bounds(win, model, lams, sums, 0.0, (d + 4) / min(model.weights))
+    return values, remainders, bounds, moments[0]
 
 
 def smoothed_kernel_diagonal(
@@ -1265,8 +1246,7 @@ def smoothed_kernel_diagonal(
     window-cut remainder among them.  The sum runs over every degree; only
     the window cut truncates it (see the module docstring).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    values, remainders, _, _ = _diagonal_values(model, win, float(lam), pts, tail_tol)
+    values, remainders, _, _ = _diagonal_values(model, win, lam, points, tail_tol)
     return values, float(remainders.max(initial=0.0))
 
 
@@ -1350,14 +1330,13 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
     (`_pole_sum`: its periods tau = 2 pi (k - turn) near tau0, each a
     gaussian chi(tau) times e^{-i lam tau} and a Hermite polynomial in lam)
     less the ghost part (-1)^d sum_{m >= 0} d(m) chihat(lam + sum w + m):
-    the eigen-sum at lam' = -lam - sum w, conjugated (chihat(s) and
+    `_eigen_sum_trace` at lam' = -lam - sum w, conjugated (chihat(s) and
     chihat(-s) are conjugate), whose window cut is empty once lam + sum w
     passes `_GAUSS_FAR`/eps and whose geometric remainder is then the whole
-    part (`_ghost_trace`).  The omitted periods and the ghost's remainder
-    make the row's.  The ghost's rounding is `_rounding_bounds`' over its
-    kept terms; summing the N period terms and the ghost adds N + 2 units
-    per term, and a factor 2 takes up the sqrt(2) of complex sums and the
-    second-order terms:
+    part.  The omitted periods and the ghost's remainder make the row's.
+    The ghost's rounding is `_rounding_bounds`' over its kept terms;
+    summing the N period terms and the ghost adds N + 2 units per term, and
+    a factor 2 takes up the sqrt(2) of complex sums and second-order terms:
 
         rho = 2u sum_terms (8 deg + 31 + N) M + ghost's bound.
 
@@ -1402,7 +1381,7 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
     lam, where the ghost cancels the Poisson side, and the cancelling period
     terms above fail it).  A formed row that is not taken, with its period
     sum at 40 digits where those terms cancel, is compared with the
-    eigen-sum (`_keep_certified`).
+    eigen-sum (`_chosen_rows`).
     """
     values = np.zeros(lams.size, dtype=complex)
     remainders, bounds, terms = np.zeros(lams.size), np.zeros(lams.size), np.zeros(lams.size)
@@ -1431,11 +1410,11 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
         ghosts, ghost_size = np.zeros(lam.size, dtype=complex), np.zeros(lam.size)
         ghost_rem, ghost_bound, ghost_terms = whole.copy(), np.zeros(lam.size), np.zeros(lam.size)
 
-        def sum_ghosts(summed):
+        def sum_ghosts(summed):  # (-1)^d conj of the eigen-sum at -lam - sum w
             if summed.size:
-                ghost = _ghost_trace(model, win, lam[summed])
-                ghosts[summed], ghost_size[summed], ghost_rem[summed] = ghost[:3]
-                ghost_bound[summed], ghost_terms[summed] = ghost[3:]
+                ghost, *rest = _eigen_sum_trace(model, win, -lam[summed] - total_w)
+                ghosts[summed] = (-1) ** model.dim * np.conj(ghost)
+                ghost_rem[summed], ghost_bound[summed], ghost_size[summed], ghost_terms[summed] = rest
 
         left = whole <= 2.0**-20 * u * magnitude
         sum_ghosts(np.flatnonzero(~left))
@@ -1506,21 +1485,6 @@ def _exact_periods(walks: list, win: Window, lams: np.ndarray, n_terms: int):
     return values, 2.0 * bounds
 
 
-def _ghost_trace(model: ProjectiveModel, win: Window, lams: np.ndarray):
-    """The ghost part (-1)^d sum_{m >= 0} d(m) chihat(lam + sum w + m) per
-    row (`_closed_form_trace`), the conjugate eigen-sum at -lam - sum w:
-    (values, sum |terms|, remainders, rounding bounds, kept eigenvalues)."""
-    mirror = -lams - sum(model.weights)
-    lo, hi, remainders = _window_cut(win, model, mirror)
-    counts = _denumerants(model.weights, int(hi.max(initial=-1))).astype(float)
-    table = np.broadcast_to(counts[:, None], (counts.size, mirror.size))
-    values, moments = _window_sums(win, mirror, table, lo, hi, 1.0, _phase_table(win))
-    sums = (values, moments, remainders, lo, hi)
-    bounds = _rounding_bounds(win, model, mirror, sums, 1.0)
-    sign = (-1) ** model.dim
-    return sign * np.conj(values), moments[0], remainders, bounds, _cut_counts(model, lo, hi)
-
-
 # ----------------------------------------------------------------------------
 # scans
 # ----------------------------------------------------------------------------
@@ -1535,18 +1499,18 @@ def _chart_meta(chart: HeisenbergChart) -> dict:
     }
 
 
-def _chart_moments(chart: HeisenbergChart, direction, radii: list | None) -> list | None:
+def _chart_moments(chart: HeisenbergChart, direction, radii: list) -> list | None:
     """The moments |z_i|^2 of the chart points at normal displacement r
     u/|u| (u = ``direction``, a normal vector) for each r of ``radii``
     (decimals), at `_DECIMAL_DIGITS` digits: cos^2 r on the centre's
     coordinate, sin^2 r |u_j|^2/|u|^2 on the coordinate of normal frame row
     j and 0 elsewhere, the great-circle chart's point exactly.  That holds
     when the centre is a coordinate point and the normal rows are coordinate
-    vectors, as on every chart `harness._default_chart` builds.  Otherwise,
-    or when ``radii`` is None, u is not finite or some r > 2 (`_sin_cos`),
-    None: the rows take the moments of their double points."""
-    if radii is None or not np.isfinite(direction).all() or max(radii, default=0) > 2:
-        return None
+    vectors, as on every chart `harness._default_chart` builds; otherwise
+    None, and the rows take the moments of their double points.  A radius
+    of pi/2 or more, where the chart is not exact, refuses (InputError)."""
+    if max(radii) >= _PI / 2:
+        raise InputError(f"the chart radius {float(max(radii)):.3g} must be below pi/2, where the chart is exact")
     rows = np.abs(np.vstack([chart.center, chart.frame[chart.n_tangent :]]))
     axes = rows.argmax(axis=1)
     if not np.array_equal(rows, np.eye(rows.shape[1])[axes]):
@@ -1567,27 +1531,19 @@ def _chart_moments(chart: HeisenbergChart, direction, radii: list | None) -> lis
     return out
 
 
-def _displacement_radii(u, lams) -> list | None:
+def _displacement_radii(u, lams) -> list:
     """|u|/sqrt(lam) per lam at `_DECIMAL_DIGITS` digits, the chart radius
-    of the scaled scans; None unless u is finite and every lam positive and
-    finite."""
-    lams = np.ravel(lams)
-    if not (np.isfinite(u).all() and np.isfinite(lams).all() and (lams > 0).all()):
-        return None
+    of the scaled scans (u finite, every lam positive: `_scan_inputs`)."""
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
         norm2 = sum(Decimal(x.real) ** 2 + Decimal(x.imag) ** 2 for x in np.ravel(u).tolist())
         return [(norm2 / Decimal(lam)).sqrt() for lam in lams.tolist()]
 
 
-def _offlocus_radii(C: float, lams) -> list | None:
+def _offlocus_radii(C: float, lams) -> list:
     """2 C lam^(-7/18) per lam at `_DECIMAL_DIGITS` digits: from the double
     power, two Newton steps y <- y (1 + (lam^-7 y^-18 - 1)/18) (quadratic,
-    error about 8.5 e^2: 3e-16 -> 1e-30 -> past 1e-40).
-    None unless C and every lam are finite and every lam positive."""
-    lams = np.ravel(lams)
-    if not (math.isfinite(C) and np.isfinite(lams).all() and (lams > 0).all()):
-        return None
+    error about 8.5 e^2: 3e-16 -> 1e-30 -> past 1e-40)."""
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
         out = []
@@ -1598,6 +1554,24 @@ def _offlocus_radii(C: float, lams) -> list | None:
                 y += y * (target / y**18 - 1) / 18
             out.append(2 * Decimal(C) * y)
         return out
+
+
+def _scan_inputs(chart, lambda_grid, sign: int = 1, u=None, C: float | None = None):
+    """A scan's grid and normal vector ``u``, refused (InputError) before any
+    point is built unless the grid is nonempty, finite and of the sign
+    ``sign`` (lam > 0 for the kernel scans' charts), ``u`` (when given) has
+    the chart's normal dimension of finite components and C (when given) is
+    positive and finite."""
+    lams = _check_lambdas(lambda_grid)
+    if not (lams.size and (sign * lams > 0).all()):
+        raise InputError(f"grid must be nonempty and strictly {'positive' if sign > 0 else 'negative'}")
+    if u is not None:
+        u = np.asarray(u, dtype=complex)
+        if u.shape != (chart.normal_dim,) or not np.isfinite(u).all():
+            raise InputError(f"a normal vector has {chart.normal_dim} finite components, got {u!r}")
+    if C is not None and not (isinstance(C, Real) and 0 < C < math.inf):
+        raise InputError(f"C must be positive and finite, got {C!r}")
+    return lams, u
 
 
 def scaled_diagonal_scan(
@@ -1615,11 +1589,10 @@ def scaled_diagonal_scan(
     at fixed u.  Ratios converging to 1 along the grid verify the local
     asymptotics; their deviation from 1 carries the correction ladder.
     """
-    lams = np.asarray(lambda_grid, dtype=float)
-    u = np.asarray(u, dtype=complex)
+    lams, u = _scan_inputs(chart, lambda_grid, u=u)
     pred = local_prediction(model, chart, win)
-    points = np.array([chart.normal_point(u / math.sqrt(l)) for l in lams])
     moments = _chart_moments(chart, u, _displacement_radii(u, lams))
+    points = np.array([chart.normal_point(u / math.sqrt(l)) for l in lams])
     exact, remainders, bounds, precision = _diagonal_values(
         model, win, lams, points, tail_tol, moments
     )
@@ -1654,12 +1627,11 @@ def offlocus_decay_scan(
     The prediction column holds the (lam/pi)^d normalisation so ratio_abs is
     the normalised modulus being fit.
     """
-    lams = np.asarray(lambda_grid, dtype=float)
     given = np.eye(chart.normal_dim)[0] if direction is None else direction
-    direction = np.asarray(given, dtype=complex) / np.linalg.norm(given)
-    dist = 2.0 * C * lams ** (-7.0 / 18.0)
-    points = np.array([chart.normal_point(r * direction) for r in dist])
+    lams, given = _scan_inputs(chart, lambda_grid, u=given, C=C)
     moments = _chart_moments(chart, given, _offlocus_radii(C, lams))
+    direction, dist = given / np.linalg.norm(given), 2.0 * C * lams ** (-7.0 / 18.0)
+    points = np.array([chart.normal_point(r * direction) for r in dist])
     exact, remainders, bounds, precision = _diagonal_values(
         model, win, lams, points, tail_tol, moments
     )
@@ -1700,9 +1672,7 @@ def negative_lambda_scan(
     side); the fitted slope of log|trace| against log|lam| documents the
     super-polynomial falloff.
     """
-    lams = np.asarray(lambda_grid, dtype=float)
-    if (lams >= 0).any():
-        raise InputError("grid must be strictly negative")
+    lams, _ = _scan_inputs(None, lambda_grid, sign=-1)
     res = smoothed_trace(model, win, lams, tail_tol)
     exact = res.value
     predicted = np.ones_like(exact)
@@ -1744,19 +1714,20 @@ def parity_split(
     the larger of the two window-cut remainders.  The leading term is even;
     the odd part isolates half-power corrections.
     """
-    even, odd, remainders, _, _ = _parity_parts(model, win, chart, u, np.array([lam]), tail_tol)
+    _, even, odd, remainders, _, _ = _parity_parts(model, win, chart, u, [lam], tail_tol)
     return ParitySplit(complex(even[0]), complex(odd[0]), float(remainders[0]))
 
 
 def _parity_parts(model, win, chart, u, lams, tail_tol):
-    """Even and odd parts, remainders, rounding bounds and arithmetic along a
-    grid: one `_diagonal_values` call over all points +-u/sqrt(lam).  Each
-    part takes the larger remainder and bound of its two rows, and the
-    costlier arithmetic of the two (closed-form < double)."""
-    u = np.asarray(u, dtype=complex)
+    """The checked grid (`_scan_inputs`), and even and odd parts,
+    remainders, rounding bounds and arithmetic along it: one
+    `_diagonal_values` call over all points +-u/sqrt(lam).  Each part takes
+    the larger remainder and bound of its two rows, and the costlier
+    arithmetic of the two (closed-form < double)."""
+    lams, u = _scan_inputs(chart, lams, u=u)
+    moments = _chart_moments(chart, u, _displacement_radii(u, lams))
     pts = [chart.normal_point(u / math.sqrt(lam)) for lam in lams]
     pts += [chart.normal_point(-u / math.sqrt(lam)) for lam in lams]
-    moments = _chart_moments(chart, u, _displacement_radii(u, lams))
     values, remainders, bounds, precision = _diagonal_values(
         model, win, np.concatenate([lams, lams]), np.array(pts), tail_tol,
         None if moments is None else moments * 2,
@@ -1764,6 +1735,7 @@ def _parity_parts(model, win, chart, u, lams, tail_tol):
     n = len(lams)
     plus, minus = values[:n], values[n:]
     return (
+        lams,
         (plus + minus) / 2.0,
         (plus - minus) / 2.0,
         np.maximum(remainders[:n], remainders[n:]),
@@ -1781,8 +1753,9 @@ def parity_scan(
     tail_tol: float = 1e-10,
 ) -> ScanReport:
     """`parity_split` along a grid: exact column = odd part, predicted = even part."""
-    lams = np.asarray(lambda_grid, dtype=float)
-    even, odd, remainders, bounds, precision = _parity_parts(model, win, chart, u, lams, tail_tol)
+    lams, even, odd, remainders, bounds, precision = _parity_parts(
+        model, win, chart, u, lambda_grid, tail_tol
+    )
     meta = {
         "kind_detail": "exact column = odd part, predicted column = even part",
         "u": np.asarray(u, dtype=complex),

@@ -37,6 +37,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,10 @@ _GRAM_TOL = 1e-10
 # most entry-steps k_max (d + 1)(k_max w_max + 1) a multiplicity table may take: on
 # a 2-core x86, (1, 2) at k_max 4,095 (2^26) takes 0.1 s and at k_max 20,000 1.8 s
 _MULTIPLICITY_WORK_MAX = 1 << 26
+# most multiply-adds `toeplitz_matrix`'s moment sums may take, about
+# C(2k + d + 1, d + 1)/2 moment rows by (k/2 + 2)^d moment nodes by (d + 1)
+# (k + 3)^d frequencies: (1, 2) to degree 178 take about 0.5 s on a 2-core x86
+_TOEPLITZ_WORK_MAX = 1 << 30
 
 
 # ----------------------------------------------------------------------------
@@ -69,7 +74,7 @@ def multi_indices(d: int, k: int) -> np.ndarray:
     Descending bar positions list the first coordinate descending, then the
     rest the same way.  Memoised, so the array is read-only.
     """
-    n = math.comb(k + d, d)
+    n = section_dimension(d, k)
     flat = itertools.chain.from_iterable(itertools.combinations(range(k + d), d))
     bars = np.fromiter(flat, dtype=np.int64, count=n * d).reshape(n, d)[::-1]
     edges = np.hstack([np.full((n, 1), -1), bars, np.full((n, 1), k + d)])
@@ -79,6 +84,7 @@ def multi_indices(d: int, k: int) -> np.ndarray:
 
 
 def section_dimension(d: int, k: int) -> int:
+    _check_degree(k)
     return math.comb(k + d, d)
 
 
@@ -207,6 +213,10 @@ def toeplitz_matrix(model: ProjectiveModel, k: int) -> list[np.ndarray]:
     """
     _check_degree(k)
     d = model.dim
+    t_axis, angles = (k + d + 2) // 2 + 2, k + 3  # `toeplitz_rule`'s moment nodes and angles per axis
+    if math.comb(2 * k + d + 1, d + 1) // 2 * t_axis**d * angles**d * (d + 1) > _TOEPLITZ_WORK_MAX:
+        raise CoverageError(f"Toeplitz blocks to degree {k} take more than {_TOEPLITZ_WORK_MAX} "
+                            "multiply-adds")
     rule = toeplitz_rule(model, k)
     n, m_t = rule.n_angles, rule.t.shape[0]
     fold = (n,) * d  # the angle grid with its diagonal axis s summed out
@@ -385,9 +395,9 @@ def _payload_digest(arrays: dict, meta: dict) -> str:
 
 
 def _check_degree(k: int) -> None:
-    """Refuse (InputError) a negative degree."""
-    if k < 0:
-        raise InputError(f"a degree must be nonnegative, got {k}")
+    """Refuse (InputError) a degree that is not a nonnegative integer."""
+    if not isinstance(k, Integral) or k < 0:
+        raise InputError(f"a degree must be a nonnegative integer, got {k!r}")
 
 
 def check_multiplicity_table(weights, k_max: int) -> None:

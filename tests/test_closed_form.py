@@ -213,7 +213,7 @@ def test_closed_form_agrees_with_the_eigen_sum_on_general_weights(row):
     value, rem, bound, taken, _ = _closed_form_diagonal(model, win, lams, ts, 1e-10)
     if not taken[0]:
         return  # an eigen-sum row
-    other, other_rem, other_bound = _eigen_sum_diagonal(model, win, lams, ts, 1e-10)
+    other, other_rem, other_bound, _ = _eigen_sum_diagonal(model, win, lams, ts)
     assert abs(value[0] - other[0]) <= rem[0] + bound[0] + other_rem[0] + other_bound[0]
 
 
@@ -336,7 +336,7 @@ def test_closed_form_agrees_with_the_eigen_sum(row, oracle):
     value, rem, bound, taken, _ = _closed_form_diagonal(model, win, lams, ts, 1e-10)
     if not taken[0]:
         return  # an eigen-sum row
-    other, other_rem, other_bound = _eigen_sum_diagonal(model, win, lams, ts, 1e-10)
+    other, other_rem, other_bound, _ = _eigen_sum_diagonal(model, win, lams, ts)
     assert abs(value[0] - other[0]) <= rem[0] + bound[0] + other_rem[0] + other_bound[0]
     # the oracle's digits follow the cancellation the closed form's value implies
     kappa = _kappa(weights, lam, win.eps, value[0])

@@ -38,6 +38,10 @@ def test_parse_lambda_grid_errors():
         parse_lambda_grid("a:2:3")
     with pytest.raises(ConfigError):
         parse_lambda_grid("-1:10:4:geometric")
+    # 10^11 points raised numpy's _ArrayMemoryError, 10^7 ran past a minute
+    assert parse_lambda_grid("1:2:65536").size == 65536
+    with pytest.raises(ConfigError, match="count must be between 1 and 65536, got 100000000000"):
+        parse_lambda_grid("1:2:100000000000")
 
 
 def _base_config(**over):
@@ -468,6 +472,7 @@ _WINDOW_PI = ["--weights", "1,2", "--shape", "gaussian", "--tau0", "3.1415926535
         ("parity", ["--lambda-grid", "0:10:3"], "config.lambda_grid"),
         ("local", ["--lambda-grid=-10:10:3"], "config.lambda_grid"),  # a math domain error
         ("parity", ["--lambda-grid", "0.01:1:3"], "config.u"),  # the default u, 0.5, at lambda 0.01
+        ("trace", ["--lambda-grid", "1:2:100000000000"], "lambda_grid"),  # numpy's _ArrayMemoryError
     ],
 )
 def test_cli_out_of_range_configs_exit_2_before_writing(tmp_path, capsys, kind, flags, field):

@@ -106,12 +106,12 @@ def test_lambda_beyond_the_cut_table_refuses(model12, chart):
     # `smoothed_trace`; a kernel row summed by the eigen-sum (the rows the
     # closed form does not take) refuses the same way
     with pytest.raises(CoverageError, match=r"lambda=1e\+12 needs a window-cut table"):
-        _eigen_sum_trace(model12, Window("gaussian", 0.0, 0.15), np.array([1e12]), 1e-10)
+        _eigen_sum_trace(model12, Window("gaussian", 0.0, 0.15), np.array([1e12]))
     with pytest.raises(CoverageError, match=r"lambda=1e\+19 needs a window-cut table"):
         smoothed_trace(model12, Window("gaussian", 0.0, 0.15), [10.0, 1e19])
     t = np.array([[0.36, 0.64]])
     with pytest.raises(CoverageError, match=r"lambda=1e\+12 needs a window-cut table"):
-        _eigen_sum_diagonal(make_model((1, 3)), Window("gaussian", 0.0, 0.15), np.array([1e12]), t, 1e-10)
+        _eigen_sum_diagonal(make_model((1, 3)), Window("gaussian", 0.0, 0.15), np.array([1e12]), t)
 
 
 def test_tau0_past_the_phase_limit_refuses(model12, chart):
@@ -133,10 +133,10 @@ def test_cut_table_limit_is_one_constant(model12, monkeypatch):
     # the far edge of a cut at lam = 700 is floor(700 + sqrt(1400)/0.15) = 949
     lam = np.array([700.0])
     monkeypatch.setattr(smoothing, "_CUT_TABLE_MAX", 950)
-    assert np.isfinite(_eigen_sum_trace(model12, win, lam, 1e-10)[0]).all()
+    assert np.isfinite(_eigen_sum_trace(model12, win, lam)[0]).all()
     monkeypatch.setattr(smoothing, "_CUT_TABLE_MAX", 949)
     with pytest.raises(CoverageError, match="950 entries, above the 949"):
-        _eigen_sum_trace(model12, win, lam, 1e-10)
+        _eigen_sum_trace(model12, win, lam)
 
 
 def test_trace_grid_matches_pointwise_calls(model12):
@@ -223,18 +223,28 @@ def _local_prediction_12():
         lambda: stationary_point_check(make_model((1, 2)), np.array([np.nan, 1.0]), OMEGA),
         lambda: stationary_point_check(make_model((1, 2)), np.zeros(2), OMEGA),
         lambda: stationary_point_check(make_model((1, 2)), np.array([0.0, 2.0 + 0j]), OMEGA),
+        lambda: smoothed_trace(make_model((1, 2)), WIN, np.ones((2, 2)) * 100),
+        lambda: smoothed_trace(make_model((1, 2)), WIN, "abc"),
+        lambda: smoothed_trace(make_model((1, 2)), WIN, 100 + 1j),
+        lambda: smoothed_kernel_diagonal(make_model((1, 2)), WIN, np.array([100.0, 200.0]), [[1, 0]]),
+        lambda: smoothed_trace(make_model((1, 2)), WIN, 100.0, tail_tol=math.nan),
+        lambda: smoothed_kernel_diagonal(make_model((1, 2)), WIN, 100.0, [[1, 0]], tail_tol=-1.0),
     ],
     ids=["positive-grid", "chart-off-sphere", "report-shape", "report-not-monotone",
          "predict-local-dimension", "predict-local-batch", "psi2-dimension",
          "gaussian-integral-2x3", "gaussian-integral-nan", "gaussian-integral-inf",
          "gaussian-integral-3d", "gaussian-integral-not-unitary", "stationary-omega-length",
          "stationary-omega-nan", "stationary-x0-length", "stationary-x0-nan", "stationary-x0-zero",
-         "stationary-x0-off-sphere"],
+         "stationary-x0-off-sphere", "trace-lambda-2d", "trace-lambda-string",
+         "trace-lambda-complex", "kernel-lambda-per-point", "trace-tail-tol-nan",
+         "kernel-tail-tol-negative"],
 )
 def test_exported_entry_points_refuse_bad_input_with_input_errors(call):
     # each raised a plain ValueError (a NaN omega numpy's LinAlgError), but
-    # a non-unitary A, whose closed form was silently wrong; InputError is a
-    # ValueError too
+    # a non-unitary A, whose closed form was silently wrong, a 2-D lambda
+    # (IndexError), a complex one or a lambda per missing point (TypeError)
+    # and a NaN tail_tol (a CoverageError that could not "reach nan");
+    # InputError is a ValueError too
     with pytest.raises(InputError):
         call()
 
@@ -331,6 +341,67 @@ def _coin_counts(weights, n_max):
     return table
 
 
+def test_trace_eigen_sum_tabulates_the_denumerants_once(model12, monkeypatch):
+    # the table served the sum and, built again, the count of eigenvalues in each cut
+    calls = []
+
+    def counted(weights, n_max):
+        calls.append(n_max)
+        return _denumerants(weights, n_max)
+
+    monkeypatch.setattr(smoothing, "_denumerants", counted)
+    res = smoothed_trace(model12, WIN, -50.0)
+    assert res.precision == "double" and len(calls) == 1
+
+
+def test_cut_target_refusal_names_the_row_it_refuses(model12, chart, monkeypatch):
+    # one row of a grid of eigen-sum rows, trace or kernel, misses its target
+    cut = smoothing._window_cut
+
+    def short(win, model, lams):
+        lo, hi, remainders = cut(win, model, lams)
+        return lo, hi, np.where(lams == -60.0, 1.0, remainders)
+
+    monkeypatch.setattr(smoothing, "_window_cut", short)
+    grid = np.array([-50.0, -60.0, -70.0])
+    with pytest.raises(CoverageError, match=r"remainder 1\.00e\+00 cannot reach .* at lambda=-60\.0$"):
+        smoothed_trace(model12, WIN, grid)
+    monkeypatch.setattr(smoothing, "_poles", lambda d, moments: None)  # every kernel row an eigen-sum
+    with pytest.raises(CoverageError, match=r"at lambda=-60\.0$"):
+        _diagonal_values(model12, WIN, grid, np.repeat(chart.center[None, :], 3, axis=0), 1e-10)
+
+
+_SCAN_FAULTS = {
+    "local-negative-lambda": lambda m, c: scaled_diagonal_scan(m, WIN, c, np.array([0.5]), [-100.0]),
+    "local-zero-lambda": lambda m, c: scaled_diagonal_scan(m, WIN, c, np.array([0.5]), [0.0, 100.0]),
+    "local-u-width": lambda m, c: scaled_diagonal_scan(m, WIN, c, np.array([0.5, 0.5]), [100.0]),
+    "parity-split-negative": lambda m, c: parity_split(m, WIN, c, np.array([0.5]), -100.0),
+    "parity-scan-zero": lambda m, c: parity_scan(m, WIN, c, np.array([0.5]), [0.0, 100.0]),
+    "parity-scan-u-width": lambda m, c: parity_scan(m, WIN, c, np.zeros(3), [100.0]),
+    "offlocus-negative-C": lambda m, c: offlocus_decay_scan(m, WIN, c, -1.0, [80.0, 160.0, 320.0]),
+    "offlocus-zero-lambda": lambda m, c: offlocus_decay_scan(m, WIN, c, 1.0, [0.0, 100.0]),
+    "negative-empty-grid": lambda m, c: negative_lambda_scan(m, WIN, np.array([])),
+    "local-radius-past-half-pi": lambda m, c: scaled_diagonal_scan(m, WIN, c, np.array([5.0]), [4.0, 9.0]),
+    "offlocus-radius-past-half-pi": lambda m, c: offlocus_decay_scan(m, WIN, c, 1e3, [80.0, 160.0]),
+}
+
+
+@pytest.mark.parametrize("fault", list(_SCAN_FAULTS))
+def test_kernel_scans_refuse_what_the_config_refuses(fault, model12, chart, monkeypatch, capfd):
+    # a math domain error, numpy's divide warnings before an InputError, a
+    # broadcast ValueError, silent reports (C < 0, and a chart radius past
+    # pi/2) and a zero-size ValueError; now an InputError before any point
+    # is built, and nothing on stderr
+    def built(*args):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(type(chart), "normal_point", built)
+    with warnings.catch_warnings(), pytest.raises(InputError):
+        warnings.simplefilter("error")
+        _SCAN_FAULTS[fault](model12, chart)
+    assert capfd.readouterr().err == ""
+
+
 def test_denumerants_match_coin_counting():
     for weights in [(1, 2), (1, 1, 2), (2, 3, 5), (3, 5)]:
         counts = _denumerants(weights, 60)
@@ -348,7 +419,7 @@ def test_denumerants_refuse_past_int64():
     with pytest.raises(CoverageError, match="int64"):
         _denumerants((1,) * 10, 1000)
     with pytest.raises(CoverageError, match="int64"):
-        _eigen_sum_trace(make_model((1,) * 10), Window("gaussian", 0.0, 0.3), np.array([1e3]), 1e-10)
+        _eigen_sum_trace(make_model((1,) * 10), Window("gaussian", 0.0, 0.3), np.array([1e3]))
 
 
 def test_fubini_diagonal_integrates_to_trace(model12):
@@ -467,7 +538,7 @@ def test_eigen_sum_rows_evaluate_the_sphere_point(weights):
     u = np.eye(chart.normal_dim)[0]
     lams = np.repeat([150.0, 300.0], 3)
     pts = np.array([chart.normal_point(r * u) for r in [0.2, 0.3, 0.5] * 2])
-    values, remainders, bounds = _eigen_sum_diagonal(model, win, lams, np.abs(pts) ** 2, 1e-10)
+    values, remainders, bounds, _ = _eigen_sum_diagonal(model, win, lams, np.abs(pts) ** 2)
     for lam, t, value, remainder, bound in zip(lams, np.abs(pts) ** 2, values, remainders, bounds):
         n_top, n_lo = int(lam + 40.0 / win.eps), max(0, int(lam - 40.0 / win.eps))
         ref, _ = _decimal_diagonal(t, weights, win, lam, n_top, n_lo, sphere=True)
@@ -501,8 +572,8 @@ def test_unresolved_eigen_sum_row_shows_a_bound_above_its_value():
     # bound exceeds |value|, and with the cut remainder it covers the
     # 50-digit oracle's error
     weights, lam, win, t = _CANCELLING_ROW
-    values, remainders, bounds = _eigen_sum_diagonal(
-        make_model(weights), win, np.array([lam]), np.array([t]), 1e-10
+    values, remainders, bounds, _ = _eigen_sum_diagonal(
+        make_model(weights), win, np.array([lam]), np.array([t])
     )
     n_top, n_lo = int(lam + 40.0 / win.eps), max(0, int(lam - 40.0 / win.eps))
     ref, _ = _decimal_diagonal(t, weights, win, lam, n_top, n_lo)
@@ -548,7 +619,7 @@ def test_trace_keeps_its_digits_under_cancellation():
         err = _decimal_error(complex(value), _PI50 / 8, Decimal(0))
         assert err <= 1e-12 * np.pi / 8
         assert err <= remainder + bound
-    for value, remainder, bound, _ in zip(*_eigen_sum_trace(model, win, lams, 1e-10)):
+    for value, remainder, bound, _, _ in zip(*_eigen_sum_trace(model, win, lams)):
         assert _decimal_error(complex(value), _PI50 / 8, Decimal(0)) <= remainder + bound
 
 
@@ -592,8 +663,8 @@ def test_trace_bound_charges_each_term_at_its_own_distance():
     # entry, since the closed form takes this row
     win = Window("gaussian", -12 * np.pi, 0.15)
     lam = 64719.0
-    sums = _eigen_sum_trace(make_model((1, 1, 1)), win, np.array([lam]), 1e-10)
-    values, remainders, bounds, _ = sums
+    sums = _eigen_sum_trace(make_model((1, 1, 1)), win, np.array([lam]))
+    values, remainders, bounds, _, _ = sums
     n_lo, n_top = int(lam - 40.0 / win.eps), int(lam + 40.0 / win.eps)
     err = _decimal_error(complex(values[0]), *_decimal_trace((1, 1, 1), win, lam, n_lo, n_top))
     assert err <= remainders[0] + bounds[0] <= 3e-13 * abs(values[0])
@@ -1114,7 +1185,7 @@ def test_general_weight_trace_at_a_billion():
     assert np.isfinite(res.cut_remainder).all() and (res.cut_remainder > 0).all()
     assert (res.rounding_bound < 1e-13 * np.abs(res.value)).all()
     with pytest.raises(CoverageError, match="window-cut table"):
-        _eigen_sum_trace(model, win, lams, 1e-10)
+        _eigen_sum_trace(model, win, lams)
 
 
 def test_closed_form_trace_leaves_cancelling_and_huge_rows_to_the_eigen_sum(model12):
@@ -1127,7 +1198,7 @@ def test_closed_form_trace_leaves_cancelling_and_huge_rows_to_the_eigen_sum(mode
     res = smoothed_trace(model, WIN, lams)
     assert res.precision.tolist() == ["double", "closed-form", "closed-form"]
     _, closed_rem, closed_bound, _, taken, formed = smoothing._closed_form_trace(model, WIN, lams, 1e-10)
-    _, eigen_rem, eigen_bound, _ = _eigen_sum_trace(model, WIN, lams, 1e-10)
+    _, eigen_rem, eigen_bound, _, _ = _eigen_sum_trace(model, WIN, lams)
     assert formed.all() and taken.tolist() == [False, False, True]
     budget = res.cut_remainder + res.rounding_bound
     assert budget[:2].tolist() == np.minimum(closed_rem + closed_bound, eigen_rem + eigen_bound)[:2].tolist()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tracelab import cli, spectral
-from tracelab.errors import CacheError, CoverageError, QuadratureError
+from tracelab.errors import CacheError, CoverageError, InputError, QuadratureError
 from tracelab.geometry import flow_sphere, make_model
 from tracelab.harness import ExperimentConfig
 from tracelab.quadrature import sphere_rule
@@ -28,6 +28,36 @@ from tracelab.spectral import (
 @pytest.fixture(scope="module")
 def model12():
     return make_model((1, 2))
+
+
+_INPUT_FAULTS = {
+    "weights-fractional": (lambda m: make_model((1, 2.5)), InputError),
+    "weights-string": (lambda m: make_model("12"), InputError),
+    "degree-block-negative": (lambda m: degree_block(m, -1), InputError),
+    "monomial-norms-negative": (lambda m: monomial_norms(m, -1), InputError),
+    "multi-indices-negative": (lambda m: multi_indices(1, -1), InputError),
+    "section-dimension-negative": (lambda m: section_dimension(1, -3), InputError),
+    "eigendata-fractional": (lambda m: eigendata(m, 2.5), InputError),
+    "toeplitz-fractional": (lambda m: toeplitz_matrix(m, 2.5), InputError),
+    "toeplitz-past-the-work-limit": (lambda m: toeplitz_matrix(m, 1000), CoverageError),
+    "toeplitz-112-past-the-work-limit": (lambda m: toeplitz_matrix(make_model((1, 1, 2)), 19),
+                                         CoverageError),
+}
+
+
+@pytest.mark.parametrize("fault", list(_INPUT_FAULTS))
+def test_model_and_degree_inputs_are_refused(fault, model12, monkeypatch):
+    # (1, 2.5) and "12" silently built the weights (1, 2) and (1, 2), negative
+    # degrees gave empty blocks or numpy's ValueError, a fractional one a
+    # TypeError, and toeplitz_matrix on (1, 2) ran past 120 s at degree 1000;
+    # past its work limit it now refuses before building its quadrature rule
+    def built(*args):
+        raise AssertionError("the quadrature rule was built")
+
+    monkeypatch.setattr(spectral, "toeplitz_rule", built)
+    call, error = _INPUT_FAULTS[fault]
+    with pytest.raises(error):
+        call(model12)
 
 
 def test_multi_indices_count_and_order():
