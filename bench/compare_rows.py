@@ -17,8 +17,9 @@ Per artifact (``<kind>.csv`` with its ``<kind>.json``, and
 - for a scan, the largest |change - parent| / (parent remainder + parent
   rounding bound) over its rows (the ``exact`` column, and a parity scan's
   even part in the prediction column, against the JSON's
-  ``window_cut_remainders`` and ``rounding_bounds``), and every row whose
-  ``precision`` label moved;
+  ``window_cut_remainders`` and ``rounding_bounds``), how many rows' budgets
+  of each kind got tighter or looser than the parent's (a report only), and
+  every row whose ``precision`` label moved;
 - for verify, every measured number that moved and every criterion whose
   verdict moved.
 
@@ -111,6 +112,10 @@ def compare_scan(old: Path, new: Path, kind: str) -> tuple[str, bool]:
     labels = [f"row {i}: {a} -> {b}" for i, (a, b)
               in enumerate(zip(metas[0]["precision"], metas[1]["precision"])) if a != b]
     text = f"worst |change - parent| / (remainder + bound) = {worst:.3g}"
+    for key in ("window_cut_remainders", "rounding_bounds"):
+        pairs = list(zip(metas[0][key], metas[1][key]))
+        tighter, looser = sum(b < a for a, b in pairs), sum(b > a for a, b in pairs)
+        text += f"; {key} tighter on {tighter}, looser on {looser} of {len(pairs)}"
     text += "".join(f"; precision {x}" for x in labels)
     text += f"; grid or prediction moved on rows {others}" if others else ""
     return text, worst > 1.0 or bool(labels or others)

@@ -8,7 +8,7 @@ truncated.  Traces and kernel diagonals are one window-cut sum
 
 with two choices of coefficients and scale.  For the trace, c_n is the
 denumerant d(n) = [x^n] prod_i (1 - x^{w_i})^{-1}, the multiplicity of n over
-all degrees, an exact int64, and the scale is 1.  For the kernel diagonal at
+all degrees, an exact integer, and the scale is 1.  For the kernel diagonal at
 a sphere point with moment coordinates t_i = |z_i|^2 (so sum_i t_i = 1) the
 scale is d!/pi^d and c_n = h_n(t), with
 
@@ -31,27 +31,27 @@ geometric series, so bump sums refuse with CoverageError.
 
 Gaussian rows are first formed in closed form, traces and kernel
 diagonals alike: c_n = sum_rho rho^n P_rho(n) over the poles rho of the
-coefficients' generating function, each one `_Pole` record (log |rho|, arg
-rho, an exact turn for a root of unity, and P_rho in powers of n with
-40-digit coefficients, their errors and majorants).  The trace's poles are
-the roots of unity of prod_i (1 - x^{w_i})^-1 (`_unit_poles`), the kernel's
-rho = 1 and the Newton-polished roots of a deflated p_t (`_poles`); both
-take P_rho from the same Laurent expansion (`_laurent`, `_pole_record`).
-Poisson summation turns each pole into a few aliases near tau0 (one alias
-walk, `_alias_walk`), each 2 pi e^X e^{i phase} R(mu), R a gaussian moment
+coefficients' generating function, each one `_Pole` record.  The trace's
+poles are the roots of unity of prod_i (1 - x^{w_i})^-1 (`_unit_poles`),
+the kernel's rho = 1 and the Newton-polished roots of a deflated p_t
+(`_poles`); both take P_rho from the same Laurent expansion (`_laurent`,
+`_pole_record`).  Poisson summation turns each pole into a few aliases near
+tau0 (`_alias_walk`), each 2 pi e^X e^{i phase} R(mu), R a gaussian moment
 polynomial in mu evaluated by Horner's rule over the grid, with one bound
 on the omitted aliases and one rounding derivation (`_pole_sum`).  The
 phase of a root of unity comes from an exact reduction of lam
 (`_period_phase`); any other pole's exponent is formed per row at
 `_DECIMAL_DIGITS` digits and rounded once.  The part of the continued
-formula at negative n is subtracted: the trace's reciprocity ghost, (-1)^d
-times the conjugate trace eigen-sum at -lam - sum w, and the kernel's n <=
--(d+1)D, summed from the poles (`_negative_tail`).  Such a row costs O(1) in
-lam, is labelled "closed-form", and reports its omitted aliases and
-negative-n part as its remainder.  It is kept when its poles are separated,
-it does not cancel (its own kappa is at most `_CLOSED_FORM_KAPPA`) and its
-remainder meets the cut target; trace period terms that cancel past that are
-summed again at `_DECIMAL_DIGITS` digits (`_exact_periods`).
+formula at negative n is subtracted: on every trace row the reciprocity
+ghost, (-1)^d times the conjugate trace eigen-sum at -lam - sum w (its cut
+is empty once lam + sum w passes `_GAUSS_FAR`/eps), and the kernel's n <=
+-(d+1)D, summed from the poles (`_negative_tail`).  Such a row costs O(1)
+in lam, is labelled "closed-form", and reports its omitted aliases and
+negative-n part as its remainder.  It is kept when its poles are
+separated, it does not cancel (its own kappa is at most
+`_CLOSED_FORM_KAPPA`) and its remainder meets the cut target; trace period
+terms that cancel past that are summed again at `_DECIMAL_DIGITS` digits
+(`_exact_periods`).
 
 Every other row (bump windows, colliding poles, trace rows past 2^52, rows
 whose terms overflow) is an eigen-sum over its window cut, in double
@@ -172,19 +172,22 @@ def spectral_tail_bound(pkg: SpectralPackage, win: Window, lam: float) -> float:
 
 
 def _denumerants(weights, n_max: int) -> np.ndarray:
-    """d(n) = #{alpha : <alpha, w> = n}, n = 0..n_max, exact in int64: per
-    weight w, a cumulative sum along each residue class mod w (the factor
-    1/(1 - x^w)).  Every partial table is at most d(n), and d(n) at most the
-    walk majorant, so a table whose top majorant passes 2^63 is refused
-    rather than wrapped."""
+    """d(n) = #{alpha : <alpha, w> = n}, n = 0..n_max, exact: per weight w, a
+    cumulative sum along each residue class mod w (the factor 1/(1 - x^w)).
+    Every partial table is at most d(n), and d(n) at most the walk majorant:
+    int64 below 2^63, Python ints (dtype=object) past it (2^21 entries on 21
+    unit weights take about 3 s); refused from 2^1023, which a double may
+    not hold."""
     size = max(n_max, 0) + 1
     d, min_w = len(weights) - 1, min(weights)
-    if math.comb((size - 1) // min_w + d, d) >= 2**63:
-        raise CoverageError(f"denumerants up to n = {size - 1} may pass the int64 range")
-    counts = np.zeros(size, dtype=np.int64)
+    top = math.comb((size - 1) // min_w + d, d)
+    if top >= 2**1023:
+        raise CoverageError(f"denumerants up to n = {size - 1} may pass the double range")
+    dtype = np.int64 if top < 2**63 else object
+    counts = np.zeros(size, dtype=dtype)
     counts[0] = 1
     for w in weights:
-        padded = np.zeros(-(-size // w) * w, dtype=np.int64)
+        padded = np.zeros(-(-size // w) * w, dtype=dtype)
         padded[:size] = counts
         counts = np.cumsum(padded.reshape(-1, w), axis=0).ravel()[:size]
     return counts
@@ -249,8 +252,8 @@ def _eigen_sum_trace(model: ProjectiveModel, win: Window, lams: np.ndarray):
     lo, hi, remainders = _window_cut(win, model, lams)
     counts = _denumerants(model.weights, int(hi.max(initial=-1))).astype(float)
     table = np.broadcast_to(counts[:, None], (counts.size, lams.size))
-    values, moments = _window_sums(win, lams, table, lo, hi, 1.0, _phase_table(win))
-    # d(n) is an exact int64 rounded once to double
+    values, moments = _window_sums(win, lams, table, lo, hi, 1.0)
+    # d(n) is an exact integer rounded once to double
     bounds = _rounding_bounds(win, model, lams, (values, moments, remainders, lo, hi), 1.0)
     below = np.concatenate([[0.0], np.cumsum(counts)])  # doubles: d(n) passes int64 on large cuts
     return values, remainders, bounds, moments[0], below[hi + 1] - below[lo]
@@ -454,7 +457,7 @@ def _phase_table_at(tau0: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _window_sums(win: Window, lams, h: np.ndarray, lo, hi, scale, phases) -> tuple[np.ndarray, np.ndarray]:
+def _window_sums(win: Window, lams, h: np.ndarray, lo, hi, scale) -> tuple[np.ndarray, np.ndarray]:
     """Kept sums sum_n h_n chihat(lam - n) over lo..hi per point, and the
     moments sum |t| |s|^j, j = 0, 1, 2, of their terms t at s = lam - n (rows
     of a (3, points) array).
@@ -466,16 +469,18 @@ def _window_sums(win: Window, lams, h: np.ndarray, lo, hi, scale, phases) -> tup
 
     over the window n = lo..lo + W - 1, W the cut's length rounded up to a
     multiple of `_WINDOW_STEP`, masked to lo..hi, with cis(k tau0) read
-    from ``phases`` (`_phase_table`): one complex exponential per row.  A
-    row's window depends on that row alone, so its value does not depend on
-    the grid; rows of one window length go in blocks of at most
-    `_BLOCK_TERMS` terms.
+    from `_phase_table`, fetched only when some row keeps terms: one complex
+    exponential per row.  A row's window depends on that row alone, so its
+    value does not depend on the grid; rows of one window length go in
+    blocks of at most `_BLOCK_TERMS` terms.
     """
     values = np.zeros(len(lams), dtype=complex)
     moments = np.zeros((3, len(lams)))
-    cos, sin = phases
-    reach = (cos.size - 1) // 2
     rows = np.flatnonzero(hi >= lo)
+    if not rows.size:
+        return values, moments
+    cos, sin = _phase_table(win)
+    reach = (cos.size - 1) // 2
     centres = np.rint(lams)
     widths = -(-(hi - lo + 1) // _WINDOW_STEP) * _WINDOW_STEP  # lo - c >= -K; past hi masked
     for width in sorted(set(widths[rows].tolist())):  # np.unique would load numpy.ma
@@ -1227,7 +1232,7 @@ def _eigen_sum_diagonal(model: ProjectiveModel, win: Window, lams: np.ndarray, t
     lo, hi, remainders = _window_cut(win, model, lams)
     remainders = remainders * scale
     h = _h_table(t, model.weights, int(hi.max(initial=-1)))
-    values, moments = _window_sums(win, lams, h, lo, hi, scale, _phase_table(win))
+    values, moments = _window_sums(win, lams, h, lo, hi, scale)
     sums = (values, moments, remainders, lo, hi)
     bounds = _rounding_bounds(win, model, lams, sums, 0.0, (d + 4) / min(model.weights))
     return values, remainders, bounds, moments[0]
@@ -1330,43 +1335,40 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
     (`_pole_sum`: its periods tau = 2 pi (k - turn) near tau0, each a
     gaussian chi(tau) times e^{-i lam tau} and a Hermite polynomial in lam)
     less the ghost part (-1)^d sum_{m >= 0} d(m) chihat(lam + sum w + m):
-    `_eigen_sum_trace` at lam' = -lam - sum w, conjugated (chihat(s) and
-    chihat(-s) are conjugate), whose window cut is empty once lam + sum w
-    passes `_GAUSS_FAR`/eps and whose geometric remainder is then the whole
+    on every row `_eigen_sum_trace` at lam' = -lam - sum w, conjugated
+    (chihat(s) and chihat(-s) are conjugate), whose cut is empty once lam +
+    sum w passes `_GAUSS_FAR`/eps and whose remainder is then the whole
     part.  The omitted periods and the ghost's remainder make the row's.
-    The ghost's rounding is `_rounding_bounds`' over its kept terms;
-    summing the N period terms and the ghost adds N + 2 units per term, and
-    a factor 2 takes up the sqrt(2) of complex sums and second-order terms:
+    The ghost's rounding is `_rounding_bounds`' over its kept terms; summing
+    the N period terms and the ghost adds N + 2 units per term, and a factor
+    2 takes up the sqrt(2) of complex sums and second-order terms:
 
         rho = 2u sum_terms (8 deg + 31 + N) M + ghost's bound.
 
     **Cancelling rows.**  Period terms can cancel past double: on (1, 3) at
-    tau0 = pi (the double, pi - 1.2e-16) the terms at tau = 2 pi/3 and 4 pi/3
-    are conjugates but for that 1.2e-16, so at integer lam = 1 mod 3 two
-    terms near 3e-11 leave 3.6e-25, below their rounding.  So a formed row
-    whose kappa passes `_CLOSED_FORM_KAPPA`, and whose period terms alone
-    cancel past it too (sum M > `_CLOSED_FORM_KAPPA` |their sum|; where
-    only the ghost cancels them its double rounding stays, and 40 digits
-    would gain a constant factor), has its period sum formed again at
-    `_DECIMAL_DIGITS` digits and rounded once (`_exact_periods`): from
-    the decimal coefficients of `_unit_poles`, chi and y = theta/eps^2, with
-    the phase cis(-2 pi r), r = lam (k - turn) reduced mod 1 in exact
-    Fractions (`_cis`, exact on quarter turns); the ghost stays in double,
-    and a ghost left to the remainder as below 2^-20 units of the period
-    majorants is summed after all where its whole bound passes 2^-20 units
-    of that 40-digit sum.  With v = `_DECIMAL_UNIT` and theta off by
-    e_theta <= 5 v (2 + |tau0| + |theta|) (`_pole_sum`), y is off by e_y =
-    e_theta/eps^2 + 2 v |y|, and chi relatively by v (4 a + 1) + |theta|
-    e_theta/eps^2, a = theta^2/(2 eps^2).  A term is off by at
-    most v M times 2 deg + 8 for b_k, 5 deg + 2 for Horner's rule, 420
-    for the phase (`_sin_cos`' 280 units per part at |2 pi r| <= pi, its
-    argument within 3 units), chi's share, 6 for the products and N + 2 for
-    the sum; and by 2 pi chi (Ebar(|mu|) + e_y Rbar'(|mu| + e_y)) for the
-    coefficients' own errors (Ebar: `_mu_polynomial` of ``errors``) and for
-    mu (Rbar': the derivative of the majorant's polynomial, which bounds
-    |R(mu + dmu) - R(mu)| <= |dmu| Rbar'(|mu| + |dmu|)).  Rounding the sum
-    to double and subtracting the ghost add at most u (|sum| + sum |ghost
-    terms|) each; with the factor 2 on the terms,
+    tau0 = pi (the double, pi - 1.2e-16) the terms at tau = 2 pi/3 and
+    4 pi/3 are conjugates but for that 1.2e-16, so at integer lam = 1 mod 3
+    two terms near 3e-11 leave 3.6e-25, below their rounding.  So a formed
+    row whose kappa passes `_CLOSED_FORM_KAPPA`, and whose period terms
+    alone cancel past it too (sum M > `_CLOSED_FORM_KAPPA` |their sum|;
+    where only the ghost cancels them, 40 digits would gain a constant
+    factor), has its period sum formed again at `_DECIMAL_DIGITS` digits and
+    rounded once (`_exact_periods`): from the decimal coefficients of
+    `_unit_poles`, chi and y = theta/eps^2, with the phase cis(-2 pi r), r =
+    lam (k - turn) reduced mod 1 in exact Fractions (`_cis`, exact on
+    quarter turns); the ghost stays in double.  With v = `_DECIMAL_UNIT`
+    and theta off by e_theta <= 5 v (2 + |tau0| + |theta|) (`_pole_sum`), y
+    is off by e_y = e_theta/eps^2 + 2 v |y|, and chi relatively by
+    v (4 a + 1) + |theta| e_theta/eps^2, a = theta^2/(2 eps^2).  A term is
+    off by at most v M times 2 deg + 8 for b_k, 5 deg + 2 for Horner's
+    rule, 420 for the phase (`_sin_cos`' 280 units per part at |2 pi r| <=
+    pi, its argument within 3 units), chi's share, 6 for the products and
+    N + 2 for the sum; and by 2 pi chi (Ebar(|mu|) + e_y Rbar'(|mu| + e_y))
+    for the coefficients' own errors (Ebar: `_mu_polynomial` of ``errors``)
+    and for mu (Rbar': the derivative of the majorant's polynomial, which
+    bounds |R(mu + dmu) - R(mu)| <= |dmu| Rbar'(|mu| + |dmu|)).  Rounding
+    the sum to double and subtracting the ghost add at most u (|sum| +
+    sum |ghost terms|) each; with the factor 2 on the terms,
 
         rho = 2 sum_terms [v (7 deg + 440 + N + 4a + |theta| e_theta/(v eps^2)) M
               + 2 pi chi (Ebar + e_y Rbar')] + 2u (|sum| + sum |ghost terms|)
@@ -1391,7 +1393,7 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
     rows = np.flatnonzero((lams > -total_w) & (np.abs(lams) < _CLOSED_FORM_LAMBDA))
     if poles is None or not rows.size:
         return values, remainders, bounds, terms, taken, formed
-    lam, eps, u = lams[rows], win.eps, 2.0**-53
+    lam, u = lams[rows], 2.0**-53
     walks = [(pole, _alias_walk(pole, win.tau0, win.eps)) for pole in poles]
     n_terms = sum(len(kept) for _, (kept, _) in walks)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -1401,37 +1403,18 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
         for start in range(0, lam.size, step):
             part = np.arange(start, min(start + step, lam.size))
             _pole_sum([(pole, walk, part) for pole, walk in walks], win, lam, n_terms + 2, sums)
-        # the whole ghost part is at most envelope(s0)/(1 - q0), s0 = lam + sum w
-        # (the ratio bound of `_window_cut`'s right tail from m = 0); a ghost
-        # below 2^-20 units of the row is left to the remainder
-        s0 = lam + total_w
-        q0 = (1.0 + model.dim) * np.exp(-0.5 * eps**2 * (2.0 * s0 + 1.0))
-        whole = np.where(q0 < 1.0, win.fourier_envelope(s0) / (1.0 - q0), np.inf)
-        ghosts, ghost_size = np.zeros(lam.size, dtype=complex), np.zeros(lam.size)
-        ghost_rem, ghost_bound, ghost_terms = whole.copy(), np.zeros(lam.size), np.zeros(lam.size)
-
-        def sum_ghosts(summed):  # (-1)^d conj of the eigen-sum at -lam - sum w
-            if summed.size:
-                ghost, *rest = _eigen_sum_trace(model, win, -lam[summed] - total_w)
-                ghosts[summed] = (-1) ** model.dim * np.conj(ghost)
-                ghost_rem[summed], ghost_bound[summed], ghost_size[summed], ghost_terms[summed] = rest
-
-        left = whole <= 2.0**-20 * u * magnitude
-        sum_ghosts(np.flatnonzero(~left))
-        value, total = periods - ghosts, magnitude + ghost_size
-        bound = 2.0 * u * units + ghost_bound
-        ok = np.isfinite([value, total, bound, remainder + ghost_rem]).all(axis=0)
-        ok &= remainder + ghost_rem <= _final_cut_target(tail_tol, u, total)
+        ghost, ghost_rem, ghost_bound, ghost_size, ghost_terms = _eigen_sum_trace(model, win, -lam - total_w)
+        ghost = (-1) ** model.dim * np.conj(ghost)
+        value, total, bound = periods - ghost, magnitude + ghost_size, 2.0 * u * units + ghost_bound
+        remainder += ghost_rem
+        ok = np.isfinite([value, total, bound, remainder]).all(axis=0)
+        ok &= remainder <= _final_cut_target(tail_tol, u, total)
         calm = total <= _CLOSED_FORM_KAPPA * np.abs(value)
         fine = np.flatnonzero(ok & ~calm & (magnitude > _CLOSED_FORM_KAPPA * np.abs(periods)))
         if fine.size:  # a row whose period terms cancel: their sum at 40 digits
             exact, exact_bound = _exact_periods(walks, win, lam[fine], n_terms)
-            # a ghost left to the remainder is judged again, against |value|
-            sum_ghosts(fine[left[fine] & (whole[fine] > 2.0**-20 * u * np.abs(exact))])
-            value[fine] = exact - ghosts[fine]
-            bound[fine] = exact_bound + ghost_bound[fine]
-            bound[fine] += 2.0 * u * (np.abs(exact) + ghost_size[fine])
-        remainder += ghost_rem
+            value[fine] = exact - ghost[fine]
+            bound[fine] = exact_bound + ghost_bound[fine] + 2.0 * u * (np.abs(exact) + ghost_size[fine])
     kept = rows[ok]
     values[kept], remainders[kept], bounds[kept] = value[ok], remainder[ok], bound[ok]
     terms[kept] = n_terms + ghost_terms[ok]
@@ -1629,8 +1612,10 @@ def offlocus_decay_scan(
     """
     given = np.eye(chart.normal_dim)[0] if direction is None else direction
     lams, given = _scan_inputs(chart, lambda_grid, u=given, C=C)
+    if not 0 < (norm := np.linalg.norm(given)) < math.inf:
+        raise InputError(f"a direction must be nonzero with a finite norm, got {given!r}")
     moments = _chart_moments(chart, given, _offlocus_radii(C, lams))
-    direction, dist = given / np.linalg.norm(given), 2.0 * C * lams ** (-7.0 / 18.0)
+    direction, dist = given / norm, 2.0 * C * lams ** (-7.0 / 18.0)
     points = np.array([chart.normal_point(r * direction) for r in dist])
     exact, remainders, bounds, precision = _diagonal_values(
         model, win, lams, points, tail_tol, moments

@@ -66,13 +66,15 @@ _TOEPLITZ_WORK_MAX = 1 << 30
 # ----------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=512)
+@functools.lru_cache(maxsize=512, typed=True)
 def multi_indices(d: int, k: int) -> np.ndarray:
     """All exponent vectors alpha in N^{d+1} with |alpha| = k, lexicographic.
 
     Stars and bars: d bars among k + d slots split k stars into d + 1 parts.
     Descending bar positions list the first coordinate descending, then the
-    rest the same way.  Memoised, so the array is read-only.
+    rest the same way.  Memoised, so the array is read-only; the cache is
+    keyed by type too, so a float degree equal to a cached int is still
+    refused.
     """
     n = section_dimension(d, k)
     flat = itertools.chain.from_iterable(itertools.combinations(range(k + d), d))

@@ -383,15 +383,18 @@ _SCAN_FAULTS = {
     "negative-empty-grid": lambda m, c: negative_lambda_scan(m, WIN, np.array([])),
     "local-radius-past-half-pi": lambda m, c: scaled_diagonal_scan(m, WIN, c, np.array([5.0]), [4.0, 9.0]),
     "offlocus-radius-past-half-pi": lambda m, c: offlocus_decay_scan(m, WIN, c, 1e3, [80.0, 160.0]),
+    "offlocus-zero-direction": lambda m, c: offlocus_decay_scan(m, WIN, c, 1.0, [80.0, 160.0],
+                                                                direction=np.zeros(1)),
 }
 
 
 @pytest.mark.parametrize("fault", list(_SCAN_FAULTS))
 def test_kernel_scans_refuse_what_the_config_refuses(fault, model12, chart, monkeypatch, capfd):
-    # a math domain error, numpy's divide warnings before an InputError, a
-    # broadcast ValueError, silent reports (C < 0, and a chart radius past
-    # pi/2) and a zero-size ValueError; now an InputError before any point
-    # is built, and nothing on stderr
+    # a math domain error, numpy's divide warnings before an InputError (a
+    # zero lambda, a zero direction), a broadcast ValueError, silent reports
+    # (C < 0, and a chart radius past pi/2) and a zero-size ValueError; now
+    # an InputError before any point is built, with warnings as errors, and
+    # nothing on stderr
     def built(*args):
         raise AssertionError("a point was built")
 
@@ -414,12 +417,33 @@ def test_denumerants_match_coin_counting():
     assert counts.tolist() == _coin_counts((1, 1, 1, 2), n_max)
 
 
-def test_denumerants_refuse_past_int64():
-    # ten unit weights: C(1000 + 9, 9) ~ 3e21 > 2^63 at the table's top
-    with pytest.raises(CoverageError, match="int64"):
-        _denumerants((1,) * 10, 1000)
-    with pytest.raises(CoverageError, match="int64"):
-        _eigen_sum_trace(make_model((1,) * 10), Window("gaussian", 0.0, 0.3), np.array([1e3]))
+def test_denumerants_stay_exact_past_int64():
+    # ten unit weights: d(1000) = C(1000 + 9, 9) ~ 3e21 > 2^63, so the table
+    # is kept in Python ints; an int64 table would wrap
+    counts = _denumerants((1,) * 10, 1000)
+    assert counts[1000] == math.comb(1009, 9) > 2**63
+    assert counts.tolist() == _coin_counts((1,) * 10, 1000)
+    assert _denumerants((1, 2), 1000).dtype == np.int64
+    # 71 unit weights: C(2^21 + 70, 70) ~ 1e341 passes the double range, and
+    # is refused before anything is allocated
+    with pytest.raises(CoverageError, match="double range"):
+        _denumerants((1,) * 71, 2**21 - 1)
+
+
+@pytest.mark.parametrize("weights, eps, lams", [
+    ((1,) * 20 + (2,), 0.2, np.linspace(80.0, 120.0, 5)),
+    ((1,) * 12 + (2,), 0.1, np.linspace(150.0, 300.0, 6)),
+])
+def test_ghosts_past_int64_denumerants_agree_with_sixty_digits(weights, eps, lams):
+    # the ghost cuts of these rows tabulate d(n) past 2^63 (C(105, 20) ~ 1e22
+    # at lambda = 80 on the first); every row is closed-form and within its
+    # remainder plus bound of a 60-digit sum
+    win = Window("gaussian", 0.0, eps)
+    res = smoothed_trace(make_model(weights), win, lams)
+    assert res.precision.tolist() == ["closed-form"] * lams.size
+    for lam, value, remainder, bound in zip(lams, res.value, res.cut_remainder, res.rounding_bound):
+        ref, _ = _mpmath_trace(weights, win, lam, 0, int(lam + 40.0 / eps), digits=60)
+        assert abs(complex(ref) - value) <= remainder + bound, lam
 
 
 def test_fubini_diagonal_integrates_to_trace(model12):
@@ -642,10 +666,11 @@ def test_trace_rows_whose_period_terms_cancel_keep_their_digits():
 
 
 def test_cancelling_trace_rows_judge_their_ghost_against_the_value():
-    # the same (1, 3) rows from lambda = 70: a ghost part below 2^-20 units
-    # of the period majorants is not below 2^-20 units of a value 1e14 times
-    # smaller, so it is summed; left to the remainder it made lambda = 79,
-    # 82 and 85 2.0e-10, 6.7e-13 and 1.8e-15 off, against a 60-digit sum
+    # the same (1, 3) rows from lambda = 70: a ghost far below the period
+    # majorants is not below a value 1e14 times smaller.  Every row sums its
+    # ghost; left to the remainder as below 2^-20 units of the majorants, it
+    # made lambda = 79, 82 and 85 2.0e-10, 6.7e-13 and 1.8e-15 off, against
+    # a 60-digit sum
     model, win = make_model((1, 3)), Window("gaussian", np.pi, 0.15)
     lams = np.arange(70.0, 119.0, 3.0)
     res = smoothed_trace(model, win, lams)
@@ -785,7 +810,7 @@ def test_recurrence_matches_lattice_sum(weights, arithmetic):
     t, scale, lo, hi, remainders = _scan_cut(win, model, lams, pts)
     if arithmetic == "double":
         h = _h_table(t, weights, int(hi.max()))
-        got, _ = _window_sums(win, lams, h, lo, hi, scale, _phase_table(win))
+        got, _ = _window_sums(win, lams, h, lo, hi, scale)
     else:  # the closed form at these points, each row in whichever arithmetic it keeps
         got, remainders, _, _ = _diagonal_values(model, win, lams, pts, 1e-10)
     assert remainders.max() < 1e-20
@@ -1209,3 +1234,32 @@ def test_closed_form_trace_leaves_cancelling_and_huge_rows_to_the_eigen_sum(mode
     assert smoothed_trace(model12, WIN, 2.0**52 - 1).precision == "closed-form"
     with pytest.raises(CoverageError, match="window-cut table"):
         smoothed_trace(model12, WIN, 2.0**52)
+
+
+def test_trace_remainders_carry_the_summed_ghost(model12):
+    # (1, 2) at tau0 = 0: each row's ghost at -lam - 3 is summed over its
+    # cut, so the remainder is that cut's geometric tail, not the whole
+    # ghost (1.7e-115 at lambda = 150 when it was folded into the remainder)
+    win, lams = Window("gaussian", 0.0, 0.15), np.linspace(150.0, 240.0, 7)
+    res = smoothed_trace(model12, win, lams)
+    assert res.precision.tolist() == ["closed-form"] * 7
+    assert (res.cut_remainder < 1e-290).all()
+
+
+def test_empty_ghost_cuts_build_no_phase_table():
+    # (2, 3, 5, 7) at eps 0.04: from lambda + 17 past sqrt(1400)/eps every
+    # ghost cut is empty; its remainder is the whole-ghost bound
+    # envelope(s0)/(1 - q0), s0 = lambda + sum w (the right tail of
+    # `_window_cut` from n = 0), and no 40-digit phase table is built
+    model, win = make_model((2, 3, 5, 7)), Window("gaussian", 2 * np.pi / 5, 0.04)
+    lams = np.linspace(919.0, 930.0, 6)
+    calls = smoothing._phase_table_at.cache_info()[:2]  # (hits, misses)
+    res = smoothed_trace(model, win, lams)
+    ghost, ghost_rem, *rest = _eigen_sum_trace(model, win, -lams - 17.0)
+    assert smoothing._phase_table_at.cache_info()[:2] == calls
+    s0 = lams + 17.0
+    q0 = 4.0 * np.exp(-0.5 * win.eps**2 * (2.0 * s0 + 1.0))
+    whole = win.fourier_envelope(s0) / (1.0 - q0)
+    assert (whole > 0).all() and ghost_rem.tolist() == whole.tolist()
+    assert not (ghost.any() or any(column.any() for column in rest))
+    assert res.precision.tolist() == ["closed-form"] * 6 and (res.cut_remainder >= whole).all()

@@ -79,6 +79,14 @@ def _recursive_multi_indices(d, k):
     return np.concatenate(blocks)
 
 
+def test_multi_indices_refuse_a_float_degree_after_the_int_is_cached():
+    # the degree check runs on every call, not only on a cache miss
+    assert multi_indices(1, 2).shape == (3, 2)
+    for degree in (2.0, 3.0):
+        with pytest.raises(InputError, match="nonnegative integer"):
+            multi_indices(1, degree)
+
+
 def test_multi_indices_are_read_only_and_ranked():
     first = multi_indices(2, 6)
     assert multi_indices(2, 6) is first  # memoised
