@@ -8,7 +8,7 @@ its own ``src`` on the path, in a fresh interpreter):
 
 - the CLI arguments of perfbench's trace-scan and kernel-scan workloads for
   seeds 1-3 (built by the change's ``perfbench/run.py``);
-- the general-weight trace and kernel commands of the CI workflow;
+- the general-weight trace, kernel and parity commands of the CI workflow;
 - ``verify --seed 5``.
 
 Per artifact (``<kind>.csv`` with its ``<kind>.json``, and
@@ -58,6 +58,9 @@ CI_COMMANDS = [
                      "--eps", "0.1", "--lambda-grid", "1e6:2e6:3"]),
     ("ci-local-123", ["local", "--weights", "1,2,3", "--shape", "gaussian", "--tau0", TAU_THIRD,
                       "--eps", "0.1", "--lambda-grid", "1e6:2e6:3"]),
+    ("ci-parity-112", ["parity", "--weights", "1,1,2", "--shape", "gaussian", "--tau0",
+                       "3.141592653589793", "--eps", "0.15", "--lambda-grid", "100:400:4",
+                       "--u", "0.5,0.25"]),
 ]
 
 

@@ -164,6 +164,13 @@ def gaussian_line_size(decay, rate):
 # ----------------------------------------------------------------------------
 
 
+def rule_sizes(d: int, t_degree: int, phase_degree: int) -> tuple[int, int]:
+    """Gauss-Legendre nodes per axis of `simplex_rule` (d, t_degree), whose
+    substitution raises each variable's degree to at most t_degree + d, and
+    angles per circle of `sphere_product_rule` (d, t_degree, phase_degree)."""
+    return (t_degree + d) // 2 + 2, phase_degree + 1
+
+
 def simplex_rule(d: int, degree: int):
     """Nodes and weights on the open simplex {t_i > 0, sum t_i < 1} in R^d.
 
@@ -181,8 +188,7 @@ def simplex_rule(d: int, degree: int):
         raise ValueError("dimension must be nonnegative")
     if d == 0:
         return np.zeros((1, 0)), np.ones(1)
-    # per-variable polynomial degree after substitution is <= degree + d
-    n1 = (degree + d) // 2 + 2
+    n1, _ = rule_sizes(d, degree, 0)
     s, ws = gauss_legendre(n1, 0.0, 1.0)
     grids = np.meshgrid(*([s] * d), indexing="ij")
     wgrids = np.meshgrid(*([ws] * d), indexing="ij")
@@ -256,7 +262,7 @@ def sphere_product_rule(d: int, t_degree: int, phase_degree: int) -> SphereProdu
     moment variables |z_j|^2) times (trigonometric monomials of degree <=
     phase_degree in each angle).
     """
-    n_phi = phase_degree + 1
+    _, n_phi = rule_sizes(d, t_degree, phase_degree)
     t_nodes, t_w = simplex_rule(d, t_degree)
     slack = 1.0 - t_nodes.sum(axis=1)
     t_full = np.concatenate([t_nodes, slack[:, None]], axis=1)  # (mt, d+1)

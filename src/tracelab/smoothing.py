@@ -47,11 +47,11 @@ ghost, (-1)^d times the conjugate trace eigen-sum at -lam - sum w (its cut
 is empty once lam + sum w passes `_GAUSS_FAR`/eps), and the kernel's n <=
 -(d+1)D, summed from the poles (`_negative_tail`).  Such a row costs O(1)
 in lam, is labelled "closed-form", and reports its omitted aliases and
-negative-n part as its remainder.  It is kept when its poles are
-separated, it does not cancel (its own kappa is at most
-`_CLOSED_FORM_KAPPA`) and its remainder meets the cut target; trace period
-terms that cancel past that are summed again at `_DECIMAL_DIGITS` digits
-(`_exact_periods`).
+negative-n part as its remainder.  One verdict judges every row a closed
+form formed (`_closed_form_verdict`): it stands when it is finite and meets
+the cut target, and is taken when, besides, it does not cancel (its kappa
+is at most `_CLOSED_FORM_KAPPA`); trace period terms that cancel past that
+are summed again at `_DECIMAL_DIGITS` digits (`_exact_periods`).
 
 Every other row (bump windows, colliding poles, trace rows past 2^52, rows
 whose terms overflow) is an eigen-sum over its window cut, in double
@@ -59,15 +59,14 @@ whose terms overflow) is an eigen-sum over its window cut, in double
 table, `_window_sums` and `_rounding_bounds`).  Near a period the phases
 alternate and the sum cancels: kappa = sum |terms| / |sum| is 5e7 to 2e12 on
 the off-locus diagonal scans and grows like lam^d on a trace at tau0 = pi.
-One chooser serves traces and kernels (`_chosen_rows`): a row the closed
-form formed but turned away only for its own kappa is summed as an eigen-sum
-too, and keeps whichever value reports the smaller remainder plus rounding
-bound; no eigen-sum is summed past double.  The eigen-sum takes its phases
-from one table of cis(k tau0), |k| <= K, each entry rounded once from 40
-digits and built once per (tau0, eps) (`_phase_table`): with c = round(lam)
-and f = lam - c a row is e^{-i f tau0} sum_k c_{c+k} chihat_0(f - k) cis(k
-tau0), so no phase argument grows with |lam - n| and a row takes one complex
-exponential.  Each row reports its arithmetic, "closed-form" or "double",
+One chooser serves traces and kernels (`_chosen_rows`): a row that stands
+but is not taken is summed as an eigen-sum too, and keeps whichever value
+reports the smaller remainder plus rounding bound; no eigen-sum is summed
+past double.  The eigen-sum takes its phases from one table of cis(k tau0),
+|k| <= K, each entry rounded once from 40 digits and built once per (tau0,
+eps) (`_phase_table`): with c = round(lam) and f = lam - c a row is
+e^{-i f tau0} sum_k c_{c+k} chihat_0(f - k) cis(k tau0), so no phase
+argument grows with |lam - n| and a row takes one complex exponential.  Each row reports its arithmetic, "closed-form" or "double",
 and a rounding bound (`_rounding_bounds`, or the closed form's own) next to
 its remainder; the eigen-sum's bound charges each term's rounding at its own
 distance |lam - n|, and passes |value| on a row that cancels past what
@@ -87,7 +86,7 @@ import numpy as np
 
 from .asymptotics import _period_phase, local_prediction, predict_local
 from .errors import CoverageError, InputError
-from .geometry import HeisenbergChart, ProjectiveModel
+from .geometry import HeisenbergChart, ProjectiveModel, check_points
 from .reports import ScanReport
 from .spectral import SpectralPackage, section_dimension
 from .windows import Window
@@ -215,20 +214,21 @@ def smoothed_trace(
 
 
 def _chosen_rows(win: Window, lam, tail_tol, size, closed_form, eigen_sum):
-    """The rows of a trace or kernel diagonal: the columns of ``closed_form``
-    (values, remainders, rounding bounds, and for traces term counts) and
-    each row's arithmetic, "closed-form" or "double".  In order: tau0
-    (`_check_tau0`), lam (`_check_lambdas`, ``size`` rows when given) and
-    tail_tol are checked; ``closed_form(lams)`` forms the rows, with masks of
-    the rows taken and formed (taken, or turned away only for their kappa);
-    ``eigen_sum(lams, rows)`` sums the others (values, remainders, bounds,
-    sum |terms|, further columns); a row short of `_final_cut_target`
-    refuses; a formed row keeps the better certified of its two values."""
+    """The rows of a trace or kernel diagonal: values, remainders, rounding
+    bounds (and for traces term counts) and each row's arithmetic,
+    "closed-form" or "double".  In order: tau0 (`_check_tau0`), lam
+    (`_check_lambdas`, ``size`` rows when given) and tail_tol are checked;
+    ``closed_form(lams)`` forms the rows (the columns of ``eigen_sum``, sum
+    |terms| read as sum of majorants, and a mask of the rows formed), which
+    `_closed_form_verdict` judges; ``eigen_sum(lams, rows)`` sums the rows
+    not taken; one short of `_final_cut_target` refuses; a row that stands
+    keeps the better certified of its two values."""
     _check_tau0(win)
     lams = _check_lambdas(lam, size)
     if not (isinstance(tail_tol, Real) and 0 < tail_tol < math.inf):
         raise InputError(f"tail_tol must be positive and finite, got {tail_tol!r}")
-    *columns, taken, formed = closed_form(lams)
+    *columns, formed = closed_form(lams)
+    formed, taken = _closed_form_verdict(columns, formed, tail_tol)
     precision = np.full(lams.size, "closed-form", dtype=object)
     rows = np.flatnonzero(~taken)
     if rows.size:
@@ -239,9 +239,10 @@ def _chosen_rows(win: Window, lam, tail_tol, size, closed_form, eigen_sum):
             raise CoverageError(f"window cut remainder {remainders[i]:.2e} cannot reach "
                                 f"{targets[i]:.2e} at lambda={lams[rows[i]]}")
         use = ~(formed[rows] & (columns[1][rows] + columns[2][rows] < remainders + bounds))
-        for column, new in zip(columns, (values, remainders, bounds, *more)):
+        for column, new in zip(columns, (values, remainders, bounds, magnitudes, *more)):
             column[rows[use]] = new[use]
         precision[rows[use]] = "double"
+    del columns[3]  # the sums of majorants or |terms|, read by the verdict and the cut target
     return columns, precision
 
 
@@ -358,6 +359,17 @@ def _check_lambdas(lam, size: int | None = None) -> np.ndarray:
 def _final_cut_target(tail_tol: float, unit, magnitudes: np.ndarray) -> np.ndarray:
     """What a cut must meet: min(tail_tol, unit * sum |terms|), above the floor."""
     return np.maximum(np.minimum(tail_tol, unit * magnitudes), _CUT_FLOOR)
+
+
+def _closed_form_verdict(columns, formed, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Of the rows ``formed`` by a closed form, with ``columns`` (values,
+    remainders, rounding bounds, sums of term majorants M, ...), those that
+    stand, finite and within `_final_cut_target`(tail_tol, 2^-53, M), and
+    those taken: standing with kappa = M/|value| <= `_CLOSED_FORM_KAPPA`."""
+    value, remainder, bound, majorants = columns[:4]
+    formed = formed & np.isfinite(value) & np.isfinite(remainder) & np.isfinite(bound)
+    formed &= np.isfinite(majorants) & (remainder <= _final_cut_target(tail_tol, 2.0**-53, majorants))
+    return formed, formed & (majorants <= _CLOSED_FORM_KAPPA * np.abs(value))
 
 
 # ----------------------------------------------------------------------------
@@ -1057,14 +1069,12 @@ def _merged_moments(weights, row) -> tuple:
 
 def _sphere_moments(model: ProjectiveModel, points) -> np.ndarray:
     """|z_i|^2 of each point, one row per point: the pole path's input check
-    refuses (InputError) a point with the wrong number of coordinates, and a
-    zero or non-finite one, before any row is summed."""
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    if pts.ndim != 2 or pts.shape[1] != model.dim + 1:
-        raise InputError(
-            f"a point of the weights {model.weights} has {model.dim + 1} coordinates, "
-            f"got an array of shape {np.shape(points)}"
-        )
+    refuses (InputError) a point with the wrong number of coordinates
+    (`check_points`), points not given as one point or a list of them, and
+    a zero or non-finite point, before any row is summed."""
+    pts = np.atleast_2d(check_points(model, np.asarray(points, dtype=complex)))
+    if pts.ndim != 2:
+        raise InputError(f"kernel points must be one point or a list of points, got shape {pts.shape}")
     t = np.abs(pts) ** 2
     mass = t.sum(axis=1)
     if not (np.isfinite(mass) & (mass > 0)).all():
@@ -1103,10 +1113,11 @@ def _negative_tail(d: int, win: Window, lam: float, poles: list, top: int):
     return total, float(size.sum()), float((units * size).sum()), remainder, n.size
 
 
-def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol: float):
+def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t):
     """Kernel rows in closed form for the gaussian window, on any weights:
-    values, remainders and rounding bounds, the mask of rows taken and the
-    mask of rows formed (taken, or turned away only for their kappa).
+    values, remainders, rounding bounds and sums of the term majorants, all
+    scaled by d!/pi^d, and the mask of rows whose poles and negative tail it
+    formed, for `_closed_form_verdict` to judge.
 
     ``t`` holds each row's moments, doubles |z_i|^2 or the decimals of
     `_chart_moments`.  The closed form evaluates the kernel at the sphere
@@ -1139,24 +1150,20 @@ def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol
         rho = 2u (sum_terms units + (N + 2d + 4) sum_terms M).
 
     **Scope and fallback.**  A row is formed when the window is gaussian,
-    its poles are separated (`_ROOT_SEPARATION`, with disjoint enclosures),
-    nothing overflows, the negative tail decays and the remainder meets
-    min(tail_tol, u sum majorants); it is taken when, besides, its own kappa
-    = sum majorants / |value|, the subtracted tail included, is at most
-    `_CLOSED_FORM_KAPPA`.  That turns away rows whose poles cancel each
-    other or the tail (a pole of modulus well below 1 at small lam), where
-    the eigen-sum, whose terms may not cancel at all, can keep more digits:
-    a (1, 2, 2) row at tau0 = 0, lam = 0 with kappa 840 was 8.7e-14 off.
-    Every row it does not take is summed by `_eigen_sum_diagonal`, and a
-    formed row keeps the better certified value (`_chosen_rows`).
+    its poles are separated (`_ROOT_SEPARATION`, with disjoint enclosures)
+    and its negative tail decays; the chooser judges it
+    (`_closed_form_verdict`).  Its kappa counts the subtracted tail, so rows
+    whose poles cancel each other or the tail (a pole of modulus well below
+    1 at small lam) are not taken: the eigen-sum, whose terms may not cancel
+    at all, can keep more digits (a (1, 2, 2) row at tau0 = 0, lam = 0 with
+    kappa 840 was 8.7e-14 off), and the row keeps the better certified
+    value (`_chosen_rows`).
     """
-    values = np.zeros(lams.size, dtype=complex)
-    remainders, bounds = np.zeros(lams.size), np.zeros(lams.size)
-    formed = np.zeros(lams.size, dtype=bool)
+    sums = value, magnitude, units, remainder = np.zeros(lams.size, dtype=complex), *np.zeros((3, lams.size))
+    n_terms, formed = np.zeros(lams.size), np.zeros(lams.size, dtype=bool)
     if win.shape != "gaussian":
-        return values, remainders, bounds, formed.copy(), formed
+        return value, remainder, units, magnitude, formed  # zeros, no row formed
     d, u = model.dim, 2.0**-53
-    scale = math.factorial(d) / math.pi**d
     groups: dict = {}
     for i, row in enumerate(t):
         groups.setdefault(_merged_moments(model.weights, row), []).append(i)
@@ -1170,10 +1177,8 @@ def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol
             continue
         walks = [_alias_walk(pole, win.tau0, win.eps) for pole in poles]
         items += [(pole, walk, np.array(rows)) for pole, walk in zip(poles, walks)]
-        n_terms = sum(len(kept) for kept, _ in walks) + 2 * d + 4
-        tails.append((rows, poles, max(w for w, c in moments if c > 0), n_terms))
-    sums = value, magnitude, units, remainder = np.zeros(lams.size, dtype=complex), *np.zeros((3, lams.size))
-    n_terms = np.zeros(lams.size)
+        count = sum(len(kept) for kept, _ in walks) + 2 * d + 4
+        tails.append((rows, poles, max(w for w, c in moments if c > 0), count))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if items:
             _pole_sum(items, win, lams, 0, sums)
@@ -1189,23 +1194,12 @@ def _closed_form_diagonal(model: ProjectiveModel, win: Window, lams, t, tail_tol
             remainder[row] += tail[3]
             n_terms[row] = count + tail[4]
             formed[row] = True
+    scale = math.factorial(d) / math.pi**d
     bound = 2.0 * u * (units + n_terms * magnitude)
-    formed &= np.isfinite([value, magnitude, bound, remainder]).all(axis=0)
-    formed &= remainder <= _final_cut_target(tail_tol, u, magnitude * scale) / scale
-    values[formed], remainders[formed] = value[formed] * scale, remainder[formed] * scale
-    bounds[formed] = bound[formed] * scale
-    taken = formed & (magnitude <= _CLOSED_FORM_KAPPA * np.abs(value))
-    return values, remainders, bounds, taken, formed
+    return value * scale, remainder * scale, bound * scale, magnitude * scale, formed
 
 
-def _diagonal_values(
-    model: ProjectiveModel,
-    win: Window,
-    lams: np.ndarray,
-    points: np.ndarray,
-    tail_tol: float,
-    moments: list | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _diagonal_values(model: ProjectiveModel, win: Window, lams, points, tail_tol: float, moments=None):
     """Exact diagonal at paired (lam_i, point_i): the values, their
     remainders and rounding bounds, and each row's arithmetic, from
     `_closed_form_diagonal` or `_eigen_sum_diagonal` as `_chosen_rows`
@@ -1215,14 +1209,10 @@ def _diagonal_values(
     t = _sphere_moments(model, points)
     columns, precision = _chosen_rows(
         win, lams, tail_tol, t.shape[0],
-        lambda lams: _closed_form_diagonal(model, win, lams, t if moments is None else moments, tail_tol),
+        lambda lams: _closed_form_diagonal(model, win, lams, t if moments is None else moments),
         lambda lams, rows: _eigen_sum_diagonal(model, win, lams, t[rows]),
     )
     return (*columns, precision)
-
-
-# a row's arithmetic, cheapest first
-_ARITHMETICS = ("closed-form", "double")
 
 
 def _eigen_sum_diagonal(model: ProjectiveModel, win: Window, lams: np.ndarray, t: np.ndarray):
@@ -1323,9 +1313,9 @@ def _cis(turn: Fraction) -> tuple[Decimal, Decimal]:
 
 def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, tail_tol: float):
     """Trace rows in closed form for the gaussian window, on any weights:
-    values, remainders, rounding bounds, term counts, the mask of rows taken
-    and the mask of rows formed (taken, or turned away only for their
-    kappa), vectorised over the grid.
+    values, remainders, rounding bounds, sums of the term majorants and term
+    counts, and the mask of rows whose poles and ghost it formed, for
+    `_closed_form_verdict` to judge, vectorised over the grid.
 
     **Derivation.**  With d(n) = sum_zeta zeta^n P_zeta(n) over the poles of
     `_unit_poles` for n >= 0, the quasi-polynomial Q(n) of the right side
@@ -1348,17 +1338,17 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
     **Cancelling rows.**  Period terms can cancel past double: on (1, 3) at
     tau0 = pi (the double, pi - 1.2e-16) the terms at tau = 2 pi/3 and
     4 pi/3 are conjugates but for that 1.2e-16, so at integer lam = 1 mod 3
-    two terms near 3e-11 leave 3.6e-25, below their rounding.  So a formed
-    row whose kappa passes `_CLOSED_FORM_KAPPA`, and whose period terms
-    alone cancel past it too (sum M > `_CLOSED_FORM_KAPPA` |their sum|;
-    where only the ghost cancels them, 40 digits would gain a constant
-    factor), has its period sum formed again at `_DECIMAL_DIGITS` digits and
-    rounded once (`_exact_periods`): from the decimal coefficients of
-    `_unit_poles`, chi and y = theta/eps^2, with the phase cis(-2 pi r), r =
-    lam (k - turn) reduced mod 1 in exact Fractions (`_cis`, exact on
-    quarter turns); the ghost stays in double.  With v = `_DECIMAL_UNIT`
-    and theta off by e_theta <= 5 v (2 + |tau0| + |theta|) (`_pole_sum`), y
-    is off by e_y = e_theta/eps^2 + 2 v |y|, and chi relatively by
+    two terms near 3e-11 leave 3.6e-25, below their rounding.  So a row
+    that stands but is not taken (`_closed_form_verdict`), and whose period
+    terms alone, with nothing left out, are not taken either (where only the
+    ghost cancels them, 40 digits would gain a constant factor), has its
+    period sum formed again at `_DECIMAL_DIGITS` digits and rounded once
+    (`_exact_periods`): from the decimal coefficients of `_unit_poles`, chi
+    and y = theta/eps^2, with the phase cis(-2 pi r), r = lam (k - turn)
+    reduced mod 1 in exact Fractions (`_cis`, exact on quarter turns); the
+    ghost stays in double.  With v = `_DECIMAL_UNIT` and theta off by
+    e_theta <= 5 v (2 + |tau0| + |theta|) (`_pole_sum`), y is off by
+    e_y = e_theta/eps^2 + 2 v |y|, and chi relatively by
     v (4 a + 1) + |theta| e_theta/eps^2, a = theta^2/(2 eps^2).  A term is
     off by at most v M times 2 deg + 8 for b_k, 5 deg + 2 for Horner's
     rule, 420 for the phase (`_sin_cos`' 280 units per part at |2 pi r| <=
@@ -1375,24 +1365,21 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
               + ghost's bound.
 
     **Scope and fallback.**  A row is formed when the window is gaussian,
-    `_unit_poles` forms the poles, -sum w < lam < `_CLOSED_FORM_LAMBDA`
-    (for lam <= -sum w the ghost holds the terms nearest the window's peak),
-    nothing overflows and the remainder meets min(tail_tol, u sum M); it is
-    taken when, besides, kappa = (sum M + sum |ghost terms|)/|value| of the
-    double evaluation is at most `_CLOSED_FORM_KAPPA` (small and negative
-    lam, where the ghost cancels the Poisson side, and the cancelling period
-    terms above fail it).  A formed row that is not taken, with its period
-    sum at 40 digits where those terms cancel, is compared with the
-    eigen-sum (`_chosen_rows`).
+    `_unit_poles` forms the poles and -sum w < lam < `_CLOSED_FORM_LAMBDA`
+    (for lam <= -sum w the ghost holds the terms nearest the window's peak);
+    the chooser judges it (`_closed_form_verdict`), its M summing the ghost's
+    |terms| too.  Small and negative lam, where the ghost cancels the
+    Poisson side, and the cancelling period terms above are not taken, and
+    the row keeps the better certified value (`_chosen_rows`).
     """
     values = np.zeros(lams.size, dtype=complex)
-    remainders, bounds, terms = np.zeros(lams.size), np.zeros(lams.size), np.zeros(lams.size)
-    taken, formed = np.zeros(lams.size, dtype=bool), np.zeros(lams.size, dtype=bool)
+    remainders, bounds, majorants, terms = np.zeros((4, lams.size))
+    formed = np.zeros(lams.size, dtype=bool)
     poles = _unit_poles(tuple(sorted(model.weights))) if win.shape == "gaussian" else None
     total_w = sum(model.weights)
     rows = np.flatnonzero((lams > -total_w) & (np.abs(lams) < _CLOSED_FORM_LAMBDA))
     if poles is None or not rows.size:
-        return values, remainders, bounds, terms, taken, formed
+        return values, remainders, bounds, majorants, terms, formed
     lam, u = lams[rows], 2.0**-53
     walks = [(pole, _alias_walk(pole, win.tau0, win.eps)) for pole in poles]
     n_terms = sum(len(kept) for _, (kept, _) in walks)
@@ -1407,20 +1394,18 @@ def _closed_form_trace(model: ProjectiveModel, win: Window, lams: np.ndarray, ta
         ghost = (-1) ** model.dim * np.conj(ghost)
         value, total, bound = periods - ghost, magnitude + ghost_size, 2.0 * u * units + ghost_bound
         remainder += ghost_rem
-        ok = np.isfinite([value, total, bound, remainder]).all(axis=0)
-        ok &= remainder <= _final_cut_target(tail_tol, u, total)
-        calm = total <= _CLOSED_FORM_KAPPA * np.abs(value)
-        fine = np.flatnonzero(ok & ~calm & (magnitude > _CLOSED_FORM_KAPPA * np.abs(periods)))
+        ok, calm = _closed_form_verdict((value, remainder, bound, total), True, tail_tol)
+        zero = np.zeros(lam.size)  # the period terms alone, with nothing left out
+        _, alone = _closed_form_verdict((periods, zero, zero, magnitude), ok, tail_tol)
+        fine = np.flatnonzero(ok & ~calm & ~alone)
         if fine.size:  # a row whose period terms cancel: their sum at 40 digits
             exact, exact_bound = _exact_periods(walks, win, lam[fine], n_terms)
             value[fine] = exact - ghost[fine]
             bound[fine] = exact_bound + ghost_bound[fine] + 2.0 * u * (np.abs(exact) + ghost_size[fine])
-    kept = rows[ok]
-    values[kept], remainders[kept], bounds[kept] = value[ok], remainder[ok], bound[ok]
-    terms[kept] = n_terms + ghost_terms[ok]
-    formed[kept] = True
-    taken[kept] = calm[ok]
-    return values, remainders, bounds, terms, taken, formed
+    values[rows], remainders[rows], bounds[rows], majorants[rows] = value, remainder, bound, total
+    terms[rows] = n_terms + ghost_terms
+    formed[rows] = True
+    return values, remainders, bounds, majorants, terms, formed
 
 
 def _exact_periods(walks: list, win: Window, lams: np.ndarray, n_terms: int):
@@ -1473,15 +1458,6 @@ def _exact_periods(walks: list, win: Window, lams: np.ndarray, n_terms: int):
 # ----------------------------------------------------------------------------
 
 
-def _chart_meta(chart: HeisenbergChart) -> dict:
-    """The chart centre and its fixed component; the rows alone do not name them."""
-    return {
-        "chart_center": chart.center,
-        "index_set": list(chart.component.index_set),
-        "normal_dim": chart.component.normal_dim,
-    }
-
-
 def _chart_moments(chart: HeisenbergChart, direction, radii: list) -> list | None:
     """The moments |z_i|^2 of the chart points at normal displacement r
     u/|u| (u = ``direction``, a normal vector) for each r of ``radii``
@@ -1503,15 +1479,16 @@ def _chart_moments(chart: HeisenbergChart, direction, radii: list) -> list | Non
         sizes = [Decimal(x.real) ** 2 + Decimal(x.imag) ** 2 for x in np.ravel(direction).tolist()]
         total = sum(sizes)
         shares = [x / total if total else x for x in sizes]
-        out = []
+        by_radius: dict = {}  # a radius met again (a parity pair's) is formed once
         for r in radii:
-            sin, cos = _sin_cos(r)
-            row = [Decimal(0)] * rows.shape[1]
-            row[axes[0]] = cos * cos
-            for j, share in zip(axes[1:].tolist(), shares):
-                row[j] = sin * sin * share
-            out.append(tuple(row))
-    return out
+            if r not in by_radius:
+                sin, cos = _sin_cos(r)
+                row = [Decimal(0)] * rows.shape[1]
+                row[axes[0]] = cos * cos
+                for j, share in zip(axes[1:].tolist(), shares):
+                    row[j] = sin * sin * share
+                by_radius[r] = tuple(row)
+    return [by_radius[r] for r in radii]
 
 
 def _displacement_radii(u, lams) -> list:
@@ -1557,14 +1534,32 @@ def _scan_inputs(chart, lambda_grid, sign: int = 1, u=None, C: float | None = No
     return lams, u
 
 
-def scaled_diagonal_scan(
-    model: ProjectiveModel,
-    win: Window,
-    chart: HeisenbergChart,
-    u: np.ndarray,
-    lambda_grid: np.ndarray,
-    tail_tol: float = 1e-10,
-) -> ScanReport:
+def _chart_rows(model, win, chart: HeisenbergChart, lams, vectors, direction, radii, tail_tol):
+    """The exact diagonal (`_diagonal_values`) at the chart points
+    chart.normal_point(v), one double normal vector v of ``vectors`` per
+    lam of the checked grid ``lams``; the closed form reads the
+    `_DECIMAL_DIGITS`-digit moments of the points at ``radii`` along
+    ``direction`` (`_chart_moments`), formed before any point is built."""
+    moments = _chart_moments(chart, direction, radii)
+    points = np.array([chart.normal_point(v) for v in vectors])
+    return _diagonal_values(model, win, lams, points, tail_tol, moments)
+
+
+def _chart_scan_meta(chart: HeisenbergChart, remainders, bounds, precision) -> dict:
+    """The meta every kernel scan writes: tau0, the chart centre and its
+    fixed component, which the rows alone do not name, and each row's
+    budgets (`_row_budgets`)."""
+    return {
+        "tau0": chart.tau0,
+        "chart_center": chart.center,
+        "index_set": list(chart.component.index_set),
+        "normal_dim": chart.component.normal_dim,
+        **_row_budgets(remainders, bounds, precision),
+    }
+
+
+def scaled_diagonal_scan(model: ProjectiveModel, win: Window, chart: HeisenbergChart, u: np.ndarray,
+                         lambda_grid: np.ndarray, tail_tol: float = 1e-10) -> ScanReport:
     """Exact vs predicted scaled diagonal at normal displacement u/sqrt(lam).
 
     For each lambda in the grid the kernel diagonal is evaluated at
@@ -1574,33 +1569,22 @@ def scaled_diagonal_scan(
     """
     lams, u = _scan_inputs(chart, lambda_grid, u=u)
     pred = local_prediction(model, chart, win)
-    moments = _chart_moments(chart, u, _displacement_radii(u, lams))
-    points = np.array([chart.normal_point(u / math.sqrt(l)) for l in lams])
-    exact, remainders, bounds, precision = _diagonal_values(
-        model, win, lams, points, tail_tol, moments
-    )
+    vectors = [u / math.sqrt(l) for l in lams]
+    exact, *budgets = _chart_rows(model, win, chart, lams, vectors, u, _displacement_radii(u, lams), tail_tol)
     predicted = predict_local(pred, u, lams)
     meta = {
         "kind_detail": "scaled diagonal vs local leading term",
         "weights": list(map(int, model.weights)),
-        "tau0": chart.tau0,
-        **_chart_meta(chart),
         "u": u,
         "window": {"shape": win.shape, "eps": win.eps},
-        **_row_budgets(remainders, bounds, precision),
+        **_chart_scan_meta(chart, *budgets),
     }
     return ScanReport("local", lams, exact, np.asarray(predicted), meta=meta)
 
 
-def offlocus_decay_scan(
-    model: ProjectiveModel,
-    win: Window,
-    chart: HeisenbergChart,
-    C: float,
-    lambda_grid: np.ndarray,
-    tail_tol: float = 1e-10,
-    direction: np.ndarray | None = None,
-) -> ScanReport:
+def offlocus_decay_scan(model: ProjectiveModel, win: Window, chart: HeisenbergChart, C: float,
+                        lambda_grid: np.ndarray, tail_tol: float = 1e-10,
+                        direction: np.ndarray | None = None) -> ScanReport:
     """Decay of the normalised diagonal just outside the shrinking locus zone.
 
     Samples the diagonal at normal distance 2C*lam^{-7/18} (twice the
@@ -1614,12 +1598,9 @@ def offlocus_decay_scan(
     lams, given = _scan_inputs(chart, lambda_grid, u=given, C=C)
     if not 0 < (norm := np.linalg.norm(given)) < math.inf:
         raise InputError(f"a direction must be nonzero with a finite norm, got {given!r}")
-    moments = _chart_moments(chart, given, _offlocus_radii(C, lams))
     direction, dist = given / norm, 2.0 * C * lams ** (-7.0 / 18.0)
-    points = np.array([chart.normal_point(r * direction) for r in dist])
-    exact, remainders, bounds, precision = _diagonal_values(
-        model, win, lams, points, tail_tol, moments
-    )
+    vectors = [r * direction for r in dist]
+    exact, *budgets = _chart_rows(model, win, chart, lams, vectors, given, _offlocus_radii(C, lams), tail_tol)
     predicted = ((lams / np.pi) ** model.dim).astype(complex)
     ratios = np.abs(exact) / np.abs(predicted)
     top = lams >= lams.max() / 2.0
@@ -1636,9 +1617,7 @@ def offlocus_decay_scan(
         "C": float(C),
         "direction": direction,
         "normalisation": "(lam/pi)^d",
-        **_row_budgets(remainders, bounds, precision),
-        "tau0": chart.tau0,
-        **_chart_meta(chart),
+        **_chart_scan_meta(chart, *budgets),
     }
     return ScanReport("offlocus", lams, exact, predicted, meta=meta, fits=fits)
 
@@ -1685,14 +1664,8 @@ class ParitySplit:
     cut_remainder: float
 
 
-def parity_split(
-    model: ProjectiveModel,
-    win: Window,
-    chart: HeisenbergChart,
-    u: np.ndarray,
-    lam: float,
-    tail_tol: float = 1e-10,
-) -> ParitySplit:
+def parity_split(model: ProjectiveModel, win: Window, chart: HeisenbergChart, u: np.ndarray,
+                 lam: float, tail_tol: float = 1e-10) -> ParitySplit:
     """Even/odd parts of the scaled diagonal in the normal displacement.
 
     Evaluates at +-u/sqrt(lam) and returns ((S+ + S-)/2, (S+ - S-)/2) with
@@ -1705,48 +1678,30 @@ def parity_split(
 
 def _parity_parts(model, win, chart, u, lams, tail_tol):
     """The checked grid (`_scan_inputs`), and even and odd parts,
-    remainders, rounding bounds and arithmetic along it: one
-    `_diagonal_values` call over all points +-u/sqrt(lam).  Each part takes
-    the larger remainder and bound of its two rows, and the costlier
-    arithmetic of the two (closed-form < double)."""
+    remainders, rounding bounds and arithmetic along it, from the chart rows
+    at +-u/sqrt(lam) (`_chart_rows`).  Each part takes the larger remainder
+    and bound of its two rows, and is "double" if either row is."""
     lams, u = _scan_inputs(chart, lams, u=u)
-    moments = _chart_moments(chart, u, _displacement_radii(u, lams))
-    pts = [chart.normal_point(u / math.sqrt(lam)) for lam in lams]
-    pts += [chart.normal_point(-u / math.sqrt(lam)) for lam in lams]
-    values, remainders, bounds, precision = _diagonal_values(
-        model, win, np.concatenate([lams, lams]), np.array(pts), tail_tol,
-        None if moments is None else moments * 2,
+    vectors = [u / math.sqrt(lam) for lam in lams] + [-u / math.sqrt(lam) for lam in lams]
+    values, remainders, bounds, precision = _chart_rows(
+        model, win, chart, np.concatenate([lams, lams]), vectors, u,
+        _displacement_radii(u, lams) * 2, tail_tol,
     )
     n = len(lams)
     plus, minus = values[:n], values[n:]
-    return (
-        lams,
-        (plus + minus) / 2.0,
-        (plus - minus) / 2.0,
-        np.maximum(remainders[:n], remainders[n:]),
-        np.maximum(bounds[:n], bounds[n:]),
-        [max(a, b, key=_ARITHMETICS.index) for a, b in zip(precision[:n], precision[n:])],
-    )
+    arithmetic = np.where(precision[n:] == "double", "double", precision[:n])
+    return (lams, (plus + minus) / 2.0, (plus - minus) / 2.0, np.maximum(remainders[:n], remainders[n:]),
+            np.maximum(bounds[:n], bounds[n:]), arithmetic)
 
 
-def parity_scan(
-    model: ProjectiveModel,
-    win: Window,
-    chart: HeisenbergChart,
-    u: np.ndarray,
-    lambda_grid: np.ndarray,
-    tail_tol: float = 1e-10,
-) -> ScanReport:
+def parity_scan(model: ProjectiveModel, win: Window, chart: HeisenbergChart, u: np.ndarray,
+                lambda_grid: np.ndarray, tail_tol: float = 1e-10) -> ScanReport:
     """`parity_split` along a grid: exact column = odd part, predicted = even part."""
-    lams, even, odd, remainders, bounds, precision = _parity_parts(
-        model, win, chart, u, lambda_grid, tail_tol
-    )
+    lams, even, odd, *budgets = _parity_parts(model, win, chart, u, lambda_grid, tail_tol)
     meta = {
         "kind_detail": "exact column = odd part, predicted column = even part",
         "u": np.asarray(u, dtype=complex),
-        "tau0": chart.tau0,
-        **_chart_meta(chart),
-        **_row_budgets(remainders, bounds, precision),
+        **_chart_scan_meta(chart, *budgets),
     }
     return ScanReport("parity", lams, odd, even, meta=meta)
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import CacheError, CoverageError, InputError, QuadratureError
 from .geometry import ProjectiveModel, check_points, contact_field, make_model
-from .quadrature import SphereProductRule, sphere_product_rule, sphere_rule
+from .quadrature import SphereProductRule, rule_sizes, sphere_product_rule, sphere_rule
 
 # entries per array of one block of moment nodes: 128 KB complex, so a block stays in cache
 _BLOCK_ENTRIES = 1 << 13
@@ -215,7 +215,7 @@ def toeplitz_matrix(model: ProjectiveModel, k: int) -> list[np.ndarray]:
     """
     _check_degree(k)
     d = model.dim
-    t_axis, angles = (k + d + 2) // 2 + 2, k + 3  # `toeplitz_rule`'s moment nodes and angles per axis
+    t_axis, angles = rule_sizes(d, k + 2, k + 2)  # `toeplitz_rule`'s moment nodes and angles per axis
     if math.comb(2 * k + d + 1, d + 1) // 2 * t_axis**d * angles**d * (d + 1) > _TOEPLITZ_WORK_MAX:
         raise CoverageError(f"Toeplitz blocks to degree {k} take more than {_TOEPLITZ_WORK_MAX} "
                             "multiply-adds")

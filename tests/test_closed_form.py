@@ -16,6 +16,7 @@ from tracelab.harness import _default_chart
 from tracelab.smoothing import (
     _chart_moments,
     _closed_form_diagonal,
+    _closed_form_verdict,
     _diagonal_values,
     _displacement_radii,
     _eigen_sum_diagonal,
@@ -30,6 +31,14 @@ from tracelab.windows import Window
 
 WIN = Window("gaussian", np.pi, 0.15)
 U = 2.0**-53
+
+
+def _closed_form_rows(model, win, lams, ts):
+    """The closed form's values, remainders and rounding bounds at (lams,
+    ts), and the mask of rows its verdict takes."""
+    *columns, formed = _closed_form_diagonal(model, win, lams, ts)
+    _, taken = _closed_form_verdict(columns, formed, 1e-10)
+    return (*columns[:3], taken)
 
 
 def _dyadic_moments(rng, size, bits=20):
@@ -210,7 +219,7 @@ def test_closed_form_agrees_with_the_eigen_sum_on_general_weights(row):
     weights, t, lam, win = row
     model = make_model(weights)
     lams, ts = np.array([lam]), t[None, :]
-    value, rem, bound, taken, _ = _closed_form_diagonal(model, win, lams, ts, 1e-10)
+    value, rem, bound, taken = _closed_form_rows(model, win, lams, ts)
     if not taken[0]:
         return  # an eigen-sum row
     other, other_rem, other_bound, _ = _eigen_sum_diagonal(model, win, lams, ts)
@@ -286,9 +295,7 @@ def test_zero_mass_rows_against_mpmath():
         win = Window("gaussian", tau0, 0.2)
         model = make_model(weights)
         for lam in (30.0, 250.5):
-            values, rems, bounds, taken, _ = _closed_form_diagonal(
-                model, win, np.array([lam]), np.array([t]), 1e-10
-            )
+            values, rems, bounds, taken = _closed_form_rows(model, win, np.array([lam]), np.array([t]))
             assert taken[0], (weights, t, tau0, lam)
             kappa = _kappa(weights, lam, win.eps, values[0])
             ref, magnitude = _mp_diagonal(weights, t, lam, tau0, win.eps, kappa)
@@ -333,7 +340,7 @@ def test_closed_form_agrees_with_the_eigen_sum(row, oracle):
     weights, t, lam, win = row
     model = make_model(weights)
     lams, ts = np.array([lam]), t[None, :]
-    value, rem, bound, taken, _ = _closed_form_diagonal(model, win, lams, ts, 1e-10)
+    value, rem, bound, taken = _closed_form_rows(model, win, lams, ts)
     if not taken[0]:
         return  # an eigen-sum row
     other, other_rem, other_bound, _ = _eigen_sum_diagonal(model, win, lams, ts)

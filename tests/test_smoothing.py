@@ -754,6 +754,28 @@ def test_parity_grid_equals_per_lambda_splits(model12, chart):
     assert np.array_equal(rep.meta["window_cut_remainders"], [s.cut_remainder for s in splits])
 
 
+def test_parity_part_is_double_when_either_row_is(model12, chart, monkeypatch):
+    # on coordinate charts +-u have the same moments, so no real pair of
+    # rows differs: a stand-in diagonal labels one row of a pair "double"
+    # (the minus row at lam = 100, the plus row at 300) and gives either
+    # row the larger remainder or bound
+    def rows(model, win, lams, points, tail_tol, moments=None):
+        assert lams.tolist() == [100.0, 200.0, 300.0] * 2 and len(points) == 6
+        values = np.array([1.0, 2.0, 3.0, 5.0, 7.0, 11.0], dtype=complex)
+        remainders = np.array([1e-12, 5e-11, 4e-12, 3e-12, 2e-13, 1e-12])
+        bounds = np.array([2e-15, 1e-14, 1e-16, 7e-15, 1e-16, 3e-16])
+        precision = np.array(["closed-form", "closed-form", "double", "double", "closed-form",
+                              "closed-form"], dtype=object)
+        return values, remainders, bounds, precision
+
+    monkeypatch.setattr(smoothing, "_diagonal_values", rows)
+    rep = parity_scan(model12, WIN, chart, np.array([0.5 + 0j]), [100.0, 200.0, 300.0])
+    assert rep.meta["precision"] == ["double", "closed-form", "double"]
+    assert rep.meta["window_cut_remainders"].tolist() == [3e-12, 5e-11, 4e-12]
+    assert rep.meta["rounding_bounds"].tolist() == [7e-15, 1e-14, 3e-16]
+    assert rep.exact.tolist() == [-2.0, -2.5, -4.0] and rep.predicted.tolist() == [3.0, 4.5, 7.0]
+
+
 def test_kernel_diagonal_positive_at_center(model12, chart):
     # with a window centered at a period the on-locus diagonal is large
     vals, bound = smoothed_kernel_diagonal(model12, WIN, 300.0, chart.center[None, :])
@@ -1222,7 +1244,9 @@ def test_closed_form_trace_leaves_cancelling_and_huge_rows_to_the_eigen_sum(mode
     model, lams = make_model((1, 1, 1, 2)), np.array([-3.0, 0.5, 300.0])
     res = smoothed_trace(model, WIN, lams)
     assert res.precision.tolist() == ["double", "closed-form", "closed-form"]
-    _, closed_rem, closed_bound, _, taken, formed = smoothing._closed_form_trace(model, WIN, lams, 1e-10)
+    *columns, formed = smoothing._closed_form_trace(model, WIN, lams, 1e-10)
+    formed, taken = smoothing._closed_form_verdict(columns, formed, 1e-10)
+    _, closed_rem, closed_bound, _, _ = columns
     _, eigen_rem, eigen_bound, _, _ = _eigen_sum_trace(model, WIN, lams)
     assert formed.all() and taken.tolist() == [False, False, True]
     budget = res.cut_remainder + res.rounding_bound
@@ -1234,6 +1258,33 @@ def test_closed_form_trace_leaves_cancelling_and_huge_rows_to_the_eigen_sum(mode
     assert smoothed_trace(model12, WIN, 2.0**52 - 1).precision == "closed-form"
     with pytest.raises(CoverageError, match="window-cut table"):
         smoothed_trace(model12, WIN, 2.0**52)
+
+
+@pytest.mark.parametrize("shape", ["trace", "kernel"])
+def test_one_verdict_judges_trace_and_kernel_rows(shape, model12):
+    # the raw columns of either closed form: every row stands and is taken;
+    # a non-finite bound or a remainder past the cut target makes a row not
+    # formed, and a kappa just past `_CLOSED_FORM_KAPPA` formed but not taken
+    lams = np.array([150.0, 200.5, 250.0, 300.5])
+    if shape == "trace":
+        *columns, formed = smoothing._closed_form_trace(model12, WIN, lams, 1e-10)
+        assert len(columns) == 5
+    else:
+        ts = np.array([[0.25, 0.75]] * lams.size)
+        *columns, formed = smoothing._closed_form_diagonal(model12, WIN, lams, ts)
+        assert len(columns) == 4
+    value, remainder, bound, majorants = columns[:4]
+    assert smoothing._closed_form_verdict(columns, formed, 1e-10)[1].all()
+    bound[0] = np.inf
+    remainder[1] = np.nextafter(smoothing._final_cut_target(1e-10, 2.0**-53, majorants[1]), 1.0)
+    kappa = smoothing._CLOSED_FORM_KAPPA
+    value[2] = majorants[2] / np.nextafter(kappa, np.inf)  # kappa just above the limit
+    value[3] = majorants[3] / kappa  # kappa at the limit
+    assert majorants[2] > kappa * abs(value[2]) and majorants[3] <= kappa * abs(value[3])
+    stands, taken = smoothing._closed_form_verdict(columns, formed, 1e-10)
+    assert stands.tolist() == [False, False, True, True]
+    assert taken.tolist() == [False, False, False, True]
+    assert not smoothing._closed_form_verdict(columns, np.zeros(4, dtype=bool), 1e-10)[0].any()
 
 
 def test_trace_remainders_carry_the_summed_ghost(model12):

@@ -60,6 +60,21 @@ def test_model_and_degree_inputs_are_refused(fault, model12, monkeypatch):
         call(model12)
 
 
+@pytest.mark.parametrize("weights, first", [((1, 2), 179), ((1, 1, 2), 19), ((1, 1, 1, 2), 7)])
+def test_toeplitz_work_limit_refuses_the_same_first_degree(weights, first, monkeypatch):
+    # the work estimate reads `toeplitz_rule`'s node counts from the
+    # quadrature's own formula: the first refused degree stays where it was,
+    # and the degree below it passes the estimate to build the rule
+    def built(*args):
+        raise AssertionError("the quadrature rule was built")
+
+    monkeypatch.setattr(spectral, "toeplitz_rule", built)
+    with pytest.raises(CoverageError, match=f"degree {first} "):
+        toeplitz_matrix(make_model(weights), first)
+    with pytest.raises(AssertionError, match="was built"):
+        toeplitz_matrix(make_model(weights), first - 1)
+
+
 def test_multi_indices_count_and_order():
     for d, k in [(1, 7), (2, 5), (3, 4)]:
         idx = multi_indices(d, k)
