@@ -9,6 +9,7 @@ its own ``src`` on the path, in a fresh interpreter):
 - the CLI arguments of perfbench's trace-scan and kernel-scan workloads for
   seeds 1-3 (built by the change's ``perfbench/run.py``);
 - the general-weight trace, kernel and parity commands of the CI workflow;
+- two (1,503) traces, whose 503 poles carry nontrivial Laurent coefficients;
 - ``verify --seed 5``.
 
 Per artifact (``<kind>.csv`` with its ``<kind>.json``, and
@@ -50,6 +51,11 @@ CI_COMMANDS = [
                        "1.2566370614359172", "--eps", "0.04", "--lambda-grid", "1e9:1.00000001e9:2"]),
     ("ci-trace-lcm", ["trace", "--weights", "11,13,17,19", "--shape", "gaussian", "--tau0", "0",
                       "--eps", "0.04", "--lambda-grid", "1000:2000:3"]),
+    # 503 poles: the nontrivial Laurent coefficients, at tau0 = 0 and at the period 2 pi 251/503
+    ("trace-1-503", ["trace", "--weights", "1,503", "--shape", "gaussian", "--tau0", "0",
+                     "--eps", "0.001", "--lambda-grid", "1e6:2e6:3"]),
+    ("trace-1-503-period", ["trace", "--weights", "1,503", "--shape", "gaussian", "--tau0",
+                            "3.135346942548859", "--eps", "0.001", "--lambda-grid", "1e6:2e6:3"]),
     ("ci-local-12", ["local", "--weights", "1,2", "--shape", "gaussian", "--tau0",
                      "3.141592653589793", "--eps", "0.15", "--lambda-grid", "1e6:2e6:3"]),
     ("ci-offlocus-13", ["offlocus", "--weights", "1,3", "--shape", "gaussian", "--tau0", TAU_THIRD,

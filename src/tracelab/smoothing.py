@@ -34,7 +34,8 @@ diagonals alike: c_n = sum_rho rho^n P_rho(n) over the poles rho of the
 coefficients' generating function, each one `_Pole` record.  The trace's
 poles are the roots of unity of prod_i (1 - x^{w_i})^-1 (`_unit_poles`),
 the kernel's rho = 1 and the Newton-polished roots of a deflated p_t
-(`_poles`); both take P_rho from the same Laurent expansion (`_laurent`,
+(`_poles`); each takes P_rho from one Laurent expansion of its own factors,
+1 - x^{w_i} or p_t at x = (1 - y)/rho, reading no other pole (`_laurent`,
 `_pole_record`).  Poisson summation turns each pole into a few aliases near
 tau0 (`_alias_walk`), each 2 pi e^X e^{i phase} R(mu), R a gaussian moment
 polynomial in mu evaluated by Horner's rule over the grid, with one bound
@@ -283,10 +284,13 @@ def _window_cut(
 
     To the right the term ratio from n to n + 1 is at most q = (1 + d/(m+1))
     exp(-eps^2 (2s+1)/2), m = floor(n/min_w) and s = n - lam, decreasing in
-    n, so the terms from n0 = hi + 1 on sum to at most b(n0) envelope(n0 -
-    lam)/(1 - q(n0)).  To the left (lo > 0) b does not grow as n falls and
-    the envelope ratio from n to n - 1 is at most exp(-eps^2 (2s+1)/2), s =
-    lam - n, so the terms from n1 = lo - 1 down sum to at most b(n1)
+    n, so the terms from n0 = hi + 1 on, s0 = n0 - lam > 0, sum to at most
+    b(n0) envelope(s0)/(1 - q(n0)), or where q(n0) >= 1 (small eps), as C(m0
+    + k + d, d) <= C(m0 + d, d) C(k + d, d) and envelope(s0 + k) <=
+    envelope(s0) exp(-eps^2 s0 k), b(n0) envelope(s0)/(1 - exp(-eps^2
+    s0))^(d+1).  To the left (lo > 0) b does not grow as n falls and the
+    envelope ratio from n to n - 1 is at most exp(-eps^2 (2s+1)/2), s = lam
+    - n, so the terms from n1 = lo - 1 down sum to at most b(n1)
     envelope(lam - n1)/(1 - exp(-eps^2 (2(lam - n1) + 1)/2)).  A cut whose
     coefficient table 0..hi would pass `_CUT_TABLE_MAX` entries is refused
     before anything is allocated.
@@ -308,9 +312,9 @@ def _window_cut(
     def tail(n, s, growth):
         q = growth * np.exp(-0.5 * win.eps**2 * (2.0 * s + 1.0))
         size = _walk_majorant(n, d, min_w) * win.fourier_envelope(s)
-        # 0/0 arises only in a left tail that lo = 0 masks
+        # 0/0 arises only in a left tail that lo = 0 masks; a left tail has q < 1
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(q < 1.0, size / (1.0 - q), np.inf)
+            return np.where(q < 1.0, size / (1.0 - q), size / (-np.expm1(-win.eps**2 * s)) ** (d + 1))
 
     right = tail(hi + 1, hi + 1 - lams, 1.0 + d / ((hi + 1) // min_w + 1))
     left = np.where(lo > 0, tail(lo - 1, lams - lo + 1, 1.0), 0.0)
@@ -602,11 +606,6 @@ def _cmul(a: tuple, b: tuple) -> tuple:
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _cdiv(a: tuple, b: tuple) -> tuple:
-    n = b[0] * b[0] + b[1] * b[1]
-    return (a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n
-
-
 def _polished_roots(q: list) -> list | None:
     """The roots of S(y) = sum_k q[k] y^(m-k), m = len(q) - 1, q[0] = 1, as
     (re, im, radius): ``np.roots`` polished by `_NEWTON_STEPS` Newton steps at
@@ -637,9 +636,9 @@ def _polished_roots(q: list) -> list | None:
             for x in q[1:]:
                 t0, t1 = t0 * y0 - t1 * y1 + s0, t0 * y1 + t1 * y0 + s1
                 s0, s1 = s0 * y0 - s1 * y1 + x, s0 * y1 + s1 * y0
-            if step < _NEWTON_STEPS:
-                dy = _cdiv((s0, s1), (t0, t1))
-                y0, y1 = y0 - dy[0], y1 - dy[1]
+            if step < _NEWTON_STEPS:  # y -= S(y)/S'(y)
+                n = t0 * t0 + t1 * t1
+                y0, y1 = y0 - (s0 * t0 + s1 * t1) / n, y1 - (s1 * t0 - s0 * t1) / n
         size = abs(complex(float(y0), float(y1)))
         e_s = 8 * m * _DECIMAL_UNIT * sum(float(x) * size ** (m - k) for k, x in enumerate(q))
         value = abs(complex(float(s0), float(s1)))
@@ -656,66 +655,67 @@ def _separation(roots) -> float:
     )
 
 
-def _laurent(r: int, roots: list, centres: list, orders: list) -> tuple[list, tuple, float]:
-    """The Laurent series of G = prod_s (1 - rho_s x)^-orders[s] at pole r.
+def _laurent(factors: list) -> tuple[list, tuple, float]:
+    """The Laurent series at a pole rho of G = prod_f P_f(x)^-M_f from its
+    own factors: each P = 1 - sum_w a_w x^w as (M, z, terms), z its order at
+    rho, terms ((w, s_w, e_w), ...) with s_w = a_w rho^-w a complex decimal
+    and e_w its distance from the truth plus (T + 1) v |s_w| (T terms), the
+    rounding of the sums that form g.
 
-    With y = 1 - rho_r x, q_s = rho_s/rho_r and M_s = orders[s], each other
-    factor is (1 - q_s + q_s y)^-M_s = (1 - q_s)^-M_s sum_m C(M_s - 1 + m, m)
-    (-beta_s)^m y^m, beta_s = q_s/(1 - q_s), so the coefficient phi_m of y^m
-    in their product, m < M = orders[r], weighs (1 - rho_r x)^-(M - m),
-    which adds C(n + M - 1 - m, M - 1 - m) rho_r^n to [x^n] G.  It is formed
-    at the context's precision from ``roots``, (re, im, radius) with the
-    true root within radius.  Returns (series, majorants, spread): the
-    series as decimal (re, im) pairs, the same product with every term's
-    modulus (from the double ``centres``), and a bound on each |error| of
-    phi_m over its majorant.  Forming q_s rounds it by at most 5 decimal
-    units of |q_s|, and the radii move it by (radius_s + |q_s| radius_r)/
-    |rho_r|; a move dq moves term m of factor s, (1 - q_s)^-(M_s + m) q_s^m
-    but for sign and binomial, by dq (m/|q_s| + (M_s + m)/|1 - q_s|) <= (M_s
-    + M - 1) dq (1/|1 - q_s| + 1/|q_s|) of itself to first order.  The
-    arithmetic's relative errors (v = `_DECIMAL_UNIT`; an operation rounds
-    by v/2 of its result, a complex product by sqrt(2) v of the product of
-    the moduli): 1/(1 - q_s) is within 2.5 v, beta_s within 4 v, the power
-    within (4 M_s - 1.5) v, each later term adds 6.5 v (a product by beta_s
-    and the binomial step) and folding in a factor 1.5 v + 0.71 m v, so
-    sum_{s != r} (4 M_s + 8 M) v bounds it; 12 (D - 1)(d + 1) v for D poles
-    of order d + 1.
+    At x = (1 - y)/rho, P = 1 - sum_w s_w (1 - y)^w = y^z g(y), g_0 != 0, so
+    G = y^-m prod_f g_f^-M_f, m = sum_f z M the pole's order, and the
+    coefficient phi_k of y^k, k < m, adds C(n + m - 1 - k, m - 1 - k) rho^n
+    to [x^n] G.  Each g^-M comes from k g_0 h_k = sum_{j=1..k} (-M j - (k -
+    j)) g_j h_{k-j}, h_0 = g_0^-M, at the context's precision.
+
+    **Bounds.**  g_j is within e_j = sum_w C(w, z + j) e_w, so with a_0 =
+    |g_0| - e_0 > 0 and b_j = |g_j| + e_j the Cauchy majorants A^-M, A = a_0
+    - sum_{j>0} b_j y^j, multiply to Phi >> phi for every g within the e_j.
+    Moving g by the e_j moves phi by at most Phi sum_f M E_f/A_f, E_f = sum_j
+    e_j y^j; as E_f << eps_f (2 a_0 - A), eps_f = max(e_0/a_0, e_j/b_j), 1/A
+    << a_0^(M-1) A^-M and A^-2M << 2^n a_0^-M A^-M at y^n (C(2M + n - 1, n)
+    <= 2^n C(M + n - 1, n)), that is 2^m sum_f M eps_f of Phi.  Rounding (v
+    = `_DECIMAL_UNIT`; a complex product 1.5 v of the product of the moduli,
+    a k-term sum 0.71 (k - 1) v of their moduli, 1/g_0 2.5 v) leaves h_0
+    within (4 M - 1.5) v of its majorant, and each step adds (0.71 k + 6.3)
+    v, so h_k is within (4 M + k (k + 14)/2) v; each product of two series
+    adds (m + 1) v.  Returns (phi, Phi, spread), each phi_k within spread
+    Phi_k of the truth; phi is exactly real where every s_w is.
     """
-    (r0, r1), one, size = roots[r][:2], (Decimal(1), Decimal(0)), orders[r]
-    norm = r0 * r0 + r1 * r1
-    series, bounds = None, [1.0] + [0.0] * (size - 1)
-    spread = 4.0 * (sum(orders) - size + 2 * (len(roots) - 1) * size) * _DECIMAL_UNIT
-    for s, (re, im, radius) in enumerate(roots):
-        if s == r:
-            continue
-        q = (re * r0 + im * r1) / norm, (im * r0 - re * r1) / norm  # rho_s/rho_r
-        i0, i1 = t0, t1 = _cdiv(one, (1 - q[0], -q[1]))
-        b0, b1 = _cmul(q, (i0, i1)) if size > 1 else (0, 0)  # beta_s
-        for _ in range(orders[s] - 1):
-            t0, t1 = t0 * i0 - t1 * i1, t0 * i1 + t1 * i0
-        terms = [(t0, t1)]
-        for m in range(1, size):
-            t0, t1 = t0 * b0 - t1 * b1, t0 * b1 + t1 * b0
-            t0, t1 = -t0 * (orders[s] - 1 + m) / m, -t1 * (orders[s] - 1 + m) / m
-            terms.append((t0, t1))
+    v, size = _DECIMAL_UNIT, sum(M * z for M, z, _ in factors)
+    series, bound, spread = None, None, -(size + 1) * v
+    for M, z, terms in factors:
+        g, e, b = [], [], []
+        for j in range(z, z + size):  # [y^j] P((1 - y)/rho) = [j = 0] - (-1)^j sum_w C(w, j) s_w
+            re, im, err, sign = Decimal(j == 0), Decimal(0), v * (j == 0), (-1) ** (j + 1)
+            for w, (s0, s1), e_w in terms:
+                if w >= j:
+                    c = sign * math.comb(w, j)
+                    re, im, err = re + c * s0, im + c * s1, err + abs(c) * e_w
+            g.append((re, im))
+            e.append(err)
+            b.append(abs(complex(float(re), float(im))) + err)
+        a0 = b[0] - 2 * e[0]  # |g_0| - e_0
+        if not a0 > 0:  # `_closed_form_diagonal` then sums the rows as eigen-sums
+            raise ValueError("a factor's leading coefficient is within its error of 0")
+        norm = g[0][0] * g[0][0] + g[0][1] * g[0][1]
+        inv = g[0][0] / norm, -g[0][1] / norm
+        h, hat = [functools.reduce(_cmul, [inv] * M)], [a0**-M]  # g^-M and its majorant A^-M
+        for k in range(1, size):
+            t0 = t1 = 0
+            for j in range(1, k + 1):
+                c, (p0, p1) = -M * j - (k - j), _cmul(g[j], h[k - j])
+                t0, t1 = t0 + c * p0, t1 + c * p1
+            h.append(_cmul((t0 / k, t1 / k), inv))
+            hat.append(sum((M * j + k - j) * b[j] * hat[k - j] for j in range(1, k + 1)) / (k * a0))
         if series is None:
-            series = terms
-        else:  # the product's coefficients of y^0..y^(M-1), summed from 0 as sum() would
-            product = []
-            for m in range(size):
-                p0 = p1 = 0
-                for (a0, a1), (c0, c1) in zip(series[: m + 1], terms[m::-1]):
-                    p0, p1 = p0 + (a0 * c0 - a1 * c1), p1 + (a0 * c1 + a1 * c0)
-                product.append((p0, p1))
-            series = product
-        q_f = centres[s] / centres[r]
-        a_q, a_inv = abs(q_f), 1.0 / abs(1.0 - q_f)
-        sizes = [a_inv ** orders[s] * math.comb(orders[s] - 1 + m, m) * (a_q * a_inv) ** m
-                 for m in range(size)]
-        bounds = [sum(bounds[i] * sizes[m - i] for i in range(m + 1)) for m in range(size)]
-        dq = (radius + a_q * roots[r][2]) / abs(centres[r]) + 5.0 * _DECIMAL_UNIT * a_q
-        spread += (orders[s] + size - 1) * dq * (a_inv + 1.0 / a_q)
-    return series or [one] + [(0, 0)] * (size - 1), tuple(bounds), spread
+            series, bound = h, hat
+        else:
+            series = [tuple(map(sum, zip(*(_cmul(series[i], h[k - i]) for i in range(k + 1))))) for k in range(size)]
+            bound = [sum(bound[i] * hat[k - i] for i in range(k + 1)) for k in range(size)]
+        eps = max([e[0] / a0] + [x / y for x, y in zip(e[1:], b[1:]) if y])
+        spread += 2**size * M * eps + (4 * M + (size - 1) * (size + 13) / 2 + size + 1) * v
+    return series, tuple(bound), spread
 
 
 @functools.lru_cache(maxsize=None)
@@ -732,24 +732,20 @@ def _binomial_bases(d: int) -> tuple:
                      for basis in bases)
 
 
-def _pole_record(r, roots, centres, orders, log_modulus, arg, turn, error) -> _Pole:
-    """Pole r of prod_s (1 - rho_s x)^-orders[s] (``roots`` and ``centres``
-    as `_laurent` takes them) as a `_Pole`, at the context's precision.
+def _pole_record(factors, log_modulus, arg, turn, error) -> _Pole:
+    """The pole rho = e^(log_modulus + i arg) of prod_f P_f(x)^-M_f as a
+    `_Pole`, at the context's precision, from its own ``factors``.
 
     Its Laurent series phi (`_laurent`) adds sum_k phi_k C(n + K, K) rho^n,
-    K = m - 1 - k and m = orders[r], to the n-th coefficient; it is
+    K = m - 1 - k and m the pole's order, to the n-th coefficient; it is
     converted once to powers of n by the exact rationals e_Kj = [n^j]
     C(n + K, K) (`_binomial_bases`), each rounded once.  Coefficient j is
     then off by at most (spread + (m + 1) v) sum_k e_Kj phibar_k (v =
     `_DECIMAL_UNIT`, phibar the series' majorants: v/2 for e_Kj and for the
     product, sqrt(2) v/2 for each of m - 1 sums, and phi_k within spread
-    phibar_k).  The other poles of a real one pair off as conjugates of
-    equal order, so its series is real and the imaginary parts, rounding
-    residue, are dropped."""
-    series, bounds, spread = _laurent(r, roots, centres, orders)
-    if roots[r][1] == 0:
-        series = [(re, Decimal(0)) for re, _ in series]
-    size = orders[r]
+    phibar_k)."""
+    series, bounds, spread = _laurent(factors)
+    size = len(series)
     exact, weight = [(Decimal(0), Decimal(0))] * size, [0.0] * size
     for (p0, p1), bound, basis in zip(series, bounds, _binomial_bases(size - 1)[::-1]):
         for j, (x, e) in enumerate(basis):
@@ -797,7 +793,8 @@ def _poles(d: int, moments: tuple) -> list | None:
         gap = min((abs(a - b) for i, a in enumerate(centres) for b in centres[:i]), default=math.inf)
         if _separation(centres) < _ROOT_SEPARATION or max(x for _, _, x in roots) > gap / 4:
             return None
-        poles, formed = [], {}
+        poles, formed, unit = [], {}, _DECIMAL_UNIT
+        scale = {w: (c, float(c)) for w, c in moments if c > 0}
         for r, (re, im, radius) in enumerate(roots):
             if (re, im.copy_negate()) in formed:
                 poles.append(_conjugate(formed[re, im.copy_negate()]))
@@ -806,8 +803,16 @@ def _poles(d: int, moments: tuple) -> list | None:
             # |d log rho| <= |d rho|/(|rho| - |d rho|), and the decimal steps
             error = radius / (abs(centres[r]) - radius)
             error += 8 * _DECIMAL_UNIT * (1 + abs(float(log_modulus)) + abs(float(arg)))
-            orders = [d + 1] * len(roots)
-            poles.append(_pole_record(r, roots, centres, orders, log_modulus, arg, None, error))
+            # s_w = c_w rho^-w: the radius moves rho^-w by w radius (|rho| - radius)^-(w+1), its
+            # powers round by 4 w v |rho|^-w, and (T + 1) v |s_w| covers `_laurent`'s sums
+            norm, terms, size = re * re + im * im, [], abs(centres[r])
+            inv = power = (re / norm, -im / norm) if r else (1, 0)  # 1/rho, exact at rho = 1
+            for w in range(1, top + 1):
+                power = _cmul(power, inv) if w > 1 else inv
+                if w in scale:
+                    e_w = w * radius / (size - radius) ** (w + 1) + (4 * w + len(scale) + 1) * unit / size**w
+                    terms.append((w, (scale[w][0] * power[0], scale[w][0] * power[1]), scale[w][1] * e_w))
+            poles.append(_pole_record([(d + 1, 1, terms)], log_modulus, arg, None, error))
             if im:
                 formed[re, im] = poles[-1]
     return poles
@@ -1249,9 +1254,9 @@ def smoothed_kernel_diagonal(
 # traces in closed form: the poles of sum_n d(n) x^n
 # ----------------------------------------------------------------------------
 
-# the most complex decimal operations `_unit_poles` spends (1 to 7 us each in
-# CPython 3.11 on a 2-core x86: at most about 1.5 s); past it, eigen-sums
-_UNIT_POLES_WORK = 1 << 18
+# the most poles `_unit_poles` builds (about 0.25 s at the cap); each trace
+# row sums at least one alias per pole, so past it, eigen-sums
+_UNIT_POLES_MAX = 1 << 12
 # a closed-form trace row takes |lam| below this: past 2^52 the doubles are
 # spaced 1 or more apart, so a double lam no longer resolves n
 _CLOSED_FORM_LAMBDA = 2.0**52
@@ -1260,42 +1265,36 @@ _CLOSED_FORM_LAMBDA = 2.0**52
 @functools.lru_cache(maxsize=16)
 def _unit_poles(weights: tuple) -> tuple | None:
     """The poles of sum_n d(n) x^n on the unit circle, with the coefficients
-    of their polynomials; None when the build's work passes
-    `_UNIT_POLES_WORK`.  Built once per weight vector (``weights`` sorted).
+    of their polynomials; None past `_UNIT_POLES_MAX` poles (before they are
+    listed when one weight passes it).  Built once per weight vector
+    (``weights`` sorted), in O(R) for R poles.
 
     prod_i (1 - x^{w_i})^-1 = prod_zeta (1 - zeta x)^-m(zeta) over the
     roots of unity zeta = e^(2 pi i turn) with m(zeta) = #{i : zeta^{w_i} =
-    1} > 0, so d(n) = sum_zeta zeta^n P_zeta(n), each P_zeta from the pole's
-    Laurent series (`_pole_record`).  The roots are formed by `_cis`, exact
-    on quarter turns and else within 404 decimal units (v =
-    `_DECIMAL_UNIT`): the angle 2 pi k/p rounds three times, 1.5 v of
-    |angle| <= pi, each part is within `_sin_cos`' 280 v, and 285 sqrt(2) <
-    404.  A pole with turn <= 1/2 is expanded, and the pole at 1 - turn is
-    its conjugate (`_conjugate`).
-
-    The work W, O(R^2) in the number R of poles, is capped by
-    `_UNIT_POLES_WORK`: an expanded pole folds in R - 1 factors, of about
-    orders[s] + m^2 complex operations each, and its conversion costs about
-    4 m^2 (long rationals), so W = sum (sum w + (R + 3) m^2) over them.  At
-    least R/2 poles are expanded, so W >= R^2/2 >= max(w)^2/2.
+    1} > 0, so d(n) = sum_zeta zeta^n P_zeta(n), each P_zeta from the
+    factors 1 - x^w, w a weight of multiplicity M, z = [zeta^w = 1]
+    (`_pole_record`).  The scaled coefficient zeta^-w is `_cis` at the
+    exact turn -w turn, exact on quarter turns and else within 404 decimal
+    units (v = `_DECIMAL_UNIT`): the angle 2 pi k/p rounds three times, 1.5
+    v of |angle| <= pi, each part is within `_sin_cos`' 280 v, and 285
+    sqrt(2) < 404; 2 v more covers `_laurent`'s sums.  A pole with turn <=
+    1/2 is expanded, and the pole at 1 - turn is its conjugate
+    (`_conjugate`).
     """
-    top = max(weights)
-    if top * top > 2 * _UNIT_POLES_WORK:
+    if max(weights) > _UNIT_POLES_MAX:
         return None
-    turns = sorted({Fraction(k, w) for w in weights for k in range(w)})
-    orders = [sum(w % turn.denominator == 0 for w in weights) for turn in turns]
-    work = sum(sum(weights) + (len(turns) + 3) * m * m for t, m in zip(turns, orders) if 2 * t <= 1)
-    if work > _UNIT_POLES_WORK:
+    # distinct turns k/w, w <= 2^12, differ by more than 2^-24, so their doubles sort them
+    turns = sorted({Fraction(k, w) for w in weights for k in range(w)}, key=float)
+    if len(turns) > _UNIT_POLES_MAX:
         return None
-    poles = []
+    counts, poles, v = {w: weights.count(w) for w in weights}, [], _DECIMAL_UNIT
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
-        roots = [(Decimal(c), Decimal(s), 404 * _DECIMAL_UNIT if 4 * t.numerator % t.denominator else 0.0)
-                 for t in turns for c, s in [_cis(t)]]
-        centres = [complex(float(re), float(im)) for re, im, _ in roots]
-        for r, turn in enumerate(t for t in turns if 2 * t <= 1):
+        for turn in turns[: len(turns) // 2 + 1]:  # the turns in [0, 1/2]; the others are 1 - turn
+            factors = [(M, int(w % turn.denominator == 0), [(w, _cis(-w * turn), (404 * (4 * w * turn % 1 != 0) + 2) * v)])
+                       for w, M in counts.items()]
             arg = 2 * _PI * turn.numerator / turn.denominator
-            poles.append(_pole_record(r, roots, centres, orders, Decimal(0), arg, turn, 0.0))
+            poles.append(_pole_record(factors, Decimal(0), arg, turn, 0.0))
             if 0 < 2 * turn < 1:
                 poles.append(_conjugate(poles[-1]))
     return tuple(poles)

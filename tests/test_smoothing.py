@@ -884,6 +884,31 @@ def test_the_cut_keeps_the_whole_gaussian_reach(weights):
         assert r >= _outside_majorant(win, model, lam, a, b) - 1e-320
 
 
+def test_an_empty_cut_at_small_eps_has_a_finite_right_tail():
+    # on (1, 2) at eps 0.005 the ratio bound q of the right tail passes 1 on
+    # an empty cut for sqrt(1400)/eps < -lambda < ln 2/eps^2; the tail is then
+    # bounded by b(0) envelope(s0)/(1 - exp(-eps^2 s0))^(d+1), s0 = -lambda.
+    # A trace row whose ghost cut lies there (lambda = 1e4) is closed-form,
+    # within its budget of a 50-digit sum, where the eigen-sum certified 3e-12
+    model, win = make_model((1, 2)), Window("gaussian", 0.0, 0.005)
+    lo, hi, rem = _window_cut(win, model, np.array([-7500.0]))
+    assert (lo[0], hi[0]) == (0, -1) and 2.0 * math.exp(-0.5 * win.eps**2 * 15001.0) >= 1.0
+    assert math.isfinite(rem[0]) and rem[0] >= _outside_majorant(win, model, -7500.0, 0, -1) > 0
+    res = smoothed_trace(model, win, 1e4)
+    ref, _ = _mpmath_trace((1, 2), win, 1e4, 6000, 14000, digits=50)  # the rest is below 1e-80
+    assert res.precision == "closed-form" and res.rounding_bound <= 1e-14 * abs(res.value)
+    assert abs(complex(ref) - res.value) <= res.cut_remainder + res.rounding_bound
+
+
+def test_a_trace_past_the_cut_table_at_small_eps_is_closed_form():
+    # (1^12, 2) at eps 0.001, lambda = 2.3e6: the ghost's empty cut has q >= 1,
+    # and the eigen-sum's table would pass `_CUT_TABLE_MAX` and refuse
+    model = make_model((1,) * 12 + (2,))
+    res = smoothed_trace(model, Window("gaussian", 0.0, 0.001), 2.3e6)
+    assert res.precision == "closed-form"
+    assert res.cut_remainder + res.rounding_bound <= 1e-13 * abs(res.value)
+
+
 def test_grouped_trace_equals_per_eigenvalue_sum(pkg, model12):
     # below the package edge the untruncated trace is the flat sum over the
     # degree-truncated spectrum, within that sum's certified degree tail
@@ -1151,13 +1176,93 @@ def test_unit_poles_reproduce_the_denumerants():
                 assert abs(exact - want) <= 1e-25 * max(1, abs(want)), (weights, n)
 
 
+def _other_roots_coefficients(mpmath, roots, orders, r):
+    """The oracle for pole r of prod_s (1 - rho_s x)^-orders[s], at the
+    working precision: its polynomial's coefficients in powers of n, from
+    the product over every other root of (1 - q_s + q_s y)^-M_s, q_s =
+    rho_s/rho_r, whose coefficient of y^k weighs C(n + K, K), K = M - 1 - k."""
+    size, inverse = orders[r], 1 / roots[r]
+    series = [mpmath.mpc(1)] + [mpmath.mpc(0)] * (size - 1)
+    for s, (rho, order) in enumerate(zip(roots, orders)):
+        if s != r and size == 1:
+            series[0] /= (1 - rho * inverse) ** order
+        elif s != r:
+            q = rho * inverse
+            terms = [(1 - q) ** -order]
+            for m in range(1, size):  # (1 + beta y)^-M, beta = q/(1 - q)
+                terms.append(-terms[-1] * q / (1 - q) * (order - 1 + m) / m)
+            series = [mpmath.fsum(series[i] * terms[m - i] for i in range(m + 1)) for m in range(size)]
+    coeffs = [mpmath.mpc(0)] * size
+    for k, phi in enumerate(series):
+        basis = [mpmath.mpf(1)]
+        for l in range(1, size - k):  # C(n + K, K) = prod_{l <= K} (n + l)/l
+            basis = [(a + l * b) / l for a, b in zip([0] + basis, basis + [0])]
+        coeffs = [c + phi * e for c, e in zip(coeffs, basis + [0] * size)]
+    return coeffs
+
+
+def _assert_within_errors(mpmath, pole, reference):
+    for (re, im), error, want in zip(pole.exact, pole.errors, reference, strict=True):
+        assert abs(mpmath.mpc(str(re), str(im)) - want) <= error, (pole.turn, pole.arg, want)
+
+
+@pytest.mark.parametrize("weights", [(1, 2), (1, 2, 3), (2, 3, 5, 7), (11, 13, 17, 19), (1, 509)])
+def test_trace_pole_errors_bound_a_60_digit_oracle(weights):
+    # every 40-digit coefficient of `_unit_poles` is within its error of the
+    # other-roots product over the exact roots of unity at 60 digits; of
+    # (1, 509)'s poles (seconds at 60 digits) every 16th and the 18 nearest
+    # turn 254/509, the period the CI trace reads
+    mpmath = pytest.importorskip("mpmath")
+    turns = sorted({Fraction(k, w) for w in weights for k in range(w)})
+    orders = [sum(w % t.denominator == 0 for w in weights) for t in turns]
+    poles = smoothing._unit_poles(weights)
+    if len(poles) > 64:
+        poles = [p for i, p in enumerate(poles) if i % 16 == 0 or abs(p.turn - Fraction(1, 2)) < Fraction(9, 509)]
+    with mpmath.workdps(60):
+        roots = [mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator) for t in turns]
+        for pole in poles:
+            r = turns.index(pole.turn)
+            _assert_within_errors(mpmath, pole, _other_roots_coefficients(mpmath, roots, orders, r))
+
+
+@pytest.mark.parametrize("weights", [(1, 2), (1, 3), (1, 2, 3), (2, 3, 5, 7)])
+def test_kernel_pole_errors_bound_a_60_digit_oracle(weights):
+    # every 40-digit coefficient of `_poles` is within its error of the
+    # other-roots product over the roots of the decimal p_t found at 60
+    # digits, on 24 random moment rows and, where roots can collide, rows
+    # whose separation is just above `_ROOT_SEPARATION` (1.5e-3 and 2e-3 on
+    # (1, 2, 3), 1.2e-3 and 1.5e-3 on (2, 3, 5, 7))
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(len(weights) + max(weights))
+    rows = [rng.uniform(0.01, 1.0, len(weights)) for _ in range(24)]
+    rows += {(1, 2, 3): [[x, 0.75 - x, 0.25] for x in (2.8e-7, 5e-7)],
+             (2, 3, 5, 7): [[0.75 - x, 0.25 - x, x, x] for x in (7e-9, 1.1e-8)]}.get(weights, [])
+    d = len(weights) - 1
+    for t in rows:
+        moments = smoothing._merged_moments(weights, t)
+        poles = smoothing._poles(d, moments)
+        assert poles is not None, t
+        with mpmath.workdps(60):
+            top = max(w for w, c in moments if c > 0)
+            p_t = [mpmath.mpf(str(dict(moments).get(w, 0))) for w in range(top, 0, -1)]
+            xs = mpmath.polyroots([-c for c in p_t] + [1], maxsteps=200, extraprec=200)
+            roots = [1 / x for x in xs]
+            for pole in poles:
+                rho = mpmath.exp(mpmath.mpf(str(pole.log_modulus)) + 1j * mpmath.mpf(str(pole.arg)))
+                r = min(range(len(roots)), key=lambda i: abs(roots[i] - rho))
+                reference = _other_roots_coefficients(mpmath, roots, [d + 1] * len(roots), r)
+                _assert_within_errors(mpmath, pole, reference)
+
+
 def test_unit_poles_turn_away_a_build_past_their_work_budget():
-    # the build is O(R^2) in the number R of poles: (1, 97, 101), R = 197, is
-    # within `_UNIT_POLES_WORK`, while (997, 1009), R = 2,005, and (16381,
-    # 16383), R = 32,763 (hours of build), are turned away before their
-    # roots are listed, and their rows come quickly from the eigen-sum
+    # each trace row sums at least one alias per pole, so the pole count R is
+    # capped at `_UNIT_POLES_MAX`: (1, 97, 101), R = 197, and (1, 4093), R =
+    # 4,093, are built, while (2003, 2011, 2017), R = 6,029, is turned away
+    # once its turns are listed and (16381, 16383), R = 32,763, before, as a
+    # weight alone passes the cap; their rows come quickly from the eigen-sum
     assert smoothing._unit_poles((1, 97, 101)) is not None
-    for weights in [(997, 1009), (16381, 16383)]:
+    assert len(smoothing._unit_poles((1, 4093))) == 4093
+    for weights in [(2003, 2011, 2017), (16381, 16383)]:
         start = time.perf_counter()
         assert smoothing._unit_poles(weights) is None
         rows = smoothed_trace(make_model(weights), Window("gaussian", 0.0, 0.04),
